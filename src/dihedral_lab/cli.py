@@ -7,17 +7,12 @@ and exits with:
     0  computation succeeded and the command's verdict passed
     1  computation succeeded but the verdict failed
     2  malformed input (message points at the offending file/flag)
-
-``DIHEDRAL_LAB_THREADS`` caps the worker count of the randomized
-certificate sweep; output writing is single-threaded and ordered.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -280,9 +275,9 @@ def certify(ctx, dims, trials, seed, tol, output):
     """Randomized PSD certificates for the interior/boundary estimates."""
 
     def run():
-        workers = int(os.environ.get("DIHEDRAL_LAB_THREADS", "1"))
-
-        def one_dim(n):
+        rows = {}
+        ok = True
+        for n in sorted(dims):
             module = clifford_module(n)
             rng = np.random.default_rng(seed + n)
             worst_c, worst_b = math.inf, math.inf
@@ -296,16 +291,6 @@ def certify(ctx, dims, trials, seed, tol, output):
                 jac_b = rng.normal(size=(n - 1, n - 1))
                 worst_b = min(worst_b,
                               boundary_certificate(amat, jac_b, module, module))
-            return n, worst_c, worst_b
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_dim, dims))
-        else:
-            results = [one_dim(n) for n in dims]
-        rows = {}
-        ok = True
-        for n, worst_c, worst_b in sorted(results):
             rows[str(n)] = {"curvature_min_eig": worst_c,
                             "boundary_min_eig": worst_b}
             ok = ok and worst_c >= -tol and worst_b >= -tol

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .clifford import CliffordModule
 from .curvature import (
     DomainError,
     PolyDomain,
+    _nullspace,
     christoffel,
     curvature_tensors,
     dihedral_angle,
@@ -132,28 +134,16 @@ def bianchi_residual(rop: np.ndarray, n: int) -> float:
     genuinely fails for such data.
     """
     rop = np.asarray(rop, dtype=float)
-    pairs = wedge_pairs(n)
-    pidx = {p: k for k, p in enumerate(pairs)}
-
-    def entry(i, j, k, l):
-        if i == j or k == l:
-            return 0.0
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -sign
-        if k > l:
-            k, l, sign = l, k, -sign
-        return sign * rop[pidx[(i, j)], pidx[(k, l)]]
-
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    worst = max(worst, abs(
-                        entry(i, j, k, l) + entry(i, k, l, j) + entry(i, l, j, k)
-                    ))
-    return worst
+    index = [[0] * n for _ in range(n)]
+    for k, (a, b) in enumerate(wedge_pairs(n)):
+        index[a][b] = k
+    # for i < j < k < l every pair below is already ordered
+    return max(
+        (abs(rop[index[i][j], index[k][l]] - rop[index[i][k], index[j][l]]
+             + rop[index[i][l], index[j][k]])
+         for i, j, k, l in combinations(range(n), 4)),
+        default=0.0,
+    )
 
 
 def random_curvature_operator(n: int, rng: np.random.Generator,
@@ -174,6 +164,26 @@ def random_curvature_operator(n: int, rng: np.random.Generator,
         w = np.array([u[a] * v[b] - u[b] * v[a] for a, b in pairs])
         rop += np.outer(w, w)
     return rop
+
+
+def _actions(module: CliffordModule, pairs) -> np.ndarray:
+    """Stack of the 2-vector actions c(e_a) c(e_b) over ``pairs``."""
+    gens = module.generators
+    return np.array([gens[a] @ gens[b] for a, b in pairs])
+
+
+def _twisted_min_eig(coeff: np.ndarray, target_actions: np.ndarray,
+                     source_actions: np.ndarray, shift: float) -> float:
+    """Minimum eigenvalue of ``shift Id - 1/2 sum_pq coeff[p, q] cbar_q (x) c_p``.
+
+    ``c_p`` and ``cbar_q`` are the stacked target / source actions; the sum
+    is contracted over q first, then over p into the Kronecker layout.
+    """
+    q, ds, _ = source_actions.shape
+    dt = target_actions.shape[1]
+    half = (-0.5 * coeff @ source_actions.reshape(q, -1)).reshape(-1, ds, ds)
+    endo = np.einsum("pij,pkl->ikjl", half, target_actions).reshape(ds * dt, ds * dt)
+    return float(np.linalg.eigvalsh(endo + shift * np.eye(ds * dt))[0])
 
 
 def curvature_certificate(
@@ -206,21 +216,15 @@ def curvature_certificate(
             "algebraic curvature operator and the interior estimate does "
             "not apply"
         )
-    pairs_n = wedge_pairs(n)
     coeff = rop @ wedge_square_map(jac)  # [target pair, source pair]
-    dim = source.fiber_dim * target.fiber_dim
-    endo = np.zeros((dim, dim), dtype=complex)
-    for q, (c, d) in enumerate(pairs_n):
-        cbar = source.generators[c] @ source.generators[d]
-        for p, (a, b) in enumerate(pairs_m):
-            if coeff[p, q] == 0.0:
-                continue
-            cw = target.generators[a] @ target.generators[b]
-            endo += (-0.5 * coeff[p, q]) * np.kron(cbar, cw)
     scalar = 2.0 * float(np.trace(rop))
     shift = df_norms(jac).wedge2_norm * scalar / 4.0
-    mat = endo + shift * np.eye(dim)
-    return float(np.linalg.eigvalsh(mat)[0])
+    return _twisted_min_eig(
+        coeff,
+        _actions(target, pairs_m),
+        _actions(source, wedge_pairs(n)),
+        shift,
+    )
 
 
 def boundary_certificate(
@@ -243,19 +247,14 @@ def boundary_certificate(
     if amat.shape != (m - 1, m - 1):
         raise ValueError("second fundamental form has wrong size")
     _check_psd(amat, "second fundamental form")
-    coeff = jac.T @ amat  # [lambda, mu] = A(f_* ebar_lam, e_mu)
-    dim = source.fiber_dim * target.fiber_dim
-    endo = np.zeros((dim, dim), dtype=complex)
-    for lam in range(n - 1):
-        cbar = source.generators[n - 1] @ source.generators[lam]
-        for mu in range(m - 1):
-            if coeff[lam, mu] == 0.0:
-                continue
-            cpart = target.generators[m - 1] @ target.generators[mu]
-            endo += (-0.5 * coeff[lam, mu]) * np.kron(cbar, cpart)
+    coeff = amat.T @ jac  # [mu, lambda] = A(f_* ebar_lam, e_mu)
     shift = df_norms(jac).df_norm * float(np.trace(amat)) / 2.0
-    mat = endo + shift * np.eye(dim)
-    return float(np.linalg.eigvalsh(mat)[0])
+    return _twisted_min_eig(
+        coeff,
+        _actions(target, [(m - 1, mu) for mu in range(m - 1)]),
+        _actions(source, [(n - 1, lam) for lam in range(n - 1)]),
+        shift,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +292,17 @@ class CompareScene:
 
     @classmethod
     def from_scene(cls, scene: dict) -> "CompareScene":
+        if not isinstance(scene, dict):
+            raise SceneError("compare scene must be a JSON object")
         try:
             src, dst = scene["N"], scene["M"]
             fexprs = scene["f"]
             faces = scene["faces"]
         except KeyError as exc:
             raise SceneError(f"compare scene missing key {exc}") from exc
+        if not (isinstance(fexprs, (list, tuple))
+                and all(isinstance(t, (str, Expr)) for t in fexprs)):
+            raise SceneError("'f' must be a list of expression strings")
         domain_src = PolyDomain.from_scene(src)
         domain_dst = PolyDomain.from_scene(dst)
         metric_src = metric_from_scene(src)
@@ -310,7 +314,10 @@ class CompareScene:
             raise SceneError(
                 f"map has {len(comps)} components, target dimension is {domain_dst.dim}"
             )
-        fmap = {int(k) - 1: int(v) - 1 for k, v in faces.items()}
+        try:
+            fmap = {int(k) - 1: int(v) - 1 for k, v in faces.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SceneError("'faces' must map face numbers to face numbers") from exc
         for i, j in fmap.items():
             if not (0 <= i < domain_src.face_count):
                 raise SceneError(f"face key {i + 1} out of range")
@@ -357,13 +364,6 @@ class CompareScene:
                             f"pushed normal span meets the target edge "
                             f"tangent at edge ({i + 1},{j + 1})"
                         )
-
-
-def _nullspace(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-12))
-    return vt[rank:].T
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "wedge_pairs",
 ]
 
-INWARD_STEP_FACTOR = 1e-6
 _FEAS_TOL = 1e-9
 
 
@@ -115,15 +114,26 @@ class PolyDomain:
 
     @classmethod
     def from_scene(cls, scene: dict) -> "PolyDomain":
+        if not isinstance(scene, dict):
+            raise DomainError("domain scene must be a JSON object")
         try:
             dim = int(scene["dim"])
-            halfspaces = [(h["a"], h["b"]) for h in scene["halfspaces"]]
+            halfspaces = [(np.asarray(h["a"], dtype=float), float(h["b"]))
+                          for h in scene["halfspaces"]]
         except KeyError as exc:
             raise DomainError(f"domain scene missing key {exc}") from exc
+        except TypeError as exc:
+            raise DomainError("domain scene needs an integer 'dim' and a list "
+                              "'halfspaces' of {\"a\": [...], \"b\": t}") from exc
         window = None
         if "window" in scene:
-            lo, hi = scene["window"]
-            window = (tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+            try:
+                lo, hi = scene["window"]
+                window = (tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+            except (TypeError, ValueError) as exc:
+                raise DomainError("'window' must be [[lo...], [hi...]]") from exc
+            if not len(window[0]) == len(window[1]) == dim:
+                raise DomainError(f"'window' corners must have {dim} entries")
         dom = cls.from_halfspaces(halfspaces, region=scene.get("region", "intersection"),
                                   window=window)
         if dom.dim != dim:
@@ -208,9 +218,6 @@ class PolyDomain:
             return max(best, 1e-9)
         return 1.0
 
-    def inward_step(self) -> float:
-        return INWARD_STEP_FACTOR * max(self.diameter(), 1.0)
-
 
 # ---------------------------------------------------------------------------
 # Curvature tensors
@@ -258,26 +265,31 @@ def _christoffel_bracket(dg: np.ndarray) -> np.ndarray:
     return dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
 
 
-def christoffel(g: MetricField, x: Sequence[float]):
-    """Metric, inverse, and Christoffel symbols Gamma^k_{ij} at ``x``."""
+def _first_order(g: MetricField, x: Sequence[float]):
+    """Metric, inverse, first derivatives dg[k, i, j], the Christoffel
+    bracket and Gamma^k_{ij} at ``x``."""
     gmat = metric_at(g, x)
     ginv = np.linalg.inv(gmat)
-    dg = g.first_derivatives(x)  # dg[k, i, j]
+    dg = g.first_derivatives(x)
+    bracket = _christoffel_bracket(dg)
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, _christoffel_bracket(dg))
+    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+    return gmat, ginv, dg, bracket, gamma
+
+
+def christoffel(g: MetricField, x: Sequence[float]):
+    """Metric, inverse, and Christoffel symbols Gamma^k_{ij} at ``x``."""
+    gmat, ginv, _, _, gamma = _first_order(g, x)
     return gmat, ginv, gamma
 
 
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     """Full curvature data of ``g`` at an interior chart point."""
-    n = g.dim
-    gmat, ginv, gamma = christoffel(g, x)
-    dg = g.first_derivatives(x)
+    gmat, ginv, dg, bracket, gamma = _first_order(g, x)
     d2g = g.second_derivatives(x)  # d2g[a, b, i, j]
 
     # d_a g^{kl} = -g^{km} (d_a g_mn) g^{nl}
     dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
-    bracket = _christoffel_bracket(dg)
     # dbracket[a, i, j, l] = d_a (d_i g_jl + d_j g_il - d_l g_ij)
     dbracket = (
         d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
@@ -305,16 +317,7 @@ def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
 def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the coordinate frame in index order; columns E_a
     satisfy E^T g E = 1."""
-    n = gmat.shape[0]
-    frame = np.zeros((n, n))
-    for a in range(n):
-        v = np.zeros(n)
-        v[a] = 1.0
-        for b in range(a):
-            v = v - (frame[:, b] @ gmat @ v) * frame[:, b]
-        norm = math.sqrt(v @ gmat @ v)
-        frame[:, a] = v / norm
-    return frame
+    return _g_orthonormalize(np.eye(gmat.shape[0]), gmat)
 
 
 def wedge_pairs(n: int) -> list[tuple[int, int]]:
@@ -332,12 +335,8 @@ def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
     frame = orthonormal_frame(pack.metric)
     rframe = np.einsum("ijkl,ia,jb,kc,ld->abcd", pack.riemann,
                        frame, frame, frame, frame)
-    pairs = wedge_pairs(g.dim)
-    m = len(pairs)
-    op = np.empty((m, m))
-    for p, (a, b) in enumerate(pairs):
-        for q, (c, d) in enumerate(pairs):
-            op[p, q] = -rframe[a, b, c, d]
+    a, b = np.triu_indices(g.dim, 1)  # the wedge_pairs order
+    op = -rframe[a[:, None], b[:, None], a, b]
     return 0.5 * (op + op.T)
 
 
@@ -357,12 +356,13 @@ class FaceGeometry:
     inner_normal: np.ndarray
 
 
-def _plane_tangent_basis(a: np.ndarray) -> np.ndarray:
-    """Euclidean basis of the hyperplane a . x = const (deterministic)."""
-    n = a.shape[0]
-    # complete a to a basis via SVD null space
-    u, s, vt = np.linalg.svd(a[None, :])
-    return vt[1:].T  # (n, n-1)
+def _nullspace(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal Euclidean basis (columns) of the null space of ``rows``,
+    from a full SVD (deterministic)."""
+    rows = np.asarray(rows, dtype=float)
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > 1e-12))
+    return vt[rank:].T
 
 
 def _g_orthonormalize(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
@@ -404,7 +404,7 @@ def face_geometry(g: MetricField, domain: PolyDomain, i: int,
     gmat, ginv, gamma = christoffel(g, x)
     sign = 1.0 if domain.region == "intersection" else -1.0
     nu = _inner_unit_normal(a, gmat, ginv, sign)
-    tangent = _g_orthonormalize(_plane_tangent_basis(a), gmat)
+    tangent = _g_orthonormalize(_nullspace(a[None, :]), gmat)
     # A(X, Y) = g(nabla_X Y, nu): constant-coefficient extension of Y
     lowered = np.einsum("kij,kl,l->ij", gamma, gmat, nu)
     second = np.einsum("ia,ij,jb->ab", tangent, lowered, tangent)
@@ -477,7 +477,7 @@ def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
     intersection, pointing to the <a_j, .> > 0 side."""
     a_i = domain.normals[i]
     a_j = domain.normals[j]
-    face_basis = _plane_tangent_basis(a_i)  # (n, n-1)
+    face_basis = _nullspace(a_i[None, :])  # (n, n-1)
     if domain.dim == 2:
         u = face_basis[:, 0]
     else:
@@ -502,9 +502,10 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
                    x: Sequence[float]) -> float:
     """Dihedral angle of faces (i, j) at an edge point, in (0, pi) u (pi, 2 pi).
 
-    The angle is measured between the unit inner normals of the edge inside
-    each face; if their bisector points out of the domain the reflex branch
-    ``pi + angle`` is taken.
+    The angle theta is measured between the unit inner normals of the edge
+    inside each face of the convex cell; it lies in (0, pi) for every inner
+    product.  The closure of the complement of that cell has the reflex
+    angle ``2 pi - theta`` there.
     """
     if i == j:
         raise DomainError("need two distinct faces")
@@ -519,11 +520,9 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
             f"degenerate corner: normals are parallel (cos = {cosang:.6f})"
         )
     theta = math.acos(max(-1.0, min(1.0, cosang)))
-    bisector = 0.5 * (u + v)
-    probe = np.asarray(x, dtype=float) + domain.inward_step() * bisector
-    if domain.contains(probe, tol=1e-15 * max(1.0, float(np.abs(probe).max()))):
+    if domain.region == "intersection":
         return theta
-    return math.pi + theta
+    return 2.0 * math.pi - theta
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +560,6 @@ def _polygon_structure(domain: PolyDomain):
             raise DomainError("polygon edge does not lie on a face")
         edges.append((p, q, face))
     return loop, edges
-
-
-def _gauss_curvature(g: MetricField, x: Sequence[float]) -> float:
-    return 0.5 * curvature_tensors(g, x).scalar
 
 
 def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
@@ -605,9 +600,10 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
                     )
                     for bary in _TRI_QUAD_POINTS:
                         pt = bary[0] * tri[0] + bary[1] * tri[1] + bary[2] * tri[2]
-                        gm = g.matrix_at(pt)
-                        dens = math.sqrt(np.linalg.det(gm))
-                        area_term += (flat_area / 3.0) * _gauss_curvature(g, pt) * dens
+                        pack = curvature_tensors(g, pt)
+                        dens = math.sqrt(np.linalg.det(pack.metric))
+                        gauss = 0.5 * pack.scalar
+                        area_term += (flat_area / 3.0) * gauss * dens
 
     nodes, weights = np.polynomial.legendre.leggauss(max(8, 2 * resolution))
     boundary_term = 0.0

@@ -514,6 +514,8 @@ def parse_metric(spec: dict, dim: int) -> MetricField:
     """
     if dim < 1:
         raise ValueError("metric dimension must be positive")
+    if not isinstance(spec, dict):
+        raise ExpressionError("metric 'g' must be an object of entry expressions")
     entries: dict[tuple[int, int], Expr] = {}
     seen = set()
     for key, text in spec.items():
@@ -527,6 +529,8 @@ def parse_metric(spec: dict, dim: int) -> MetricField:
             i, j = j, i
         if (i, j) in seen:
             raise ValueError(f"duplicate metric entry {key!r}")
+        if not isinstance(text, (str, Expr)):
+            raise ExpressionError(f"metric entry {key!r} must be an expression string")
         seen.add((i, j))
         entries[(i, j)] = text if isinstance(text, Expr) else parse_expression(text)
     zero = Num(0.0)
@@ -551,11 +555,15 @@ def metric_at(g: MetricField, x: Sequence[float]) -> np.ndarray:
 
 def metric_from_scene(scene: dict) -> MetricField:
     """Load a metric from scene JSON ``{"dim": n, "g": {...}}``."""
+    if not isinstance(scene, dict):
+        raise ExpressionError("metric scene must be a JSON object")
     try:
         dim = int(scene["dim"])
         spec = scene["g"]
     except KeyError as exc:
         raise ValueError(f"metric scene missing key {exc}") from exc
+    except TypeError as exc:
+        raise ExpressionError("metric scene 'dim' must be an integer") from exc
     return parse_metric(spec, dim)
 
 

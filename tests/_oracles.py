@@ -58,3 +58,72 @@ def wedge_compound_matrix(j):
         for q, (c, d) in enumerate(cols):
             out[p, q] = j[a, c] * j[b, d] - j[a, d] * j[b, c]
     return out
+
+
+def _wedge_pairs(n):
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def bianchi_residual_closure(rop, n):
+    """First-Bianchi violation through a sign-normalizing entry closure,
+    over the cyclic sum R(i,j,k,l) + R(i,k,l,j) + R(i,l,j,k)."""
+    rop = np.asarray(rop, dtype=float)
+    pidx = {p: k for k, p in enumerate(_wedge_pairs(n))}
+
+    def entry(i, j, k, l):
+        if i == j or k == l:
+            return 0.0
+        sign = 1.0
+        if i > j:
+            i, j, sign = j, i, -sign
+        if k > l:
+            k, l, sign = l, k, -sign
+        return sign * rop[pidx[(i, j)], pidx[(k, l)]]
+
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    worst = max(worst, abs(
+                        entry(i, j, k, l) + entry(i, k, l, j) + entry(i, l, j, k)
+                    ))
+    return worst
+
+
+def kron_curvature_endomorphism(rop, jac, source, target):
+    """E + |^2 df| Sc/4 Id accumulated pair by pair with np.kron, and the
+    scale sum |coeff| + |shift| of its entries.  The 2x2 minors of jac
+    give Lambda^2 df independently of the library."""
+    rop = np.asarray(rop, dtype=float)
+    jac = np.asarray(jac, dtype=float)
+    m, n = jac.shape
+    coeff = rop @ wedge_compound_matrix(jac)
+    dim = source.fiber_dim * target.fiber_dim
+    endo = np.zeros((dim, dim), dtype=complex)
+    for q, (c, d) in enumerate(_wedge_pairs(n)):
+        cbar = source.generators[c] @ source.generators[d]
+        for p, (a, b) in enumerate(_wedge_pairs(m)):
+            cw = target.generators[a] @ target.generators[b]
+            endo += (-0.5 * coeff[p, q]) * np.kron(cbar, cw)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    shift = sv[0] * sv[1] * 2.0 * np.trace(rop) / 4.0
+    return endo + shift * np.eye(dim), np.abs(coeff).sum() + abs(shift)
+
+
+def kron_boundary_endomorphism(amat, jac, source, target):
+    """E_boundary + |df| tr(A)/2 Id accumulated with np.kron over the
+    actions cbar(e_n) cbar(e_lam) (x) c(e_m) c(e_mu), and its scale."""
+    amat = np.asarray(amat, dtype=float)
+    jac = np.asarray(jac, dtype=float)
+    n, m = source.n, target.n
+    coeff = jac.T @ amat
+    dim = source.fiber_dim * target.fiber_dim
+    endo = np.zeros((dim, dim), dtype=complex)
+    for lam in range(n - 1):
+        cbar = source.generators[n - 1] @ source.generators[lam]
+        for mu in range(m - 1):
+            cpart = target.generators[m - 1] @ target.generators[mu]
+            endo += (-0.5 * coeff[lam, mu]) * np.kron(cbar, cpart)
+    shift = np.linalg.norm(jac, 2) * np.trace(amat) / 2.0
+    return endo + shift * np.eye(dim), np.abs(coeff).sum() + abs(shift)

@@ -6,7 +6,13 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import symbolic_curvature, wedge_compound_matrix
+from _oracles import (
+    bianchi_residual_closure,
+    kron_boundary_endomorphism,
+    kron_curvature_endomorphism,
+    symbolic_curvature,
+    wedge_compound_matrix,
+)
 from dihedral_lab.clifford import clifford_module
 from dihedral_lab.comparison import (
     CompareScene,
@@ -90,14 +96,36 @@ class TestCurvatureCertificate:
         # oracle: the 4x4 endomorphism has eigenvalues {0, 1} here
         assert out == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_randomized_psd_trials(self, n):
         s = clifford_module(n)
         rng = np.random.default_rng(1234 + n)
-        for _ in range(300):
+        for _ in range(300 if n <= 4 else 20):
             rop = random_curvature_operator(n, rng)
             jac = rng.normal(size=(n, n))
             assert curvature_certificate(rop, jac, s, s) >= -1e-9
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (6, 6), (4, 2), (2, 6)])
+    def test_matches_kron_loop_reference(self, m, n):
+        src, dst = clifford_module(n), clifford_module(m)
+        rng = np.random.default_rng(99 + 10 * m + n)
+        for _ in range(10):
+            rop = random_curvature_operator(m, rng)
+            jac = rng.normal(size=(m, n))
+            mat, scale = kron_curvature_endomorphism(rop, jac, src, dst)
+            ref = np.linalg.eigvalsh(mat)[0]
+            got = curvature_certificate(rop, jac, src, dst)
+            assert abs(got - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_bianchi_matches_closure_reference(self, n):
+        rng = np.random.default_rng(31 + n)
+        for _ in range(10):
+            ell = rng.normal(size=(n * (n - 1) // 2,) * 2)
+            rop = ell.T @ ell
+            assert bianchi_residual(rop, n) == bianchi_residual_closure(rop, n)
+            good = random_curvature_operator(n, rng)
+            assert bianchi_residual(good, n) == bianchi_residual_closure(good, n)
 
     def test_random_operators_satisfy_bianchi(self):
         rng = np.random.default_rng(77)
@@ -143,15 +171,28 @@ class TestBoundaryCertificate:
         out = boundary_certificate(np.eye(n - 1), np.eye(n - 1), s, s)
         assert out >= -1e-10
 
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_randomized_psd_trials(self, n):
         s = clifford_module(n)
         rng = np.random.default_rng(4321 + n)
-        for _ in range(300):
+        for _ in range(300 if n <= 4 else 20):
             ell = rng.normal(size=(n - 1, n - 1))
             amat = ell.T @ ell
             jac = rng.normal(size=(n - 1, n - 1))
             assert boundary_certificate(amat, jac, s, s) >= -1e-9
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (6, 6), (4, 2), (2, 6)])
+    def test_matches_kron_loop_reference(self, m, n):
+        src, dst = clifford_module(n), clifford_module(m)
+        rng = np.random.default_rng(17 + 10 * m + n)
+        for _ in range(10):
+            ell = rng.normal(size=(m - 1, m - 1))
+            amat = ell.T @ ell
+            jac = rng.normal(size=(m - 1, n - 1))
+            mat, scale = kron_boundary_endomorphism(amat, jac, src, dst)
+            ref = np.linalg.eigvalsh(mat)[0]
+            got = boundary_certificate(amat, jac, src, dst)
+            assert abs(got - ref) <= 1e-13 * scale
 
     def test_rejects_non_psd(self):
         s = clifford_module(2)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import symbolic_curvature, sphere_chart_metric_sympy
 from dihedral_lab.curvature import (
@@ -47,13 +49,21 @@ def unit_cube():
     return PolyDomain.from_halfspaces(hs)
 
 
-def wedge2d(theta):
-    # sector swept from the x-axis to the theta-ray; inner normals point
-    # into the sector
-    return PolyDomain.from_halfspaces([
-        ((0.0, 1.0), 0.0),                               # face 0: the x-axis
-        ((math.sin(theta), -math.cos(theta)), 0.0),      # face 1: the theta-ray
-    ], window=((-2.0, -2.0), (2.0, 2.0)))
+def wedge2d(theta, vertex=(0.0, 0.0), region="intersection"):
+    # sector swept from the x-axis to the theta-ray around ``vertex``; inner
+    # normals point into the sector
+    a0 = np.array([0.0, 1.0])                               # face 0: the x-axis
+    a1 = np.array([math.sin(theta), -math.cos(theta)])      # face 1: the theta-ray
+    v = np.asarray(vertex, dtype=float)
+    return PolyDomain.from_halfspaces(
+        [(a0, a0 @ v), (a1, a1 @ v)], region=region,
+        window=(tuple(v - 2.0), tuple(v + 2.0)))
+
+
+def constant_metric(gm):
+    text = {f"{i + 1}{j + 1}": format(gm[i, j], ".17f")
+            for i in range(2) for j in range(i, 2)}
+    return parse_metric(text, 2)
 
 
 class TestCurvatureTensors:
@@ -137,6 +147,22 @@ class TestCurvatureOperator:
         op = curvature_operator(sphere_metric(3), (0.2, -0.1, 0.3))
         assert np.abs(op - op.T).max() <= 1e-10
         assert np.linalg.eigvalsh(op)[0] >= -1e-6
+
+    def test_entries_against_symbolic_oracle(self):
+        # an off-diagonal metric, so every wedge-pair block is exercised
+        xs = sp.symbols("x1 x2 x3", real=True)
+        gs = sp.Matrix([[1 + xs[1] ** 2, xs[2] / 4, 0],
+                        [xs[2] / 4, 2 + xs[0] ** 2, xs[1] / 5],
+                        [0, xs[1] / 5, 1]])
+        point = (0.4, 0.7, -0.3)
+        _, riem_o, _, _ = symbolic_curvature(gs, list(xs), point)
+        g = parse_metric({"11": "1+x2^2", "12": "x3/4", "22": "2+x1^2",
+                          "23": "x2/5", "33": "1"}, 3)
+        frame = orthonormal_frame(curvature_tensors(g, point).metric)
+        rf = np.einsum("ijkl,ia,jb,kc,ld->abcd", riem_o, frame, frame, frame, frame)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        expected = np.array([[-rf[a, b, c, d] for c, d in pairs] for a, b in pairs])
+        assert np.allclose(curvature_operator(g, point), expected, atol=2e-5)
 
     def test_scaling_oracle(self):
         c2 = 4.0
@@ -256,6 +282,40 @@ class TestDihedralAngle:
         g = parse_metric({"11": "1", "12": "0.5", "22": "1"}, 2)
         ang = dihedral_angle(g, wedge2d(math.pi / 2), 0, 1, (0.0, 0.0))
         assert ang == pytest.approx(math.acos(0.5), abs=1e-9)
+
+    def test_reflex_under_anisotropic_metric(self):
+        # the complement of the pi/3 corner is 5 pi/3, not pi + pi/3
+        g = parse_metric({"11": "1", "12": "0.5", "22": "1"}, 2)
+        ang = dihedral_angle(g, wedge2d(math.pi / 2, region="complement"),
+                             0, 1, (0.0, 0.0))
+        assert ang == pytest.approx(5.0 * math.pi / 3.0, abs=1e-9)
+        ang = dihedral_angle(g, wedge2d(1.0, region="complement"), 0, 1, (0.0, 0.0))
+        inner = dihedral_angle(g, wedge2d(1.0), 0, 1, (0.0, 0.0))
+        assert ang == pytest.approx(2.0 * math.pi - inner, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [3e-6, math.pi - 3e-6, 1e-4, math.pi - 1e-4])
+    @pytest.mark.parametrize("vertex", [(1e4, 1e4), (1e6, 1e6)])
+    def test_far_corner_branches(self, theta, vertex):
+        g = parse_metric({"11": "1", "12": "0.5", "22": "1"}, 2)
+        inner = dihedral_angle(g, wedge2d(theta, vertex), 0, 1, vertex)
+        outer = dihedral_angle(g, wedge2d(theta, vertex, "complement"), 0, 1, vertex)
+        assert 0.0 < inner < math.pi < outer < 2.0 * math.pi
+        assert inner + outer == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(1e-3, math.pi - 1e-3),
+        vertex=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        diag=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        shear=st.floats(-1.0, 1.0),
+    )
+    def test_sides_of_a_corner_sum_to_two_pi(self, theta, vertex, diag, shear):
+        low = np.array([[diag[0], 0.0], [shear, diag[1]]])
+        g = constant_metric(low @ low.T)
+        inner = dihedral_angle(g, wedge2d(theta, vertex), 0, 1, vertex)
+        outer = dihedral_angle(g, wedge2d(theta, vertex, "complement"), 0, 1, vertex)
+        assert 0.0 < inner < math.pi < outer < 2.0 * math.pi
+        assert inner + outer == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_degenerate_corner(self):
         # two parallel faces: x >= 0 and x <= 1 never form a corner
