@@ -7,6 +7,7 @@ and exits with:
     0  computation succeeded and the command's verdict passed
     1  computation succeeded but the verdict failed
     2  malformed input (message points at the offending file/flag)
+    3  internal error: a bug, not a verdict (one line on stderr)
 """
 
 from __future__ import annotations
@@ -126,9 +127,14 @@ def _finish(ctx, report: dict, output: str | None, verdict: bool | None) -> None
 def _guard(ctx, fn):
     try:
         fn()
+    except click.exceptions.Exit:
+        raise  # the exit code set by _finish (Exit subclasses RuntimeError)
     except _INPUT_ERRORS as exc:
         click.echo(f"input error: {exc}", err=True)
         ctx.exit(2)
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        ctx.exit(3)
 
 
 # ---------------------------------------------------------------------------

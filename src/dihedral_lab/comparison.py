@@ -26,10 +26,10 @@ import numpy as np
 
 from .clifford import CliffordModule
 from .curvature import (
+    CurvaturePack,
     DomainError,
     PolyDomain,
     _nullspace,
-    christoffel,
     curvature_tensors,
     dihedral_angle,
     face_geometry,
@@ -39,7 +39,6 @@ from .expressions import (
     BinOp,
     Expr,
     MetricField,
-    eval_with_derivatives,
     metric_at,
     metric_from_scene,
     parse_expression,
@@ -273,13 +272,7 @@ class CornerMap:
         return np.array([e.eval(x) for e in self.components])
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
-        n = len(x)
-        jac = np.empty((len(self.components), n))
-        for k, e in enumerate(self.components):
-            vals = eval_with_derivatives(e, x, [(i,) for i in range(n)])
-            for i in range(n):
-                jac[k, i] = vals[(i,)]
-        return jac
+        return np.array([e.jet(np.atleast_2d(x))[1][0] for e in self.components])
 
 
 @dataclass(frozen=True)
@@ -643,22 +636,14 @@ def per_sample_table(scene: CompareScene, spec: SampleSpec = SampleSpec(),
 # ---------------------------------------------------------------------------
 
 
-def _laplacian_and_gradient(gbar: MetricField, h: Expr, x: Sequence[float]):
-    """div grad h and |dh|^2 with respect to gbar (trace of the Hessian)."""
-    n = gbar.dim
-    gmat, ginv, gamma = christoffel(gbar, x)
-    idx1 = [(i,) for i in range(n)]
-    idx2 = [(i, j) for i in range(n) for j in range(i, n)]
-    vals = eval_with_derivatives(h, x, idx1 + idx2)
-    grad = np.array([vals[(i,)] for i in range(n)])
-    hess = np.empty((n, n))
-    for i, j in idx2:
-        hess[i, j] = vals[(i, j)]
-        hess[j, i] = vals[(i, j)]
-    hess_cov = hess - np.einsum("kij,k->ij", gamma, grad)
-    lap = float(np.einsum("ij,ij->", ginv, hess_cov))
-    grad_sq = float(grad @ ginv @ grad)
-    return lap, grad_sq, grad, gmat, ginv
+def _laplacian_and_gradient(pack: CurvaturePack, h: Expr):
+    """div grad h (trace of the Hessian), |dh|^2 and dh at ``pack.point``,
+    with respect to the metric of ``pack``."""
+    _, grad, hess = (part[0] for part in h.jet(np.atleast_2d(pack.point)))
+    hess_cov = hess - np.einsum("kij,k->ij", pack.gamma, grad)
+    lap = float(np.einsum("ij,ij->", pack.metric_inv, hess_cov))
+    grad_sq = float(grad @ pack.metric_inv @ grad)
+    return lap, grad_sq, grad
 
 
 def conformal_identities(
@@ -688,8 +673,9 @@ def conformal_identities(
         raise ValueError(f"conformal factor must be positive, got {hval}")
     scaled = gbar.scaled(BinOp("*", h, h))
 
-    lap, grad_sq, grad, gmat, ginv = _laplacian_and_gradient(gbar, h, x)
-    sc_bar = curvature_tensors(gbar, x).scalar
+    pack_bar = curvature_tensors(gbar, x)
+    lap, grad_sq, grad = _laplacian_and_gradient(pack_bar, h)
+    sc_bar = pack_bar.scalar
     sc_scaled = curvature_tensors(scaled, x).scalar
     rhs = (sc_bar / hval**2 - 2.0 * (n - 1) / hval**3 * lap
            - (n - 1) * (n - 4) / hval**4 * grad_sq)
@@ -698,10 +684,9 @@ def conformal_identities(
     if face is not None:
         if domain is None:
             raise ValueError("mean-curvature variant needs the domain")
-        h_bar = face_geometry(gbar, domain, face, x).mean_curvature
+        fg_bar = face_geometry(gbar, domain, face, x)
         fg = face_geometry(scaled, domain, face, x)
-        nu = face_geometry(gbar, domain, face, x).inner_normal
-        dh_dn = float(grad @ nu)
-        rhs_h = h_bar / hval - (n - 1) / hval**2 * dh_dn
+        dh_dn = float(grad @ fg_bar.inner_normal)
+        rhs_h = fg_bar.mean_curvature / hval - (n - 1) / hval**2 * dh_dn
         out["mean_curvature"] = float(fg.mean_curvature - rhs_h)
     return out

@@ -15,8 +15,9 @@ Conventions (fixed here, tested against symbolic oracles):
 - Orthonormal frames come from Gram-Schmidt on the coordinate frame in
   index order; deterministic.
 
-All metric derivatives are central finite differences of the underlying
-expressions (see :mod:`dihedral_lab.expressions`).
+All metric derivatives are exact second-order jets of the underlying
+expressions (see :mod:`dihedral_lab.expressions`), evaluated over a leading
+batch axis of points.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .expressions import (
     Expr,
     MetricField,
-    eval_with_derivatives,
+    MetricNotPositiveDefinite,
     metric_at,
     parse_expression,
 )
@@ -260,58 +261,62 @@ class CurvaturePack:
         return np.abs(cyc).max() / scale
 
 
-def _christoffel_bracket(dg: np.ndarray) -> np.ndarray:
-    """bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[k, i, j]."""
-    return dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-
-
-def _first_order(g: MetricField, x: Sequence[float]):
-    """Metric, inverse, first derivatives dg[k, i, j], the Christoffel
-    bracket and Gamma^k_{ij} at ``x``."""
-    gmat = metric_at(g, x)
+def _first_order(g: MetricField, pts: np.ndarray):
+    """Metric, inverse, derivatives ``dg[p, k, i, j]`` and ``d2g[p, a, b, i, j]``,
+    the Christoffel bracket and Gamma^k_{ij} at the rows of ``pts``."""
+    gmat, dg, d2g = g.jet(pts)
+    lowest = np.linalg.eigvalsh(gmat)[:, 0]
+    if np.any(lowest <= 0.0):
+        p = int(np.argmax(lowest <= 0.0))  # the first bad point
+        raise MetricNotPositiveDefinite(
+            f"metric at {pts[p].tolist()} has smallest eigenvalue {lowest[p]:.3e}")
     ginv = np.linalg.inv(gmat)
-    dg = g.first_derivatives(x)
-    bracket = _christoffel_bracket(dg)
+    # bracket[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
-    return gmat, ginv, dg, bracket, gamma
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
+    return gmat, ginv, dg, d2g, bracket, gamma
+
+
+def _curvature(g: MetricField, pts: np.ndarray):
+    """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
+    rows of ``pts``, each with a leading point axis."""
+    gmat, ginv, dg, d2g, bracket, gamma = _first_order(g, pts)
+    # d_a g^{kl} = -g^{km} (d_a g_mn) g^{nl}
+    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
+    # dbracket[..., a, i, j, l] = d_a bracket[..., i, j, l]
+    dbracket = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
+    # dgamma[..., a, k, i, j] = d_a Gamma^k_{ij}
+    dgamma = 0.5 * (
+        np.einsum("...akl,...ijl->...akij", dginv, bracket)
+        + np.einsum("...kl,...aijl->...akij", ginv, dbracket)
+    )
+    # R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik}
+    #             + Gamma^l_{jk} Gamma^m_{il} - Gamma^l_{ik} Gamma^m_{jl}
+    rm = (
+        np.einsum("...imjk->...mijk", dgamma)
+        - np.einsum("...jmik->...mijk", dgamma)
+        + np.einsum("...ljk,...mil->...mijk", gamma, gamma)
+        - np.einsum("...lik,...mjl->...mijk", gamma, gamma)
+    )
+    riemann = np.einsum("...ml,...mijk->...ijkl", gmat, rm)
+    ricci = np.einsum("...ml,...mjkl->...jk", ginv, riemann)
+    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
+    return gmat, ginv, gamma, riemann, ricci, scalar
 
 
 def christoffel(g: MetricField, x: Sequence[float]):
     """Metric, inverse, and Christoffel symbols Gamma^k_{ij} at ``x``."""
-    gmat, ginv, _, _, gamma = _first_order(g, x)
-    return gmat, ginv, gamma
+    gmat, ginv, _, _, _, gamma = _first_order(g, np.atleast_2d(x))
+    return gmat[0], ginv[0], gamma[0]
 
 
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     """Full curvature data of ``g`` at an interior chart point."""
-    gmat, ginv, dg, bracket, gamma = _first_order(g, x)
-    d2g = g.second_derivatives(x)  # d2g[a, b, i, j]
-
-    # d_a g^{kl} = -g^{km} (d_a g_mn) g^{nl}
-    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
-    # dbracket[a, i, j, l] = d_a (d_i g_jl + d_j g_il - d_l g_ij)
-    dbracket = (
-        d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
-    )
-    dgamma = 0.5 * (
-        np.einsum("akl,ijl->akij", dginv, bracket)
-        + np.einsum("kl,aijl->akij", ginv, dbracket)
-    )  # dgamma[a, k, i, j] = d_a Gamma^k_{ij}
-
-    # R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik}
-    #             + Gamma^l_{jk} Gamma^m_{il} - Gamma^l_{ik} Gamma^m_{jl}
-    rm = (
-        np.einsum("imjk->mijk", dgamma)
-        - np.einsum("jmik->mijk", dgamma)
-        + np.einsum("ljk,mil->mijk", gamma, gamma)
-        - np.einsum("lik,mjl->mijk", gamma, gamma)
-    )
-    riemann = np.einsum("ml,mijk->ijkl", gmat, rm)
-    ricci = np.einsum("ml,mjkl->jk", ginv, riemann)
-    scalar = float(np.einsum("jk,jk->", ginv, ricci))
+    gmat, ginv, gamma, riemann, ricci, scalar = (
+        part[0] for part in _curvature(g, np.atleast_2d(x)))
     return CurvaturePack(tuple(float(v) for v in x), gmat, ginv, gamma,
-                         riemann, ricci, scalar)
+                         riemann, ricci, float(scalar))
 
 
 def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
@@ -329,7 +334,7 @@ def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
 
     Entry ((a, b), (c, d)) is ``-R(E_a, E_b, E_c, E_d)``; the matrix is
     symmetrized before returning (the exact tensor is pair-symmetric, the
-    finite-difference evaluation only up to truncation error).
+    evaluated one up to rounding).
     """
     pack = curvature_tensors(g, x)
     frame = orthonormal_frame(pack.metric)
@@ -381,10 +386,11 @@ def _g_orthonormalize(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
 
 def _inner_unit_normal(a: np.ndarray, gmat: np.ndarray, ginv: np.ndarray,
                        sign: float = 1.0) -> np.ndarray:
-    """g-unit vector g-orthogonal to the face plane, on the <a, .> > 0 side."""
-    nu = ginv @ a
-    nu = nu / math.sqrt(nu @ gmat @ nu)
-    return sign * nu
+    """g-unit vector g-orthogonal to the face plane, on the <a, .> > 0 side
+    (any leading point axes of ``a``, ``gmat`` and ``ginv`` broadcast)."""
+    nu = np.einsum("...ij,...j->...i", ginv, a)
+    norm = np.sqrt(np.einsum("...i,...ij,...j->...", nu, gmat, nu))
+    return sign * nu / norm[..., None]
 
 
 def face_geometry(g: MetricField, domain: PolyDomain, i: int,
@@ -434,18 +440,9 @@ def hypersurface_geometry(
     u = [float(v) for v in u]
     if len(u) != m:
         raise DomainError(f"chart parameters must have {m} components")
-    pos = np.array([e.eval(u) for e in exprs])
-    jac = np.empty((n, m))
-    hess = np.empty((n, m, m))
-    idx1 = [(a,) for a in range(m)]
-    idx2 = [(a, b) for a in range(m) for b in range(a, m)]
-    for k, e in enumerate(exprs):
-        vals = eval_with_derivatives(e, u, idx1 + idx2)
-        for a in range(m):
-            jac[k, a] = vals[(a,)]
-        for a, b in idx2:
-            hess[k, a, b] = vals[(a, b)]
-            hess[k, b, a] = vals[(a, b)]
+    jets = [e.jet(np.atleast_2d(u)) for e in exprs]
+    # position, jac[k, a] = d_a sigma^k and hess[k, a, b] = d_a d_b sigma^k
+    pos, jac, hess = (np.array([jet[part][0] for jet in jets]) for part in range(3))
     gmat, ginv, gamma = christoffel(g, pos)
     # g-normal: null space of (tangent^T g)
     null = np.linalg.svd(jac.T @ gmat)[2][-1]
@@ -568,54 +565,41 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
 
         integral_D K dA + integral_bd k_g ds + sum_v (pi - theta_v) - 2 pi chi.
 
-    Vanishes analytically; the return value measures quadrature plus
-    finite-difference error.
+    Vanishes analytically; the return value measures the quadrature error.
     """
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     loop, edges = _polygon_structure(domain)
     center = loop.mean(axis=0)
 
+    # the triangle u, v >= 0, u + v <= 1 cut into resolution^2 congruent cells
+    lower = [[(r, s), (r + 1, s), (r, s + 1)]
+             for r in range(resolution) for s in range(resolution - r)]
+    upper = [[(r + 1, s), (r + 1, s + 1), (r, s + 1)]
+             for r in range(resolution) for s in range(resolution - r - 1)]
+    # (u, v) of the quadrature points, three consecutive ones per cell
+    nodes = _TRI_QUAD_POINTS @ (np.array(lower + upper, dtype=float) / resolution)
+    nodes = nodes.reshape(-1, 2)
     area_term = 0.0
     for p, q, _ in edges:
-        # subdivide triangle (center, p, q) into resolution^2 congruent cells
-        for r in range(resolution):
-            for s in range(resolution - r):
-                for upper in (False, True):
-                    if upper and s >= resolution - r - 1:
-                        continue
-                    a0 = np.array([r, s]) / resolution
-                    if not upper:
-                        corners = [a0, a0 + [1.0 / resolution, 0.0],
-                                   a0 + [0.0, 1.0 / resolution]]
-                    else:
-                        corners = [a0 + [1.0 / resolution, 0.0],
-                                   a0 + [1.0 / resolution, 1.0 / resolution],
-                                   a0 + [0.0, 1.0 / resolution]]
-                    tri = [center + c[0] * (p - center) + c[1] * (q - center)
-                           for c in corners]
-                    flat_area = 0.5 * abs(
-                        (tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])
-                        - (tri[2][0] - tri[0][0]) * (tri[1][1] - tri[0][1])
-                    )
-                    for bary in _TRI_QUAD_POINTS:
-                        pt = bary[0] * tri[0] + bary[1] * tri[1] + bary[2] * tri[2]
-                        pack = curvature_tensors(g, pt)
-                        dens = math.sqrt(np.linalg.det(pack.metric))
-                        gauss = 0.5 * pack.scalar
-                        area_term += (flat_area / 3.0) * gauss * dens
+        # triangle (center, p, q), one curvature batch per triangle
+        legs = np.array([p - center, q - center])
+        gmat, _, _, _, _, scalar = _curvature(g, center + nodes @ legs)
+        cell_area = 0.5 * abs(np.linalg.det(legs)) / resolution**2
+        dens = np.sqrt(np.linalg.det(gmat))
+        area_term += (cell_area / 3.0) * float(np.sum(0.5 * scalar * dens))
 
-    nodes, weights = np.polynomial.legendre.leggauss(max(8, 2 * resolution))
-    boundary_term = 0.0
-    for p, q, face in edges:
-        tangent = q - p
-        for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-            pt = p + t * tangent
-            gmat, ginv, gamma = christoffel(g, pt)
-            nu = _inner_unit_normal(domain.normals[face], gmat, ginv)
-            accel = np.einsum("kij,i,j->k", gamma, tangent, tangent)
-            speed = math.sqrt(tangent @ gmat @ tangent)
-            boundary_term += w * float(accel @ gmat @ nu) / speed
+    # Gauss-Legendre nodes on every edge, one batch for the whole boundary
+    param, weight = np.polynomial.legendre.leggauss(max(8, 2 * resolution))
+    rows = [(p + t * (q - p), q - p, domain.normals[face], w) for p, q, face in edges
+            for t, w in zip(0.5 * (param + 1.0), 0.5 * weight)]
+    pts, tangents, normals, weights = (np.array(column) for column in zip(*rows))
+    gmat, ginv, _, _, _, gamma = _first_order(g, pts)
+    nu = _inner_unit_normal(normals, gmat, ginv)
+    accel = np.einsum("pkij,pi,pj->pk", gamma, tangents, tangents)
+    speed = np.sqrt(np.einsum("pi,pij,pj->p", tangents, gmat, tangents))
+    geodesic = np.einsum("pk,pkl,pl->p", accel, gmat, nu) / speed
+    boundary_term = float(weights @ geodesic)
 
     corner_term = 0.0
     k = len(loop)

@@ -9,9 +9,11 @@ The expression grammar is fixed:
 
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 
-Values are plain floats; all derivative queries are served by central finite
-differences so that re-serialized scene files evaluate identically on any
-platform.  Every object here is immutable after construction.
+Values are plain floats.  First and second derivatives are exact: every
+node propagates its (value, gradient, Hessian) jet over an ``(m, n)`` array
+of points by forward-mode Taylor arithmetic (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed.).  Every object here is immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "MetricField",
     "MetricNotPositiveDefinite",
     "parse_expression",
-    "eval_with_derivatives",
     "parse_metric",
     "metric_at",
     "metric_from_scene",
@@ -48,9 +49,19 @@ FUNCTIONS = {
     "abs": abs,
 }
 
-# Central finite-difference steps (scaled by max(1, |x_i|) per axis).
-FIRST_ORDER_STEP = 1e-6
-SECOND_ORDER_STEP = 1e-4
+# (f, f', f'') of each function for the chain rule of the jets; abs'(0) = 0
+_JET_FUNCTIONS = {
+    "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
+    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
+    "tan": (np.tan, lambda v: 1.0 / np.cos(v) ** 2,
+            lambda v: 2.0 * np.tan(v) / np.cos(v) ** 2),
+    "exp": (np.exp, np.exp, np.exp),
+    "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2),
+    "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 / v**1.5),
+    "sinh": (np.sinh, np.cosh, np.sinh),
+    "cosh": (np.cosh, np.sinh, np.cosh),
+    "abs": (np.abs, np.sign, np.zeros_like),
+}
 
 
 class ExpressionError(ValueError):
@@ -85,6 +96,19 @@ class Expr:
     def eval(self, x: Sequence[float]) -> float:
         raise NotImplementedError
 
+    def jet(self, x: np.ndarray):
+        """Exact value ``(m,)``, gradient ``(m, n)`` and Hessian ``(m, n, n)``
+        at the rows of ``x`` (shape ``(m, n)``); raises
+        :class:`ExpressionDomainError` where a point leaves the domain of a
+        subexpression or any entry is not finite, such as the derivative of
+        ``x^c`` at ``x = 0`` for ``c < 2`` other than 0 and 1."""
+        with np.errstate(all="ignore"):
+            out = self._jet(np.asarray(x, dtype=float))
+            if not all(np.isfinite(part).all() for part in out):
+                raise ExpressionDomainError(
+                    f"{self.to_text()} or one of its derivatives is not finite")
+        return out
+
     def max_var(self) -> int:
         """Largest 1-based variable index used (0 for constants)."""
         raise NotImplementedError
@@ -99,6 +123,22 @@ class Expr:
         return f"{type(self).__name__}({self.to_text()!r})"
 
 
+def _chain(jet, f, d1, d2):
+    """Jet of phi(u) from the jet of u and phi, phi', phi'' at u's value."""
+    _, grad, hess = jet
+    outer = grad[:, :, None] * grad[:, None, :]
+    return f, d1[:, None] * grad, d1[:, None, None] * hess + d2[:, None, None] * outer
+
+
+def _product(a, b):
+    (u, gu, hu), (v, gv, hv) = a, b
+    cross = gu[:, :, None] * gv[:, None, :]
+    # the bracketed sum keeps the Hessian bitwise symmetric
+    return (u * v, gu * v[:, None] + u[:, None] * gv,
+            hu * v[:, None, None] + u[:, None, None] * hv
+            + (cross + cross.transpose(0, 2, 1)))
+
+
 # Precedence levels used by the printer; mirror the parser.
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
@@ -109,6 +149,10 @@ class Num(Expr):
 
     def eval(self, x):
         return self.value
+
+    def _jet(self, x):
+        m, n = x.shape
+        return np.full(m, self.value), np.zeros((m, n)), np.zeros((m, n, n))
 
     def max_var(self):
         return 0
@@ -131,6 +175,14 @@ class Var(Expr):
                 f"point has no coordinate x{self.index + 1}"
             ) from None
 
+    def _jet(self, x):
+        m, n = x.shape
+        if self.index >= n:
+            raise ExpressionDomainError(f"point has no coordinate x{self.index + 1}")
+        grad = np.zeros((m, n))
+        grad[:, self.index] = 1.0
+        return x[:, self.index].copy(), grad, np.zeros((m, n, n))
+
     def max_var(self):
         return self.index + 1
 
@@ -144,6 +196,9 @@ class Neg(Expr):
 
     def eval(self, x):
         return -self.arg.eval(x)
+
+    def _jet(self, x):
+        return tuple(-part for part in self.arg._jet(x))
 
     def max_var(self):
         return self.arg.max_var()
@@ -181,6 +236,30 @@ class BinOp(Expr):
             raise ExpressionDomainError(f"non-real power {a}^{b}")
         return v
 
+    def _jet(self, x):
+        if self.op == "^" and self.right.max_var() > 0:
+            # a^b = exp(b log a), real only where a > 0 (the log checks it)
+            return Call("exp", BinOp("*", self.right, Call("log", self.left)))._jet(x)
+        a = self.left._jet(x)
+        if self.op == "^":
+            c, base = self.right.eval(()), a[0]
+            if not float(c).is_integer() and np.any(base < 0.0):
+                raise ExpressionDomainError(f"non-real power {self.to_text()}")
+            # exponents 0 and 1 skip base^(c-1) / base^(c-2), infinite at 0
+            d1 = c * base ** (c - 1.0) if c != 0.0 else 0.0 * base
+            d2 = c * (c - 1.0) * base ** (c - 2.0) if c not in (0.0, 1.0) else 0.0 * base
+            return _chain(a, base**c, d1, d2)
+        b = self.right._jet(x)
+        if self.op in "+-":
+            combine = np.add if self.op == "+" else np.subtract
+            return tuple(combine(p, q) for p, q in zip(a, b))
+        if self.op == "/":
+            v = b[0]
+            if np.any(v == 0.0):
+                raise ExpressionDomainError("division by zero")
+            b = _chain(b, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return _product(a, b)
+
     def max_var(self):
         return max(self.left.max_var(), self.right.max_var())
 
@@ -210,6 +289,13 @@ class Call(Expr):
             raise ExpressionDomainError(f"{self.func}({v}) out of domain") from exc
         except OverflowError as exc:
             raise ExpressionDomainError(f"{self.func}({v}) overflows") from exc
+
+    def _jet(self, x):
+        arg = self.arg._jet(x)
+        v = arg[0]
+        if self.func in ("log", "sqrt") and np.any(v <= 0.0):
+            raise ExpressionDomainError(f"{self.func}({v[v <= 0.0][0]}) out of domain")
+        return _chain(arg, *(rule(v) for rule in _JET_FUNCTIONS[self.func]))
 
     def max_var(self):
         return self.arg.max_var()
@@ -381,64 +467,6 @@ def parse_expression(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference evaluation
-# ---------------------------------------------------------------------------
-
-
-def _steps(x: Sequence[float], base: float) -> np.ndarray:
-    return np.array([base * max(1.0, abs(float(xi))) for xi in x])
-
-
-def eval_with_derivatives(
-    e: Expr,
-    x: Sequence[float],
-    wanted: Sequence[tuple[int, ...]],
-    first_step: float = FIRST_ORDER_STEP,
-    second_step: float = SECOND_ORDER_STEP,
-) -> dict[tuple[int, ...], float]:
-    """Evaluate ``e`` and the requested partial derivatives at ``x``.
-
-    ``wanted`` holds multi-indices as tuples of 0-based axis indices:
-    ``()`` for the value, ``(i,)`` for d/dx_i, ``(i, j)`` for the mixed
-    second derivative.  Central stencils; truncation error is O(step^2).
-    """
-    x = [float(v) for v in x]
-    h1 = _steps(x, first_step)
-    h2 = _steps(x, second_step)
-    out: dict[tuple[int, ...], float] = {}
-    for idx in wanted:
-        if len(idx) > 2:
-            raise ValueError(f"derivative order {len(idx)} > 2 not supported")
-        key = tuple(sorted(idx))
-        if key in out:
-            continue
-        if key == ():
-            out[key] = e.eval(x)
-        elif len(key) == 1:
-            (i,) = key
-            xp, xm = list(x), list(x)
-            xp[i] += h1[i]
-            xm[i] -= h1[i]
-            out[key] = (e.eval(xp) - e.eval(xm)) / (2.0 * h1[i])
-        elif key[0] == key[1]:
-            i = key[0]
-            xp, xm = list(x), list(x)
-            xp[i] += h2[i]
-            xm[i] -= h2[i]
-            out[key] = (e.eval(xp) - 2.0 * e.eval(x) + e.eval(xm)) / (h2[i] ** 2)
-        else:
-            i, j = key
-            vals = 0.0
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                xx = list(x)
-                xx[i] += si * h2[i]
-                xx[j] += sj * h2[j]
-                vals += si * sj * e.eval(xx)
-            out[key] = vals / (4.0 * h2[i] * h2[j])
-    return {tuple(sorted(idx)): out[tuple(sorted(idx))] for idx in wanted}
-
-
-# ---------------------------------------------------------------------------
 # Metric fields
 # ---------------------------------------------------------------------------
 
@@ -460,42 +488,27 @@ class MetricField:
         return self.entries[(i, j)]
 
     def matrix_at(self, x: Sequence[float]) -> np.ndarray:
-        n = self.dim
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = self.entry(i, j).eval(x)
-                g[i, j] = v
-                g[j, i] = v
+        g = np.empty((self.dim, self.dim))
+        for (i, j), e in self.entries.items():
+            g[i, j] = g[j, i] = e.eval(x)
         return g
 
-    def first_derivatives(self, x: Sequence[float]) -> np.ndarray:
-        """dg[k, i, j] = d g_ij / d x_k."""
-        n = self.dim
-        dg = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                e = self.entry(i, j)
-                vals = eval_with_derivatives(e, x, [(k,) for k in range(n)])
-                for k in range(n):
-                    dg[k, i, j] = vals[(k,)]
-                    dg[k, j, i] = vals[(k,)]
-        return dg
-
-    def second_derivatives(self, x: Sequence[float]) -> np.ndarray:
-        """d2g[a, b, i, j] = d^2 g_ij / d x_a d x_b."""
-        n = self.dim
-        d2g = np.empty((n, n, n, n))
-        idx = [(a, b) for a in range(n) for b in range(a, n)]
-        for i in range(n):
-            for j in range(i, n):
-                vals = eval_with_derivatives(self.entry(i, j), x, idx)
-                for a, b in idx:
-                    v = vals[(a, b)]
-                    for ii, jj in ((i, j), (j, i)):
-                        d2g[a, b, ii, jj] = v
-                        d2g[b, a, ii, jj] = v
-        return d2g
+    def jet(self, x: np.ndarray):
+        """Metric ``g[p, i, j]``, first derivatives ``dg[p, k, i, j] = d_k g_ij``
+        and second derivatives ``d2g[p, a, b, i, j] = d_a d_b g_ij`` at the
+        rows ``x[p]`` of an ``(m, n)`` array, one jet per stored entry."""
+        m, n = len(x), self.dim
+        g = np.empty((m, n, n))
+        dg = np.empty((m, n, n, n))
+        d2g = np.empty((m, n, n, n, n))
+        # equal entries, such as a conformal diagonal, share one jet
+        jets = {e: e.jet(x) for e in dict.fromkeys(self.entries.values())}
+        for (i, j), e in self.entries.items():
+            value, grad, hess = jets[e]
+            g[:, i, j] = g[:, j, i] = value
+            dg[:, :, i, j] = dg[:, :, j, i] = grad
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+        return g, dg, d2g
 
     def scaled(self, factor: Expr) -> "MetricField":
         """Pointwise product metric ``factor * g`` (factor an expression)."""

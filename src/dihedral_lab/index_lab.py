@@ -134,6 +134,8 @@ def _assemble(parts) -> DecComplex:
 
 
 def _polygon_parts(polygon: dict, resolution: int) -> list:
+    if not isinstance(polygon, dict):
+        raise PolygonError("a polygon must be an object {\"type\": ...}")
     ptype = polygon.get("type")
     if ptype == "square":
         return [_square_complex(resolution)]
@@ -217,15 +219,23 @@ def index_experiment(scene: dict) -> dict:
     or zero total degree is reported but the match flag simply records
     whether ``index == deg * chi``.
     """
+    if not isinstance(scene, dict):
+        raise PolygonError("index scene must be a JSON object")
     try:
         resolution = int(scene.get("resolution", 8))
         target = scene["M"]
         components = scene["N"]
     except KeyError as exc:
         raise PolygonError(f"index scene missing key {exc}") from exc
+    except TypeError as exc:
+        raise PolygonError("'resolution' must be an integer") from exc
+    if not (isinstance(components, list) and all(
+            isinstance(c, dict) and isinstance(c.get("map"), dict) for c in components)):
+        raise PolygonError("'N' must be a list of {\"polygon\": ..., \"map\": {...}}")
     if not components:
         raise PolygonError("scene needs at least one source component")
 
+    chi = _euler_characteristic(target, resolution)  # also checks 'M'
     parts = []
     degree = 0
     for comp in components:
@@ -249,7 +259,6 @@ def index_experiment(scene: dict) -> dict:
 
     b0, b1, b2 = harmonic_dims(_assemble(parts))
     index = b0 - b1 + b2
-    chi = _euler_characteristic(target, resolution)
     return {
         "b0": b0,
         "b1": b1,

@@ -1,7 +1,70 @@
-"""Independent symbolic oracles used by several test modules (sympy)."""
+"""Independent oracles used by several test modules: sympy closed forms and
+a central finite-difference evaluator of expression derivatives."""
+
+from typing import Sequence
 
 import numpy as np
 import sympy as sp
+
+from dihedral_lab.expressions import Expr
+
+# Central finite-difference steps (scaled by max(1, |x_i|) per axis).
+FIRST_ORDER_STEP = 1e-6
+SECOND_ORDER_STEP = 1e-4
+
+
+def _steps(x: Sequence[float], base: float) -> np.ndarray:
+    return np.array([base * max(1.0, abs(float(xi))) for xi in x])
+
+
+def eval_with_derivatives(
+    e: Expr,
+    x: Sequence[float],
+    wanted: Sequence[tuple[int, ...]],
+    first_step: float = FIRST_ORDER_STEP,
+    second_step: float = SECOND_ORDER_STEP,
+) -> dict[tuple[int, ...], float]:
+    """Evaluate ``e`` and the requested partial derivatives at ``x``.
+
+    ``wanted`` holds multi-indices as tuples of 0-based axis indices:
+    ``()`` for the value, ``(i,)`` for d/dx_i, ``(i, j)`` for the mixed
+    second derivative.  Central stencils; truncation error is O(step^2).
+    """
+    x = [float(v) for v in x]
+    h1 = _steps(x, first_step)
+    h2 = _steps(x, second_step)
+    out: dict[tuple[int, ...], float] = {}
+    for idx in wanted:
+        if len(idx) > 2:
+            raise ValueError(f"derivative order {len(idx)} > 2 not supported")
+        key = tuple(sorted(idx))
+        if key in out:
+            continue
+        if key == ():
+            out[key] = e.eval(x)
+        elif len(key) == 1:
+            (i,) = key
+            xp, xm = list(x), list(x)
+            xp[i] += h1[i]
+            xm[i] -= h1[i]
+            out[key] = (e.eval(xp) - e.eval(xm)) / (2.0 * h1[i])
+        elif key[0] == key[1]:
+            i = key[0]
+            xp, xm = list(x), list(x)
+            xp[i] += h2[i]
+            xm[i] -= h2[i]
+            out[key] = (e.eval(xp) - 2.0 * e.eval(x) + e.eval(xm)) / (h2[i] ** 2)
+        else:
+            i, j = key
+            vals = 0.0
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                xx = list(x)
+                xx[i] += si * h2[i]
+                xx[j] += sj * h2[j]
+                vals += si * sj * e.eval(xx)
+            out[key] = vals / (4.0 * h2[i] * h2[j])
+    return {tuple(sorted(idx)): out[tuple(sorted(idx))] for idx in wanted}
+
 
 
 def symbolic_curvature(g_matrix, xs, point):

@@ -193,23 +193,23 @@ def test_criterion_05_certificates():
 
 
 def test_criterion_06_curvature_engine():
-    with criterion(6, "sphere charts reproduce Sc = n(n-1) at 1e-4, conformal "
-                      "Gauss-Bonnet at 1e-3, flat cases at 1e-8"):
+    with criterion(6, "sphere charts reproduce Sc = n(n-1) at 2e-13, conformal "
+                      "Gauss-Bonnet at 3e-9, flat cases at 1e-13"):
         assert abs(curvature_tensors(sphere_metric(2), (0.3, -0.2)).scalar
-                   - 2.0) <= 1e-4
+                   - 2.0) <= 1e-13
         assert abs(curvature_tensors(sphere_metric(3), (0.1, 0.2, -0.1)).scalar
-                   - 6.0) <= 1e-4
+                   - 6.0) <= 2e-13
         flat = curvature_tensors(euclidean_metric(3), (0.4, -0.7, 0.2))
-        assert abs(flat.scalar) <= 1e-8
-        assert np.abs(flat.riemann).max() <= 1e-8
+        assert abs(flat.scalar) <= 1e-13
+        assert np.abs(flat.riemann).max() <= 1e-13
         square = unit_square_domain()
         assert abs(gauss_bonnet_defect(euclidean_metric(2), square,
-                                       resolution=2)) <= 1e-8
+                                       resolution=2)) <= 1e-13
         conf = parse_metric({
             "11": "exp(2*0.1*sin(x1)*sin(x2))",
             "22": "exp(2*0.1*sin(x1)*sin(x2))",
         }, 2)
-        assert abs(gauss_bonnet_defect(conf, square, resolution=12)) <= 1e-3
+        assert abs(gauss_bonnet_defect(conf, square, resolution=12)) <= 3e-9
 
 
 def test_criterion_07_corner_smoothing():
@@ -266,17 +266,17 @@ def test_criterion_09_hardy_operator():
 
 
 def test_criterion_10_conformal_identities():
-    with criterion(10, "conformal identity residuals: 1e-3 for nonconstant "
-                       "factor, 1e-8 scaling law for constant factor"):
+    with criterion(10, "conformal identity residuals at 1e-13 for nonconstant "
+                       "and constant factors"):
         flat3 = euclidean_metric(3)
         out = conformal_identities(flat3, "1 + 0.1*sin(x1)", (0.4, 0.2, -0.5))
-        assert abs(out["scalar"]) <= 1e-3
+        assert abs(out["scalar"]) <= 1e-13
         out_const = conformal_identities(flat3, "2.0", (0.2, -0.1, 0.3))
-        assert abs(out_const["scalar"]) <= 1e-8
+        assert abs(out_const["scalar"]) <= 1e-13
         square = unit_square_domain()
         out_face = conformal_identities(euclidean_metric(2), "1.5",
                                         (0.0, 0.5), domain=square, face=0)
-        assert abs(out_face["mean_curvature"]) <= 1e-8
+        assert abs(out_face["mean_curvature"]) <= 1e-13
 
 
 def test_criterion_11_gallot_meyer():

@@ -328,6 +328,45 @@ class TestMalformedSceneTypes:
         self.assert_input_error(runner.invoke(main, ["compare", "--scene", path]))
 
 
+    INDEX_CASES = {
+        "top_level_list": [1],
+        "M_list": {"M": [1]},
+        "N_object": {"N": {"polygon": {"type": "square"}}},
+        "N_nested_list": {"N": [[1]]},
+        "map_string": {"N": [{"polygon": {"type": "square"}, "map": "identity"}]},
+        "resolution_list": {"resolution": [3]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(INDEX_CASES))
+    def test_index_scene(self, runner, tmp_path, case):
+        override = self.INDEX_CASES[case]
+        scene = override if isinstance(override, list) else {
+            "resolution": 3, "M": {"type": "square"},
+            "N": [{"polygon": {"type": "square"},
+                   "map": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}],
+            **override}
+        path = write_json(tmp_path / "s.json", scene)
+        self.assert_input_error(runner.invoke(main, ["index", "--scene", path]))
+
+
+class TestInternalErrors:
+    """A crash inside a command is exit 3 with one stderr line, never the
+    verdict-failed code 1 or a traceback."""
+
+    def test_unexpected_exception_exits_3(self, runner, monkeypatch):
+        import dihedral_lab.cli as cli
+
+        def broken(n):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr(cli, "gallot_meyer_bound", broken)
+        result = runner.invoke(main, ["spectrum", "bound", "--dim", "4"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "internal error: IndexError: index 7 is out of bounds" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestShippedScenes:
     """The scene files under scenes/ must keep working as documented."""
 

@@ -406,25 +406,25 @@ class TestConformalIdentities:
     def test_constant_factor_flat(self):
         g = euclidean_metric(3)
         out = conformal_identities(g, "2.0", (0.2, 0.1, -0.3))
-        assert abs(out["scalar"]) <= 1e-8
+        assert abs(out["scalar"]) <= 1e-13
 
     def test_constant_factor_flat_boundary(self):
         g = euclidean_metric(2)
         dom = PolyDomain.from_scene(square_scene_dict())
         out = conformal_identities(g, "1.5", (0.0, 0.5), domain=dom, face=0)
-        assert abs(out["scalar"]) <= 1e-8
-        assert abs(out["mean_curvature"]) <= 1e-8
+        assert abs(out["scalar"]) <= 1e-13
+        assert abs(out["mean_curvature"]) <= 1e-13
 
     def test_constant_factor_sphere_scaling(self):
         expr = "4/(1+x1^2+x2^2)^2"
         g = parse_metric({"11": expr, "22": expr}, 2)
         out = conformal_identities(g, "3.0", (0.3, -0.1))
-        assert abs(out["scalar"]) <= 1e-4
+        assert abs(out["scalar"]) <= 1e-13
 
     def test_nonconstant_factor_flat_3d(self):
         g = euclidean_metric(3)
         out = conformal_identities(g, "1 + 0.1*sin(x1)", (0.4, 0.2, -0.5))
-        assert abs(out["scalar"]) <= 1e-3
+        assert abs(out["scalar"]) <= 1e-13
 
     def test_identity_against_symbolic_oracle(self):
         # independent symbolic check that Sc(h^2 delta) equals the stated
@@ -446,7 +446,31 @@ class TestConformalIdentities:
         dom = PolyDomain.from_scene(square_scene_dict())
         out = conformal_identities(g, "1 + 0.3*x1 + 0.2*x2", (0.0, 0.5),
                                    domain=dom, face=0)
-        assert abs(out["mean_curvature"]) <= 1e-4
+        assert abs(out["mean_curvature"]) <= 1e-13
+
+    def test_boundary_check_computes_gbar_quantities_once(self, monkeypatch):
+        import dihedral_lab.comparison as comparison
+        import dihedral_lab.curvature as curvature
+
+        calls = {"face_geometry": [], "christoffel": []}
+
+        def counting(name, fn):
+            def wrapper(g, *args):
+                calls[name].append(g)
+                return fn(g, *args)
+            return wrapper
+
+        for module, name in ((comparison, "face_geometry"), (curvature, "christoffel")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        gbar = euclidean_metric(3)
+        cube = PolyDomain.from_halfspaces(
+            [(row, 0.0) for row in np.eye(3)] + [(-row, -1.0) for row in np.eye(3)])
+        out = conformal_identities(gbar, "1 + 0.3*x1 + 0.1*x2^2", (0.0, 0.5, 0.4),
+                                   domain=cube, face=0)
+        for name in calls:
+            assert len(calls[name]) == 2
+            assert sum(g is gbar for g in calls[name]) == 1
+        assert abs(out["mean_curvature"]) <= 1e-12
 
     def test_nonpositive_factor_rejected(self):
         g = euclidean_metric(2)

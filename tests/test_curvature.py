@@ -18,8 +18,13 @@ from dihedral_lab.curvature import (
     gauss_bonnet_defect,
     hypersurface_geometry,
     orthonormal_frame,
+    _curvature,
 )
-from dihedral_lab.expressions import euclidean_metric, parse_metric
+from dihedral_lab.expressions import (
+    MetricNotPositiveDefinite,
+    euclidean_metric,
+    parse_metric,
+)
 
 
 def sphere_metric(n):
@@ -70,30 +75,30 @@ class TestCurvatureTensors:
     def test_flat_is_zero(self):
         g = euclidean_metric(3)
         pack = curvature_tensors(g, (0.2, -0.4, 1.0))
-        assert pack.scalar == pytest.approx(0.0, abs=1e-8)
-        assert np.abs(pack.riemann).max() <= 1e-8
+        assert pack.scalar == pytest.approx(0.0, abs=1e-13)
+        assert np.abs(pack.riemann).max() <= 1e-13
 
     def test_sphere2_scalar(self):
         pack = curvature_tensors(sphere_metric(2), (0.3, -0.2))
-        assert pack.scalar == pytest.approx(2.0, abs=1e-4)
+        assert pack.scalar == pytest.approx(2.0, abs=1e-13)
 
     def test_sphere3_scalar_origin(self):
         pack = curvature_tensors(sphere_metric(3), (0.0, 0.0, 0.0))
-        assert pack.scalar == pytest.approx(6.0, abs=1e-4)
+        assert pack.scalar == pytest.approx(6.0, abs=1e-13)
 
     def test_sphere3_scalar_offcenter(self):
         pack = curvature_tensors(sphere_metric(3), (0.2, 0.1, -0.3))
-        assert pack.scalar == pytest.approx(6.0, abs=1e-4)
+        assert pack.scalar == pytest.approx(6.0, abs=2e-13)
 
     def test_against_symbolic_oracle_sphere(self):
         gs, xs = sphere_chart_metric_sympy(2)
         point = (0.3, -0.2)
         gamma_o, riem_o, ric_o, sc_o = symbolic_curvature(gs, xs, point)
         pack = curvature_tensors(sphere_metric(2), point)
-        assert np.allclose(pack.gamma, gamma_o, atol=1e-7)
-        assert np.allclose(pack.riemann, riem_o, atol=1e-5)
-        assert np.allclose(pack.ricci, ric_o, atol=1e-5)
-        assert pack.scalar == pytest.approx(sc_o, abs=1e-5)
+        assert np.allclose(pack.gamma, gamma_o, rtol=0, atol=1e-13)
+        assert np.allclose(pack.riemann, riem_o, rtol=0, atol=4e-13)
+        assert np.allclose(pack.ricci, ric_o, rtol=0, atol=1e-13)
+        assert pack.scalar == pytest.approx(sc_o, abs=1e-13)
 
     def test_against_symbolic_oracle_offdiagonal(self):
         xs = sp.symbols("x1 x2", real=True)
@@ -104,22 +109,28 @@ class TestCurvatureTensors:
         g = parse_metric({"11": "1+x2^2", "12": "x1*x2/2",
                           "22": "2+sin(x1)^2"}, 2)
         pack = curvature_tensors(g, point)
-        assert np.allclose(pack.riemann, riem_o, atol=2e-5)
-        assert np.allclose(pack.ricci, ric_o, atol=2e-5)
-        assert pack.scalar == pytest.approx(sc_o, abs=2e-5)
+        assert np.allclose(pack.riemann, riem_o, rtol=0, atol=1e-13)
+        assert np.allclose(pack.ricci, ric_o, rtol=0, atol=1e-13)
+        assert pack.scalar == pytest.approx(sc_o, abs=1e-13)
 
     @pytest.mark.parametrize("point", [(0.3, -0.2), (0.0, 0.0), (0.7, 0.5)])
     def test_riemann_symmetries(self, point):
         pack = curvature_tensors(sphere_metric(2), point)
-        assert pack.antisymmetry_residual() <= 1e-6
-        assert pack.pair_symmetry_residual() <= 1e-6
-        assert pack.bianchi_residual() <= 1e-6
+        assert pack.antisymmetry_residual() <= 1e-13
+        assert pack.pair_symmetry_residual() <= 1e-13
+        assert pack.bianchi_residual() <= 1e-13
 
     def test_riemann_symmetries_3d(self):
         pack = curvature_tensors(sphere_metric(3), (0.1, 0.2, -0.1))
-        assert pack.antisymmetry_residual() <= 1e-6
-        assert pack.pair_symmetry_residual() <= 1e-6
-        assert pack.bianchi_residual() <= 1e-6
+        assert pack.antisymmetry_residual() <= 1e-13
+        assert pack.pair_symmetry_residual() <= 1e-13
+        assert pack.bianchi_residual() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sphere_scalar_exact(self, n):
+        g = sphere_metric(n)
+        for x in np.random.default_rng(n).uniform(-1.0, 1.0, size=(4, n)):
+            assert abs(curvature_tensors(g, x).scalar - n * (n - 1)) <= 1e-12
 
     def test_scaling_law_scalar(self):
         #c^2 g divides Sc by c^2
@@ -130,18 +141,35 @@ class TestCurvatureTensors:
         )
         s1 = curvature_tensors(g, (0.2, 0.1)).scalar
         s2 = curvature_tensors(scaled, (0.2, 0.1)).scalar
-        assert s2 == pytest.approx(s1 / c2, abs=1e-5)
+        assert s2 == pytest.approx(s1 / c2, abs=1e-13)
+
+
+    def test_batch_matches_single_points(self):
+        g = parse_metric({"11": "1+x2^2", "12": "x1*x2/2", "22": "2+sin(x1)^2"}, 2)
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(9, 2))
+        batch = _curvature(g, pts)
+        for p, x in enumerate(pts):
+            pack = curvature_tensors(g, x)
+            single = (pack.metric, pack.metric_inv, pack.gamma, pack.riemann,
+                      pack.ricci, pack.scalar)
+            for got, want in zip(batch, single):
+                assert np.allclose(got[p], want, rtol=1e-13, atol=1e-13)
+
+    def test_not_positive_definite_names_the_point(self):
+        g = parse_metric({"11": "x1", "22": "1"}, 2)
+        with pytest.raises(MetricNotPositiveDefinite, match=r"\[-0\.5, 0\.0\]"):
+            _curvature(g, np.array([[0.5, 0.0], [-0.5, 0.0], [-1.0, 0.0]]))
 
 
 class TestCurvatureOperator:
     def test_flat_zero(self):
         op = curvature_operator(euclidean_metric(3), (0.4, 0.2, 0.0))
-        assert np.abs(op).max() <= 1e-7
+        assert np.abs(op).max() <= 1e-13
 
     def test_sphere2_value(self):
         op = curvature_operator(sphere_metric(2), (0.3, -0.2))
         assert op.shape == (1, 1)
-        assert op[0, 0] == pytest.approx(1.0, abs=1e-4)
+        assert op[0, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_symmetric_and_psd_on_sphere(self):
         op = curvature_operator(sphere_metric(3), (0.2, -0.1, 0.3))
@@ -162,7 +190,7 @@ class TestCurvatureOperator:
         rf = np.einsum("ijkl,ia,jb,kc,ld->abcd", riem_o, frame, frame, frame, frame)
         pairs = [(0, 1), (0, 2), (1, 2)]
         expected = np.array([[-rf[a, b, c, d] for c, d in pairs] for a, b in pairs])
-        assert np.allclose(curvature_operator(g, point), expected, atol=2e-5)
+        assert np.allclose(curvature_operator(g, point), expected, rtol=0, atol=1e-13)
 
     def test_scaling_oracle(self):
         c2 = 4.0
@@ -171,7 +199,7 @@ class TestCurvatureOperator:
         )
         op1 = curvature_operator(sphere_metric(3), (0.1, 0.0, 0.2))
         op2 = curvature_operator(scaled, (0.1, 0.0, 0.2))
-        assert np.allclose(op2, op1 / c2, atol=1e-5)
+        assert np.allclose(op2, op1 / c2, rtol=0, atol=1e-13)
 
     def test_frame_is_orthonormal(self):
         g = parse_metric({"11": "2", "12": "0.4", "22": "1"}, 2)
@@ -183,8 +211,8 @@ class TestCurvatureOperator:
 class TestFaceGeometry:
     def test_flat_face(self):
         fg = face_geometry(euclidean_metric(3), unit_cube(), 0, (0.0, 0.5, 0.5))
-        assert np.abs(fg.second_fundamental).max() <= 1e-9
-        assert fg.mean_curvature == pytest.approx(0.0, abs=1e-9)
+        assert np.abs(fg.second_fundamental).max() <= 1e-13
+        assert fg.mean_curvature == pytest.approx(0.0, abs=1e-13)
 
     def test_point_not_on_face(self):
         with pytest.raises(DomainError):
@@ -197,7 +225,7 @@ class TestFaceGeometry:
             euclidean_metric(2), ["cos(x1)", "sin(x1)"], (0.7,),
             inward_reference=(0.0, 0.0),
         )
-        assert fg.mean_curvature == pytest.approx(1.0, abs=1e-6)
+        assert fg.mean_curvature == pytest.approx(1.0, abs=1e-13)
 
     def test_unit_sphere_mean_curvature(self):
         fg = hypersurface_geometry(
@@ -206,7 +234,7 @@ class TestFaceGeometry:
             (1.1, 0.4),
             inward_reference=(0.0, 0.0, 0.0),
         )
-        assert fg.mean_curvature == pytest.approx(2.0, abs=1e-5)
+        assert fg.mean_curvature == pytest.approx(2.0, abs=1e-13)
 
     @pytest.mark.parametrize("n,c", [(2, 0.7), (3, -0.4)])
     def test_conformal_mean_curvature_law(self, n, c):
@@ -228,14 +256,14 @@ class TestFaceGeometry:
         dom = PolyDomain.from_halfspaces(hs)
         x = tuple(0.3 if k < n - 1 else 0.0 for k in range(n))
         fg = face_geometry(g, dom, 0, x)
-        assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-6)
+        assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-13)
 
     def test_scaling_law_mean_curvature(self):
         # c^2 g divides H by c; exercised through the circle mode
         c2, c = 9.0, 3.0
         g = parse_metric({"11": str(c2), "22": str(c2)}, 2)
         fg = hypersurface_geometry(g, ["cos(x1)", "sin(x1)"], (0.7,), (0.0, 0.0))
-        assert fg.mean_curvature == pytest.approx(1.0 / c, abs=1e-6)
+        assert fg.mean_curvature == pytest.approx(1.0 / c, abs=1e-13)
 
 
 class TestDihedralAngle:
@@ -350,7 +378,7 @@ class TestGaussBonnet:
             "22": "exp(2*0.1*sin(x1)*sin(x2))",
         }, 2)
         defect = gauss_bonnet_defect(g, unit_square(), resolution=12)
-        assert abs(defect) <= 1e-3
+        assert abs(defect) <= 3e-9
 
     def test_needs_2d(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from _oracles import eval_with_derivatives
 from dihedral_lab.expressions import (
     BinOp,
     Call,
@@ -15,7 +16,6 @@ from dihedral_lab.expressions import (
     Num,
     Var,
     euclidean_metric,
-    eval_with_derivatives,
     metric_at,
     metric_from_scene,
     parse_expression,
@@ -188,6 +188,108 @@ class TestDerivatives:
         err_h = abs(eval_with_derivatives(e, x, [(0, 0)], second_step=h)[(0, 0)] - exact)
         err_h2 = abs(eval_with_derivatives(e, x, [(0, 0)], second_step=h / 2)[(0, 0)] - exact)
         assert 3.5 <= err_h / err_h2 <= 4.5
+
+
+_X = sp.symbols("x1 x2 x3", real=True)
+
+
+def _sympy_jet(text, points):
+    """Value, gradient and Hessian of ``text`` at each point, by sympy."""
+    expr = sp.sympify(text.replace("^", "**"),
+                      locals={**{str(v): v for v in _X}, "abs": sp.Abs})
+    grad = [sp.diff(expr, v) for v in _X]
+    hess = [[sp.diff(d, v) for v in _X] for d in grad]
+    out = []
+    for pt in points:
+        subs = dict(zip(_X, pt))
+
+        def ev(e):
+            return float(sp.N(e.subs(subs), 30))
+
+        out.append((ev(expr), [ev(d) for d in grad],
+                    [[ev(d) for d in row] for row in hess]))
+    return [np.array(part) for part in zip(*out)]
+
+
+class TestJets:
+    # together these cover the 9 functions, /, constant and non-constant ^
+    # and unary minus
+    CASES = [
+        "sin(x1)*cos(x2) + tan(x1*x3)",
+        "exp(x1 - x2)/sqrt(1 + x1^2 + x3^2)",
+        "log(2 + x1*x2) * sinh(x3) - cosh(x1*x2)",
+        "abs(x1 - 2*x2)^3 - x3^-2",
+        "(1 + x2^2)^(x1*x3) + -x1^2.5/(x2 + x3)",
+    ]
+    POINTS = [(0.3, 0.7, -0.4), (0.6, 0.9, 1.3), (1.1, -0.2, 0.5)]
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_against_sympy(self, text):
+        points = [p for p in self.POINTS if "2.5" not in text or p[0] > 0]
+        value, grad, hess = parse_expression(text).jet(np.array(points))
+        want = _sympy_jet(text, points)
+        for got, ref in zip((value, grad, hess), want):
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_random_asts_against_eval_and_finite_differences(self):
+        # Central differences lose digits to rounding (eps |f| / h^2) and to
+        # truncation (h^2 f^(4)).  Where they miss the jet by more than the
+        # bound, sympy decides, and the jet must match it to 1e-10.
+        rng = random.Random(20240602)
+        wanted = ([()] + [(i,) for i in range(3)]
+                  + [(i, j) for i in range(3) for j in range(i, 3)])
+        upper = np.triu_indices(3)
+        checked = refereed = 0
+        for _ in range(300):
+            ast = _random_expr(rng, depth=4)
+            for _ in range(5):
+                x = [rng.uniform(-2, 2) for _ in range(3)]
+                try:
+                    fd = eval_with_derivatives(ast, x, wanted)
+                except ExpressionDomainError:
+                    continue
+                if not all(math.isfinite(v) for v in fd.values()):
+                    continue
+                value, grad, hess = (part[0] for part in ast.jet(np.array([x])))
+                assert value == pytest.approx(ast.eval(x), rel=1e-12, abs=1e-12)
+                assert np.array_equal(hess, hess.T)
+                got = np.concatenate([grad, hess[upper]])
+                ref = np.array([fd[key] for key in wanted[1:]])
+                if np.any(np.abs(got - ref) > 1e-4 * np.maximum(1.0, np.abs(ref))):
+                    _, sgrad, shess = _sympy_jet(ast.to_text(), [x])
+                    exact = np.concatenate([sgrad[0], shess[0][upper]])
+                    assert np.allclose(got, exact, rtol=1e-10, atol=1e-10)
+                    refereed += 1
+                checked += 1
+        assert checked > 1000
+        assert refereed < 0.01 * checked
+
+    @pytest.mark.parametrize("text,x", [
+        ("log(x1)", 0.0), ("log(x1)", -1.0), ("sqrt(x1)", 0.0),
+        ("1/x1", 0.0), ("x1^0.5", -1.0), ("x1^x1", 0.0), ("(-1)^x1", 0.5),
+        ("x1^0.5", 0.0), ("x1^1.5", 0.0), ("x1^-1", 0.0), ("exp(x1)", 800.0),
+        ("x1*x1*x1*x1", 1e100),
+    ])
+    def test_domain_errors(self, text, x):
+        # one bad row fails the whole batch
+        with pytest.raises(ExpressionDomainError):
+            parse_expression(text).jet(np.array([[0.5], [x]]))
+
+    @pytest.mark.parametrize("text,grad,hess", [
+        ("abs(x1)", 0.0, 0.0), ("x1^0", 0.0, 0.0), ("x1^1", 1.0, 0.0),
+        ("x1^2", 0.0, 2.0), ("x1^2.5", 0.0, 0.0), ("x1^3", 0.0, 0.0),
+    ])
+    def test_derivatives_at_zero(self, text, grad, hess):
+        value, g, h = parse_expression(text).jet(np.zeros((1, 1)))
+        assert value[0] == parse_expression(text).eval((0.0,))
+        assert (g[0, 0], h[0, 0, 0]) == (grad, hess)
+
+    def test_shapes_and_constant(self):
+        value, grad, hess = parse_expression("2.5").jet(np.ones((4, 3)))
+        assert value.tolist() == [2.5] * 4
+        assert grad.shape == (4, 3) and hess.shape == (4, 3, 3)
+        assert not grad.any() and not hess.any()
 
 
 class TestMetric:
