@@ -28,7 +28,6 @@ from .comparison import (
     check_hypotheses,
     conformal_identities,
     curvature_certificate,
-    per_sample_table,
     random_curvature_operator,
 )
 from .corner_smoothing import mean_curvature_limit, smoothing_arc, turning_integral
@@ -254,13 +253,12 @@ def compare(ctx, scene_path, conclusions, tol, seed, interior, per_face,
         scene = CompareScene.from_scene(_load_scene(scene_path))
         spec = SampleSpec(interior=interior, per_face=per_face,
                           per_edge=per_edge, seed=seed)
-        mode = "conclusions" if conclusions else "hypotheses"
         checker = check_conclusions if conclusions else check_hypotheses
         report = checker(scene, spec, tolerance=tol)
         if csv_path:
             with open(csv_path, "w") as fh:
                 fh.write("margin,stratum,point,value\n")
-                for name, stratum, pt, value in per_sample_table(scene, spec, mode):
+                for name, stratum, pt, value in report.table:
                     coords = ";".join(format(v, ".17g") for v in pt)
                     fh.write(f"{name},{stratum},{coords},"
                              f"{format(value, '.17g')}\n")

@@ -5,7 +5,11 @@ Everything here evaluates the inequalities that a curvature / mean-curvature
 domain (M, g) must satisfy, at deterministically sampled points:
 
 - hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
-  ``f*theta - thetabar`` and the cap ``pi - f*theta``;
+  ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
+  (interior, every mapped face, every edge between mapped faces) is
+  sampled once into an array of points; the corner map, curvature and
+  face geometry run as one batch over it, and only the dihedral angles
+  are evaluated point by point;
 - the operator inequalities behind the interior and boundary estimates,
   as positive-semidefiniteness certificates over explicit Clifford modules;
 - the conformal identities used by the rigidity argument.  The Laplacian
@@ -29,6 +33,9 @@ from .curvature import (
     CurvaturePack,
     DomainError,
     PolyDomain,
+    _curvature,
+    _face_forms,
+    _first_order,
     _nullspace,
     curvature_tensors,
     dihedral_angle,
@@ -39,7 +46,6 @@ from .expressions import (
     BinOp,
     Expr,
     MetricField,
-    metric_at,
     metric_from_scene,
     parse_expression,
 )
@@ -59,8 +65,6 @@ __all__ = [
     "ComparisonReport",
     "check_hypotheses",
     "check_conclusions",
-    "per_sample_table",
-    "sample_grid",
     "sample_stratum",
     "conformal_identities",
     "SceneError",
@@ -268,11 +272,12 @@ class CornerMap:
     components: tuple  # Expr per target coordinate
     face_map: dict  # source face index -> target face index (0-based)
 
-    def __call__(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([e.eval(x) for e in self.components])
-
-    def jacobian(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([e.jet(np.atleast_2d(x))[1][0] for e in self.components])
+    def jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images ``(m, k)`` and Jacobians ``(m, k, n)`` of f at the rows of
+        ``pts`` (shape ``(m, n)``), one jet per component over the stack."""
+        parts = [e.jet(pts)[:2] for e in self.components]
+        return (np.stack([value for value, _ in parts], axis=-1),
+                np.stack([grad for _, grad in parts], axis=1))
 
 
 @dataclass(frozen=True)
@@ -327,36 +332,35 @@ class CompareScene:
         f = self.corner_map
         scale = max(1.0, self.domain_dst.diameter())
         for i, j in f.face_map.items():
-            for y in sample_stratum(self.domain_src, f"face:{i}",
-                                    samples_per_face, seed):
-                img = f(y)
-                if not self.domain_dst.on_face(j, img, tol=tol * scale):
-                    raise SceneError(
-                        f"face {i + 1} sample {list(y)} maps to {list(img)}, "
-                        f"not on target face {j + 1}"
-                    )
+            ys = sample_stratum(self.domain_src, f"face:{i}", samples_per_face, seed)
+            imgs, _ = f.jet(ys)
+            off = ~self.domain_dst.on_faces([j], imgs, tol * scale)
+            if off.any():
+                k = int(np.argmax(off))
+                raise SceneError(
+                    f"face {i + 1} sample {list(ys[k])} maps to {list(imgs[k])}, "
+                    f"not on target face {j + 1}"
+                )
         pairs = [(i, j) for i in f.face_map for j in f.face_map if i < j]
         for i, j in pairs:
-            pts = sample_stratum(self.domain_src, f"edge:{i},{j}", 4, seed,
-                                 allow_empty=True)
-            for z in pts:
-                nspan = self.domain_src.normals[[i, j]].T  # (n, 2)
-                jac = f.jacobian(z)
-                pushed = jac @ nspan
-                if np.linalg.svd(pushed, compute_uv=False)[-1] < 1e-8:
-                    raise SceneError(
-                        f"differential drops rank on the normal span at edge "
-                        f"({i + 1},{j + 1})"
-                    )
-                ti, tj = f.face_map[i], f.face_map[j]
-                edge_tan = _nullspace(self.domain_dst.normals[[ti, tj]])
-                joint = np.hstack([pushed, edge_tan])
-                if joint.shape[1] == joint.shape[0]:
-                    if abs(np.linalg.det(joint)) < 1e-10:
-                        raise SceneError(
-                            f"pushed normal span meets the target edge "
-                            f"tangent at edge ({i + 1},{j + 1})"
-                        )
+            zs = sample_stratum(self.domain_src, f"edge:{i},{j}", 4, seed,
+                                allow_empty=True)
+            pushed = f.jet(zs)[1] @ self.domain_src.normals[[i, j]].T  # (k, m, 2)
+            if np.any(np.linalg.svd(pushed, compute_uv=False)[:, -1] < 1e-8):
+                raise SceneError(
+                    f"differential drops rank on the normal span at edge "
+                    f"({i + 1},{j + 1})"
+                )
+            ti, tj = f.face_map[i], f.face_map[j]
+            edge_tan = _nullspace(self.domain_dst.normals[[ti, tj]])
+            joint = np.concatenate(
+                [pushed, np.broadcast_to(edge_tan, (len(zs),) + edge_tan.shape)], axis=-1)
+            if (joint.shape[-1] == joint.shape[-2]
+                    and np.any(np.abs(np.linalg.det(joint)) < 1e-10)):
+                raise SceneError(
+                    f"pushed normal span meets the target edge "
+                    f"tangent at edge ({i + 1},{j + 1})"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +368,18 @@ class CompareScene:
 # ---------------------------------------------------------------------------
 
 
-def _halton(index: int, base: int) -> float:
-    out, f = 0.0, 1.0
-    while index > 0:
-        f /= base
-        out += f * (index % base)
-        index //= base
+def _halton_block(first: int, count: int, shift: np.ndarray) -> np.ndarray:
+    """Rows k = first, ..., first + count - 1 of the Halton sequence (base
+    ``_PRIMES[d]`` on axis d) with the Cranley-Patterson rotation ``shift``."""
+    out = np.empty((count, len(shift)))
+    for d, offset in enumerate(shift):
+        base = _PRIMES[d % len(_PRIMES)]
+        index, value, f = np.arange(first, first + count), np.zeros(count), 1.0
+        while index.any():
+            f /= base
+            value += f * (index % base)
+            index //= base
+        out[:, d] = (value + offset) % 1.0
     return out
 
 
@@ -389,14 +399,15 @@ def _window_box(domain: PolyDomain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
-                   allow_empty: bool = False) -> list[np.ndarray]:
-    """Deterministic low-discrepancy samples on a stratum.
+                   allow_empty: bool = False) -> np.ndarray:
+    """Deterministic low-discrepancy samples on a stratum, as a ``(k, n)`` array.
 
     ``stratum`` is ``"interior"``, ``"face:i"`` or ``"edge:i,j"`` with
     0-based indices.  Halton points with a seeded Cranley-Patterson
-    rotation are pushed into the stratum's affine chart and filtered by
-    membership, so identical (stratum, count, seed) inputs always return
-    identical points.
+    rotation are pushed into the stratum's affine chart in doubling blocks
+    and filtered by membership; the first ``count`` accepted candidates (of
+    at most ``max(200, 2000 count)``) are returned, fewer only with
+    ``allow_empty``.  Identical (stratum, count, seed) give identical points.
     """
     lo, hi = _window_box(domain)
     n = domain.dim
@@ -404,92 +415,57 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
     tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([lo, hi])).max()))
 
     if stratum == "interior":
-        dim_par = n
-        origin = None
-        basis = np.eye(n)
-
-        def accept(x):
-            return domain.contains(x, tol=-1e-12)  # strictly inside
+        faces, origin = [], None
     elif stratum.startswith("face:"):
-        i = int(stratum.split(":")[1])
-        a, b = domain.normals[i], domain.offsets[i]
-        origin = b * a
-        basis = _nullspace(a[None, :])
-        dim_par = n - 1
-
-        def accept(x):
-            return domain.on_face(i, x, tol=tol)
+        faces = [int(stratum.split(":")[1])]
+        origin = domain.offsets[faces[0]] * domain.normals[faces[0]]
     elif stratum.startswith("edge:"):
-        i, j = (int(v) for v in stratum.split(":")[1].split(","))
-        rows = domain.normals[[i, j]]
+        faces = [int(v) for v in stratum.split(":")[1].split(",")]
+        rows = domain.normals[faces]
         if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
             # parallel supporting planes never meet in an edge
             if allow_empty:
-                return []
-            raise DomainError(f"faces {i} and {j} are parallel; no edge")
-        origin, *_ = np.linalg.lstsq(rows, domain.offsets[[i, j]], rcond=None)
-        basis = _nullspace(rows)
-        dim_par = n - 2
-
-        def accept(x):
-            return domain.on_edge(i, j, x, tol=tol)
+                return np.zeros((0, n))
+            raise DomainError(f"faces {faces[0]} and {faces[1]} are parallel; no edge")
+        origin, *_ = np.linalg.lstsq(rows, domain.offsets[faces], rcond=None)
     else:
         raise ValueError(f"unknown stratum {stratum!r}")
 
+    def accept(x):
+        return domain.on_faces(faces, x, tol) if faces else domain.contains(x, tol=-1e-12)
+
+    if faces:
+        basis = _nullspace(domain.normals[faces])
+        # recenter the chart near the window center for better acceptance
+        x0 = origin + basis @ (basis.T @ (0.5 * (lo + hi) - origin))
+    dim_par = n - len(faces)
     if dim_par == 0:
-        pt = np.asarray(origin, dtype=float)
-        if accept(pt):
-            return [pt] * min(count, 1) or []
+        pt = origin[None, :]
+        if accept(pt)[0]:
+            return pt[:count]
         if allow_empty:
-            return []
+            return np.zeros((0, n))
         raise DomainError(f"stratum {stratum} is empty")
 
     shift = rng.uniform(size=dim_par)
     span = float(np.linalg.norm(hi - lo))
-    center = 0.5 * (lo + hi)
-    out: list[np.ndarray] = []
-    k = 1
     max_tries = max(200, 2000 * count)
-    while len(out) < count and k <= max_tries:
-        u = np.array([
-            (_halton(k, _PRIMES[d % len(_PRIMES)]) + shift[d]) % 1.0
-            for d in range(dim_par)
-        ])
-        if stratum == "interior":
-            x = lo + u * (hi - lo)
-        else:
-            t = (u - 0.5) * span
-            x0 = np.asarray(origin, dtype=float)
-            # recenter the chart near the window center for better acceptance
-            x0 = x0 + basis @ (basis.T @ (center - x0))
-            x = x0 + basis @ t
-        if accept(x):
-            out.append(x)
-        k += 1
+    found = [np.zeros((0, n))]
+    first, block, got = 1, 2 * count, 0
+    while got < count and first <= max_tries:
+        u = _halton_block(first, min(block, max_tries - first + 1), shift)
+        x = lo + u * (hi - lo) if not faces else x0 + ((u - 0.5) * span) @ basis.T
+        found.append(x[accept(x)])
+        got += len(found[-1])
+        first += len(u)
+        block *= 2
+    out = np.concatenate(found)[:count]
     if len(out) < count and not allow_empty:
         raise DomainError(
             f"could not draw {count} samples on {stratum} "
             f"(got {len(out)} after {max_tries} tries)"
         )
     return out
-
-
-def sample_grid(domain: PolyDomain, grid_spec: dict) -> list[np.ndarray]:
-    """Samples from the JSON grid form
-    ``{"stratum": "interior"|"face:i"|"edge:i,j", "count": k, "seed": s}``
-    with 1-based face indices in the file."""
-    try:
-        stratum = str(grid_spec["stratum"])
-        count = int(grid_spec["count"])
-        seed = int(grid_spec["seed"])
-    except KeyError as exc:
-        raise SceneError(f"sample grid missing key {exc}") from exc
-    if stratum.startswith("face:"):
-        stratum = f"face:{int(stratum.split(':')[1]) - 1}"
-    elif stratum.startswith("edge:"):
-        i, j = (int(v) - 1 for v in stratum.split(":")[1].split(","))
-        stratum = f"edge:{i},{j}"
-    return sample_stratum(domain, stratum, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +479,13 @@ class SampleSpec:
     per_face: int = 8
     per_edge: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("interior", "per_face", "per_edge"):
+            if getattr(self, name) < 1:
+                # a margin with no samples would silently count as a pass
+                raise SceneError(f"sample count {name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -525,6 +508,7 @@ class ComparisonReport:
     margins: dict  # name -> MarginRecord
     tolerance: float
     holds: bool
+    table: tuple = ()  # rows (margin name, stratum, point tuple, value)
 
     def to_dict(self):
         return {
@@ -535,75 +519,82 @@ class ComparisonReport:
         }
 
 
-def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(w)) @ v.T
+def _singular_values(gsrc: np.ndarray, gdst: np.ndarray,
+                     jac: np.ndarray) -> np.ndarray:
+    """Singular values of df measured by both metrics, largest first, over
+    a leading point axis.  With g = L L^T (Cholesky), L_src^-1 J^T L_dst
+    has the singular values of sqrt(gdst) J sqrt(gsrc)^-1."""
+    tilted = np.linalg.solve(np.linalg.cholesky(gsrc),
+                             np.swapaxes(jac, -1, -2) @ np.linalg.cholesky(gdst))
+    return np.linalg.svd(tilted, compute_uv=False)
 
 
-def _metric_norms(scene: CompareScene, x: np.ndarray) -> DfNorms:
-    """Singular values of df with respect to both metrics."""
-    jac = scene.corner_map.jacobian(x)
-    gsrc = metric_at(scene.metric_src, x)
-    gdst = metric_at(scene.metric_dst, scene.corner_map(x))
-    tilted = _sqrtm_spd(gdst) @ jac @ np.linalg.inv(_sqrtm_spd(gsrc))
-    return df_norms(tilted)
-
-
-def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):
-    """Yield (name, stratum, point, hypothesis_margin, equality_residual)."""
+def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
+    """Rows (name, stratum, point, hypothesis_margin, equality_residual),
+    one batch per stratum: interior points, then each face, then each edge."""
     f = scene.corner_map
-    for x in sample_stratum(scene.domain_src, "interior", spec.interior, spec.seed):
-        norms = _metric_norms(scene, x)
-        sc_src = curvature_tensors(scene.metric_src, x).scalar
-        sc_dst = curvature_tensors(scene.metric_dst, f(x)).scalar
-        gap = sc_src - norms.wedge2_norm * sc_dst
-        yield ("scalar", "interior", x, gap, abs(gap))
+    src, dst = scene.domain_src, scene.domain_dst
+    rows = []
+
+    def extend(name, stratum, pts, gaps):
+        rows.extend((name, stratum, x, gap, abs(gap)) for x, gap in zip(pts, gaps))
+
+    xs = sample_stratum(src, "interior", spec.interior, spec.seed)
+    fxs, jac = f.jet(xs)
+    gsrc, _, _, _, _, sc_src = _curvature(scene.metric_src, xs)
+    gdst, _, _, _, _, sc_dst = _curvature(scene.metric_dst, fxs)
+    sv = _singular_values(gsrc, gdst, jac)
+    wedge2 = sv[:, 0] * sv[:, 1] if sv.shape[1] > 1 else np.zeros(len(sv))
+    extend("scalar", "interior", xs, sc_src - wedge2 * sc_dst)
     for i, j in f.face_map.items():
-        for y in sample_stratum(scene.domain_src, f"face:{i}", spec.per_face,
-                                spec.seed):
-            norms = _metric_norms(scene, y)
-            h_src = face_geometry(scene.metric_src, scene.domain_src, i, y
-                                  ).mean_curvature
-            h_dst = face_geometry(scene.metric_dst, scene.domain_dst, j, f(y)
-                                  ).mean_curvature
-            gap = h_src - norms.df_norm * h_dst
-            yield ("mean_curvature", f"face:{i + 1}", y, gap, abs(gap))
-    pairs = [(i, j) for i in f.face_map for j in f.face_map if i < j]
-    for i, j in pairs:
-        pts = sample_stratum(scene.domain_src, f"edge:{i},{j}", spec.per_edge,
-                             spec.seed, allow_empty=True)
-        for z in pts:
-            th_src = dihedral_angle(scene.metric_src, scene.domain_src, i, j, z)
-            th_dst = dihedral_angle(
-                scene.metric_dst, scene.domain_dst,
-                f.face_map[i], f.face_map[j], f(z))
-            yield ("angle", f"edge:{i + 1},{j + 1}", z, th_dst - th_src,
-                   abs(th_dst - th_src))
-            yield ("angle_cap", f"edge:{i + 1},{j + 1}", z,
-                   math.pi - th_dst, abs(math.pi - th_dst))
+        ys = sample_stratum(src, f"face:{i}", spec.per_face, spec.seed)
+        fys, jac = f.jet(ys)
+        off = ~dst.on_faces([j], fys)
+        if off.any():
+            raise DomainError(f"point {list(fys[np.argmax(off)])} is not on face {j}")
+        gsrc, ginv, _, _, _, gamma = _first_order(scene.metric_src, ys)
+        h_src = np.trace(_face_forms(src, i, gsrc, ginv, gamma)[0], axis1=1, axis2=2)
+        gdst, ginv, _, _, _, gamma = _first_order(scene.metric_dst, fys)
+        h_dst = np.trace(_face_forms(dst, j, gdst, ginv, gamma)[0], axis1=1, axis2=2)
+        sv = _singular_values(gsrc, gdst, jac)
+        extend("mean_curvature", f"face:{i + 1}", ys, h_src - sv[:, 0] * h_dst)
+    for i, j in ((i, j) for i in f.face_map for j in f.face_map if i < j):
+        zs = sample_stratum(src, f"edge:{i},{j}", spec.per_edge, spec.seed,
+                            allow_empty=True)
+        stratum = f"edge:{i + 1},{j + 1}"
+        # angles need metric values only, so they stay on the value path
+        for z, fz in zip(zs, f.jet(zs)[0]):
+            th_src = dihedral_angle(scene.metric_src, src, i, j, z)
+            th_dst = dihedral_angle(scene.metric_dst, dst, f.face_map[i],
+                                    f.face_map[j], fz)
+            rows.append(("angle", stratum, z, th_dst - th_src, abs(th_dst - th_src)))
+            rows.append(("angle_cap", stratum, z, math.pi - th_dst,
+                         abs(math.pi - th_dst)))
+    return rows
 
 
 def _run_report(scene: CompareScene, spec: SampleSpec, mode: str,
                 tolerance: float) -> ComparisonReport:
     scene.validate(seed=spec.seed)
+    table = tuple(
+        (name, stratum, tuple(float(v) for v in pt),
+         float(hyp_margin if mode == "hypotheses" else eq_resid))
+        for name, stratum, pt, hyp_margin, eq_resid in _pointwise_quantities(scene, spec))
     worst: dict[str, MarginRecord] = {}
-    for name, stratum, pt, hyp_margin, eq_resid in _pointwise_quantities(scene, spec):
+    for name, stratum, pt, value in table:
         if mode == "hypotheses":
-            value = hyp_margin
             better = name not in worst or value < worst[name].value
         else:
             if name == "angle_cap":
                 continue  # the cap is a hypothesis, not an equality claim
-            value = eq_resid
             better = name not in worst or value > worst[name].value
         if better:
-            worst[name] = MarginRecord(float(value),
-                                       tuple(float(v) for v in pt), stratum)
+            worst[name] = MarginRecord(value, pt, stratum)
     if mode == "hypotheses":
         holds = all(rec.value >= -tolerance for rec in worst.values())
     else:
         holds = all(rec.value <= tolerance for rec in worst.values())
-    return ComparisonReport(mode, worst, tolerance, holds)
+    return ComparisonReport(mode, worst, tolerance, holds, table)
 
 
 def check_hypotheses(scene: CompareScene, spec: SampleSpec = SampleSpec(),
@@ -617,18 +608,6 @@ def check_conclusions(scene: CompareScene, spec: SampleSpec = SampleSpec(),
                       tolerance: float = DEFAULT_TOLERANCE) -> ComparisonReport:
     """Largest equality residuals of the rigidity conclusions on the samples."""
     return _run_report(scene, spec, "conclusions", tolerance)
-
-
-def per_sample_table(scene: CompareScene, spec: SampleSpec = SampleSpec(),
-                     mode: str = "hypotheses") -> list[tuple]:
-    """Every sampled value, one row per point:
-    ``(margin name, stratum, point tuple, value)``."""
-    scene.validate(seed=spec.seed)
-    rows = []
-    for name, stratum, pt, hyp_margin, eq_resid in _pointwise_quantities(scene, spec):
-        value = hyp_margin if mode == "hypotheses" else eq_resid
-        rows.append((name, stratum, tuple(float(v) for v in pt), float(value)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +663,10 @@ def conformal_identities(
     if face is not None:
         if domain is None:
             raise ValueError("mean-curvature variant needs the domain")
-        fg_bar = face_geometry(gbar, domain, face, x)
         fg = face_geometry(scaled, domain, face, x)
-        dh_dn = float(grad @ fg_bar.inner_normal)
-        rhs_h = fg_bar.mean_curvature / hval - (n - 1) / hval**2 * dh_dn
+        second_bar, _, nu_bar = _face_forms(domain, face, pack_bar.metric,
+                                            pack_bar.metric_inv, pack_bar.gamma)
+        dh_dn = float(grad @ nu_bar)
+        rhs_h = float(np.trace(second_bar)) / hval - (n - 1) / hval**2 * dh_dn
         out["mean_curvature"] = float(fg.mean_curvature - rhs_h)
     return out

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -172,26 +173,31 @@ class PolyDomain:
         return self.normals.shape[0]
 
     def slacks(self, x: Sequence[float]) -> np.ndarray:
-        return self.normals @ np.asarray(x, dtype=float) - self.offsets
+        """``<a_i, x> - b_i`` for every face (leading point axes broadcast)."""
+        return np.asarray(x, dtype=float) @ self.normals.T - self.offsets
 
-    def contains(self, x: Sequence[float], tol: float = 1e-12) -> bool:
+    def contains(self, x: Sequence[float], tol: float = 1e-12):
         s = self.slacks(x)
         if self.region == "intersection":
-            return bool(np.all(s >= -tol))
-        return bool(np.any(s <= tol))
+            return np.all(s >= -tol, axis=-1)
+        return np.any(s <= tol, axis=-1)
+
+    def on_faces(self, faces: list, x: Sequence[float], tol: float = 1e-9):
+        """Whether ``x`` lies on every face in ``faces`` and on the inner side
+        of the other supporting planes, up to ``tol`` (leading point axes
+        broadcast)."""
+        s = self.slacks(x)
+        return (np.all(np.abs(s[..., faces]) <= tol, axis=-1)
+                & np.all(np.delete(s, faces, axis=-1) >= -tol, axis=-1))
 
     def on_face(self, i: int, x: Sequence[float], tol: float = 1e-9) -> bool:
-        s = self.slacks(x)
-        others = np.delete(s, i)
-        return abs(s[i]) <= tol and bool(np.all(others >= -tol))
+        return bool(self.on_faces([i], x, tol))
 
     def on_edge(self, i: int, j: int, x: Sequence[float], tol: float = 1e-9) -> bool:
-        s = self.slacks(x)
-        others = np.delete(s, [i, j])
-        return abs(s[i]) <= tol and abs(s[j]) <= tol and bool(np.all(others >= -tol))
+        return bool(self.on_faces([i, j], x, tol))
 
-    def vertices(self) -> np.ndarray:
-        """Points where ``dim`` face planes meet feasibly (may be empty)."""
+    @cached_property
+    def _vertex_array(self) -> np.ndarray:
         n = self.dim
         out = []
         for subset in combinations(range(self.face_count), n):
@@ -202,10 +208,13 @@ class PolyDomain:
             v = np.linalg.solve(a, b)
             if np.all(self.slacks(v) >= -1e-9):
                 out.append(v)
-        if not out:
-            return np.zeros((0, n))
-        pts = np.unique(np.round(np.array(out), 9), axis=0)
+        pts = np.unique(np.round(np.array(out), 9), axis=0) if out else np.zeros((0, n))
+        pts.flags.writeable = False  # enumerated once, shared by every caller
         return pts
+
+    def vertices(self) -> np.ndarray:
+        """Points where ``dim`` face planes meet feasibly (may be empty)."""
+        return self._vertex_array
 
     def diameter(self) -> float:
         if self.window is not None:
@@ -322,7 +331,7 @@ def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
 def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the coordinate frame in index order; columns E_a
     satisfy E^T g E = 1."""
-    return _g_orthonormalize(np.eye(gmat.shape[0]), gmat)
+    return _g_orthonormalize(np.eye(gmat.shape[-1]), gmat)
 
 
 def wedge_pairs(n: int) -> list[tuple[int, int]]:
@@ -371,16 +380,18 @@ def _nullspace(rows: np.ndarray) -> np.ndarray:
 
 
 def _g_orthonormalize(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(cols, dtype=float)
-    k = cols.shape[1]
-    for a in range(k):
+    """Gram-Schmidt on the columns of ``cols`` in the metric ``gmat``, in
+    column order (any leading point axes of ``gmat`` broadcast)."""
+    out = np.zeros(gmat.shape[:-2] + cols.shape)
+    for a in range(cols.shape[1]):
         v = cols[:, a].astype(float)
         for b in range(a):
-            v = v - (out[:, b] @ gmat @ v) * out[:, b]
-        norm = math.sqrt(v @ gmat @ v)
-        if norm < 1e-14:
+            proj = np.einsum("...i,...ij,...j->...", out[..., b], gmat, v)
+            v = v - proj[..., None] * out[..., b]
+        norm = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
+        if np.any(norm < 1e-14):
             raise DomainError("degenerate tangent basis")
-        out[:, a] = v / norm
+        out[..., a] = v / norm[..., None]
     return out
 
 
@@ -391,6 +402,21 @@ def _inner_unit_normal(a: np.ndarray, gmat: np.ndarray, ginv: np.ndarray,
     nu = np.einsum("...ij,...j->...i", ginv, a)
     norm = np.sqrt(np.einsum("...i,...ij,...j->...", nu, gmat, nu))
     return sign * nu / norm[..., None]
+
+
+def _face_forms(domain: PolyDomain, i: int, gmat: np.ndarray, ginv: np.ndarray,
+                gamma: np.ndarray):
+    """Second fundamental form, g-orthonormal tangent basis and inner unit
+    normal of face ``i`` from the metric, its inverse and Gamma at points
+    of the face (any leading point axes broadcast)."""
+    a = domain.normals[i]
+    sign = 1.0 if domain.region == "intersection" else -1.0
+    nu = _inner_unit_normal(a, gmat, ginv, sign)
+    tangent = _g_orthonormalize(_nullspace(a[None, :]), gmat)
+    # A(X, Y) = g(nabla_X Y, nu): constant-coefficient extension of Y
+    lowered = np.einsum("...kij,...kl,...l->...ij", gamma, gmat, nu)
+    second = np.einsum("...ia,...ij,...jb->...ab", tangent, lowered, tangent)
+    return 0.5 * (second + np.swapaxes(second, -1, -2)), tangent, nu
 
 
 def face_geometry(g: MetricField, domain: PolyDomain, i: int,
@@ -406,15 +432,7 @@ def face_geometry(g: MetricField, domain: PolyDomain, i: int,
         raise DomainError(f"no face {i}")
     if not domain.on_face(i, x):
         raise DomainError(f"point {list(x)} is not on face {i}")
-    a = domain.normals[i]
-    gmat, ginv, gamma = christoffel(g, x)
-    sign = 1.0 if domain.region == "intersection" else -1.0
-    nu = _inner_unit_normal(a, gmat, ginv, sign)
-    tangent = _g_orthonormalize(_nullspace(a[None, :]), gmat)
-    # A(X, Y) = g(nabla_X Y, nu): constant-coefficient extension of Y
-    lowered = np.einsum("kij,kl,l->ij", gamma, gmat, nu)
-    second = np.einsum("ia,ij,jb->ab", tangent, lowered, tangent)
-    second = 0.5 * (second + second.T)
+    second, tangent, nu = _face_forms(domain, i, *christoffel(g, x))
     return FaceGeometry(second, float(np.trace(second)), tangent, nu)
 
 

@@ -142,8 +142,11 @@ def _polygon_parts(polygon: dict, resolution: int) -> list:
     if ptype == "right_triangle":
         return [_triangle_complex(resolution)]
     if ptype == "union":
+        parts = polygon.get("parts", [])
+        if not isinstance(parts, list):
+            raise PolygonError("union 'parts' must be a list of polygons")
         out = []
-        for part in polygon.get("parts", []):
+        for part in parts:
             out.extend(_polygon_parts(part, resolution))
         if not out:
             raise PolygonError("empty union polygon")

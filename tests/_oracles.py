@@ -1,12 +1,31 @@
-"""Independent oracles used by several test modules: sympy closed forms and
-a central finite-difference evaluator of expression derivatives."""
+"""Independent oracles used by several test modules: sympy closed forms,
+a central finite-difference evaluator of expression derivatives and the
+per-point comparison path."""
 
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import sympy as sp
 
-from dihedral_lab.expressions import Expr
+from dihedral_lab.comparison import (
+    _PRIMES,
+    CompareScene,
+    DfNorms,
+    SampleSpec,
+    _window_box,
+    df_norms,
+)
+from dihedral_lab.curvature import (
+    DomainError,
+    PolyDomain,
+    _nullspace,
+    curvature_tensors,
+    dihedral_angle,
+    face_geometry,
+)
+from dihedral_lab.expressions import Expr, metric_at
 
 # Central finite-difference steps (scaled by max(1, |x_i|) per axis).
 FIRST_ORDER_STEP = 1e-6
@@ -190,3 +209,171 @@ def kron_boundary_endomorphism(amat, jac, source, target):
             endo += (-0.5 * coeff[lam, mu]) * np.kron(cbar, cpart)
     shift = np.linalg.norm(jac, 2) * np.trace(amat) / 2.0
     return endo + shift * np.eye(dim), np.abs(coeff).sum() + abs(shift)
+
+
+# ---------------------------------------------------------------------------
+# Per-point comparison path (the reference for the batched ``compare`` rows):
+# the scalar Halton sampler, the per-point corner map and the per-point
+# pointwise quantities, as they were before ``compare`` ran in batches.
+# Use ``pointwise_scene(scene)`` to give a scene the per-point corner map.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PointwiseCornerMap:
+    components: tuple
+    face_map: dict
+
+    def __call__(self, x: Sequence[float]) -> np.ndarray:
+        return np.array([e.eval(x) for e in self.components])
+
+    def jacobian(self, x: Sequence[float]) -> np.ndarray:
+        return np.array([e.jet(np.atleast_2d(x))[1][0] for e in self.components])
+
+
+def pointwise_scene(scene):
+    cmap = scene.corner_map
+    return replace(scene, corner_map=PointwiseCornerMap(cmap.components, cmap.face_map))
+
+
+def _halton(index: int, base: int) -> float:
+    out, f = 0.0, 1.0
+    while index > 0:
+        f /= base
+        out += f * (index % base)
+        index //= base
+    return out
+
+
+def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
+                   allow_empty: bool = False) -> list[np.ndarray]:
+    """Deterministic low-discrepancy samples on a stratum.
+
+    ``stratum`` is ``"interior"``, ``"face:i"`` or ``"edge:i,j"`` with
+    0-based indices.  Halton points with a seeded Cranley-Patterson
+    rotation are pushed into the stratum's affine chart and filtered by
+    membership, so identical (stratum, count, seed) inputs always return
+    identical points.
+    """
+    lo, hi = _window_box(domain)
+    n = domain.dim
+    rng = np.random.default_rng(seed)
+    tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([lo, hi])).max()))
+
+    if stratum == "interior":
+        dim_par = n
+        origin = None
+        basis = np.eye(n)
+
+        def accept(x):
+            return domain.contains(x, tol=-1e-12)  # strictly inside
+    elif stratum.startswith("face:"):
+        i = int(stratum.split(":")[1])
+        a, b = domain.normals[i], domain.offsets[i]
+        origin = b * a
+        basis = _nullspace(a[None, :])
+        dim_par = n - 1
+
+        def accept(x):
+            return domain.on_face(i, x, tol=tol)
+    elif stratum.startswith("edge:"):
+        i, j = (int(v) for v in stratum.split(":")[1].split(","))
+        rows = domain.normals[[i, j]]
+        if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
+            # parallel supporting planes never meet in an edge
+            if allow_empty:
+                return []
+            raise DomainError(f"faces {i} and {j} are parallel; no edge")
+        origin, *_ = np.linalg.lstsq(rows, domain.offsets[[i, j]], rcond=None)
+        basis = _nullspace(rows)
+        dim_par = n - 2
+
+        def accept(x):
+            return domain.on_edge(i, j, x, tol=tol)
+    else:
+        raise ValueError(f"unknown stratum {stratum!r}")
+
+    if dim_par == 0:
+        pt = np.asarray(origin, dtype=float)
+        if accept(pt):
+            return [pt] * min(count, 1) or []
+        if allow_empty:
+            return []
+        raise DomainError(f"stratum {stratum} is empty")
+
+    shift = rng.uniform(size=dim_par)
+    span = float(np.linalg.norm(hi - lo))
+    center = 0.5 * (lo + hi)
+    out: list[np.ndarray] = []
+    k = 1
+    max_tries = max(200, 2000 * count)
+    while len(out) < count and k <= max_tries:
+        u = np.array([
+            (_halton(k, _PRIMES[d % len(_PRIMES)]) + shift[d]) % 1.0
+            for d in range(dim_par)
+        ])
+        if stratum == "interior":
+            x = lo + u * (hi - lo)
+        else:
+            t = (u - 0.5) * span
+            x0 = np.asarray(origin, dtype=float)
+            # recenter the chart near the window center for better acceptance
+            x0 = x0 + basis @ (basis.T @ (center - x0))
+            x = x0 + basis @ t
+        if accept(x):
+            out.append(x)
+        k += 1
+    if len(out) < count and not allow_empty:
+        raise DomainError(
+            f"could not draw {count} samples on {stratum} "
+            f"(got {len(out)} after {max_tries} tries)"
+        )
+    return out
+
+
+def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(mat)
+    return (v * np.sqrt(w)) @ v.T
+
+
+def _metric_norms(scene: CompareScene, x: np.ndarray) -> DfNorms:
+    """Singular values of df with respect to both metrics."""
+    jac = scene.corner_map.jacobian(x)
+    gsrc = metric_at(scene.metric_src, x)
+    gdst = metric_at(scene.metric_dst, scene.corner_map(x))
+    tilted = _sqrtm_spd(gdst) @ jac @ np.linalg.inv(_sqrtm_spd(gsrc))
+    return df_norms(tilted)
+
+
+def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):
+    """Yield (name, stratum, point, hypothesis_margin, equality_residual)."""
+    f = scene.corner_map
+    for x in sample_stratum(scene.domain_src, "interior", spec.interior, spec.seed):
+        norms = _metric_norms(scene, x)
+        sc_src = curvature_tensors(scene.metric_src, x).scalar
+        sc_dst = curvature_tensors(scene.metric_dst, f(x)).scalar
+        gap = sc_src - norms.wedge2_norm * sc_dst
+        yield ("scalar", "interior", x, gap, abs(gap))
+    for i, j in f.face_map.items():
+        for y in sample_stratum(scene.domain_src, f"face:{i}", spec.per_face,
+                                spec.seed):
+            norms = _metric_norms(scene, y)
+            h_src = face_geometry(scene.metric_src, scene.domain_src, i, y
+                                  ).mean_curvature
+            h_dst = face_geometry(scene.metric_dst, scene.domain_dst, j, f(y)
+                                  ).mean_curvature
+            gap = h_src - norms.df_norm * h_dst
+            yield ("mean_curvature", f"face:{i + 1}", y, gap, abs(gap))
+    pairs = [(i, j) for i in f.face_map for j in f.face_map if i < j]
+    for i, j in pairs:
+        pts = sample_stratum(scene.domain_src, f"edge:{i},{j}", spec.per_edge,
+                             spec.seed, allow_empty=True)
+        for z in pts:
+            th_src = dihedral_angle(scene.metric_src, scene.domain_src, i, j, z)
+            th_dst = dihedral_angle(
+                scene.metric_dst, scene.domain_dst,
+                f.face_map[i], f.face_map[j], f(z))
+            yield ("angle", f"edge:{i + 1},{j + 1}", z, th_dst - th_src,
+                   abs(th_dst - th_src))
+            yield ("angle_cap", f"edge:{i + 1},{j + 1}", z,
+                   math.pi - th_dst, abs(math.pi - th_dst))

@@ -122,6 +122,18 @@ class TestCompareCommand:
         result = runner.invoke(main, ["compare", "--scene", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag, count", [
+        ("--interior", "0"), ("--interior", "-3"), ("--per-face", "-1"),
+        ("--per-edge", "0")])
+    def test_sample_count_below_one_exit_2(self, runner, tmp_path, flag, count):
+        # a margin left unsampled must not count as a pass
+        scene = {"N": square_scene(), "M": square_scene(), "f": ["x1", "x2"],
+                 "faces": {"1": "1", "2": "2", "3": "3", "4": "4"}}
+        path = write_json(tmp_path / "scene.json", scene)
+        result = runner.invoke(main, ["compare", "--scene", path, flag, count])
+        assert result.exit_code == 2
+        assert "input error" in result.output and "at least 1" in result.output
+
     def test_csv_output(self, runner, tmp_path):
         scene = {
             "N": square_scene(),
@@ -335,6 +347,8 @@ class TestMalformedSceneTypes:
         "N_nested_list": {"N": [[1]]},
         "map_string": {"N": [{"polygon": {"type": "square"}, "map": "identity"}]},
         "resolution_list": {"resolution": [3]},
+        "union_parts_number": {"N": [{"polygon": {"type": "union", "parts": 5},
+                                      "map": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}]},
     }
 
     @pytest.mark.parametrize("case", sorted(INDEX_CASES))

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import (
     bianchi_residual_closure,
     kron_boundary_endomorphism,
     kron_curvature_endomorphism,
+    pointwise_scene,
     symbolic_curvature,
     wedge_compound_matrix,
 )
@@ -18,6 +21,7 @@ from dihedral_lab.comparison import (
     CompareScene,
     SampleSpec,
     SceneError,
+    _pointwise_quantities,
     bianchi_residual,
     boundary_certificate,
     check_conclusions,
@@ -28,7 +32,7 @@ from dihedral_lab.comparison import (
     random_curvature_operator,
     sample_stratum,
 )
-from dihedral_lab.curvature import PolyDomain
+from dihedral_lab.curvature import DomainError, PolyDomain
 from dihedral_lab.expressions import euclidean_metric, parse_metric
 
 
@@ -222,6 +226,77 @@ def identity_scene(conformal_src=None):
     })
 
 
+def cube_scene_dict(metric=None):
+    hs = []
+    for k in range(3):
+        a = [0.0] * 3
+        a[k] = 1.0
+        hs.append({"a": list(a), "b": 0.0})
+        a = [0.0] * 3
+        a[k] = -1.0
+        hs.append({"a": list(a), "b": -1.0})
+    return {"dim": 3, "halfspaces": hs, "g": metric or {"11": "1", "22": "1", "33": "1"}}
+
+
+def cube_scene(metric_src=None, metric_dst=None):
+    return CompareScene.from_scene({
+        "N": cube_scene_dict(metric_src),
+        "M": cube_scene_dict(metric_dst),
+        "f": ["x1", "x2", "x3"],
+        "faces": {str(i): str(i) for i in range(1, 7)},
+    })
+
+
+def scaled_scene():
+    # f = a id from the unit square onto the side-a square, flat metrics
+    return CompareScene.from_scene({
+        "N": square_scene_dict(),
+        "M": square_scene_dict(side=0.5),
+        "f": ["0.5*x1", "0.5*x2"],
+        "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
+    })
+
+
+def perturbed_scene():
+    return CompareScene.from_scene({
+        "N": square_scene_dict(side=4.0, lo=-2.0, conformal="1 + 0.2*sin(x1)"),
+        "M": square_scene_dict(side=4.0, lo=-2.0),
+        "f": ["x1", "x2"],
+        "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
+    })
+
+
+def wedge_violation_scene(theta_n):
+    wedge_n = {
+        "dim": 2,
+        "halfspaces": [
+            {"a": [0.0, 1.0], "b": 0.0},
+            {"a": [math.sin(theta_n), -math.cos(theta_n)], "b": 0.0},
+        ],
+        "g": {"11": "1", "22": "1"},
+        "window": [[-2.0, -2.0], [2.0, 2.0]],
+    }
+    wedge_m = {
+        "dim": 2,
+        "halfspaces": [
+            {"a": [0.0, 1.0], "b": 0.0},
+            {"a": [1.0, 0.0], "b": 0.0},
+        ],
+        "g": {"11": "1", "22": "1"},
+        "window": [[-2.0, -2.0], [2.0, 2.0]],
+    }
+    # linear map: x-axis ray -> x-axis ray, theta_n-ray -> y-axis ray:
+    # (cos t, sin t) must land on (0, 1)
+    a = -1.0 / math.tan(theta_n)
+    b = 1.0 / math.sin(theta_n)
+    return CompareScene.from_scene({
+        "N": wedge_n,
+        "M": wedge_m,
+        "f": [f"x1 + ({a})*x2", f"({b})*x2"],
+        "faces": {"1": "1", "2": "2"},
+    })
+
+
 class TestScenes:
     def test_identity_square_hypotheses_hold(self):
         report = check_hypotheses(identity_scene(), SampleSpec(seed=5))
@@ -254,24 +329,7 @@ class TestScenes:
                 assert scene.domain_src.on_edge(i, j, rec.witness, tol=1e-8)
 
     def test_identity_cube_3d(self):
-        def cube(dim=3):
-            hs = []
-            for k in range(dim):
-                a = [0.0] * dim
-                a[k] = 1.0
-                hs.append({"a": list(a), "b": 0.0})
-                a = [0.0] * dim
-                a[k] = -1.0
-                hs.append({"a": list(a), "b": -1.0})
-            g = {f"{i}{i}": "1" for i in range(1, dim + 1)}
-            return {"dim": dim, "halfspaces": hs, "g": g}
-
-        scene = CompareScene.from_scene({
-            "N": cube(),
-            "M": cube(),
-            "f": ["x1", "x2", "x3"],
-            "faces": {str(i): str(i) for i in range(1, 7)},
-        })
+        scene = cube_scene()
         spec = SampleSpec(interior=4, per_face=2, per_edge=1, seed=1)
         report = check_hypotheses(scene, spec)
         assert report.holds
@@ -281,13 +339,7 @@ class TestScenes:
         assert check_conclusions(scene, spec).holds
 
     def test_scaled_map_between_matching_squares(self):
-        # f = a id from the unit square onto the side-a square, flat metrics
-        scene = CompareScene.from_scene({
-            "N": square_scene_dict(),
-            "M": square_scene_dict(side=0.5),
-            "f": ["0.5*x1", "0.5*x2"],
-            "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
-        })
+        scene = scaled_scene()
         rep = check_conclusions(scene, SampleSpec(seed=2))
         assert rep.holds
         rep_h = check_hypotheses(scene, SampleSpec(seed=2))
@@ -296,13 +348,7 @@ class TestScenes:
     def test_perturbed_source_metric_fails(self):
         # Sc of (1 + 0.2 sin x1) delta changes sign over [-2, 2]^2, so the
         # scalar margin must go negative somewhere (the target is flat)
-        scene = CompareScene.from_scene({
-            "N": square_scene_dict(side=4.0, lo=-2.0,
-                                   conformal="1 + 0.2*sin(x1)"),
-            "M": square_scene_dict(side=4.0, lo=-2.0),
-            "f": ["x1", "x2"],
-            "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
-        })
+        scene = perturbed_scene()
         report = check_hypotheses(scene, SampleSpec(interior=64, seed=9))
         assert report.margins["scalar"].value < 0.0
         assert not report.holds
@@ -311,34 +357,7 @@ class TestScenes:
 
     def test_wedge_pair_angle_violation(self):
         theta_n = 2.0 * math.pi / 3.0
-        wedge_n = {
-            "dim": 2,
-            "halfspaces": [
-                {"a": [0.0, 1.0], "b": 0.0},
-                {"a": [math.sin(theta_n), -math.cos(theta_n)], "b": 0.0},
-            ],
-            "g": {"11": "1", "22": "1"},
-            "window": [[-2.0, -2.0], [2.0, 2.0]],
-        }
-        wedge_m = {
-            "dim": 2,
-            "halfspaces": [
-                {"a": [0.0, 1.0], "b": 0.0},
-                {"a": [1.0, 0.0], "b": 0.0},
-            ],
-            "g": {"11": "1", "22": "1"},
-            "window": [[-2.0, -2.0], [2.0, 2.0]],
-        }
-        # linear map: x-axis ray -> x-axis ray, theta_n-ray -> y-axis ray:
-        # (cos t, sin t) must land on (0, 1)
-        a = -1.0 / math.tan(theta_n)
-        b = 1.0 / math.sin(theta_n)
-        scene = CompareScene.from_scene({
-            "N": wedge_n,
-            "M": wedge_m,
-            "f": [f"x1 + ({a})*x2", f"({b})*x2"],
-            "faces": {"1": "1", "2": "2"},
-        })
+        scene = wedge_violation_scene(theta_n)
         report = check_hypotheses(scene, SampleSpec(interior=4, per_face=4,
                                                     per_edge=1, seed=1))
         # target angle pi/2 < source angle 2 pi / 3
@@ -356,6 +375,19 @@ class TestScenes:
             })
             scene.validate()
 
+    def test_face_image_off_target_face_rejected(self):
+        # validate() accepts the 1e-8 stretch (tolerance 1e-6 diameter), the
+        # face geometry of the image needs it on the target face at 1e-9
+        scene = CompareScene.from_scene({
+            "N": square_scene_dict(),
+            "M": square_scene_dict(),
+            "f": ["x1", "x2*(1 + 1e-8)"],
+            "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
+        })
+        scene.validate()
+        with pytest.raises(DomainError, match="not on face 3"):
+            check_hypotheses(scene, SampleSpec(per_face=2))
+
     def test_collapsing_map_rejected(self):
         scene = CompareScene.from_scene({
             "N": square_scene_dict(),
@@ -367,18 +399,93 @@ class TestScenes:
             scene.validate()
 
 
+SCENES_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
+
+def shipped_scene(name):
+    import json
+
+    with open(SCENES_DIR / f"{name}.json") as fh:
+        return CompareScene.from_scene(json.load(fh))
+
+
+BATCH_SCENES = {
+    "identity_square": identity_scene,
+    "cube": cube_scene,
+    "scaled_square": scaled_scene,
+    "perturbed_square": perturbed_scene,
+    "wedge_violation": lambda: wedge_violation_scene(2.0 * math.pi / 3.0),
+    # curved metrics on both sides and a nonlinear face-preserving map
+    "curved_squares": lambda: CompareScene.from_scene({
+        "N": square_scene_dict(conformal="exp(2*(-0.3)*x1)"),
+        "M": square_scene_dict(conformal="1 + 0.1*x2^2"),
+        "f": ["x1", "x2 + 0.1*x1*x2*(1 - x2)"],
+        "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
+    }),
+    "curved_cube": lambda: cube_scene(
+        {"11": "1 + 0.1*x2^2", "22": "1", "33": "exp(0.2*x1)", "12": "0.1*x3"},
+        {"11": "1", "22": "1 + 0.2*sin(x3)", "33": "1", "13": "0.2*x2"}),
+    "cube_id.json": lambda: shipped_scene("cube_id"),
+    "square_id.json": lambda: shipped_scene("square_id"),
+}
+BATCH_SPECS = [SampleSpec(), SampleSpec(interior=4, per_face=2, per_edge=1, seed=1),
+               SampleSpec(interior=9, per_face=5, per_edge=6, seed=7)]
+
+
+class TestBatchedRows:
+    """The batched compare path against the per-point reference."""
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["default", "small", "odd"])
+    @pytest.mark.parametrize("name", sorted(BATCH_SCENES))
+    def test_rows_match_per_point_reference(self, name, spec):
+        scene = BATCH_SCENES[name]()
+        rows = _pointwise_quantities(scene, spec)
+        ref = list(_oracles._pointwise_quantities(pointwise_scene(scene), spec))
+        assert [row[:2] for row in rows] == [row[:2] for row in ref]
+        for row, want in zip(rows, ref):
+            assert np.array_equal(row[2], want[2])
+            for got, value in zip(row[3:], want[3:]):
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("name", ["cube_id", "square_id"])
+    def test_sampler_matches_scalar_reference(self, name):
+        dom = shipped_scene(name).domain_src
+        strata = (["interior"] + [f"face:{i}" for i in range(dom.face_count)]
+                  + [f"edge:{i},{j}" for i in range(dom.face_count)
+                     for j in range(i + 1, dom.face_count)])
+        for stratum in strata:
+            for seed in range(20):
+                got = sample_stratum(dom, stratum, 8, seed, allow_empty=True)
+                want = _oracles.sample_stratum(dom, stratum, 8, seed, allow_empty=True)
+                assert got.shape == (len(want), dom.dim)
+                assert np.array_equal(got, np.reshape(want, got.shape))
+
+    def test_compare_cube_id_batches_once(self, monkeypatch, tmp_path):
+        import dihedral_lab.comparison as comparison
+        import dihedral_lab.curvature as curvature
+        from click.testing import CliRunner
+
+        from dihedral_lab.cli import main
+
+        batches, enumerated = [], []
+        first_order = curvature._first_order
+        for module in (curvature, comparison):
+            monkeypatch.setattr(module, "_first_order", lambda g, pts: (
+                batches.append(len(pts)) or first_order(g, pts)))
+        prop = curvature.PolyDomain.__dict__["_vertex_array"]
+        enumerate_vertices = prop.func
+        monkeypatch.setattr(
+            prop, "func", lambda dom: enumerated.append(dom) or enumerate_vertices(dom))
+        result = CliRunner().invoke(main, [
+            "compare", "--scene", str(SCENES_DIR / "cube_id.json"),
+            "--csv", str(tmp_path / "rows.csv")])
+        assert result.exit_code == 0
+        # two interior batches (source, target) and one per face and metric
+        assert batches == [16, 16] + [8] * 12
+        assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
+
+
 class TestSampling:
-    def test_sample_grid_json_form(self):
-        from dihedral_lab.comparison import sample_grid
-
-        dom = PolyDomain.from_scene(square_scene_dict())
-        pts = sample_grid(dom, {"stratum": "face:1", "count": 5, "seed": 3})
-        assert len(pts) == 5
-        for x in pts:
-            assert dom.on_face(0, x, tol=1e-9)
-        with pytest.raises(SceneError):
-            sample_grid(dom, {"stratum": "interior", "count": 2})
-
     def test_deterministic(self):
         dom = PolyDomain.from_scene(square_scene_dict())
         a = sample_stratum(dom, "interior", 10, 42)
@@ -449,27 +556,25 @@ class TestConformalIdentities:
         assert abs(out["mean_curvature"]) <= 1e-13
 
     def test_boundary_check_computes_gbar_quantities_once(self, monkeypatch):
-        import dihedral_lab.comparison as comparison
         import dihedral_lab.curvature as curvature
 
-        calls = {"face_geometry": [], "christoffel": []}
+        calls = []
 
-        def counting(name, fn):
-            def wrapper(g, *args):
-                calls[name].append(g)
-                return fn(g, *args)
-            return wrapper
+        def counting(g, pts):
+            calls.append(g)
+            return first_order(g, pts)
 
-        for module, name in ((comparison, "face_geometry"), (curvature, "christoffel")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        first_order = curvature._first_order
+        monkeypatch.setattr(curvature, "_first_order", counting)
         gbar = euclidean_metric(3)
         cube = PolyDomain.from_halfspaces(
             [(row, 0.0) for row in np.eye(3)] + [(-row, -1.0) for row in np.eye(3)])
         out = conformal_identities(gbar, "1 + 0.3*x1 + 0.1*x2^2", (0.0, 0.5, 0.4),
                                    domain=cube, face=0)
-        for name in calls:
-            assert len(calls[name]) == 2
-            assert sum(g is gbar for g in calls[name]) == 1
+        # gbar once (its curvature pack feeds the face), the rescaled metric
+        # once for its curvature and once for its face
+        assert len(calls) == 3
+        assert sum(g is gbar for g in calls) == 1
         assert abs(out["mean_curvature"]) <= 1e-12
 
     def test_nonpositive_factor_rejected(self):

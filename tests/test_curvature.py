@@ -402,6 +402,20 @@ class TestPolyDomain:
         v = unit_square().vertices()
         assert len(v) == 4
 
+    def test_vertices_enumerated_once_per_domain(self, monkeypatch):
+        prop = PolyDomain.__dict__["_vertex_array"]
+        enumerate_vertices = prop.func
+        seen = []
+        monkeypatch.setattr(
+            prop, "func", lambda dom: seen.append(dom) or enumerate_vertices(dom))
+        sq = unit_square()
+        g = parse_metric({"11": "exp(0.2*sin(x1)*sin(x2))",
+                          "22": "exp(0.2*sin(x1)*sin(x2))"}, 2)
+        gauss_bonnet_defect(g, sq, resolution=2)  # diameter() once per edge
+        assert sq.vertices() is sq.vertices()
+        assert not sq.vertices().flags.writeable
+        assert len(seen) == 1 and seen[0] is sq
+
     def test_contains(self):
         sq = unit_square()
         assert sq.contains((0.5, 0.5))
