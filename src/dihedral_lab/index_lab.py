@@ -13,13 +13,20 @@ de Rham complex, so its Fredholm index can be read off as the alternating
 sum ``b0 - b1 + b2`` (even-minus-odd harmonic dimensions) and compared
 against (mapping degree) x (Euler characteristic of the target).  Maps are
 restricted to per-component affine pieces with a closed-form degree.
+
+``d0`` and ``d1`` are sparse, and the harmonic dimensions come from graph
+components and Euler-Poincare in O(cells), not from a matrix rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "DecComplex",
@@ -37,100 +44,82 @@ class PolygonError(ValueError):
 
 @dataclass(frozen=True)
 class DecComplex:
-    """Incidence matrices of a polygon complex; ``d1 @ d0 = 0`` exactly."""
+    """Incidence matrices of a polygon complex as sparse CSR arrays with
+    entries +-1; ``d1 @ d0 = 0`` exactly."""
 
     vertex_count: int
     edge_count: int
     face_count: int
-    d0: np.ndarray  # (E, V)
-    d1: np.ndarray  # (F, E)
+    d0: sparse.csr_array  # (E, V)
+    d1: sparse.csr_array  # (F, E)
 
     def composition_residual(self) -> float:
-        return float(np.abs(self.d1 @ self.d0).max())
+        return float(np.abs((self.d1 @ self.d0).data).max(initial=0.0))
 
 
 def _square_complex(k: int):
-    vid = {(i, j): n for n, (i, j) in enumerate(
-        (i, j) for j in range(k + 1) for i in range(k + 1))}
-    edges = []
-    eid = {}
-    for j in range(k + 1):
-        for i in range(k):
-            eid[("h", i, j)] = len(edges)
-            edges.append((vid[(i, j)], vid[(i + 1, j)]))
-    for j in range(k):
-        for i in range(k + 1):
-            eid[("v", i, j)] = len(edges)
-            edges.append((vid[(i, j)], vid[(i, j + 1)]))
-    faces = []
-    for j in range(k):
-        for i in range(k):
-            # counterclockwise: bottom, right, -top, -left
-            faces.append([
-                (eid[("h", i, j)], 1.0),
-                (eid[("v", i + 1, j)], 1.0),
-                (eid[("h", i, j + 1)], -1.0),
-                (eid[("v", i, j)], -1.0),
-            ])
-    return len(vid), edges, faces
+    """Vertex count, edges ``(E, 2)`` and faces as ``(F, 4)`` edge ids and
+    signs; vertices, edges and faces are numbered row by row."""
+    n = k + 1
+    vid = np.arange(n * n).reshape(n, n)  # [j, i]
+    edges = np.concatenate([
+        np.stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()], axis=1),   # h
+        np.stack([vid[:-1, :].ravel(), vid[1:, :].ravel()], axis=1),   # v
+    ])
+    h_id = np.arange(n * k).reshape(n, k)
+    v_id = n * k + np.arange(k * n).reshape(k, n)
+    # counterclockwise: bottom, right, -top, -left
+    faces = np.stack([h_id[:-1], v_id[:, 1:], h_id[1:], v_id[:, :-1]],
+                     axis=-1).reshape(-1, 4)
+    signs = np.broadcast_to([1.0, 1.0, -1.0, -1.0], faces.shape)
+    return n * n, edges, faces, signs
+
+
+def _running_ids(mask: np.ndarray) -> np.ndarray:
+    """Row-major numbering of the True entries of ``mask`` (others: junk)."""
+    return np.cumsum(mask).reshape(mask.shape) - 1
 
 
 def _triangle_complex(k: int):
-    vid = {}
-    for j in range(k + 1):
-        for i in range(k + 1 - j):
-            vid[(i, j)] = len(vid)
-    edges = []
-    eid = {}
-    for j in range(k + 1):
-        for i in range(k - j):
-            eid[("h", i, j)] = len(edges)
-            edges.append((vid[(i, j)], vid[(i + 1, j)]))
-    for j in range(k):
-        for i in range(k - j):
-            eid[("v", i, j)] = len(edges)
-            edges.append((vid[(i, j)], vid[(i, j + 1)]))
-    for j in range(k):
-        for i in range(k - j):
-            eid[("d", i, j)] = len(edges)
-            edges.append((vid[(i + 1, j)], vid[(i, j + 1)]))
-    faces = []
-    for j in range(k):
-        for i in range(k - j):
-            # lower triangle (i,j) -> (i+1,j) -> (i,j+1) -> (i,j)
-            faces.append([
-                (eid[("h", i, j)], 1.0),
-                (eid[("d", i, j)], 1.0),
-                (eid[("v", i, j)], -1.0),
-            ])
-            if i + j <= k - 2:
-                # upper triangle (i+1,j) -> (i+1,j+1) -> (i,j+1) -> (i+1,j)
-                faces.append([
-                    (eid[("v", i + 1, j)], 1.0),
-                    (eid[("h", i, j + 1)], -1.0),
-                    (eid[("d", i, j)], -1.0),
-                ])
-    return len(vid), edges, faces
+    """Same layout as ``_square_complex`` on the lattice points
+    ``i + j <= k``; each cell (i, j) holds a lower triangle and, off the
+    hypotenuse, an upper one right after it."""
+    j, i = np.indices((k + 1, k + 1))
+    vid = _running_ids(i + j <= k)
+    inner = i + j <= k - 1
+    on_h, on_v, on_d = inner[:, :k], inner[:k, :], inner[:k, :k]
+    edges = np.concatenate([
+        np.stack([vid[:, :-1][on_h], vid[:, 1:][on_h]], axis=1),     # (i,j) -> (i+1,j)
+        np.stack([vid[:-1, :][on_v], vid[1:, :][on_v]], axis=1),     # (i,j) -> (i,j+1)
+        np.stack([vid[:-1, 1:][on_d], vid[1:, :-1][on_d]], axis=1),  # (i+1,j) -> (i,j+1)
+    ])
+    h_id = _running_ids(on_h)
+    v_id = _running_ids(on_v) + on_h.sum()
+    d_id = _running_ids(on_d) + on_h.sum() + on_v.sum()
+    # lower (i,j) -> (i+1,j) -> (i,j+1); upper (i+1,j) -> (i+1,j+1) -> (i,j+1)
+    lower = np.stack([h_id[:k], d_id, v_id[:, :k]], axis=-1)
+    upper = np.stack([v_id[:, 1:], h_id[1:], d_id], axis=-1)
+    cells = np.stack([lower, upper], axis=2)  # (k, k, 2, 3)
+    kept = np.stack([on_d, (i + j <= k - 2)[:k, :k]], axis=2)
+    signs = np.broadcast_to([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]], cells.shape)
+    return (k + 1) * (k + 2) // 2, edges, cells[kept], signs[kept]
 
 
 def _assemble(parts) -> DecComplex:
-    nv = sum(p[0] for p in parts)
-    ne = sum(len(p[1]) for p in parts)
-    nf = sum(len(p[2]) for p in parts)
-    d0 = np.zeros((ne, nv))
-    d1 = np.zeros((nf, ne))
-    v_off = e_off = f_off = 0
-    for vcount, edges, faces in parts:
-        for e, (tail, head) in enumerate(edges):
-            d0[e_off + e, v_off + tail] = -1.0
-            d0[e_off + e, v_off + head] = 1.0
-        for f, boundary in enumerate(faces):
-            for e, sign in boundary:
-                d1[f_off + f, e_off + e] = sign
-        v_off += vcount
-        e_off += len(edges)
-        f_off += len(faces)
-    return DecComplex(nv, ne, nf, d0, d1)
+    from scipy import sparse
+
+    d0s, d1s = [], []
+    for nv, edges, faces, signs in parts:
+        ne, nf = len(edges), len(faces)
+        d0s.append(sparse.csr_array(
+            (np.tile([-1.0, 1.0], ne), (np.repeat(np.arange(ne), 2), edges.ravel())),
+            shape=(ne, nv)))
+        d1s.append(sparse.csr_array(
+            (signs.ravel(), (np.repeat(np.arange(nf), faces.shape[1]), faces.ravel())),
+            shape=(nf, ne)))
+    d0 = sparse.block_diag(d0s, format="csr")
+    d1 = sparse.block_diag(d1s, format="csr")
+    return DecComplex(d0.shape[1], d0.shape[0], d1.shape[0], d0, d1)
 
 
 def _polygon_parts(polygon: dict, resolution: int) -> list:
@@ -168,15 +157,40 @@ def dec_complex(polygon: dict, resolution: int) -> DecComplex:
 
 
 def harmonic_dims(complex_: DecComplex) -> tuple[int, int, int]:
-    """Kernel dimensions of the three Hodge Laplacians (b0, b1, b2)."""
+    """Kernel dimensions of the three Hodge Laplacians (b0, b1, b2).
+
+    b0 counts the components of the 1-skeleton (``rank d0 = V - b0``).
+    b2 = dim ker d1^T: such a face cochain has ``c_g = +-c_f`` across each
+    edge on two faces and vanishes on a face with a boundary edge, so it
+    has one free value per face-graph component whose signed double cover
+    (nodes ``+-f``) has two sheets: closed and consistently signed (a
+    triangulated RP^2 is closed with one sheet: b2 = 0 over the reals).
+    b1 follows from Euler-Poincare.  ``ValueError`` if an edge lies on
+    three or more faces or an incidence is not +-1.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     if complex_.composition_residual() != 0.0:
         raise ValueError("complex is broken: d1 d0 != 0")
-    r0 = int(np.linalg.matrix_rank(complex_.d0)) if complex_.edge_count else 0
-    r1 = int(np.linalg.matrix_rank(complex_.d1)) if complex_.face_count else 0
-    b0 = complex_.vertex_count - r0
-    b1 = complex_.edge_count - r0 - r1
-    b2 = complex_.face_count - r1
-    return b0, b1, b2
+    b0 = connected_components(complex_.d0.T @ complex_.d0)[0]
+    nf = complex_.face_count
+    by_edge = complex_.d1.T.tocsr()  # the faces on each edge
+    count = np.diff(by_edge.indptr)
+    if count.max(initial=0) > 2 or np.any(np.abs(by_edge.data) != 1.0):
+        raise ValueError("Betti count needs +-1 incidences and at most two faces per edge")
+    pair = by_edge.indptr[:-1][count == 2]
+    f, g = by_edge.indices[pair], by_edge.indices[pair + 1]
+    g = np.where(by_edge.data[pair] == by_edge.data[pair + 1], g + nf, g)  # c_g = -c_f
+    rim = by_edge.indices[by_edge.indptr[:-1][count == 1]]  # c_f = -c_f
+    tails = np.concatenate([f, f + nf, rim])
+    heads = np.concatenate([g, (g + nf) % (2 * nf), rim + nf])
+    cover = sparse.coo_array((np.ones(len(tails)), (tails, heads)), shape=(2 * nf, 2 * nf))
+    sheets, sheet = connected_components(cover)  # weak = undirected
+    folded = np.unique(sheet[:nf][sheet[:nf] == sheet[nf:]])
+    b2 = (sheets - len(folded)) // 2
+    b1 = complex_.edge_count - (complex_.vertex_count - b0) - (nf - b2)
+    return int(b0), int(b1), int(b2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Independent oracles used by several test modules: sympy closed forms,
-a central finite-difference evaluator of expression derivatives and the
-per-point comparison path."""
+a central finite-difference evaluator of expression derivatives, the
+per-point comparison path and the dense Hardy kernel."""
 
 import math
 from dataclasses import dataclass, replace
@@ -377,3 +377,18 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):
                    abs(th_dst - th_src))
             yield ("angle_cap", f"edge:{i + 1},{j + 1}", z,
                    math.pi - th_dst, abs(math.pi - th_dst))
+
+
+def dense_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
+    """Largest singular value of the Hardy triangle kernel, built as a full
+    (grid, grid) matrix and decomposed by a dense SVD."""
+    h = delta / grid
+    r = (np.arange(grid) + 0.5) * h
+    ratio = r[None, :] / r[:, None]  # ratio[i, j] = t_j / r_i
+    # ratio**lam overflows off the triangle for |lam| >~ 91; np.where drops it
+    with np.errstate(over="ignore"):
+        if lam > 0:
+            kernel = np.where(ratio <= 1.0, ratio**lam, 0.0) * h
+        else:
+            kernel = -np.where(ratio >= 1.0, ratio**lam, 0.0) * h
+    return float(np.linalg.svd(kernel, compute_uv=False)[0])

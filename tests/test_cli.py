@@ -230,6 +230,24 @@ class TestOtherCommands:
         result = runner.invoke(main, ["hardy", "--lambda", "0.4"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--lambda", "inf"], ["--lambda", "nan"],
+        ["--lambda", "1.0", "--delta", "nan"], ["--lambda", "1.0", "--delta", "inf"],
+    ], ids=["lambda_inf", "lambda_nan", "delta_nan", "delta_inf"])
+    def test_hardy_non_finite_exit_2(self, runner, args):
+        result = runner.invoke(main, ["hardy", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "input error: lambda and delta must be finite"]
+
+    def test_hardy_is_deterministic(self, runner):
+        args = ["hardy", "--lambda", "0.6", "--grid", "2400"]
+        first = runner.invoke(main, args)
+        second = runner.invoke(main, args)
+        assert first.exit_code == second.exit_code == 0
+        assert first.output.encode() == second.output.encode()
+
     def test_smooth_csv(self, runner):
         result = runner.invoke(main, ["smooth", "--angle", "1.5707963267948966",
                                       "--radii", "0.1,0.05"])
@@ -432,3 +450,21 @@ class TestShippedScenes:
             "index", "--scene", str(self.SCENES / "index_two_squares.json")])
         assert two.exit_code == 0
         assert json.loads(two.output)["index"] == 2
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """The sparse solvers are imported inside the functions that use them,
+    so start-up of every subcommand stays as cheap as before."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, dihedral_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

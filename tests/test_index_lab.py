@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dihedral_lab.index_lab import (
     DecComplex,
@@ -22,14 +23,55 @@ def brute_force_betti(c: DecComplex):
         s = np.linalg.svd(mat, compute_uv=False)
         return mat.shape[1] - int(np.sum(s > 1e-10))
 
+    d0, d1 = c.d0.toarray(), c.d1.toarray()
     # b0 = dim ker d0, b1 = dim(ker d1 / im d0), b2 = dim coker d1
-    b0 = null_dim(c.d0)
-    z1 = null_dim(c.d1)
-    im0 = c.d0.shape[1] - null_dim(c.d0)
+    b0 = null_dim(d0)
+    z1 = null_dim(d1)
+    im0 = d0.shape[1] - null_dim(d0)
     b1 = z1 - im0
-    im1 = c.d1.shape[1] - null_dim(c.d1)
-    b2 = c.d1.shape[0] - im1
+    im1 = d1.shape[1] - null_dim(d1)
+    b2 = d1.shape[0] - im1
     return b0, b1, b2
+
+
+def complex_from_cells(vertex_count, cells):
+    """Complex of 2-cells given as vertex cycles, built densely and apart
+    from the library; each edge runs from its smaller vertex."""
+    edges = sorted({tuple(sorted(e)) for cell in cells
+                    for e in zip(cell, cell[1:] + cell[:1])})
+    eid = {e: n for n, e in enumerate(edges)}
+    d0 = np.zeros((len(edges), vertex_count))
+    for n, (a, b) in enumerate(edges):
+        d0[n, a], d0[n, b] = -1.0, 1.0
+    d1 = np.zeros((len(cells), len(edges)))
+    for f, cell in enumerate(cells):
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            d1[f, eid[tuple(sorted((a, b)))]] += 1.0 if a < b else -1.0
+    return DecComplex(vertex_count, len(edges), len(cells),
+                      sparse.csr_array(d0), sparse.csr_array(d1))
+
+
+def torus_cells(n):
+    """Quads of an n x n grid whose opposite sides are identified."""
+    def vid(i, j):
+        return (i % n) * n + j % n
+
+    return [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
+            for i in range(n) for j in range(n)]
+
+
+# closed surfaces and a surface with two boundary circles; cells are
+# oriented arbitrarily where that does not change the answer
+CLOSED_AND_OPEN = {
+    # faces of a tetrahedron, two of them against the outward orientation
+    "tetrahedron_boundary": (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 3, 2)], (1, 0, 1)),
+    "annulus": (8, [(i, (i + 1) % 4, 4 + (i + 1) % 4, 4 + i) for i in range(4)],
+                (1, 1, 0)),
+    "torus": (9, torus_cells(3), (1, 2, 1)),
+    # the 6-vertex (hemi-icosahedron) RP^2: closed, not orientable
+    "rp2": (6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)], (1, 0, 0)),
+}
 
 
 class TestDecComplex:
@@ -86,6 +128,51 @@ class TestHarmonicDims:
         for poly, k in ((SQUARE, 2), (SQUARE, 3), (TRIANGLE, 2)):
             c = dec_complex(poly, k)
             assert harmonic_dims(c) == brute_force_betti(c)
+
+    def test_square_k256(self):
+        assert harmonic_dims(dec_complex(SQUARE, 256)) == (1, 0, 0)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_AND_OPEN))
+    def test_nontrivial_homology(self, name):
+        vertex_count, cells, expected = CLOSED_AND_OPEN[name]
+        c = complex_from_cells(vertex_count, cells)
+        assert brute_force_betti(c) == expected
+        assert harmonic_dims(c) == expected
+
+    def test_two_sphere_components_and_a_disk(self):
+        cells = (CLOSED_AND_OPEN["tetrahedron_boundary"][1]
+                 + [tuple(v + 4 for v in f) for f in CLOSED_AND_OPEN["tetrahedron_boundary"][1]]
+                 + [(8, 9, 10)])
+        c = complex_from_cells(11, cells)
+        assert harmonic_dims(c) == brute_force_betti(c) == (3, 0, 2)
+
+    def test_edge_on_three_faces_rejected(self):
+        c = complex_from_cells(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        with pytest.raises(ValueError, match="two faces"):
+            harmonic_dims(c)
+
+    def test_incidence_other_than_unit_rejected(self):
+        c = complex_from_cells(4, CLOSED_AND_OPEN["tetrahedron_boundary"][1])
+        doubled = DecComplex(c.vertex_count, c.edge_count, c.face_count, c.d0, 2.0 * c.d1)
+        with pytest.raises(ValueError, match="incidences"):
+            harmonic_dims(doubled)
+
+    def test_broken_composition_rejected(self):
+        c = dec_complex(SQUARE, 2)
+        d1 = c.d1.tolil()
+        d1[0, 0] = -d1[0, 0]
+        broken = DecComplex(c.vertex_count, c.edge_count, c.face_count, c.d0, d1.tocsr())
+        assert broken.composition_residual() == 2.0
+        with pytest.raises(ValueError, match="d1 d0"):
+            harmonic_dims(broken)
+
+    def test_no_dense_rank(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense decomposition called")
+
+        for name in ("matrix_rank", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        assert harmonic_dims(dec_complex(TRIANGLE, 16)) == (1, 0, 0)
 
 
 def identity_scene():

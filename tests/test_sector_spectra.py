@@ -17,6 +17,8 @@ from dihedral_lab.sector_spectra import (
     p_spectrum_numeric,
 )
 
+from _oracles import dense_hardy_norm
+
 
 class TestClosedSpectrum:
     def test_equal_angles_pi(self):
@@ -233,3 +235,47 @@ class TestHardy:
             hardy_norm(0.5)
         with pytest.raises(ValueError):
             hardy_norm(-0.3)
+
+
+class TestHardyMatrixFree:
+    """``hardy_norm`` runs on blocked prefix sums and Lanczos; the dense
+    kernel and SVD it replaced are the reference."""
+
+    @pytest.mark.parametrize("grid", [16, 17, 1200])
+    @pytest.mark.parametrize("lam", [s * v for v in (0.51, 0.6, 1.0, 1.3, 2.0, 4.0,
+                                                     40.0, 95.0, 150.0, 400.0)
+                                     for s in (1.0, -1.0)])
+    def test_matches_dense_svd(self, lam, grid):
+        numeric, _ = hardy_norm(lam, delta=0.8, grid=grid)
+        assert numeric == pytest.approx(dense_hardy_norm(lam, 0.8, grid), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e300])
+    def test_extreme_delta_matches_dense_svd(self, delta):
+        # Lanczos squares the operator: h^2 would under/overflow here
+        numeric, _ = hardy_norm(1.3, delta=delta, grid=64)
+        assert numeric == pytest.approx(dense_hardy_norm(1.3, delta, 64), rel=1e-12, abs=0)
+
+    def test_grid_beyond_dense_reach(self):
+        # the dense kernel would need 8 * 200_000**2 bytes = 320 GB
+        numeric, bound = hardy_norm(0.6, grid=200_000)
+        assert math.isfinite(numeric) and 0.3 < numeric < bound
+
+    def test_memory_is_linear_in_grid(self):
+        import tracemalloc
+
+        grid = 4000
+        hardy_norm(1.0, grid=16)  # imports outside the traced window
+        tracemalloc.start()
+        try:
+            hardy_norm(1.0, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 8 * grid  # the (grid, grid) kernel is 8 * grid**2
+
+    @pytest.mark.parametrize("lam, delta", [(math.inf, 1.0), (-math.inf, 1.0),
+                                            (math.nan, 1.0), (1.0, math.nan),
+                                            (1.0, math.inf)])
+    def test_non_finite_input_rejected(self, lam, delta):
+        with pytest.raises(ValueError, match="finite"):
+            hardy_norm(lam, delta=delta)
