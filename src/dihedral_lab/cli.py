@@ -279,6 +279,8 @@ def certify(ctx, dims, trials, seed, tol, output):
     """Randomized PSD certificates for the interior/boundary estimates."""
 
     def run():
+        if trials < 1:  # no trial would leave inf minima and count as a pass
+            raise SceneError(f"trials must be at least 1, got {trials}")
         rows = {}
         ok = True
         for n in sorted(dims):

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-9
+_SUBSET_CAP = 100_000  # basic row subsets one domain may enumerate
 
 
 class DomainError(ValueError):
@@ -101,6 +102,8 @@ class PolyDomain:
         offsets = np.array([float(b) for _, b in halfspaces])
         if normals.ndim != 2 or normals.shape[0] == 0:
             raise DomainError("at least one half-space is required")
+        if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+            raise DomainError("half-space normals and offsets must be finite")
         dim = normals.shape[1]
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms == 0.0):
@@ -143,30 +146,25 @@ class PolyDomain:
         return dom
 
     def _validate(self) -> None:
-        """Nonempty interior of the convex cell; every face supports it."""
-        from scipy.optimize import linprog
+        """Nonempty interior of the convex cell; every face supports it.
 
-        k, n = self.normals.shape
-        # maximize slack t subject to A x - t >= b, 0 <= t <= 1
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-self.normals, np.ones((k, 1))])
-        res = linprog(c, A_ub=a_ub, b_ub=-self.offsets,
-                      bounds=[(None, None)] * n + [(0.0, 1.0)], method="highs")
-        if not res.success or res.x is None or res.x[-1] <= _FEAS_TOL:
+        Exact: basic solutions (at most ``_SUBSET_CAP`` row subsets) of the
+        normals with the lineality space projected out, so the cell is
+        pointed.  Interior: max t of ``A_r y - t >= b``, ``0 <= t <= 1`` (a
+        Chebyshev-centre LP) exceeds ``_FEAS_TOL``; a face supports the cell
+        iff a vertex lies on it.  ``from_halfspaces`` rejects non-finite data.
+        """
+        _, sing, vt = np.linalg.svd(self.normals)
+        a_r = self.normals @ vt[: int(np.sum(sing > sing[0] * 1e-12))].T
+        lifted = np.c_[np.r_[a_r, np.zeros((2, a_r.shape[1]))],
+                       np.r_[-np.ones(len(a_r)), 1.0, -1.0]]
+        tops = _basic_solutions(lifted, np.r_[self.offsets, 0.0, -1.0])
+        if len(tops) == 0 or tops[:, -1].max() <= _FEAS_TOL:
             raise DomainError("domain has empty interior")
-        for i in range(k):
-            feas = linprog(
-                np.zeros(n),
-                A_ub=-self.normals,
-                b_ub=-self.offsets,
-                A_eq=self.normals[i: i + 1],
-                b_eq=self.offsets[i: i + 1],
-                bounds=[(None, None)] * n,
-                method="highs",
-            )
-            if not feas.success:
-                raise DomainError(f"face {i} does not support the domain")
+        verts = _basic_solutions(a_r, self.offsets)
+        touched = np.any(verts @ a_r.T - self.offsets <= _FEAS_TOL, axis=0)
+        if not touched.all():
+            raise DomainError(f"face {int(np.argmin(touched))} does not support the domain")
 
     @property
     def face_count(self) -> int:
@@ -198,17 +196,7 @@ class PolyDomain:
 
     @cached_property
     def _vertex_array(self) -> np.ndarray:
-        n = self.dim
-        out = []
-        for subset in combinations(range(self.face_count), n):
-            a = self.normals[list(subset)]
-            b = self.offsets[list(subset)]
-            if abs(np.linalg.det(a)) < 1e-12:
-                continue
-            v = np.linalg.solve(a, b)
-            if np.all(self.slacks(v) >= -1e-9):
-                out.append(v)
-        pts = np.unique(np.round(np.array(out), 9), axis=0) if out else np.zeros((0, n))
+        pts = np.unique(np.round(_basic_solutions(self.normals, self.offsets), 9), axis=0)
         pts.flags.writeable = False  # enumerated once, shared by every caller
         return pts
 
@@ -227,6 +215,18 @@ class PolyDomain:
             )
             return max(best, 1e-9)
         return 1.0
+
+
+def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Feasible solutions of ``a y >= b`` with a nonsingular square subset of
+    rows tight, ``a`` (k, m): one batched solve, in ``combinations`` order."""
+    k, m = a.shape
+    if math.comb(k, m) > _SUBSET_CAP:
+        raise DomainError(f"domain needs more than {_SUBSET_CAP} basic row subsets")
+    rows = np.array(list(combinations(range(k), m)), dtype=int).reshape(-1, m)
+    rows = rows[np.abs(np.linalg.det(a[rows])) >= 1e-12]
+    sols = np.linalg.solve(a[rows], b[rows][..., None])[..., 0]
+    return sols[np.all(sols @ a.T - b >= -_FEAS_TOL, axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bessel import _bessel_k
 
@@ -142,20 +141,14 @@ def _tridiagonal_system(pair: SectorPair, n: int):
         raise ValueError("angle mismatch too close to pi for the mixed condition")
     robin = -math.tan(half)
     size = 2 * n + 1
-    mass = np.empty(size)
-    mass[0::2] = h          # phi0 nodes
-    mass[0] = 0.5 * h
-    mass[-1] = 0.5 * h
-    mass[1::2] = h          # phi1 midpoints
+    mass = np.full(size, h)  # phi0 nodes and phi1 midpoints
+    mass[0] = mass[-1] = 0.5 * h  # lumped half cells at the ends
     diag = np.full(size, -0.5)
     diag[-1] += robin / mass[-1]
-    offdiag = np.empty(size - 1)
     # K couples phi0_j with its midpoint neighbours with entries -+1:
     # (K x)[phi0_j] = phi1_{j-1/2} - phi1_{j+1/2}, (K x)[phi1] = phi0_+ - phi0_-
-    for p in range(size - 1):
-        sign = -1.0 if p % 2 == 0 else 1.0  # phi0 -> right midpoint: -1
-        offdiag[p] = sign / math.sqrt(mass[p] * mass[p + 1])
-    return diag, offdiag
+    sign = np.where(np.arange(size - 1) % 2 == 0, -1.0, 1.0)  # phi0 -> right: -1
+    return diag, sign / np.sqrt(mass[:-1] * mass[1:])
 
 
 def p_spectrum_numeric(pair: SectorPair, grid: int = 4096, count: int = 5
@@ -163,6 +156,7 @@ def p_spectrum_numeric(pair: SectorPair, grid: int = 4096, count: int = 5
     """Eigenvalues of the discretized link operator nearest zero."""
     if grid < 64:
         raise ValueError("grid must be at least 64")
+    from scipy.linalg import eigh_tridiagonal
     diag, off = _tridiagonal_system(pair, grid)
     window = (count + 2) * math.pi / pair.alpha + abs(pair.delta) + 1.0
     eigs = eigh_tridiagonal(diag, off, select="v",

@@ -1,8 +1,11 @@
 """Independent oracles used by several test modules: sympy closed forms,
 a central finite-difference evaluator of expression derivatives, the
-per-point comparison path and the dense Hardy kernel."""
+per-point comparison path, the dense Hardy kernel, the per-entry assembly
+of the link operator's tridiagonal form, and the ``linprog`` domain
+validation with the per-subset vertex loop."""
 
 import math
+from itertools import combinations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -18,6 +21,7 @@ from dihedral_lab.comparison import (
     df_norms,
 )
 from dihedral_lab.curvature import (
+    _FEAS_TOL,
     DomainError,
     PolyDomain,
     _nullspace,
@@ -392,3 +396,69 @@ def dense_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
         else:
             kernel = -np.where(ratio >= 1.0, ratio**lam, 0.0) * h
     return float(np.linalg.svd(kernel, compute_uv=False)[0])
+
+
+def loop_tridiagonal_system(alpha: float, beta: float, n: int):
+    """Diagonal and off-diagonal of the discretized link operator, assembled
+    entry by entry (phi0 nodes, lumped half cells, phi1 midpoints)."""
+    h = alpha / n
+    half = 0.5 * (beta - alpha)
+    robin = -math.tan(half)
+    size = 2 * n + 1
+    mass = np.empty(size)
+    mass[0::2] = h
+    mass[0] = 0.5 * h
+    mass[-1] = 0.5 * h
+    mass[1::2] = h
+    diag = np.full(size, -0.5)
+    diag[-1] += robin / mass[-1]
+    offdiag = np.empty(size - 1)
+    for p in range(size - 1):
+        sign = -1.0 if p % 2 == 0 else 1.0  # phi0 -> right midpoint: -1
+        offdiag[p] = sign / math.sqrt(mass[p] * mass[p + 1])
+    return diag, offdiag
+
+
+def linprog_validate(domain: PolyDomain) -> None:
+    """Nonempty interior of the convex cell; every face supports it.
+
+    The reference: one HiGHS ``linprog`` for the largest slack and one
+    feasibility LP per face, raising the same ``DomainError`` messages."""
+    from scipy.optimize import linprog
+
+    k, n = domain.normals.shape
+    # maximize slack t subject to A x - t >= b, 0 <= t <= 1
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-domain.normals, np.ones((k, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=-domain.offsets,
+                  bounds=[(None, None)] * n + [(0.0, 1.0)], method="highs")
+    if not res.success or res.x is None or res.x[-1] <= _FEAS_TOL:
+        raise DomainError("domain has empty interior")
+    for i in range(k):
+        feas = linprog(
+            np.zeros(n),
+            A_ub=-domain.normals,
+            b_ub=-domain.offsets,
+            A_eq=domain.normals[i: i + 1],
+            b_eq=domain.offsets[i: i + 1],
+            bounds=[(None, None)] * n,
+            method="highs",
+        )
+        if not feas.success:
+            raise DomainError(f"face {i} does not support the domain")
+
+
+def loop_vertices(domain: PolyDomain) -> np.ndarray:
+    """Vertices by one ``det`` and ``solve`` per n-subset of faces."""
+    n = domain.dim
+    out = []
+    for subset in combinations(range(domain.face_count), n):
+        a = domain.normals[list(subset)]
+        b = domain.offsets[list(subset)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        v = np.linalg.solve(a, b)
+        if np.all(domain.slacks(v) >= -1e-9):
+            out.append(v)
+    return np.unique(np.round(np.array(out), 9), axis=0) if out else np.zeros((0, n))

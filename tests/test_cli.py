@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -204,6 +208,30 @@ class TestOtherCommands:
         assert first.exit_code == second.exit_code == 0
         assert first.output.encode() == second.output.encode()
         assert list(json.loads(first.output)["dims"]) == ["2", "4"]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_certify_trials_below_one_exit_2(self, runner, trials):
+        # no trial at all would report inf minima and count as a pass
+        result = runner.invoke(main, ["certify", "--dim", "2", "--trials", trials])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"input error: trials must be at least 1, got {trials}"]
+
+    @pytest.mark.parametrize("part, value", [
+        ("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", math.inf),
+        ("b", -math.inf)], ids=["a_nan", "a_inf", "b_nan", "b_inf", "b_minus_inf"])
+    def test_angles_non_finite_halfspace_exit_2(self, runner, tmp_path, part, value):
+        scene = square_scene()
+        if part == "a":
+            scene["halfspaces"][1]["a"][0] = value
+        else:
+            scene["halfspaces"][1]["b"] = value
+        path = write_json(tmp_path / "d.json", scene)
+        result = runner.invoke(main, ["angles", "--scene", path,
+                                      "--faces", "1,3", "--point", "0,0"])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "input error: half-space normals and offsets must be finite"]
 
     def test_conformal(self, runner, tmp_path):
         scene = {"dim": 3, "g": {"11": "1", "22": "1", "33": "1"}}
@@ -452,19 +480,74 @@ class TestShippedScenes:
         assert json.loads(two.output)["index"] == 2
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def _fresh_cli(args):
+    """Run the CLI in a fresh interpreter from the repository root; return
+    its exit code and the ``scipy*`` modules it left in ``sys.modules``."""
+    code = ("import sys\n"
+            "from dihedral_lab.cli import main\n"
+            "code = 0\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+            " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(), cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    exit_code, modules = proc.stderr.splitlines()[-1].split(" ", 1)
+    return int(exit_code), modules
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """The sparse solvers are imported inside the functions that use them,
     so start-up of every subcommand stays as cheap as before."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys, dihedral_lab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["angles", "--scene", "scenes/square_metric.json", "--faces", "1,3",
+     "--point", "0,0"],
+    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+    ["compare", "--scene", "scenes/cube_id.json"],
+    ["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "0.3,-0.2"],
+    ["conformal", "--metric", "scenes/sphere2_metric.json",
+     "--factor", "1 + 0.1*sin(x1)", "--point", "0.4,0.2"],
+    ["certify", "--dim", "2", "--trials", "5"],
+    ["deficiency", "--lambda", "0.25"],
+    ["spectrum", "bound", "--dim", "3"],
+    ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"],
+    ["smooth", "--angle", "1.5707963267948966", "--radii", "0.1,0.05"],
+], ids=["help", "angles", "gaussbonnet", "compare", "curvature", "conformal",
+        "certify", "deficiency", "spectrum-bound", "spectrum-sector", "smooth"])
+def test_scipy_free_commands_load_no_scipy(args):
+    """Start-up guard: these subcommands never import any part of scipy."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert modules == "[]"
+
+
+@pytest.mark.parametrize("args, module", [
+    (["hardy", "--lambda", "1.0", "--grid", "64"], "scipy.sparse.linalg"),
+    (["index", "--scene", "scenes/index_square_id.json"], "scipy.sparse"),
+    (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
+     "scipy.linalg"),
+], ids=["hardy", "index", "spectrum-sector-numeric"])
+def test_scipy_commands_import_it_inside(args, module):
+    """Positive control for the guard: these still run, and the probe sees the
+    scipy module each one imports inside its function."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert f"'{module}'" in modules

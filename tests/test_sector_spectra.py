@@ -15,9 +15,10 @@ from dihedral_lab.sector_spectra import (
     hardy_norm,
     p_spectrum_closed,
     p_spectrum_numeric,
+    _tridiagonal_system,
 )
 
-from _oracles import dense_hardy_norm
+from _oracles import dense_hardy_norm, loop_tridiagonal_system
 
 
 class TestClosedSpectrum:
@@ -142,6 +143,15 @@ class TestNumericSpectrum:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             p_spectrum_numeric(SectorPair(1.0, 1.0), grid=32)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (1.0, 1.0), (2 * math.pi / 3, math.pi), (0.3, 2.9), (math.pi, 0.1)])
+    @pytest.mark.parametrize("grid", [64, 65, 4096])
+    def test_assembly_bit_equal_to_loop(self, alpha, beta, grid):
+        diag, off = _tridiagonal_system(SectorPair(alpha, beta), grid)
+        ref_diag, ref_off = loop_tridiagonal_system(alpha, beta, grid)
+        assert diag.tobytes() == ref_diag.tobytes()
+        assert off.tobytes() == ref_off.tobytes()
 
 
 class TestGallotMeyer:
