@@ -18,17 +18,14 @@ import math
 import click
 import numpy as np
 
-from .clifford import clifford_module
 from .comparison import (
     CompareScene,
     SampleSpec,
     SceneError,
-    boundary_certificate,
     check_conclusions,
     check_hypotheses,
     conformal_identities,
-    curvature_certificate,
-    random_curvature_operator,
+    random_certificates,
 )
 from .corner_smoothing import mean_curvature_limit, smoothing_arc, turning_integral
 from .curvature import (
@@ -282,24 +279,10 @@ def certify(ctx, dims, trials, seed, tol, output):
         if trials < 1:  # no trial would leave inf minima and count as a pass
             raise SceneError(f"trials must be at least 1, got {trials}")
         rows = {}
-        ok = True
-        for n in sorted(dims):
-            module = clifford_module(n)
-            rng = np.random.default_rng(seed + n)
-            worst_c, worst_b = math.inf, math.inf
-            for _ in range(trials):
-                rop = random_curvature_operator(n, rng)
-                jac = rng.normal(size=(n, n))
-                worst_c = min(worst_c,
-                              curvature_certificate(rop, jac, module, module))
-                ell = rng.normal(size=(n - 1, n - 1))
-                amat = ell.T @ ell
-                jac_b = rng.normal(size=(n - 1, n - 1))
-                worst_b = min(worst_b,
-                              boundary_certificate(amat, jac_b, module, module))
-            rows[str(n)] = {"curvature_min_eig": worst_c,
-                            "boundary_min_eig": worst_b}
-            ok = ok and worst_c >= -tol and worst_b >= -tol
+        for n in sorted(set(dims)):
+            worst = random_certificates(n, trials, np.random.default_rng(seed + n))
+            rows[str(n)] = dict(zip(("curvature_min_eig", "boundary_min_eig"), worst))
+        ok = all(v >= -tol for row in rows.values() for v in row.values())
         report = {"trials": trials, "seed": seed, "tolerance": tol,
                   "dims": rows, "all_nonnegative": ok}
         _finish(ctx, report, output, ok)

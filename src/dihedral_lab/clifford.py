@@ -114,6 +114,9 @@ def _check_module(mod: CliffordModule, tol: float = 1e-12) -> None:
     for i, ci in enumerate(mod.generators):
         if np.abs(eps @ ci + ci @ eps).max() > tol:
             raise AssertionError(f"grading fails to anticommute with c(e_{i})")
+    signs = np.diagonal(eps)  # the certificates split S into S+ and S- by these
+    if np.any(eps != np.diag(signs)) or np.any(abs(signs) != 1) or signs.sum() != 0:
+        raise AssertionError("grading is not diagonal with half its entries +1, half -1")
 
 
 @dataclass(frozen=True)

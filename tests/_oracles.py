@@ -1,8 +1,9 @@
 """Independent oracles used by several test modules: sympy closed forms,
 a central finite-difference evaluator of expression derivatives, the
-per-point comparison path, the dense Hardy kernel, the per-entry assembly
-of the link operator's tridiagonal form, and the ``linprog`` domain
-validation with the per-subset vertex loop."""
+per-point comparison path, the term-by-term random curvature operator,
+the trial-by-trial certificate loop, the dense Hardy kernel, the
+per-entry assembly of the link operator's tridiagonal form, and the
+``linprog`` domain validation with the per-subset vertex loop."""
 
 import math
 from itertools import combinations
@@ -18,6 +19,8 @@ from dihedral_lab.comparison import (
     DfNorms,
     SampleSpec,
     _window_box,
+    boundary_certificate,
+    curvature_certificate,
     df_norms,
 )
 from dihedral_lab.curvature import (
@@ -175,6 +178,37 @@ def bianchi_residual_closure(rop, n):
                         entry(i, j, k, l) + entry(i, k, l, j) + entry(i, l, j, k)
                     ))
     return worst
+
+
+def loop_curvature_operator(n, rng, terms=None):
+    """Sum of squares of random decomposable 2-vectors, drawn term by term
+    (u, then v) and accumulated with np.outer."""
+    pairs = _wedge_pairs(n)
+    if terms is None:
+        terms = len(pairs) + 2
+    rop = np.zeros((len(pairs), len(pairs)))
+    for _ in range(terms):
+        u = rng.normal(size=n)
+        v = rng.normal(size=n)
+        w = np.array([u[a] * v[b] - u[b] * v[a] for a, b in pairs])
+        rop += np.outer(w, w)
+    return rop
+
+
+def loop_certify(n, trials, rng, source, target):
+    """Worst curvature and boundary certificates trial by trial through the
+    one-trial public functions, drawing in the order the ``certify``
+    command uses."""
+    worst_c, worst_b = math.inf, math.inf
+    for _ in range(trials):
+        rop = loop_curvature_operator(n, rng)
+        jac = rng.normal(size=(n, n))
+        worst_c = min(worst_c, curvature_certificate(rop, jac, source, target))
+        ell = rng.normal(size=(n - 1, n - 1))
+        amat = ell.T @ ell
+        jac_b = rng.normal(size=(n - 1, n - 1))
+        worst_b = min(worst_b, boundary_certificate(amat, jac_b, source, target))
+    return worst_c, worst_b
 
 
 def kron_curvature_endomorphism(rop, jac, source, target):

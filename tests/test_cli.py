@@ -4,10 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+from dihedral_lab import comparison
 from dihedral_lab.cli import format_json, main
 
 
@@ -208,6 +210,46 @@ class TestOtherCommands:
         assert first.exit_code == second.exit_code == 0
         assert first.output.encode() == second.output.encode()
         assert list(json.loads(first.output)["dims"]) == ["2", "4"]
+
+    def test_certify_repeated_dim_runs_once(self, runner, monkeypatch):
+        calls = []
+        core = comparison._twisted_min_eigs
+        monkeypatch.setattr(comparison, "_twisted_min_eigs",
+                            lambda *args: calls.append(1) or core(*args))
+        once = runner.invoke(main, ["certify", "--dim", "2", "--trials", "5"])
+        single = len(calls)
+        twice = runner.invoke(main, ["certify", "--dim", "2", "--dim", "2",
+                                     "--trials", "5"])
+        assert once.exit_code == twice.exit_code == 0
+        assert twice.output == once.output
+        assert single > 0 and len(calls) == 2 * single
+
+    def test_certify_output_does_not_depend_on_chunk(self, runner, monkeypatch):
+        args = ["certify", "--dim", "2", "--dim", "4", "--dim", "6",
+                "--trials", "40"]
+        outputs = set()
+        for chunk in (1, 3, comparison._TRIAL_CHUNK):
+            monkeypatch.setattr(comparison, "_TRIAL_CHUNK", chunk)
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            outputs.add(result.output.encode())
+        assert len(outputs) == 1
+
+    def test_certify_memory_does_not_grow_with_trials(self, runner):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, ["certify", "--dim", "6",
+                                              "--trials", str(trials)])
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0
+            return peak_bytes
+
+        peak(3)  # one-time allocations of the first run stay out of the ratio
+        small, large = peak(200), peak(4000)
+        assert large <= 1.1 * small
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_certify_trials_below_one_exit_2(self, runner, trials):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dihedral_lab.clifford import (
+    CliffordModule,
+    _check_module,
     boundary_projector,
     clifford_module,
     forms_isomorphism,
@@ -39,6 +41,22 @@ class TestModule:
         # grading is i^{n/2} c(e_1)...c(e_n) by construction
         vol = mod.c_product(range(n))
         assert np.abs(eps - (1j ** (n // 2)) * vol).max() <= TOL
+
+    @pytest.mark.parametrize("n", EVEN_DIMS + [8])
+    def test_grading_is_diagonal_and_balanced(self, n):
+        mod = clifford_module(n)
+        signs, half = np.diagonal(mod.grading), mod.fiber_dim // 2
+        assert np.array_equal(mod.grading, np.diag(signs))
+        assert sorted(signs.real) == [-1.0] * half + [1.0] * half
+
+    def test_check_module_rejects_non_diagonal_grading(self):
+        # a unitary change of basis keeps every relation but the diagonal grading
+        mod = clifford_module(4)
+        u = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+        moved = CliffordModule(4, tuple(u @ g @ u.T for g in mod.generators),
+                               u @ mod.grading @ u.T)
+        with pytest.raises(AssertionError, match="not diagonal"):
+            _check_module(moved)
 
     def test_sizes(self):
         assert clifford_module(2).fiber_dim == 2

@@ -12,10 +12,13 @@ from _oracles import (
     bianchi_residual_closure,
     kron_boundary_endomorphism,
     kron_curvature_endomorphism,
+    loop_certify,
+    loop_curvature_operator,
     pointwise_scene,
     symbolic_curvature,
     wedge_compound_matrix,
 )
+from dihedral_lab import comparison
 from dihedral_lab.clifford import clifford_module
 from dihedral_lab.comparison import (
     CompareScene,
@@ -29,11 +32,16 @@ from dihedral_lab.comparison import (
     conformal_identities,
     curvature_certificate,
     df_norms,
+    random_certificates,
     random_curvature_operator,
     sample_stratum,
+    wedge_square_map,
 )
 from dihedral_lab.curvature import DomainError, PolyDomain
 from dihedral_lab.expressions import euclidean_metric, parse_metric
+
+
+KRON_DIMS = [(2, 2), (4, 4), (6, 6), (8, 8), (4, 2), (2, 6), (8, 4)]
 
 
 class TestDfNorms:
@@ -109,11 +117,11 @@ class TestCurvatureCertificate:
             jac = rng.normal(size=(n, n))
             assert curvature_certificate(rop, jac, s, s) >= -1e-9
 
-    @pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (6, 6), (4, 2), (2, 6)])
+    @pytest.mark.parametrize("m, n", KRON_DIMS)
     def test_matches_kron_loop_reference(self, m, n):
         src, dst = clifford_module(n), clifford_module(m)
         rng = np.random.default_rng(99 + 10 * m + n)
-        for _ in range(10):
+        for _ in range(3 if m == 8 else 10):
             rop = random_curvature_operator(m, rng)
             jac = rng.normal(size=(m, n))
             mat, scale = kron_curvature_endomorphism(rop, jac, src, dst)
@@ -121,15 +129,34 @@ class TestCurvatureCertificate:
             got = curvature_certificate(rop, jac, src, dst)
             assert abs(got - ref) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_bianchi_matches_closure_reference(self, n):
         rng = np.random.default_rng(31 + n)
+        stack = []
         for _ in range(10):
             ell = rng.normal(size=(n * (n - 1) // 2,) * 2)
             rop = ell.T @ ell
             assert bianchi_residual(rop, n) == bianchi_residual_closure(rop, n)
             good = random_curvature_operator(n, rng)
             assert bianchi_residual(good, n) == bianchi_residual_closure(good, n)
+            stack += [rop, good]
+        assert np.array_equal(bianchi_residual(np.array(stack), n),
+                              [bianchi_residual_closure(r, n) for r in stack])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_random_operator_matches_term_loop(self, n):
+        # one (terms, 2, n) draw reproduces the per-term u, v draws bit for bit
+        for terms in (None, 0, 1, 5):
+            got = random_curvature_operator(n, np.random.default_rng(n), terms)
+            ref = loop_curvature_operator(n, np.random.default_rng(n), terms)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 5), (4, 4), (6, 2), (8, 8)])
+    def test_wedge_square_map_matches_minors(self, m, n):
+        jacs = np.random.default_rng(m + 10 * n).normal(size=(6, m, n))
+        ref = np.array([wedge_compound_matrix(j) for j in jacs])
+        assert np.array_equal(wedge_square_map(jacs[0]), ref[0])
+        assert np.array_equal(wedge_square_map(jacs), ref)
 
     def test_random_operators_satisfy_bianchi(self):
         rng = np.random.default_rng(77)
@@ -185,11 +212,11 @@ class TestBoundaryCertificate:
             jac = rng.normal(size=(n - 1, n - 1))
             assert boundary_certificate(amat, jac, s, s) >= -1e-9
 
-    @pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (6, 6), (4, 2), (2, 6)])
+    @pytest.mark.parametrize("m, n", KRON_DIMS)
     def test_matches_kron_loop_reference(self, m, n):
         src, dst = clifford_module(n), clifford_module(m)
         rng = np.random.default_rng(17 + 10 * m + n)
-        for _ in range(10):
+        for _ in range(3 if m == 8 else 10):
             ell = rng.normal(size=(m - 1, m - 1))
             amat = ell.T @ ell
             jac = rng.normal(size=(m - 1, n - 1))
@@ -202,6 +229,53 @@ class TestBoundaryCertificate:
         s = clifford_module(2)
         with pytest.raises(ValueError):
             boundary_certificate(-np.eye(1), np.eye(1), s, s)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 4), (6, 6), (8, 8), (4, 2), (2, 6)])
+def test_endomorphisms_have_no_off_block_entries(m, n):
+    # the certificates diagonalize only the 4 blocks S+/- (x) S+/-
+    src, dst = clifford_module(n), clifford_module(m)
+    key = np.add.outer(2 * np.diagonal(src.grading).real,
+                       np.diagonal(dst.grading).real).reshape(-1)
+    off = key[:, None] != key[None, :]
+    rng = np.random.default_rng(5 + 10 * m + n)
+    for _ in range(2):
+        curv, _ = kron_curvature_endomorphism(
+            random_curvature_operator(m, rng), rng.normal(size=(m, n)), src, dst)
+        ell = rng.normal(size=(m - 1, m - 1))
+        bdry, _ = kron_boundary_endomorphism(
+            ell.T @ ell, rng.normal(size=(m - 1, n - 1)), src, dst)
+        assert off.sum() == 3 * len(key) ** 2 // 4
+        assert np.all(curv[off] == 0) and np.all(bdry[off] == 0)
+
+
+class TestRandomCertificates:
+    @pytest.mark.parametrize("n, trials", [(2, 150), (4, 70), (6, 70), (8, 5)])
+    def test_matches_trial_loop(self, n, trials):
+        # stacked draws and blocks reproduce the one-trial path bit for bit
+        mod = clifford_module(n)
+        got = random_certificates(n, trials, np.random.default_rng(n))
+        assert got == loop_certify(n, trials, np.random.default_rng(n), mod, mod)
+
+    def test_stack_checks_every_member(self):
+        s = clifford_module(4)
+        rng = np.random.default_rng(5)
+        good = random_curvature_operator(4, rng)
+        ell = rng.normal(size=(6, 6))
+        jacs = np.stack([np.eye(4)] * 2)
+        for bad, message in ((ell.T @ ell, "Bianchi"), (-good, "semidefinite")):
+            with pytest.raises(ValueError, match=message):
+                comparison._curvature_min_eigs(np.stack([good, bad]), jacs, s, s)
+        with pytest.raises(ValueError, match="semidefinite"):
+            comparison._boundary_min_eigs(np.stack([np.eye(3), -np.eye(3)]),
+                                          np.stack([np.eye(3)] * 2), s, s)
+
+    def test_consumes_the_generator_like_the_loop(self):
+        mod = clifford_module(4)
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        random_certificates(4, 70, rng)
+        loop_certify(4, 70, ref, mod, mod)
+        assert rng.normal() == ref.normal()
 
 
 def square_scene_dict(side=1.0, conformal=None, lo=0.0):
