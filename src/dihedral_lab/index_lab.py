@@ -14,19 +14,15 @@ sum ``b0 - b1 + b2`` (even-minus-odd harmonic dimensions) and compared
 against (mapping degree) x (Euler characteristic of the target).  Maps are
 restricted to per-component affine pieces with a closed-form degree.
 
-``d0`` and ``d1`` are sparse, and the harmonic dimensions come from graph
-components and Euler-Poincare in O(cells), not from a matrix rank.
+``d0`` and ``d1`` are index arrays, and the harmonic dimensions come from
+graph components and Euler-Poincare, not from a matrix rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "DecComplex",
@@ -44,17 +40,24 @@ class PolygonError(ValueError):
 
 @dataclass(frozen=True)
 class DecComplex:
-    """Incidence matrices of a polygon complex as sparse CSR arrays with
-    entries +-1; ``d1 @ d0 = 0`` exactly."""
+    """Incidences of a polygon complex as index arrays: ``d0`` is -1 at each
+    edge's tail and +1 at its head, ``d1`` is ``d1_sign`` at (``d1_face``,
+    ``d1_edge``), repeated keys summed; ``d1 d0 = 0`` exactly."""
 
     vertex_count: int
     edge_count: int
     face_count: int
-    d0: sparse.csr_array  # (E, V)
-    d1: sparse.csr_array  # (F, E)
+    edges: np.ndarray  # (E, 2) tail, head
+    d1_face: np.ndarray
+    d1_edge: np.ndarray
+    d1_sign: np.ndarray
 
     def composition_residual(self) -> float:
-        return float(np.abs((self.d1 @ self.d0).data).max(initial=0.0))
+        """Largest |entry| of ``d1 d0``, summed over (face, vertex) keys."""
+        keys = self.d1_face[:, None] * self.vertex_count + self.edges[self.d1_edge]
+        _, slot = np.unique(keys.ravel(), return_inverse=True)
+        entries = np.bincount(slot, (self.d1_sign[:, None] * [-1.0, 1.0]).ravel())
+        return float(np.abs(entries).max(initial=0.0))
 
 
 def _square_complex(k: int):
@@ -106,20 +109,17 @@ def _triangle_complex(k: int):
 
 
 def _assemble(parts) -> DecComplex:
-    from scipy import sparse
-
-    d0s, d1s = [], []
-    for nv, edges, faces, signs in parts:
-        ne, nf = len(edges), len(faces)
-        d0s.append(sparse.csr_array(
-            (np.tile([-1.0, 1.0], ne), (np.repeat(np.arange(ne), 2), edges.ravel())),
-            shape=(ne, nv)))
-        d1s.append(sparse.csr_array(
-            (signs.ravel(), (np.repeat(np.arange(nf), faces.shape[1]), faces.ravel())),
-            shape=(nf, ne)))
-    d0 = sparse.block_diag(d0s, format="csr")
-    d1 = sparse.block_diag(d1s, format="csr")
-    return DecComplex(d0.shape[1], d0.shape[0], d1.shape[0], d0, d1)
+    """Disjoint union: each part's ids are offset by the counts before it."""
+    counts = np.array([(nv, len(e), len(f)) for nv, e, f, _ in parts])
+    v0, e0, f0 = (np.cumsum(counts, axis=0) - counts).T
+    _, edges, faces, signs = zip(*parts)
+    return DecComplex(
+        *(int(c) for c in counts.sum(axis=0)),
+        np.concatenate([e + off for e, off in zip(edges, v0)]),
+        np.concatenate([off + np.repeat(np.arange(len(f)), f.shape[1])
+                        for f, off in zip(faces, f0)]),
+        np.concatenate([f.ravel() + off for f, off in zip(faces, e0)]),
+        np.concatenate(signs, axis=None))
 
 
 def _polygon_parts(polygon: dict, resolution: int) -> list:
@@ -156,37 +156,48 @@ def dec_complex(polygon: dict, resolution: int) -> DecComplex:
     return _assemble(_polygon_parts(polygon, resolution))
 
 
+def _components(n: int, tails: np.ndarray, heads: np.ndarray):
+    """Component count and labels (smallest node) of the undirected graph
+    ``tails[i] -- heads[i]`` on ``n`` nodes (Shiloach & Vishkin): hook each
+    larger root to the smaller across every edge, pointer-jump, repeat."""
+    label = np.arange(n)
+    while True:
+        a, b = label[tails], label[heads]
+        if np.array_equal(a, b):
+            return int(np.count_nonzero(label == np.arange(n))), label
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
 def harmonic_dims(complex_: DecComplex) -> tuple[int, int, int]:
     """Kernel dimensions of the three Hodge Laplacians (b0, b1, b2).
 
     b0 counts the components of the 1-skeleton (``rank d0 = V - b0``).
     b2 = dim ker d1^T: such a face cochain has ``c_g = +-c_f`` across each
-    edge on two faces and vanishes on a face with a boundary edge, so it
-    has one free value per face-graph component whose signed double cover
-    (nodes ``+-f``) has two sheets: closed and consistently signed (a
-    triangulated RP^2 is closed with one sheet: b2 = 0 over the reals).
-    b1 follows from Euler-Poincare.  ``ValueError`` if an edge lies on
-    three or more faces or an incidence is not +-1.
+    edge on two faces (paired by a stable argsort of ``d1_edge``) and
+    vanishes on a face with a boundary edge, so it has one free value per
+    face-graph component whose signed double cover (nodes ``+-f``) has two
+    sheets: closed and consistently signed (RP^2 has one sheet: b2 = 0).
+    Both via ``_components``; b1 from Euler-Poincare.  ``ValueError`` if
+    an edge lies on three or more faces or an incidence is not +-1.
     """
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
     if complex_.composition_residual() != 0.0:
         raise ValueError("complex is broken: d1 d0 != 0")
-    b0 = connected_components(complex_.d0.T @ complex_.d0)[0]
-    nf = complex_.face_count
-    by_edge = complex_.d1.T.tocsr()  # the faces on each edge
-    count = np.diff(by_edge.indptr)
-    if count.max(initial=0) > 2 or np.any(np.abs(by_edge.data) != 1.0):
+    b0 = _components(complex_.vertex_count, *complex_.edges.T)[0]
+    nf, face, sign = complex_.face_count, complex_.d1_face, complex_.d1_sign
+    count = np.bincount(complex_.d1_edge, minlength=complex_.edge_count)
+    if count.max(initial=0) > 2 or np.any(np.abs(sign) != 1.0):
         raise ValueError("Betti count needs +-1 incidences and at most two faces per edge")
-    pair = by_edge.indptr[:-1][count == 2]
-    f, g = by_edge.indices[pair], by_edge.indices[pair + 1]
-    g = np.where(by_edge.data[pair] == by_edge.data[pair + 1], g + nf, g)  # c_g = -c_f
-    rim = by_edge.indices[by_edge.indptr[:-1][count == 1]]  # c_f = -c_f
+    by_edge = np.argsort(complex_.d1_edge, kind="stable")  # the faces on each edge
+    start = np.cumsum(count) - count
+    one, two = by_edge[start[count == 2]], by_edge[start[count == 2] + 1]
+    f, g = face[one], face[two]
+    g = np.where(sign[one] == sign[two], g + nf, g)  # c_g = -c_f
+    rim = face[by_edge[start[count == 1]]]  # c_f = -c_f
     tails = np.concatenate([f, f + nf, rim])
     heads = np.concatenate([g, (g + nf) % (2 * nf), rim + nf])
-    cover = sparse.coo_array((np.ones(len(tails)), (tails, heads)), shape=(2 * nf, 2 * nf))
-    sheets, sheet = connected_components(cover)  # weak = undirected
+    sheets, sheet = _components(2 * nf, tails, heads)
     folded = np.unique(sheet[:nf][sheet[:nf] == sheet[nf:]])
     b2 = (sheets - len(folded)) // 2
     b1 = complex_.edge_count - (complex_.vertex_count - b0) - (nf - b2)

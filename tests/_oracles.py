@@ -1,8 +1,8 @@
 """Independent oracles used by several test modules: sympy closed forms,
 a central finite-difference evaluator of expression derivatives, the
 per-point comparison path, the term-by-term random curvature operator,
-the trial-by-trial certificate loop, the dense Hardy kernel, the
-per-entry assembly of the link operator's tridiagonal form, and the
+the trial-by-trial certificate loop, the dense Hardy kernel and its
+ARPACK (``svds``) norm, the per-entry assembly of the link operator's tridiagonal form, and the
 ``linprog`` domain validation with the per-subset vertex loop."""
 
 import math
@@ -33,6 +33,7 @@ from dihedral_lab.curvature import (
     face_geometry,
 )
 from dihedral_lab.expressions import Expr, metric_at
+from dihedral_lab.sector_spectra import _damped_prefix_sum
 
 # Central finite-difference steps (scaled by max(1, |x_i|) per axis).
 FIRST_ORDER_STEP = 1e-6
@@ -430,6 +431,28 @@ def dense_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
         else:
             kernel = -np.where(ratio >= 1.0, ratio**lam, 0.0) * h
     return float(np.linalg.svd(kernel, compute_uv=False)[0])
+
+
+def svds_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
+    """Norm of the matrix-free Hardy kernel from ARPACK: ``svds(k=1)`` on a
+    ``LinearOperator`` over the same blocked prefix sums, from the vector
+    of ones."""
+    from scipy.sparse.linalg import LinearOperator, svds
+
+    # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for
+    # lam < 0 leaves the norm alone, so M is applied without it
+    logs = abs(lam) * np.log(np.arange(grid) + 0.5)
+
+    def prefix(f):
+        return _damped_prefix_sum(logs, np.ravel(f))
+
+    def suffix(f):
+        return _damped_prefix_sum(-logs[::-1], np.ravel(f)[::-1])[::-1]
+
+    forward, adjoint = (prefix, suffix) if lam > 0 else (suffix, prefix)
+    op = LinearOperator((grid, grid), matvec=forward, rmatvec=adjoint, dtype=float)
+    return delta / grid * float(svds(op, k=1, tol=0, v0=np.ones(grid),
+                                     return_singular_vectors=False)[0])
 
 
 def loop_tridiagonal_system(alpha: float, beta: float, n: int):

@@ -468,6 +468,16 @@ class TestInternalErrors:
         assert "internal error: IndexError: index 7 is out of bounds" in result.output
         assert "Traceback" not in result.output
 
+    def test_hardy_non_convergence_exits_3(self, runner, monkeypatch):
+        from dihedral_lab import sector_spectra
+
+        monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
+        result = runner.invoke(main, ["hardy", "--lambda", "400", "--grid", "1200"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "internal error: RuntimeError: Lanczos did not converge in 2 steps"]
+
 
 class TestShippedScenes:
     """The scene files under scenes/ must keep working as documented."""
@@ -572,8 +582,11 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     ["spectrum", "bound", "--dim", "3"],
     ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"],
     ["smooth", "--angle", "1.5707963267948966", "--radii", "0.1,0.05"],
+    ["hardy", "--lambda", "1.0", "--grid", "64"],
+    ["index", "--scene", "scenes/index_square_id.json"],
 ], ids=["help", "angles", "gaussbonnet", "compare", "curvature", "conformal",
-        "certify", "deficiency", "spectrum-bound", "spectrum-sector", "smooth"])
+        "certify", "deficiency", "spectrum-bound", "spectrum-sector", "smooth",
+        "hardy", "index"])
 def test_scipy_free_commands_load_no_scipy(args):
     """Start-up guard: these subcommands never import any part of scipy."""
     exit_code, modules = _fresh_cli(args)
@@ -582,14 +595,13 @@ def test_scipy_free_commands_load_no_scipy(args):
 
 
 @pytest.mark.parametrize("args, module", [
-    (["hardy", "--lambda", "1.0", "--grid", "64"], "scipy.sparse.linalg"),
-    (["index", "--scene", "scenes/index_square_id.json"], "scipy.sparse"),
     (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
      "scipy.linalg"),
-], ids=["hardy", "index", "spectrum-sector-numeric"])
+], ids=["spectrum-sector-numeric"])
 def test_scipy_commands_import_it_inside(args, module):
-    """Positive control for the guard: these still run, and the probe sees the
-    scipy module each one imports inside its function."""
+    """Positive control for the guard: the one command that still imports
+    scipy runs, and the probe sees the module it imports inside its
+    function."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
     assert f"'{module}'" in modules

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy import sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from dihedral_lab.index_lab import (
     DecComplex,
     PolygonError,
+    _components,
     dec_complex,
     harmonic_dims,
     index_experiment,
@@ -12,6 +19,27 @@ from dihedral_lab.index_lab import (
 
 SQUARE = {"type": "square"}
 TRIANGLE = {"type": "right_triangle"}
+
+
+def dense_incidences(c: DecComplex):
+    """``(d0, d1)`` as dense matrices, repeated d1 keys added up."""
+    d0 = np.zeros((c.edge_count, c.vertex_count))
+    np.add.at(d0, (np.arange(c.edge_count), c.edges[:, 0]), -1.0)
+    np.add.at(d0, (np.arange(c.edge_count), c.edges[:, 1]), 1.0)
+    d1 = np.zeros((c.face_count, c.edge_count))
+    np.add.at(d1, (c.d1_face, c.d1_edge), c.d1_sign)
+    return d0, d1
+
+
+def complex_from_dense(d0, d1):
+    """Index-array complex of dense incidence matrices; every row of ``d0``
+    must be one -1 and one +1."""
+    tails, heads = np.argmin(d0, axis=1), np.argmax(d0, axis=1)
+    assert np.array_equal(d0[np.arange(len(d0)), tails], -np.ones(len(d0)))
+    assert np.array_equal(d0[np.arange(len(d0)), heads], np.ones(len(d0)))
+    face, edge = np.nonzero(d1)
+    return DecComplex(d0.shape[1], d0.shape[0], d1.shape[0],
+                      np.stack([tails, heads], axis=1), face, edge, d1[face, edge])
 
 
 def brute_force_betti(c: DecComplex):
@@ -23,7 +51,7 @@ def brute_force_betti(c: DecComplex):
         s = np.linalg.svd(mat, compute_uv=False)
         return mat.shape[1] - int(np.sum(s > 1e-10))
 
-    d0, d1 = c.d0.toarray(), c.d1.toarray()
+    d0, d1 = dense_incidences(c)
     # b0 = dim ker d0, b1 = dim(ker d1 / im d0), b2 = dim coker d1
     b0 = null_dim(d0)
     z1 = null_dim(d1)
@@ -47,8 +75,7 @@ def complex_from_cells(vertex_count, cells):
     for f, cell in enumerate(cells):
         for a, b in zip(cell, cell[1:] + cell[:1]):
             d1[f, eid[tuple(sorted((a, b)))]] += 1.0 if a < b else -1.0
-    return DecComplex(vertex_count, len(edges), len(cells),
-                      sparse.csr_array(d0), sparse.csr_array(d1))
+    return complex_from_dense(d0, d1)
 
 
 def torus_cells(n):
@@ -110,6 +137,44 @@ class TestDecComplex:
         assert c.vertex_count == 2 * single.vertex_count
         assert c.composition_residual() == 0.0
 
+    def test_union_is_block_diagonal(self):
+        parts = [SQUARE, TRIANGLE, SQUARE]
+        c = dec_complex({"type": "union", "parts": parts}, 2)
+        blocks = [dense_incidences(dec_complex(p, 2)) for p in parts]
+        d0, d1 = dense_incidences(c)
+        assert np.array_equal(d0, block_diag(*(b[0] for b in blocks)))
+        assert np.array_equal(d1, block_diag(*(b[1] for b in blocks)))
+        assert np.array_equal(dense_incidences(complex_from_dense(d0, d1))[1], d1)
+
+
+def assert_same_components(n, tails, heads):
+    count, labels = _components(n, np.asarray(tails, dtype=int), np.asarray(heads, dtype=int))
+    graph = coo_array((np.ones(len(tails)), (tails, heads)), shape=(n, n))
+    ref_count, ref_labels = connected_components(graph, directed=False)
+    assert count == ref_count
+    # same partition: the label pairs are a bijection
+    assert len(np.unique(np.stack([labels, ref_labels]), axis=1).T) == ref_count
+    assert np.all(labels <= np.arange(n))  # each label is a node of the component
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=3 * n))))
+    def test_matches_scipy(self, graph):
+        # self-loops, repeated edges and isolated nodes all occur
+        n, edges = graph
+        tails, heads = zip(*edges) if edges else ((), ())
+        assert_same_components(n, list(tails), list(heads))
+
+    def test_long_path(self):
+        n = 10_000
+        assert_same_components(n, np.arange(n - 1), np.arange(1, n))
+        order = np.random.default_rng(8).permutation(n)
+        assert_same_components(n, order[:-1], order[1:])
+        assert_same_components(n, order[1:], order[:-1])
+
 
 class TestHarmonicDims:
     @pytest.mark.parametrize("k", [2, 3, 8, 16, 32])
@@ -153,15 +218,15 @@ class TestHarmonicDims:
 
     def test_incidence_other_than_unit_rejected(self):
         c = complex_from_cells(4, CLOSED_AND_OPEN["tetrahedron_boundary"][1])
-        doubled = DecComplex(c.vertex_count, c.edge_count, c.face_count, c.d0, 2.0 * c.d1)
+        doubled = replace(c, d1_sign=2.0 * c.d1_sign)
         with pytest.raises(ValueError, match="incidences"):
             harmonic_dims(doubled)
 
     def test_broken_composition_rejected(self):
         c = dec_complex(SQUARE, 2)
-        d1 = c.d1.tolil()
-        d1[0, 0] = -d1[0, 0]
-        broken = DecComplex(c.vertex_count, c.edge_count, c.face_count, c.d0, d1.tocsr())
+        sign = c.d1_sign.copy()
+        sign[(c.d1_face == 0) & (c.d1_edge == 0)] *= -1.0
+        broken = replace(c, d1_sign=sign)
         assert broken.composition_residual() == 2.0
         with pytest.raises(ValueError, match="d1 d0"):
             harmonic_dims(broken)

@@ -18,7 +18,8 @@ from dihedral_lab.sector_spectra import (
     _tridiagonal_system,
 )
 
-from _oracles import dense_hardy_norm, loop_tridiagonal_system
+from dihedral_lab import sector_spectra
+from _oracles import dense_hardy_norm, loop_tridiagonal_system, svds_hardy_norm
 
 
 class TestClosedSpectrum:
@@ -289,3 +290,26 @@ class TestHardyMatrixFree:
     def test_non_finite_input_rejected(self, lam, delta):
         with pytest.raises(ValueError, match="finite"):
             hardy_norm(lam, delta=delta)
+
+
+class TestHardyLanczos:
+    """The Golub-Kahan-Lanczos norm against ARPACK (``svds``) on the same
+    matrix-free operator."""
+
+    @pytest.mark.parametrize("grid", [16, 17, 1200, 2400])
+    @pytest.mark.parametrize("lam", [s * v for v in (0.51, 0.6, 1.0, 2.0, 40.0, 400.0)
+                                     for s in (1.0, -1.0)])
+    def test_matches_svds(self, lam, grid):
+        numeric, _ = hardy_norm(lam, grid=grid)
+        assert numeric == pytest.approx(svds_hardy_norm(lam, grid=grid), rel=1e-13, abs=0)
+
+    def test_matches_svds_beyond_dense_reach(self):
+        numeric, _ = hardy_norm(0.6, grid=200_000)
+        assert numeric == pytest.approx(svds_hardy_norm(0.6, grid=200_000), rel=1e-12, abs=0)
+
+    def test_step_cap_raises(self, monkeypatch):
+        # lam = 400 on grid 1200 needs 47 steps; an unconverged value is
+        # never returned
+        monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            hardy_norm(400.0, grid=1200)
