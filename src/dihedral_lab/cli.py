@@ -332,6 +332,8 @@ def sector(ctx, alpha, beta, grid, count, tol, csv_path, output):
     """Closed-form (and optionally numeric) sector spectrum."""
 
     def run():
+        if count < 1 or not 0.0 <= tol < math.inf:
+            raise ValueError(f"need count >= 1 and a finite tol >= 0, got {count}, {tol}")
         pair = SectorPair(alpha, beta)
         closed = p_spectrum_closed(pair, range(-count, count + 1))
         report = {

@@ -476,6 +476,21 @@ def loop_tridiagonal_system(alpha: float, beta: float, n: int):
     return diag, offdiag
 
 
+def tridiagonal_spectrum(alpha: float, beta: float, grid: int, count: int) -> tuple:
+    """The ``count`` eigenvalues nearest zero of the assembled tridiagonal
+    discretization, from LAPACK's ``eigh_tridiagonal`` restricted to the
+    window ``|lambda| <= (count + 2) pi / alpha + |beta - alpha| + 1``."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = loop_tridiagonal_system(alpha, beta, grid)
+    window = (count + 2) * math.pi / alpha + abs(beta - alpha) + 1.0
+    eigs = eigh_tridiagonal(diag, off, select="v",
+                            select_range=(-window, window),
+                            eigvals_only=True)
+    eigs = sorted(eigs, key=abs)[:count]
+    return tuple(sorted(float(v) for v in eigs))
+
+
 def linprog_validate(domain: PolyDomain) -> None:
     """Nonempty interior of the convex cell; every face supports it.
 

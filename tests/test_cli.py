@@ -86,6 +86,46 @@ class TestSpectrumCommand:
         out2 = runner.invoke(main, args).output
         assert out1 == out2
 
+    def test_sector_any_grid_in_small_memory(self, runner):
+        # the assembled matrix at this grid would take 2 * 8 * 2e10 bytes
+        args = ["spectrum", "sector", "--alpha", "1.0", "--beta", "2.0",
+                "--numeric", "10000000000"]
+        runner.invoke(main, args)  # imports outside the traced window
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        eigenvalues = json.loads(result.output)["numeric"]["eigenvalues"]
+        assert len(eigenvalues) == 5 and all(math.isfinite(v) for v in eigenvalues)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("args, message", [
+        (["--alpha", "inf", "--beta", "1.0"], "sector angles must be finite and positive"),
+        (["--alpha", "1.0", "--beta", "inf", "--numeric", "128"],
+         "sector angles must be finite and positive"),
+        (["--alpha", "nan", "--beta", "1.0"], "sector angles must be finite and positive"),
+        (["--alpha", "1.0", "--beta", "2.0", "--count", "0", "--numeric", "128"],
+         "need count >= 1 and a finite tol >= 0, got 0, 0.001"),
+        (["--alpha", "1.0", "--beta", "2.0", "--count", "-1"],
+         "need count >= 1 and a finite tol >= 0, got -1, 0.001"),
+        (["--alpha", "1.0", "--beta", "2.0", "--tol", "nan", "--numeric", "128"],
+         "need count >= 1 and a finite tol >= 0, got 5, nan"),
+        (["--alpha", "1.0", "--beta", "2.0", "--tol", "-1", "--numeric", "128"],
+         "need count >= 1 and a finite tol >= 0, got 5, -1.0"),
+        (["--alpha", "1.0", "--beta", "2.0", "--tol", "inf"],
+         "need count >= 1 and a finite tol >= 0, got 5, inf"),
+        (["--alpha", "1.0", "--beta", "2.0", "--count", "100", "--numeric", "64"],
+         "count 100 is too large for grid 64 (window past the band)"),
+    ], ids=["alpha_inf", "beta_inf_numeric", "alpha_nan", "count_0", "count_minus_1",
+            "tol_nan", "tol_minus_1", "tol_inf", "count_past_band"])
+    def test_sector_bad_input_exit_2(self, runner, args, message):
+        result = runner.invoke(main, ["spectrum", "sector", *args])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [f"input error: {message}"]
+
 
 class TestCompareCommand:
     def test_identity_scene_passes(self, runner, tmp_path):
@@ -478,6 +518,17 @@ class TestInternalErrors:
         assert result.stderr.splitlines() == [
             "internal error: RuntimeError: Lanczos did not converge in 2 steps"]
 
+    def test_secular_non_convergence_exits_3(self, runner, monkeypatch):
+        from dihedral_lab import sector_spectra
+
+        monkeypatch.setattr(sector_spectra, "_SECULAR_STEPS", 1)
+        result = runner.invoke(main, ["spectrum", "sector", "--alpha", "0.9",
+                                      "--beta", "2.8", "--numeric", "4096"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "internal error: RuntimeError: secular equation did not settle in 1 steps"]
+
 
 class TestShippedScenes:
     """The scene files under scenes/ must keep working as documented."""
@@ -540,10 +591,11 @@ def _src_env():
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
-def _fresh_cli(args):
-    """Run the CLI in a fresh interpreter from the repository root; return
-    its exit code and the ``scipy*`` modules it left in ``sys.modules``."""
-    code = ("import sys\n"
+def _fresh_cli(args, preamble=""):
+    """Run the CLI in a fresh interpreter from the repository root, after
+    the ``preamble`` statements; return its exit code and the ``scipy*``
+    modules it left in ``sys.modules``."""
+    code = (preamble + "import sys\n"
             "from dihedral_lab.cli import main\n"
             "code = 0\n"
             "try:\n"
@@ -559,8 +611,8 @@ def _fresh_cli(args):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    """The sparse solvers are imported inside the functions that use them,
-    so start-up of every subcommand stays as cheap as before."""
+    """Importing the command line loads no ``scipy.sparse`` module, so the
+    start-up of every subcommand stays at the numpy + click floor."""
     code = ("import sys, dihedral_lab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
@@ -581,12 +633,13 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     ["deficiency", "--lambda", "0.25"],
     ["spectrum", "bound", "--dim", "3"],
     ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"],
+    ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
     ["smooth", "--angle", "1.5707963267948966", "--radii", "0.1,0.05"],
     ["hardy", "--lambda", "1.0", "--grid", "64"],
     ["index", "--scene", "scenes/index_square_id.json"],
 ], ids=["help", "angles", "gaussbonnet", "compare", "curvature", "conformal",
-        "certify", "deficiency", "spectrum-bound", "spectrum-sector", "smooth",
-        "hardy", "index"])
+        "certify", "deficiency", "spectrum-bound", "spectrum-sector",
+        "spectrum-sector-numeric", "smooth", "hardy", "index"])
 def test_scipy_free_commands_load_no_scipy(args):
     """Start-up guard: these subcommands never import any part of scipy."""
     exit_code, modules = _fresh_cli(args)
@@ -594,14 +647,11 @@ def test_scipy_free_commands_load_no_scipy(args):
     assert modules == "[]"
 
 
-@pytest.mark.parametrize("args, module", [
-    (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
-     "scipy.linalg"),
-], ids=["spectrum-sector-numeric"])
-def test_scipy_commands_import_it_inside(args, module):
-    """Positive control for the guard: the one command that still imports
-    scipy runs, and the probe sees the module it imports inside its
-    function."""
-    exit_code, modules = _fresh_cli(args)
+def test_probe_sees_preloaded_scipy():
+    """Positive control for the guard: with ``scipy.linalg`` imported before
+    the command runs, the probe reports it."""
+    exit_code, modules = _fresh_cli(
+        ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
+        preamble="import scipy.linalg\n")
     assert exit_code == 0
-    assert f"'{module}'" in modules
+    assert "'scipy.linalg'" in modules

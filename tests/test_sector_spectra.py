@@ -15,11 +15,11 @@ from dihedral_lab.sector_spectra import (
     hardy_norm,
     p_spectrum_closed,
     p_spectrum_numeric,
-    _tridiagonal_system,
 )
 
 from dihedral_lab import sector_spectra
-from _oracles import dense_hardy_norm, loop_tridiagonal_system, svds_hardy_norm
+from _oracles import (dense_hardy_norm, loop_tridiagonal_system, svds_hardy_norm,
+                      tridiagonal_spectrum)
 
 
 class TestClosedSpectrum:
@@ -57,6 +57,12 @@ class TestClosedSpectrum:
             SectorPair(0.0, 1.0)
         with pytest.raises(ValueError):
             SectorPair(1.0, -1.0)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 1.0), (1.0, math.inf),
+                                            (math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_angles_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            SectorPair(alpha, beta)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.05, max_value=math.pi),
@@ -105,6 +111,22 @@ class TestEsaVerdict:
             assert esa_verdict_mixed(alpha)[0] == (i <= 10)
 
 
+def _operator_norm(alpha, beta, grid):
+    """Gershgorin-type scale (2 + 2 |tan(d/2)|) grid / alpha of the matrix."""
+    return (2.0 + 2.0 * abs(math.tan(0.5 * (beta - alpha)))) * grid / alpha
+
+
+def _assert_matches_tridiagonal(alpha, beta, grid):
+    """Same count as LAPACK on the entry-by-entry assembly, and within
+    1e-13 of the matrix norm."""
+    numeric = p_spectrum_numeric(SectorPair(alpha, beta), grid, 5).eigenvalues
+    reference = tridiagonal_spectrum(alpha, beta, grid, 5)
+    assert len(numeric) == len(reference) == 5
+    scale = 1e-13 * _operator_norm(alpha, beta, grid)
+    for v, r in zip(numeric, reference):
+        assert abs(v - r) <= scale
+
+
 class TestNumericSpectrum:
     @pytest.mark.parametrize("alpha,beta", [
         (math.pi / 2, math.pi / 2),
@@ -145,14 +167,101 @@ class TestNumericSpectrum:
         with pytest.raises(ValueError):
             p_spectrum_numeric(SectorPair(1.0, 1.0), grid=32)
 
+    def test_second_order_convergence_at_fine_grids(self):
+        pair = SectorPair(2 * math.pi / 3, math.pi)
+        closed = p_spectrum_closed(pair, range(-12, 13)).eigenvalues
+
+        def err(n):
+            rep = p_spectrum_numeric(pair, grid=n, count=5)
+            return max(min(abs(v - c) for c in closed) for v in rep.eigenvalues)
+
+        ratio = err(2**16) / err(2**17)
+        assert 3.5 <= ratio <= 4.5
+
+    def test_huge_grid_matches_lattice(self):
+        rep = p_spectrum_numeric(SectorPair(1.0, 2.0), grid=10**10, count=5)
+        closed = p_spectrum_closed(SectorPair(1.0, 2.0), range(-12, 13)).eigenvalues
+        assert len(rep.eigenvalues) == 5
+        for v in rep.eigenvalues:
+            assert min(abs(v - c) for c in closed) <= 1e-9
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sector_spectra, "_SECULAR_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not settle in 1 steps"):
+            p_spectrum_numeric(SectorPair(0.9, 2.8), grid=4096)
+
     @pytest.mark.parametrize("alpha,beta", [
         (1.0, 1.0), (2 * math.pi / 3, math.pi), (0.3, 2.9), (math.pi, 0.1)])
     @pytest.mark.parametrize("grid", [64, 65, 4096])
     def test_assembly_bit_equal_to_loop(self, alpha, beta, grid):
-        diag, off = _tridiagonal_system(SectorPair(alpha, beta), grid)
-        ref_diag, ref_off = loop_tridiagonal_system(alpha, beta, grid)
-        assert diag.tobytes() == ref_diag.tobytes()
-        assert off.tobytes() == ref_off.tobytes()
+        _assert_matches_tridiagonal(alpha, beta, grid)
+
+
+class TestSecularEquation:
+    """The closed-form eigenvalues against solvers of the assembled matrix
+    (LAPACK tridiagonal, dense) and against 40-digit roots of the boundary
+    condition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=0.05, max_value=2 * math.pi),
+           st.floats(min_value=0.05, max_value=2 * math.pi),
+           st.integers(min_value=64, max_value=20000))
+    def test_matches_tridiagonal_eigensolver_property(self, alpha, beta, grid):
+        _assert_matches_tridiagonal(alpha, beta, grid)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (1.0, 1.0), (2 * math.pi / 3, math.pi), (0.3, 2.9), (math.pi, 0.1),
+        (6.0, 0.2), (0.05, 6.2)])
+    def test_matches_dense_eigvalsh(self, alpha, beta):
+        diag, off = loop_tridiagonal_system(alpha, beta, 64)
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        window = 7 * math.pi / alpha + abs(beta - alpha) + 1.0
+        nearest = sorted(sorted(dense[np.abs(dense) <= window], key=abs)[:5])
+        numeric = p_spectrum_numeric(SectorPair(alpha, beta), 64, 5).eigenvalues
+        scale = 1e-14 * _operator_norm(alpha, beta, 64)
+        for v, r in zip(numeric, nearest, strict=True):
+            assert abs(v - r) <= scale
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 2.0), (math.pi, 0.1), (0.3, 2.9)])
+    def test_band_edge_matches_dense_eigvalsh(self, alpha, beta):
+        # at the largest count the band admits, the highest modes returned sit
+        # far from the lattice and still match the assembled matrix
+        pair, count = SectorPair(alpha, beta), 1
+        while True:
+            try:
+                p_spectrum_numeric(pair, 64, count + 1)
+            except ValueError:
+                break
+            count += 1
+        diag, off = loop_tridiagonal_system(alpha, beta, 64)
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        window = (count + 2) * math.pi / alpha + abs(beta - alpha) + 1.0
+        nearest = sorted(sorted(dense[np.abs(dense) <= window], key=abs)[:count])
+        numeric = p_spectrum_numeric(pair, 64, count).eigenvalues
+        scale = 1e-14 * _operator_norm(alpha, beta, 64)
+        for v, r in zip(numeric, nearest, strict=True):
+            assert abs(v - r) <= scale
+
+    def test_matches_mpmath_roots(self):
+        # the Robin condition in the original variable,
+        # sin(2 n theta) sin(theta) = t cos(2 n theta), solved to 40 digits
+        import mpmath
+
+        alpha, beta, grid = 0.3, 2.9, 16384
+        numeric = p_spectrum_numeric(SectorPair(alpha, beta), grid, 5).eigenvalues
+        with mpmath.workdps(40):
+            h = mpmath.mpf(alpha) / grid
+            t = mpmath.tan((mpmath.mpf(beta) - mpmath.mpf(alpha)) / 2)
+
+            def robin(theta):
+                return (mpmath.sin(2 * grid * theta) * mpmath.sin(theta)
+                        - t * mpmath.cos(2 * grid * theta))
+
+            for v in numeric:
+                start = mpmath.acos((mpmath.mpf(v) + 0.5) * h / 2)
+                theta = mpmath.findroot(robin, start)
+                exact = -0.5 + 2 / h * mpmath.cos(theta)
+                assert abs(v - exact) <= 1e-13
 
 
 class TestGallotMeyer:
