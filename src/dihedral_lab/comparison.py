@@ -7,9 +7,9 @@ domain (M, g) must satisfy, at deterministically sampled points:
 - hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
   ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
   (interior, every mapped face, every edge between mapped faces) is
-  sampled once into an array of points; the corner map, curvature and
-  face geometry run as one batch over it, and only the dihedral angles
-  are evaluated point by point;
+  sampled and jetted once into arrays of points; the face correspondence
+  is checked on those arrays, and curvature, face geometry and dihedral
+  angles run as one batch over each;
 - the operator inequalities behind the interior and boundary estimates,
   as positive-semidefiniteness certificates over explicit Clifford modules;
 - the conformal identities used by the rigidity argument.  The Laplacian
@@ -38,7 +38,7 @@ from .curvature import (
     _first_order,
     _nullspace,
     curvature_tensors,
-    dihedral_angle,
+    _dihedral_angles,
     face_geometry,
     wedge_pairs,
 )
@@ -72,6 +72,8 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-6
+# least points checked per face / edge; face tolerance per unit target diameter
+_CHECK_PER_FACE, _CHECK_PER_EDGE, _CHECK_TOL = 8, 4, 1e-6
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
@@ -363,43 +365,10 @@ class CompareScene:
         return cls(domain_src, metric_src, domain_dst, metric_dst,
                    CornerMap(comps, fmap))
 
-    def validate(self, samples_per_face: int = 8, seed: int = 0,
-                 tol: float = 1e-6) -> None:
-        """Check the declared correspondence: faces map into faces, and the
-        differential is injective on edge normal spans, transverse to the
-        target edge."""
-        f = self.corner_map
-        scale = max(1.0, self.domain_dst.diameter())
-        for i, j in f.face_map.items():
-            ys = sample_stratum(self.domain_src, f"face:{i}", samples_per_face, seed)
-            imgs, _ = f.jet(ys)
-            off = ~self.domain_dst.on_faces([j], imgs, tol * scale)
-            if off.any():
-                k = int(np.argmax(off))
-                raise SceneError(
-                    f"face {i + 1} sample {list(ys[k])} maps to {list(imgs[k])}, "
-                    f"not on target face {j + 1}"
-                )
-        pairs = [(i, j) for i in f.face_map for j in f.face_map if i < j]
-        for i, j in pairs:
-            zs = sample_stratum(self.domain_src, f"edge:{i},{j}", 4, seed,
-                                allow_empty=True)
-            pushed = f.jet(zs)[1] @ self.domain_src.normals[[i, j]].T  # (k, m, 2)
-            if np.any(np.linalg.svd(pushed, compute_uv=False)[:, -1] < 1e-8):
-                raise SceneError(
-                    f"differential drops rank on the normal span at edge "
-                    f"({i + 1},{j + 1})"
-                )
-            ti, tj = f.face_map[i], f.face_map[j]
-            edge_tan = _nullspace(self.domain_dst.normals[[ti, tj]])
-            joint = np.concatenate(
-                [pushed, np.broadcast_to(edge_tan, (len(zs),) + edge_tan.shape)], axis=-1)
-            if (joint.shape[-1] == joint.shape[-2]
-                    and np.any(np.abs(np.linalg.det(joint)) < 1e-10)):
-                raise SceneError(
-                    f"pushed normal span meets the target edge "
-                    f"tangent at edge ({i + 1},{j + 1})"
-                )
+    def validate(self, seed: int = 0) -> None:
+        """Check the declared correspondence: faces map into faces, and df is
+        injective on edge normal spans, transverse to the target edge."""
+        _mapped_strata(self, SampleSpec(seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +537,50 @@ def _singular_values(gsrc: np.ndarray, gdst: np.ndarray,
     return np.linalg.svd(tilted, compute_uv=False)
 
 
-def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
-    """Rows (name, stratum, point, hypothesis_margin, equality_residual),
-    one batch per stratum: interior points, then each face, then each edge."""
+def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
+    """``(i, j, points, images, jacobians)`` per mapped face and ``(i, j, points,
+    images)`` per edge i < j between mapped faces, sampled and jetted once at
+    ``max(per_face, _CHECK_PER_FACE)`` / ``max(per_edge, _CHECK_PER_EDGE)``
+    points, all of them checked against the declared correspondence."""
     f = scene.corner_map
     src, dst = scene.domain_src, scene.domain_dst
+    scale = max(1.0, dst.diameter())
+    faces, edges = [], []
+    for i, j in f.face_map.items():
+        ys = sample_stratum(src, f"face:{i}", max(spec.per_face, _CHECK_PER_FACE), spec.seed)
+        imgs, jac = f.jet(ys)
+        off = ~dst.on_faces([j], imgs, _CHECK_TOL * scale)
+        if off.any():
+            k = int(np.argmax(off))
+            raise SceneError(f"face {i + 1} sample {list(ys[k])} maps to "
+                             f"{list(imgs[k])}, not on target face {j + 1}")
+        faces.append((i, j, ys, imgs, jac))
+    for i, j in ((i, j) for i in f.face_map for j in f.face_map if i < j):
+        zs = sample_stratum(src, f"edge:{i},{j}", max(spec.per_edge, _CHECK_PER_EDGE),
+                            spec.seed, allow_empty=True)
+        imgs, jac = f.jet(zs)
+        pushed = jac @ src.normals[[i, j]].T  # (k, m, 2)
+        if np.any(np.linalg.svd(pushed, compute_uv=False)[:, -1] < 1e-8):
+            raise SceneError(f"differential drops rank on the normal span at edge "
+                             f"({i + 1},{j + 1})")
+        edge_tan = _nullspace(dst.normals[[f.face_map[i], f.face_map[j]]])
+        joint = np.concatenate(
+            [pushed, np.broadcast_to(edge_tan, (len(zs),) + edge_tan.shape)], axis=-1)
+        if (joint.shape[-1] == joint.shape[-2]
+                and np.any(np.abs(np.linalg.det(joint)) < 1e-10)):
+            raise SceneError(f"pushed normal span meets the target edge tangent at edge "
+                             f"({i + 1},{j + 1})")
+        edges.append((i, j, zs, imgs))
+    return faces, edges
+
+
+def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
+    """Rows (name, stratum, point, hypothesis_margin, equality_residual),
+    one batch per stratum: interior points, then each face, then each edge; a
+    face or edge reads the first per_face / per_edge points of its stratum."""
+    f = scene.corner_map
+    src, dst = scene.domain_src, scene.domain_dst
+    faces, edges = _mapped_strata(scene, spec)
     rows = []
 
     def extend(name, stratum, pts, gaps):
@@ -585,9 +593,8 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
     sv = _singular_values(gsrc, gdst, jac)
     wedge2 = sv[:, 0] * sv[:, 1] if sv.shape[1] > 1 else np.zeros(len(sv))
     extend("scalar", "interior", xs, sc_src - wedge2 * sc_dst)
-    for i, j in f.face_map.items():
-        ys = sample_stratum(src, f"face:{i}", spec.per_face, spec.seed)
-        fys, jac = f.jet(ys)
+    for i, j, ys, fys, jac in faces:
+        ys, fys, jac = ys[:spec.per_face], fys[:spec.per_face], jac[:spec.per_face]
         off = ~dst.on_faces([j], fys)
         if off.any():
             raise DomainError(f"point {list(fys[np.argmax(off)])} is not on face {j}")
@@ -597,24 +604,19 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
         h_dst = np.trace(_face_forms(dst, j, gdst, ginv, gamma)[0], axis1=1, axis2=2)
         sv = _singular_values(gsrc, gdst, jac)
         extend("mean_curvature", f"face:{i + 1}", ys, h_src - sv[:, 0] * h_dst)
-    for i, j in ((i, j) for i in f.face_map for j in f.face_map if i < j):
-        zs = sample_stratum(src, f"edge:{i},{j}", spec.per_edge, spec.seed,
-                            allow_empty=True)
+    for i, j, zs, fzs in edges:
+        zs, fzs = zs[:spec.per_edge], fzs[:spec.per_edge]
         stratum = f"edge:{i + 1},{j + 1}"
-        # angles need metric values only, so they stay on the value path
-        for z, fz in zip(zs, f.jet(zs)[0]):
-            th_src = dihedral_angle(scene.metric_src, src, i, j, z)
-            th_dst = dihedral_angle(scene.metric_dst, dst, f.face_map[i],
-                                    f.face_map[j], fz)
-            rows.append(("angle", stratum, z, th_dst - th_src, abs(th_dst - th_src)))
-            rows.append(("angle_cap", stratum, z, math.pi - th_dst,
-                         abs(math.pi - th_dst)))
+        th_src = _dihedral_angles(scene.metric_src, src, i, j, zs)
+        th_dst = _dihedral_angles(scene.metric_dst, dst, f.face_map[i], f.face_map[j], fzs)
+        for z, gap, cap in zip(zs, (th_dst - th_src).tolist(), (math.pi - th_dst).tolist()):
+            rows.append(("angle", stratum, z, gap, abs(gap)))
+            rows.append(("angle_cap", stratum, z, cap, abs(cap)))
     return rows
 
 
 def _run_report(scene: CompareScene, spec: SampleSpec, mode: str,
                 tolerance: float) -> ComparisonReport:
-    scene.validate(seed=spec.seed)
     table = tuple(
         (name, stratum, tuple(float(v) for v in pt),
          float(hyp_margin if mode == "hypotheses" else eq_resid))

@@ -210,10 +210,8 @@ class PolyDomain:
             return float(np.linalg.norm(np.subtract(hi, lo)))
         pts = self.vertices()
         if len(pts) >= 2:
-            best = max(
-                float(np.linalg.norm(p - q)) for p, q in combinations(pts, 2)
-            )
-            return max(best, 1e-9)
+            best = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1).max()
+            return max(float(best), 1e-9)
         return 1.0
 
 
@@ -486,31 +484,51 @@ def hypersurface_geometry(
 # ---------------------------------------------------------------------------
 
 
-def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
-                         ) -> np.ndarray:
-    """g-unit vector tangent to face i, g-orthogonal to the edge plane
-    intersection, pointing to the <a_j, .> > 0 side."""
-    a_i = domain.normals[i]
+def _edge_normals_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
+                          ) -> np.ndarray:
+    """g-unit vectors tangent to face i, g-orthogonal to the edge plane
+    intersection, pointing to the <a_j, .> > 0 side, one row per metric of
+    the ``(k, n, n)`` stack ``gmat``."""
     a_j = domain.normals[j]
-    face_basis = _nullspace(a_i[None, :])  # (n, n-1)
+    face_basis = _nullspace(domain.normals[i][None, :])  # (n, n-1)
     if domain.dim == 2:
-        u = face_basis[:, 0]
+        u = np.broadcast_to(face_basis[:, 0], gmat.shape[:-1])
     else:
         # the sought vector is the g-projection of a_j^sharp onto the face
         # plane: tangent to face i, g-orthogonal to every edge direction
         sharp = np.linalg.inv(gmat) @ a_j
-        coef = np.linalg.solve(face_basis.T @ gmat @ face_basis,
-                               face_basis.T @ gmat @ sharp)
-        u = face_basis @ coef
-    nrm = math.sqrt(u @ gmat @ u)
-    if nrm < 1e-14:
+        tilted = face_basis.T @ gmat
+        coef = np.linalg.solve(tilted @ face_basis, tilted @ sharp[..., None])
+        u = (face_basis @ coef)[..., 0]
+    nrm = np.sqrt(u[:, None, :] @ gmat @ u[:, :, None])[:, 0]
+    if np.any(nrm < 1e-14):
         raise DegenerateCornerError("edge normal within face is degenerate")
-    u = u / nrm
-    if a_j @ u < 0:
-        u = -u
-    elif a_j @ u == 0:
+    side = u @ a_j
+    if np.any(side == 0):
         raise DegenerateCornerError("faces meet tangentially")
-    return u
+    return np.where(side < 0, -1.0, 1.0)[:, None] * u / nrm
+
+
+def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
+                     pts: np.ndarray) -> np.ndarray:
+    """``dihedral_angle`` at the rows of a ``(k, n)`` stack of edge points."""
+    if i == j:
+        raise DomainError("need two distinct faces")
+    off = ~domain.on_faces([i, j], pts)
+    if off.any():
+        raise DomainError(f"point {pts[np.argmax(off)].tolist()} is not on edge ({i}, {j})")
+    # angles need metric values only, so they stay on the value path
+    gmat = np.reshape([metric_at(g, x) for x in pts.tolist()], (-1, domain.dim, domain.dim))
+    u = _edge_normals_in_face(domain, gmat, i, j)
+    v = _edge_normals_in_face(domain, gmat, j, i)
+    cosang = (u[:, None, :] @ gmat @ v[:, :, None])[:, 0, 0]  # matmul rounds like one point
+    parallel = np.abs(cosang) >= 1.0 - 1e-12
+    if parallel.any():
+        raise DegenerateCornerError(
+            f"degenerate corner: normals are parallel (cos = {cosang[parallel][0]:.6f})")
+    # libm's acos, correctly rounded where numpy's SIMD arccos is not always
+    theta = np.array([math.acos(c) for c in cosang.tolist()])
+    return theta if domain.region == "intersection" else 2.0 * math.pi - theta
 
 
 def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
@@ -522,22 +540,7 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
     product.  The closure of the complement of that cell has the reflex
     angle ``2 pi - theta`` there.
     """
-    if i == j:
-        raise DomainError("need two distinct faces")
-    if not domain.on_edge(i, j, x):
-        raise DomainError(f"point {list(x)} is not on edge ({i}, {j})")
-    gmat = metric_at(g, x)
-    u = _edge_normal_in_face(domain, gmat, i, j)
-    v = _edge_normal_in_face(domain, gmat, j, i)
-    cosang = float(u @ gmat @ v)
-    if abs(cosang) >= 1.0 - 1e-12:
-        raise DegenerateCornerError(
-            f"degenerate corner: normals are parallel (cos = {cosang:.6f})"
-        )
-    theta = math.acos(max(-1.0, min(1.0, cosang)))
-    if domain.region == "intersection":
-        return theta
-    return 2.0 * math.pi - theta
+    return float(_dihedral_angles(g, domain, i, j, np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +567,12 @@ def _polygon_structure(domain: PolyDomain):
     center = verts.mean(axis=0)
     order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
     loop = verts[order]
-    edges = []
-    k = len(loop)
-    for t in range(k):
-        p, q = loop[t], loop[(t + 1) % k]
-        mid = 0.5 * (p + q)
-        slack = domain.slacks(mid)
-        face = int(np.argmin(np.abs(slack)))
-        if abs(slack[face]) > 1e-7 * max(1.0, domain.diameter()):
-            raise DomainError("polygon edge does not lie on a face")
-        edges.append((p, q, face))
-    return loop, edges
+    ahead = np.roll(loop, -1, axis=0)
+    slack = np.abs(domain.slacks(0.5 * (loop + ahead)))  # at the edge midpoints
+    faces = np.argmin(slack, axis=1)
+    if np.any(slack[np.arange(len(loop)), faces] > 1e-7 * max(1.0, domain.diameter())):
+        raise DomainError("polygon edge does not lie on a face")
+    return loop, list(zip(loop, ahead, faces.tolist()))
 
 
 def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
@@ -619,12 +617,7 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
     geodesic = np.einsum("pk,pkl,pl->p", accel, gmat, nu) / speed
     boundary_term = float(weights @ geodesic)
 
-    corner_term = 0.0
-    k = len(loop)
-    for t in range(k):
-        face_prev = edges[(t - 1) % k][2]
-        face_next = edges[t][2]
-        theta = dihedral_angle(g, domain, face_prev, face_next, loop[t])
-        corner_term += math.pi - theta
+    corner_term = sum(math.pi - dihedral_angle(g, domain, edges[t - 1][2], edges[t][2], loop[t])
+                      for t in range(len(loop)))
 
     return area_term + boundary_term + corner_term - 2.0 * math.pi

@@ -142,6 +142,8 @@ def p_spectrum_numeric(pair: SectorPair, grid: int = 4096, count: int = 5
     """
     if grid < 64:
         raise ValueError("grid must be at least 64")
+    if grid > 2**53:  # float(grid) would round or overflow
+        raise ValueError("grid must be at most 2**53")
     half = 0.5 * pair.delta
     if abs(math.cos(half)) < 1e-12:
         raise ValueError("angle mismatch too close to pi for the mixed condition")

@@ -1,6 +1,6 @@
 """Independent oracles used by several test modules: sympy closed forms,
 a central finite-difference evaluator of expression derivatives, the
-per-point comparison path, the term-by-term random curvature operator,
+per-point comparison path and dihedral angle, the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
 ARPACK (``svds``) norm, the per-entry assembly of the link operator's tridiagonal form, and the
 ``linprog`` domain validation with the per-subset vertex loop."""
@@ -25,14 +25,14 @@ from dihedral_lab.comparison import (
 )
 from dihedral_lab.curvature import (
     _FEAS_TOL,
+    DegenerateCornerError,
     DomainError,
     PolyDomain,
     _nullspace,
     curvature_tensors,
-    dihedral_angle,
     face_geometry,
 )
-from dihedral_lab.expressions import Expr, metric_at
+from dihedral_lab.expressions import Expr, MetricField, metric_at
 from dihedral_lab.sector_spectra import _damped_prefix_sum
 
 # Central finite-difference steps (scaled by max(1, |x_i|) per axis).
@@ -382,6 +382,56 @@ def _metric_norms(scene: CompareScene, x: np.ndarray) -> DfNorms:
     gdst = metric_at(scene.metric_dst, scene.corner_map(x))
     tilted = _sqrtm_spd(gdst) @ jac @ np.linalg.inv(_sqrtm_spd(gsrc))
     return df_norms(tilted)
+
+
+def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
+                         ) -> np.ndarray:
+    """g-unit vector tangent to face i, g-orthogonal to the edge plane
+    intersection, pointing to the <a_j, .> > 0 side."""
+    a_i = domain.normals[i]
+    a_j = domain.normals[j]
+    face_basis = _nullspace(a_i[None, :])  # (n, n-1)
+    if domain.dim == 2:
+        u = face_basis[:, 0]
+    else:
+        # the sought vector is the g-projection of a_j^sharp onto the face
+        # plane: tangent to face i, g-orthogonal to every edge direction
+        sharp = np.linalg.inv(gmat) @ a_j
+        coef = np.linalg.solve(face_basis.T @ gmat @ face_basis,
+                               face_basis.T @ gmat @ sharp)
+        u = face_basis @ coef
+    nrm = math.sqrt(u @ gmat @ u)
+    if nrm < 1e-14:
+        raise DegenerateCornerError("edge normal within face is degenerate")
+    u = u / nrm
+    if a_j @ u < 0:
+        u = -u
+    elif a_j @ u == 0:
+        raise DegenerateCornerError("faces meet tangentially")
+    return u
+
+
+def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
+                   x: Sequence[float]) -> float:
+    """Dihedral angle of faces (i, j) at one edge point, in (0, pi) u (pi, 2 pi):
+    the angle theta between the unit inner normals of the edge inside each
+    face, or ``2 pi - theta`` on the closure of the complement."""
+    if i == j:
+        raise DomainError("need two distinct faces")
+    if not domain.on_edge(i, j, x):
+        raise DomainError(f"point {list(x)} is not on edge ({i}, {j})")
+    gmat = metric_at(g, x)
+    u = _edge_normal_in_face(domain, gmat, i, j)
+    v = _edge_normal_in_face(domain, gmat, j, i)
+    cosang = float(u @ gmat @ v)
+    if abs(cosang) >= 1.0 - 1e-12:
+        raise DegenerateCornerError(
+            f"degenerate corner: normals are parallel (cos = {cosang:.6f})"
+        )
+    theta = math.acos(max(-1.0, min(1.0, cosang)))
+    if domain.region == "intersection":
+        return theta
+    return 2.0 * math.pi - theta
 
 
 def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):

@@ -119,8 +119,13 @@ class TestSpectrumCommand:
          "need count >= 1 and a finite tol >= 0, got 5, inf"),
         (["--alpha", "1.0", "--beta", "2.0", "--count", "100", "--numeric", "64"],
          "count 100 is too large for grid 64 (window past the band)"),
+        (["--alpha", "1", "--beta", "1", "--numeric", "1" + "0" * 400],
+         "grid must be at most 2**53"),
+        (["--alpha", "1", "--beta", "1", "--numeric", str(2**53 + 1)],
+         "grid must be at most 2**53"),
     ], ids=["alpha_inf", "beta_inf_numeric", "alpha_nan", "count_0", "count_minus_1",
-            "tol_nan", "tol_minus_1", "tol_inf", "count_past_band"])
+            "tol_nan", "tol_minus_1", "tol_inf", "count_past_band", "grid_past_float",
+            "grid_inexact_float"])
     def test_sector_bad_input_exit_2(self, runner, args, message):
         result = runner.invoke(main, ["spectrum", "sector", *args])
         assert result.exit_code == 2

@@ -541,11 +541,16 @@ class TestBatchedRows:
 
         from dihedral_lab.cli import main
 
-        batches, enumerated = [], []
+        batches, enumerated, sampled, jetted = [], [], [], []
         first_order = curvature._first_order
         for module in (curvature, comparison):
             monkeypatch.setattr(module, "_first_order", lambda g, pts: (
                 batches.append(len(pts)) or first_order(g, pts)))
+        sample, jet = comparison.sample_stratum, comparison.CornerMap.jet
+        monkeypatch.setattr(comparison, "sample_stratum", lambda dom, stratum, *args, **kw: (
+            sampled.append(stratum) or sample(dom, stratum, *args, **kw)))
+        monkeypatch.setattr(comparison.CornerMap, "jet", lambda cmap, pts: (
+            jetted.append(len(pts)) or jet(cmap, pts)))
         prop = curvature.PolyDomain.__dict__["_vertex_array"]
         enumerate_vertices = prop.func
         monkeypatch.setattr(
@@ -556,7 +561,20 @@ class TestBatchedRows:
         assert result.exit_code == 0
         # two interior batches (source, target) and one per face and metric
         assert batches == [16, 16] + [8] * 12
+        # each stratum is sampled and jetted once: interior, 6 faces, 15 face
+        # pairs (3 of them parallel, so empty)
+        assert sorted(sampled) == sorted(set(sampled)) and len(sampled) == 22
+        assert len(jetted) == 22 and sorted(jetted) == [0] * 3 + [4] * 12 + [8] * 6 + [16]
         assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
+        # fewer reported samples: the correspondence is still checked on 8 / 4
+        # points per face / edge, the curvature runs on the reported ones only
+        del batches[:], jetted[:]
+        result = CliRunner().invoke(main, [
+            "compare", "--scene", str(SCENES_DIR / "cube_id.json"),
+            "--interior", "3", "--per-face", "2", "--per-edge", "1"])
+        assert result.exit_code == 0
+        assert batches == [3, 3] + [2] * 12
+        assert sorted(jetted) == [0] * 3 + [3] + [4] * 12 + [8] * 6
 
 
 class TestSampling:
@@ -576,6 +594,27 @@ class TestSampling:
             assert dom.on_edge(0, 2, x, tol=1e-9)
         for x in sample_stratum(dom, "interior", 8, 0):
             assert dom.contains(x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stratum=st.sampled_from(
+               [("cube_id", "interior"), ("cube_id", "face:3"), ("cube_id", "edge:0,2"),
+                ("cube_id", "edge:0,1"), ("square_id", "interior"),
+                ("square_id", "face:1"), ("square_id", "edge:0,2")]),
+           seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12),
+           more=st.integers(0, 40), allow_empty=st.booleans())
+    def test_shorter_run_is_a_prefix(self, stratum, seed, count, more, allow_empty):
+        # compare validates on max(per_face, 8) / max(per_edge, 4) points and
+        # reports on the first per_face / per_edge of them
+        name, stratum = stratum
+        dom = shipped_scene(name).domain_src
+        try:
+            short = sample_stratum(dom, stratum, count, seed, allow_empty)
+        except DomainError:  # only the parallel pair (0, 1) has no edge
+            assert stratum == "edge:0,1" and not allow_empty
+            return
+        full = sample_stratum(dom, stratum, count + more, seed, allow_empty)
+        assert len(short) == min(count, len(full))
+        assert np.array_equal(short, full[:len(short)])
 
     def test_unknown_stratum(self):
         dom = PolyDomain.from_scene(square_scene_dict())

@@ -6,6 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import symbolic_curvature, sphere_chart_metric_sympy
 from dihedral_lab.curvature import (
     DegenerateCornerError,
@@ -19,6 +20,8 @@ from dihedral_lab.curvature import (
     hypersurface_geometry,
     orthonormal_frame,
     _curvature,
+    _dihedral_angles,
+    _nullspace,
 )
 from dihedral_lab.expressions import (
     MetricNotPositiveDefinite,
@@ -352,6 +355,44 @@ class TestDihedralAngle:
              ((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0)])
         with pytest.raises((DegenerateCornerError, DomainError)):
             dihedral_angle(euclidean_metric(2), dom, 0, 1, (0.0, 0.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), curved=st.booleans(),
+           region=st.sampled_from(["intersection", "complement"]))
+    def test_batched_core_matches_per_point_reference(self, seed, n, curved, region):
+        rng = np.random.default_rng(seed)
+        low = rng.normal(size=(n, n))
+        gmat = low @ low.T + 0.2 * np.eye(n)
+        a, b = rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0)
+        factor = f"exp(({a!r})*sin(x1 + ({b!r})*x2))*" if curved else ""
+        g = parse_metric({f"{p + 1}{q + 1}": f"{factor}({float(gmat[p, q])!r})"
+                          for p in range(n) for q in range(p, n)}, n)
+        normals = rng.normal(size=(2, n))
+        offsets = rng.normal(size=2)
+        dom = PolyDomain.from_halfspaces(list(zip(normals, offsets)), region=region,
+                                         validate=False)
+        vertex = np.linalg.lstsq(dom.normals, dom.offsets, rcond=None)[0]
+        pts = vertex + rng.normal(size=(5, n - 2)) @ _nullspace(dom.normals).T
+        try:
+            want = [_oracles.dihedral_angle(g, dom, 0, 1, x) for x in pts]
+        except DegenerateCornerError:  # nearly parallel random normals
+            with pytest.raises(DegenerateCornerError):
+                _dihedral_angles(g, dom, 0, 1, pts)
+            return
+        got = _dihedral_angles(g, dom, 0, 1, pts)
+        assert np.abs(got - want).max() <= 1e-15
+        assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got.tolist()
+        off = pts.copy()
+        off[-1] += 1e-6 * dom.normals[0]
+        with pytest.raises(DomainError, match="is not on edge"):
+            _dihedral_angles(g, dom, 0, 1, off)
+        for sign in (1.0, -1.0):  # a face paired with its own or the opposite plane
+            flat = PolyDomain.from_halfspaces(
+                [(normals[0], offsets[0]), (sign * normals[0], sign * offsets[0])],
+                region=region, validate=False)
+            on_plane = pts - np.outer(flat.slacks(pts)[:, 0], flat.normals[0])
+            with pytest.raises(DegenerateCornerError):
+                _dihedral_angles(g, flat, 0, 1, on_plane)
 
     def test_point_not_on_edge(self):
         with pytest.raises(DomainError):
