@@ -1,7 +1,7 @@
 """Numerical toolkit for curvature, dihedral-angle and cone-spectrum checks
 on metric polyhedral domains.
 
-Subpackages:
+Modules:
 
 - ``expressions``      scalar expression parser / evaluator and metric fields
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,

@@ -12,51 +12,45 @@ and exits with:
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 
 import click
-import numpy as np
 
-from .comparison import (
-    CompareScene,
-    SampleSpec,
-    SceneError,
-    check_conclusions,
-    check_hypotheses,
-    conformal_identities,
-    random_certificates,
-)
-from .corner_smoothing import mean_curvature_limit, smoothing_arc, turning_integral
-from .curvature import (
-    DomainError,
-    PolyDomain,
-    curvature_tensors,
-    dihedral_angle,
-    gauss_bonnet_defect,
-)
-from .expressions import ExpressionError, MetricNotPositiveDefinite, metric_from_scene
-from .index_lab import PolygonError, index_experiment
-from .sector_spectra import (
-    SectorPair,
-    deficiency_test,
-    esa_verdict,
-    gallot_meyer_bound,
-    hardy_norm,
-    p_spectrum_closed,
-    p_spectrum_numeric,
-)
+# Each command imports the library names it uses when it runs, so that
+# ``--help`` and usage errors load no numpy and each subcommand loads only
+# its own modules.  These names stay reachable as ``cli.<name>``, resolved
+# on access by ``__getattr__``.
+_REEXPORTS = {
+    name: module
+    for module, names in {
+        "numpy": "np",
+        ".comparison": "CompareScene SampleSpec SceneError check_conclusions "
+                       "check_hypotheses conformal_identities random_certificates",
+        ".corner_smoothing": "mean_curvature_limit smoothing_arc turning_integral",
+        ".curvature": "DomainError PolyDomain curvature_tensors dihedral_angle "
+                      "gauss_bonnet_defect",
+        ".expressions": "ExpressionError MetricNotPositiveDefinite metric_from_scene",
+        ".index_lab": "PolygonError index_experiment",
+        ".sector_spectra": "SectorPair deficiency_test esa_verdict gallot_meyer_bound "
+                           "hardy_norm p_spectrum_closed p_spectrum_numeric",
+    }.items()
+    for name in names.split()
+}
 
-_INPUT_ERRORS = (
-    SceneError,
-    DomainError,
-    PolygonError,
-    ExpressionError,
-    MetricNotPositiveDefinite,
-    ValueError,
-    KeyError,
-    OSError,
-)
+
+def __getattr__(name):
+    if name not in _REEXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_REEXPORTS[name], __package__)
+    return module if name == "np" else getattr(module, name)
+
+
+# Every input error class of the library (SceneError, DomainError,
+# PolygonError, ExpressionError, MetricNotPositiveDefinite, ...) is a
+# ValueError.
+_INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +59,8 @@ _INPUT_ERRORS = (
 
 
 def format_json(obj, indent: int = 0) -> str:
+    import numpy as np
+
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -104,6 +100,8 @@ def _load_scene(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
+        from .comparison import SceneError
+
         raise SceneError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
 
@@ -112,6 +110,8 @@ def _parse_point(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
+        from .comparison import SceneError
+
         raise SceneError(f"bad point {text!r}; expected comma-separated floats") from exc
 
 
@@ -156,6 +156,9 @@ def curvature(ctx, scene_path, point_text, tol, output):
     """Curvature tensors of a metric scene at a point."""
 
     def run():
+        from .curvature import curvature_tensors
+        from .expressions import metric_from_scene
+
         g = metric_from_scene(_load_scene(scene_path))
         x = _parse_point(point_text)
         pack = curvature_tensors(g, x)
@@ -187,12 +190,17 @@ def angles(ctx, scene_path, faces, point_text, output):
     """Dihedral angle of two faces at an edge point."""
 
     def run():
+        from .curvature import PolyDomain, dihedral_angle
+        from .expressions import metric_from_scene
+
         scene = _load_scene(scene_path)
         dom = PolyDomain.from_scene(scene)
         g = metric_from_scene(scene)
         try:
             i, j = (int(v) - 1 for v in faces.split(","))
         except ValueError as exc:
+            from .comparison import SceneError
+
             raise SceneError(f"bad face pair {faces!r}") from exc
         x = _parse_point(point_text)
         theta = dihedral_angle(g, dom, i, j, x)
@@ -217,6 +225,9 @@ def gaussbonnet(ctx, scene_path, resolution, tol, output):
     """Gauss-Bonnet defect of a 2-D polygon scene."""
 
     def run():
+        from .curvature import PolyDomain, gauss_bonnet_defect
+        from .expressions import metric_from_scene
+
         scene = _load_scene(scene_path)
         dom = PolyDomain.from_scene(scene)
         g = metric_from_scene(scene)
@@ -247,6 +258,9 @@ def compare(ctx, scene_path, conclusions, tol, seed, interior, per_face,
     """Hypothesis margins / conclusion residuals of a comparison scene."""
 
     def run():
+        from .comparison import (CompareScene, SampleSpec, check_conclusions,
+                                 check_hypotheses)
+
         scene = CompareScene.from_scene(_load_scene(scene_path))
         spec = SampleSpec(interior=interior, per_face=per_face,
                           per_edge=per_edge, seed=seed)
@@ -276,6 +290,10 @@ def certify(ctx, dims, trials, seed, tol, output):
     """Randomized PSD certificates for the interior/boundary estimates."""
 
     def run():
+        import numpy as np
+
+        from .comparison import SceneError, random_certificates
+
         if trials < 1:  # no trial would leave inf minima and count as a pass
             raise SceneError(f"trials must be at least 1, got {trials}")
         rows = {}
@@ -302,6 +320,9 @@ def conformal(ctx, metric_path, factor, point_text, tol, output):
     """Residuals of the conformal curvature identities."""
 
     def run():
+        from .comparison import conformal_identities
+        from .expressions import metric_from_scene
+
         g = metric_from_scene(_load_scene(metric_path))
         x = _parse_point(point_text)
         residuals = conformal_identities(g, factor, x)
@@ -332,6 +353,9 @@ def sector(ctx, alpha, beta, grid, count, tol, csv_path, output):
     """Closed-form (and optionally numeric) sector spectrum."""
 
     def run():
+        from .sector_spectra import (SectorPair, esa_verdict, p_spectrum_closed,
+                                     p_spectrum_numeric)
+
         if count < 1 or not 0.0 <= tol < math.inf:
             raise ValueError(f"need count >= 1 and a finite tol >= 0, got {count}, {tol}")
         pair = SectorPair(alpha, beta)
@@ -375,6 +399,8 @@ def bound(ctx, n, output):
     """Spectral lower bound for higher-dimensional links."""
 
     def run():
+        from .sector_spectra import gallot_meyer_bound
+
         value = gallot_meyer_bound(n)
         report = {"dim": n, "bound": value, "at_least_half": value >= 0.5}
         _finish(ctx, report, output, value >= 0.5)
@@ -391,6 +417,8 @@ def deficiency(ctx, lam, rtol, output):
     """L^2 verdict for the Bessel solution pair at the given eigenvalue."""
 
     def run():
+        from .sector_spectra import deficiency_test
+
         res = deficiency_test(lam, rtol=rtol)
         report = {
             "lambda": lam,
@@ -414,6 +442,8 @@ def hardy(ctx, lam, delta, grid, output):
     """Numeric norm of the triangle kernel against the analytic bound."""
 
     def run():
+        from .sector_spectra import hardy_norm
+
         numeric, bound_ = hardy_norm(lam, delta=delta, grid=grid)
         ok = numeric <= 1.01 * bound_
         report = {"lambda": lam, "delta": delta, "numeric_norm": numeric,
@@ -433,9 +463,13 @@ def smooth(ctx, angle, radii, phi, output):
     """CSV of (radius, turning integral, weighted integral, error)."""
 
     def run():
+        from .corner_smoothing import mean_curvature_limit, smoothing_arc, turning_integral
+
         try:
             rlist = [float(v) for v in radii.split(",")]
         except ValueError as exc:
+            from .comparison import SceneError
+
             raise SceneError(f"bad radii list {radii!r}") from exc
         target = math.pi - angle
         weighted = mean_curvature_limit(angle, phi, rlist)
@@ -464,6 +498,8 @@ def index(ctx, scene_path, output):
     """Cohomological index versus degree x Euler characteristic."""
 
     def run():
+        from .index_lab import index_experiment
+
         report = index_experiment(_load_scene(scene_path))
         _finish(ctx, report, output, bool(report["match"]))
 

@@ -503,10 +503,7 @@ def _edge_normals_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
     nrm = np.sqrt(u[:, None, :] @ gmat @ u[:, :, None])[:, 0]
     if np.any(nrm < 1e-14):
         raise DegenerateCornerError("edge normal within face is degenerate")
-    side = u @ a_j
-    if np.any(side == 0):
-        raise DegenerateCornerError("faces meet tangentially")
-    return np.where(side < 0, -1.0, 1.0)[:, None] * u / nrm
+    return np.where(u @ a_j < 0, -1.0, 1.0)[:, None] * u / nrm
 
 
 def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -501,12 +502,12 @@ class TestInternalErrors:
     verdict-failed code 1 or a traceback."""
 
     def test_unexpected_exception_exits_3(self, runner, monkeypatch):
-        import dihedral_lab.cli as cli
+        from dihedral_lab import sector_spectra
 
         def broken(n):
             raise IndexError("index 7 is out of bounds")
 
-        monkeypatch.setattr(cli, "gallot_meyer_bound", broken)
+        monkeypatch.setattr(sector_spectra, "gallot_meyer_bound", broken)
         result = runner.invoke(main, ["spectrum", "bound", "--dim", "4"])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
@@ -596,23 +597,41 @@ def _src_env():
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
-def _fresh_cli(args, preamble=""):
-    """Run the CLI in a fresh interpreter from the repository root, after
-    the ``preamble`` statements; return its exit code and the ``scipy*``
-    modules it left in ``sys.modules``."""
-    code = (preamble + "import sys\n"
-            "from dihedral_lab.cli import main\n"
-            "code = 0\n"
-            "try:\n"
-            "    main(sys.argv[1:])\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-            " file=sys.stderr)\n")
+def _fresh_modules(code, args=()):
+    """Run ``code`` in a fresh interpreter from the repository root; return
+    its last stderr line and the ``scipy``, ``numpy`` and ``dihedral_lab``
+    modules (with their submodules) it left in ``sys.modules``."""
+    code += ("print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'numpy', 'dihedral_lab')), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(), cwd=ROOT,
                           capture_output=True, text=True, check=True)
-    exit_code, modules = proc.stderr.splitlines()[-1].split(" ", 1)
-    return int(exit_code), modules
+    *_, status, modules = proc.stderr.splitlines()
+    return status, set(ast.literal_eval(modules))
+
+
+def _fresh_cli(args, preamble=""):
+    """Run the CLI in a fresh interpreter after the ``preamble`` statements;
+    return its exit code and the modules ``_fresh_modules`` reports."""
+    status, modules = _fresh_modules(
+        preamble + "import sys\n"
+        "from dihedral_lab.cli import main\n"
+        "code = 0\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, file=sys.stderr)\n", args)
+    return int(status), modules
+
+
+def _scipy(modules):
+    return {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+def _library(modules):
+    """Library modules other than the command line itself, by short name."""
+    return {m.split(".")[1] for m in modules
+            if m.startswith("dihedral_lab.")} - {"cli"}
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -649,7 +668,7 @@ def test_scipy_free_commands_load_no_scipy(args):
     """Start-up guard: these subcommands never import any part of scipy."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
-    assert modules == "[]"
+    assert _scipy(modules) == set()
 
 
 def test_probe_sees_preloaded_scipy():
@@ -659,4 +678,86 @@ def test_probe_sees_preloaded_scipy():
         ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
         preamble="import scipy.linalg\n")
     assert exit_code == 0
-    assert "'scipy.linalg'" in modules
+    assert "scipy.linalg" in modules
+
+
+LIBRARY = {"bessel", "clifford", "comparison", "corner_smoothing", "curvature",
+           "expressions", "index_lab", "sector_spectra"}
+GEOMETRY = {"comparison", "curvature", "expressions", "clifford"}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["spectrum", "--help"], 0),
+    (["hardy"], 2),  # click usage error: --lambda is missing
+], ids=["help", "spectrum-help", "usage-error"])
+def test_help_and_usage_errors_load_no_numpy(args, code):
+    """Start-up guard: help and usage errors stop at the click floor."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == code
+    assert "numpy" not in modules
+    assert _library(modules) == set()
+
+
+@pytest.mark.parametrize("args, loaded, absent", [
+    (["hardy", "--lambda", "1.0", "--grid", "64"], {"sector_spectra"}, GEOMETRY),
+    (["deficiency", "--lambda", "0.25"], {"sector_spectra", "bessel"}, GEOMETRY),
+    (["spectrum", "bound", "--dim", "3"], {"sector_spectra"}, GEOMETRY),
+    (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
+     {"sector_spectra"}, GEOMETRY),
+    (["index", "--scene", "scenes/index_square_id.json"], {"index_lab"},
+     LIBRARY - {"index_lab"}),
+    (["smooth", "--angle", "1.5707963267948966", "--radii", "0.1,0.05"],
+     {"corner_smoothing", "expressions"}, GEOMETRY - {"expressions"}),
+    (["compare", "--scene", "scenes/cube_id.json"], {"comparison", "curvature"}, set()),
+], ids=["hardy", "deficiency", "spectrum-bound", "spectrum-sector-numeric", "index",
+        "smooth", "compare"])
+def test_subcommands_load_only_their_modules(args, loaded, absent):
+    """Start-up guard: the index-theory commands load none of the geometry
+    stack; ``compare`` is the positive control that the probe sees it."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert loaded <= _library(modules)
+    assert not absent & _library(modules)
+
+
+def test_reexported_names_are_the_library_objects():
+    import numpy
+
+    import dihedral_lab.cli as cli
+    from dihedral_lab import comparison, sector_spectra
+
+    assert cli.hardy_norm is sector_spectra.hardy_norm
+    assert cli.SceneError is comparison.SceneError
+    assert cli.np is numpy
+
+
+def test_unknown_cli_attribute_loads_nothing():
+    status, modules = _fresh_modules(
+        "import sys\n"
+        "import dihedral_lab.cli as cli\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc, file=sys.stderr)\n")
+    assert status == "module 'dihedral_lab.cli' has no attribute 'no_such_name'"
+    assert "numpy" not in modules
+    assert _library(modules) == set()
+
+
+def test_library_errors_are_value_errors():
+    """``_INPUT_ERRORS`` catches the library's input errors as ValueError, so
+    every exception class the library defines must stay a subclass of it,
+    or bad input would exit 3 as an internal error."""
+    import importlib
+    import inspect
+
+    errors = {}
+    for name in LIBRARY:
+        module = importlib.import_module(f"dihedral_lab.{name}")
+        errors.update({cls.__name__: cls for cls in vars(module).values()
+                       if inspect.isclass(cls) and issubclass(cls, Exception)
+                       and cls.__module__ == module.__name__})
+    assert {"SceneError", "DomainError", "DegenerateCornerError", "PolygonError",
+            "ExpressionError", "MetricNotPositiveDefinite", "BesselRangeError"} <= set(errors)
+    assert [n for n, cls in errors.items() if not issubclass(cls, ValueError)] == []
