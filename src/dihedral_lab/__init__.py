@@ -6,12 +6,14 @@ Modules:
 - ``expressions``      scalar expression parser / evaluator and metric fields
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
                        second fundamental forms, dihedral angles, Gauss-Bonnet
-- ``clifford``         concrete Clifford modules, boundary projectors and the
-                       Clifford/exterior-form dictionary
-- ``comparison``       map norms, endomorphism PSD certificates, hypothesis /
-                       conclusion margin reports, conformal identities
+- ``clifford``         concrete Clifford modules, boundary projectors, the
+                       Clifford/exterior-form dictionary and the endomorphism
+                       PSD certificates
+- ``comparison``       map norms, hypothesis / conclusion margin reports,
+                       conformal identities
 - ``sector_spectra``   closed-form and discretized spectra of the arc-link
-                       operator, modified Bessel deficiency test, Hardy bound
+                       operator, modified Bessel deficiency test (Gauss-
+                       Legendre panels summed with ``math.fsum``), Hardy bound
 - ``corner_smoothing`` circular-arc corner fillets and turning integrals
 - ``index_lab``        discrete de Rham complexes on polygons and the
                        index-versus-degree experiment

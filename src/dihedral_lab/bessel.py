@@ -19,18 +19,18 @@ The public entry point :func:`bessel_kr` enforces the supported range
 0 < r <= 10, |nu| <= 5.  The private ``_bessel_i`` / ``_bessel_k`` helpers
 accept any r > 0 with |nu| <= 5 (the deficiency integral walks r far below
 the public range) and are validated in the test suite down to r = 1e-130.
+Only the quadrature branch uses numpy, and it imports it when it runs, so
+the series branches (every r < 2) start without numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-import numpy as np
 
 __all__ = ["bessel_kr", "BesselRangeError"]
 
 _SERIES_MAX_TERMS = 600
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
 class BesselRangeError(ValueError):
@@ -101,8 +101,19 @@ def _k_integer_series(n: int, r: float) -> float:
     return fin + logterm + series
 
 
+@functools.cache
+def _quad_rule():
+    """The 48-point Gauss-Legendre nodes and weights, built on first use."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(48)
+
+
 def _k_quadrature(nu: float, r: float) -> float:
     """Integral representation, effective for r >= ~0.3."""
+    import numpy as np
+
+    nodes, weights = _quad_rule()
     nu = abs(nu)
     # choose t_max with exp(-r cosh t + nu t) below 1e-20 * scale
     t = 1.0
@@ -113,10 +124,10 @@ def _k_quadrature(nu: float, r: float) -> float:
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + hw * _QUAD_NODES
+        ts = mid + hw * nodes
         # exponent form keeps the integrand finite for large nu*t
         vals = np.exp(-r * np.cosh(ts) + nu * ts) + np.exp(-r * np.cosh(ts) - nu * ts)
-        total += hw * float(np.dot(_QUAD_WEIGHTS, vals))
+        total += hw * float(np.dot(weights, vals))
     return 0.5 * total
 
 

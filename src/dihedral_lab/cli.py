@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import sys
 
 import click
 
@@ -26,8 +27,9 @@ _REEXPORTS = {
     name: module
     for module, names in {
         "numpy": "np",
+        ".clifford": "random_certificates",
         ".comparison": "CompareScene SampleSpec SceneError check_conclusions "
-                       "check_hypotheses conformal_identities random_certificates",
+                       "check_hypotheses conformal_identities",
         ".corner_smoothing": "mean_curvature_limit smoothing_arc turning_integral",
         ".curvature": "DomainError PolyDomain curvature_tensors dihedral_angle "
                       "gauss_bonnet_defect",
@@ -59,8 +61,9 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def format_json(obj, indent: int = 0) -> str:
-    import numpy as np
-
+    np = sys.modules.get("numpy")  # no numpy scalar exists before numpy loads
+    if np is not None and isinstance(obj, np.generic):
+        obj = obj.item()
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -75,11 +78,11 @@ def format_json(obj, indent: int = 0) -> str:
             return "[]"
         rows = [f"{pad}  {format_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format(float(obj), ".17g")
     if obj is None:
         return "null"
@@ -292,9 +295,11 @@ def certify(ctx, dims, trials, seed, tol, output):
     def run():
         import numpy as np
 
-        from .comparison import SceneError, random_certificates
+        from .clifford import random_certificates
 
         if trials < 1:  # no trial would leave inf minima and count as a pass
+            from .comparison import SceneError
+
             raise SceneError(f"trials must be at least 1, got {trials}")
         rows = {}
         for n in sorted(set(dims)):

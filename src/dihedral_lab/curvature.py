@@ -52,7 +52,6 @@ __all__ = [
     "dihedral_angle",
     "gauss_bonnet_defect",
     "orthonormal_frame",
-    "wedge_pairs",
 ]
 
 _FEAS_TOL = 1e-9
@@ -330,10 +329,6 @@ def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the coordinate frame in index order; columns E_a
     satisfy E^T g E = 1."""
     return _g_orthonormalize(np.eye(gmat.shape[-1]), gmat)
-
-
-def wedge_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:

@@ -19,23 +19,27 @@ roots of ``2 grid phi + arctan(tan(d/2) / cos phi) = j pi``, one per j on the
 band ``cos phi > 1/(4 grid)``: second-order accurate, the k = 0 mode exact.
 
 Deficiency of the cone operator is probed through the L^2 membership of
-the modified-Bessel solution pair sqrt(r) K_{lambda -+ 1/2}(r) near r = 0,
-and the Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
+the modified-Bessel solution pair sqrt(r) K_{lambda -+ 1/2}(r) near r = 0:
+16-point Gauss-Legendre panels over dyadic shells, each panel summed with
+``math.fsum`` (correctly rounded, the same on every machine).  The
+Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
 1/(|lambda| - 1/2); that quantitative constant is validated numerically
 here, it is not a quoted result.  The discretized kernel is never stored:
 it is applied as blocked prefix sums in O(grid) time and memory, and its
 norm comes from Golub-Kahan-Lanczos steps from a fixed start vector.
+Only the Hardy functions use numpy; they import it when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bessel import _bessel_k
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SectorPair",
@@ -53,7 +57,19 @@ __all__ = [
 ESA_THRESHOLD = 0.5
 _NUMERIC_ESA_TOL = 1e-9
 _SECULAR_STEPS = 100  # 3 steps on benchmark inputs, 8 at the band edge
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# numpy.polynomial.legendre.leggauss(16), bit for bit
+_GL_NODES = (-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+             -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+             -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+             0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+             0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+             0.9894009349916499)
+_GL_WEIGHTS = (0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+               0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+               0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+               0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+               0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+               0.027152459411754176)
 
 
 @dataclass(frozen=True)
@@ -154,16 +170,17 @@ def p_spectrum_numeric(pair: SectorPair, grid: int = 4096, count: int = 5
         raise ValueError(f"count {count} is too large for grid {grid} (window past the band)")
     lo, hi = (2 * grid * p + math.atan(t / math.cos(p))
               for p in (math.asin(0.5 * h * (0.5 - window)), math.asin(top)))
-    j_pi = math.pi * np.arange(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1)
-    phi = (j_pi - math.atan(t)) / (2 * grid)
+    j_pi = [math.pi * j for j in range(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1)]
+    phi = [(v - math.atan(t)) / (2 * grid) for v in j_pi]
     for _ in range(_SECULAR_STEPS):
-        phi, last = (j_pi - np.arctan(t / np.cos(phi))) / (2 * grid), phi
-        if np.all(np.abs(phi - last) <= 2 * np.spacing(np.abs(phi))):
+        phi, last = [(v - math.atan(t / math.cos(p))) / (2 * grid)
+                     for v, p in zip(j_pi, phi)], phi
+        if all(abs(p - q) <= 2 * math.ulp(p) for p, q in zip(phi, last)):
             break
     else:
         raise RuntimeError(f"secular equation did not settle in {_SECULAR_STEPS} steps")
-    eigs = sorted(-0.5 + 2.0 / h * np.sin(phi), key=abs)[:count]
-    eigs = tuple(sorted(float(v) for v in eigs))
+    eigs = sorted((-0.5 + 2.0 / h * math.sin(p) for p in phi), key=abs)[:count]
+    eigs = tuple(sorted(eigs))
     min_abs = min(abs(v) for v in eigs)
     return SpectrumReport(eigs, min_abs, min_abs >= ESA_THRESHOLD - _NUMERIC_ESA_TOL)
 
@@ -205,14 +222,11 @@ class DeficiencyResult:
         }
 
 
-def _deficiency_integrand(lam: float, rs: np.ndarray) -> np.ndarray:
-    out = np.empty_like(rs)
-    for i, r in enumerate(rs):
-        # square after the sqrt(r) weighting; the bare K^2 overflows first
-        s_minus = math.sqrt(r) * _bessel_k(lam - 0.5, r)
-        s_plus = math.sqrt(r) * _bessel_k(lam + 0.5, r)
-        out[i] = s_minus * s_minus + s_plus * s_plus
-    return out
+def _deficiency_integrand(lam: float, r: float) -> float:
+    # square after the sqrt(r) weighting; the bare K^2 overflows first
+    s_minus = math.sqrt(r) * _bessel_k(lam - 0.5, r)
+    s_plus = math.sqrt(r) * _bessel_k(lam + 0.5, r)
+    return s_minus * s_minus + s_plus * s_plus
 
 
 def deficiency_test(lam: float, eps_sequence: Sequence[float] | None = None,
@@ -241,8 +255,8 @@ def deficiency_test(lam: float, eps_sequence: Sequence[float] | None = None,
 
     def panel(a: float, b: float) -> float:
         mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        rs = mid + hw * _GL_NODES
-        return hw * float(np.dot(_GL_WEIGHTS, _deficiency_integrand(lam, rs)))
+        return hw * math.fsum(w * _deficiency_integrand(lam, mid + hw * x)
+                              for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
     total = panel(eps_sequence[0], 1.0)
     trace = [(eps_sequence[0], total)]
@@ -272,6 +286,8 @@ def _damped_prefix_sum(logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``s_i = sum_{j <= i} exp(logs_j - logs_i) w_j`` for nondecreasing ``logs``,
     in blocks over which ``logs`` rises by at most ``_BLOCK_RISE`` (no factor
     overflows), the running sum carried across blocks by a factor <= 1."""
+    import numpy as np
+
     out = np.empty_like(w)
     carry, start = 0.0, 0
     while start < len(logs):
@@ -289,6 +305,8 @@ def _top_singular_value(forward, adjoint, n: int) -> float:
     bidiagonalization from the unit vector of ones, the right basis fully
     reorthogonalized; converged once the top Ritz pair's residual
     ``|beta_k p_k|`` is at most 1e-15 sigma or the basis spans R^n."""
+    import numpy as np
+
     basis = np.full((1, n), 1.0 / math.sqrt(n))  # grows by one row a step
     u = forward(basis[0])
     alphas, betas = [math.sqrt(u @ u)], []
@@ -328,6 +346,7 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
         raise ValueError("|lambda| must exceed 1/2 (threshold is unbounded)")
     if delta <= 0.0 or grid < 16:
         raise ValueError("need delta > 0 and a sensible grid")
+    import numpy as np
 
     # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for
     # lam < 0 leaves the norm alone, so M is applied without it

@@ -2,8 +2,9 @@
 a central finite-difference evaluator of expression derivatives, the
 per-point comparison path and dihedral angle, the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
-ARPACK (``svds``) norm, the per-entry assembly of the link operator's tridiagonal form, and the
-``linprog`` domain validation with the per-subset vertex loop."""
+ARPACK (``svds``) norm, the per-entry assembly of the link operator's tridiagonal form, the
+``linprog`` domain validation with the per-subset vertex loop, and the K_nu quadrature with
+its Gauss-Legendre table built once at import."""
 
 import math
 from itertools import combinations
@@ -539,6 +540,27 @@ def tridiagonal_spectrum(alpha: float, beta: float, grid: int, count: int) -> tu
                             eigvals_only=True)
     eigs = sorted(eigs, key=abs)[:count]
     return tuple(sorted(float(v) for v in eigs))
+
+
+_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def table_k_quadrature(nu: float, r: float) -> float:
+    """K_nu(r) by the integral representation, the arithmetic of
+    ``bessel._k_quadrature`` with its 48-point table held at module level."""
+    nu = abs(nu)
+    t = 1.0
+    while r * math.cosh(t) - nu * t < r + 60.0 and t < 60.0:
+        t += 0.5
+    panels = max(8, int(math.ceil(t / 0.75)))
+    edges = np.linspace(0.0, t, panels + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+        ts = mid + hw * _QUAD_NODES
+        vals = np.exp(-r * np.cosh(ts) + nu * ts) + np.exp(-r * np.cosh(ts) - nu * ts)
+        total += hw * float(np.dot(_QUAD_WEIGHTS, vals))
+    return 0.5 * total
 
 
 def linprog_validate(domain: PolyDomain) -> None:

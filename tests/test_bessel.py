@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 import scipy.special as special
 
+from _oracles import table_k_quadrature
 from dihedral_lab.bessel import BesselRangeError, _bessel_i, _bessel_k, bessel_kr
 
 
@@ -105,3 +110,20 @@ class TestTinyArguments:
     def test_i_at_tiny_r(self):
         r = 1e-60
         assert _bessel_i(1.0, r) == pytest.approx(r / 2.0, rel=1e-12)
+
+
+class TestLazyNumpy:
+    """Only the quadrature branch (r >= 2) needs numpy, and it loads it itself."""
+
+    def test_import_loads_no_numpy(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        code = "import sys, dihedral_lab.bessel; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 2.25, 4.0, 5.0])
+    @pytest.mark.parametrize("r", [2.0, 2.5, 3.7, 6.0, 10.0])
+    def test_quadrature_matches_table_at_import(self, nu, r):
+        assert bessel_kr(nu, r)[1] == table_k_quadrature(nu, r)

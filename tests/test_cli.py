@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
-from dihedral_lab import comparison
+from dihedral_lab import clifford
 from dihedral_lab.cli import format_json, main
 
 
@@ -49,6 +49,18 @@ class TestFormatJson:
         assert format_json(3) == "3"
         assert format_json([]) == "[]"
         assert format_json({}) == "{}"
+
+    def test_numpy_scalars(self):
+        import numpy as np
+
+        assert format_json(np.float64(1.0) / 3.0) == "0.33333333333333331"
+        assert format_json(np.float32(0.1)) == "0.10000000149011612"
+        assert format_json(np.int64(-7)) == "-7"
+        assert format_json(np.bool_(True)) == "true"
+        assert format_json(np.bool_(False)) == "false"
+        nested = {"a": [np.float64(0.5), [np.int64(3), np.bool_(False)]]}
+        assert format_json(nested) == (
+            '{\n  "a": [\n    0.5,\n    [\n      3,\n      false\n    ]\n  ]\n}')
 
     def test_valid_json_roundtrip(self):
         obj = {"a": [1.5, 2, True], "b": {"c": None, "d": "x"}}
@@ -259,8 +271,8 @@ class TestOtherCommands:
 
     def test_certify_repeated_dim_runs_once(self, runner, monkeypatch):
         calls = []
-        core = comparison._twisted_min_eigs
-        monkeypatch.setattr(comparison, "_twisted_min_eigs",
+        core = clifford._twisted_min_eigs
+        monkeypatch.setattr(clifford, "_twisted_min_eigs",
                             lambda *args: calls.append(1) or core(*args))
         once = runner.invoke(main, ["certify", "--dim", "2", "--trials", "5"])
         single = len(calls)
@@ -274,8 +286,8 @@ class TestOtherCommands:
         args = ["certify", "--dim", "2", "--dim", "4", "--dim", "6",
                 "--trials", "40"]
         outputs = set()
-        for chunk in (1, 3, comparison._TRIAL_CHUNK):
-            monkeypatch.setattr(comparison, "_TRIAL_CHUNK", chunk)
+        for chunk in (1, 3, clifford._TRIAL_CHUNK):
+            monkeypatch.setattr(clifford, "_TRIAL_CHUNK", chunk)
             result = runner.invoke(main, args)
             assert result.exit_code == 0
             outputs.add(result.output.encode())
@@ -709,16 +721,38 @@ def test_help_and_usage_errors_load_no_numpy(args, code):
      LIBRARY - {"index_lab"}),
     (["smooth", "--angle", "1.5707963267948966", "--radii", "0.1,0.05"],
      {"corner_smoothing", "expressions"}, GEOMETRY - {"expressions"}),
+    (["certify", "--dim", "2", "--trials", "5"], {"clifford"}, LIBRARY - {"clifford"}),
     (["compare", "--scene", "scenes/cube_id.json"], {"comparison", "curvature"}, set()),
 ], ids=["hardy", "deficiency", "spectrum-bound", "spectrum-sector-numeric", "index",
-        "smooth", "compare"])
+        "smooth", "certify", "compare"])
 def test_subcommands_load_only_their_modules(args, loaded, absent):
     """Start-up guard: the index-theory commands load none of the geometry
-    stack; ``compare`` is the positive control that the probe sees it."""
+    stack, ``certify`` loads only ``clifford``; ``compare`` is the positive
+    control that the probe sees it."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
     assert loaded <= _library(modules)
     assert not absent & _library(modules)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["deficiency", "--lambda", "0.25"], 0),
+    (["deficiency", "--lambda", "5"], 2),
+    (["spectrum", "bound", "--dim", "3"], 0),
+    (["spectrum", "bound", "--dim", "2"], 2),
+    (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"], 0),
+    (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"], 0),
+    (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "10"], 2),
+    (["hardy", "--lambda", "1.0", "--grid", "64"], 0),
+], ids=["deficiency", "deficiency-exit-2", "spectrum-bound", "spectrum-bound-exit-2",
+        "spectrum-sector", "spectrum-sector-numeric", "spectrum-sector-numeric-exit-2",
+        "hardy"])
+def test_scalar_spectral_commands_load_no_numpy(args, code):
+    """Start-up guard: the scalar spectral commands run on the stdlib, on
+    success and on bad input; ``hardy`` is the positive control."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == code
+    assert ("numpy" in modules) == (args[0] == "hardy")
 
 
 def test_reexported_names_are_the_library_objects():
@@ -729,6 +763,12 @@ def test_reexported_names_are_the_library_objects():
 
     assert cli.hardy_norm is sector_spectra.hardy_norm
     assert cli.SceneError is comparison.SceneError
+    assert cli.random_certificates is clifford.random_certificates
+    for name in ("wedge_square_map", "bianchi_residual", "random_curvature_operator",
+                 "_check_psd", "_sum_of_squares", "_graded_actions", "_twisted_min_eigs",
+                 "_curvature_min_eigs", "_boundary_min_eigs", "curvature_certificate",
+                 "boundary_certificate", "random_certificates"):
+        assert getattr(comparison, name) is getattr(clifford, name)
     assert cli.np is numpy
 
 

@@ -291,6 +291,25 @@ class TestGallotMeyer:
 
 
 class TestDeficiency:
+    def test_gauss_legendre_literals_are_leggauss_16(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert sector_spectra._GL_NODES == tuple(nodes.tolist())
+        assert sector_spectra._GL_WEIGHTS == tuple(weights.tolist())
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, -0.49, 1.5, 3.7])
+    def test_panel_sums_match_numpy_dot(self, lam):
+        """The fsum panels against the same panels summed by ``numpy.dot``:
+        only the summation order and rounding differ."""
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        res = deficiency_test(lam)
+        edges = [1.0] + [eps for eps, _ in res.integrals]
+        total = 0.0
+        for a, b, (_, got) in zip(edges[1:], edges, res.integrals):
+            mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+            vals = [sector_spectra._deficiency_integrand(lam, r) for r in mid + hw * nodes]
+            total += hw * float(np.dot(weights, vals))
+            assert got == pytest.approx(total, rel=1e-14)
+
     @pytest.mark.parametrize("lam", [0.0, 0.25, -0.25, 0.49, -0.49])
     def test_l2_cases(self, lam):
         assert deficiency_test(lam).is_l2
