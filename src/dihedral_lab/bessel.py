@@ -47,13 +47,12 @@ def _bessel_i(nu: float, r: float) -> float:
         nu = -nu  # I_{-n} = I_n
     half = 0.5 * r
     q = half * half
-    # leading term (r/2)^nu / Gamma(nu+1)
+    # leading term (r/2)^nu / Gamma(nu+1); pow keeps (r/2)^nu to an ulp,
+    # where exp(nu log(r/2)) loses ~|nu log(r/2)| ulps
     try:
-        lead = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+        lead = half ** nu / math.gamma(nu + 1.0)
     except OverflowError:
         return math.inf
-    if nu + 1.0 < 0 and math.gamma(nu + 1.0) < 0:
-        lead = -lead
     total = lead
     term = lead
     for m in range(1, _SERIES_MAX_TERMS):

@@ -83,6 +83,8 @@ def format_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(int(obj))
     if isinstance(obj, float):
+        if not math.isfinite(obj):  # a report bug, not bad input: exit 3
+            raise RuntimeError(f"non-finite float {obj} in a report")
         return format(float(obj), ".17g")
     if obj is None:
         return "null"
@@ -103,9 +105,7 @@ def _load_scene(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        from .comparison import SceneError
-
-        raise SceneError(f"{path}: invalid JSON at line {exc.lineno}, "
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
 
 
@@ -113,9 +113,7 @@ def _parse_point(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        from .comparison import SceneError
-
-        raise SceneError(f"bad point {text!r}; expected comma-separated floats") from exc
+        raise ValueError(f"bad point {text!r}; expected comma-separated floats") from exc
 
 
 def _finish(ctx, report: dict, output: str | None, verdict: bool | None) -> None:
@@ -202,9 +200,7 @@ def angles(ctx, scene_path, faces, point_text, output):
         try:
             i, j = (int(v) - 1 for v in faces.split(","))
         except ValueError as exc:
-            from .comparison import SceneError
-
-            raise SceneError(f"bad face pair {faces!r}") from exc
+            raise ValueError(f"bad face pair {faces!r}") from exc
         x = _parse_point(point_text)
         theta = dihedral_angle(g, dom, i, j, x)
         report = {
@@ -293,14 +289,12 @@ def certify(ctx, dims, trials, seed, tol, output):
     """Randomized PSD certificates for the interior/boundary estimates."""
 
     def run():
+        if trials < 1:  # no trial would leave inf minima and count as a pass
+            raise ValueError(f"trials must be at least 1, got {trials}")
         import numpy as np
 
         from .clifford import random_certificates
 
-        if trials < 1:  # no trial would leave inf minima and count as a pass
-            from .comparison import SceneError
-
-            raise SceneError(f"trials must be at least 1, got {trials}")
         rows = {}
         for n in sorted(set(dims)):
             worst = random_certificates(n, trials, np.random.default_rng(seed + n))
@@ -415,24 +409,15 @@ def bound(ctx, n, output):
 
 @main.command()
 @click.option("--lambda", "lam", required=True, type=float)
-@click.option("--rtol", default=1e-6, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @click.pass_context
-def deficiency(ctx, lam, rtol, output):
+def deficiency(ctx, lam, output):
     """L^2 verdict for the Bessel solution pair at the given eigenvalue."""
 
     def run():
         from .sector_spectra import deficiency_test
 
-        res = deficiency_test(lam, rtol=rtol)
-        report = {
-            "lambda": lam,
-            "is_l2": res.is_l2,
-            "levels": len(res.integrals),
-            "final_eps": res.integrals[-1][0],
-            "final_integral": res.integrals[-1][1],
-        }
-        _finish(ctx, report, output, True)
+        _finish(ctx, deficiency_test(lam).to_dict(), output, True)
 
     _guard(ctx, run)
 
@@ -473,9 +458,7 @@ def smooth(ctx, angle, radii, phi, output):
         try:
             rlist = [float(v) for v in radii.split(",")]
         except ValueError as exc:
-            from .comparison import SceneError
-
-            raise SceneError(f"bad radii list {radii!r}") from exc
+            raise ValueError(f"bad radii list {radii!r}") from exc
         target = math.pi - angle
         weighted = mean_curvature_limit(angle, phi, rlist)
         lines = ["radius,turning_integral,weighted_integral,error"]

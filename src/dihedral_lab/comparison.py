@@ -1,4 +1,4 @@
-"""Comparison machinery: map norms, PSD certificates, margin reports.
+"""Comparison machinery: map norms, margin reports, conformal identities.
 
 Everything here evaluates the inequalities that a curvature / mean-curvature
 / dihedral-angle comparison between a source domain (N, gbar) and a target
@@ -10,14 +10,14 @@ domain (M, g) must satisfy, at deterministically sampled points:
   sampled and jetted once into arrays of points; the face correspondence
   is checked on those arrays, and curvature, face geometry and dihedral
   angles run as one batch over each;
-- the operator inequalities behind the interior and boundary estimates,
-  as positive-semidefiniteness certificates over explicit Clifford modules
-  (defined in ``clifford``, which needs no metric, and re-exported here);
 - the conformal identities used by the rigidity argument.  The Laplacian
   here is div grad (the trace of the Hessian); with that sign the scalar
   identity holds exactly, as does the integration by parts
   ``int h^k lap h = - int <d h^k, dh>`` against an inner-normal-derivative
   boundary term.
+
+The PSD certificates behind the interior and boundary estimates need no
+metric; they live in ``clifford``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import (  # the PSD certificates, re-exported
-    _boundary_min_eigs, _check_psd, _curvature_min_eigs, _graded_actions,
-    _sum_of_squares, _twisted_min_eigs, bianchi_residual, boundary_certificate,
-    curvature_certificate, random_certificates, random_curvature_operator,
-    wedge_square_map,
-)
 from .curvature import (
     CurvaturePack,
     DomainError,
@@ -57,12 +51,6 @@ from .expressions import (
 __all__ = [
     "DfNorms",
     "df_norms",
-    "wedge_square_map",
-    "bianchi_residual",
-    "random_curvature_operator",
-    "curvature_certificate",
-    "boundary_certificate",
-    "random_certificates",
     "CornerMap",
     "CompareScene",
     "SampleSpec",

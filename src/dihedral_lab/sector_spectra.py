@@ -20,8 +20,10 @@ band ``cos phi > 1/(4 grid)``: second-order accurate, the k = 0 mode exact.
 
 Deficiency of the cone operator is probed through the L^2 membership of
 the modified-Bessel solution pair sqrt(r) K_{lambda -+ 1/2}(r) near r = 0:
-16-point Gauss-Legendre panels over dyadic shells, each panel summed with
-``math.fsum`` (correctly rounded, the same on every machine).  The
+one 16-point Gauss-Legendre panel per dyadic shell, summed with ``math.fsum``
+(correctly rounded, the same on every machine).  The shell integrals tend to
+a geometric sequence of ratio 2^-(1 - 2|lambda|); the verdict reads that
+decay exponent off the last shells.  The
 Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
 1/(|lambda| - 1/2); that quantitative constant is validated numerically
 here, it is not a quoted result.  The discretized kernel is never stored:
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .bessel import _bessel_k
 
@@ -107,11 +109,17 @@ def p_spectrum_closed(pair: SectorPair, k_range: Iterable[int] = range(-5, 6)
     """Exact spectrum lattice -beta/(2 alpha) + k pi / alpha.
 
     ``min_abs`` is the distance of the lattice to zero over *all* integers
-    (nearest-lattice-point formula, not a scan of ``k_range``).
+    (nearest-lattice-point formula, not a scan of ``k_range``).  From
+    beta/(2 pi) = 2^52 on, ``beta/2 - pi k*`` keeps no correct digit.
     """
     alpha, beta = pair.alpha, pair.beta
+    if beta / (2.0 * math.pi) >= 2.0 ** 52:
+        raise ValueError(f"beta = {beta} is too large: beta/(2 pi) must stay below 2**52")
     eigs = tuple(sorted(-beta / (2.0 * alpha) + k * math.pi / alpha
                         for k in k_range))
+    if not all(math.isfinite(v) for v in eigs):
+        raise ValueError(f"lattice point past the float range at alpha = {alpha}, "
+                         f"beta = {beta}")
     k_star = round(beta / (2.0 * math.pi))
     min_abs = abs(beta / 2.0 - math.pi * k_star) / alpha
     return SpectrumReport(eigs, min_abs, min_abs >= ESA_THRESHOLD)
@@ -208,17 +216,41 @@ def gallot_meyer_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Forty shells reach r = 2^-40, where the shell ratio is within 1e-13 of its
+# limit for |lam| >= 0.3 (it converges like r^min(4|lam|, 2)) and the last
+# shell is still only ~1e100 at |lam| = 4.5.  L^2 iff the exponent exceeds
+# ten drifts plus 1e-12: rounding moves it by < 1e-15, |lam| = 1/2 gives -0.0
+# with no drift, and |lam| = 1/2 - 1e-10 gives 2e-10.
+_DEFICIENCY_LEVELS, _DRIFT_MULTIPLE, _EXPONENT_FLOOR = 40, 10.0, 1e-12
+
+
 @dataclass(frozen=True)
 class DeficiencyResult:
+    """Integrals over the dyadic shells (2^-(k+1), 2^-k], outermost first.
+
+    ``decay_exponent`` is -log2 of the last shell ratio, 1 - 2|lam| in the
+    limit; ``exponent_drift``, the spread of the last three log2 ratios, says
+    how far from geometric the shells still are and is no error bound (at
+    |lam| = 0.01 the exponent is 1e-2 off, the drift 4e-4).  ``tail``, the
+    geometric remainder below the last shell, is None when not L^2."""
+
     lam: float
     is_l2: bool
-    integrals: tuple  # (eps, integral) pairs, outermost first
+    shells: tuple
+    decay_exponent: float
+    exponent_drift: float
+    tail: float | None
 
     def to_dict(self):
         return {
             "lambda": self.lam,
             "is_l2": self.is_l2,
-            "integrals": [list(p) for p in self.integrals],
+            "levels": len(self.shells),
+            "final_eps": 2.0 ** -len(self.shells),
+            "final_integral": math.fsum(self.shells),
+            "decay_exponent": self.decay_exponent,
+            "exponent_drift": self.exponent_drift,
+            "tail": self.tail,
         }
 
 
@@ -229,48 +261,24 @@ def _deficiency_integrand(lam: float, r: float) -> float:
     return s_minus * s_minus + s_plus * s_plus
 
 
-def deficiency_test(lam: float, eps_sequence: Sequence[float] | None = None,
-                    rtol: float = 1e-6) -> DeficiencyResult:
-    """L^2 verdict for the Bessel solution pair sqrt(r) K_{lam -+ 1/2} on (0, 1].
-
-    Integrates the squared pair over (eps, 1] along the decreasing
-    ``eps_sequence`` (default: dyadic, 2^-2 down to 2^-500) and declares
-    L^2 once two consecutive refinements change the integral by less than
-    ``rtol`` relatively; growth without stabilization (or numeric blow-up)
-    is the not-L^2 verdict.  Matches |lam| < 1/2 exactly on the lattice of
-    interesting parameters.
-    """
+def deficiency_test(lam: float) -> DeficiencyResult:
+    """L^2 verdict for the Bessel solution pair sqrt(r) K_{lam -+ 1/2} on (0, 1],
+    right for every |1/2 - |lam|| >= 1e-10."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if abs(lam) > 4.5:
         raise ValueError("|lambda| > 4.5 exceeds the supported Bessel range")
-    if eps_sequence is None:
-        # the slowest convergent case in scope (|lam| = 0.49, integrand
-        # ~ r^-0.98) stabilizes to 1e-6 only around eps ~ 2^-700; the
-        # integrand stays below the float overflow threshold past 2^-800
-        eps_sequence = [2.0 ** (-k) for k in range(2, 801)]
-    eps_sequence = list(eps_sequence)
-    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps sequence must be strictly decreasing")
-    if eps_sequence[0] >= 1.0:
-        raise ValueError("eps sequence must start below 1")
-
-    def panel(a: float, b: float) -> float:
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        return hw * math.fsum(w * _deficiency_integrand(lam, mid + hw * x)
-                              for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-
-    total = panel(eps_sequence[0], 1.0)
-    trace = [(eps_sequence[0], total)]
-    small_steps = 0
-    for prev, eps in zip(eps_sequence, eps_sequence[1:]):
-        inc = panel(eps, prev)
-        total += inc
-        trace.append((eps, total))
-        if not math.isfinite(total) or total > 1e12:
-            return DeficiencyResult(lam, False, tuple(trace))
-        small_steps = small_steps + 1 if inc <= rtol * total else 0
-        if small_steps >= 2:
-            return DeficiencyResult(lam, True, tuple(trace))
-    return DeficiencyResult(lam, False, tuple(trace))
+    shells = []
+    for k in range(_DEFICIENCY_LEVELS):
+        mid, hw = 0.75 * 2.0 ** -k, 0.25 * 2.0 ** -k
+        shells.append(hw * math.fsum(w * _deficiency_integrand(lam, mid + hw * x)
+                                     for x, w in zip(_GL_NODES, _GL_WEIGHTS)))
+    logs = [math.log2(b / a) for a, b in zip(shells[-4:], shells[-3:])]
+    exponent, drift = -logs[-1], max(logs) - min(logs)
+    is_l2 = exponent > _DRIFT_MULTIPLE * drift + _EXPONENT_FLOOR
+    rho = shells[-1] / shells[-2]
+    tail = shells[-1] * rho / (1.0 - rho) if is_l2 else None
+    return DeficiencyResult(lam, is_l2, tuple(shells), exponent, drift, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ from typing import Sequence
 import numpy as np
 import sympy as sp
 
+from dihedral_lab.clifford import boundary_certificate, curvature_certificate
 from dihedral_lab.comparison import (
     _PRIMES,
     CompareScene,
     DfNorms,
     SampleSpec,
     _window_box,
-    boundary_certificate,
-    curvature_certificate,
     df_norms,
 )
 from dihedral_lab.curvature import (

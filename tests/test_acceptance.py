@@ -13,17 +13,15 @@ import pytest
 
 from dihedral_lab.bessel import bessel_kr
 from dihedral_lab.clifford import (
+    boundary_certificate,
     boundary_projector,
     clifford_module,
+    curvature_certificate,
     forms_isomorphism,
+    random_curvature_operator,
     tangential_subspace,
 )
-from dihedral_lab.comparison import (
-    boundary_certificate,
-    conformal_identities,
-    curvature_certificate,
-    random_curvature_operator,
-)
+from dihedral_lab.comparison import conformal_identities
 from dihedral_lab.corner_smoothing import (
     mean_curvature_limit,
     smoothing_arc,

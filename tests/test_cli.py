@@ -66,6 +66,12 @@ class TestFormatJson:
         obj = {"a": [1.5, 2, True], "b": {"c": None, "d": "x"}}
         assert json.loads(format_json(obj)) == obj
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_raises(self, value):
+        # inf and nan are not JSON; a report holding one is a bug (exit 3)
+        with pytest.raises(RuntimeError, match="non-finite float"):
+            format_json({"a": [1.0, value]})
+
 
 class TestSpectrumCommand:
     def test_sector_example(self, runner):
@@ -136,9 +142,13 @@ class TestSpectrumCommand:
          "grid must be at most 2**53"),
         (["--alpha", "1", "--beta", "1", "--numeric", str(2**53 + 1)],
          "grid must be at most 2**53"),
+        (["--alpha", "1e-308", "--beta", "1"],
+         "lattice point past the float range at alpha = 1e-308, beta = 1.0"),
+        (["--alpha", "1e-300", "--beta", "1e300", "--count", "1"],
+         "beta = 1e+300 is too large: beta/(2 pi) must stay below 2**52"),
     ], ids=["alpha_inf", "beta_inf_numeric", "alpha_nan", "count_0", "count_minus_1",
             "tol_nan", "tol_minus_1", "tol_inf", "count_past_band", "grid_past_float",
-            "grid_inexact_float"])
+            "grid_inexact_float", "lattice_past_float", "beta_past_2_52"])
     def test_sector_bad_input_exit_2(self, runner, args, message):
         result = runner.invoke(main, ["spectrum", "sector", *args])
         assert result.exit_code == 2
@@ -347,6 +357,38 @@ class TestOtherCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["is_l2"] is True
 
+    @pytest.mark.parametrize("lam", [
+        0.0, *(s * v for v in (0.05, 0.25, 0.49, 0.495, 0.499, 0.4999, 0.4999999999,
+                               0.5, 0.5000000001, 0.5001, 0.501, 0.55, 1.0, 1.5, 4.0, 4.5)
+               for s in (1, -1))])
+    def test_deficiency_verdict_table(self, runner, lam):
+        result = runner.invoke(main, ["deficiency", "--lambda", repr(lam)])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert list(report) == ["lambda", "is_l2", "levels", "final_eps", "final_integral",
+                                "decay_exponent", "exponent_drift", "tail"]
+        assert report["lambda"] == lam
+        assert report["is_l2"] is (abs(lam) < 0.5)
+        assert report["final_eps"] == 2.0 ** -report["levels"]
+        assert report["exponent_drift"] >= 0.0
+        assert (report["decay_exponent"] > 0.0) is report["is_l2"]
+        if report["is_l2"]:
+            assert 0.0 < report["tail"] < math.inf
+        else:
+            assert report["tail"] is None
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_deficiency_non_finite_exit_2(self, runner, value):
+        result = runner.invoke(main, ["deficiency", "--lambda", value])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"input error: lambda must be finite, got {float(value)}"]
+
+    def test_deficiency_rtol_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["deficiency", "--lambda", "0.25", "--rtol", "1e-6"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--rtol" in result.output
+
     def test_hardy(self, runner):
         result = runner.invoke(main, ["hardy", "--lambda", "1.0"])
         assert result.exit_code == 0
@@ -525,6 +567,16 @@ class TestInternalErrors:
         assert isinstance(result.exception, SystemExit)
         assert "internal error: IndexError: index 7 is out of bounds" in result.output
         assert "Traceback" not in result.output
+
+    def test_non_finite_report_exits_3(self, runner, monkeypatch):
+        from dihedral_lab import sector_spectra
+
+        monkeypatch.setattr(sector_spectra, "gallot_meyer_bound", lambda n: math.inf)
+        result = runner.invoke(main, ["spectrum", "bound", "--dim", "4"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "internal error: RuntimeError: non-finite float inf in a report"]
 
     def test_hardy_non_convergence_exits_3(self, runner, monkeypatch):
         from dihedral_lab import sector_spectra
@@ -735,6 +787,26 @@ def test_subcommands_load_only_their_modules(args, loaded, absent):
     assert not absent & _library(modules)
 
 
+@pytest.mark.parametrize("args, loaded, absent", [
+    (["certify", "--trials", "0"], set(), LIBRARY | {"numpy"}),
+    (["smooth", "--angle", "1", "--radii", "x"], {"corner_smoothing"},
+     {"comparison", "clifford"}),
+    (["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "a,b"],
+     {"curvature", "expressions"}, {"comparison", "clifford"}),
+    (["angles", "--scene", "scenes/square_metric.json", "--faces", "x",
+      "--point", "0,0"], {"curvature", "expressions"}, {"comparison", "clifford"}),
+], ids=["certify-trials-0", "smooth-radii", "curvature-point", "angles-faces"])
+def test_parse_errors_load_no_comparison(args, loaded, absent):
+    """Start-up guard: a bad flag exits 2 without loading ``comparison`` for
+    an error class, and ``certify --trials 0`` stops before numpy; the
+    modules the command needs anyway are the positive control."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 2
+    seen = _library(modules) | (modules & {"numpy"})
+    assert loaded <= seen
+    assert not absent & seen
+
+
 @pytest.mark.parametrize("args, code", [
     (["deficiency", "--lambda", "0.25"], 0),
     (["deficiency", "--lambda", "5"], 2),
@@ -764,11 +836,6 @@ def test_reexported_names_are_the_library_objects():
     assert cli.hardy_norm is sector_spectra.hardy_norm
     assert cli.SceneError is comparison.SceneError
     assert cli.random_certificates is clifford.random_certificates
-    for name in ("wedge_square_map", "bianchi_residual", "random_curvature_operator",
-                 "_check_psd", "_sum_of_squares", "_graded_actions", "_twisted_min_eigs",
-                 "_curvature_min_eigs", "_boundary_min_eigs", "curvature_certificate",
-                 "boundary_certificate", "random_certificates"):
-        assert getattr(comparison, name) is getattr(clifford, name)
     assert cli.np is numpy
 
 

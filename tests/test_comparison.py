@@ -18,24 +18,26 @@ from _oracles import (
     symbolic_curvature,
     wedge_compound_matrix,
 )
-from dihedral_lab import comparison
-from dihedral_lab.clifford import clifford_module
+from dihedral_lab import clifford
+from dihedral_lab.clifford import (
+    bianchi_residual,
+    boundary_certificate,
+    clifford_module,
+    curvature_certificate,
+    random_certificates,
+    random_curvature_operator,
+    wedge_square_map,
+)
 from dihedral_lab.comparison import (
     CompareScene,
     SampleSpec,
     SceneError,
     _pointwise_quantities,
-    bianchi_residual,
-    boundary_certificate,
     check_conclusions,
     check_hypotheses,
     conformal_identities,
-    curvature_certificate,
     df_norms,
-    random_certificates,
-    random_curvature_operator,
     sample_stratum,
-    wedge_square_map,
 )
 from dihedral_lab.curvature import DomainError, PolyDomain
 from dihedral_lab.expressions import euclidean_metric, parse_metric
@@ -265,10 +267,10 @@ class TestRandomCertificates:
         jacs = np.stack([np.eye(4)] * 2)
         for bad, message in ((ell.T @ ell, "Bianchi"), (-good, "semidefinite")):
             with pytest.raises(ValueError, match=message):
-                comparison._curvature_min_eigs(np.stack([good, bad]), jacs, s, s)
+                clifford._curvature_min_eigs(np.stack([good, bad]), jacs, s, s)
         with pytest.raises(ValueError, match="semidefinite"):
-            comparison._boundary_min_eigs(np.stack([np.eye(3), -np.eye(3)]),
-                                          np.stack([np.eye(3)] * 2), s, s)
+            clifford._boundary_min_eigs(np.stack([np.eye(3), -np.eye(3)]),
+                                        np.stack([np.eye(3)] * 2), s, s)
 
     def test_consumes_the_generator_like_the_loop(self):
         mod = clifford_module(4)

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,47 +300,92 @@ class TestDeficiency:
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, -0.49, 1.5, 3.7])
     def test_panel_sums_match_numpy_dot(self, lam):
-        """The fsum panels against the same panels summed by ``numpy.dot``:
+        """The fsum shells against the same panels summed by ``numpy.dot``:
         only the summation order and rounding differ."""
         nodes, weights = np.polynomial.legendre.leggauss(16)
         res = deficiency_test(lam)
-        edges = [1.0] + [eps for eps, _ in res.integrals]
         total = 0.0
-        for a, b, (_, got) in zip(edges[1:], edges, res.integrals):
+        for k, got in enumerate(res.shells):
+            a, b = 2.0 ** -(k + 1), 2.0 ** -k
             mid, hw = 0.5 * (a + b), 0.5 * (b - a)
             vals = [sector_spectra._deficiency_integrand(lam, r) for r in mid + hw * nodes]
-            total += hw * float(np.dot(weights, vals))
-            assert got == pytest.approx(total, rel=1e-14)
+            panel = hw * float(np.dot(weights, vals))
+            total += panel
+            assert got == pytest.approx(panel, rel=1e-14)
+        assert res.to_dict()["final_integral"] == pytest.approx(total, rel=1e-14)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.25, -0.25, 0.49, -0.49])
+    @pytest.mark.parametrize("lam", [0.0, 0.25, -0.25, 0.49, -0.49, 0.495, -0.499,
+                                     0.4999999999, -0.4999999999])
     def test_l2_cases(self, lam):
         assert deficiency_test(lam).is_l2
 
-    @pytest.mark.parametrize("lam", [0.5, -0.5, 0.75, -0.75, 1.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.5, -0.5, 0.5000000001, -0.5000000001,
+                                     0.75, -0.75, 1.0, -1.0])
     def test_non_l2_cases(self, lam):
         assert not deficiency_test(lam).is_l2
 
     def test_trace_is_monotone(self):
-        res = deficiency_test(0.25)
-        values = [v for _, v in res.integrals]
+        values = list(itertools.accumulate(deficiency_test(0.25).shells))
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_lambda_zero_integral_value(self):
         # closed form: r K_{1/2}(r)^2 = (pi/2) e^{-2r}; integral over (0,1]
         res = deficiency_test(0.0)
         expected = 2.0 * (math.pi / 2.0) * (1.0 - math.exp(-2.0)) / 2.0
-        assert res.integrals[-1][1] == pytest.approx(expected, rel=1e-6)
+        assert res.to_dict()["final_integral"] + res.tail == pytest.approx(expected, rel=1e-14)
 
-    def test_custom_sequence_validation(self):
-        with pytest.raises(ValueError):
-            deficiency_test(0.0, [0.5, 0.6])
-        with pytest.raises(ValueError):
-            deficiency_test(0.0, [1.5, 0.5])
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.25, 0.45, 0.49, 0.495, 0.4999])
+    def test_integral_matches_mpmath(self, lam):
+        """The shells plus the geometric tail against the whole integral over
+        (0, 1] from mpmath, in t = -ln r, at 30 digits."""
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(lam)
+            ref = float(mpmath.quad(
+                lambda t: mpmath.exp(-2 * t) * (mpmath.besselk(nu - 0.5, mpmath.exp(-t)) ** 2
+                                                + mpmath.besselk(nu + 0.5, mpmath.exp(-t)) ** 2),
+                [0, 1, 10, 100, mpmath.inf]))
+        for signed in (lam, -lam):
+            res = deficiency_test(signed)
+            assert res.to_dict()["final_integral"] + res.tail == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.35, 0.45, 0.49, 0.4999, 0.5, 0.5001, 0.55, 0.75,
+                                     1.0, 1.5, 2.25, 3.7, 4.5])
+    def test_exponent_matches_closed_form(self, lam):
+        """From |lam| = 0.3 up the exponent is 1 - 2|lam| to 1e-13 and the
+        drift bounds its error up to rounding."""
+        for signed in (lam, -lam):
+            res = deficiency_test(signed)
+            error = abs(res.decay_exponent - (1.0 - 2.0 * lam))
+            assert error <= 1e-13
+            assert error <= res.exponent_drift + 1e-14
+
+    def test_exponent_near_the_threshold_to_rounding(self):
+        """Next to |lam| = 1/2 the shell ratio is geometric to 2^-80, so the
+        exponent error is the rounding of the Bessel series alone: a few ulps,
+        where exp(nu log(r/2)) for (r/2)^nu would lose ~|nu log(r/2)| ulps."""
+        for lam in (0.45 + 0.005 * i for i in range(21)):
+            for signed in (lam, -lam):
+                error = abs(deficiency_test(signed).decay_exponent - (1.0 - 2.0 * lam))
+                assert error <= 2e-15
+
+    def test_drift_is_no_error_bound_for_small_lambda(self):
+        # the K_{|lam|-1/2} term fades only like r^(4|lam|): at 2^-40 the
+        # exponent is still 1e-2 off, twenty drifts
+        res = deficiency_test(0.01)
+        assert res.is_l2
+        assert res.decay_exponent - 0.98 > 20 * res.exponent_drift
+
+    def test_half_is_log_divergent(self):
+        res = deficiency_test(0.5)
+        assert (res.decay_exponent, res.exponent_drift, res.tail) == (0.0, 0.0, None)
+        assert not res.is_l2
 
     def test_result_shape(self):
         res = deficiency_test(0.0)
         assert isinstance(res, DeficiencyResult)
         assert res.to_dict()["is_l2"] is True
+        assert res.to_dict()["levels"] == len(res.shells) == 40
+        assert res.to_dict()["final_eps"] == 2.0 ** -40
 
 
 class TestHardy:
