@@ -3,7 +3,9 @@ on metric polyhedral domains.
 
 Modules:
 
-- ``expressions``      scalar expression parser / evaluator and metric fields
+- ``expressions``      scalar expression parser / evaluator (on ``math``)
+                       and metric fields; numpy loads only where jets or
+                       metric matrices are built
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
                        second fundamental forms, dihedral angles, Gauss-Bonnet
 - ``clifford``         concrete Clifford modules, boundary projectors, the
@@ -15,6 +17,7 @@ Modules:
                        operator, modified Bessel deficiency test (Gauss-
                        Legendre panels summed with ``math.fsum``), Hardy bound
 - ``corner_smoothing`` circular-arc corner fillets and turning integrals
+                       (stdlib: Simpson's rule summed with ``math.fsum``)
 - ``index_lab``        discrete de Rham complexes on polygons and the
                        index-versus-degree experiment
 - ``cli``              command line front end

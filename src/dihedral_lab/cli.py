@@ -465,7 +465,8 @@ def smooth(ctx, angle, radii, phi, output):
         for r, w in zip(rlist, weighted):
             turning = turning_integral(smoothing_arc(
                 angle, r, edge_length=max(1.0, 10.0 * max(rlist))))
-            lines.append(",".join(format(v, ".17g")
+            # format_json refuses a non-finite value (exit 3), as in the reports
+            lines.append(",".join(format_json(v)
                                   for v in (r, turning, w, abs(turning - target))))
         text = "\n".join(lines) + "\n"
         if output:

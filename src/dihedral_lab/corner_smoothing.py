@@ -25,9 +25,8 @@ planar data; that machinery is deliberately out of scope.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expressions import Expr, parse_expression
 
@@ -43,20 +42,21 @@ ARC_SAMPLES = 2048  # composite-Simpson sample count along the arc
 
 @dataclass(frozen=True)
 class SmoothedCorner:
-    """Arclength samples of the smoothing arc of one corner."""
+    """Arclength samples of the smoothing arc of one corner, as tuples of
+    floats (points and tangents as ``(x, y)`` pairs)."""
 
     angle: float
     radius: float
-    arclength: np.ndarray  # (m,)
-    points: np.ndarray     # (m, 2)
-    tangents: np.ndarray   # (m, 2) unit
-    curvature: np.ndarray  # (m,) signed
+    arclength: tuple  # m floats
+    points: tuple     # m (x, y) pairs
+    tangents: tuple   # m unit (x, y) pairs
+    curvature: tuple  # m signed floats
 
     @property
     def tangent_point_distance(self) -> float:
         """Distance from the vertex to the points where the arc meets the
         edges."""
-        return float(np.linalg.norm(self.points[0]))
+        return math.hypot(*self.points[0])
 
 
 def smoothing_arc(angle: float, radius: float,
@@ -64,13 +64,13 @@ def smoothing_arc(angle: float, radius: float,
     """Canonical circular fillet for a corner of interior ``angle``.
 
     ``angle`` must lie in (0, pi) u (pi, 2 pi); a straight corner needs no
-    smoothing and is rejected.  ``radius`` must leave the tangent points
-    within the edges.
+    smoothing and is rejected.  ``radius`` must be positive and finite and
+    leave the tangent points within the edges.
     """
     if not (0.0 < angle < 2.0 * math.pi) or angle == math.pi:
         raise ValueError("corner angle must lie in (0, pi) or (pi, 2 pi)")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if angle < math.pi:
         opening = angle        # fillet of the corner itself, inside
         sign = 1.0
@@ -90,33 +90,33 @@ def smoothing_arc(angle: float, radius: float,
     else:
         # bisector of the complementary wedge, outside the domain
         center_angle = angle + half
-    center = center_dist * np.array([math.cos(center_angle),
-                                     math.sin(center_angle)])
+    cx = center_dist * math.cos(center_angle)
+    cy = center_dist * math.sin(center_angle)
     sweep = math.pi - opening
     length = radius * sweep
 
-    # radius direction at the tangent point on the x-axis edge; the arc is
-    # traversed from there to the other edge (radius vector rotating
-    # clockwise for the interior fillet, counterclockwise for the exterior)
-    p_start = np.array([tangent_dist, 0.0])
-    start_dir = (p_start - center) / radius
-    phi0 = math.atan2(start_dir[1], start_dir[0])
-    m = ARC_SAMPLES + 1
-    s = np.linspace(0.0, length, m)
-    phis = phi0 - sign * s / radius
-    points = center + radius * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    tangents = sign * np.stack([np.sin(phis), -np.cos(phis)], axis=1)
-    curvature = np.full(m, sign / radius)
+    # radius direction at the tangent point (tangent_dist, 0) on the x-axis
+    # edge; the arc is traversed from there to the other edge (radius vector
+    # rotating clockwise for the interior fillet, counterclockwise for the
+    # exterior)
+    phi0 = math.atan2((0.0 - cy) / radius, (tangent_dist - cx) / radius)
+    step = length / ARC_SAMPLES
+    s = tuple([i * step for i in range(ARC_SAMPLES)] + [length])
+    phis = [phi0 - sign * si / radius for si in s]
+    cosines, sines = list(map(math.cos, phis)), list(map(math.sin, phis))
+    points = tuple(zip([cx + radius * c for c in cosines],
+                       [cy + radius * z for z in sines]))
+    tangents = tuple(zip([sign * z for z in sines], [sign * -c for c in cosines]))
+    curvature = (sign / radius,) * len(s)
     return SmoothedCorner(angle, radius, s, points, tangents, curvature)
 
 
-def _simpson(values: np.ndarray, spacing: float) -> float:
+def _simpson(values, spacing: float) -> float:
     if len(values) % 2 == 0:
         raise ValueError("composite Simpson needs an odd sample count")
-    weights = np.ones(len(values))
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.dot(weights, values)) * spacing / 3.0
+    weights = [2.0, 4.0] * (len(values) // 2) + [1.0]
+    weights[0] = 1.0
+    return math.fsum(map(operator.mul, weights, values)) * spacing / 3.0
 
 
 def turning_integral(corner: SmoothedCorner) -> float:
@@ -141,7 +141,8 @@ def mean_curvature_limit(angle: float, test_function: Expr | str,
     out = []
     for r in radii:
         corner = smoothing_arc(angle, r, edge_length=edge_length)
-        values = np.array([phi.eval(p) for p in corner.points])
+        values = list(map(phi.eval, corner.points))
+        integrand = [k * (v * v) for k, v in zip(corner.curvature, values)]
         spacing = corner.arclength[1] - corner.arclength[0]
-        out.append(_simpson(corner.curvature * values**2, spacing))
+        out.append(_simpson(integrand, spacing))
     return out

@@ -195,7 +195,14 @@ class PolyDomain:
 
     @cached_property
     def _vertex_array(self) -> np.ndarray:
-        pts = np.unique(np.round(_basic_solutions(self.normals, self.offsets), 9), axis=0)
+        # the rows np.unique(axis=0) gives, without its numpy.ma import: of
+        # rows equal up to signed zeros the stable lexsort keeps the first, as
+        # np.unique's sort does up to 16 rows (beyond, its pick is arbitrary)
+        pts = np.round(_basic_solutions(self.normals, self.offsets), 9)
+        pts = pts[np.lexsort(pts.T[::-1])]
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        pts = pts[keep]
         pts.flags.writeable = False  # enumerated once, shared by every caller
         return pts
 

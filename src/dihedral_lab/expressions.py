@@ -13,16 +13,21 @@ Values are plain floats.  First and second derivatives are exact: every
 node propagates its (value, gradient, Hessian) jet over an ``(m, n)`` array
 of points by forward-mode Taylor arithmetic (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed.).  Every object here is immutable after
-construction.
+construction.  Parsing, printing and scalar evaluation use only ``math``;
+numpy is imported by the code that builds arrays (jets, metric matrices)
+when it runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Expr",
@@ -49,19 +54,25 @@ FUNCTIONS = {
     "abs": abs,
 }
 
-# (f, f', f'') of each function for the chain rule of the jets; abs'(0) = 0
-_JET_FUNCTIONS = {
-    "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
-    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
-    "tan": (np.tan, lambda v: 1.0 / np.cos(v) ** 2,
-            lambda v: 2.0 * np.tan(v) / np.cos(v) ** 2),
-    "exp": (np.exp, np.exp, np.exp),
-    "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2),
-    "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 / v**1.5),
-    "sinh": (np.sinh, np.cosh, np.sinh),
-    "cosh": (np.cosh, np.sinh, np.cosh),
-    "abs": (np.abs, np.sign, np.zeros_like),
-}
+
+@functools.cache
+def _jet_functions():
+    """(f, f', f'') of each function for the chain rule of the jets;
+    abs'(0) = 0."""
+    import numpy as np
+
+    return {
+        "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
+        "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
+        "tan": (np.tan, lambda v: 1.0 / np.cos(v) ** 2,
+                lambda v: 2.0 * np.tan(v) / np.cos(v) ** 2),
+        "exp": (np.exp, np.exp, np.exp),
+        "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2),
+        "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 / v**1.5),
+        "sinh": (np.sinh, np.cosh, np.sinh),
+        "cosh": (np.cosh, np.sinh, np.cosh),
+        "abs": (np.abs, np.sign, np.zeros_like),
+    }
 
 
 class ExpressionError(ValueError):
@@ -102,6 +113,8 @@ class Expr:
         :class:`ExpressionDomainError` where a point leaves the domain of a
         subexpression or any entry is not finite, such as the derivative of
         ``x^c`` at ``x = 0`` for ``c < 2`` other than 0 and 1."""
+        import numpy as np
+
         with np.errstate(all="ignore"):
             out = self._jet(np.asarray(x, dtype=float))
             if not all(np.isfinite(part).all() for part in out):
@@ -151,6 +164,8 @@ class Num(Expr):
         return self.value
 
     def _jet(self, x):
+        import numpy as np
+
         m, n = x.shape
         return np.full(m, self.value), np.zeros((m, n)), np.zeros((m, n, n))
 
@@ -176,6 +191,8 @@ class Var(Expr):
             ) from None
 
     def _jet(self, x):
+        import numpy as np
+
         m, n = x.shape
         if self.index >= n:
             raise ExpressionDomainError(f"point has no coordinate x{self.index + 1}")
@@ -243,7 +260,7 @@ class BinOp(Expr):
         a = self.left._jet(x)
         if self.op == "^":
             c, base = self.right.eval(()), a[0]
-            if not float(c).is_integer() and np.any(base < 0.0):
+            if not float(c).is_integer() and (base < 0.0).any():
                 raise ExpressionDomainError(f"non-real power {self.to_text()}")
             # exponents 0 and 1 skip base^(c-1) / base^(c-2), infinite at 0
             d1 = c * base ** (c - 1.0) if c != 0.0 else 0.0 * base
@@ -251,11 +268,11 @@ class BinOp(Expr):
             return _chain(a, base**c, d1, d2)
         b = self.right._jet(x)
         if self.op in "+-":
-            combine = np.add if self.op == "+" else np.subtract
+            combine = operator.add if self.op == "+" else operator.sub
             return tuple(combine(p, q) for p, q in zip(a, b))
         if self.op == "/":
             v = b[0]
-            if np.any(v == 0.0):
+            if (v == 0.0).any():
                 raise ExpressionDomainError("division by zero")
             b = _chain(b, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
         return _product(a, b)
@@ -293,9 +310,9 @@ class Call(Expr):
     def _jet(self, x):
         arg = self.arg._jet(x)
         v = arg[0]
-        if self.func in ("log", "sqrt") and np.any(v <= 0.0):
+        if self.func in ("log", "sqrt") and (v <= 0.0).any():
             raise ExpressionDomainError(f"{self.func}({v[v <= 0.0][0]}) out of domain")
-        return _chain(arg, *(rule(v) for rule in _JET_FUNCTIONS[self.func]))
+        return _chain(arg, *(rule(v) for rule in _jet_functions()[self.func]))
 
     def max_var(self):
         return self.arg.max_var()
@@ -488,6 +505,8 @@ class MetricField:
         return self.entries[(i, j)]
 
     def matrix_at(self, x: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         g = np.empty((self.dim, self.dim))
         for (i, j), e in self.entries.items():
             g[i, j] = g[j, i] = e.eval(x)
@@ -497,6 +516,8 @@ class MetricField:
         """Metric ``g[p, i, j]``, first derivatives ``dg[p, k, i, j] = d_k g_ij``
         and second derivatives ``d2g[p, a, b, i, j] = d_a d_b g_ij`` at the
         rows ``x[p]`` of an ``(m, n)`` array, one jet per stored entry."""
+        import numpy as np
+
         m, n = len(x), self.dim
         g = np.empty((m, n, n))
         dg = np.empty((m, n, n, n))
@@ -557,6 +578,8 @@ def parse_metric(spec: dict, dim: int) -> MetricField:
 
 def metric_at(g: MetricField, x: Sequence[float]) -> np.ndarray:
     """Metric matrix at ``x``; raises if not positive definite there."""
+    import numpy as np
+
     mat = g.matrix_at(x)
     eig = np.linalg.eigvalsh(mat)
     if eig[0] <= 0.0:

@@ -198,8 +198,9 @@ def harmonic_dims(complex_: DecComplex) -> tuple[int, int, int]:
     tails = np.concatenate([f, f + nf, rim])
     heads = np.concatenate([g, (g + nf) % (2 * nf), rim + nf])
     sheets, sheet = _components(2 * nf, tails, heads)
-    folded = np.unique(sheet[:nf][sheet[:nf] == sheet[nf:]])
-    b2 = (sheets - len(folded)) // 2
+    folded = np.sort(sheet[:nf][sheet[:nf] == sheet[nf:]])
+    # distinct folded sheets; np.unique would import numpy.ma to count them
+    b2 = (sheets - np.count_nonzero(np.diff(folded)) - (len(folded) > 0)) // 2
     b1 = complex_.edge_count - (complex_.vertex_count - b0) - (nf - b2)
     return int(b0), int(b1), int(b2)
 

@@ -198,17 +198,18 @@ def gallot_meyer_bound(n: int) -> float:
 
     Also verifies the quadratic identity behind it: for every form degree p
     the combination p(n-1-p) + (p - (n-1)/2)^2 equals (n-1)^2/4 exactly.
+    Times 4 both sides are integers and the difference is quadratic in p,
+    so checking it in integers at p = 0, 1, 2 proves it for every p.
     """
     if n < 3:
         raise ValueError("the bound applies in dimension >= 3")
-    target = (n - 1) ** 2 / 4.0
-    for p in range(n):
-        value = p * (n - 1 - p) + (p - (n - 1) / 2.0) ** 2
-        if value != target:
-            raise AssertionError(
-                f"degree identity failed at p = {p}: {value} != {target}"
-            )
-    return math.sqrt((n - 1) * (n - 2)) / 2.0
+    for p in range(3):
+        if 4 * p * (n - 1 - p) + (2 * p - n + 1) ** 2 != (n - 1) ** 2:
+            raise AssertionError(f"degree identity failed at p = {p}")
+    try:
+        return math.sqrt((n - 1) * (n - 2)) / 2.0
+    except OverflowError:
+        raise ValueError(f"dimension {n} out of range: its bound overflows a float") from None
 
 
 # ---------------------------------------------------------------------------

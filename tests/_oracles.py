@@ -3,8 +3,9 @@ a central finite-difference evaluator of expression derivatives, the
 per-point comparison path and dihedral angle, the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
 ARPACK (``svds``) norm, the per-entry assembly of the link operator's tridiagonal form, the
-``linprog`` domain validation with the per-subset vertex loop, and the K_nu quadrature with
-its Gauss-Legendre table built once at import."""
+``linprog`` domain validation with the per-subset vertex loop, the K_nu quadrature with
+its Gauss-Legendre table built once at import, and the corner fillet with its Simpson
+rule on numpy arrays."""
 
 import math
 from itertools import combinations
@@ -23,6 +24,7 @@ from dihedral_lab.comparison import (
     _window_box,
     df_norms,
 )
+from dihedral_lab.corner_smoothing import ARC_SAMPLES, SmoothedCorner
 from dihedral_lab.curvature import (
     _FEAS_TOL,
     DegenerateCornerError,
@@ -32,7 +34,7 @@ from dihedral_lab.curvature import (
     curvature_tensors,
     face_geometry,
 )
-from dihedral_lab.expressions import Expr, MetricField, metric_at
+from dihedral_lab.expressions import Expr, MetricField, metric_at, parse_expression
 from dihedral_lab.sector_spectra import _damped_prefix_sum
 
 # Central finite-difference steps (scaled by max(1, |x_i|) per axis).
@@ -605,3 +607,90 @@ def loop_vertices(domain: PolyDomain) -> np.ndarray:
         if np.all(domain.slacks(v) >= -1e-9):
             out.append(v)
     return np.unique(np.round(np.array(out), 9), axis=0) if out else np.zeros((0, n))
+
+
+# ---------------------------------------------------------------------------
+# Corner fillet and Simpson rule on numpy arrays
+# ---------------------------------------------------------------------------
+
+
+def numpy_smoothing_arc(angle: float, radius: float,
+                        edge_length: float = 1.0) -> SmoothedCorner:
+    """Canonical circular fillet for a corner of interior ``angle``.
+
+    ``angle`` must lie in (0, pi) u (pi, 2 pi); a straight corner needs no
+    smoothing and is rejected.  ``radius`` must leave the tangent points
+    within the edges.
+    """
+    if not (0.0 < angle < 2.0 * math.pi) or angle == math.pi:
+        raise ValueError("corner angle must lie in (0, pi) or (pi, 2 pi)")
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    if angle < math.pi:
+        opening = angle        # fillet of the corner itself, inside
+        sign = 1.0
+    else:
+        opening = 2.0 * math.pi - angle  # fillet of the complementary wedge
+        sign = -1.0
+    half = 0.5 * opening
+    tangent_dist = radius / math.tan(half)
+    if tangent_dist > edge_length:
+        raise ValueError(
+            f"radius {radius} needs tangent points at distance "
+            f"{tangent_dist:.3g} > edge length {edge_length}"
+        )
+    center_dist = radius / math.sin(half)
+    if angle < math.pi:
+        center_angle = 0.5 * angle
+    else:
+        # bisector of the complementary wedge, outside the domain
+        center_angle = angle + half
+    center = center_dist * np.array([math.cos(center_angle),
+                                     math.sin(center_angle)])
+    sweep = math.pi - opening
+    length = radius * sweep
+
+    # radius direction at the tangent point on the x-axis edge; the arc is
+    # traversed from there to the other edge (radius vector rotating
+    # clockwise for the interior fillet, counterclockwise for the exterior)
+    p_start = np.array([tangent_dist, 0.0])
+    start_dir = (p_start - center) / radius
+    phi0 = math.atan2(start_dir[1], start_dir[0])
+    m = ARC_SAMPLES + 1
+    s = np.linspace(0.0, length, m)
+    phis = phi0 - sign * s / radius
+    points = center + radius * np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    tangents = sign * np.stack([np.sin(phis), -np.cos(phis)], axis=1)
+    curvature = np.full(m, sign / radius)
+    return SmoothedCorner(angle, radius, s, points, tangents, curvature)
+
+
+def numpy_simpson(values: np.ndarray, spacing: float) -> float:
+    if len(values) % 2 == 0:
+        raise ValueError("composite Simpson needs an odd sample count")
+    weights = np.ones(len(values))
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(np.dot(weights, values)) * spacing / 3.0
+
+
+def numpy_mean_curvature_limit(angle: float, test_function: Expr | str,
+                               radii: list[float] | tuple = (0.1, 0.05, 0.025),
+                               edge_length: float | None = None) -> list[float]:
+    """Integrals ``integral k(s) phi(x(s))^2 ds`` for a shrinking fillet.
+
+    As the radius drops to zero these converge to
+    ``(pi - angle) phi(vertex)^2`` with an O(radius) error; consecutive
+    errors shrink proportionally to the radius ratio.
+    """
+    phi = (parse_expression(test_function)
+           if isinstance(test_function, str) else test_function)
+    if edge_length is None:
+        edge_length = max(1.0, 10.0 * max(radii))
+    out = []
+    for r in radii:
+        corner = numpy_smoothing_arc(angle, r, edge_length=edge_length)
+        values = np.array([phi.eval(p) for p in corner.points])
+        spacing = corner.arclength[1] - corner.arclength[0]
+        out.append(numpy_simpson(corner.curvature * values**2, spacing))
+    return out

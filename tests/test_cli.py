@@ -98,6 +98,21 @@ class TestSpectrumCommand:
         assert json.loads(result.output)["bound"] == pytest.approx(
             math.sqrt(2) / 2)
 
+    def test_bound_huge_dimension(self, runner):
+        n = 10**20  # the float identity check failed here, at p = 1512
+        result = runner.invoke(main, ["spectrum", "bound", "--dim", str(n)])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["dim"] == n
+        assert report["bound"] == math.sqrt((n - 1) * (n - 2)) / 2.0
+
+    def test_bound_past_float_range_exit_2(self, runner):
+        n = 10**200
+        result = runner.invoke(main, ["spectrum", "bound", "--dim", str(n)])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"input error: dimension {n} out of range: its bound overflows a float"]
+
     def test_determinism(self, runner):
         args = ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2",
                 "--numeric", "128"]
@@ -427,6 +442,25 @@ class TestOtherCommands:
         assert len(lines) == 3
         first = [float(v) for v in lines[1].split(",")]
         assert first[1] == pytest.approx(math.pi / 2, abs=1e-8)
+
+    @pytest.mark.parametrize("radii, message", [
+        ("inf", "radius must be positive and finite, got inf"),
+        ("nan,0.1", "radius must be positive and finite, got nan"),
+        ("0.1,0", "radius must be positive and finite, got 0.0"),
+        ("-0.1", "radius must be positive and finite, got -0.1"),
+    ], ids=["inf", "nan", "zero", "negative"])
+    def test_smooth_bad_radius_exit_2(self, runner, radii, message):
+        result = runner.invoke(main, ["smooth", "--angle", "1", "--radii", radii])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [f"input error: {message}"]
+
+    def test_smooth_non_finite_value_exits_3(self, runner):
+        # a test function that overflows makes the weighted integral inf
+        result = runner.invoke(main, ["smooth", "--angle", "1", "--radii", "0.1",
+                                      "--test-function", "1e308*10"])
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            "internal error: RuntimeError: non-finite float inf in a report"]
 
     def test_index_scene(self, runner, tmp_path):
         scene = {
@@ -772,7 +806,7 @@ def test_help_and_usage_errors_load_no_numpy(args, code):
     (["index", "--scene", "scenes/index_square_id.json"], {"index_lab"},
      LIBRARY - {"index_lab"}),
     (["smooth", "--angle", "1.5707963267948966", "--radii", "0.1,0.05"],
-     {"corner_smoothing", "expressions"}, GEOMETRY - {"expressions"}),
+     {"corner_smoothing", "expressions"}, LIBRARY - {"corner_smoothing", "expressions"}),
     (["certify", "--dim", "2", "--trials", "5"], {"clifford"}, LIBRARY - {"clifford"}),
     (["compare", "--scene", "scenes/cube_id.json"], {"comparison", "curvature"}, set()),
 ], ids=["hardy", "deficiency", "spectrum-bound", "spectrum-sector-numeric", "index",
@@ -790,7 +824,7 @@ def test_subcommands_load_only_their_modules(args, loaded, absent):
 @pytest.mark.parametrize("args, loaded, absent", [
     (["certify", "--trials", "0"], set(), LIBRARY | {"numpy"}),
     (["smooth", "--angle", "1", "--radii", "x"], {"corner_smoothing"},
-     {"comparison", "clifford"}),
+     {"comparison", "clifford", "numpy"}),
     (["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "a,b"],
      {"curvature", "expressions"}, {"comparison", "clifford"}),
     (["angles", "--scene", "scenes/square_metric.json", "--faces", "x",
@@ -815,16 +849,62 @@ def test_parse_errors_load_no_comparison(args, loaded, absent):
     (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"], 0),
     (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"], 0),
     (["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "10"], 2),
+    (["smooth", "--angle", "1.2", "--radii", "0.08,0.05,0.02"], 0),
+    (["smooth", "--angle", "1", "--radii", "x"], 2),
+    (["smooth", "--angle", "1", "--radii", "inf"], 2),
     (["hardy", "--lambda", "1.0", "--grid", "64"], 0),
 ], ids=["deficiency", "deficiency-exit-2", "spectrum-bound", "spectrum-bound-exit-2",
         "spectrum-sector", "spectrum-sector-numeric", "spectrum-sector-numeric-exit-2",
-        "hardy"])
+        "smooth", "smooth-radii", "smooth-radius-inf", "hardy"])
 def test_scalar_spectral_commands_load_no_numpy(args, code):
-    """Start-up guard: the scalar spectral commands run on the stdlib, on
-    success and on bad input; ``hardy`` is the positive control."""
+    """Start-up guard: the scalar spectral commands, ``smooth`` with its
+    expression parser included, run on the stdlib, on success and on bad
+    input; ``hardy`` is the positive control."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == code
     assert ("numpy" in modules) == (args[0] == "hardy")
+
+
+@pytest.mark.parametrize("args", [
+    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+    ["compare", "--scene", "scenes/cube_id.json"],
+    ["index", "--scene", "scenes/index_square_id.json"],
+], ids=["gaussbonnet", "compare", "index"])
+def test_vertex_and_sheet_counts_load_no_numpy_ma(args):
+    """Start-up guard: the deduplication of polytope vertices and folded
+    sheets does not go through ``np.unique``, whose masked-array check
+    imports ``numpy.ma``; loading numpy is the positive control."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert "numpy" in modules
+    assert "numpy.ma" not in modules
+
+
+def test_probe_sees_preloaded_numpy_ma():
+    """Positive control for the guard above: with ``numpy.ma`` imported
+    before the command runs, the probe reports it."""
+    exit_code, modules = _fresh_cli(
+        ["index", "--scene", "scenes/index_square_id.json"],
+        preamble="import numpy.ma\n")
+    assert exit_code == 0
+    assert "numpy.ma" in modules
+
+
+def test_scalar_expressions_load_no_numpy():
+    """Parsing and scalar evaluation run on ``math``; the jets import numpy
+    when they run, and agree with the scalar value afterwards."""
+    status, modules = _fresh_modules(
+        "import math, sys\n"
+        "from dihedral_lab.expressions import parse_expression\n"
+        "e = parse_expression('x1^2*sin(x2) + sqrt(x1)/cosh(x2)')\n"
+        "v = e.eval((0.5, 0.25))\n"
+        "before = 'numpy' in sys.modules\n"
+        "import numpy as np\n"
+        "value, grad, hess = e.jet(np.array([[0.5, 0.25]]))\n"
+        "same = math.isclose(value[0], v, rel_tol=1e-14)\n"
+        "print(before, same, grad.shape, hess.shape, file=sys.stderr)\n")
+    assert status == "False True (1, 2) (1, 2, 2)"
+    assert "numpy" in modules
 
 
 def test_reexported_names_are_the_library_objects():

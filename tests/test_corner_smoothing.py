@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import numpy_mean_curvature_limit, numpy_simpson, numpy_smoothing_arc
 from dihedral_lab.corner_smoothing import (
+    _simpson,
     mean_curvature_limit,
     smoothing_arc,
     turning_integral,
@@ -30,7 +32,7 @@ class TestSmoothingArc:
 
     def test_reflex_exterior_arc(self):
         c = smoothing_arc(1.5 * math.pi, 0.1)
-        assert np.all(c.curvature < 0.0)
+        assert np.all(np.asarray(c.curvature) < 0.0)
         assert c.arclength[-1] == pytest.approx(0.1 * (1.5 * math.pi - math.pi))
 
     @pytest.mark.parametrize("angle", ANGLES)
@@ -70,6 +72,11 @@ class TestSmoothingArc:
             smoothing_arc(0.0, 0.1)
         with pytest.raises(ValueError):
             smoothing_arc(1.0, -0.1)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_non_finite_or_zero_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            smoothing_arc(1.0, radius, edge_length=math.inf)
 
 
 class TestTurningIntegral:
@@ -122,3 +129,42 @@ class TestMeanCurvatureLimit:
         errors = [abs(v - target) for v in values]
         assert errors[-1] < errors[0]
         assert errors[-1] <= 0.05
+
+
+class TestAgainstNumpyReference:
+    """The stdlib fillet against the numpy arrays and ``np.dot`` Simpson rule
+    it replaced (``tests/_oracles.py``)."""
+
+    GRID = [(angle, r) for angle in (0.4, math.pi / 2, 2.5, math.pi - 0.01,
+                                     math.pi + 0.01, 4.0, 5.5)
+            for r in (0.1, 0.03, 0.004)]
+
+    @pytest.mark.parametrize("angle, r", GRID)
+    def test_samples(self, angle, r):
+        ours, ref = smoothing_arc(angle, r, 10.0), numpy_smoothing_arc(angle, r, 10.0)
+        for field in ("arclength", "points", "tangents", "curvature"):
+            ours_f, ref_f = np.asarray(getattr(ours, field)), getattr(ref, field)
+            assert ours_f.shape == ref_f.shape
+            assert np.abs(ours_f - ref_f).max() <= 1e-15
+        assert ours.tangent_point_distance == pytest.approx(
+            ref.tangent_point_distance, rel=1e-15)
+
+    @pytest.mark.parametrize("angle, r", GRID)
+    def test_integrals(self, angle, r):
+        ours, ref = smoothing_arc(angle, r, 10.0), numpy_smoothing_arc(angle, r, 10.0)
+        spacing = ref.arclength[1] - ref.arclength[0]
+        assert turning_integral(ours) == pytest.approx(
+            numpy_simpson(ref.curvature, spacing), rel=1e-14, abs=0.0)
+        for phi in ("1", "1 + x1", "cos(x1)*x2"):
+            assert mean_curvature_limit(angle, phi, (r,), 10.0) == pytest.approx(
+                numpy_mean_curvature_limit(angle, phi, (r,), 10.0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("count", [1, 3, 5, 2049])
+    def test_simpson_weights(self, count):
+        values = [math.sin(0.37 * i) + 2.0 for i in range(count)]
+        assert _simpson(values, 0.125) == pytest.approx(
+            numpy_simpson(np.array(values), 0.125), rel=1e-14, abs=0.0)
+
+    def test_simpson_even_count_rejected(self):
+        with pytest.raises(ValueError, match="odd sample count"):
+            _simpson([1.0, 2.0], 0.1)

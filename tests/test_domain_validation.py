@@ -195,6 +195,20 @@ class TestVertices:
             assert dom.vertices().shape == expected.shape
             assert dom.vertices().tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dedupe_with_signed_zero_ties_equals_unique(self, seed, monkeypatch):
+        # repeated rows that differ only in signed zeros, as np.round leaves
+        # them; np.unique sorts up to 16 rows stably, so it keeps the first
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-1, 2, size=(int(rng.integers(1, 17)), 3)) * 0.5
+        rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+        dom = PolyDomain.from_halfspaces([((1.0, 0.0, 0.0), 0.0)])
+        monkeypatch.setattr(curvature, "_basic_solutions", lambda a, b: rows)
+        ours = type(dom)._vertex_array.func(dom)  # past the cached value
+        expected = np.unique(rows, axis=0)
+        assert ours.shape == expected.shape
+        assert ours.tobytes() == expected.tobytes()
+
     def test_unbounded_and_flat_cells_have_no_false_vertices(self):
         strip = PolyDomain.from_halfspaces([((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)])
         assert strip.vertices().shape == (0, 2)

@@ -291,6 +291,15 @@ class TestGallotMeyer:
         assert min(values) == 4.0
         assert all(v == 4.0 for v in values)
 
+    @pytest.mark.parametrize("n", [3, 7, 1000, 10**6, 10**20, 3 * 10**40])
+    def test_large_dimensions_exact_formula(self, n):
+        # the float identity check failed past 2^53 and took O(n) steps
+        assert gallot_meyer_bound(n) == math.sqrt((n - 1) * (n - 2)) / 2.0
+
+    def test_past_float_range(self):
+        with pytest.raises(ValueError, match="out of range: its bound overflows a float"):
+            gallot_meyer_bound(10**160)
+
 
 class TestDeficiency:
     def test_gauss_legendre_literals_are_leggauss_16(self):
