@@ -34,6 +34,7 @@ __all__ = [
     "SmoothedCorner",
     "smoothing_arc",
     "turning_integral",
+    "weighted_integral",
     "mean_curvature_limit",
 ]
 
@@ -125,6 +126,14 @@ def turning_integral(corner: SmoothedCorner) -> float:
     return _simpson(corner.curvature, spacing)
 
 
+def weighted_integral(corner: SmoothedCorner, phi: Expr) -> float:
+    """``integral k(s) phi(x(s))^2 ds`` along the arc."""
+    values = list(map(phi.eval, corner.points))
+    integrand = [k * (v * v) for k, v in zip(corner.curvature, values)]
+    spacing = corner.arclength[1] - corner.arclength[0]
+    return _simpson(integrand, spacing)
+
+
 def mean_curvature_limit(angle: float, test_function: Expr | str,
                          radii: list[float] | tuple = (0.1, 0.05, 0.025),
                          edge_length: float | None = None) -> list[float]:
@@ -138,11 +147,5 @@ def mean_curvature_limit(angle: float, test_function: Expr | str,
            if isinstance(test_function, str) else test_function)
     if edge_length is None:
         edge_length = max(1.0, 10.0 * max(radii))
-    out = []
-    for r in radii:
-        corner = smoothing_arc(angle, r, edge_length=edge_length)
-        values = list(map(phi.eval, corner.points))
-        integrand = [k * (v * v) for k, v in zip(corner.curvature, values)]
-        spacing = corner.arclength[1] - corner.arclength[0]
-        out.append(_simpson(integrand, spacing))
-    return out
+    return [weighted_integral(smoothing_arc(angle, r, edge_length=edge_length), phi)
+            for r in radii]

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
-from dihedral_lab import clifford
+from dihedral_lab import cli, clifford
 from dihedral_lab.cli import format_json, main
 
 
@@ -498,6 +498,175 @@ class TestOtherCommands:
         assert json.loads(out.read_text())["dim"] == 4
 
 
+class TestCommandLine:
+    """The stdlib front end parses as click did at the parent: the token
+    after a value option is always its value, ``--opt=value`` works, the
+    last of repeated single-valued options wins, and usage errors exit 2
+    with click's ``Error:`` line."""
+
+    @staticmethod
+    def options(path):
+        entry = (cli._COMMANDS, None)
+        for name in path:
+            entry = entry[0][name]
+        return entry[1]
+
+    @pytest.mark.parametrize("path, args, expected", [
+        (["conformal"], ["--metric", "m.json", "--factor", "1",
+                         "--point", "-0.257862,-0.313593"],
+         {"metric_path": "m.json", "factor": "1", "point_text": "-0.257862,-0.313593",
+          "tol": 1e-3, "output": None}),
+        (["deficiency"], ["--lambda", "-1e-3"], {"lam": -1e-3, "output": None}),
+        (["deficiency"], ["--lambda=-1e-3", "--"], {"lam": -1e-3, "output": None}),
+        (["spectrum", "sector"], ["--alpha=-inf", "--beta", "1", "--csv=a=b.csv"],
+         {"alpha": -math.inf, "beta": 1.0, "csv_path": "a=b.csv", "grid": None,
+          "count": 5, "tol": 1e-3, "output": None}),
+        (["certify"], [], {"dims": (2, 4), "trials": 1000, "seed": 0, "tol": 1e-9,
+                           "output": None}),
+        (["certify"], ["--dim", "6", "--dim=2", "--dim", "6"],
+         {"dims": (6, 2, 6), "trials": 1000, "seed": 0, "tol": 1e-9, "output": None}),
+        (["compare"], ["--scene", "s.json", "--conclusions"],
+         {"scene_path": "s.json", "conclusions": True, "tol": 1e-6, "seed": 0,
+          "interior": 16, "per_face": 8, "per_edge": 4, "csv_path": None, "output": None}),
+        (["compare"], ["--scene", "s.json"],
+         {"scene_path": "s.json", "conclusions": False, "tol": 1e-6, "seed": 0,
+          "interior": 16, "per_face": 8, "per_edge": 4, "csv_path": None, "output": None}),
+        (["hardy"], ["--lambda", "x", "--lambda", "0.7"],
+         {"lam": 0.7, "delta": 1.0, "grid": 1200, "output": None}),
+        (["smooth"], ["--angle", "1", "--radii", "--output", "--test-function", "-x1"],
+         {"angle": 1.0, "radii": "--output", "phi": "-x1", "output": None}),
+        (["spectrum", "bound"], ["--dim", "7", "--output", "o.json"],
+         {"n": 7, "output": "o.json"}),
+    ], ids=["negative-point", "negative-lambda", "equals-value", "equals-minus-inf",
+            "defaults", "repeated-dim", "flag", "flag-default", "last-wins",
+            "option-like-values", "group-command"])
+    def test_parse_table(self, path, args, expected):
+        values = cli._parse(self.options(path), args)
+        assert values == expected
+        assert [type(v) for v in values.values()] == [type(v) for v in expected.values()]
+
+    @pytest.mark.parametrize("args, error", [
+        ([], "Missing command."),
+        (["spectrum"], "Missing command."),
+        (["foo"], "No such command 'foo'."),
+        (["spectrum", "foo"], "No such command 'foo'."),
+        (["--bogus"], "No such option '--bogus'."),
+        (["deficiency", "--lam", "0.3"], "No such option '--lam'."),
+        (["deficiency", "-5"], "No such option '-5'."),
+        (["deficiency"], "Missing option '--lambda'."),
+        (["spectrum", "sector", "--alpha", "1"], "Missing option '--beta'."),
+        (["deficiency", "--lambda"], "Option '--lambda' requires an argument."),
+        (["deficiency", "--lambda", "x"], "Invalid value for '--lambda': 'x' is not a valid float."),
+        (["deficiency", "--lambda="], "Invalid value for '--lambda': '' is not a valid float."),
+        (["spectrum", "bound", "--dim", "2.5"],
+         "Invalid value for '--dim': '2.5' is not a valid integer."),
+        (["certify", "--dim", "2", "--dim", "x"],
+         "Invalid value for '--dim': 'x' is not a valid integer."),
+        (["hardy", "--grid", "x", "--lambda", "y"],
+         "Invalid value for '--grid': 'x' is not a valid integer."),
+        (["deficiency", "--lambda", "0.3", "extra"], "Got unexpected extra argument (extra)"),
+        (["deficiency", "--lambda", "0.3", "--", "a", "b"],
+         "Got unexpected extra arguments (a b)"),
+        (["compare", "--scene", "s.json", "--conclusions=1"],
+         "Option '--conclusions' does not take a value."),
+    ], ids=["no-arguments", "no-subcommand", "unknown-command", "unknown-subcommand",
+            "unknown-group-option", "no-abbreviation", "negative-number-as-option",
+            "missing-option", "missing-second-option", "missing-value", "bad-float",
+            "empty-value", "bad-int", "bad-repeated-int", "first-bad-value-reported",
+            "extra-argument", "extra-arguments", "flag-with-value"])
+    def test_usage_error_exit_2(self, runner, args, error):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert [line for line in result.stderr.splitlines()
+                if line.startswith("Error")] == [f"Error: {error}"]
+
+    @pytest.mark.parametrize("path", [[], ["spectrum"], *(
+        [name] for name in sorted(cli._COMMANDS) if name != "spectrum"),
+        ["spectrum", "sector"], ["spectrum", "bound"]], ids=" ".join)
+    def test_help_lists_commands_options_and_defaults(self, runner, path):
+        result = runner.invoke(main, [*path, "--help"])
+        assert result.exit_code == 0 and result.stderr == ""
+        text = result.stdout
+        assert text.startswith(f"Usage: dihedral-lab {' '.join(path)}".rstrip())
+        if path in ([], ["spectrum"]):
+            table = cli._COMMANDS if not path else cli._SPECTRUM
+            assert all(f"\n  {name} " in text for name in table)
+            return
+        for flag, _, kind, default, *about in self.options(path):
+            assert f"\n  {flag}" in text
+            if default is cli._REQUIRED:
+                assert "[required]" in text
+        assert "--help" in text
+
+    def test_help_shows_defaults(self, runner):
+        text = runner.invoke(main, ["certify", "--help"]).stdout
+        assert "[default: 2, 4]" in text and "[default: 1000]" in text
+        assert "[default: 0]" in text and "[default: 1e-09]" in text
+
+    def test_help_wins_over_bad_values(self, runner):
+        result = runner.invoke(main, ["deficiency", "--lambda", "x", "--help"])
+        assert result.exit_code == 0
+        assert "--lambda FLOAT" in result.stdout
+
+    def test_inprocess_entry_returns_the_code(self, capsys):
+        assert main.main(["spectrum", "bound", "--dim", "2"], prog_name="dihedral-lab",
+                         standalone_mode=False) == 2
+        assert main.main(["deficiency"], standalone_mode=False) == 2
+        assert main.main(["spectrum", "bound", "--dim", "3"], standalone_mode=False) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 3
+
+    def test_main_reads_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["dihedral-lab", "spectrum", "bound", "--dim", "4"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 4
+
+    @pytest.mark.parametrize("scene, faces, point, message", [
+        ("square", "0,1", "0,1", "face 0 out of range 1..4"),
+        ("square", "-1,1", "0,0", "face -1 out of range 1..4"),
+        ("square", "1,5", "0,0", "face 5 out of range 1..4"),
+        ("wedge", "1,3", "0,0", "face 3 out of range 1..2"),
+        ("square", "1,3", "0,0,0", "point '0,0,0' has 3 coordinates; the scene has dim 2"),
+        ("square", "1,3", "0", "point '0' has 1 coordinates; the scene has dim 2"),
+    ], ids=["face-0", "face-minus-1", "face-past-end", "wedge-face-3", "point-3d", "point-1d"])
+    def test_angles_bad_face_or_point_exit_2(self, runner, tmp_path, scene, faces, point,
+                                             message):
+        data = square_scene()
+        if scene == "wedge":
+            data["halfspaces"] = [{"a": [0.0, 1.0], "b": 0.0}, {"a": [-1.0, 1.0], "b": 0.0}]
+        path = write_json(tmp_path / "d.json", data)
+        result = runner.invoke(main, ["angles", "--scene", path, "--faces", faces,
+                                      "--point", point])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [f"input error: {message}"]
+
+    @pytest.mark.parametrize("args, point", [
+        (["curvature", "--scene"], "1,2,3"),
+        (["curvature", "--scene"], "1"),
+        (["conformal", "--factor", "1", "--metric"], "0,0,0"),
+    ], ids=["curvature-3d", "curvature-1d", "conformal-3d"])
+    def test_point_dimension_exit_2(self, runner, args, point):
+        scene = str(ROOT / "scenes" / "sphere2_metric.json")  # a 2-D metric
+        result = runner.invoke(main, [*args, scene, "--point", point])
+        count = len(point.split(","))
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"input error: point {point!r} has {count} coordinates; the scene has dim 2"]
+
+    def test_smooth_builds_each_arc_once(self, runner, monkeypatch):
+        from dihedral_lab import corner_smoothing
+
+        radii = []
+        build = corner_smoothing.smoothing_arc
+        monkeypatch.setattr(corner_smoothing, "smoothing_arc",
+                            lambda angle, r, **kw: radii.append(r) or build(angle, r, **kw))
+        result = runner.invoke(main, ["smooth", "--angle", "1.2", "--radii", "0.08,0.05,0.02"])
+        assert result.exit_code == 0
+        assert radii == [0.08, 0.05, 0.02]
+
+
 class TestMalformedSceneTypes:
     """Scene values of the wrong JSON type are bad input (exit 2, one line
     on stderr), never a traceback with the verdict-failed code."""
@@ -697,10 +866,11 @@ def _src_env():
 
 def _fresh_modules(code, args=()):
     """Run ``code`` in a fresh interpreter from the repository root; return
-    its last stderr line and the ``scipy``, ``numpy`` and ``dihedral_lab``
-    modules (with their submodules) it left in ``sys.modules``."""
-    code += ("print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('scipy', 'numpy', 'dihedral_lab')), file=sys.stderr)\n")
+    its last stderr line and the ``scipy``, ``numpy``, ``click`` and
+    ``dihedral_lab`` modules (with their submodules) it left in
+    ``sys.modules``."""
+    code += ("print(sorted(m for m in sys.modules if m.split('.')[0]"
+             " in ('scipy', 'numpy', 'click', 'dihedral_lab')), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(), cwd=ROOT,
                           capture_output=True, text=True, check=True)
     *_, status, modules = proc.stderr.splitlines()
@@ -726,6 +896,10 @@ def _scipy(modules):
     return {m for m in modules if m.split(".")[0] == "scipy"}
 
 
+def _click(modules):
+    return {m for m in modules if m.split(".")[0] == "click"}
+
+
 def _library(modules):
     """Library modules other than the command line itself, by short name."""
     return {m.split(".")[1] for m in modules
@@ -734,7 +908,7 @@ def _library(modules):
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """Importing the command line loads no ``scipy.sparse`` module, so the
-    start-up of every subcommand stays at the numpy + click floor."""
+    start-up of every subcommand stays at the numpy floor."""
     code = ("import sys, dihedral_lab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
@@ -763,10 +937,21 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         "certify", "deficiency", "spectrum-bound", "spectrum-sector",
         "spectrum-sector-numeric", "smooth", "hardy", "index"])
 def test_scipy_free_commands_load_no_scipy(args):
-    """Start-up guard: these subcommands never import any part of scipy."""
+    """Start-up guard: these subcommands never import any part of scipy, nor
+    click, which only the tests use."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
     assert _scipy(modules) == set()
+    assert _click(modules) == set()
+
+
+def test_probe_sees_preloaded_click():
+    """Positive control for the click guards: with ``click.testing``
+    imported before the command runs, the probe reports it."""
+    exit_code, modules = _fresh_cli(["spectrum", "bound", "--dim", "3"],
+                                    preamble="import click.testing\n")
+    assert exit_code == 0
+    assert {"click", "click.testing"} <= modules
 
 
 def test_probe_sees_preloaded_scipy():
@@ -787,13 +972,15 @@ GEOMETRY = {"comparison", "curvature", "expressions", "clifford"}
 @pytest.mark.parametrize("args, code", [
     (["--help"], 0),
     (["spectrum", "--help"], 0),
-    (["hardy"], 2),  # click usage error: --lambda is missing
+    (["hardy"], 2),  # usage error: --lambda is missing
 ], ids=["help", "spectrum-help", "usage-error"])
 def test_help_and_usage_errors_load_no_numpy(args, code):
-    """Start-up guard: help and usage errors stop at the click floor."""
+    """Start-up guard: help and usage errors stop at the interpreter floor:
+    no numpy, no click."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == code
     assert "numpy" not in modules
+    assert _click(modules) == set()
     assert _library(modules) == set()
 
 
