@@ -499,7 +499,7 @@ class TestOtherCommands:
 
 
 class TestCommandLine:
-    """The stdlib front end parses as click did at the parent: the token
+    """The stdlib front end parses as click does: the token
     after a value option is always its value, ``--opt=value`` works, the
     last of repeated single-valued options wins, and usage errors exit 2
     with click's ``Error:`` line."""
