@@ -18,8 +18,9 @@ Modules:
                        Legendre panels summed with ``math.fsum``), Hardy bound
 - ``corner_smoothing`` circular-arc corner fillets and turning integrals
                        (stdlib: Simpson's rule summed with ``math.fsum``)
-- ``index_lab``        discrete de Rham complexes on polygons and the
-                       index-versus-degree experiment
+- ``index_lab``        the index-versus-degree experiment on flat polygons
+                       in closed form, ``index = V - E + F = #parts``, for
+                       orientation-preserving affine pieces (stdlib)
 - ``cli``              command line front end
 """
 

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from _oracles import dec_complex, harmonic_dims
 from dihedral_lab.bessel import bessel_kr
 from dihedral_lab.clifford import (
     boundary_certificate,
@@ -33,7 +34,7 @@ from dihedral_lab.curvature import (
     gauss_bonnet_defect,
 )
 from dihedral_lab.expressions import euclidean_metric, parse_metric
-from dihedral_lab.index_lab import dec_complex, harmonic_dims, index_experiment
+from dihedral_lab.index_lab import index_experiment
 from dihedral_lab.sector_spectra import (
     SectorPair,
     deficiency_test,

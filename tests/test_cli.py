@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -22,6 +23,11 @@ def runner():
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def index_map(**map_):
+    """Index scene override: one square component with the affine map ``map_``."""
+    return {"N": [{"polygon": {"type": "square"}, "map": map_}]}
 
 
 def square_scene(conformal=None):
@@ -490,6 +496,20 @@ class TestOtherCommands:
         assert result.exit_code == 1
         assert json.loads(result.output)["deg"] == -1
 
+    def test_index_answers_at_any_resolution(self, runner, tmp_path):
+        # the complexes at resolution 10^5 would have 10^10 vertices
+        scene = json.loads((ROOT / "scenes" / "index_two_squares.json").read_text())
+        outputs = []
+        start = time.perf_counter()
+        for resolution in (8, 100_000):
+            path = write_json(tmp_path / f"r{resolution}.json",
+                              {**scene, "resolution": resolution})
+            result = runner.invoke(main, ["index", "--scene", path])
+            assert result.exit_code == 0
+            outputs.append(result.stdout)
+        assert time.perf_counter() - start < 1.0
+        assert outputs[0] == outputs[1]
+
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["spectrum", "bound", "--dim", "4",
@@ -740,6 +760,35 @@ class TestMalformedSceneTypes:
         "resolution_list": {"resolution": [3]},
         "union_parts_number": {"N": [{"polygon": {"type": "union", "parts": 5},
                                       "map": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}]},
+        "matrix_entry_object": index_map(matrix=[[{}, 0], [0, 0.5]]),
+        "matrix_entry_null": index_map(matrix=[[None, 0], [0, 0.5]]),
+        "matrix_entry_string": index_map(matrix=[["0.5", 0], [0, 0.5]]),
+        "matrix_entry_bool": index_map(matrix=[[True, 0], [0, True]]),
+        "matrix_entry_inf": index_map(matrix=[[math.inf, 0], [0, 0.5]]),
+        "matrix_entry_huge_int": index_map(matrix=[[10**400, 0], [0, 0.5]]),
+        "matrix_ragged": index_map(matrix=[[0.5, 0], [0]]),
+        "offset_null": index_map(matrix=[[0.5, 0], [0, 0.5]], offset=None),
+        "offset_three": index_map(matrix=[[0.5, 0], [0, 0.5]], offset=[0.1, 0.1, 0]),
+        "offset_scalar": index_map(matrix=[[0.5, 0], [0, 0.5]], offset=0.1),
+        # exactly singular (opposite columns); numpy's LU determinant read 2.2e-17
+        "matrix_singular": index_map(matrix=[[-0.4, 0.4], [-0.37200000000000005,
+                                                           0.37200000000000005]],
+                                     offset=[0.5, 0.5]),
+        "resolution_float": {"resolution": 2.7},
+        "resolution_bool": {"resolution": True},
+    }
+    # the whole stderr of the cases that used to crash, warn, print numpy's
+    # text or pass
+    INDEX_MESSAGES = {
+        **dict.fromkeys(["matrix_entry_object", "matrix_entry_null", "matrix_entry_string",
+                         "matrix_entry_bool", "matrix_entry_inf", "matrix_entry_huge_int"],
+                        "affine map entries must be finite numbers"),
+        "matrix_ragged": "affine map matrix must be 2 x 2",
+        "matrix_singular": "affine map is degenerate (zero determinant)",
+        **dict.fromkeys(["offset_null", "offset_three", "offset_scalar"],
+                        "affine map offset must be a list of 2 numbers"),
+        **dict.fromkeys(["resolution_float", "resolution_bool"],
+                        "'resolution' must be an integer"),
     }
 
     @pytest.mark.parametrize("case", sorted(INDEX_CASES))
@@ -751,7 +800,10 @@ class TestMalformedSceneTypes:
                    "map": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}],
             **override}
         path = write_json(tmp_path / "s.json", scene)
-        self.assert_input_error(runner.invoke(main, ["index", "--scene", path]))
+        result = runner.invoke(main, ["index", "--scene", path])
+        self.assert_input_error(result)
+        if case in self.INDEX_MESSAGES:
+            assert result.stderr.splitlines() == [f"input error: {self.INDEX_MESSAGES[case]}"]
 
 
 class TestInternalErrors:
@@ -1039,14 +1091,17 @@ def test_parse_errors_load_no_comparison(args, loaded, absent):
     (["smooth", "--angle", "1.2", "--radii", "0.08,0.05,0.02"], 0),
     (["smooth", "--angle", "1", "--radii", "x"], 2),
     (["smooth", "--angle", "1", "--radii", "inf"], 2),
+    (["index", "--scene", "scenes/index_square_id.json"], 0),
+    (["index", "--scene", "scenes/square_metric.json"], 2),  # no 'M' key
     (["hardy", "--lambda", "1.0", "--grid", "64"], 0),
 ], ids=["deficiency", "deficiency-exit-2", "spectrum-bound", "spectrum-bound-exit-2",
         "spectrum-sector", "spectrum-sector-numeric", "spectrum-sector-numeric-exit-2",
-        "smooth", "smooth-radii", "smooth-radius-inf", "hardy"])
+        "smooth", "smooth-radii", "smooth-radius-inf", "index", "index-exit-2", "hardy"])
 def test_scalar_spectral_commands_load_no_numpy(args, code):
     """Start-up guard: the scalar spectral commands, ``smooth`` with its
-    expression parser included, run on the stdlib, on success and on bad
-    input; ``hardy`` is the positive control."""
+    expression parser and ``index`` with its closed form included, run on
+    the stdlib, on success and on bad input; ``hardy`` is the positive
+    control."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == code
     assert ("numpy" in modules) == (args[0] == "hardy")
@@ -1055,12 +1110,11 @@ def test_scalar_spectral_commands_load_no_numpy(args, code):
 @pytest.mark.parametrize("args", [
     ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
     ["compare", "--scene", "scenes/cube_id.json"],
-    ["index", "--scene", "scenes/index_square_id.json"],
-], ids=["gaussbonnet", "compare", "index"])
+], ids=["gaussbonnet", "compare"])
 def test_vertex_and_sheet_counts_load_no_numpy_ma(args):
-    """Start-up guard: the deduplication of polytope vertices and folded
-    sheets does not go through ``np.unique``, whose masked-array check
-    imports ``numpy.ma``; loading numpy is the positive control."""
+    """Start-up guard: the deduplication of polytope vertices does not go
+    through ``np.unique``, whose masked-array check imports ``numpy.ma``;
+    loading numpy is the positive control."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
     assert "numpy" in modules

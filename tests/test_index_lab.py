@@ -8,14 +8,8 @@ from scipy.linalg import block_diag
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from dihedral_lab.index_lab import (
-    DecComplex,
-    PolygonError,
-    _components,
-    dec_complex,
-    harmonic_dims,
-    index_experiment,
-)
+from _oracles import DecComplex, _components, dec_complex, harmonic_dims
+from dihedral_lab.index_lab import PolygonError, _polygon_parts, index_experiment
 
 SQUARE = {"type": "square"}
 TRIANGLE = {"type": "right_triangle"}
@@ -330,3 +324,45 @@ class TestIndexExperiment:
     def test_empty_scene_rejected(self):
         with pytest.raises(PolygonError):
             index_experiment({"resolution": 2, "M": SQUARE, "N": []})
+
+
+# source sets of up to three parts; the half-scale map puts a square or a
+# triangle inside either target
+SOURCE_SETS = [[SQUARE], [TRIANGLE], [SQUARE, TRIANGLE], [TRIANGLE, TRIANGLE],
+               [SQUARE, TRIANGLE, SQUARE]]
+HALF = {"matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]}
+
+
+def engine_report(polygon, k):
+    """``(b0, b1, b2, b0 - b1 + b2)`` of the polygon's complex at resolution k."""
+    b0, b1, b2 = harmonic_dims(dec_complex(polygon, k))
+    return b0, b1, b2, b0 - b1 + b2
+
+
+class TestClosedFormAgainstEngine:
+    """The closed form (``index = V - E + F = #parts``) against the Betti
+    engine of the test oracles, at every resolution 1..64."""
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_report_matches_engine(self, k):
+        chis = {t["type"]: engine_report(t, k)[3] for t in (SQUARE, TRIANGLE)}
+        for sources in SOURCE_SETS:
+            expected = engine_report({"type": "union", "parts": sources}, k)
+            for target in (SQUARE, TRIANGLE):
+                out = index_experiment({"resolution": k, "M": target,
+                                        "N": [{"polygon": p, "map": HALF} for p in sources]})
+                assert (out["b0"], out["b1"], out["b2"], out["index"], out["chi"]) == (
+                    *expected, chis[target["type"]])
+                assert out["match"] is (expected[3] == out["deg"] * out["chi"])
+
+    @pytest.mark.parametrize("polygon", [
+        SQUARE,
+        TRIANGLE,
+        {"type": "union", "parts": [SQUARE]},
+        {"type": "union", "parts": [SQUARE, TRIANGLE]},
+        {"type": "union", "parts": [TRIANGLE, {"type": "union", "parts": [SQUARE, SQUARE]}]},
+    ], ids=["square", "triangle", "union1", "union2", "union3-nested"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_part_count_is_betti_and_euler(self, polygon, k):
+        b0, _, _, euler = engine_report(polygon, k)
+        assert _polygon_parts(polygon) == b0 == euler
