@@ -17,7 +17,6 @@ operators and Jacobians as plain arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -44,13 +43,13 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
 class CliffordModule:
-    """Skew-adjoint generators of Cl(R^n) on a 2^(n/2)-dimensional fiber."""
+    """Skew-adjoint generators of Cl(R^n) on a 2^(n/2)-dimensional fiber, a
+    tuple of (2^(n/2), 2^(n/2)) complex ndarrays, and the grading."""
 
-    n: int
-    generators: tuple  # tuple of (2^(n/2), 2^(n/2)) complex ndarrays
-    grading: np.ndarray
+    __slots__ = ("n", "generators", "grading")
+    def __init__(self, n: int, generators: tuple, grading: np.ndarray):
+        self.n, self.generators, self.grading = n, generators, grading
 
     @property
     def fiber_dim(self) -> int:
@@ -129,7 +128,6 @@ def _check_module(mod: CliffordModule, tol: float = 1e-12) -> None:
         raise AssertionError("grading is not diagonal with half its entries +1, half -1")
 
 
-@dataclass(frozen=True)
 class BoundaryProjector:
     """Orthogonal projector onto the local boundary condition subspace.
 
@@ -137,10 +135,11 @@ class BoundaryProjector:
     projector is (1 - Q)/2 and its image is ker(1 + Q).
     """
 
-    pi: np.ndarray
-    involution: np.ndarray
-    normal_src: np.ndarray
-    normal_dst: np.ndarray
+    __slots__ = ("pi", "involution", "normal_src", "normal_dst")
+    def __init__(self, pi: np.ndarray, involution: np.ndarray, normal_src: np.ndarray,
+                 normal_dst: np.ndarray):
+        self.pi, self.involution = pi, involution
+        self.normal_src, self.normal_dst = normal_src, normal_dst
 
     @property
     def rank(self) -> int:

@@ -23,7 +23,6 @@ metric; they live in ``clifford``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -78,11 +77,11 @@ class SceneError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DfNorms:
-    df_norm: float
-    wedge2_norm: float
-    singular_values: tuple
+    __slots__ = ("df_norm", "wedge2_norm", "singular_values")
+    def __init__(self, df_norm: float, wedge2_norm: float, singular_values: tuple):
+        self.df_norm, self.wedge2_norm = df_norm, wedge2_norm
+        self.singular_values = singular_values
 
 
 def df_norms(jac: np.ndarray) -> DfNorms:
@@ -102,12 +101,13 @@ def df_norms(jac: np.ndarray) -> DfNorms:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CornerMap:
-    """Component expressions of f plus the declared face correspondence."""
+    """Component expressions of f, one per target coordinate, plus the declared
+    face correspondence, source face index -> target face index (0-based)."""
 
-    components: tuple  # Expr per target coordinate
-    face_map: dict  # source face index -> target face index (0-based)
+    __slots__ = ("components", "face_map")
+    def __init__(self, components: tuple, face_map: dict):
+        self.components, self.face_map = components, face_map
 
     def jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Images ``(m, k)`` and Jacobians ``(m, k, n)`` of f at the rows of
@@ -117,13 +117,13 @@ class CornerMap:
                 np.stack([grad for _, grad in parts], axis=1))
 
 
-@dataclass(frozen=True)
 class CompareScene:
-    domain_src: PolyDomain
-    metric_src: MetricField
-    domain_dst: PolyDomain
-    metric_dst: MetricField
-    corner_map: CornerMap
+    __slots__ = ("domain_src", "metric_src", "domain_dst", "metric_dst", "corner_map")
+    def __init__(self, domain_src: PolyDomain, metric_src: MetricField,
+                 domain_dst: PolyDomain, metric_dst: MetricField, corner_map: CornerMap):
+        self.domain_src, self.metric_src = domain_src, metric_src
+        self.domain_dst, self.metric_dst = domain_dst, metric_dst
+        self.corner_map = corner_map
 
     @classmethod
     def from_scene(cls, scene: dict) -> "CompareScene":
@@ -277,14 +277,12 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SampleSpec:
-    interior: int = 16
-    per_face: int = 8
-    per_edge: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
+    __slots__ = ("interior", "per_face", "per_edge", "seed")
+    def __init__(self, interior: int = 16, per_face: int = 8, per_edge: int = 4,
+                 seed: int = 0):
+        self.interior, self.per_face, self.per_edge = interior, per_face, per_edge
+        self.seed = seed
         for name in ("interior", "per_face", "per_edge"):
             if getattr(self, name) < 1:
                 # a margin with no samples would silently count as a pass
@@ -292,11 +290,10 @@ class SampleSpec:
                                  f"got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
 class MarginRecord:
-    value: float
-    witness: tuple
-    stratum: str
+    __slots__ = ("value", "witness", "stratum")
+    def __init__(self, value: float, witness: tuple, stratum: str):
+        self.value, self.witness, self.stratum = value, witness, stratum
 
     def to_dict(self):
         return {
@@ -306,13 +303,15 @@ class MarginRecord:
         }
 
 
-@dataclass(frozen=True)
 class ComparisonReport:
-    mode: str  # "hypotheses" | "conclusions"
-    margins: dict  # name -> MarginRecord
-    tolerance: float
-    holds: bool
-    table: tuple = ()  # rows (margin name, stratum, point tuple, value)
+    """``mode`` "hypotheses" or "conclusions", ``margins`` name -> MarginRecord,
+    ``table`` rows (margin name, stratum, point tuple, value)."""
+
+    __slots__ = ("mode", "margins", "tolerance", "holds", "table")
+    def __init__(self, mode: str, margins: dict, tolerance: float, holds: bool,
+                 table: tuple = ()):
+        self.mode, self.margins, self.tolerance = mode, margins, tolerance
+        self.holds, self.table = holds, table
 
     def to_dict(self):
         return {

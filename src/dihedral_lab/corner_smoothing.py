@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .expressions import Expr, parse_expression
 
@@ -41,17 +40,15 @@ __all__ = [
 ARC_SAMPLES = 2048  # composite-Simpson sample count along the arc
 
 
-@dataclass(frozen=True)
 class SmoothedCorner:
-    """Arclength samples of the smoothing arc of one corner, as tuples of
-    floats (points and tangents as ``(x, y)`` pairs)."""
+    """Arclength samples of the smoothing arc of one corner, as tuples: m floats,
+    m ``(x, y)`` points, m unit ``(x, y)`` tangents and m signed curvatures."""
 
-    angle: float
-    radius: float
-    arclength: tuple  # m floats
-    points: tuple     # m (x, y) pairs
-    tangents: tuple   # m unit (x, y) pairs
-    curvature: tuple  # m signed floats
+    __slots__ = ("angle", "radius", "arclength", "points", "tangents", "curvature")
+    def __init__(self, angle: float, radius: float, arclength: tuple, points: tuple,
+                 tangents: tuple, curvature: tuple):
+        self.angle, self.radius, self.arclength = angle, radius, arclength
+        self.points, self.tangents, self.curvature = points, tangents, curvature
 
     @property
     def tangent_point_distance(self) -> float:

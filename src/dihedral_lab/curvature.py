@@ -23,7 +23,6 @@ batch axis of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
@@ -71,7 +70,6 @@ class DegenerateCornerError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PolyDomain:
     """Polyhedral chart domain cut out by half-spaces ``<a_i, x> >= b_i``.
 
@@ -83,11 +81,13 @@ class PolyDomain:
     pieces in both modes; only the membership test differs.
     """
 
-    dim: int
-    normals: np.ndarray  # (k, n), unit rows
-    offsets: np.ndarray  # (k,)
-    region: str = "intersection"
-    window: tuple | None = None  # optional ((lo...), (hi...)) sampling box
+    # normals (k, n) unit rows, offsets (k,), window an optional ((lo...),
+    # (hi...)) sampling box; __dict__ holds the cached _vertex_array
+    __slots__ = ("dim", "normals", "offsets", "region", "window", "__dict__")
+    def __init__(self, dim: int, normals: np.ndarray, offsets: np.ndarray,
+                 region: str = "intersection", window: tuple | None = None):
+        self.dim, self.normals, self.offsets = dim, normals, offsets
+        self.region, self.window = region, window
 
     @classmethod
     def from_halfspaces(
@@ -238,7 +238,6 @@ def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CurvaturePack:
     """Christoffel symbols and curvature tensors of g at one point.
 
@@ -246,13 +245,12 @@ class CurvaturePack:
     all-lowered tensor R_{ijkl}.
     """
 
-    point: tuple
-    metric: np.ndarray
-    metric_inv: np.ndarray
-    gamma: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
+    __slots__ = ("point", "metric", "metric_inv", "gamma", "riemann", "ricci", "scalar")
+    def __init__(self, point: tuple, metric: np.ndarray, metric_inv: np.ndarray,
+                 gamma: np.ndarray, riemann: np.ndarray, ricci: np.ndarray,
+                 scalar: float):
+        self.point, self.metric, self.metric_inv = point, metric, metric_inv
+        self.gamma, self.riemann, self.ricci, self.scalar = gamma, riemann, ricci, scalar
 
     def antisymmetry_residual(self) -> float:
         r = self.riemann
@@ -359,15 +357,15 @@ def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FaceGeometry:
     """Second fundamental form (inner normal) on a g-orthonormal tangent
-    basis of the face, and its trace."""
+    basis of the face (the ``(n, n-1)`` columns), and its trace."""
 
-    second_fundamental: np.ndarray
-    mean_curvature: float
-    tangent_basis: np.ndarray  # (n, n-1) columns
-    inner_normal: np.ndarray
+    __slots__ = ("second_fundamental", "mean_curvature", "tangent_basis", "inner_normal")
+    def __init__(self, second_fundamental: np.ndarray, mean_curvature: float,
+                 tangent_basis: np.ndarray, inner_normal: np.ndarray):
+        self.second_fundamental, self.mean_curvature = second_fundamental, mean_curvature
+        self.tangent_basis, self.inner_normal = tangent_basis, inner_normal
 
 
 def _nullspace(rows: np.ndarray) -> np.ndarray:

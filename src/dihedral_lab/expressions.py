@@ -12,7 +12,7 @@ Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Values are plain floats.  First and second derivatives are exact: every
 node propagates its (value, gradient, Hessian) jet over an ``(m, n)`` array
 of points by forward-mode Taylor arithmetic (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed.).  Every object here is immutable after
+*Evaluating Derivatives*, 2nd ed.).  Expression nodes are immutable after
 construction.  Parsing, printing and scalar evaluation use only ``math``;
 numpy is imported by the code that builds arrays (jets, metric matrices)
 when it runs.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -97,9 +96,30 @@ class ExpressionDomainError(ExpressionError):
 
 
 class Expr:
-    """Immutable expression tree node."""
+    """Immutable expression tree node.  Equality is structural and type-aware
+    (same class, equal fields: ``Num(1.0) != Var(1)``), equal nodes hash equal,
+    and ``MetricField.jet`` relies on both to share one jet between equal
+    entries."""
 
     __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), *self._fields()))
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.eval(x)
@@ -156,9 +176,10 @@ def _product(a, b):
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-@dataclass(frozen=True, slots=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+    def __init__(self, value: float):
+        self._init(value)
 
     def eval(self, x):
         return self.value
@@ -178,9 +199,10 @@ class Num(Expr):
         return f"({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    index: int  # 0-based
+    __slots__ = ("index",)
+    def __init__(self, index: int):  # 0-based
+        self._init(index)
 
     def eval(self, x):
         try:
@@ -207,9 +229,10 @@ class Var(Expr):
         return f"x{self.index + 1}"
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+    def __init__(self, arg: Expr):
+        self._init(arg)
 
     def eval(self, x):
         return -self.arg.eval(x)
@@ -225,11 +248,10 @@ class Neg(Expr):
         return f"({s})" if parent_prec > _PREC_NEG else s
 
 
-@dataclass(frozen=True, slots=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self._init(op, left, right)
 
     def eval(self, x):
         a = self.left.eval(x)
@@ -293,10 +315,10 @@ class BinOp(Expr):
         return f"({s})" if parent_prec > prec else s
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
+    def __init__(self, func: str, arg: Expr):
+        self._init(func, arg)
 
     def eval(self, x):
         v = self.arg.eval(x)
@@ -326,11 +348,10 @@ class Call(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # num ident op lparen rparen comma end
-    text: str
-    offset: int
+    __slots__ = ("kind", "text", "offset")  # kind: num ident op lparen rparen comma end
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind, self.text, self.offset = kind, text, offset
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -492,12 +513,13 @@ class MetricNotPositiveDefinite(ValueError):
     """The metric matrix failed the positive-definiteness check at a point."""
 
 
-@dataclass(frozen=True)
 class MetricField:
-    """Symmetric n x n field of expressions; only i <= j entries are stored."""
+    """Symmetric n x n field of expressions; only i <= j entries are stored,
+    as ``entries[(i, j)]`` (0-based)."""
 
-    dim: int
-    entries: dict  # (i, j) 0-based with i <= j -> Expr
+    __slots__ = ("dim", "entries")
+    def __init__(self, dim: int, entries: dict):
+        self.dim, self.entries = dim, entries
 
     def entry(self, i: int, j: int) -> Expr:
         if i > j:

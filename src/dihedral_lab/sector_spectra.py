@@ -35,7 +35,6 @@ Only the Hardy functions use numpy; they import it when they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .bessel import _bessel_k
@@ -74,27 +73,24 @@ _GL_WEIGHTS = (0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
                0.027152459411754176)
 
 
-@dataclass(frozen=True)
 class SectorPair:
     """Source sector angle alpha and target sector angle beta (radians)."""
 
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+    __slots__ = ("alpha", "beta")
+    def __init__(self, alpha: float, beta: float):
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
             raise ValueError("sector angles must be finite and positive")
+        self.alpha, self.beta = alpha, beta
 
     @property
     def delta(self) -> float:
         return self.beta - self.alpha
 
 
-@dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: tuple
-    min_abs: float
-    esa: bool
+    __slots__ = ("eigenvalues", "min_abs", "esa")
+    def __init__(self, eigenvalues: tuple, min_abs: float, esa: bool):
+        self.eigenvalues, self.min_abs, self.esa = eigenvalues, min_abs, esa
 
     def to_dict(self):
         return {
@@ -225,7 +221,6 @@ def gallot_meyer_bound(n: int) -> float:
 _DEFICIENCY_LEVELS, _DRIFT_MULTIPLE, _EXPONENT_FLOOR = 40, 10.0, 1e-12
 
 
-@dataclass(frozen=True)
 class DeficiencyResult:
     """Integrals over the dyadic shells (2^-(k+1), 2^-k], outermost first.
 
@@ -235,12 +230,12 @@ class DeficiencyResult:
     |lam| = 0.01 the exponent is 1e-2 off, the drift 4e-4).  ``tail``, the
     geometric remainder below the last shell, is None when not L^2."""
 
-    lam: float
-    is_l2: bool
-    shells: tuple
-    decay_exponent: float
-    exponent_drift: float
-    tail: float | None
+    __slots__ = ("lam", "is_l2", "shells", "decay_exponent", "exponent_drift", "tail")
+    def __init__(self, lam: float, is_l2: bool, shells: tuple, decay_exponent: float,
+                 exponent_drift: float, tail: float | None):
+        self.lam, self.is_l2, self.shells = lam, is_l2, shells
+        self.decay_exponent, self.exponent_drift, self.tail = (
+            decay_exponent, exponent_drift, tail)
 
     def to_dict(self):
         return {

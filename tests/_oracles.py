@@ -10,7 +10,7 @@ numbers (the engine behind the closed-form index)."""
 
 import math
 from itertools import combinations
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -276,7 +276,8 @@ class PointwiseCornerMap:
 
 def pointwise_scene(scene):
     cmap = scene.corner_map
-    return replace(scene, corner_map=PointwiseCornerMap(cmap.components, cmap.face_map))
+    return CompareScene(scene.domain_src, scene.metric_src, scene.domain_dst,
+                        scene.metric_dst, PointwiseCornerMap(cmap.components, cmap.face_map))
 
 
 def _halton(index: int, base: int) -> float:

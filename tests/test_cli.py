@@ -918,11 +918,11 @@ def _src_env():
 
 def _fresh_modules(code, args=()):
     """Run ``code`` in a fresh interpreter from the repository root; return
-    its last stderr line and the ``scipy``, ``numpy``, ``click`` and
-    ``dihedral_lab`` modules (with their submodules) it left in
-    ``sys.modules``."""
-    code += ("print(sorted(m for m in sys.modules if m.split('.')[0]"
-             " in ('scipy', 'numpy', 'click', 'dihedral_lab')), file=sys.stderr)\n")
+    its last stderr line and the ``scipy``, ``numpy``, ``click``,
+    ``dataclasses``, ``inspect`` and ``dihedral_lab`` modules (with their
+    submodules) it left in ``sys.modules``."""
+    code += ("print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', "
+             "'numpy', 'click', 'dataclasses', 'inspect', 'dihedral_lab')), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(), cwd=ROOT,
                           capture_output=True, text=True, check=True)
     *_, status, modules = proc.stderr.splitlines()
@@ -1014,6 +1014,34 @@ def test_probe_sees_preloaded_scipy():
         preamble="import scipy.linalg\n")
     assert exit_code == 0
     assert "scipy.linalg" in modules
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["index", "--scene", "scenes/index_square_id.json"],
+    ["deficiency", "--lambda", "0.25"],
+    ["spectrum", "bound", "--dim", "3"],
+    ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"],
+    ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2", "--numeric", "128"],
+    ["smooth", "--angle", "1.2", "--radii", "0.08,0.05,0.02"],
+], ids=["help", "index", "deficiency", "spectrum-bound", "spectrum-sector",
+        "spectrum-sector-numeric", "smooth"])
+def test_numpy_free_commands_load_no_dataclasses(args):
+    """Start-up guard: the numpy-free commands import neither
+    ``dataclasses`` nor the ``inspect`` it pulls in, which would add about
+    11 ms to every start-up."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_probe_sees_preloaded_dataclasses():
+    """Positive control for the guard above: with ``dataclasses`` imported
+    before the command runs, the probe reports it and its ``inspect``."""
+    exit_code, modules = _fresh_cli(["spectrum", "bound", "--dim", "3"],
+                                    preamble="import dataclasses\n")
+    assert exit_code == 0
+    assert {"dataclasses", "inspect"} <= modules
 
 
 LIBRARY = {"bessel", "clifford", "comparison", "corner_smoothing", "curvature",

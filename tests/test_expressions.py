@@ -141,6 +141,39 @@ def test_print_parse_roundtrip_1000_random_asts():
     assert checked > 5000  # the property actually exercised evaluations
 
 
+class TestNodeEquality:
+    """``MetricField.jet`` computes one jet per distinct entry, so node
+    equality must be structural and type-aware, and nodes must not change."""
+
+    def test_type_aware(self):
+        assert Num(1.0) != Var(1)
+        assert len({Num(1.0), Var(1)}) == 2
+
+    def test_two_parses_are_equal_and_hash_equal(self):
+        text = "x1^2*sin(x2) - 3/(1 + abs(x1))"
+        a, b = parse_expression(text), parse_expression(text)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != parse_expression("x1^2*sin(x2) - 3/(1 + abs(x2))")
+
+    def test_nodes_are_immutable(self):
+        e = parse_expression("x1 + 2")
+        with pytest.raises(AttributeError):
+            e.left = Num(0.0)
+        with pytest.raises(AttributeError):
+            Num(1.0).value = 2.0
+        with pytest.raises(AttributeError):
+            del e.op
+        assert e == BinOp("+", Var(0), Num(2.0))
+
+    def test_metric_jet_keeps_unequal_entries_apart(self):
+        pts = np.array([[0.3, -0.7], [1.1, 0.4]])
+        _, dg, _ = parse_metric({"11": "1", "22": "x2"}, 2).jet(pts)
+        assert np.all(dg[:, 1, 1, 1] == 1.0)
+        assert np.all(dg[:, 0, 0, 0] == 0.0)
+
+
 class TestDerivatives:
     def test_polynomial_first(self):
         e = parse_expression("x1^2")
