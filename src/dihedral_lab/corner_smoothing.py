@@ -128,7 +128,14 @@ def weighted_integral(corner: SmoothedCorner, phi: Expr) -> float:
     values = list(map(phi.eval, corner.points))
     integrand = [k * (v * v) for k, v in zip(corner.curvature, values)]
     spacing = corner.arclength[1] - corner.arclength[0]
-    return _simpson(integrand, spacing)
+    try:
+        total = _simpson(integrand, spacing)
+        if math.isfinite(total):
+            return total
+    except OverflowError:  # math.fsum raises when a partial sum overflows
+        pass
+    # phi^2 past the float range (phi = 1e200), or their sum (phi = 1e153)
+    raise ValueError(f"integral of k phi^2 is not finite for phi = {phi.to_text()}")
 
 
 def mean_curvature_limit(angle: float, test_function: Expr | str,

@@ -35,6 +35,7 @@ from .expressions import (
     MetricNotPositiveDefinite,
     metric_at,
     parse_expression,
+    scene_dim,
 )
 
 __all__ = [
@@ -121,7 +122,7 @@ class PolyDomain:
         if not isinstance(scene, dict):
             raise DomainError("domain scene must be a JSON object")
         try:
-            dim = int(scene["dim"])
+            dim = scene_dim(scene)
             halfspaces = [(np.asarray(h["a"], dtype=float), float(h["b"]))
                           for h in scene["halfspaces"]]
         except KeyError as exc:

@@ -3,7 +3,7 @@
 The expression grammar is fixed:
 
     variables   x1, x2, ..., xn
-    literals    decimal / scientific notation
+    literals    decimal / scientific notation, finite as floats
     operators   + - * / ^   (unary minus; ^ is right associative)
     functions   sin cos tan exp log sqrt sinh cosh abs
 
@@ -13,16 +13,16 @@ Values are plain floats.  First and second derivatives are exact: every
 node propagates its (value, gradient, Hessian) jet over an ``(m, n)`` array
 of points by forward-mode Taylor arithmetic (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed.).  Expression nodes are immutable after
-construction.  Parsing, printing and scalar evaluation use only ``math``;
-numpy is imported by the code that builds arrays (jets, metric matrices)
-when it runs.
+construction.  Parsing, printing and scalar evaluation use only ``math``
+and ``re``; numpy is imported by the code that builds arrays (jets, metric
+matrices) when it runs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
+import re
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -41,37 +41,21 @@ __all__ = [
     "metric_from_scene",
 ]
 
+# name: (float function, jet rule).  The rule maps numpy and an array v of
+# argument values to (f(v), f'(v), f''(v)) for the chain rule of the jets;
+# abs'(0) = 0.
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "abs": abs,
+    "sin": (math.sin, lambda np, v: (np.sin(v), np.cos(v), -np.sin(v))),
+    "cos": (math.cos, lambda np, v: (np.cos(v), -np.sin(v), -np.cos(v))),
+    "tan": (math.tan, lambda np, v: (np.tan(v), 1.0 / np.cos(v) ** 2,
+                                     2.0 * np.tan(v) / np.cos(v) ** 2)),
+    "exp": (math.exp, lambda np, v: (np.exp(v), np.exp(v), np.exp(v))),
+    "log": (math.log, lambda np, v: (np.log(v), 1.0 / v, -1.0 / v**2)),
+    "sqrt": (math.sqrt, lambda np, v: (np.sqrt(v), 0.5 / np.sqrt(v), -0.25 / v**1.5)),
+    "sinh": (math.sinh, lambda np, v: (np.sinh(v), np.cosh(v), np.sinh(v))),
+    "cosh": (math.cosh, lambda np, v: (np.cosh(v), np.sinh(v), np.cosh(v))),
+    "abs": (abs, lambda np, v: (np.abs(v), np.sign(v), np.zeros_like(v))),
 }
-
-
-@functools.cache
-def _jet_functions():
-    """(f, f', f'') of each function for the chain rule of the jets;
-    abs'(0) = 0."""
-    import numpy as np
-
-    return {
-        "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
-        "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
-        "tan": (np.tan, lambda v: 1.0 / np.cos(v) ** 2,
-                lambda v: 2.0 * np.tan(v) / np.cos(v) ** 2),
-        "exp": (np.exp, np.exp, np.exp),
-        "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2),
-        "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 / v**1.5),
-        "sinh": (np.sinh, np.cosh, np.sinh),
-        "cosh": (np.cosh, np.sinh, np.cosh),
-        "abs": (np.abs, np.sign, np.zeros_like),
-    }
 
 
 class ExpressionError(ValueError):
@@ -257,22 +241,24 @@ class BinOp(Expr):
         a = self.left.eval(x)
         b = self.right.eval(x)
         if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
+            v = a + b
+        elif self.op == "-":
+            v = a - b
+        elif self.op == "*":
+            v = a * b
+        elif self.op == "/":
             if b == 0.0:
                 raise ExpressionDomainError("division by zero")
-            return a / b
-        # power
-        try:
-            v = a**b
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ExpressionDomainError(f"invalid power {a}^{b}") from exc
-        if isinstance(v, complex):
-            raise ExpressionDomainError(f"non-real power {a}^{b}")
+            v = a / b
+        else:  # power
+            try:
+                v = a**b
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise ExpressionDomainError(f"invalid power {a}^{b}") from exc
+            if isinstance(v, complex):
+                raise ExpressionDomainError(f"non-real power {a}^{b}")
+        if not math.isfinite(v):  # + - * / overflow to inf without an error
+            raise ExpressionDomainError(f"{self.to_text()} is not finite")
         return v
 
     def _jet(self, x):
@@ -323,18 +309,20 @@ class Call(Expr):
     def eval(self, x):
         v = self.arg.eval(x)
         try:
-            return FUNCTIONS[self.func](v)
+            return FUNCTIONS[self.func][0](v)
         except ValueError as exc:
             raise ExpressionDomainError(f"{self.func}({v}) out of domain") from exc
         except OverflowError as exc:
             raise ExpressionDomainError(f"{self.func}({v}) overflows") from exc
 
     def _jet(self, x):
+        import numpy as np
+
         arg = self.arg._jet(x)
         v = arg[0]
         if self.func in ("log", "sqrt") and (v <= 0.0).any():
             raise ExpressionDomainError(f"{self.func}({v[v <= 0.0][0]}) out of domain")
-        return _chain(arg, *(rule(v) for rule in _jet_functions()[self.func]))
+        return _chain(arg, *FUNCTIONS[self.func][1](np, v))
 
     def max_var(self):
         return self.arg.max_var()
@@ -344,164 +332,94 @@ class Call(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Parser
 # ---------------------------------------------------------------------------
 
-
-class _Token:
-    __slots__ = ("kind", "text", "offset")  # kind: num ident op lparen rparen comma end
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind, self.text, self.offset = kind, text, offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            try:
-                float(lit)
-            except ValueError:
-                raise ExpressionSyntaxError(f"bad numeric literal '{lit}'", i)
-            tokens.append(_Token("num", lit, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i))
-        else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExpressionSyntaxError(f"expected {what}", tok.offset)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            e = BinOp(op, e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            # exponent may carry a unary minus: x^-2
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if self.peek().kind == "lparen":
-                if name not in FUNCTIONS:
-                    raise ExpressionSyntaxError(f"unknown function '{name}'", tok.offset)
-                self.advance()
-                args = [self.expr()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect("rparen", "')'")
-                if len(args) != 1:
-                    raise ExpressionSyntaxError(
-                        f"function '{name}' takes 1 argument, got {len(args)}",
-                        tok.offset,
-                    )
-                return Call(name, args[0])
-            if name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1:
-                return Var(int(name[1:]) - 1)
-            raise ExpressionSyntaxError(f"unknown identifier '{name}'", tok.offset)
-        if tok.kind == "lparen":
-            self.advance()
-            e = self.expr()
-            self.expect("rparen", "')'")
-            return e
-        raise ExpressionSyntaxError("expected a value", tok.offset)
+# One token per match, whitespace skipped: a literal (digits and dots, then
+# an optional exponent; it starts with a digit or with a dot before one), a
+# name (a letter or "_", then letters, digits or "_"), an operator, or any
+# other character, which is an error.
+_TOKEN = re.compile(r"(?P<num>(?=\.?\d)[\d.]+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^(),])|\S")
 
 
 def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ExpressionSyntaxError` (with byte offset) on malformed
-    input, unknown identifiers or wrong function arity.
+    input, literals that are not finite floats, unknown identifiers or
+    wrong function arity.
     """
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = []  # (kind, text, offset): kind num, name, op or end
+    for match in _TOKEN.finditer(text):
+        kind, tok, offset = match.lastgroup, match.group(), match.start()
+        if kind is None:
+            raise ExpressionSyntaxError(f"unexpected character {tok!r}", offset)
+        if kind == "num":
+            try:
+                value = float(tok)
+            except ValueError:  # more than one dot
+                value = math.nan
+            if not math.isfinite(value):  # or past the float range: 1e999
+                raise ExpressionSyntaxError(f"bad numeric literal '{tok}'", offset)
+        tokens.append((kind, tok, offset))
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()  # a stack: the next token is tokens[-1]
+
+    def close():
+        if tokens[-1][1] != ")":
+            raise ExpressionSyntaxError("expected ')'", tokens[-1][2])
+        tokens.pop()
+
+    def operand(level: int) -> Expr:
+        """Sums at level 0, products at 1, and at 2 a unary minus or a power
+        ``atom ^ operand(2)``: ``^`` binds tighter than unary minus, its
+        exponent may carry one (``x^-2``), and it is right associative."""
+        if level < 2:
+            ops = ("+", "-") if level == 0 else ("*", "/")
+            e = operand(level + 1)
+            while tokens[-1][1] in ops:
+                e = BinOp(tokens.pop()[1], e, operand(level + 1))
+            return e
+        kind, tok, offset = tokens.pop()
+        if tok == "-":
+            return Neg(operand(2))
+        if kind == "num":
+            e = Num(float(tok))
+        elif tok == "(":
+            e = operand(0)
+            close()
+        elif kind == "name" and tokens[-1][1] == "(":
+            if tok not in FUNCTIONS:
+                raise ExpressionSyntaxError(f"unknown function '{tok}'", offset)
+            tokens.pop()
+            args = [operand(0)]
+            while tokens[-1][1] == ",":
+                tokens.pop()
+                args.append(operand(0))
+            close()
+            if len(args) != 1:
+                raise ExpressionSyntaxError(
+                    f"function '{tok}' takes 1 argument, got {len(args)}", offset)
+            e = Call(tok, args[0])
+        elif kind == "name" and tok[0] == "x" and tok[1:].isdecimal() and int(tok[1:]) >= 1:
+            e = Var(int(tok[1:]) - 1)
+        elif kind == "name":
+            raise ExpressionSyntaxError(f"unknown identifier '{tok}'", offset)
+        else:
+            raise ExpressionSyntaxError("expected a value", offset)
+        if tokens[-1][1] == "^":
+            tokens.pop()
+            return BinOp("^", e, operand(2))
+        return e
+
+    e = operand(0)
+    kind, tok, offset = tokens[-1]
+    if kind != "end":
+        raise ExpressionSyntaxError(f"unexpected token {tok!r}", offset)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +529,21 @@ def metric_at(g: MetricField, x: Sequence[float]) -> np.ndarray:
     return mat
 
 
+def scene_dim(scene: dict) -> int:
+    """``scene["dim"]``, which must be a JSON integer: a bool, a float (even
+    ``2.0``) or a string raises :class:`TypeError` for the reader to report."""
+    dim = scene["dim"]
+    if type(dim) is not int:
+        raise TypeError("'dim' must be an integer")
+    return dim
+
+
 def metric_from_scene(scene: dict) -> MetricField:
     """Load a metric from scene JSON ``{"dim": n, "g": {...}}``."""
     if not isinstance(scene, dict):
         raise ExpressionError("metric scene must be a JSON object")
     try:
-        dim = int(scene["dim"])
+        dim = scene_dim(scene)
         spec = scene["g"]
     except KeyError as exc:
         raise ValueError(f"metric scene missing key {exc}") from exc

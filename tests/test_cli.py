@@ -364,6 +364,15 @@ class TestOtherCommands:
         assert result.output.splitlines() == [
             "input error: half-space normals and offsets must be finite"]
 
+    def test_angles_overflowing_metric_exit_2(self, runner, tmp_path):
+        # the scalar path checks each + - * / as the jet path checks the jet
+        path = write_json(tmp_path / "d.json", square_scene("1e200*1e200"))
+        result = runner.invoke(main, ["angles", "--scene", path,
+                                      "--faces", "1,3", "--point", "0,0"])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "input error: 1e+200*1e+200 is not finite"]
+
     def test_conformal(self, runner, tmp_path):
         scene = {"dim": 3, "g": {"11": "1", "22": "1", "33": "1"}}
         path = write_json(tmp_path / "m.json", scene)
@@ -460,10 +469,25 @@ class TestOtherCommands:
         assert result.exit_code == 2
         assert result.output.splitlines() == [f"input error: {message}"]
 
-    def test_smooth_non_finite_value_exits_3(self, runner):
-        # a test function that overflows makes the weighted integral inf
+    @pytest.mark.parametrize("phi, message", [
+        ("1e999", "bad numeric literal '1e999' (offset 0)"),
+        ("1e308*10", "1e+308*10.0 is not finite"),
+        ("1e200", "integral of k phi^2 is not finite for phi = 1e+200"),
+        ("1e153", "integral of k phi^2 is not finite for phi = 1e+153"),
+    ], ids=["literal", "product", "square", "sum"])
+    def test_smooth_overflowing_test_function_exits_2(self, runner, phi, message):
         result = runner.invoke(main, ["smooth", "--angle", "1", "--radii", "0.1",
-                                      "--test-function", "1e308*10"])
+                                      "--test-function", phi])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [f"input error: {message}"]
+
+    def test_smooth_non_finite_value_exits_3(self, runner, monkeypatch):
+        from dihedral_lab import corner_smoothing
+
+        # a non-finite value that gets past the checks is a bug in the report
+        monkeypatch.setattr(corner_smoothing, "weighted_integral",
+                            lambda corner, phi: math.inf)
+        result = runner.invoke(main, ["smooth", "--angle", "1", "--radii", "0.1"])
         assert result.exit_code == 3
         assert result.output.splitlines() == [
             "internal error: RuntimeError: non-finite float inf in a report"]
@@ -695,6 +719,9 @@ class TestMalformedSceneTypes:
         "g_list": {"g": ["1", "1"]},
         "g_entry_number": {"g": {"11": 1, "22": "1"}},
         "dim_list": {"dim": [2]},
+        "dim_float": {"dim": 2.7},
+        "dim_string": {"dim": "2"},
+        "dim_whole_float": {"dim": 2.0},
     }
     DOMAIN_CASES = {
         "halfspaces_object": {"halfspaces": {"a": [1.0, 0.0], "b": 0.0}},

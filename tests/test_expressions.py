@@ -10,6 +10,7 @@ from dihedral_lab.expressions import (
     BinOp,
     Call,
     ExpressionDomainError,
+    ExpressionError,
     ExpressionSyntaxError,
     MetricNotPositiveDefinite,
     Neg,
@@ -84,6 +85,32 @@ class TestParse:
             parse_expression("x1 $ x2")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("1.2.3", "bad numeric literal '1.2.3'", 0),
+        ("1e999", "bad numeric literal '1e999'", 0),
+        ("x1 $ x2", "unexpected character '$'", 3),
+        (".", "unexpected character '.'", 0),
+        ("x1 +", "expected a value", 4),
+        ("x1 + )", "expected a value", 5),
+        ("()", "expected a value", 1),
+        ("sin(x1", "expected ')'", 6),
+        ("foo(x1)", "unknown function 'foo'", 0),
+        ("x1(2)", "unknown function 'x1'", 0),
+        ("sin(x1, x2)", "function 'sin' takes 1 argument, got 2", 0),
+        ("x0", "unknown identifier 'x0'", 0),
+        ("y", "unknown identifier 'y'", 0),
+        ("sin x1", "unknown identifier 'sin'", 0),
+        ("x\u00b2", "unknown identifier 'x\u00b2'", 0),
+        ("2e", "unexpected token 'e'", 1),
+        ("1e+", "unexpected token 'e'", 1),
+        ("1 2", "unexpected token '2'", 2),
+        ("", "empty expression", 0),
+    ])
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(text)
+        assert (str(exc.value), exc.value.offset) == (f"{message} (offset {offset})", offset)
+
     def test_whitespace_and_nesting(self):
         e = parse_expression("  ( ( x1 )  + cos( (x2) ) ) ")
         assert e.eval((2.0, 0.0)) == pytest.approx(3.0)
@@ -95,6 +122,67 @@ class TestParse:
             parse_expression("sqrt(x1)").eval((-1.0,))
         with pytest.raises(ExpressionDomainError):
             parse_expression("1/x1").eval((0.0,))
+
+    @pytest.mark.parametrize("text, x", [
+        ("1e308*10", ()), ("x1*x1", (1e200,)), ("x1 + x1", (1.7e308,)),
+        ("1e300/x1", (1e-300,)), ("-1e308 - x1", (1e308,)),
+    ])
+    def test_overflow_is_a_domain_error(self, text, x):
+        e = parse_expression(text)
+        with pytest.raises(ExpressionDomainError, match=r"is not finite$"):
+            e.eval(x)
+
+
+def _grammar_text(rng: random.Random, level: int = 0, depth: int = 3) -> str:
+    """Random grammar-valid text with float literals, randomly spaced: sums
+    at level 0, products at 1, and at 2 a unary minus or a power whose
+    exponent may carry one, so that ``^`` chains such as ``a ^ -b ^ c``
+    occur."""
+    def space():
+        return rng.choice(("", "", " ", "  "))
+    if level < 2:
+        ops = "+-" if level == 0 else "*/"
+        text = _grammar_text(rng, level + 1, depth)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            text += space() + rng.choice(ops) + space() + _grammar_text(rng, level + 1, depth)
+        return text
+    if rng.random() < 0.2:
+        return "-" + space() + _grammar_text(rng, 2, depth)
+    kind = rng.random() if depth > 0 else 0.0
+    if kind < 0.5:
+        atom = rng.choice(("x1", "x2", "x3", f"{rng.uniform(0.0, 3.0):.3f}",
+                           "2.", ".5", "1e-1", "2.5E+0", "0.0"))
+    elif kind < 0.75:
+        atom = "(" + space() + _grammar_text(rng, 0, depth - 1) + space() + ")"
+    else:
+        fn = rng.choice(["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs"])
+        atom = fn + space() + "(" + _grammar_text(rng, 0, depth - 1) + ")"
+    if depth > 0 and rng.random() < 0.3:
+        return atom + space() + "^" + space() + _grammar_text(rng, 2, depth - 1)
+    return atom
+
+
+def test_parse_matches_pythons_own_parser():
+    """An independent oracle: Python parses the same text with ``^`` read as
+    ``**`` (also right associative, binding tighter than unary minus, with a
+    signed exponent), and evaluates the same float operations."""
+    rng = random.Random(8128)
+    names = {fn: getattr(math, fn) for fn in
+             ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")}
+    names["abs"] = abs
+    checked = 0
+    for _ in range(20000):
+        text = _grammar_text(rng)
+        x = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        try:
+            value = parse_expression(text).eval(x)
+        except ExpressionDomainError:
+            continue
+        scope = dict(names, x1=x[0], x2=x[1], x3=x[2])
+        expected = eval(text.replace("^", "**"), {"__builtins__": {}}, scope)
+        assert value == expected, text
+        checked += 1
+    assert checked > 5000
 
 
 def _random_expr(rng: random.Random, depth: int):
@@ -125,6 +213,8 @@ def test_print_parse_roundtrip_1000_random_asts():
         ast = _random_expr(rng, depth=4)
         text = ast.to_text()
         reparsed = parse_expression(text)
+        # print o parse is a fixed point after one round
+        assert parse_expression(reparsed.to_text()) == reparsed
         for _ in range(10):
             x = [rng.uniform(-2, 2) for _ in range(3)]
             try:
@@ -358,6 +448,11 @@ class TestMetric:
     def test_scene_loader(self):
         g = metric_from_scene({"dim": 2, "g": {"11": "1", "22": "1"}})
         assert g.dim == 2
+
+    @pytest.mark.parametrize("dim", [2.0, 2.7, "2", True, [2]])
+    def test_scene_dim_must_be_a_json_integer(self, dim):
+        with pytest.raises(ExpressionError, match="^metric scene 'dim' must be an integer$"):
+            metric_from_scene({"dim": dim, "g": {"11": "1", "22": "1"}})
 
     def test_scene_loader_missing_key(self):
         with pytest.raises(ValueError):
