@@ -343,12 +343,17 @@ _TOKEN = re.compile(r"(?P<num>(?=\.?\d)[\d.]+(?:[eE][+-]?\d+)?)"
                     r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^(),])|\S")
 
 
+# Levels on a path from the root, parentheses counted: the node methods and the
+# parser recurse up to three frames a level, well inside the default limit 1000.
+_MAX_DEPTH = 200
+
+
 def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ExpressionSyntaxError` (with byte offset) on malformed
-    input, literals that are not finite floats, unknown identifiers or
-    wrong function arity.
+    input, literals that are not finite floats, unknown identifiers, wrong
+    function arity or nesting deeper than ``_MAX_DEPTH`` levels.
     """
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
@@ -373,49 +378,61 @@ def parse_expression(text: str) -> Expr:
             raise ExpressionSyntaxError("expected ')'", tokens[-1][2])
         tokens.pop()
 
-    def operand(level: int) -> Expr:
+    def nested(e, child_height: int, offset: int) -> tuple[Expr, int]:
+        if child_height >= _MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", offset)
+        return e, child_height + 1
+
+    def operand(level: int, depth: int) -> tuple[Expr, int]:
         """Sums at level 0, products at 1, and at 2 a unary minus or a power
         ``atom ^ operand(2)``: ``^`` binds tighter than unary minus, its
-        exponent may carry one (``x^-2``), and it is right associative."""
+        exponent may carry one (``x^-2``), and it is right associative.
+        Returns the tree and its height; ``depth`` levels lie above it."""
+        nested(None, depth, tokens[-1][2])  # stops the recursion early
         if level < 2:
             ops = ("+", "-") if level == 0 else ("*", "/")
-            e = operand(level + 1)
+            e, height = operand(level + 1, depth)
             while tokens[-1][1] in ops:
-                e = BinOp(tokens.pop()[1], e, operand(level + 1))
-            return e
+                _, op, offset = tokens.pop()
+                right, h = operand(level + 1, depth + 1)
+                e, height = nested(BinOp(op, e, right), max(height, h), offset)
+            return e, height
         kind, tok, offset = tokens.pop()
         if tok == "-":
-            return Neg(operand(2))
+            arg, height = operand(2, depth + 1)
+            return nested(Neg(arg), height, offset)
         if kind == "num":
-            e = Num(float(tok))
+            e, height = Num(float(tok)), 1
         elif tok == "(":
-            e = operand(0)
+            e, height = nested(*operand(0, depth + 1), offset)  # parentheses are a level
             close()
         elif kind == "name" and tokens[-1][1] == "(":
             if tok not in FUNCTIONS:
                 raise ExpressionSyntaxError(f"unknown function '{tok}'", offset)
             tokens.pop()
-            args = [operand(0)]
+            args = [operand(0, depth + 1)]
             while tokens[-1][1] == ",":
                 tokens.pop()
-                args.append(operand(0))
+                args.append(operand(0, depth + 1))
             close()
             if len(args) != 1:
                 raise ExpressionSyntaxError(
                     f"function '{tok}' takes 1 argument, got {len(args)}", offset)
-            e = Call(tok, args[0])
+            e, height = nested(Call(tok, args[0][0]), args[0][1], offset)
         elif kind == "name" and tok[0] == "x" and tok[1:].isdecimal() and int(tok[1:]) >= 1:
-            e = Var(int(tok[1:]) - 1)
+            e, height = Var(int(tok[1:]) - 1), 1
         elif kind == "name":
             raise ExpressionSyntaxError(f"unknown identifier '{tok}'", offset)
         else:
             raise ExpressionSyntaxError("expected a value", offset)
         if tokens[-1][1] == "^":
-            tokens.pop()
-            return BinOp("^", e, operand(2))
-        return e
+            offset = tokens.pop()[2]
+            right, h = operand(2, depth + 1)
+            return nested(BinOp("^", e, right), max(height, h), offset)
+        return e, height
 
-    e = operand(0)
+    e, _ = operand(0, 0)
     kind, tok, offset = tokens[-1]
     if kind != "end":
         raise ExpressionSyntaxError(f"unexpected token {tok!r}", offset)

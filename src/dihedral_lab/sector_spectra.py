@@ -27,20 +27,19 @@ decay exponent off the last shells.  The
 Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
 1/(|lambda| - 1/2); that quantitative constant is validated numerically
 here, it is not a quoted result.  The discretized kernel is never stored:
-it is applied as blocked prefix sums in O(grid) time and memory, and its
-norm comes from Golub-Kahan-Lanczos steps from a fixed start vector.
-Only the Hardy functions use numpy; they import it when they run.
+it is applied as damped recurrences in O(grid) time and memory, and its
+norm comes from Golub-Kahan-Lanczos steps from a fixed start vector.  The
+whole module runs on the standard library.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from array import array
+from operator import mul
+from typing import Iterable
 
 from .bessel import _bessel_k
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SectorPair",
@@ -282,50 +281,72 @@ def deficiency_test(lam: float) -> DeficiencyResult:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_RISE = 600.0  # exp(+-600) stays inside the float range
 _LANCZOS_STEPS = 100  # the slowest tested case (lam = 400, grid 1200) takes 47
 
 
-def _damped_prefix_sum(logs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``s_i = sum_{j <= i} exp(logs_j - logs_i) w_j`` for nondecreasing ``logs``,
-    in blocks over which ``logs`` rises by at most ``_BLOCK_RISE`` (no factor
-    overflows), the running sum carried across blocks by a factor <= 1."""
-    import numpy as np
-
-    out = np.empty_like(w)
-    carry, start = 0.0, 0
-    while start < len(logs):
-        stop = int(np.searchsorted(logs, logs[start] + _BLOCK_RISE, side="right"))
-        rise = logs[start:stop] - logs[start]
-        out[start:stop] = np.exp(-rise) * (carry + np.cumsum(np.exp(rise) * w[start:stop]))
-        if stop < len(logs):
-            carry = out[stop - 1] * math.exp(logs[stop - 1] - logs[stop])
-        start = stop
+def _damped_prefix_sum(q, w) -> list:
+    """``s_i = q_i s_{i-1} + w_i`` from ``s_0 = w_0`` for ``0 <= q_i <= 1`` (no overflow),
+    each addition's rounding error ``c`` fed back (Kahan): summed plainly, the errors on
+    a smooth ``w`` drift one way and moved the Hardy norm at grid 200,000 by 7e-13."""
+    s, c, out = 0.0, 0.0, []
+    for qi, wi in zip(q, w):
+        p, y = qi * s, wi - qi * c
+        s = p + y
+        c = (s - p) - y
+        out.append(s)
     return out
 
 
-def _top_singular_value(forward, adjoint, n: int) -> float:
-    """Largest singular value of an n x n operator by Golub-Kahan-Lanczos
-    bidiagonalization from the unit vector of ones, the right basis fully
-    reorthogonalized; converged once the top Ritz pair's residual
-    ``|beta_k p_k|`` is at most 1e-15 sigma or the basis spans R^n."""
-    import numpy as np
+def _bidiagonal_top(alphas: list, betas: list) -> tuple[float, float]:
+    """Top singular value of the upper bidiagonal B (diagonal ``alphas``, superdiagonal
+    ``betas``) and the last entry of its top left singular vector: with B scaled to
+    entries <= 1, bisection finds the least x in [1, 5] with all LDL^T pivots of
+    ``x I - B B^T`` positive, and two solves with them from ones give the vector."""
+    scale = max(map(abs, alphas + betas))
+    a, b = [v / scale for v in alphas], [v / scale for v in betas] + [0.0]
+    diag, off = [x * x + y * y for x, y in zip(a, b)], [y * x for y, x in zip(b, a[1:])]
 
-    basis = np.full((1, n), 1.0 / math.sqrt(n))  # grows by one row a step
+    def pivots(x):  # -1 from the first pivot <= 0 on
+        out = [x - diag[0]]
+        for d, e in zip(diag[1:], off):
+            out.append(x - d - e * e / out[-1] if out[-1] > 0.0 else -1.0)
+        return out
+
+    lo, hi = 1.0, 5.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if min(pivots(mid)) > 0.0 else (mid, hi)
+    piv = pivots(hi)
+    ratios, y = [e / p for e, p in zip(off, piv)], [1.0] * len(a)
+    for _ in range(2):  # L, then D, then L^T
+        for i, r in enumerate(ratios):
+            y[i + 1] += r * y[i]
+        y = [v / p for v, p in zip(y, piv)]
+        for i in reversed(range(len(ratios))):
+            y[i] += ratios[i] * y[i + 1]
+    return scale * math.sqrt(hi), y[-1] / math.sqrt(sum(map(mul, y, y)))
+
+
+def _top_singular_value(forward, adjoint, n: int) -> float:
+    """Largest singular value of an n x n operator (``forward``, ``adjoint``: n floats
+    to n floats) by Golub-Kahan-Lanczos from the unit vector of ones, the right basis
+    fully reorthogonalized in ``array('d')`` rows; converged once the top Ritz pair's
+    residual ``|beta_k p_k|`` is at most 1e-15 sigma or the basis spans R^n."""
+    basis = [array("d", [1.0 / math.sqrt(n)]) * n]  # grows by one row a step
     u = forward(basis[0])
-    alphas, betas = [math.sqrt(u @ u)], []
+    alphas, betas = [math.sqrt(sum(map(mul, u, u)))], []
     for _ in range(_LANCZOS_STEPS):
-        u /= alphas[-1]
-        w = adjoint(u) - alphas[-1] * basis[-1]
-        for _ in range(2):  # twice is enough
-            w -= basis.T @ (basis @ w)
-        beta = math.sqrt(w @ w)
-        left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        if beta * abs(left[-1, 0]) <= 1e-15 * sigma[0] or len(alphas) == n:
-            return float(sigma[0])
-        basis = np.vstack([basis, w / beta])
-        u = forward(basis[-1]) - beta * u
-        alphas.append(math.sqrt(u @ u))
+        u = [x / alphas[-1] for x in u]
+        w = [x - alphas[-1] * y for x, y in zip(adjoint(u), basis[-1])]
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            for c, v in [(sum(map(mul, v, w)), v) for v in basis]:
+                w = [x - c * y for x, y in zip(w, v)]
+        beta = math.sqrt(sum(map(mul, w, w)))
+        sigma, last = _bidiagonal_top(alphas, betas)
+        if beta * abs(last) <= 1e-15 * sigma or len(alphas) == n:
+            return sigma
+        basis.append(array("d", [x / beta for x in w]))
+        u = [x - beta * y for x, y in zip(forward(basis[-1]), u)]
+        alphas.append(math.sqrt(sum(map(mul, u, u))))
         betas.append(beta)
     raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps")
 
@@ -338,11 +359,12 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
     from r to delta (the adjoint of the first kind).  Returns
     ``(largest singular value of the discretized kernel, analytic bound)``;
     the analytic constant is normalized to delta = 1.  Matrix-free: the
-    kernel ``(K f)_i = h sum_{j <= i} (r_j / r_i)^lam f_j`` is a blocked
-    prefix sum (for lam < 0 a suffix sum with the sign flipped; the adjoint
-    is the reversed sum), O(grid) in time and memory, and Golub-Kahan-Lanczos
-    from the fixed start vector of ones gives a deterministic norm, or
-    ``RuntimeError``, never an unconverged value.
+    kernel ``(K f)_i = h sum_{j <= i} (r_j / r_i)^lam f_j`` is the recurrence
+    ``s_i = (r_{i-1} / r_i)^|lam| s_{i-1} + f_i`` (for lam < 0 run backwards
+    with the sign flipped; the adjoint is the reversed run), O(grid) in time
+    and memory on Python floats, and Golub-Kahan-Lanczos from the fixed
+    start vector of ones gives a deterministic norm, or ``RuntimeError``,
+    never an unconverged value.
     """
     if not (math.isfinite(lam) and math.isfinite(delta)):
         raise ValueError("lambda and delta must be finite")
@@ -350,14 +372,13 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
         raise ValueError("|lambda| must exceed 1/2 (threshold is unbounded)")
     if delta <= 0.0 or grid < 16:
         raise ValueError("need delta > 0 and a sensible grid")
-    import numpy as np
-
     # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for
-    # lam < 0 leaves the norm alone, so M is applied without it
-    logs = abs(lam) * np.log(np.arange(grid) + 0.5)
-
-    maps = (lambda f: _damped_prefix_sum(logs, f),  # prefix sum, then suffix sum
-            lambda f: _damped_prefix_sum(-logs[::-1], f[::-1])[::-1])
+    # lam < 0 leaves the norm alone, so M is applied without it; row i of M
+    # is row i - 1 damped by (r_{i-1} / r_i)^|lam|, plus the diagonal 1
+    ahead = array("d", [0.0, *(((i - 0.5) / (i + 0.5)) ** abs(lam) for i in range(1, grid))])
+    back = ahead[:1] + ahead[:0:-1]  # the same factors for the reversed run
+    maps = (lambda f: _damped_prefix_sum(ahead, f),  # prefix sum, then suffix sum
+            lambda f: _damped_prefix_sum(back, f[::-1])[::-1])
     forward, adjoint = maps if lam > 0 else maps[::-1]
     numeric = delta / grid * _top_singular_value(forward, adjoint, grid)
     return numeric, 1.0 / (abs(lam) - 0.5)

@@ -2,7 +2,8 @@
 a central finite-difference evaluator of expression derivatives, the
 per-point comparison path and dihedral angle, the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
-ARPACK (``svds``) norm, the per-entry assembly of the link operator's tridiagonal form, the
+ARPACK (``svds``) norm over blocked numpy prefix sums, the per-entry assembly
+of the link operator's tridiagonal form, the
 ``linprog`` domain validation with the per-subset vertex loop, the K_nu quadrature with
 its Gauss-Legendre table built once at import, the corner fillet with its Simpson
 rule on numpy arrays, and the cochain complexes of grid polygons with their Betti
@@ -37,7 +38,6 @@ from dihedral_lab.curvature import (
 )
 from dihedral_lab.expressions import Expr, MetricField, metric_at, parse_expression
 from dihedral_lab.index_lab import PolygonError
-from dihedral_lab.sector_spectra import _damped_prefix_sum
 
 # Central finite-difference steps (scaled by max(1, |x_i|) per axis).
 FIRST_ORDER_STEP = 1e-6
@@ -488,10 +488,29 @@ def dense_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
     return float(np.linalg.svd(kernel, compute_uv=False)[0])
 
 
+_BLOCK_RISE = 600.0  # exp(+-600) stays inside the float range
+
+
+def _damped_prefix_sum(logs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``s_i = sum_{j <= i} exp(logs_j - logs_i) w_j`` for nondecreasing ``logs``,
+    in blocks over which ``logs`` rises by at most ``_BLOCK_RISE`` (no factor
+    overflows), the running sum carried across blocks by a factor <= 1."""
+    out = np.empty_like(w)
+    carry, start = 0.0, 0
+    while start < len(logs):
+        stop = int(np.searchsorted(logs, logs[start] + _BLOCK_RISE, side="right"))
+        rise = logs[start:stop] - logs[start]
+        out[start:stop] = np.exp(-rise) * (carry + np.cumsum(np.exp(rise) * w[start:stop]))
+        if stop < len(logs):
+            carry = out[stop - 1] * math.exp(logs[stop - 1] - logs[stop])
+        start = stop
+    return out
+
+
 def svds_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
     """Norm of the matrix-free Hardy kernel from ARPACK: ``svds(k=1)`` on a
-    ``LinearOperator`` over the same blocked prefix sums, from the vector
-    of ones."""
+    ``LinearOperator`` over the blocked numpy prefix sums above (not the
+    library's recurrence), from the vector of ones."""
     from scipy.sparse.linalg import LinearOperator, svds
 
     # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for

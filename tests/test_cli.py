@@ -882,6 +882,42 @@ class TestInternalErrors:
             "internal error: RuntimeError: secular equation did not settle in 1 steps"]
 
 
+class TestDeepExpressions:
+    """An expression nested past ``_MAX_DEPTH`` levels is bad input (exit 2),
+    not a ``RecursionError`` (exit 3); at the bound every recursive node
+    method still runs, through ``eval`` (``smooth``) and jets
+    (``conformal``)."""
+
+    SMOOTH = ["smooth", "--angle", "1", "--radii", "0.1", "--test-function"]
+
+    @pytest.mark.parametrize("text", ["(" * 400 + "x1" + ")" * 400, "-" * 1000 + "x1",
+                                      "x1" + " + x1" * 1000, "x1" + " + x1" * 200],
+                             ids=["parentheses-400", "minus-1000", "sum-1001", "sum-201"])
+    def test_too_deep_exits_2(self, runner, text):
+        result = runner.invoke(main, [*self.SMOOTH, text])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "expression nested deeper than 200 levels" in result.stderr
+        assert "RecursionError" not in result.output
+
+    @pytest.mark.parametrize("text", ["(" * 199 + "x1" + ")" * 199, "-" * 199 + "x1",
+                                      "x1" + " + x1" * 199, "x1^" * 199 + "x1",
+                                      "sin(" * 199 + "x1" + ")" * 199],
+                             ids=["parentheses", "minus", "sum", "power", "call"])
+    def test_at_the_bound_smooth_exits_0(self, runner, text):
+        result = runner.invoke(main, [*self.SMOOTH, text])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("text", ["1^" * 199 + "x1", "sin(" * 199 + "x1" + ")" * 199,
+                                      "(" * 199 + "1" + ")" * 199],
+                             ids=["power", "call", "parentheses"])
+    def test_at_the_bound_conformal_exits_0(self, runner, text):
+        # ``1^...^x1`` takes the jet of exp(x1 log 1) at every level
+        result = runner.invoke(main, ["conformal", "--metric", "scenes/sphere2_metric.json",
+                                      "--factor", text, "--point", "0.4,0.2"])
+        assert result.exit_code == 0, result.output
+
+
 class TestShippedScenes:
     """The scene files under scenes/ must keep working as documented."""
 
@@ -1149,17 +1185,20 @@ def test_parse_errors_load_no_comparison(args, loaded, absent):
     (["index", "--scene", "scenes/index_square_id.json"], 0),
     (["index", "--scene", "scenes/square_metric.json"], 2),  # no 'M' key
     (["hardy", "--lambda", "1.0", "--grid", "64"], 0),
+    (["hardy", "--lambda", "0.4"], 2),
+    (["certify", "--dim", "2", "--trials", "1"], 0),
 ], ids=["deficiency", "deficiency-exit-2", "spectrum-bound", "spectrum-bound-exit-2",
         "spectrum-sector", "spectrum-sector-numeric", "spectrum-sector-numeric-exit-2",
-        "smooth", "smooth-radii", "smooth-radius-inf", "index", "index-exit-2", "hardy"])
+        "smooth", "smooth-radii", "smooth-radius-inf", "index", "index-exit-2", "hardy",
+        "hardy-exit-2", "certify"])
 def test_scalar_spectral_commands_load_no_numpy(args, code):
-    """Start-up guard: the scalar spectral commands, ``smooth`` with its
-    expression parser and ``index`` with its closed form included, run on
-    the stdlib, on success and on bad input; ``hardy`` is the positive
-    control."""
+    """Start-up guard: the scalar spectral commands, ``hardy`` with its
+    Lanczos norm, ``smooth`` with its expression parser and ``index`` with
+    its closed form included, run on the stdlib, on success and on bad
+    input; ``certify`` is the positive control."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == code
-    assert ("numpy" in modules) == (args[0] == "hardy")
+    assert ("numpy" in modules) == (args[0] == "certify")
 
 
 @pytest.mark.parametrize("args", [

@@ -7,6 +7,7 @@ import sympy as sp
 
 from _oracles import eval_with_derivatives
 from dihedral_lab.expressions import (
+    _MAX_DEPTH,
     BinOp,
     Call,
     ExpressionDomainError,
@@ -160,6 +161,33 @@ def _grammar_text(rng: random.Random, level: int = 0, depth: int = 3) -> str:
     if depth > 0 and rng.random() < 0.3:
         return atom + space() + "^" + space() + _grammar_text(rng, 2, depth - 1)
     return atom
+
+
+class TestDepthBound:
+    """``parse_expression`` counts levels on every path from the root, nodes
+    and parentheses alike, and rejects more than ``_MAX_DEPTH`` of them at
+    the token where the bound is passed."""
+
+    @pytest.mark.parametrize("text", ["x1" + " + x1" * (_MAX_DEPTH - 1),
+                                      "-" * (_MAX_DEPTH - 1) + "x1",
+                                      "(" * (_MAX_DEPTH - 1) + "x1" + ")" * (_MAX_DEPTH - 1),
+                                      "x1^" * (_MAX_DEPTH - 1) + "x1"])
+    def test_at_the_bound_parses_and_evaluates(self, text):
+        e = parse_expression(text)
+        assert e.eval([0.5]) == pytest.approx(eval(text.replace("x1", "0.5").replace("^", "**")))
+        assert parse_expression(e.to_text()) == e
+
+    @pytest.mark.parametrize("text, offset", [
+        ("x1" + " + x1" * _MAX_DEPTH, 3 + 5 * (_MAX_DEPTH - 1)),  # the last '+'
+        ("-" * _MAX_DEPTH + "x1", _MAX_DEPTH),  # the operand on level 201
+        ("(" * _MAX_DEPTH + "x1" + ")" * _MAX_DEPTH, _MAX_DEPTH),
+        ("-" * (_MAX_DEPTH - 1) + "x1*2", _MAX_DEPTH + 1),  # '*' tops 200 levels
+    ("(" + "-" * (_MAX_DEPTH - 2) + "x1)^2", _MAX_DEPTH + 2),  # so does '^'
+    ])
+    def test_past_the_bound_is_a_syntax_error(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError, match="nested deeper than 200 levels") as exc:
+            parse_expression(text)
+        assert exc.value.offset == offset
 
 
 def test_parse_matches_pythons_own_parser():

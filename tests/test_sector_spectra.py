@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -497,3 +502,81 @@ class TestHardyLanczos:
         monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
         with pytest.raises(RuntimeError, match="did not converge"):
             hardy_norm(400.0, grid=1200)
+
+
+def _dense_maps(a):
+    """A dense matrix as the two callables ``_top_singular_value`` takes."""
+    rows, cols = a.tolist(), a.T.tolist()
+    return (lambda x: [sum(map(mul, r, x)) for r in rows],
+            lambda x: [sum(map(mul, c, x)) for c in cols])
+
+
+def _dense_cases(n):
+    rng = np.random.default_rng(n)
+    yield rng.standard_normal((n, n))
+    rank = max(1, n // 2)
+    yield rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.sort(rng.random(n))[::-1].copy()
+    s[:2] = 2.0  # the top singular value repeated
+    yield q1 @ np.diag(s) @ q2.T
+    # near-identity diagonal with a cluster: the Hardy kernel at lam = 400
+    r = np.arange(n) + 0.5
+    yield np.tril(np.minimum(r[None, :] / r[:, None], 1.0) ** 400)
+    yield np.diag(1.0 - 1e-12 * np.arange(n)) + np.tril(1e-14 * rng.random((n, n)), -1)
+
+
+class TestStdlibLanczos:
+    """``_top_singular_value`` on dense operators passed as closures, and its
+    bidiagonal step, against ``numpy.linalg.svd``."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dense_operators_match_svd(self, n):
+        for a in _dense_cases(n):
+            top = np.linalg.svd(a, compute_uv=False)[0]
+            assert sector_spectra._top_singular_value(*_dense_maps(a), n) == pytest.approx(
+                top, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_at_most_n_steps(self, n, monkeypatch):
+        # the clustered diagonal runs until the basis spans R^n
+        steps = []
+        step = sector_spectra._bidiagonal_top
+        monkeypatch.setattr(sector_spectra, "_bidiagonal_top",
+                            lambda a, b: steps.append(len(a)) or step(a, b))
+        for a in _dense_cases(n):
+            steps.clear()
+            sector_spectra._top_singular_value(*_dense_maps(a), n)
+            assert steps == list(range(1, len(steps) + 1)) and len(steps) <= n
+        assert len(steps) == n
+
+    @pytest.mark.parametrize("k", range(1, 101))
+    def test_bidiagonal_step_matches_svd(self, k):
+        rng = np.random.default_rng(k)
+        for alphas, betas in [(rng.random(k), rng.random(k - 1)),
+                              (rng.standard_normal(k), rng.standard_normal(k - 1)),
+                              (10.0 ** rng.uniform(-8, 8, k), 10.0 ** rng.uniform(-8, 8, k - 1))]:
+            left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+            top, last = sector_spectra._bidiagonal_top(alphas.tolist(), betas.tolist())
+            assert top == pytest.approx(sigma[0], rel=1e-13, abs=0)
+            assert abs(last) == pytest.approx(abs(left[-1, 0]), rel=0, abs=1e-13)
+
+
+def test_library_calls_load_no_numpy():
+    """Start-up guard below the command line: the Hardy norm, the deficiency
+    probe, the numeric sector spectrum and the Gallot-Meyer bound all run
+    without importing numpy."""
+    code = ("import sys\n"
+            "from dihedral_lab.sector_spectra import (SectorPair, deficiency_test,\n"
+            "    gallot_meyer_bound, hardy_norm, p_spectrum_numeric)\n"
+            "hardy_norm(1.0, grid=64)\n"
+            "deficiency_test(0.25)\n"
+            "p_spectrum_numeric(SectorPair(1.1, 2.2), 128)\n"
+            "gallot_meyer_bound(4)\n"
+            "print('numpy' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
