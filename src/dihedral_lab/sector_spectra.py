@@ -306,7 +306,7 @@ def _bidiagonal_top(alphas: list, betas: list) -> tuple[float, float]:
     a, b = [v / scale for v in alphas], [v / scale for v in betas] + [0.0]
     diag, off = [x * x + y * y for x, y in zip(a, b)], [y * x for y, x in zip(b, a[1:])]
 
-    def pivots(x):  # -1 from the first pivot <= 0 on
+    def pivots(x):  # every pivot after the first one <= 0 reads -1
         out = [x - diag[0]]
         for d, e in zip(diag[1:], off):
             out.append(x - d - e * e / out[-1] if out[-1] > 0.0 else -1.0)
