@@ -521,9 +521,9 @@ def _dense_cases(n):
     s = np.sort(rng.random(n))[::-1].copy()
     s[:2] = 2.0  # the top singular value repeated
     yield q1 @ np.diag(s) @ q2.T
-    # near-identity diagonal with a cluster: the Hardy kernel at lam = 400
-    r = np.arange(n) + 0.5
+    r = np.arange(n) + 0.5  # the Hardy kernel at lam = 400: nearly the identity
     yield np.tril(np.minimum(r[None, :] / r[:, None], 1.0) ** 400)
+    # last: a near-identity diagonal whose singular values form one cluster
     yield np.diag(1.0 - 1e-12 * np.arange(n)) + np.tril(1e-14 * rng.random((n, n)), -1)
 
 
@@ -540,7 +540,7 @@ class TestStdlibLanczos:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_at_most_n_steps(self, n, monkeypatch):
-        # the clustered diagonal runs until the basis spans R^n
+        # the clustered diagonal, the last case, runs until the basis spans R^n
         steps = []
         step = sector_spectra._bidiagonal_top
         monkeypatch.setattr(sector_spectra, "_bidiagonal_top",
