@@ -378,34 +378,37 @@ def parse_expression(text: str) -> Expr:
             raise ExpressionSyntaxError("expected ')'", tokens[-1][2])
         tokens.pop()
 
-    def nested(e, child_height: int, offset: int) -> tuple[Expr, int]:
-        if child_height >= _MAX_DEPTH:
+    def too_deep(offset: int, *levels: int) -> None:
+        if max(levels) >= _MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression nested deeper than {_MAX_DEPTH} levels", offset)
-        return e, child_height + 1
 
     def operand(level: int, depth: int) -> tuple[Expr, int]:
         """Sums at level 0, products at 1, and at 2 a unary minus or a power
         ``atom ^ operand(2)``: ``^`` binds tighter than unary minus, its
         exponent may carry one (``x^-2``), and it is right associative.
         Returns the tree and its height; ``depth`` levels lie above it."""
-        nested(None, depth, tokens[-1][2])  # stops the recursion early
+        too_deep(tokens[-1][2], depth)  # stops the recursion early
         if level < 2:
             ops = ("+", "-") if level == 0 else ("*", "/")
             e, height = operand(level + 1, depth)
             while tokens[-1][1] in ops:
                 _, op, offset = tokens.pop()
                 right, h = operand(level + 1, depth + 1)
-                e, height = nested(BinOp(op, e, right), max(height, h), offset)
+                too_deep(offset, height, h)
+                e, height = BinOp(op, e, right), max(height, h) + 1
             return e, height
         kind, tok, offset = tokens.pop()
         if tok == "-":
             arg, height = operand(2, depth + 1)
-            return nested(Neg(arg), height, offset)
+            too_deep(offset, height)
+            return Neg(arg), height + 1
         if kind == "num":
             e, height = Num(float(tok)), 1
         elif tok == "(":
-            e, height = nested(*operand(0, depth + 1), offset)  # parentheses are a level
+            e, height = operand(0, depth + 1)
+            too_deep(offset, height)
+            height += 1  # parentheses are a level
             close()
         elif kind == "name" and tokens[-1][1] == "(":
             if tok not in FUNCTIONS:
@@ -419,7 +422,9 @@ def parse_expression(text: str) -> Expr:
             if len(args) != 1:
                 raise ExpressionSyntaxError(
                     f"function '{tok}' takes 1 argument, got {len(args)}", offset)
-            e, height = nested(Call(tok, args[0][0]), args[0][1], offset)
+            (arg, height), = args
+            too_deep(offset, height)
+            e, height = Call(tok, arg), height + 1
         elif kind == "name" and tok[0] == "x" and tok[1:].isdecimal() and int(tok[1:]) >= 1:
             e, height = Var(int(tok[1:]) - 1), 1
         elif kind == "name":
@@ -429,7 +434,8 @@ def parse_expression(text: str) -> Expr:
         if tokens[-1][1] == "^":
             offset = tokens.pop()[2]
             right, h = operand(2, depth + 1)
-            return nested(BinOp("^", e, right), max(height, h), offset)
+            too_deep(offset, height, h)
+            return BinOp("^", e, right), max(height, h) + 1
         return e, height
 
     e, _ = operand(0, 0)

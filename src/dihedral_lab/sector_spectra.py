@@ -29,7 +29,8 @@ Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
 here, it is not a quoted result.  The discretized kernel is never stored:
 it is applied as damped recurrences in O(grid) time and memory, and its
 norm comes from Golub-Kahan-Lanczos steps from a fixed start vector.  The
-whole module runs on the standard library.
+module runs on the standard library; only a Hardy norm too large for it
+(``grid * sqrt(1 + |lambda|) > 1e4``) imports numpy.
 """
 
 from __future__ import annotations
@@ -281,7 +282,13 @@ def deficiency_test(lam: float) -> DeficiencyResult:
 # ---------------------------------------------------------------------------
 
 
+_BLOCK_RISE = 600.0  # exp(+-600) stays inside the float range
+_CANCELLED = 0.5 ** 0.5  # a Gram-Schmidt pass that keeps less of the norm is repeated
 _LANCZOS_STEPS = 100  # the slowest tested case (lam = 400, grid 1200) takes 47
+# The Lanczos steps depend on lam alone (about 10 (1 + |lam|)^(1/4) once grid >= 300),
+# so the stdlib cost grows as grid * sqrt(1 + |lam|); up to this value it stays below
+# the cost of importing numpy (about 100 ms), beyond it numpy takes over
+_STDLIB_WORK = 1e4
 
 
 def _damped_prefix_sum(q, w) -> list:
@@ -294,6 +301,24 @@ def _damped_prefix_sum(q, w) -> list:
         s = p + y
         c = (s - p) - y
         out.append(s)
+    return out
+
+
+def _blocked_prefix_sum(logs, w):
+    """``s_i = sum_{j <= i} exp(logs_j - logs_i) w_j`` for nondecreasing numpy ``logs``,
+    in blocks over which ``logs`` rises by at most ``_BLOCK_RISE`` (no factor
+    overflows), the running sum carried across blocks by a factor <= 1."""
+    import numpy as np
+
+    out = np.empty_like(w)
+    carry, start = 0.0, 0
+    while start < len(logs):
+        stop = int(np.searchsorted(logs, logs[start] + _BLOCK_RISE, side="right"))
+        rise = logs[start:stop] - logs[start]
+        out[start:stop] = np.exp(-rise) * (carry + np.cumsum(np.exp(rise) * w[start:stop]))
+        if stop < len(logs):
+            carry = out[stop - 1] * math.exp(logs[stop - 1] - logs[stop])
+        start = stop
     return out
 
 
@@ -329,24 +354,53 @@ def _bidiagonal_top(alphas: list, betas: list) -> tuple[float, float]:
 def _top_singular_value(forward, adjoint, n: int) -> float:
     """Largest singular value of an n x n operator (``forward``, ``adjoint``: n floats
     to n floats) by Golub-Kahan-Lanczos from the unit vector of ones, the right basis
-    fully reorthogonalized in ``array('d')`` rows; converged once the top Ritz pair's
-    residual ``|beta_k p_k|`` is at most 1e-15 sigma or the basis spans R^n."""
+    in ``array('d')`` rows fully reorthogonalized by classical Gram-Schmidt, a second
+    pass only after one that cancelled (Daniel, Gragg, Kaufman and Stewart); converged
+    once the top Ritz pair's residual ``|beta_k p_k|`` is at most 1e-15 sigma or the
+    basis spans R^n."""
     basis = [array("d", [1.0 / math.sqrt(n)]) * n]  # grows by one row a step
     u = forward(basis[0])
     alphas, betas = [math.sqrt(sum(map(mul, u, u)))], []
     for _ in range(_LANCZOS_STEPS):
         u = [x / alphas[-1] for x in u]
         w = [x - alphas[-1] * y for x, y in zip(adjoint(u), basis[-1])]
-        for _ in range(2):  # classical Gram-Schmidt, twice is enough
-            for c, v in [(sum(map(mul, v, w)), v) for v in basis]:
-                w = [x - c * y for x, y in zip(w, v)]
         beta = math.sqrt(sum(map(mul, w, w)))
+        for _ in range(2):  # w -= V^T (V w), by columns of V
+            cs = [sum(map(mul, v, w)) for v in basis]
+            w = [x - sum(map(mul, cs, col)) for x, col in zip(w, zip(*basis))]
+            beta, before = math.sqrt(sum(map(mul, w, w))), beta
+            if beta > _CANCELLED * before:
+                break
         sigma, last = _bidiagonal_top(alphas, betas)
         if beta * abs(last) <= 1e-15 * sigma or len(alphas) == n:
             return sigma
         basis.append(array("d", [x / beta for x in w]))
         u = [x - beta * y for x, y in zip(forward(basis[-1]), u)]
         alphas.append(math.sqrt(sum(map(mul, u, u))))
+        betas.append(beta)
+    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps")
+
+
+def _top_singular_value_numpy(forward, adjoint, n: int) -> float:
+    """``_top_singular_value`` on numpy vectors: the basis reorthogonalized twice by
+    matrix products, the bidiagonal step by ``numpy.linalg.svd``."""
+    import numpy as np
+
+    basis = np.full((1, n), 1.0 / math.sqrt(n))  # grows by one row a step
+    u = forward(basis[0])
+    alphas, betas = [math.sqrt(u @ u)], []
+    for _ in range(_LANCZOS_STEPS):
+        u /= alphas[-1]
+        w = adjoint(u) - alphas[-1] * basis[-1]
+        for _ in range(2):  # twice is enough
+            w -= basis.T @ (basis @ w)
+        beta = math.sqrt(w @ w)
+        left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        if beta * abs(left[-1, 0]) <= 1e-15 * sigma[0] or len(alphas) == n:
+            return float(sigma[0])
+        basis = np.vstack([basis, w / beta])
+        u = forward(basis[-1]) - beta * u
+        alphas.append(math.sqrt(u @ u))
         betas.append(beta)
     raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps")
 
@@ -362,9 +416,11 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
     kernel ``(K f)_i = h sum_{j <= i} (r_j / r_i)^lam f_j`` is the recurrence
     ``s_i = (r_{i-1} / r_i)^|lam| s_{i-1} + f_i`` (for lam < 0 run backwards
     with the sign flipped; the adjoint is the reversed run), O(grid) in time
-    and memory on Python floats, and Golub-Kahan-Lanczos from the fixed
-    start vector of ones gives a deterministic norm, or ``RuntimeError``,
-    never an unconverged value.
+    and memory, and Golub-Kahan-Lanczos from the fixed start vector of ones
+    gives a deterministic norm, or ``RuntimeError``, never an unconverged
+    value.  Up to ``grid * sqrt(1 + |lam|) = _STDLIB_WORK`` this runs on
+    Python floats; beyond, where it would cost more than importing numpy,
+    on numpy arrays (the recurrence as blocked prefix sums).
     """
     if not (math.isfinite(lam) and math.isfinite(delta)):
         raise ValueError("lambda and delta must be finite")
@@ -375,10 +431,19 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
     # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for
     # lam < 0 leaves the norm alone, so M is applied without it; row i of M
     # is row i - 1 damped by (r_{i-1} / r_i)^|lam|, plus the diagonal 1
-    ahead = array("d", [0.0, *(((i - 0.5) / (i + 0.5)) ** abs(lam) for i in range(1, grid))])
-    back = ahead[:1] + ahead[:0:-1]  # the same factors for the reversed run
-    maps = (lambda f: _damped_prefix_sum(ahead, f),  # prefix sum, then suffix sum
-            lambda f: _damped_prefix_sum(back, f[::-1])[::-1])
+    if grid * math.sqrt(1.0 + abs(lam)) <= _STDLIB_WORK:
+        ahead = array("d", [0.0, *(((i - 0.5) / (i + 0.5)) ** abs(lam) for i in range(1, grid))])
+        back = ahead[:1] + ahead[:0:-1]  # the same factors for the reversed run
+        maps = (lambda f: _damped_prefix_sum(ahead, f),  # prefix sum, then suffix sum
+                lambda f: _damped_prefix_sum(back, f[::-1])[::-1])
+        top = _top_singular_value
+    else:
+        import numpy as np
+
+        logs = abs(lam) * np.log(np.arange(grid) + 0.5)
+        maps = (lambda f: _blocked_prefix_sum(logs, f),
+                lambda f: _blocked_prefix_sum(-logs[::-1], f[::-1])[::-1])
+        top = _top_singular_value_numpy
     forward, adjoint = maps if lam > 0 else maps[::-1]
-    numeric = delta / grid * _top_singular_value(forward, adjoint, grid)
+    numeric = delta / grid * top(forward, adjoint, grid)
     return numeric, 1.0 / (abs(lam) - 0.5)

@@ -182,7 +182,7 @@ class TestDepthBound:
         ("-" * _MAX_DEPTH + "x1", _MAX_DEPTH),  # the operand on level 201
         ("(" * _MAX_DEPTH + "x1" + ")" * _MAX_DEPTH, _MAX_DEPTH),
         ("-" * (_MAX_DEPTH - 1) + "x1*2", _MAX_DEPTH + 1),  # '*' tops 200 levels
-    ("(" + "-" * (_MAX_DEPTH - 2) + "x1)^2", _MAX_DEPTH + 2),  # so does '^'
+        ("(" + "-" * (_MAX_DEPTH - 2) + "x1)^2", _MAX_DEPTH + 2),  # so does '^'
     ])
     def test_past_the_bound_is_a_syntax_error(self, text, offset):
         with pytest.raises(ExpressionSyntaxError, match="nested deeper than 200 levels") as exc:

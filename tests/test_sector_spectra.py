@@ -438,7 +438,7 @@ class TestHardy:
 
 
 class TestHardyMatrixFree:
-    """``hardy_norm`` runs on blocked prefix sums and Lanczos; the dense
+    """``hardy_norm`` runs on damped recurrences and Lanczos; the dense
     kernel and SVD it replaced are the reference."""
 
     @pytest.mark.parametrize("grid", [16, 17, 1200])
@@ -504,6 +504,34 @@ class TestHardyLanczos:
             hardy_norm(400.0, grid=1200)
 
 
+class TestHardyPaths:
+    """``hardy_norm`` runs on the standard library while ``grid * sqrt(1 + |lam|)``
+    is at most ``_STDLIB_WORK`` and on numpy beyond; both paths give one norm."""
+
+    @pytest.mark.parametrize("lam, grid", [(1.0, 2400), (-2.0, 1200), (20.0, 2200),
+                                           (-99.0, 1000), (400.0, 500), (400.0, 1200)])
+    def test_paths_agree(self, lam, grid, monkeypatch):
+        norms = []
+        for work in (math.inf, 0.0):
+            monkeypatch.setattr(sector_spectra, "_STDLIB_WORK", work)
+            norms.append(hardy_norm(lam, grid=grid)[0])
+        assert norms[0] == pytest.approx(norms[1], rel=1e-13, abs=0)
+
+    def test_step_cap_raises_on_the_stdlib_path(self, monkeypatch):
+        # lam = 400 needs 47 steps on grid 300 too, where 300 sqrt(401) = 6007
+        monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            hardy_norm(400.0, grid=300)
+
+    def test_numpy_only_past_the_rule(self):
+        out = _fresh_python("from dihedral_lab.sector_spectra import hardy_norm\n"
+                            "hardy_norm(2.0, grid=2400)\n"  # 2400 sqrt(3) = 4157
+                            "print('numpy' in sys.modules)\n"
+                            "hardy_norm(400.0, grid=1200)\n"  # 1200 sqrt(401) = 24030
+                            "print('numpy' in sys.modules)\n")
+        assert out.split() == ["False", "True"]
+
+
 def _dense_maps(a):
     """A dense matrix as the two callables ``_top_singular_value`` takes."""
     rows, cols = a.tolist(), a.T.tolist()
@@ -567,16 +595,19 @@ def test_library_calls_load_no_numpy():
     """Start-up guard below the command line: the Hardy norm, the deficiency
     probe, the numeric sector spectrum and the Gallot-Meyer bound all run
     without importing numpy."""
-    code = ("import sys\n"
-            "from dihedral_lab.sector_spectra import (SectorPair, deficiency_test,\n"
-            "    gallot_meyer_bound, hardy_norm, p_spectrum_numeric)\n"
-            "hardy_norm(1.0, grid=64)\n"
-            "deficiency_test(0.25)\n"
-            "p_spectrum_numeric(SectorPair(1.1, 2.2), 128)\n"
-            "gallot_meyer_bound(4)\n"
-            "print('numpy' in sys.modules)\n")
+    out = _fresh_python("from dihedral_lab.sector_spectra import (SectorPair, deficiency_test,\n"
+                        "    gallot_meyer_bound, hardy_norm, p_spectrum_numeric)\n"
+                        "hardy_norm(1.0, grid=64)\n"
+                        "deficiency_test(0.25)\n"
+                        "p_spectrum_numeric(SectorPair(1.1, 2.2), 128)\n"
+                        "gallot_meyer_bound(4)\n"
+                        "print('numpy' in sys.modules)\n")
+    assert out.strip() == "False"
+
+
+def _fresh_python(code):
+    """The standard output of ``code`` (with ``sys`` imported) in a new interpreter."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                          check=True, capture_output=True, text=True).stdout
