@@ -286,8 +286,8 @@ _BLOCK_RISE = 600.0  # exp(+-600) stays inside the float range
 _CANCELLED = 0.5 ** 0.5  # a Gram-Schmidt pass that keeps less of the norm is repeated
 _LANCZOS_STEPS = 100  # the slowest tested case (lam = 400, grid 1200) takes 47
 # The Lanczos steps depend on lam alone (about 10 (1 + |lam|)^(1/4) once grid >= 300),
-# so the stdlib cost grows as grid * sqrt(1 + |lam|); up to this value it stays below
-# the cost of importing numpy (about 100 ms), beyond it numpy takes over
+# so the stdlib cost grows as grid * sqrt(1 + |lam|); at this value it matches the
+# numpy path with its import (60-80 ms on a 2-CPU box), beyond it numpy takes over
 _STDLIB_WORK = 1e4
 
 
