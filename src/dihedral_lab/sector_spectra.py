@@ -26,18 +26,22 @@ a geometric sequence of ratio 2^-(1 - 2|lambda|); the verdict reads that
 decay exponent off the last shells.  The
 Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
 1/(|lambda| - 1/2); that quantitative constant is validated numerically
-here, it is not a quoted result.  The discretized kernel is never stored:
-it is applied as damped recurrences in O(grid) time and memory, and its
-norm comes from Golub-Kahan-Lanczos steps from a fixed start vector.  The
-module runs on the standard library; only a Hardy norm too large for it
-(``grid * sqrt(1 + |lambda|) > 1e4``) imports numpy.
+here, it is not a quoted result.  The discretized kernel is ``h B^-1`` with
+B unit lower bidiagonal, so it is never stored: its norm is ``h / sigma_min(B)``,
+and ``sigma_min(B)^2`` is the least eigenvalue of ``B B^T``, counted to high
+relative accuracy by stationary qd passes (Demmel and Kahan, SIAM J. Sci. Stat.
+Comput. 11, 1990; Parlett and Dhillon, LAA 309, 2000).  Each pass is O(grid) on
+Python floats (about 0.1 s at grid 200,000 on a 2-CPU box); Laguerre's method
+needs 5 or 6 of them at |lambda| <= 10 (grid 200,000: about 0.5 s) and 14 at
+lambda = 400.  The module runs on the standard library at every size.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from operator import mul
+from itertools import repeat
+from operator import truediv
 from typing import Iterable
 
 from .bessel import _bessel_k
@@ -58,7 +62,7 @@ __all__ = [
 ESA_THRESHOLD = 0.5
 _NUMERIC_ESA_TOL = 1e-9
 _SECULAR_STEPS = 100  # 3 steps on benchmark inputs, 8 at the band edge
-# numpy.polynomial.legendre.leggauss(16), bit for bit
+# the 16-point Gauss-Legendre rule, bit for bit as ``leggauss(16)`` gives it
 _GL_NODES = (-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
              -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
              -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
@@ -282,127 +286,64 @@ def deficiency_test(lam: float) -> DeficiencyResult:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_RISE = 600.0  # exp(+-600) stays inside the float range
-_CANCELLED = 0.5 ** 0.5  # a Gram-Schmidt pass that keeps less of the norm is repeated
-_LANCZOS_STEPS = 100  # the slowest tested case (lam = 400, grid 1200) takes 47
-# The Lanczos steps depend on lam alone (about 10 (1 + |lam|)^(1/4) once grid >= 300),
-# so the stdlib cost grows as grid * sqrt(1 + |lam|); at this value it matches the
-# numpy path with its import (60-80 ms on a 2-CPU box), beyond it numpy takes over
-_STDLIB_WORK = 1e4
+_QD_PASSES = 100  # lam = 400 takes 14 at grid 1200, 19 at grid 17; lam = 1e4 at 20,000, 46
+_SETTLED = 1e-14  # relative width of the final count bracket on lambda_min(B B^T)
+_ZERO_PIVOT = 2.0 ** -53  # the least nonzero |1 + s|; an exact zero counts as negative
 
 
-def _damped_prefix_sum(q, w) -> list:
-    """``s_i = q_i s_{i-1} + w_i`` from ``s_0 = w_0`` for ``0 <= q_i <= 1`` (no overflow),
-    each addition's rounding error ``c`` fed back (Kahan): summed plainly, the errors on
-    a smooth ``w`` drift one way and moved the Hardy norm at grid 200,000 by 7e-13."""
-    s, c, out = 0.0, 0.0, []
-    for qi, wi in zip(q, w):
-        p, y = qi * s, wi - qi * c
-        s = p + y
-        c = (s - p) - y
-        out.append(s)
-    return out
+def _qd_pass(q2: array, tau: float) -> tuple[int, float, float]:
+    """One stationary qd pass (dstqds) of ``B B^T - tau I``, B unit lower bidiagonal with
+    ``B[i+1, i]^2 = q2[i]`` (``q2[-1]`` is unused): the pivots are ``1 + s_i``, from
+    ``s_0 = -tau`` by ``s_{i+1} = q2[i] s_i / (1 + s_i) - tau``, and the negative ones
+    count the eigenvalues below tau.  The tau-derivatives of s carried along give
+    ``G = sum 1/(lam_k - tau)`` and ``H = sum 1/(lam_k - tau)^2``.  Each ``- tau``
+    addition's rounding error is fed forward (Kahan): summed plainly, the errors drift
+    one way and moved the Hardy norm at grid 200,000 by 1e-12."""
+    s, c, e, d2 = -tau, 0.0, 1.0, 0.0  # e = -ds/dtau, d2 = d^2 s/dtau^2
+    below, g, h = 0, 0.0, 0.0
+    for q in q2:
+        p = 1.0 + s or -_ZERO_PIVOT
+        if p < 0.0:
+            below += 1
+        r = 1.0 / p
+        u = e * r
+        g += u
+        h += u * u - d2 * r
+        a = q * r
+        b = a * r
+        d2 = b * (d2 - 2.0 * e * u)
+        e = b * e + 1.0
+        t, y = a * s, b * c + tau
+        s = t - y
+        c = (s - t) + y
+    return below, g, h
 
 
-def _blocked_prefix_sum(logs, w):
-    """``s_i = sum_{j <= i} exp(logs_j - logs_i) w_j`` for nondecreasing numpy ``logs``,
-    in blocks over which ``logs`` rises by at most ``_BLOCK_RISE`` (no factor
-    overflows), the running sum carried across blocks by a factor <= 1."""
-    import numpy as np
-
-    out = np.empty_like(w)
-    carry, start = 0.0, 0
-    while start < len(logs):
-        stop = int(np.searchsorted(logs, logs[start] + _BLOCK_RISE, side="right"))
-        rise = logs[start:stop] - logs[start]
-        out[start:stop] = np.exp(-rise) * (carry + np.cumsum(np.exp(rise) * w[start:stop]))
-        if stop < len(logs):
-            carry = out[stop - 1] * math.exp(logs[stop - 1] - logs[stop])
-        start = stop
-    return out
-
-
-def _bidiagonal_top(alphas: list, betas: list) -> tuple[float, float]:
-    """Top singular value of the upper bidiagonal B (diagonal ``alphas``, superdiagonal
-    ``betas``) and the last entry of its top left singular vector: with B scaled to
-    entries <= 1, bisection finds the least x in [1, 5] with all LDL^T pivots of
-    ``x I - B B^T`` positive, and two solves with them from ones give the vector."""
-    scale = max(map(abs, alphas + betas))
-    a, b = [v / scale for v in alphas], [v / scale for v in betas] + [0.0]
-    diag, off = [x * x + y * y for x, y in zip(a, b)], [y * x for y, x in zip(b, a[1:])]
-
-    def pivots(x):  # every pivot after the first one <= 0 reads -1
-        out = [x - diag[0]]
-        for d, e in zip(diag[1:], off):
-            out.append(x - d - e * e / out[-1] if out[-1] > 0.0 else -1.0)
-        return out
-
-    lo, hi = 1.0, 5.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if min(pivots(mid)) > 0.0 else (mid, hi)
-    piv = pivots(hi)
-    ratios, y = [e / p for e, p in zip(off, piv)], [1.0] * len(a)
-    for _ in range(2):  # L, then D, then L^T
-        for i, r in enumerate(ratios):
-            y[i + 1] += r * y[i]
-        y = [v / p for v, p in zip(y, piv)]
-        for i in reversed(range(len(ratios))):
-            y[i] += ratios[i] * y[i + 1]
-    return scale * math.sqrt(hi), y[-1] / math.sqrt(sum(map(mul, y, y)))
-
-
-def _top_singular_value(forward, adjoint, n: int) -> float:
-    """Largest singular value of an n x n operator (``forward``, ``adjoint``: n floats
-    to n floats) by Golub-Kahan-Lanczos from the unit vector of ones, the right basis
-    in ``array('d')`` rows fully reorthogonalized by classical Gram-Schmidt, a second
-    pass only after one that cancelled (Daniel, Gragg, Kaufman and Stewart); converged
-    once the top Ritz pair's residual ``|beta_k p_k|`` is at most 1e-15 sigma or the
-    basis spans R^n."""
-    basis = [array("d", [1.0 / math.sqrt(n)]) * n]  # grows by one row a step
-    u = forward(basis[0])
-    alphas, betas = [math.sqrt(sum(map(mul, u, u)))], []
-    for _ in range(_LANCZOS_STEPS):
-        u = [x / alphas[-1] for x in u]
-        w = [x - alphas[-1] * y for x, y in zip(adjoint(u), basis[-1])]
-        beta = math.sqrt(sum(map(mul, w, w)))
-        for _ in range(2):  # w -= V^T (V w), by columns of V
-            cs = [sum(map(mul, v, w)) for v in basis]
-            w = [x - sum(map(mul, cs, col)) for x, col in zip(w, zip(*basis))]
-            beta, before = math.sqrt(sum(map(mul, w, w))), beta
-            if beta > _CANCELLED * before:
-                break
-        sigma, last = _bidiagonal_top(alphas, betas)
-        if beta * abs(last) <= 1e-15 * sigma or len(alphas) == n:
-            return sigma
-        basis.append(array("d", [x / beta for x in w]))
-        u = [x - beta * y for x, y in zip(forward(basis[-1]), u)]
-        alphas.append(math.sqrt(sum(map(mul, u, u))))
-        betas.append(beta)
-    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps")
-
-
-def _top_singular_value_numpy(forward, adjoint, n: int) -> float:
-    """``_top_singular_value`` on numpy vectors: the basis reorthogonalized twice by
-    matrix products, the bidiagonal step by ``numpy.linalg.svd``."""
-    import numpy as np
-
-    basis = np.full((1, n), 1.0 / math.sqrt(n))  # grows by one row a step
-    u = forward(basis[0])
-    alphas, betas = [math.sqrt(u @ u)], []
-    for _ in range(_LANCZOS_STEPS):
-        u /= alphas[-1]
-        w = adjoint(u) - alphas[-1] * basis[-1]
-        for _ in range(2):  # twice is enough
-            w -= basis.T @ (basis @ w)
-        beta = math.sqrt(w @ w)
-        left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        if beta * abs(left[-1, 0]) <= 1e-15 * sigma[0] or len(alphas) == n:
-            return float(sigma[0])
-        basis = np.vstack([basis, w / beta])
-        u = forward(basis[-1]) - beta * u
-        alphas.append(math.sqrt(u @ u))
-        betas.append(beta)
-    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps")
+def _least_eigenvalue(q2: array) -> float:
+    """``lambda_min(B B^T)`` (B as in ``_qd_pass``): the midpoint of a bracket
+    ``[lo, hi]``, ``hi <= lo (1 + _SETTLED)``, whose ends count none and at least one
+    eigenvalue below them.  Laguerre's method climbs to it from tau = 0 monotonically,
+    cubically at the end (the characteristic polynomial is real-rooted), in steps of
+    at least ``_SETTLED / 2`` relative, so the climb ends in a count above it.  Below a
+    crossing the probes back off by distances doubling from ``_SETTLED / 2`` relative,
+    never past the bracket's midpoint: at the end of a climb the crossing is rounding
+    (the Laguerre point and the counts differ by up to 1e-14 relative) and one or two
+    probes close the bracket; on a clustered spectrum (lam = 400 at grid 16, where
+    ``n H - G^2`` cancels and the first step lands past lambda_min) the doubling finds
+    the lower end.  A Laguerre step from ``lo`` that reaches ``hi`` bisects instead."""
+    n, lo, hi, tau, back = len(q2), 0.0, math.inf, 0.0, 0.5 * _SETTLED
+    for _ in range(_QD_PASSES):
+        below, g, h = _qd_pass(q2, tau)
+        if below:
+            hi, tau, back = tau, max(tau * (1.0 - back), 0.5 * (lo + tau)), 2.0 * back
+        else:
+            step = n / (g + math.sqrt(max((n - 1) * (n * h - g * g), 0.0)))
+            lo, tau = tau, tau + max(0.5 * _SETTLED * tau, step)
+            if tau >= hi:
+                tau = 0.5 * (lo + hi)
+        if lo < hi <= lo * (1.0 + _SETTLED):
+            return 0.5 * (lo + hi)
+    raise RuntimeError(f"Hardy norm did not converge in {_QD_PASSES} qd passes")
 
 
 def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
@@ -412,15 +353,15 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
     For lam >= 1/2 the operator integrates from 0 to r; for lam <= -1/2
     from r to delta (the adjoint of the first kind).  Returns
     ``(largest singular value of the discretized kernel, analytic bound)``;
-    the analytic constant is normalized to delta = 1.  Matrix-free: the
-    kernel ``(K f)_i = h sum_{j <= i} (r_j / r_i)^lam f_j`` is the recurrence
-    ``s_i = (r_{i-1} / r_i)^|lam| s_{i-1} + f_i`` (for lam < 0 run backwards
-    with the sign flipped; the adjoint is the reversed run), O(grid) in time
-    and memory, and Golub-Kahan-Lanczos from the fixed start vector of ones
-    gives a deterministic norm, or ``RuntimeError``, never an unconverged
-    value.  Up to ``grid * sqrt(1 + |lam|) = _STDLIB_WORK`` this runs on
-    Python floats; beyond, where it would cost more than importing numpy,
-    on numpy arrays (the recurrence as blocked prefix sums).
+    the analytic constant is normalized to delta = 1.  The kernel
+    ``(K f)_i = h sum_{j <= i} (r_j / r_i)^lam f_j`` is ``h B^-1``, B unit lower
+    bidiagonal with ``-((i - 1/2)/(i + 1/2))^|lam|`` below the diagonal (for lam < 0
+    reversed and negated: the same singular values), so its norm is
+    ``h / sigma_min(B)``, from the qd passes of ``_least_eigenvalue`` over 8 bytes
+    per grid point.  A pass costs about 0.5 us per grid point on a 2-CPU box; 5 or 6
+    passes at |lam| <= 10, 14 at lam = 400, more past that; grid 200,000 at lam = 0.6
+    takes 5 passes, about 0.5 s.  The result is bracketed by eigenvalue counts, or
+    ``RuntimeError`` after ``_QD_PASSES`` passes, never an unconverged value.
     """
     if not (math.isfinite(lam) and math.isfinite(delta)):
         raise ValueError("lambda and delta must be finite")
@@ -428,22 +369,8 @@ def hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200
         raise ValueError("|lambda| must exceed 1/2 (threshold is unbounded)")
     if delta <= 0.0 or grid < 16:
         raise ValueError("need delta > 0 and a sensible grid")
-    # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for
-    # lam < 0 leaves the norm alone, so M is applied without it; row i of M
-    # is row i - 1 damped by (r_{i-1} / r_i)^|lam|, plus the diagonal 1
-    if grid * math.sqrt(1.0 + abs(lam)) <= _STDLIB_WORK:
-        ahead = array("d", [0.0, *(((i - 0.5) / (i + 0.5)) ** abs(lam) for i in range(1, grid))])
-        back = ahead[:1] + ahead[:0:-1]  # the same factors for the reversed run
-        maps = (lambda f: _damped_prefix_sum(ahead, f),  # prefix sum, then suffix sum
-                lambda f: _damped_prefix_sum(back, f[::-1])[::-1])
-        top = _top_singular_value
-    else:
-        import numpy as np
-
-        logs = abs(lam) * np.log(np.arange(grid) + 0.5)
-        maps = (lambda f: _blocked_prefix_sum(logs, f),
-                lambda f: _blocked_prefix_sum(-logs[::-1], f[::-1])[::-1])
-        top = _top_singular_value_numpy
-    forward, adjoint = maps if lam > 0 else maps[::-1]
-    numeric = delta / grid * top(forward, adjoint, grid)
-    return numeric, 1.0 / (abs(lam) - 0.5)
+    # r_i / h = i + 1/2, so B is free of delta; (2i + 1)/(2i + 3) is (i + 1/2)/(i + 3/2) exactly
+    q2 = array("d", map(pow, map(truediv, range(1, 2 * grid, 2), range(3, 2 * grid, 2)),
+                        repeat(2.0 * abs(lam))))
+    q2.append(0.0)  # the last pivot has no successor
+    return delta / grid / math.sqrt(_least_eigenvalue(q2)), 1.0 / (abs(lam) - 0.5)

@@ -510,7 +510,7 @@ def _damped_prefix_sum(logs: np.ndarray, w: np.ndarray) -> np.ndarray:
 def svds_hardy_norm(lam: float, delta: float = 1.0, grid: int = 1200) -> float:
     """Norm of the matrix-free Hardy kernel from ARPACK: ``svds(k=1)`` on a
     ``LinearOperator`` over the blocked numpy prefix sums above (not the
-    library's recurrence), from the vector of ones."""
+    library's qd passes over the bidiagonal inverse), from the vector of ones."""
     from scipy.sparse.linalg import LinearOperator, svds
 
     # K = h M with M free of delta (r_i / h = i + 1/2); the sign flip for

@@ -863,12 +863,12 @@ class TestInternalErrors:
     def test_hardy_non_convergence_exits_3(self, runner, monkeypatch):
         from dihedral_lab import sector_spectra
 
-        monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
+        monkeypatch.setattr(sector_spectra, "_QD_PASSES", 2)
         result = runner.invoke(main, ["hardy", "--lambda", "400", "--grid", "1200"])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
-            "internal error: RuntimeError: Lanczos did not converge in 2 steps"]
+            "internal error: RuntimeError: Hardy norm did not converge in 2 qd passes"]
 
     def test_secular_non_convergence_exits_3(self, runner, monkeypatch):
         from dihedral_lab import sector_spectra
@@ -1193,7 +1193,7 @@ def test_parse_errors_load_no_comparison(args, loaded, absent):
         "hardy-exit-2", "certify"])
 def test_scalar_spectral_commands_load_no_numpy(args, code):
     """Start-up guard: the scalar spectral commands, ``hardy`` with its
-    Lanczos norm, ``smooth`` with its expression parser and ``index`` with
+    qd-pass norm, ``smooth`` with its expression parser and ``index`` with
     its closed form included, run on the stdlib, on success and on bad
     input; ``certify`` is the positive control."""
     exit_code, modules = _fresh_cli(args)

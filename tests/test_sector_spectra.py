@@ -1,15 +1,16 @@
+import ast
 import itertools
 import math
 import os
 import pathlib
 import subprocess
 import sys
-from operator import mul
+from array import array
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedral_lab.sector_spectra import (
@@ -438,8 +439,8 @@ class TestHardy:
 
 
 class TestHardyMatrixFree:
-    """``hardy_norm`` runs on damped recurrences and Lanczos; the dense
-    kernel and SVD it replaced are the reference."""
+    """``hardy_norm`` runs qd passes over the kernel's bidiagonal inverse; the
+    dense kernel and SVD it replaced are the reference."""
 
     @pytest.mark.parametrize("grid", [16, 17, 1200])
     @pytest.mark.parametrize("lam", [s * v for v in (0.51, 0.6, 1.0, 1.3, 2.0, 4.0,
@@ -451,7 +452,8 @@ class TestHardyMatrixFree:
 
     @pytest.mark.parametrize("delta", [1e-300, 1e300])
     def test_extreme_delta_matches_dense_svd(self, delta):
-        # Lanczos squares the operator: h^2 would under/overflow here
+        # the qd passes run on B, free of h, and h / sigma_min(B) is formed last:
+        # h^2 would under/overflow here
         numeric, _ = hardy_norm(1.3, delta=delta, grid=64)
         assert numeric == pytest.approx(dense_hardy_norm(1.3, delta, 64), rel=1e-12, abs=0)
 
@@ -471,7 +473,7 @@ class TestHardyMatrixFree:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 8 * grid  # the (grid, grid) kernel is 8 * grid**2
+        assert peak < 16 * grid  # one array of doubles; the (grid, grid) kernel is 8 * grid**2
 
     @pytest.mark.parametrize("lam, delta", [(math.inf, 1.0), (-math.inf, 1.0),
                                             (math.nan, 1.0), (1.0, math.nan),
@@ -482,8 +484,8 @@ class TestHardyMatrixFree:
 
 
 class TestHardyLanczos:
-    """The Golub-Kahan-Lanczos norm against ARPACK (``svds``) on the same
-    matrix-free operator."""
+    """The qd norm against ARPACK's Lanczos (``svds``) on the matrix-free
+    operator, applied by blocked numpy prefix sums."""
 
     @pytest.mark.parametrize("grid", [16, 17, 1200, 2400])
     @pytest.mark.parametrize("lam", [s * v for v in (0.51, 0.6, 1.0, 2.0, 40.0, 400.0)
@@ -497,98 +499,131 @@ class TestHardyLanczos:
         assert numeric == pytest.approx(svds_hardy_norm(0.6, grid=200_000), rel=1e-12, abs=0)
 
     def test_step_cap_raises(self, monkeypatch):
-        # lam = 400 on grid 1200 needs 47 steps; an unconverged value is
+        # lam = 400 on grid 1200 needs 14 qd passes; an unconverged value is
         # never returned
-        monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
+        monkeypatch.setattr(sector_spectra, "_QD_PASSES", 2)
         with pytest.raises(RuntimeError, match="did not converge"):
             hardy_norm(400.0, grid=1200)
 
 
 class TestHardyPaths:
-    """``hardy_norm`` runs on the standard library while ``grid * sqrt(1 + |lam|)``
-    is at most ``_STDLIB_WORK`` and on numpy beyond; both paths give one norm."""
-
-    @pytest.mark.parametrize("lam, grid", [(1.0, 2400), (-2.0, 1200), (20.0, 2200),
-                                           (-99.0, 1000), (400.0, 500), (400.0, 1200)])
-    def test_paths_agree(self, lam, grid, monkeypatch):
-        norms = []
-        for work in (math.inf, 0.0):
-            monkeypatch.setattr(sector_spectra, "_STDLIB_WORK", work)
-            norms.append(hardy_norm(lam, grid=grid)[0])
-        assert norms[0] == pytest.approx(norms[1], rel=1e-13, abs=0)
+    """``hardy_norm`` has one path, on the standard library at every size."""
 
     def test_step_cap_raises_on_the_stdlib_path(self, monkeypatch):
-        # lam = 400 needs 47 steps on grid 300 too, where 300 sqrt(401) = 6007
-        monkeypatch.setattr(sector_spectra, "_LANCZOS_STEPS", 2)
+        # lam = 400 needs 8 qd passes on grid 300
+        monkeypatch.setattr(sector_spectra, "_QD_PASSES", 2)
         with pytest.raises(RuntimeError, match="did not converge"):
             hardy_norm(400.0, grid=300)
 
-    def test_numpy_only_past_the_rule(self):
+    @pytest.mark.parametrize("lam, grid, passes", [(0.6, 2400, 5), (1.0, 1200, 5), (-1.0, 1200, 5),
+                                                   (2.0, 1200, 6), (0.5000001, 2400, 6),
+                                                   (400.0, 1200, 14), (400.0, 17, 19)])
+    def test_qd_passes(self, lam, grid, passes, monkeypatch):
+        # the benchmark's jobs, a Laguerre point 9e-15 past the counts' crossing
+        # (lam = 0.5000001: 27 passes when the probes bisect) and a clustered spectrum
+        taus = []
+        qd_pass = sector_spectra._qd_pass
+        monkeypatch.setattr(sector_spectra, "_qd_pass",
+                            lambda q2, tau: taus.append(tau) or qd_pass(q2, tau))
+        hardy_norm(lam, grid=grid)
+        assert len(taus) <= passes
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_count_off_by_one_raises(self, off, monkeypatch):
+        # off by one at tau = 0, where B B^T has no eigenvalue below, the counts
+        # never bracket lambda_min
+        qd_pass = sector_spectra._qd_pass
+
+        def miscounted(q2, tau):
+            below, g, h = qd_pass(q2, tau)
+            return below + off, g, h
+
+        monkeypatch.setattr(sector_spectra, "_qd_pass", miscounted)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            hardy_norm(1.0, grid=64)
+
+    def test_no_numpy_at_any_size(self):
         out = _fresh_python("from dihedral_lab.sector_spectra import hardy_norm\n"
-                            "hardy_norm(2.0, grid=2400)\n"  # 2400 sqrt(3) = 4157
-                            "print('numpy' in sys.modules)\n"
-                            "hardy_norm(400.0, grid=1200)\n"  # 1200 sqrt(401) = 24030
+                            "hardy_norm(400.0, grid=1200)\n"
+                            "hardy_norm(0.6, grid=200_000)\n"
                             "print('numpy' in sys.modules)\n")
-        assert out.split() == ["False", "True"]
+        assert out.split() == ["False"]
+
+    def test_module_imports_no_numpy(self):
+        tree = ast.parse(pathlib.Path(sector_spectra.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert imported and not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
-def _dense_maps(a):
-    """A dense matrix as the two callables ``_top_singular_value`` takes."""
-    rows, cols = a.tolist(), a.T.tolist()
-    return (lambda x: [sum(map(mul, r, x)) for r in rows],
-            lambda x: [sum(map(mul, c, x)) for c in cols])
+def _gram_eigenvalues(q2):
+    """Eigenvalues of ``B B^T`` for the unit lower bidiagonal B with
+    ``B[i+1, i]^2 = q2[i]``, by ``numpy.linalg.eigvalsh``."""
+    b = np.eye(len(q2)) - np.diag(np.sqrt(q2[:-1]), -1)
+    return np.linalg.eigvalsh(b @ b.T)
 
 
-def _dense_cases(n):
-    rng = np.random.default_rng(n)
-    yield rng.standard_normal((n, n))
-    rank = max(1, n // 2)
-    yield rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
-    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    s = np.sort(rng.random(n))[::-1].copy()
-    s[:2] = 2.0  # the top singular value repeated
-    yield q1 @ np.diag(s) @ q2.T
-    r = np.arange(n) + 0.5  # the Hardy kernel at lam = 400: nearly the identity
-    yield np.tril(np.minimum(r[None, :] / r[:, None], 1.0) ** 400)
-    # last: a near-identity diagonal whose singular values form one cluster
-    yield np.diag(1.0 - 1e-12 * np.arange(n)) + np.tril(1e-14 * rng.random((n, n)), -1)
+def _hardy_q2(lam, grid):
+    """The squared subdiagonal of the Hardy kernel's B, then the ignored last entry."""
+    r = np.arange(grid) + 0.5
+    return np.append((r[:-1] / r[1:]) ** (2.0 * abs(lam)), 0.0)
 
 
-class TestStdlibLanczos:
-    """``_top_singular_value`` on dense operators passed as closures, and its
-    bidiagonal step, against ``numpy.linalg.svd``."""
+def _clear(eigs, tau):
+    """tau at least 1e-13 ||B B^T|| from every eigenvalue: ``eigvalsh`` is accurate
+    to a few eps ||B B^T||, the qd count to O(grid eps) relative."""
+    return np.min(np.abs(eigs - tau)) > 1e-13 * eigs[-1]
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_dense_operators_match_svd(self, n):
-        for a in _dense_cases(n):
-            top = np.linalg.svd(a, compute_uv=False)[0]
-            assert sector_spectra._top_singular_value(*_dense_maps(a), n) == pytest.approx(
-                top, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_at_most_n_steps(self, n, monkeypatch):
-        # the clustered diagonal, the last case, runs until the basis spans R^n
-        steps = []
-        step = sector_spectra._bidiagonal_top
-        monkeypatch.setattr(sector_spectra, "_bidiagonal_top",
-                            lambda a, b: steps.append(len(a)) or step(a, b))
-        for a in _dense_cases(n):
-            steps.clear()
-            sector_spectra._top_singular_value(*_dense_maps(a), n)
-            assert steps == list(range(1, len(steps) + 1)) and len(steps) <= n
-        assert len(steps) == n
+def _assert_count(q2, eigs, tau):
+    assert sector_spectra._qd_pass(array("d", q2), tau)[0] == np.count_nonzero(eigs < tau)
 
-    @pytest.mark.parametrize("k", range(1, 101))
-    def test_bidiagonal_step_matches_svd(self, k):
-        rng = np.random.default_rng(k)
-        for alphas, betas in [(rng.random(k), rng.random(k - 1)),
-                              (rng.standard_normal(k), rng.standard_normal(k - 1)),
-                              (10.0 ** rng.uniform(-8, 8, k), 10.0 ** rng.uniform(-8, 8, k - 1))]:
-            left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-            top, last = sector_spectra._bidiagonal_top(alphas.tolist(), betas.tolist())
-            assert top == pytest.approx(sigma[0], rel=1e-13, abs=0)
-            assert abs(last) == pytest.approx(abs(left[-1, 0]), rel=0, abs=1e-13)
+
+class TestQdCount:
+    """The negative pivots of one qd pass against the eigenvalues of ``B B^T``
+    below tau."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.51, 400.0), st.integers(16, 64), st.floats(0.0, 1.0))
+    def test_matches_eigvalsh_on_hardy_kernels(self, lam, grid, where):
+        q2 = _hardy_q2(lam, grid)
+        eigs = _gram_eigenvalues(q2)
+        tau = 0.5 * eigs[0] * (3.0 * eigs[-1] / eigs[0]) ** where  # log-uniform
+        assume(_clear(eigs, tau))
+        _assert_count(q2, eigs, tau)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(16, 64).flatmap(
+               lambda n: st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)),
+           st.floats(0.0, 4.0))
+    def test_matches_eigvalsh_on_any_bidiagonal(self, q, tau):
+        q2 = np.append(q, 0.0)
+        eigs = _gram_eigenvalues(q2)
+        assume(_clear(eigs, tau))
+        _assert_count(q2, eigs, tau)
+
+    @pytest.mark.parametrize("lam, grid", [(400.0, 16), (-400.0, 16), (400.0, 17),
+                                           (-400.0, 17), (0.51, 16), (0.51, 64)])
+    def test_pinned_cases(self, lam, grid):
+        # lam = 400 at grids 16/17: B B^T is the identity to 1e-11, a clustered
+        # spectrum; tau just around lambda_min and between separable neighbours
+        q2 = _hardy_q2(lam, grid)
+        eigs = _gram_eigenvalues(q2)
+        taus = [eigs[0] * (1 - 1e-6), eigs[0] * (1 + 1e-6), *(0.5 * (eigs[1:] + eigs[:-1]))]
+        taus = [tau for tau in taus if _clear(eigs, tau)]
+        assert len(taus) >= 3
+        for tau in taus:
+            _assert_count(q2, eigs, tau)
+
+    def test_identity_zero_pivots(self):
+        # |lam| > 372 grid: q2 underflows, B = I, and every pivot at tau = 1 is an
+        # exact 0, counted as negative
+        q2 = array("d", [0.0] * 16)
+        assert sector_spectra._qd_pass(q2, 1.0)[0] == 16
+        assert sector_spectra._least_eigenvalue(q2) == pytest.approx(1.0, rel=1e-14, abs=0)
+        assert hardy_norm(1e300, grid=16)[0] == pytest.approx(1 / 16, rel=1e-14, abs=0)
 
 
 def test_library_calls_load_no_numpy():
