@@ -202,6 +202,12 @@ def _window_box(domain: PolyDomain) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _parallel(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the planes of unit normals ``a``, ``b`` never meet in an edge:
+    the rows' smaller singular value ``min |a -+ b| / sqrt(2)`` is <= 1e-10."""
+    return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= math.sqrt(2.0) * 1e-10
+
+
 def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
                    allow_empty: bool = False) -> np.ndarray:
     """Deterministic low-discrepancy samples on a stratum, as a ``(k, n)`` array.
@@ -226,8 +232,7 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
     elif stratum.startswith("edge:"):
         faces = [int(v) for v in stratum.split(":")[1].split(",")]
         rows = domain.normals[faces]
-        if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
-            # parallel supporting planes never meet in an edge
+        if _parallel(rows[0], rows[1]):
             if allow_empty:
                 return np.zeros((0, n))
             raise DomainError(f"faces {faces[0]} and {faces[1]} are parallel; no edge")
@@ -334,9 +339,9 @@ def _singular_values(gsrc: np.ndarray, gdst: np.ndarray,
 
 def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
     """``(i, j, points, images, jacobians)`` per mapped face and ``(i, j, points,
-    images)`` per edge i < j between mapped faces, sampled and jetted once at
-    ``max(per_face, _CHECK_PER_FACE)`` / ``max(per_edge, _CHECK_PER_EDGE)``
-    points, all of them checked against the declared correspondence."""
+    images)`` per edge i < j between mapped faces (not parallel), sampled and
+    jetted once at ``max(per_face, _CHECK_PER_FACE)`` / ``max(per_edge,
+    _CHECK_PER_EDGE)`` points, all checked against the declared correspondence."""
     f = scene.corner_map
     src, dst = scene.domain_src, scene.domain_dst
     scale = max(1.0, dst.diameter())
@@ -350,7 +355,8 @@ def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
             raise SceneError(f"face {i + 1} sample {list(ys[k])} maps to "
                              f"{list(imgs[k])}, not on target face {j + 1}")
         faces.append((i, j, ys, imgs, jac))
-    for i, j in ((i, j) for i in f.face_map for j in f.face_map if i < j):
+    for i, j in ((i, j) for i in f.face_map for j in f.face_map
+                 if i < j and not _parallel(src.normals[i], src.normals[j])):
         zs = sample_stratum(src, f"edge:{i},{j}", max(spec.per_edge, _CHECK_PER_EDGE),
                             spec.seed, allow_empty=True)
         imgs, jac = f.jet(zs)
@@ -393,9 +399,9 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
         off = ~dst.on_faces([j], fys)
         if off.any():
             raise DomainError(f"point {list(fys[np.argmax(off)])} is not on face {j}")
-        gsrc, ginv, _, _, _, gamma = _first_order(scene.metric_src, ys)
+        gsrc, ginv, _, _, gamma = _first_order(scene.metric_src, ys)
         h_src = np.trace(_face_forms(src, i, gsrc, ginv, gamma)[0], axis1=1, axis2=2)
-        gdst, ginv, _, _, _, gamma = _first_order(scene.metric_dst, fys)
+        gdst, ginv, _, _, gamma = _first_order(scene.metric_dst, fys)
         h_dst = np.trace(_face_forms(dst, j, gdst, ginv, gamma)[0], axis1=1, axis2=2)
         sv = _singular_values(gsrc, gdst, jac)
         extend("mean_curvature", f"face:{i + 1}", ys, h_src - sv[:, 0] * h_dst)

@@ -6,6 +6,9 @@ Conventions (fixed here, tested against symbolic oracles):
   all-lowered components ``R_{ijkl} = g(R(d_i, d_j) d_k, d_l)``; with this
   sign ``R_{ijji}`` is the sectional curvature times the squared area
   element, so the round sphere has ``R_{ijji} > 0`` and ``Sc = n(n-1)``.
+  With ``Gamma_{l,ij} = g_{lk} Gamma^k_{ij}``, ``R_{ijkl} = 1/2 (d_i d_k g_jl
+  - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik) + Gamma_{m,jl} Gamma^m_{ik}
+  - Gamma_{m,il} Gamma^m_{jk}``.
 - The curvature operator on 2-vectors is
   ``<Rop(e_i ^ e_j), e_k ^ e_l> = -R(e_i, e_j, e_k, e_l)`` in an
   orthonormal frame; non-negative for the round sphere.
@@ -274,8 +277,8 @@ class CurvaturePack:
 
 
 def _first_order(g: MetricField, pts: np.ndarray):
-    """Metric, inverse, derivatives ``dg[p, k, i, j]`` and ``d2g[p, a, b, i, j]``,
-    the Christoffel bracket and Gamma^k_{ij} at the rows of ``pts``."""
+    """Metric, inverse, ``d2g[p, a, b, i, j]``, the Christoffel bracket (twice
+    the first-kind symbols) and Gamma^k_{ij} at the rows of ``pts``."""
     gmat, dg, d2g = g.jet(pts)
     lowest = np.linalg.eigvalsh(gmat)[:, 0]
     if np.any(lowest <= 0.0):
@@ -283,35 +286,22 @@ def _first_order(g: MetricField, pts: np.ndarray):
         raise MetricNotPositiveDefinite(
             f"metric at {pts[p].tolist()} has smallest eigenvalue {lowest[p]:.3e}")
     ginv = np.linalg.inv(gmat)
-    # bracket[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    # bracket[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_{l,ij}
     bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
-    return gmat, ginv, dg, d2g, bracket, gamma
+    return gmat, ginv, d2g, bracket, gamma
 
 
 def _curvature(g: MetricField, pts: np.ndarray):
     """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
     rows of ``pts``, each with a leading point axis."""
-    gmat, ginv, dg, d2g, bracket, gamma = _first_order(g, pts)
-    # d_a g^{kl} = -g^{km} (d_a g_mn) g^{nl}
-    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
-    # dbracket[..., a, i, j, l] = d_a bracket[..., i, j, l]
-    dbracket = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
-    # dgamma[..., a, k, i, j] = d_a Gamma^k_{ij}
-    dgamma = 0.5 * (
-        np.einsum("...akl,...ijl->...akij", dginv, bracket)
-        + np.einsum("...kl,...aijl->...akij", ginv, dbracket)
-    )
-    # R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik}
-    #             + Gamma^l_{jk} Gamma^m_{il} - Gamma^l_{ik} Gamma^m_{jl}
-    rm = (
-        np.einsum("...imjk->...mijk", dgamma)
-        - np.einsum("...jmik->...mijk", dgamma)
-        + np.einsum("...ljk,...mil->...mijk", gamma, gamma)
-        - np.einsum("...lik,...mjl->...mijk", gamma, gamma)
-    )
-    riemann = np.einsum("...ml,...mijk->...ijkl", gmat, rm)
+    gmat, ginv, d2g, bracket, gamma = _first_order(g, pts)
+    # half[..., i, j, k, l] = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + Gamma_{m,jl} Gamma^m_{ik}
+    second = np.swapaxes(d2g, -3, -2)  # second[..., i, j, k, l] = d_i d_k g_jl
+    half = 0.5 * (second - np.swapaxes(second, -1, -2)
+                  + np.einsum("...jlm,...mik->...ijkl", bracket, gamma))
+    riemann = half - np.swapaxes(half, -4, -3)
     ricci = np.einsum("...ml,...mjkl->...jk", ginv, riemann)
     scalar = np.einsum("...jk,...jk->...", ginv, ricci)
     return gmat, ginv, gamma, riemann, ricci, scalar
@@ -319,7 +309,7 @@ def _curvature(g: MetricField, pts: np.ndarray):
 
 def christoffel(g: MetricField, x: Sequence[float]):
     """Metric, inverse, and Christoffel symbols Gamma^k_{ij} at ``x``."""
-    gmat, ginv, _, _, _, gamma = _first_order(g, np.atleast_2d(x))
+    gmat, ginv, _, _, gamma = _first_order(g, np.atleast_2d(x))
     return gmat[0], ginv[0], gamma[0]
 
 
@@ -608,11 +598,11 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
     rows = [(p + t * (q - p), q - p, domain.normals[face], w) for p, q, face in edges
             for t, w in zip(0.5 * (param + 1.0), 0.5 * weight)]
     pts, tangents, normals, weights = (np.array(column) for column in zip(*rows))
-    gmat, ginv, _, _, _, gamma = _first_order(g, pts)
+    gmat, ginv, _, bracket, _ = _first_order(g, pts)
     nu = _inner_unit_normal(normals, gmat, ginv)
-    accel = np.einsum("pkij,pi,pj->pk", gamma, tangents, tangents)
     speed = np.sqrt(np.einsum("pi,pij,pj->p", tangents, gmat, tangents))
-    geodesic = np.einsum("pk,pkl,pl->p", accel, gmat, nu) / speed
+    # g(nabla_t t, nu) = Gamma_{l,ij} t^i t^j nu^l
+    geodesic = 0.5 * np.einsum("pijl,pi,pj,pl->p", bracket, tangents, tangents, nu) / speed
     boundary_term = float(weights @ geodesic)
 
     corner_term = sum(math.pi - dihedral_angle(g, domain, edges[t - 1][2], edges[t][2], loop[t])

@@ -1,6 +1,7 @@
 """Independent oracles used by several test modules: sympy closed forms,
-a central finite-difference evaluator of expression derivatives, the
-per-point comparison path and dihedral angle, the term-by-term random curvature operator,
+the d Gamma chain for Riemann, a central finite-difference evaluator of
+expression derivatives, the per-point comparison path and dihedral angle,
+the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
 ARPACK (``svds``) norm over blocked numpy prefix sums, the per-entry assembly
 of the link operator's tridiagonal form, the
@@ -138,6 +139,38 @@ def sphere_chart_metric_sympy(n):
     xs = sp.symbols(f"x1:{n + 1}", real=True)
     conf = 4 / (1 + sum(v**2 for v in xs)) ** 2
     return sp.eye(n) * conf, list(xs)
+
+
+def dgamma_curvature(g: MetricField, pts: np.ndarray):
+    """Riemann, Ricci and scalar curvature at the rows of ``pts`` by
+    differentiating the second-kind symbols: d g^{-1}, d Gamma, the mixed
+    R^m_{ijk}, then lowered with g.  The library's kernel uses the lowered
+    formula on the second derivatives of g instead."""
+    gmat, dg, d2g = g.jet(pts)
+    ginv = np.linalg.inv(gmat)
+    bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
+    # d_a g^{kl} = -g^{km} (d_a g_mn) g^{nl}
+    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
+    # dbracket[..., a, i, j, l] = d_a bracket[..., i, j, l]
+    dbracket = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
+    # dgamma[..., a, k, i, j] = d_a Gamma^k_{ij}
+    dgamma = 0.5 * (
+        np.einsum("...akl,...ijl->...akij", dginv, bracket)
+        + np.einsum("...kl,...aijl->...akij", ginv, dbracket)
+    )
+    # R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik}
+    #             + Gamma^l_{jk} Gamma^m_{il} - Gamma^l_{ik} Gamma^m_{jl}
+    mixed = (
+        np.einsum("...imjk->...mijk", dgamma)
+        - np.einsum("...jmik->...mijk", dgamma)
+        + np.einsum("...ljk,...mil->...mijk", gamma, gamma)
+        - np.einsum("...lik,...mjl->...mijk", gamma, gamma)
+    )
+    riemann = np.einsum("...ml,...mijk->...ijkl", gmat, mixed)
+    ricci = np.einsum("...ml,...mjkl->...jk", ginv, riemann)
+    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
+    return riemann, ricci, scalar
 
 
 def wedge_compound_matrix(j):

@@ -563,10 +563,10 @@ class TestBatchedRows:
         assert result.exit_code == 0
         # two interior batches (source, target) and one per face and metric
         assert batches == [16, 16] + [8] * 12
-        # each stratum is sampled and jetted once: interior, 6 faces, 15 face
-        # pairs (3 of them parallel, so empty)
-        assert sorted(sampled) == sorted(set(sampled)) and len(sampled) == 22
-        assert len(jetted) == 22 and sorted(jetted) == [0] * 3 + [4] * 12 + [8] * 6 + [16]
+        # each stratum is sampled and jetted once: interior, 6 faces, the 12
+        # face pairs that meet (the 3 parallel pairs are skipped)
+        assert sorted(sampled) == sorted(set(sampled)) and len(sampled) == 19
+        assert len(jetted) == 19 and sorted(jetted) == [4] * 12 + [8] * 6 + [16]
         assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
         # fewer reported samples: the correspondence is still checked on 8 / 4
         # points per face / edge, the curvature runs on the reported ones only
@@ -576,7 +576,7 @@ class TestBatchedRows:
             "--interior", "3", "--per-face", "2", "--per-edge", "1"])
         assert result.exit_code == 0
         assert batches == [3, 3] + [2] * 12
-        assert sorted(jetted) == [0] * 3 + [3] + [4] * 12 + [8] * 6
+        assert sorted(jetted) == [3] + [4] * 12 + [8] * 6
 
 
 class TestSampling:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,98 @@ class TestCurvatureTensors:
         g = parse_metric({"11": "x1", "22": "1"}, 2)
         with pytest.raises(MetricNotPositiveDefinite, match=r"\[-0\.5, 0\.0\]"):
             _curvature(g, np.array([[0.5, 0.0], [-0.5, 0.0], [-1.0, 0.0]]))
+
+
+def random_metric(rng, n):
+    """A non-conformal metric with nonlinear off-diagonal entries, positive
+    definite on [-1, 1]^n: diagonal entries >= 1.6, off-diagonal row sums
+    <= 0.6."""
+    def c(lo, hi):
+        return f"({float(rng.uniform(lo, hi))!r})"
+
+    def var():
+        return f"x{int(rng.integers(1, n + 1))}"
+
+    spec = {}
+    for p in range(1, n + 1):
+        spec[f"{p}{p}"] = (f"{c(2.0, 3.0)} + {c(-0.4, 0.4)}"
+                           f"*sin({c(-1.5, 1.5)}*{var()} + {c(-1.5, 1.5)}*{var()})")
+        for q in range(p + 1, n + 1):
+            bound = 0.3 / (n - 1)
+            spec[f"{p}{q}"] = (f"{c(-bound, bound)}*{var()}*{var()}"
+                               f" + {c(-bound, bound)}*cos({c(-2.0, 2.0)}*{var()})")
+    return parse_metric(spec, n)
+
+
+class TestLoweredKernel:
+    """The lowered Riemann formula against the d Gamma chain it replaced, and
+    against a nonlinear change of chart."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+    def test_matches_dgamma_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        g = random_metric(rng, n)
+        pts = rng.uniform(-1.0, 1.0, size=(5, n))
+        _, _, _, riemann, ricci, scalar = _curvature(g, pts)
+        riem_o, ric_o, sc_o = _oracles.dgamma_curvature(g, pts)
+        tol = 1e-13 * max(1.0, np.abs(riem_o).max())
+        assert np.abs(riemann - riem_o).max() <= tol
+        assert np.abs(ricci - ric_o).max() <= tol
+        assert np.abs(scalar - sc_o).max() <= tol
+
+    @staticmethod
+    def pullback(spec, n, quad):
+        """``phi^* g`` as entry texts ``D phi^T g(phi(y)) D phi``, and ``phi``, for
+        ``phi(y)_i = y_i + sum quad[i][(a, b)] y_a y_b`` (0-based a, b)."""
+        terms = [[(repr(float(v)), a, b) for (a, b), v in quad[i].items()]
+                 for i in range(n)]
+        phi = ["(" + " + ".join([f"x{i + 1}"] + [f"({v})*x{a + 1}*x{b + 1}"
+                                                 for v, a, b in terms[i]]) + ")"
+               for i in range(n)]
+
+        def dphi(i, c):  # d phi_i / d y_c
+            parts = [repr(float(i == c))]
+            for v, a, b in terms[i]:
+                parts += [f"({v})*x{b + 1}"] * (a == c) + [f"({v})*x{a + 1}"] * (b == c)
+            return "(" + " + ".join(parts) + ")"
+
+        def moved(i, j):  # g_ij with x replaced by phi(y)
+            text = spec.get(f"{min(i, j) + 1}{max(i, j) + 1}", "0")
+            return re.sub(r"x(\d+)", lambda m: phi[int(m[1]) - 1], text)
+
+        pulled = {f"{c + 1}{d + 1}": " + ".join(
+            f"{dphi(i, c)}*({moved(i, j)})*{dphi(j, d)}" for i in range(n) for j in range(n))
+            for c in range(n) for d in range(c, n)}
+
+        def image(y):
+            return np.array([y[i] + sum(float(v) * y[a] * y[b] for v, a, b in terms[i])
+                             for i in range(n)])
+
+        return parse_metric(pulled, n), image
+
+    @pytest.mark.parametrize("spec, quad", [
+        ({"11": "4/(1+x1^2+x2^2)^2", "22": "4/(1+x1^2+x2^2)^2"},
+         [{(0, 0): 0.3}, {(0, 1): 0.2}]),
+        ({"11": "1+x2^2", "12": "x1*x2/2", "22": "2+sin(x1)^2"},
+         [{(1, 1): -0.25, (0, 1): 0.1}, {(0, 0): 0.3}]),
+        ({"11": "1+x2^2", "12": "x3/4", "22": "2+x1^2", "23": "x2/5", "33": "1"},
+         [{(0, 1): 0.3}, {(2, 2): 0.2}, {(0, 0): -0.25, (1, 2): 0.15}]),
+        ({f"{i}{i}": "4/(1+x1^2+x2^2+x3^2+x4^2)^2" for i in range(1, 5)},
+         [{(1, 2): 0.2}, {(0, 0): 0.3}, {(3, 3): -0.2}, {(0, 2): 0.25}]),
+    ])
+    def test_invariant_under_a_quadratic_chart(self, spec, quad):
+        n = len(quad)
+        g = parse_metric(spec, n)
+        pulled, image = self.pullback(spec, n, quad)
+        for y in np.random.default_rng(n).uniform(-0.4, 0.4, size=(4, n)):
+            there, here = curvature_tensors(g, image(y)), curvature_tensors(pulled, y)
+            scale = max(1.0, abs(there.scalar))
+            assert here.scalar == pytest.approx(there.scalar, abs=1e-12 * scale)
+            # g^-1 Ric is a (1, 1) tensor: its eigenvalues do not see the chart
+            eig_here = np.sort(np.linalg.eigvals(here.metric_inv @ here.ricci).real)
+            eig_there = np.sort(np.linalg.eigvals(there.metric_inv @ there.ricci).real)
+            assert np.allclose(eig_here, eig_there, rtol=0, atol=1e-12 * scale)
 
 
 class TestCurvatureOperator:
