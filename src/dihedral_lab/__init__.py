@@ -7,7 +7,9 @@ Modules:
                        and metric fields; numpy loads only where jets or
                        metric matrices are built
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
-                       second fundamental forms, dihedral angles, Gauss-Bonnet
+                       second fundamental forms, dihedral angles, Gauss-Bonnet;
+                       domains and angles on floats, so a wedge or corner
+                       loads no numpy (array code imports it when it runs)
 - ``clifford``         concrete Clifford modules, boundary projectors, the
                        Clifford/exterior-form dictionary and the endomorphism
                        PSD certificates

@@ -399,10 +399,10 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
         off = ~dst.on_faces([j], fys)
         if off.any():
             raise DomainError(f"point {list(fys[np.argmax(off)])} is not on face {j}")
-        gsrc, ginv, _, _, gamma = _first_order(scene.metric_src, ys)
-        h_src = np.trace(_face_forms(src, i, gsrc, ginv, gamma)[0], axis1=1, axis2=2)
-        gdst, ginv, _, _, gamma = _first_order(scene.metric_dst, fys)
-        h_dst = np.trace(_face_forms(dst, j, gdst, ginv, gamma)[0], axis1=1, axis2=2)
+        gsrc, ginv, _, bracket, _ = _first_order(scene.metric_src, ys)
+        h_src = np.trace(_face_forms(src, i, gsrc, ginv, bracket)[0], axis1=1, axis2=2)
+        gdst, ginv, _, bracket, _ = _first_order(scene.metric_dst, fys)
+        h_dst = np.trace(_face_forms(dst, j, gdst, ginv, bracket)[0], axis1=1, axis2=2)
         sv = _singular_values(gsrc, gdst, jac)
         extend("mean_curvature", f"face:{i + 1}", ys, h_src - sv[:, 0] * h_dst)
     for i, j, zs, fzs in edges:
@@ -506,8 +506,10 @@ def conformal_identities(
         if domain is None:
             raise ValueError("mean-curvature variant needs the domain")
         fg = face_geometry(scaled, domain, face, x)
+        # the bracket 2 Gamma_{l,ij}, lowered once from the pack's Gamma^k_{ij}
+        bracket = 2.0 * np.einsum("lk,kij->ijl", pack_bar.metric, pack_bar.gamma)
         second_bar, _, nu_bar = _face_forms(domain, face, pack_bar.metric,
-                                            pack_bar.metric_inv, pack_bar.gamma)
+                                            pack_bar.metric_inv, bracket)
         dh_dn = float(grad @ nu_bar)
         rhs_h = float(np.trace(second_bar)) / hval - (n - 1) / hval**2 * dh_dn
         out["mean_curvature"] = float(fg.mean_curvature - rhs_h)

@@ -20,7 +20,10 @@ Conventions (fixed here, tested against symbolic oracles):
 
 All metric derivatives are exact second-order jets of the underlying
 expressions (see :mod:`dihedral_lab.expressions`), evaluated over a leading
-batch axis of points.
+batch axis of points.  Domains are stored as float rows and dihedral angles
+are computed on floats, so an ``angles`` run on a domain of independent
+normals never loads numpy; numpy is imported by the functions that build
+arrays, when they run.
 """
 
 from __future__ import annotations
@@ -28,18 +31,18 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .expressions import (
     Expr,
     MetricField,
     MetricNotPositiveDefinite,
-    metric_at,
     parse_expression,
     scene_dim,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PolyDomain",
@@ -47,7 +50,6 @@ __all__ = [
     "FaceGeometry",
     "DomainError",
     "DegenerateCornerError",
-    "christoffel",
     "curvature_tensors",
     "curvature_operator",
     "face_geometry",
@@ -85,12 +87,13 @@ class PolyDomain:
     pieces in both modes; only the membership test differs.
     """
 
-    # normals (k, n) unit rows, offsets (k,), window an optional ((lo...),
-    # (hi...)) sampling box; __dict__ holds the cached _vertex_array
-    __slots__ = ("dim", "normals", "offsets", "region", "window", "__dict__")
-    def __init__(self, dim: int, normals: np.ndarray, offsets: np.ndarray,
+    # a the unit normals as k float tuples, b the k offsets, window an
+    # optional ((lo...), (hi...)) sampling box; __dict__ holds the arrays
+    # normals (k, n) and offsets (k,) and the cached _vertex_array
+    __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
+    def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
-        self.dim, self.normals, self.offsets = dim, normals, offsets
+        self.dim, self.a, self.b = dim, a, b
         self.region, self.window = region, window
 
     @classmethod
@@ -101,21 +104,25 @@ class PolyDomain:
         window: tuple | None = None,
         validate: bool = True,
     ) -> "PolyDomain":
-        normals = np.array([np.asarray(a, dtype=float) for a, _ in halfspaces])
-        offsets = np.array([float(b) for _, b in halfspaces])
-        if normals.ndim != 2 or normals.shape[0] == 0:
-            raise DomainError("at least one half-space is required")
-        if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+        rows = [_row(a) for a, _ in halfspaces]
+        if not rows or any(type(r) is not list or len(r) != len(rows[0]) for r in rows):
+            import numpy as np  # any other input converts, or fails, as in numpy
+
+            normals = np.array([np.asarray(r, dtype=float) for r in rows])
+            if normals.ndim != 2 or normals.shape[0] == 0:
+                raise DomainError("at least one half-space is required")
+            rows = normals.tolist()
+        offsets = [float(b) for _, b in halfspaces]
+        if not all(map(math.isfinite, [*offsets, *(v for row in rows for v in row)])):
             raise DomainError("half-space normals and offsets must be finite")
-        dim = normals.shape[1]
-        norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms == 0.0):
+        # left-to-right sums: numpy's row norms, bit for bit, up to 7 entries
+        norms = [math.sqrt(sum(v * v for v in row)) for row in rows]
+        if 0.0 in norms:
             raise DomainError("zero normal vector")
-        normals = normals / norms[:, None]
-        offsets = offsets / norms
         if region not in ("intersection", "complement"):
             raise DomainError(f"unknown region mode {region!r}")
-        dom = cls(dim, normals, offsets, region, window)
+        dom = cls(len(rows[0]), tuple(tuple(v / s for v in row) for row, s in zip(rows, norms)),
+                  tuple(b / s for b, s in zip(offsets, norms)), region, window)
         if validate:
             dom._validate()
         return dom
@@ -126,7 +133,7 @@ class PolyDomain:
             raise DomainError("domain scene must be a JSON object")
         try:
             dim = scene_dim(scene)
-            halfspaces = [(np.asarray(h["a"], dtype=float), float(h["b"]))
+            halfspaces = [(_row(h["a"]), float(h["b"]))
                           for h in scene["halfspaces"]]
         except KeyError as exc:
             raise DomainError(f"domain scene missing key {exc}") from exc
@@ -148,15 +155,42 @@ class PolyDomain:
             raise DomainError("half-space dimension disagrees with 'dim'")
         return dom
 
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """The unit normals as a ``(k, n)`` array."""
+        import numpy as np
+
+        return np.array(self.a, dtype=float)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The offsets of the unit normals as a ``(k,)`` array."""
+        import numpy as np
+
+        return np.array(self.b, dtype=float)
+
     def _validate(self) -> None:
         """Nonempty interior of the convex cell; every face supports it.
 
-        Exact: basic solutions (at most ``_SUBSET_CAP`` row subsets) of the
+        At most n normals whose Gram-Schmidt residual norms multiply to at
+        least 1e-9 are independent: the product is |det| of the square
+        system in their span, 1000 times the enumeration's singular-subset
+        threshold.  Then ``N y = b + 1`` is an interior point and ``N y = b``
+        touches every face, so the cell, a translated simplicial cone, is
+        valid.  Every other cell goes through the enumeration.
+        """
+        if not _independent(self.a):
+            self._validate_by_enumeration()
+
+    def _validate_by_enumeration(self) -> None:
+        """Exact: basic solutions (at most ``_SUBSET_CAP`` row subsets) of the
         normals with the lineality space projected out, so the cell is
         pointed.  Interior: max t of ``A_r y - t >= b``, ``0 <= t <= 1`` (a
         Chebyshev-centre LP) exceeds ``_FEAS_TOL``; a face supports the cell
         iff a vertex lies on it.  ``from_halfspaces`` rejects non-finite data.
         """
+        import numpy as np
+
         _, sing, vt = np.linalg.svd(self.normals)
         a_r = self.normals @ vt[: int(np.sum(sing > sing[0] * 1e-12))].T
         lifted = np.c_[np.r_[a_r, np.zeros((2, a_r.shape[1]))],
@@ -171,13 +205,17 @@ class PolyDomain:
 
     @property
     def face_count(self) -> int:
-        return self.normals.shape[0]
+        return len(self.b)
 
     def slacks(self, x: Sequence[float]) -> np.ndarray:
         """``<a_i, x> - b_i`` for every face (leading point axes broadcast)."""
+        import numpy as np
+
         return np.asarray(x, dtype=float) @ self.normals.T - self.offsets
 
     def contains(self, x: Sequence[float], tol: float = 1e-12):
+        import numpy as np
+
         s = self.slacks(x)
         if self.region == "intersection":
             return np.all(s >= -tol, axis=-1)
@@ -187,21 +225,31 @@ class PolyDomain:
         """Whether ``x`` lies on every face in ``faces`` and on the inner side
         of the other supporting planes, up to ``tol`` (leading point axes
         broadcast)."""
+        import numpy as np
+
         s = self.slacks(x)
         return (np.all(np.abs(s[..., faces]) <= tol, axis=-1)
                 & np.all(np.delete(s, faces, axis=-1) >= -tol, axis=-1))
 
+    def _on_faces_at(self, faces: tuple, x: Sequence[float], tol: float) -> bool:
+        """``on_faces`` for one point of the chart, on floats."""
+        slacks = (sum(p * v for p, v in zip(row, x)) - t for row, t in zip(self.a, self.b))
+        return len(x) == self.dim and all(abs(s) <= tol if f in faces else s >= -tol
+                                          for f, s in enumerate(slacks))
+
     def on_face(self, i: int, x: Sequence[float], tol: float = 1e-9) -> bool:
-        return bool(self.on_faces([i], x, tol))
+        return self._on_faces_at((i,), x, tol)
 
     def on_edge(self, i: int, j: int, x: Sequence[float], tol: float = 1e-9) -> bool:
-        return bool(self.on_faces([i, j], x, tol))
+        return self._on_faces_at((i, j), x, tol)
 
     @cached_property
     def _vertex_array(self) -> np.ndarray:
         # the rows np.unique(axis=0) gives, without its numpy.ma import: of
         # rows equal up to signed zeros the stable lexsort keeps the first, as
         # np.unique's sort does up to 16 rows (beyond, its pick is arbitrary)
+        import numpy as np
+
         pts = np.round(_basic_solutions(self.normals, self.offsets), 9)
         pts = pts[np.lexsort(pts.T[::-1])]
         keep = np.ones(len(pts), dtype=bool)
@@ -215,6 +263,8 @@ class PolyDomain:
         return self._vertex_array
 
     def diameter(self) -> float:
+        import numpy as np
+
         if self.window is not None:
             lo, hi = self.window
             return float(np.linalg.norm(np.subtract(hi, lo)))
@@ -225,9 +275,39 @@ class PolyDomain:
         return 1.0
 
 
+def _row(a):
+    """``a`` as a list of floats when it is a list or tuple of real numbers,
+    else as numpy's float array of it, with numpy's conversion errors."""
+    if type(a) in (list, tuple) and all(isinstance(v, (int, float)) for v in a):
+        return [float(v) for v in a]
+    import numpy as np
+
+    return np.asarray(a, dtype=float)
+
+
+def _independent(rows: Sequence[Sequence[float]]) -> bool:
+    """Whether at most n unit rows of length n have Gram-Schmidt residual
+    norms whose product is at least 1e-9."""
+    if len(rows) > len(rows[0]):
+        return False
+    basis, volume = [], 1.0
+    for row in rows:
+        for q in basis:
+            d = sum(p * v for p, v in zip(q, row))
+            row = [v - d * p for p, v in zip(q, row)]
+        norm = math.sqrt(sum(v * v for v in row))
+        volume *= norm
+        if volume < 1e-9:
+            return False
+        basis.append([v / norm for v in row])
+    return True
+
+
 def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Feasible solutions of ``a y >= b`` with a nonsingular square subset of
     rows tight, ``a`` (k, m): one batched solve, in ``combinations`` order."""
+    import numpy as np
+
     k, m = a.shape
     if math.comb(k, m) > _SUBSET_CAP:
         raise DomainError(f"domain needs more than {_SUBSET_CAP} basic row subsets")
@@ -257,6 +337,8 @@ class CurvaturePack:
         self.gamma, self.riemann, self.ricci, self.scalar = gamma, riemann, ricci, scalar
 
     def antisymmetry_residual(self) -> float:
+        import numpy as np
+
         r = self.riemann
         scale = max(np.abs(r).max(), 1.0)
         return max(
@@ -265,11 +347,15 @@ class CurvaturePack:
         ) / scale
 
     def pair_symmetry_residual(self) -> float:
+        import numpy as np
+
         r = self.riemann
         scale = max(np.abs(r).max(), 1.0)
         return np.abs(r - np.transpose(r, (2, 3, 0, 1))).max() / scale
 
     def bianchi_residual(self) -> float:
+        import numpy as np
+
         r = self.riemann
         scale = max(np.abs(r).max(), 1.0)
         cyc = r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
@@ -279,6 +365,8 @@ class CurvaturePack:
 def _first_order(g: MetricField, pts: np.ndarray):
     """Metric, inverse, ``d2g[p, a, b, i, j]``, the Christoffel bracket (twice
     the first-kind symbols) and Gamma^k_{ij} at the rows of ``pts``."""
+    import numpy as np
+
     gmat, dg, d2g = g.jet(pts)
     lowest = np.linalg.eigvalsh(gmat)[:, 0]
     if np.any(lowest <= 0.0):
@@ -296,6 +384,8 @@ def _first_order(g: MetricField, pts: np.ndarray):
 def _curvature(g: MetricField, pts: np.ndarray):
     """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
     rows of ``pts``, each with a leading point axis."""
+    import numpy as np
+
     gmat, ginv, d2g, bracket, gamma = _first_order(g, pts)
     # half[..., i, j, k, l] = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + Gamma_{m,jl} Gamma^m_{ik}
     second = np.swapaxes(d2g, -3, -2)  # second[..., i, j, k, l] = d_i d_k g_jl
@@ -307,14 +397,10 @@ def _curvature(g: MetricField, pts: np.ndarray):
     return gmat, ginv, gamma, riemann, ricci, scalar
 
 
-def christoffel(g: MetricField, x: Sequence[float]):
-    """Metric, inverse, and Christoffel symbols Gamma^k_{ij} at ``x``."""
-    gmat, ginv, _, _, gamma = _first_order(g, np.atleast_2d(x))
-    return gmat[0], ginv[0], gamma[0]
-
-
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     """Full curvature data of ``g`` at an interior chart point."""
+    import numpy as np
+
     gmat, ginv, gamma, riemann, ricci, scalar = (
         part[0] for part in _curvature(g, np.atleast_2d(x)))
     return CurvaturePack(tuple(float(v) for v in x), gmat, ginv, gamma,
@@ -324,6 +410,8 @@ def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
 def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the coordinate frame in index order; columns E_a
     satisfy E^T g E = 1."""
+    import numpy as np
+
     return _g_orthonormalize(np.eye(gmat.shape[-1]), gmat)
 
 
@@ -334,6 +422,8 @@ def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
     symmetrized before returning (the exact tensor is pair-symmetric, the
     evaluated one up to rounding).
     """
+    import numpy as np
+
     pack = curvature_tensors(g, x)
     frame = orthonormal_frame(pack.metric)
     rframe = np.einsum("ijkl,ia,jb,kc,ld->abcd", pack.riemann,
@@ -362,6 +452,8 @@ class FaceGeometry:
 def _nullspace(rows: np.ndarray) -> np.ndarray:
     """Orthonormal Euclidean basis (columns) of the null space of ``rows``,
     from a full SVD (deterministic)."""
+    import numpy as np
+
     rows = np.asarray(rows, dtype=float)
     _, s, vt = np.linalg.svd(rows)
     rank = int(np.sum(s > 1e-12))
@@ -371,6 +463,8 @@ def _nullspace(rows: np.ndarray) -> np.ndarray:
 def _g_orthonormalize(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the columns of ``cols`` in the metric ``gmat``, in
     column order (any leading point axes of ``gmat`` broadcast)."""
+    import numpy as np
+
     out = np.zeros(gmat.shape[:-2] + cols.shape)
     for a in range(cols.shape[1]):
         v = cols[:, a].astype(float)
@@ -388,22 +482,27 @@ def _inner_unit_normal(a: np.ndarray, gmat: np.ndarray, ginv: np.ndarray,
                        sign: float = 1.0) -> np.ndarray:
     """g-unit vector g-orthogonal to the face plane, on the <a, .> > 0 side
     (any leading point axes of ``a``, ``gmat`` and ``ginv`` broadcast)."""
+    import numpy as np
+
     nu = np.einsum("...ij,...j->...i", ginv, a)
     norm = np.sqrt(np.einsum("...i,...ij,...j->...", nu, gmat, nu))
     return sign * nu / norm[..., None]
 
 
 def _face_forms(domain: PolyDomain, i: int, gmat: np.ndarray, ginv: np.ndarray,
-                gamma: np.ndarray):
+                bracket: np.ndarray):
     """Second fundamental form, g-orthonormal tangent basis and inner unit
-    normal of face ``i`` from the metric, its inverse and Gamma at points
-    of the face (any leading point axes broadcast)."""
+    normal of face ``i`` from the metric, its inverse and the Christoffel
+    bracket at points of the face (any leading point axes broadcast)."""
+    import numpy as np
+
     a = domain.normals[i]
     sign = 1.0 if domain.region == "intersection" else -1.0
     nu = _inner_unit_normal(a, gmat, ginv, sign)
     tangent = _g_orthonormalize(_nullspace(a[None, :]), gmat)
-    # A(X, Y) = g(nabla_X Y, nu): constant-coefficient extension of Y
-    lowered = np.einsum("...kij,...kl,...l->...ij", gamma, gmat, nu)
+    # A(X, Y) = g(nabla_X Y, nu) = Gamma_{l,ij} X^i Y^j nu^l for the
+    # constant-coefficient extension of Y
+    lowered = 0.5 * np.einsum("...ijl,...l->...ij", bracket, nu)
     second = np.einsum("...ia,...ij,...jb->...ab", tangent, lowered, tangent)
     return 0.5 * (second + np.swapaxes(second, -1, -2)), tangent, nu
 
@@ -419,9 +518,12 @@ def face_geometry(g: MetricField, domain: PolyDomain, i: int,
     """
     if not (0 <= i < domain.face_count):
         raise DomainError(f"no face {i}")
+    import numpy as np
+
     if not domain.on_face(i, x):
         raise DomainError(f"point {list(x)} is not on face {i}")
-    second, tangent, nu = _face_forms(domain, i, *christoffel(g, x))
+    gmat, ginv, _, bracket, _ = (part[0] for part in _first_order(g, np.atleast_2d(x)))
+    second, tangent, nu = _face_forms(domain, i, gmat, ginv, bracket)
     return FaceGeometry(second, float(np.trace(second)), tangent, nu)
 
 
@@ -439,6 +541,8 @@ def hypersurface_geometry(
     for curved boundaries (spheres, cylinders) that half-space data cannot
     encode.
     """
+    import numpy as np
+
     exprs = [parse_expression(c) if isinstance(c, str) else c for c in chart]
     n = g.dim
     if len(exprs) != n:
@@ -450,16 +554,16 @@ def hypersurface_geometry(
     jets = [e.jet(np.atleast_2d(u)) for e in exprs]
     # position, jac[k, a] = d_a sigma^k and hess[k, a, b] = d_a d_b sigma^k
     pos, jac, hess = (np.array([jet[part][0] for jet in jets]) for part in range(3))
-    gmat, ginv, gamma = christoffel(g, pos)
+    gmat, _, _, bracket, _ = (part[0] for part in _first_order(g, pos[None, :]))
     # g-normal: null space of (tangent^T g)
     null = np.linalg.svd(jac.T @ gmat)[2][-1]
     nu = null / math.sqrt(null @ gmat @ null)
     ref = np.asarray(inward_reference, dtype=float)
     if nu @ gmat @ (ref - pos) < 0:
         nu = -nu
-    # A_ab = g(sigma_ab + Gamma(t_a, t_b), nu) on the chart basis
-    accel = hess + np.einsum("kij,ia,jb->kab", gamma, jac, jac)
-    a_chart = np.einsum("kab,kl,l->ab", accel, gmat, nu)
+    # A_ab = g(sigma_ab, nu) + Gamma_{l,ij} t_a^i t_b^j nu^l on the chart basis
+    a_chart = (np.einsum("kab,k->ab", hess, gmat @ nu)
+               + 0.5 * np.einsum("ijl,ia,jb,l->ab", bracket, jac, jac, nu))
     first = jac.T @ gmat @ jac
     mean = float(np.trace(np.linalg.solve(first, a_chart)))
     # report A on a g-orthonormal tangent basis, consistent with face_geometry
@@ -475,48 +579,104 @@ def hypersurface_geometry(
 # ---------------------------------------------------------------------------
 
 
-def _edge_normals_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
-                          ) -> np.ndarray:
-    """g-unit vectors tangent to face i, g-orthogonal to the edge plane
-    intersection, pointing to the <a_j, .> > 0 side, one row per metric of
-    the ``(k, n, n)`` stack ``gmat``."""
-    a_j = domain.normals[j]
-    face_basis = _nullspace(domain.normals[i][None, :])  # (n, n-1)
-    if domain.dim == 2:
-        u = np.broadcast_to(face_basis[:, 0], gmat.shape[:-1])
-    else:
-        # the sought vector is the g-projection of a_j^sharp onto the face
-        # plane: tangent to face i, g-orthogonal to every edge direction
-        sharp = np.linalg.inv(gmat) @ a_j
-        tilted = face_basis.T @ gmat
-        coef = np.linalg.solve(tilted @ face_basis, tilted @ sharp[..., None])
-        u = (face_basis @ coef)[..., 0]
-    nrm = np.sqrt(u[:, None, :] @ gmat @ u[:, :, None])[:, 0]
-    if np.any(nrm < 1e-14):
-        raise DegenerateCornerError("edge normal within face is degenerate")
-    return np.where(u @ a_j < 0, -1.0, 1.0)[:, None] * u / nrm
+def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
+    """Cholesky diagonal, cosine and half-angle parts of the dihedral angle
+    of two faces under the metric with lower triangle ``gm[r][c]`` (c <= r).
+
+    With g = L L^T, x = L^-1 a_i / |.| and y = -L^-1 a_j / |.| are unit
+    vectors at the dihedral angle theta: ``x.y = -<a_i, a_j>_{g^-1} /
+    (|a_i| |a_j|)``.  Returns the diagonal of L, x.y, |x - y| and |x + y|;
+    ``theta = 2 atan2(|x - y|, |x + y|)`` is accurate at every angle, where
+    acos(x.y) loses digits near 0 and pi (W. Kahan, *Miscalculating Area
+    and Angles of a Needle-like Triangle*, 2014), and the reflex angle
+    ``2 pi - theta = 2 atan2(|x - y|, -|x + y|)`` needs no subtraction.
+
+    Only + - * / and ``sqrt`` touch the metric, so its entries may be floats
+    or arrays over a point axis, which round alike.  ``sqrt`` must not raise
+    at a non-positive pivot; the caller checks that the diagonal is > 0.
+    """
+    n = len(a_i)
+    low = []  # the rows of L
+    for r in range(n):
+        row = []
+        for c in range(r + 1):
+            other = low[c] if c < r else row
+            s = gm[r][c]
+            for m in range(c):
+                s = s - row[m] * other[m]
+            row.append(sqrt(s) if c == r else s / other[c])
+        low.append(row)
+
+    def unit(a):  # L^-1 a by forward substitution, normalized
+        z = []
+        for r in range(n):
+            s = a[r]
+            for m in range(r):
+                s = s - low[r][m] * z[m]
+            z.append(s / low[r][r])
+        size = sqrt(sum(v * v for v in z))
+        return [v / size for v in z]
+
+    u, v = unit(a_i), unit(a_j)  # x = u, y = -v
+    return ([row[r] for r, row in enumerate(low)], -sum(p * q for p, q in zip(u, v)),
+            sqrt(sum((p + q) * (p + q) for p, q in zip(u, v))),
+            sqrt(sum((p - q) * (p - q) for p, q in zip(u, v))))
+
+
+def _root(v: float) -> float:
+    """``math.sqrt``, nan at a non-positive argument (a failed pivot)."""
+    return math.sqrt(v) if v > 0.0 else math.nan
+
+
+def _metric_lower(g: MetricField, x: Sequence[float]) -> list:
+    """Lower triangle ``gm[r][c]`` (c <= r) of the metric at ``x``, on the
+    value path, its entries evaluated in the order ``matrix_at`` takes."""
+    values = {key: e.eval(x) for key, e in g.entries.items()}
+    return [[values[c, r] for c in range(r + 1)] for r in range(g.dim)]
+
+
+def _not_positive_definite(x: list, gm: list) -> MetricNotPositiveDefinite:
+    """The error for a metric whose Cholesky factorization fails at ``x``."""
+    import numpy as np
+
+    full = np.array([[gm[max(r, c)][min(r, c)] for c in range(len(gm))]
+                     for r in range(len(gm))])
+    return MetricNotPositiveDefinite(
+        f"metric at {x} has smallest eigenvalue {np.linalg.eigvalsh(full)[0]:.3e}")
+
+
+def _degenerate(cosang: float) -> DegenerateCornerError:
+    return DegenerateCornerError(
+        f"degenerate corner: normals are parallel (cos = {cosang:.6f})")
 
 
 def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
                      pts: np.ndarray) -> np.ndarray:
-    """``dihedral_angle`` at the rows of a ``(k, n)`` stack of edge points."""
+    """``dihedral_angle`` at the rows of a ``(k, n)`` stack of edge points:
+    the same float kernel on arrays over the point axis, bit for bit."""
+    import numpy as np
+
     if i == j:
         raise DomainError("need two distinct faces")
     off = ~domain.on_faces([i, j], pts)
     if off.any():
         raise DomainError(f"point {pts[np.argmax(off)].tolist()} is not on edge ({i}, {j})")
-    # angles need metric values only, so they stay on the value path
-    gmat = np.reshape([metric_at(g, x) for x in pts.tolist()], (-1, domain.dim, domain.dim))
-    u = _edge_normals_in_face(domain, gmat, i, j)
-    v = _edge_normals_in_face(domain, gmat, j, i)
-    cosang = (u[:, None, :] @ gmat @ v[:, :, None])[:, 0, 0]  # matmul rounds like one point
+    points = pts.tolist()
+    metrics = [_metric_lower(g, x) for x in points]
+    gm = [[np.array([m[r][c] for m in metrics]) for c in range(r + 1)]
+          for r in range(domain.dim)]
+    with np.errstate(all="ignore"):  # a failed pivot leaves nan, reported below
+        diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j], np.sqrt)
+    bad = ~np.all([d > 0.0 for d in diag], axis=0)
+    if bad.any():
+        p = int(np.argmax(bad))  # the first bad point
+        raise _not_positive_definite(points[p], metrics[p])
     parallel = np.abs(cosang) >= 1.0 - 1e-12
     if parallel.any():
-        raise DegenerateCornerError(
-            f"degenerate corner: normals are parallel (cos = {cosang[parallel][0]:.6f})")
-    # libm's acos, correctly rounded where numpy's SIMD arccos is not always
-    theta = np.array([math.acos(c) for c in cosang.tolist()])
-    return theta if domain.region == "intersection" else 2.0 * math.pi - theta
+        raise _degenerate(cosang[parallel][0])
+    if domain.region != "intersection":
+        sum_chord = -sum_chord
+    return np.array([2.0 * math.atan2(s, c) for s, c in zip(chord.tolist(), sum_chord.tolist())])
 
 
 def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
@@ -526,25 +686,40 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
     The angle theta is measured between the unit inner normals of the edge
     inside each face of the convex cell; it lies in (0, pi) for every inner
     product.  The closure of the complement of that cell has the reflex
-    angle ``2 pi - theta`` there.
+    angle ``2 pi - theta`` there.  Runs on floats (see ``_corner``).
     """
-    return float(_dihedral_angles(g, domain, i, j, np.array([x], dtype=float))[0])
+    if i == j:
+        raise DomainError("need two distinct faces")
+    x = [float(v) for v in x]
+    if not domain.on_edge(i, j, x):
+        raise DomainError(f"point {x} is not on edge ({i}, {j})")
+    gm = _metric_lower(g, x)
+    diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j], _root)
+    if not all(d > 0.0 for d in diag):
+        raise _not_positive_definite(x, gm)
+    if abs(cosang) >= 1.0 - 1e-12:
+        raise _degenerate(cosang)
+    if domain.region != "intersection":
+        sum_chord = -sum_chord
+    return 2.0 * math.atan2(chord, sum_chord)
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Bonnet on 2-D polygons
 # ---------------------------------------------------------------------------
 
-_TRI_QUAD_POINTS = np.array([
-    [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-    [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-    [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-])  # barycentric, degree-2 rule with equal weights 1/3
+_TRI_QUAD_POINTS = (
+    (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0),
+    (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0),
+    (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0),
+)  # barycentric, degree-2 rule with equal weights 1/3
 
 
 def _polygon_structure(domain: PolyDomain):
     """Ordered vertex loop of a bounded convex 2-D domain, with the
     supporting face index of each edge."""
+    import numpy as np
+
     if domain.dim != 2:
         raise DomainError("Gauss-Bonnet needs a 2-D domain")
     if domain.region != "intersection":
@@ -571,6 +746,8 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
 
     Vanishes analytically; the return value measures the quadrature error.
     """
+    import numpy as np
+
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     loop, edges = _polygon_structure(domain)
@@ -582,7 +759,7 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
     upper = [[(r + 1, s), (r + 1, s + 1), (r, s + 1)]
              for r in range(resolution) for s in range(resolution - r - 1)]
     # (u, v) of the quadrature points, three consecutive ones per cell
-    nodes = _TRI_QUAD_POINTS @ (np.array(lower + upper, dtype=float) / resolution)
+    nodes = np.array(_TRI_QUAD_POINTS) @ (np.array(lower + upper, dtype=float) / resolution)
     nodes = nodes.reshape(-1, 2)
     area_term = 0.0
     for p, q, _ in edges:

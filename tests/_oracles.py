@@ -1,6 +1,7 @@
 """Independent oracles used by several test modules: sympy closed forms,
 the d Gamma chain for Riemann, a central finite-difference evaluator of
 expression derivatives, the per-point comparison path and dihedral angle,
+the mpmath dihedral angle of given float metric and normals,
 the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
 ARPACK (``svds``) norm over blocked numpy prefix sums, the per-entry assembly
@@ -15,6 +16,7 @@ from itertools import combinations
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath
 import numpy as np
 import sympy as sp
 
@@ -470,6 +472,22 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
     if domain.region == "intersection":
         return theta
     return 2.0 * math.pi - theta
+
+
+def exact_dihedral_angle(gmat, a_i: Sequence[float], a_j: Sequence[float],
+                         region: str = "intersection"):
+    """``(cos, angle)`` of the corner of faces with normals ``a_i`` and ``a_j``
+    under the metric matrix ``gmat``, at 50 digits on the given floats:
+    ``cos = -<a_i, a_j>_{g^-1} / (|a_i| |a_j|)`` and ``angle = acos(cos)``,
+    or ``2 pi - acos(cos)`` on the closure of the complement."""
+    with mpmath.workdps(50):
+        g = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in gmat])
+        a, b = ([mpmath.mpf(float(v)) for v in vec] for vec in (a_i, a_j))
+        ga, gb = (mpmath.lu_solve(g, mpmath.matrix(vec)) for vec in (a, b))
+        inner = lambda u, w: mpmath.fsum(p * q for p, q in zip(u, w))  # noqa: E731
+        cos = -inner(a, gb) / mpmath.sqrt(inner(a, ga) * inner(b, gb))
+        angle = mpmath.acos(cos)
+        return cos, angle if region == "intersection" else 2 * mpmath.pi - angle
 
 
 def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):

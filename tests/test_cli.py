@@ -373,6 +373,21 @@ class TestOtherCommands:
         assert result.output.splitlines() == [
             "input error: 1e+200*1e+200 is not finite"]
 
+    def test_angles_far_wedge_exit_0(self, runner, tmp_path):
+        # a translated simplicial cone with offsets near 3e6: the subset
+        # enumeration's absolute 1e-9 feasibility tolerance rejected it as
+        # empty; independent normals now validate it as it stands
+        a1, a2 = [-0.033973562, 0.999422732], [-0.988049743, -0.154135346]
+        path = write_json(tmp_path / "far.json", {
+            "dim": 2, "g": {"11": "1", "22": "1"},
+            "halfspaces": [{"a": a1, "b": 3356568.4902054495},
+                           {"a": a2, "b": 2708632.501152436}]})
+        result = runner.invoke(main, ["angles", "--scene", path, "--faces", "1,2",
+                                      "--point", "-3248094.1819648617,3248094.1819648617"])
+        assert result.exit_code == 0
+        cos = -(a1[0] * a2[0] + a1[1] * a2[1]) / (math.hypot(*a1) * math.hypot(*a2))
+        assert json.loads(result.output)["angle"] == pytest.approx(math.acos(cos), abs=1e-12)
+
     def test_conformal(self, runner, tmp_path):
         scene = {"dim": 3, "g": {"11": "1", "22": "1", "33": "1"}}
         path = write_json(tmp_path / "m.json", scene)
@@ -954,6 +969,17 @@ class TestShippedScenes:
         assert json.loads(result.output)["scalar_curvature"] == pytest.approx(
             2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("region, angle", [("intersection", math.pi / 3),
+                                               ("complement", 5 * math.pi / 3)])
+    def test_wedge_metric(self, runner, tmp_path, region, angle):
+        # the quarter plane under g12 = 1/2: its edges e1, e2 meet at pi/3
+        scene = json.loads((self.SCENES / "wedge_metric.json").read_text())
+        path = write_json(tmp_path / "wedge.json", {**scene, "region": region})
+        result = runner.invoke(main, ["angles", "--scene", path, "--faces", "1,2",
+                                      "--point", "0,0"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["angle"] == pytest.approx(angle, abs=1e-15)
+
     def test_conformal_square_gauss_bonnet(self, runner):
         result = runner.invoke(main, [
             "gaussbonnet", "--scene", str(self.SCENES / "conformal_square.json"),
@@ -1213,6 +1239,39 @@ def test_vertex_and_sheet_counts_load_no_numpy_ma(args):
     assert exit_code == 0
     assert "numpy" in modules
     assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("region", ["intersection", "complement"])
+def test_wedge_angles_load_no_numpy(region, tmp_path):
+    """Start-up guard: ``angles`` on a domain of independent normals validates
+    it without the subset enumeration and computes the angle on floats, so
+    it loads neither numpy nor ``comparison`` or ``clifford``."""
+    path = "scenes/wedge_metric.json"
+    if region == "complement":
+        scene = json.loads((ROOT / path).read_text())
+        path = write_json(tmp_path / "wedge.json", {**scene, "region": region})
+    exit_code, modules = _fresh_cli(["angles", "--scene", path, "--faces", "1,2",
+                                     "--point", "0,0"])
+    assert exit_code == 0
+    assert "numpy" not in modules
+    assert not {"comparison", "clifford"} & _library(modules)
+
+
+@pytest.mark.parametrize("args", [
+    ["angles", "--scene", "scenes/square_metric.json", "--faces", "1,3", "--point", "0,0"],
+    ["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "0.3,-0.2"],
+    ["conformal", "--metric", "scenes/sphere2_metric.json",
+     "--factor", "1 + 0.1*sin(x1)", "--point", "0.4,0.2"],
+    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+    ["compare", "--scene", "scenes/cube_id.json"],
+], ids=["angles-square", "curvature", "conformal", "gaussbonnet", "compare"])
+def test_geometry_commands_load_numpy(args):
+    """Positive control for the guard above: ``angles`` on the four-face
+    square enumerates its vertices, and the jet-based commands build arrays,
+    so each loads numpy."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert "numpy" in modules
 
 
 def test_probe_sees_preloaded_numpy_ma():

@@ -670,6 +670,15 @@ class TestConformalIdentities:
                                    domain=dom, face=0)
         assert abs(out["mean_curvature"]) <= 1e-13
 
+    @pytest.mark.parametrize("face, x", [(0, (0.0, 0.5)), (2, (0.6, 0.0))])
+    def test_boundary_variant_curved_gbar(self, face, x):
+        # a gbar with nonzero Christoffel symbols on the face, so H(gbar)
+        # depends on lowering them correctly
+        g = parse_metric({"11": "1 + 0.2*x2^2", "12": "0.1*x1", "22": "exp(0.3*x1)"}, 2)
+        dom = PolyDomain.from_scene(square_scene_dict())
+        out = conformal_identities(g, "1 + 0.3*x1 + 0.2*x2^2", x, domain=dom, face=face)
+        assert abs(out["mean_curvature"]) <= 1e-13
+
     def test_boundary_check_computes_gbar_quantities_once(self, monkeypatch):
         import dihedral_lab.curvature as curvature
 

@@ -31,6 +31,9 @@ from dihedral_lab.expressions import (
 )
 
 
+EPS = 2.0**-52
+
+
 def sphere_metric(n):
     r2 = "+".join(f"x{i}^2" for i in range(1, n + 1))
     expr = f"4/(1+{r2})^2"
@@ -354,6 +357,18 @@ class TestFaceGeometry:
         fg = face_geometry(g, dom, 0, x)
         assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-13)
 
+    @pytest.mark.parametrize("n,c", [(2, 0.7), (3, -0.4)])
+    def test_flat_chart_under_conformal_metric(self, n, c):
+        # the plane x_n = 0 as a parametrized hypersurface of exp(2 c x_n)
+        # delta: its Hessian term vanishes, so the Christoffel term alone
+        # must give the face mode's H = -(n-1) c
+        expr = f"exp(2*({c}*x{n}))"
+        g = parse_metric({f"{i}{i}": expr for i in range(1, n + 1)}, n)
+        chart = [f"x{k}" for k in range(1, n)] + ["0"]
+        u = (0.3,) * (n - 1)
+        fg = hypersurface_geometry(g, chart, u, inward_reference=u + (1.0,))
+        assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-13)
+
     def test_scaling_law_mean_curvature(self):
         # c^2 g divides H by c; exercised through the circle mode
         c2, c = 9.0, 3.0
@@ -466,14 +481,20 @@ class TestDihedralAngle:
                                          validate=False)
         vertex = np.linalg.lstsq(dom.normals, dom.offsets, rcond=None)[0]
         pts = vertex + rng.normal(size=(5, n - 2)) @ _nullspace(dom.normals).T
-        try:
-            want = [_oracles.dihedral_angle(g, dom, 0, 1, x) for x in pts]
-        except DegenerateCornerError:  # nearly parallel random normals
+        metrics = [g.matrix_at(x.tolist()) for x in pts]
+        exact = [_oracles.exact_dihedral_angle(gm, *dom.normals, region) for gm in metrics]
+        if any(abs(cos) >= 1.0 - 1e-12 for cos, _ in exact):  # nearly parallel random normals
             with pytest.raises(DegenerateCornerError):
                 _dihedral_angles(g, dom, 0, 1, pts)
             return
         got = _dihedral_angles(g, dom, 0, 1, pts)
-        assert np.abs(got - want).max() <= 1e-15
+        for theta, (_, want), gm in zip(got.tolist(), exact, metrics):
+            # 1e-15, past which only an ill-conditioned metric may carry the
+            # angle: half an ulp of the result plus the Cholesky factor's
+            # backward error, 2 eps cond(g) (measured: at most 0.87 eps cond(g)
+            # beyond the half ulp over 20,000 points of this distribution)
+            bound = math.ulp(theta) / 2 + 2.0 * EPS * np.linalg.cond(gm)
+            assert abs(theta - want) <= max(1e-15, bound)
         assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got.tolist()
         off = pts.copy()
         off[-1] += 1e-6 * dom.normals[0]
@@ -486,6 +507,45 @@ class TestDihedralAngle:
             on_plane = pts - np.outer(flat.slacks(pts)[:, 0], flat.normals[0])
             with pytest.raises(DegenerateCornerError):
                 _dihedral_angles(g, flat, 0, 1, on_plane)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+           theta=st.one_of(st.floats(1e-5, math.pi - 1e-5),
+                           st.floats(-5.0, -1.0).map(lambda t: 10.0**t),
+                           st.floats(-5.0, -1.0).map(lambda t: math.pi - 10.0**t)),
+           scale=st.floats(0.0, 6.0))
+    def test_matches_exact_angle(self, seed, n, theta, scale):
+        """Both branches within 1e-15 of the 50-digit angle of the same float
+        metric and normals, down to 1e-5 from 0 and pi and at vertices up to
+        1e6, where acos of the cosine loses up to 1e-11."""
+        rng = np.random.default_rng(seed)
+        # g = L L^T with L lower triangular: L^-1 a_i and -L^-1 a_j are unit
+        # vectors at the angle theta in a random plane
+        low = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+        gmat = low @ low.T
+        g = parse_metric({f"{p + 1}{q + 1}": repr(float(gmat[p, q]))
+                          for p in range(n) for q in range(p, n)}, n)
+        plane = np.linalg.qr(rng.normal(size=(n, 2)))[0]
+        a_i = low @ plane[:, 0]
+        a_j = -low @ (math.cos(theta) * plane[:, 0] + math.sin(theta) * plane[:, 1])
+        vertex = rng.uniform(-1.0, 1.0, n) * 10.0**scale
+        halfspaces = [(a, float(a @ vertex)) for a in (a_i, a_j)]
+        x = vertex + _nullspace(np.array([a_i, a_j])) @ rng.normal(size=n - 2)
+        for region in ("intersection", "complement"):
+            dom = PolyDomain.from_halfspaces(halfspaces, region=region)
+            _, want = _oracles.exact_dihedral_angle(gmat, *dom.normals, region)
+            assert abs(dihedral_angle(g, dom, 0, 1, x) - want) <= 1e-15
+
+    @pytest.mark.parametrize("t, lowest", [(0.3, "-2.000e-01"), (0.5, "0.000e+00")])
+    def test_indefinite_metric_names_the_first_bad_point(self, t, lowest):
+        # g11 = x3 - 1/2 is not positive on the edge below x3 = 1/2
+        g = parse_metric({"11": "x3 - 0.5", "22": "1", "33": "1"}, 3)
+        message = re.escape(f"metric at [0.0, 0.0, {t}] has smallest eigenvalue {lowest}") + "$"
+        with pytest.raises(MetricNotPositiveDefinite, match=message):
+            dihedral_angle(g, unit_cube(), 0, 2, (0.0, 0.0, t))
+        pts = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, t], [0.0, 0.0, 0.2]])
+        with pytest.raises(MetricNotPositiveDefinite, match=message):
+            _dihedral_angles(g, unit_cube(), 0, 2, pts)
 
     def test_point_not_on_edge(self):
         with pytest.raises(DomainError):
@@ -561,6 +621,48 @@ class TestPolyDomain:
         assert np.allclose(np.linalg.norm(dom.normals, axis=1), 1.0)
         assert dom.contains((1.0, 1.0))
         assert not dom.contains((2.5, 1.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), data=st.data(),
+           near=st.one_of(st.none(), st.floats(-14.0, -2.0)), scale=st.floats(-3.0, 5.0))
+    def test_independent_normals_skip_the_enumeration(self, seed, n, data, near, scale):
+        """At most n normals, independent or a row within 10^near of the span
+        of the others, offsets of scale 1e-3 to 1e5: ``_validate`` gives the
+        verdict and message of the subset enumeration, and never runs it on
+        independent random rows."""
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        normals = rng.normal(size=(k, n))
+        if near is not None and k > 1:
+            normals[-1] = rng.normal(size=k - 1) @ normals[:-1] + 10.0**near * rng.normal(size=n)
+        offsets = rng.normal(size=k) * 10.0**scale
+        dom = PolyDomain.from_halfspaces(list(zip(normals, offsets)), validate=False)
+        enumerated = []
+
+        def verdict(check):
+            try:
+                check()
+            except DomainError as exc:
+                return str(exc)
+            return "ok"
+
+        expected = verdict(dom._validate_by_enumeration)
+        dom._validate_by_enumeration = lambda: (
+            enumerated.append(dom) or PolyDomain._validate_by_enumeration(dom))
+        assert verdict(dom._validate) == expected
+        if near is None:
+            assert enumerated == []
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_normals_bit_equal_to_numpy_row_norms(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-3, 3, size=(50, n))
+        offsets = rng.normal(size=50)
+        dom = PolyDomain.from_halfspaces(list(zip(rows.tolist(), offsets.tolist())),
+                                         validate=False)
+        norms = np.linalg.norm(rows, axis=1)
+        assert dom.normals.tobytes() == (rows / norms[:, None]).tobytes()
+        assert dom.offsets.tobytes() == (offsets / norms).tobytes()
 
     def test_scene_roundtrip(self):
         dom = PolyDomain.from_scene({
