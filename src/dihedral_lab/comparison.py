@@ -506,10 +506,8 @@ def conformal_identities(
         if domain is None:
             raise ValueError("mean-curvature variant needs the domain")
         fg = face_geometry(scaled, domain, face, x)
-        # the bracket 2 Gamma_{l,ij}, lowered once from the pack's Gamma^k_{ij}
-        bracket = 2.0 * np.einsum("lk,kij->ijl", pack_bar.metric, pack_bar.gamma)
         second_bar, _, nu_bar = _face_forms(domain, face, pack_bar.metric,
-                                            pack_bar.metric_inv, bracket)
+                                            pack_bar.metric_inv, pack_bar.bracket)
         dh_dn = float(grad @ nu_bar)
         rhs_h = float(np.trace(second_bar)) / hval - (n - 1) / hval**2 * dh_dn
         out["mean_curvature"] = float(fg.mean_curvature - rhs_h)

@@ -29,8 +29,9 @@ arrays, when they run.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .expressions import (
@@ -116,7 +117,7 @@ class PolyDomain:
         if not all(map(math.isfinite, [*offsets, *(v for row in rows for v in row)])):
             raise DomainError("half-space normals and offsets must be finite")
         # left-to-right sums: numpy's row norms, bit for bit, up to 7 entries
-        norms = [math.sqrt(sum(v * v for v in row)) for row in rows]
+        norms = [math.sqrt(reduce(add, (v * v for v in row), 0.0)) for row in rows]
         if 0.0 in norms:
             raise DomainError("zero normal vector")
         if region not in ("intersection", "complement"):
@@ -208,10 +209,13 @@ class PolyDomain:
         return len(self.b)
 
     def slacks(self, x: Sequence[float]) -> np.ndarray:
-        """``<a_i, x> - b_i`` for every face (leading point axes broadcast)."""
+        """``<a_i, x> - b_i`` for every face (leading point axes broadcast),
+        summed left to right like ``_on_faces_at``."""
         import numpy as np
 
-        return np.asarray(x, dtype=float) @ self.normals.T - self.offsets
+        x = np.asarray(x, dtype=float)[..., None, :]
+        return reduce(add, (x[..., m] * self.normals[:, m] for m in range(self.dim)),
+                      0.0) - self.offsets
 
     def contains(self, x: Sequence[float], tol: float = 1e-12):
         import numpy as np
@@ -228,13 +232,17 @@ class PolyDomain:
         import numpy as np
 
         s = self.slacks(x)
-        return (np.all(np.abs(s[..., faces]) <= tol, axis=-1)
-                & np.all(np.delete(s, faces, axis=-1) >= -tol, axis=-1))
+        tight = np.zeros(self.face_count, dtype=bool)
+        tight[faces] = True
+        return np.all(np.where(tight, np.abs(s) <= tol, s >= -tol), axis=-1)
 
     def _on_faces_at(self, faces: tuple, x: Sequence[float], tol: float) -> bool:
-        """``on_faces`` for one point of the chart, on floats."""
-        slacks = (sum(p * v for p, v in zip(row, x)) - t for row, t in zip(self.a, self.b))
-        return len(x) == self.dim and all(abs(s) <= tol if f in faces else s >= -tol
+        """``on_faces`` for one point of the chart, on floats; face indices
+        count from the end when negative, as in ``on_faces``."""
+        tight = {range(self.face_count)[f] for f in faces}
+        slacks = (reduce(add, (p * v for p, v in zip(row, x)), 0.0) - t
+                  for row, t in zip(self.a, self.b))
+        return len(x) == self.dim and all(abs(s) <= tol if f in tight else s >= -tol
                                           for f, s in enumerate(slacks))
 
     def on_face(self, i: int, x: Sequence[float], tol: float = 1e-9) -> bool:
@@ -293,9 +301,9 @@ def _independent(rows: Sequence[Sequence[float]]) -> bool:
     basis, volume = [], 1.0
     for row in rows:
         for q in basis:
-            d = sum(p * v for p, v in zip(q, row))
+            d = reduce(add, (p * v for p, v in zip(q, row)), 0.0)
             row = [v - d * p for p, v in zip(q, row)]
-        norm = math.sqrt(sum(v * v for v in row))
+        norm = math.sqrt(reduce(add, (v * v for v in row), 0.0))
         volume *= norm
         if volume < 1e-9:
             return False
@@ -325,16 +333,19 @@ def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CurvaturePack:
     """Christoffel symbols and curvature tensors of g at one point.
 
+    ``bracket[i, j, l]`` is 2 Gamma_{l,ij} (see ``_first_order``),
     ``gamma[k, i, j]`` is Gamma^k_{ij}; ``riemann[i, j, k, l]`` is the
     all-lowered tensor R_{ijkl}.
     """
 
-    __slots__ = ("point", "metric", "metric_inv", "gamma", "riemann", "ricci", "scalar")
+    __slots__ = ("point", "metric", "metric_inv", "bracket", "gamma", "riemann", "ricci",
+                 "scalar")
     def __init__(self, point: tuple, metric: np.ndarray, metric_inv: np.ndarray,
-                 gamma: np.ndarray, riemann: np.ndarray, ricci: np.ndarray,
-                 scalar: float):
+                 bracket: np.ndarray, gamma: np.ndarray, riemann: np.ndarray,
+                 ricci: np.ndarray, scalar: float):
         self.point, self.metric, self.metric_inv = point, metric, metric_inv
-        self.gamma, self.riemann, self.ricci, self.scalar = gamma, riemann, ricci, scalar
+        self.bracket, self.gamma = bracket, gamma
+        self.riemann, self.ricci, self.scalar = riemann, ricci, scalar
 
     def antisymmetry_residual(self) -> float:
         import numpy as np
@@ -381,12 +392,11 @@ def _first_order(g: MetricField, pts: np.ndarray):
     return gmat, ginv, d2g, bracket, gamma
 
 
-def _curvature(g: MetricField, pts: np.ndarray):
-    """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
-    rows of ``pts``, each with a leading point axis."""
+def _riemann(ginv: np.ndarray, d2g: np.ndarray, bracket: np.ndarray, gamma: np.ndarray):
+    """Riemann, Ricci and scalar curvature from the parts ``_first_order``
+    returns."""
     import numpy as np
 
-    gmat, ginv, d2g, bracket, gamma = _first_order(g, pts)
     # half[..., i, j, k, l] = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + Gamma_{m,jl} Gamma^m_{ik}
     second = np.swapaxes(d2g, -3, -2)  # second[..., i, j, k, l] = d_i d_k g_jl
     half = 0.5 * (second - np.swapaxes(second, -1, -2)
@@ -394,17 +404,24 @@ def _curvature(g: MetricField, pts: np.ndarray):
     riemann = half - np.swapaxes(half, -4, -3)
     ricci = np.einsum("...ml,...mjkl->...jk", ginv, riemann)
     scalar = np.einsum("...jk,...jk->...", ginv, ricci)
-    return gmat, ginv, gamma, riemann, ricci, scalar
+    return riemann, ricci, scalar
+
+
+def _curvature(g: MetricField, pts: np.ndarray):
+    """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
+    rows of ``pts``, each with a leading point axis."""
+    gmat, ginv, d2g, bracket, gamma = _first_order(g, pts)
+    return (gmat, ginv, gamma) + _riemann(ginv, d2g, bracket, gamma)
 
 
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     """Full curvature data of ``g`` at an interior chart point."""
     import numpy as np
 
-    gmat, ginv, gamma, riemann, ricci, scalar = (
-        part[0] for part in _curvature(g, np.atleast_2d(x)))
-    return CurvaturePack(tuple(float(v) for v in x), gmat, ginv, gamma,
-                         riemann, ricci, float(scalar))
+    gmat, ginv, d2g, bracket, gamma = _first_order(g, np.atleast_2d(x))
+    riemann, ricci, scalar = _riemann(ginv, d2g, bracket, gamma)
+    return CurvaturePack(tuple(float(v) for v in x), gmat[0], ginv[0], bracket[0],
+                         gamma[0], riemann[0], ricci[0], float(scalar[0]))
 
 
 def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
@@ -579,17 +596,53 @@ def hypersurface_geometry(
 # ---------------------------------------------------------------------------
 
 
+_SPLITTER = 134217729.0  # 2^27 + 1, for Dekker's split
+_ARRAY_POINTS = 12  # edge stacks of at least this many points run on arrays
+
+
+def _halves(v):
+    """``(v, hi, lo)``: Dekker's split of ``v`` into 26-bit halves, whose
+    products are exact."""
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return v, hi, v - hi
+
+
+def _dot2(s, xs, ys):
+    """``s + sum(p q)`` over the split factors ``xs`` and ``ys``, as if computed in
+    twice the working precision (Dot2 of Ogita, Rump and Oishi, 2005): each
+    product and partial sum carries its exact rounding error."""
+    err = 0.0
+    for (p, ph, pl), (q, qh, ql) in zip(xs, ys):
+        prod = p * q
+        t = s + prod
+        back = t - s
+        err = err + (((s - (t - back)) + (prod - back))
+                     + ((((ph * qh - prod) + ph * ql) + pl * qh) + pl * ql))
+        s = t
+    return s + err
+
+
 def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
     """Cholesky diagonal, cosine and half-angle parts of the dihedral angle
     of two faces under the metric with lower triangle ``gm[r][c]`` (c <= r).
 
-    With g = L L^T, x = L^-1 a_i / |.| and y = -L^-1 a_j / |.| are unit
+    With g = T T^T, x = T^-1 a_i / |.| and y = -T^-1 a_j / |.| are unit
     vectors at the dihedral angle theta: ``x.y = -<a_i, a_j>_{g^-1} /
-    (|a_i| |a_j|)``.  Returns the diagonal of L, x.y, |x - y| and |x + y|;
-    ``theta = 2 atan2(|x - y|, |x + y|)`` is accurate at every angle, where
-    acos(x.y) loses digits near 0 and pi (W. Kahan, *Miscalculating Area
-    and Angles of a Needle-like Triangle*, 2014), and the reflex angle
-    ``2 pi - theta = 2 atan2(|x - y|, -|x + y|)`` needs no subtraction.
+    (|a_i| |a_j|)``.  Returns the diagonal of the Cholesky factor L, x.y,
+    |x - y| and |x + y|; ``theta = 2 atan2(|x - y|, |x + y|)`` is accurate
+    at every angle, where acos(x.y) loses digits near 0 and pi (W. Kahan,
+    *Miscalculating Area and Angles of a Needle-like Triangle*, 2014), and
+    the reflex angle ``2 pi - theta = 2 atan2(|x - y|, -|x + y|)`` needs no
+    subtraction.
+
+    The computed L and z = L^-1 a are exact for a metric within about eps
+    |g| of g, which moves theta by up to about eps cond(g) (2e-15 at
+    cond(g) = 100).  One refinement step removes that: with the residuals ``D = L L^T - g`` and ``r = a - L z`` of
+    ``z = L^-1 a`` taken from exact products (``_dot2``), the factor
+    ``T = L (I - 1/2 L^-1 D L^-T)`` satisfies T T^T = g to second order and
+    ``T^-1 a = z + L^-1 (r + 1/2 D L^-T z)``, so theta is within a few eps
+    of the angle of the given floats while eps^2 cond(g)^2 stays below eps.
 
     Only + - * / and ``sqrt`` touch the metric, so its entries may be floats
     or arrays over a point axis, which round alike.  ``sqrt`` must not raise
@@ -606,21 +659,42 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
                 s = s - row[m] * other[m]
             row.append(sqrt(s) if c == r else s / other[c])
         low.append(row)
+    split = [[_halves(v) for v in row] for row in low]
+    half_d = [[0.0] * n for _ in range(n)]  # D / 2
+    for r in range(n):
+        for c in range(r + 1):
+            half_d[r][c] = half_d[c][r] = 0.5 * _dot2(-gm[r][c], split[r], split[c])
 
-    def unit(a):  # L^-1 a by forward substitution, normalized
+    def forward(b):  # L^-1 b
         z = []
-        for r in range(n):
-            s = a[r]
-            for m in range(r):
-                s = s - low[r][m] * z[m]
-            z.append(s / low[r][r])
-        size = sqrt(sum(v * v for v in z))
-        return [v / size for v in z]
+        for s, row in zip(b, low):
+            for l, v in zip(row, z):
+                s = s - l * v
+            z.append(s / row[-1])
+        return z
+
+    def unit(a):  # T^-1 a, normalized
+        z = forward(a)
+        w = z[:]  # L^-T z
+        for r in reversed(range(n)):
+            for m in range(r + 1, n):
+                w[r] = w[r] - low[m][r] * w[m]
+            w[r] = w[r] / low[r][r]
+        neg = [_halves(-v) for v in z]
+        rhs = []  # r + D w / 2
+        for a_r, pieces, d_r in zip(a, split, half_d):
+            s = _dot2(a_r, pieces, neg)
+            for d, v in zip(d_r, w):
+                s = s + d * v
+            rhs.append(s)
+        p = [v + d for v, d in zip(z, forward(rhs))]
+        size = sqrt(reduce(add, (v * v for v in p)))
+        return [v / size for v in p]
 
     u, v = unit(a_i), unit(a_j)  # x = u, y = -v
-    return ([row[r] for r, row in enumerate(low)], -sum(p * q for p, q in zip(u, v)),
-            sqrt(sum((p + q) * (p + q) for p, q in zip(u, v))),
-            sqrt(sum((p - q) * (p - q) for p, q in zip(u, v))))
+    return ([row[-1] for row in low], -reduce(add, (p * q for p, q in zip(u, v))),
+            sqrt(reduce(add, ((p + q) * (p + q) for p, q in zip(u, v)))),
+            sqrt(reduce(add, ((p - q) * (p - q) for p, q in zip(u, v)))))
 
 
 def _root(v: float) -> float:
@@ -663,11 +737,16 @@ def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
         raise DomainError(f"point {pts[np.argmax(off)].tolist()} is not on edge ({i}, {j})")
     points = pts.tolist()
     metrics = [_metric_lower(g, x) for x in points]
-    gm = [[np.array([m[r][c] for m in metrics]) for c in range(r + 1)]
-          for r in range(domain.dim)]
-    with np.errstate(all="ignore"):  # a failed pivot leaves nan, reported below
-        diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j], np.sqrt)
-    bad = ~np.all([d > 0.0 for d in diag], axis=0)
+    if len(points) < _ARRAY_POINTS:  # fewer: numpy's cost per call dominates
+        diag, cosang, chord, sum_chord = (np.array(part) for part in zip(
+            *(_corner(m, domain.a[i], domain.a[j], _root) for m in metrics)))
+        bad = ~np.all(diag > 0.0, axis=1)
+    else:
+        gm = [[np.array([m[r][c] for m in metrics]) for c in range(r + 1)]
+              for r in range(domain.dim)]
+        with np.errstate(all="ignore"):  # a failed pivot leaves nan, reported below
+            diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j], np.sqrt)
+        bad = ~np.all([d > 0.0 for d in diag], axis=0)
     if bad.any():
         p = int(np.argmax(bad))  # the first bad point
         raise _not_positive_definite(points[p], metrics[p])

@@ -20,6 +20,7 @@ from dihedral_lab.curvature import (
     gauss_bonnet_defect,
     hypersurface_geometry,
     orthonormal_frame,
+    _ARRAY_POINTS,
     _curvature,
     _dihedral_angles,
     _nullspace,
@@ -29,9 +30,6 @@ from dihedral_lab.expressions import (
     euclidean_metric,
     parse_metric,
 )
-
-
-EPS = 2.0**-52
 
 
 def sphere_metric(n):
@@ -488,13 +486,7 @@ class TestDihedralAngle:
                 _dihedral_angles(g, dom, 0, 1, pts)
             return
         got = _dihedral_angles(g, dom, 0, 1, pts)
-        for theta, (_, want), gm in zip(got.tolist(), exact, metrics):
-            # 1e-15, past which only an ill-conditioned metric may carry the
-            # angle: half an ulp of the result plus the Cholesky factor's
-            # backward error, 2 eps cond(g) (measured: at most 1.01 eps cond(g)
-            # beyond the half ulp over 120,000 points of this distribution)
-            bound = math.ulp(theta) / 2 + 2.0 * EPS * np.linalg.cond(gm)
-            assert abs(theta - want) <= max(1e-15, bound)
+        assert max(abs(theta - want) for theta, (_, want) in zip(got.tolist(), exact)) <= 1e-15
         assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got.tolist()
         off = pts.copy()
         off[-1] += 1e-6 * dom.normals[0]
@@ -513,16 +505,20 @@ class TestDihedralAngle:
            theta=st.one_of(st.floats(1e-5, math.pi - 1e-5),
                            st.floats(-5.0, -1.0).map(lambda t: 10.0**t),
                            st.floats(-5.0, -1.0).map(lambda t: math.pi - 10.0**t)),
-           scale=st.floats(0.0, 6.0))
-    def test_matches_exact_angle(self, seed, n, theta, scale):
+           scale=st.floats(0.0, 6.0), spread=st.floats(0.0, 6.0))
+    def test_matches_exact_angle(self, seed, n, theta, scale, spread):
         """Both branches within 1e-15 of the 50-digit angle of the same float
-        metric and normals, down to 1e-5 from 0 and pi and at vertices up to
-        1e6, where acos of the cosine loses up to 1e-11."""
+        metric and normals, down to 1e-5 from 0 and pi, at vertices up to 1e6
+        and on metrics of condition number up to about 1e8, where acos of the
+        cosine loses up to 1e-11 and an unrefined Cholesky factor 1e-9."""
         rng = np.random.default_rng(seed)
-        # g = L L^T with L lower triangular: L^-1 a_i and -L^-1 a_j are unit
-        # vectors at the angle theta in a random plane
-        low = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
-        gmat = low @ low.T
+        # g = L L^T: L^-1 a_i and -L^-1 a_j are unit vectors at the angle theta
+        # in a random plane; L = Q S T with Q orthogonal, S diagonal with
+        # squares spanning 10^spread and T triangular, so cond(g) ~ 10^spread
+        tri = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+        exps = np.r_[0.0, spread, rng.uniform(0.0, spread, n - 2)]
+        low = np.linalg.qr(rng.normal(size=(n, n)))[0] * 10.0 ** (exps / 2) @ tri
+        gmat = np.triu(low @ low.T) + np.triu(low @ low.T, 1).T
         g = parse_metric({f"{p + 1}{q + 1}": repr(float(gmat[p, q]))
                           for p in range(n) for q in range(p, n)}, n)
         plane = np.linalg.qr(rng.normal(size=(n, 2)))[0]
@@ -536,14 +532,44 @@ class TestDihedralAngle:
             _, want = _oracles.exact_dihedral_angle(gmat, *dom.normals, region)
             assert abs(dihedral_angle(g, dom, 0, 1, x) - want) <= 1e-15
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]),
+           region=st.sampled_from(["intersection", "complement"]))
+    def test_array_form_matches_per_point_kernel(self, seed, n, region):
+        """Edge stacks of ``_ARRAY_POINTS`` or more run the kernel on arrays:
+        bit for bit the per-point angles, within 1e-15 of the exact ones,
+        and a face paired with its own plane is degenerate there too."""
+        rng = np.random.default_rng(seed)
+        low = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+        gmat = low @ low.T
+        g = parse_metric({f"{p + 1}{q + 1}": f"exp(0.3*sin(x1 - x{n}))*({float(gmat[p, q])!r})"
+                          for p in range(n) for q in range(p, n)}, n)
+        normals = rng.normal(size=(2, n))
+        dom = PolyDomain.from_halfspaces([(a, 0.0) for a in normals], region=region,
+                                         validate=False)
+        pts = rng.normal(size=(_ARRAY_POINTS + 5, n - 2)) @ _nullspace(dom.normals).T
+        got = _dihedral_angles(g, dom, 0, 1, pts)
+        assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got.tolist()
+        for theta, x in zip(got.tolist(), pts):
+            _, want = _oracles.exact_dihedral_angle(g.matrix_at(x.tolist()), *dom.normals, region)
+            assert abs(theta - want) <= 1e-15
+        flat = PolyDomain.from_halfspaces([(normals[0], 0.0), (normals[0], 0.0)],
+                                          region=region, validate=False)
+        on_plane = pts - np.outer(flat.slacks(pts)[:, 0], flat.normals[0])
+        with pytest.raises(DegenerateCornerError):
+            _dihedral_angles(g, flat, 0, 1, on_plane)
+
     @pytest.mark.parametrize("t, lowest", [(0.3, "-2.000e-01"), (0.5, "0.000e+00")])
-    def test_indefinite_metric_names_the_first_bad_point(self, t, lowest):
-        # g11 = x3 - 1/2 is not positive on the edge below x3 = 1/2
+    @pytest.mark.parametrize("before", [1, _ARRAY_POINTS])
+    def test_indefinite_metric_names_the_first_bad_point(self, t, lowest, before):
+        # g11 = x3 - 1/2 is not positive on the edge below x3 = 1/2; with
+        # ``before`` good points first the stack runs per point or on arrays
         g = parse_metric({"11": "x3 - 0.5", "22": "1", "33": "1"}, 3)
         message = re.escape(f"metric at [0.0, 0.0, {t}] has smallest eigenvalue {lowest}") + "$"
         with pytest.raises(MetricNotPositiveDefinite, match=message):
             dihedral_angle(g, unit_cube(), 0, 2, (0.0, 0.0, t))
-        pts = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, t], [0.0, 0.0, 0.2]])
+        heights = [*np.linspace(0.9, 0.6, before), t, 0.2]
+        pts = np.array([[0.0, 0.0, z] for z in heights])
         with pytest.raises(MetricNotPositiveDefinite, match=message):
             _dihedral_angles(g, unit_cube(), 0, 2, pts)
 
@@ -652,6 +678,28 @@ class TestPolyDomain:
         assert verdict(dom._validate) == expected
         if near is None:
             assert enumerated == []
+
+    @pytest.mark.parametrize("faces", [[-1], [0], [0, -1], [-2, -1], [3]])
+    def test_point_tests_on_floats_agree_with_arrays(self, faces):
+        # negative face indices count from the end on both paths
+        dom = PolyDomain.from_halfspaces([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0),
+                                          ((-1.0, 0.0), -1.0), ((0.0, -1.0), -1.0)])
+        grid = [(x, y) for x in (0.0, 0.5, 1.0, 1.5) for y in (0.0, 0.5, 1.0)]
+        batched = dom.on_faces(faces, np.array(grid)).tolist()
+        single = dom.on_face if len(faces) == 1 else dom.on_edge
+        assert [single(*faces, x) for x in grid] == batched
+        assert any(batched)
+
+    def test_point_tests_agree_at_the_tolerance(self):
+        # the batched slacks round like the float ones, so a point whose face-0
+        # slack is the tolerance itself gets one verdict on both paths
+        rng = np.random.default_rng(5)
+        dom = PolyDomain.from_halfspaces(list(zip(rng.normal(size=(5, 3)), rng.normal(size=5))),
+                                         validate=False)
+        pts = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-2, 4, size=(300, 1))
+        for x, s in zip(pts, dom.slacks(pts)):
+            for tol in (abs(s[0]), np.nextafter(abs(s[0]), 0.0)):
+                assert dom.on_face(0, x.tolist(), tol) == dom.on_faces([0], x, tol)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_normals_bit_equal_to_numpy_row_norms(self, n):
