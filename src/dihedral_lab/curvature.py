@@ -609,9 +609,9 @@ def _halves(v):
 
 
 def _dot2(s, xs, ys):
-    """``s + sum(p q)`` over the split factors ``xs`` and ``ys``, as if computed in
-    twice the working precision (Dot2 of Ogita, Rump and Oishi, 2005): each
-    product and partial sum carries its exact rounding error."""
+    """``s + sum(p q)`` over the split factors ``xs`` and ``ys``, as if
+    computed in twice the working precision (Dot2 of Ogita, Rump and Oishi,
+    2005): each product and partial sum carries its exact rounding error."""
     err = 0.0
     for (p, ph, pl), (q, qh, ql) in zip(xs, ys):
         prod = p * q
@@ -636,20 +636,21 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
     the reflex angle ``2 pi - theta = 2 atan2(|x - y|, -|x + y|)`` needs no
     subtraction.
 
-    The computed L and z = L^-1 a are exact for a metric within about eps
-    |g| of g, which moves theta by up to about eps cond(g) (2e-15 at
-    cond(g) = 100).  One refinement step removes that: with the residuals ``D = L L^T - g`` and ``r = a - L z`` of
-    ``z = L^-1 a`` taken from exact products (``_dot2``), the factor
-    ``T = L (I - 1/2 L^-1 D L^-T)`` satisfies T T^T = g to second order and
-    ``T^-1 a = z + L^-1 (r + 1/2 D L^-T z)``, so theta is within a few eps
-    of the angle of the given floats while eps^2 cond(g)^2 stays below eps.
+    The computed L and z = L^-1 a are exact for a metric within about
+    eps |g| of g, which moves theta by up to about eps cond(g) (2e-15 at
+    cond(g) = 100).  One refinement step removes that: with the residuals
+    ``D = L L^T - g`` and ``r = a - L z`` taken from exact products
+    (``_dot2``), the factor ``T = L (I - 1/2 L^-1 D L^-T)`` satisfies
+    T T^T = g to second order and ``T^-1 a = z + L^-1 (r + 1/2 D L^-T z)``,
+    so theta is within a few eps of the angle of the given floats while
+    eps^2 cond(g)^2 stays below eps.
 
     Only + - * / and ``sqrt`` touch the metric, so its entries may be floats
     or arrays over a point axis, which round alike.  ``sqrt`` must not raise
     at a non-positive pivot; the caller checks that the diagonal is > 0.
     """
     n = len(a_i)
-    low = []  # the rows of L
+    low, split = [], []  # the rows of L and their Dekker halves
     for r in range(n):
         row = []
         for c in range(r + 1):
@@ -659,42 +660,40 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
                 s = s - row[m] * other[m]
             row.append(sqrt(s) if c == r else s / other[c])
         low.append(row)
-    split = [[_halves(v) for v in row] for row in low]
+        split.append(list(map(_halves, row)))
     half_d = [[0.0] * n for _ in range(n)]  # D / 2
     for r in range(n):
         for c in range(r + 1):
             half_d[r][c] = half_d[c][r] = 0.5 * _dot2(-gm[r][c], split[r], split[c])
 
-    def forward(b):  # L^-1 b
-        z = []
-        for s, row in zip(b, low):
+    def unit(a):  # T^-1 a, normalized
+        z = []  # L^-1 a
+        for s, row in zip(a, low):
             for l, v in zip(row, z):
                 s = s - l * v
             z.append(s / row[-1])
-        return z
-
-    def unit(a):  # T^-1 a, normalized
-        z = forward(a)
         w = z[:]  # L^-T z
-        for r in reversed(range(n)):
+        for r in range(n - 1, -1, -1):
             for m in range(r + 1, n):
                 w[r] = w[r] - low[m][r] * w[m]
             w[r] = w[r] / low[r][r]
         neg = [_halves(-v) for v in z]
-        rhs = []  # r + D w / 2
-        for a_r, pieces, d_r in zip(a, split, half_d):
+        p, fix = [], []  # z + L^-1 (r + D w / 2)
+        for a_r, v, row, pieces, d_r in zip(a, z, low, split, half_d):
             s = _dot2(a_r, pieces, neg)
-            for d, v in zip(d_r, w):
-                s = s + d * v
-            rhs.append(s)
-        p = [v + d for v, d in zip(z, forward(rhs))]
-        size = sqrt(reduce(add, (v * v for v in p)))
+            for d, u in zip(d_r, w):
+                s = s + d * u
+            for l, u in zip(row, fix):
+                s = s - l * u
+            fix.append(s / row[-1])
+            p.append(v + fix[-1])
+        size = sqrt(reduce(add, [v * v for v in p]))
         return [v / size for v in p]
 
     u, v = unit(a_i), unit(a_j)  # x = u, y = -v
-    return ([row[-1] for row in low], -reduce(add, (p * q for p, q in zip(u, v))),
-            sqrt(reduce(add, ((p + q) * (p + q) for p, q in zip(u, v)))),
-            sqrt(reduce(add, ((p - q) * (p - q) for p, q in zip(u, v)))))
+    return ([row[-1] for row in low], -reduce(add, [p * q for p, q in zip(u, v)]),
+            sqrt(reduce(add, [(p + q) * (p + q) for p, q in zip(u, v)])),
+            sqrt(reduce(add, [(p - q) * (p - q) for p, q in zip(u, v)])))
 
 
 def _root(v: float) -> float:
@@ -727,7 +726,8 @@ def _degenerate(cosang: float) -> DegenerateCornerError:
 def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
                      pts: np.ndarray) -> np.ndarray:
     """``dihedral_angle`` at the rows of a ``(k, n)`` stack of edge points:
-    the same float kernel on arrays over the point axis, bit for bit."""
+    the same float kernel, per point below ``_ARRAY_POINTS`` points and on
+    arrays over the point axis from there on, bit for bit."""
     import numpy as np
 
     if i == j:
