@@ -33,10 +33,10 @@ _REEXPORTS = {
         "numpy": "np",
         ".clifford": "random_certificates",
         ".comparison": "CompareScene SampleSpec SceneError check_conclusions "
-                       "check_hypotheses conformal_identities",
+                       "check_hypotheses",
         ".corner_smoothing": "mean_curvature_limit smoothing_arc turning_integral",
-        ".curvature": "DomainError PolyDomain curvature_tensors dihedral_angle "
-                      "gauss_bonnet_defect",
+        ".curvature": "DomainError PolyDomain conformal_identities curvature_tensors "
+                      "dihedral_angle gauss_bonnet_defect",
         ".expressions": "ExpressionError MetricNotPositiveDefinite metric_from_scene",
         ".index_lab": "PolygonError index_experiment",
         ".sector_spectra": "SectorPair deficiency_test esa_verdict gallot_meyer_bound "
@@ -433,7 +433,7 @@ def certify(dims, trials, seed, tol, output):
           ("--tol", "tol", float, 1e-3))
 def conformal(metric_path, factor, point_text, tol, output):
     """Residuals of the conformal curvature identities."""
-    from .comparison import conformal_identities
+    from .curvature import conformal_identities
     from .expressions import metric_from_scene
 
     g = metric_from_scene(_load_scene(metric_path))

@@ -1,48 +1,43 @@
-"""Comparison machinery: map norms, margin reports, conformal identities.
+"""Comparison machinery: map norms and margin reports.
 
 Everything here evaluates the inequalities that a curvature / mean-curvature
 / dihedral-angle comparison between a source domain (N, gbar) and a target
-domain (M, g) must satisfy, at deterministically sampled points:
+domain (M, g) must satisfy, at deterministically sampled points: the
+hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
+``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
+(interior, every mapped face, every edge between mapped faces) is sampled
+and jetted once into arrays of points; the face correspondence is checked
+on those arrays, and curvature, face geometry and dihedral angles run as
+one batch over each, through the curvature kernel's components (floats
+where a metric is constant) stacked into arrays.  This module imports
+numpy at load; the ``compare`` command is its only user.
 
-- hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
-  ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
-  (interior, every mapped face, every edge between mapped faces) is
-  sampled and jetted once into arrays of points; the face correspondence
-  is checked on those arrays, and curvature, face geometry and dihedral
-  angles run as one batch over each;
-- the conformal identities used by the rigidity argument.  The Laplacian
-  here is div grad (the trace of the Hessian); with that sign the scalar
-  identity holds exactly, as does the integration by parts
-  ``int h^k lap h = - int <d h^k, dh>`` against an inner-normal-derivative
-  boundary term.
-
-The PSD certificates behind the interior and boundary estimates need no
-metric; they live in ``clifford``.
+The conformal identities of the rigidity argument live in ``curvature``,
+which runs them on floats; the PSD certificates behind the interior and
+boundary estimates need no metric and live in ``clifford``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .curvature import (
-    CurvaturePack,
     DomainError,
     PolyDomain,
     _curvature,
+    _dihedral_angles,
     _face_forms,
     _first_order,
     _nullspace,
-    curvature_tensors,
-    _dihedral_angles,
-    face_geometry,
+    curvature_tensors,  # bound here too: perfbench's tracer test patches this binding
 )
 from .expressions import (
-    BinOp,
     Expr,
     MetricField,
+    _columns,
+    _stacked,
     metric_from_scene,
     parse_expression,
 )
@@ -58,7 +53,6 @@ __all__ = [
     "check_hypotheses",
     "check_conclusions",
     "sample_stratum",
-    "conformal_identities",
     "SceneError",
 ]
 
@@ -66,6 +60,8 @@ DEFAULT_TOLERANCE = 1e-6
 # least points checked per face / edge; face tolerance per unit target diameter
 _CHECK_PER_FACE, _CHECK_PER_EDGE, _CHECK_TOL = 8, 4, 1e-6
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# witness band: margins within this many ulps of max(1, |extreme|) tie
+_TIE_ULPS = 8
 
 
 class SceneError(ValueError):
@@ -112,9 +108,10 @@ class CornerMap:
     def jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Images ``(m, k)`` and Jacobians ``(m, k, n)`` of f at the rows of
         ``pts`` (shape ``(m, n)``), one jet per component over the stack."""
-        parts = [e.jet(pts)[:2] for e in self.components]
-        return (np.stack([value for value, _ in parts], axis=-1),
-                np.stack([grad for _, grad in parts], axis=1))
+        x = _columns(pts)
+        parts = [e.jet_parts(x) for e in self.components]
+        return _stacked(len(pts), [value for value, _, _ in parts],
+                        [list(grad) for _, grad, _ in parts])
 
 
 class CompareScene:
@@ -296,6 +293,9 @@ class SampleSpec:
 
 
 class MarginRecord:
+    """The extreme of one margin over the samples, and the first sample
+    (point and stratum) within ``_TIE_ULPS`` ulps of it."""
+
     __slots__ = ("value", "witness", "stratum")
     def __init__(self, value: float, witness: tuple, stratum: str):
         self.value, self.witness, self.stratum = value, witness, stratum
@@ -400,8 +400,10 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
         if off.any():
             raise DomainError(f"point {list(fys[np.argmax(off)])} is not on face {j}")
         gsrc, ginv, _, bracket, _ = _first_order(scene.metric_src, ys)
+        gsrc, ginv, bracket = _stacked(len(ys), gsrc, ginv, bracket)
         h_src = np.trace(_face_forms(src, i, gsrc, ginv, bracket)[0], axis1=1, axis2=2)
         gdst, ginv, _, bracket, _ = _first_order(scene.metric_dst, fys)
+        gdst, ginv, bracket = _stacked(len(fys), gdst, ginv, bracket)
         h_dst = np.trace(_face_forms(dst, j, gdst, ginv, bracket)[0], axis1=1, axis2=2)
         sv = _singular_values(gsrc, gdst, jac)
         extend("mean_curvature", f"face:{i + 1}", ys, h_src - sv[:, 0] * h_dst)
@@ -422,16 +424,19 @@ def _run_report(scene: CompareScene, spec: SampleSpec, mode: str,
         (name, stratum, tuple(float(v) for v in pt),
          float(hyp_margin if mode == "hypotheses" else eq_resid))
         for name, stratum, pt, hyp_margin, eq_resid in _pointwise_quantities(scene, spec))
+    # the smallest margin or the largest residual, as the least of sign * value;
+    # the cap is a hypothesis, not an equality claim
+    sign, least = (1.0 if mode == "hypotheses" else -1.0), {}
+    for name, _, _, value in table:
+        if mode == "hypotheses" or name != "angle_cap":
+            least[name] = min(least.get(name, math.inf), sign * value)
+    # the witness is the first sample within _TIE_ULPS of the extreme
     worst: dict[str, MarginRecord] = {}
-    for name, stratum, pt, value in table:
-        if mode == "hypotheses":
-            better = name not in worst or value < worst[name].value
-        else:
-            if name == "angle_cap":
-                continue  # the cap is a hypothesis, not an equality claim
-            better = name not in worst or value > worst[name].value
-        if better:
-            worst[name] = MarginRecord(value, pt, stratum)
+    for name, stratum, pt, value in reversed(table):
+        if name in least and sign * value <= least[name] + _TIE_ULPS * math.ulp(
+                max(1.0, abs(least[name]))):
+            worst[name] = MarginRecord(sign * least[name], pt, stratum)
+    worst = {name: worst[name] for name in least}
     if mode == "hypotheses":
         holds = all(rec.value >= -tolerance for rec in worst.values())
     else:
@@ -450,65 +455,3 @@ def check_conclusions(scene: CompareScene, spec: SampleSpec = SampleSpec(),
                       tolerance: float = DEFAULT_TOLERANCE) -> ComparisonReport:
     """Largest equality residuals of the rigidity conclusions on the samples."""
     return _run_report(scene, spec, "conclusions", tolerance)
-
-
-# ---------------------------------------------------------------------------
-# Conformal identities
-# ---------------------------------------------------------------------------
-
-
-def _laplacian_and_gradient(pack: CurvaturePack, h: Expr):
-    """div grad h (trace of the Hessian), |dh|^2 and dh at ``pack.point``,
-    with respect to the metric of ``pack``."""
-    _, grad, hess = (part[0] for part in h.jet(np.atleast_2d(pack.point)))
-    hess_cov = hess - np.einsum("kij,k->ij", pack.gamma, grad)
-    lap = float(np.einsum("ij,ij->", pack.metric_inv, hess_cov))
-    grad_sq = float(grad @ pack.metric_inv @ grad)
-    return lap, grad_sq, grad
-
-
-def conformal_identities(
-    gbar: MetricField,
-    h: Expr | str,
-    x: Sequence[float],
-    domain: PolyDomain | None = None,
-    face: int | None = None,
-) -> dict:
-    """Residuals of the conformal scalar / mean-curvature identities.
-
-    The left-hand sides are computed by running the curvature engine on the
-    rescaled metric h^2 gbar; the right-hand sides use only gbar-quantities:
-
-        Sc(h^2 gbar) = Sc(gbar)/h^2 - 2(n-1)/h^3 lap h - (n-1)(n-4)/h^4 |dh|^2
-        H(h^2 gbar)  = H(gbar)/h - (n-1)/h^2 dh/dn        (on a face)
-
-    with lap = div grad and n the inner gbar-unit normal.  Returns
-    ``{"scalar": resid}`` or ``{"scalar": ..., "mean_curvature": ...}`` when
-    a face is given.
-    """
-    if isinstance(h, str):
-        h = parse_expression(h)
-    n = gbar.dim
-    hval = h.eval(x)
-    if hval <= 0.0:
-        raise ValueError(f"conformal factor must be positive, got {hval}")
-    scaled = gbar.scaled(BinOp("*", h, h))
-
-    pack_bar = curvature_tensors(gbar, x)
-    lap, grad_sq, grad = _laplacian_and_gradient(pack_bar, h)
-    sc_bar = pack_bar.scalar
-    sc_scaled = curvature_tensors(scaled, x).scalar
-    rhs = (sc_bar / hval**2 - 2.0 * (n - 1) / hval**3 * lap
-           - (n - 1) * (n - 4) / hval**4 * grad_sq)
-    out = {"scalar": float(sc_scaled - rhs)}
-
-    if face is not None:
-        if domain is None:
-            raise ValueError("mean-curvature variant needs the domain")
-        fg = face_geometry(scaled, domain, face, x)
-        second_bar, _, nu_bar = _face_forms(domain, face, pack_bar.metric,
-                                            pack_bar.metric_inv, pack_bar.bracket)
-        dh_dn = float(grad @ nu_bar)
-        rhs_h = float(np.trace(second_bar)) / hval - (n - 1) / hval**2 * dh_dn
-        out["mean_curvature"] = float(fg.mean_curvature - rhs_h)
-    return out

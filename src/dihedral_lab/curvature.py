@@ -19,25 +19,32 @@ Conventions (fixed here, tested against symbolic oracles):
   index order; deterministic.
 
 All metric derivatives are exact second-order jets of the underlying
-expressions (see :mod:`dihedral_lab.expressions`), evaluated over a leading
-batch axis of points.  Domains are stored as float rows and dihedral angles
-are computed on floats, so an ``angles`` run on a domain of independent
-normals never loads numpy; numpy is imported by the functions that build
-arrays, when they run.
+expressions (see :mod:`dihedral_lab.expressions`).  One curvature kernel
+(``_first_order``, ``_riemann``) runs on components that are floats at one
+point or arrays over a batch of points, g^-1 from a Cholesky factor whose
+pivots check positive definiteness; ``_curvature`` stacks a batch into
+arrays.  Domains are stored as float rows and dihedral angles are computed
+on floats, so ``curvature_tensors``, the conformal identities and an
+``angles`` run on a domain of independent normals never load numpy; numpy
+is imported by the functions that build arrays, when they run.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, reduce
-from itertools import combinations
-from operator import add
+from itertools import combinations, product
+from operator import add, and_, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .expressions import (
+    BinOp,
     Expr,
     MetricField,
     MetricNotPositiveDefinite,
+    _columns,
+    _full,
+    _stacked,
     parse_expression,
     scene_dim,
 )
@@ -53,6 +60,7 @@ __all__ = [
     "DegenerateCornerError",
     "curvature_tensors",
     "curvature_operator",
+    "conformal_identities",
     "face_geometry",
     "hypersurface_geometry",
     "dihedral_angle",
@@ -188,7 +196,9 @@ class PolyDomain:
         normals with the lineality space projected out, so the cell is
         pointed.  Interior: max t of ``A_r y - t >= b``, ``0 <= t <= 1`` (a
         Chebyshev-centre LP) exceeds ``_FEAS_TOL``; a face supports the cell
-        iff a vertex lies on it.  ``from_halfspaces`` rejects non-finite data.
+        iff a vertex lies on it.  Feasibility and contact are judged up to
+        ``_slacks``' scaled tolerance.  ``from_halfspaces`` rejects
+        non-finite data.
         """
         import numpy as np
 
@@ -200,7 +210,8 @@ class PolyDomain:
         if len(tops) == 0 or tops[:, -1].max() <= _FEAS_TOL:
             raise DomainError("domain has empty interior")
         verts = _basic_solutions(a_r, self.offsets)
-        touched = np.any(verts @ a_r.T - self.offsets <= _FEAS_TOL, axis=0)
+        slack, tol = _slacks(a_r, self.offsets, verts)
+        touched = np.any(slack <= tol, axis=0)
         if not touched.all():
             raise DomainError(f"face {int(np.argmin(touched))} does not support the domain")
 
@@ -322,7 +333,17 @@ def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = np.array(list(combinations(range(k), m)), dtype=int).reshape(-1, m)
     rows = rows[np.abs(np.linalg.det(a[rows])) >= 1e-12]
     sols = np.linalg.solve(a[rows], b[rows][..., None])[..., 0]
-    return sols[np.all(sols @ a.T - b >= -_FEAS_TOL, axis=1)]
+    slack, tol = _slacks(a, b, sols)
+    return sols[np.all(slack >= -tol, axis=1)]
+
+
+def _slacks(a: np.ndarray, b: np.ndarray, y: np.ndarray):
+    """Slacks ``y a^T - b`` of the rows of y, and their tolerances:
+    ``_FEAS_TOL`` times the size ``|y| |a|^T + |b|`` of the terms each
+    slack cancels, at least 1, so that cells far from the origin pass."""
+    import numpy as np
+
+    return y @ a.T - b, _FEAS_TOL * np.maximum(1.0, np.abs(y) @ np.abs(a).T + np.abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -331,104 +352,127 @@ def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CurvaturePack:
-    """Christoffel symbols and curvature tensors of g at one point.
+    """Christoffel symbols and curvature tensors of g at one point, as nested
+    lists of floats.
 
-    ``bracket[i, j, l]`` is 2 Gamma_{l,ij} (see ``_first_order``),
-    ``gamma[k, i, j]`` is Gamma^k_{ij}; ``riemann[i, j, k, l]`` is the
+    ``bracket[i][j][l]`` is 2 Gamma_{l,ij} (see ``_first_order``),
+    ``gamma[k][i][j]`` is Gamma^k_{ij}; ``riemann[i][j][k][l]`` is the
     all-lowered tensor R_{ijkl}.
     """
 
     __slots__ = ("point", "metric", "metric_inv", "bracket", "gamma", "riemann", "ricci",
                  "scalar")
-    def __init__(self, point: tuple, metric: np.ndarray, metric_inv: np.ndarray,
-                 bracket: np.ndarray, gamma: np.ndarray, riemann: np.ndarray,
-                 ricci: np.ndarray, scalar: float):
+    def __init__(self, point: tuple, metric: list, metric_inv: list, bracket: list,
+                 gamma: list, riemann: list, ricci: list, scalar: float):
         self.point, self.metric, self.metric_inv = point, metric, metric_inv
         self.bracket, self.gamma = bracket, gamma
         self.riemann, self.ricci, self.scalar = riemann, ricci, scalar
 
-    def antisymmetry_residual(self) -> float:
-        import numpy as np
-
+    def _relative(self, form) -> float:
+        """Largest |form(R, i, j, k, l)| over all indices, over max(1, max |R|)."""
         r = self.riemann
-        scale = max(np.abs(r).max(), 1.0)
-        return max(
-            np.abs(r + np.swapaxes(r, 0, 1)).max(),
-            np.abs(r + np.swapaxes(r, 2, 3)).max(),
-        ) / scale
+        return (max(abs(form(r, *t)) for t in product(range(len(r)), repeat=4))
+                / max(1.0, max(abs(v) for a in r for b in a for c in b for v in c)))
+
+    def antisymmetry_residual(self) -> float:
+        return max(self._relative(lambda r, i, j, k, l: r[i][j][k][l] + r[j][i][k][l]),
+                   self._relative(lambda r, i, j, k, l: r[i][j][k][l] + r[i][j][l][k]))
 
     def pair_symmetry_residual(self) -> float:
-        import numpy as np
-
-        r = self.riemann
-        scale = max(np.abs(r).max(), 1.0)
-        return np.abs(r - np.transpose(r, (2, 3, 0, 1))).max() / scale
+        return self._relative(lambda r, i, j, k, l: r[i][j][k][l] - r[k][l][i][j])
 
     def bianchi_residual(self) -> float:
-        import numpy as np
-
-        r = self.riemann
-        scale = max(np.abs(r).max(), 1.0)
-        cyc = r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
-        return np.abs(cyc).max() / scale
+        return self._relative(
+            lambda r, i, j, k, l: r[i][j][k][l] + r[j][k][i][l] + r[k][i][j][l])
 
 
-def _first_order(g: MetricField, pts: np.ndarray):
-    """Metric, inverse, ``d2g[p, a, b, i, j]``, the Christoffel bracket (twice
-    the first-kind symbols) and Gamma^k_{ij} at the rows of ``pts``."""
-    import numpy as np
+def _cholesky(gm) -> list:
+    """Rows of the lower Cholesky factor L of the metric with lower triangle
+    ``gm[r][c]`` (c <= r), on floats or arrays alike; a non-positive pivot
+    leaves nan for the caller to report."""
+    low = []
+    for r in range(len(gm)):
+        row = []
+        for c in range(r + 1):
+            other = low[c] if c < r else row
+            s = gm[r][c]
+            for m in range(c):
+                s = s - row[m] * other[m]
+            row.append(_root(s) if c == r else s / other[c])
+        low.append(row)
+    return low
 
-    gmat, dg, d2g = g.jet(pts)
-    lowest = np.linalg.eigvalsh(gmat)[:, 0]
-    if np.any(lowest <= 0.0):
-        p = int(np.argmax(lowest <= 0.0))  # the first bad point
-        raise MetricNotPositiveDefinite(
-            f"metric at {pts[p].tolist()} has smallest eigenvalue {lowest[p]:.3e}")
-    ginv = np.linalg.inv(gmat)
-    # bracket[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_{l,ij}
-    bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+
+def _first_order(g: MetricField, pts):
+    """Metric ``gm[i][j]``, inverse, ``d2g[i][j][a][b] = d_a d_b g_ij``, the
+    Christoffel bracket ``bracket[i][j][l]`` (twice the first-kind symbols)
+    and Gamma^k_{ij} as ``gamma[k][i][j]`` at one point (n floats) or at the
+    rows of an ``(m, n)`` array, as nested lists of floats or ``(m,)`` arrays."""
+    batch = getattr(pts, "ndim", 1) == 2
+    gm, dg, d2g = g.jet_parts(_columns(pts) if batch else tuple(map(float, pts)))
+    low = _cholesky(gm)
+    ok = reduce(and_, [row[-1] > 0.0 for row in low])  # nan at a failed pivot
+    if not (ok if type(ok) is bool else ok.all()):
+        p = 0 if type(ok) is bool else int(ok.argmin())  # the first bad point
+        raise _not_positive_definite([float(v) for v in (pts[p] if batch else pts)], [
+            [v if type(v) is float else float(v[p]) for v in row] for row in gm])
+    n = range(g.dim)
+    inv = []  # rows of L^-1
+    for r, row in enumerate(low):
+        inv.append([-sum(row[k] * inv[k][c] for k in range(c, r)) / row[r]
+                    for c in range(r)] + [1.0 / row[r]])
+    # g^-1 = L^-T L^-1 and d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_{l,ij}, both
+    # symmetric bit for bit: the sums commute
+    ginv = [[sum(inv[k][i] * inv[k][j] for k in range(max(i, j), len(n))) for j in n]
+            for i in n]
+    bracket = [[[dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in n] for j in n] for i in n]
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
-    return gmat, ginv, d2g, bracket, gamma
+    gamma = [[[0.5 * sum(map(mul, ginv[k], bracket[i][j])) for j in n] for i in n]
+             for k in n]
+    return gm, ginv, d2g, bracket, gamma
 
 
-def _riemann(ginv: np.ndarray, d2g: np.ndarray, bracket: np.ndarray, gamma: np.ndarray):
+def _riemann(ginv, d2g, bracket, gamma):
     """Riemann, Ricci and scalar curvature from the parts ``_first_order``
-    returns."""
-    import numpy as np
-
-    # half[..., i, j, k, l] = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + Gamma_{m,jl} Gamma^m_{ik}
-    second = np.swapaxes(d2g, -3, -2)  # second[..., i, j, k, l] = d_i d_k g_jl
-    half = 0.5 * (second - np.swapaxes(second, -1, -2)
-                  + np.einsum("...jlm,...mik->...ijkl", bracket, gamma))
-    riemann = half - np.swapaxes(half, -4, -3)
-    ricci = np.einsum("...ml,...mjkl->...jk", ginv, riemann)
-    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
-    return riemann, ricci, scalar
+    returns; R_{ijkl} (see the module docstring) is computed for i < j and
+    k < l, and the other entries follow by antisymmetry."""
+    n = len(ginv)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    r = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j in pairs:
+        for k, l in pairs:
+            s = d2g[j][l][i][k] - d2g[j][k][i][l] - d2g[i][l][j][k] + d2g[i][k][j][l]
+            for m in range(n):
+                s = s + (bracket[j][l][m] * gamma[m][i][k] - bracket[i][l][m] * gamma[m][j][k])
+            r[i][j][k][l] = r[j][i][l][k] = 0.5 * s
+            r[j][i][k][l] = r[i][j][l][k] = -0.5 * s
+    # Ric_jk = g^{ml} R_mjkl, where R_mjkl = 0 at m = j or k = l
+    ricci = [[sum(ginv[m][l] * r[m][j][k][l] for m in range(n) for l in range(n)
+                  if m != j and l != k) for k in range(n)] for j in range(n)]
+    scalar = sum(ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n))
+    return r, ricci, scalar
 
 
 def _curvature(g: MetricField, pts: np.ndarray):
     """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
-    rows of ``pts``, each with a leading point axis."""
-    gmat, ginv, d2g, bracket, gamma = _first_order(g, pts)
-    return (gmat, ginv, gamma) + _riemann(ginv, d2g, bracket, gamma)
+    rows of ``pts``, each an array with a leading point axis."""
+    gm, ginv, d2g, bracket, gamma = _first_order(g, pts)
+    return _stacked(len(pts), gm, ginv, gamma, *_riemann(ginv, d2g, bracket, gamma))
 
 
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
-    """Full curvature data of ``g`` at an interior chart point."""
-    import numpy as np
-
-    gmat, ginv, d2g, bracket, gamma = _first_order(g, np.atleast_2d(x))
-    riemann, ricci, scalar = _riemann(ginv, d2g, bracket, gamma)
-    return CurvaturePack(tuple(float(v) for v in x), gmat[0], ginv[0], bracket[0],
-                         gamma[0], riemann[0], ricci[0], float(scalar[0]))
+    """Full curvature data of ``g`` at an interior chart point, on floats."""
+    x = tuple(float(v) for v in x)
+    gm, ginv, d2g, bracket, gamma = _first_order(g, x)
+    return CurvaturePack(x, gm, ginv, bracket, gamma, *_riemann(ginv, d2g, bracket, gamma))
 
 
-def orthonormal_frame(gmat: np.ndarray) -> np.ndarray:
+def orthonormal_frame(gmat) -> np.ndarray:
     """Gram-Schmidt on the coordinate frame in index order; columns E_a
-    satisfy E^T g E = 1."""
+    satisfy E^T g E = 1 (``gmat`` an array or nested lists)."""
     import numpy as np
 
+    gmat = np.asarray(gmat, dtype=float)
     return _g_orthonormalize(np.eye(gmat.shape[-1]), gmat)
 
 
@@ -443,7 +487,7 @@ def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
 
     pack = curvature_tensors(g, x)
     frame = orthonormal_frame(pack.metric)
-    rframe = np.einsum("ijkl,ia,jb,kc,ld->abcd", pack.riemann,
+    rframe = np.einsum("ijkl,ia,jb,kc,ld->abcd", np.array(pack.riemann),
                        frame, frame, frame, frame)
     a, b = np.triu_indices(g.dim, 1)  # the wedge_pairs order
     op = -rframe[a[:, None], b[:, None], a, b]
@@ -539,7 +583,7 @@ def face_geometry(g: MetricField, domain: PolyDomain, i: int,
 
     if not domain.on_face(i, x):
         raise DomainError(f"point {list(x)} is not on face {i}")
-    gmat, ginv, _, bracket, _ = (part[0] for part in _first_order(g, np.atleast_2d(x)))
+    gmat, ginv, _, bracket, _ = map(np.array, _first_order(g, x))
     second, tangent, nu = _face_forms(domain, i, gmat, ginv, bracket)
     return FaceGeometry(second, float(np.trace(second)), tangent, nu)
 
@@ -571,7 +615,7 @@ def hypersurface_geometry(
     jets = [e.jet(np.atleast_2d(u)) for e in exprs]
     # position, jac[k, a] = d_a sigma^k and hess[k, a, b] = d_a d_b sigma^k
     pos, jac, hess = (np.array([jet[part][0] for jet in jets]) for part in range(3))
-    gmat, _, _, bracket, _ = (part[0] for part in _first_order(g, pos[None, :]))
+    gmat, _, _, bracket, _ = map(np.array, _first_order(g, pos))
     # g-normal: null space of (tangent^T g)
     null = np.linalg.svd(jac.T @ gmat)[2][-1]
     nu = null / math.sqrt(null @ gmat @ null)
@@ -589,6 +633,71 @@ def hypersurface_geometry(
     second = comb.T @ a_chart @ comb
     second = 0.5 * (second + second.T)
     return FaceGeometry(second, mean, tangent, nu)
+
+
+# ---------------------------------------------------------------------------
+# Conformal identities
+# ---------------------------------------------------------------------------
+
+
+def _laplacian_and_gradient(pack: CurvaturePack, h: Expr):
+    """div grad h (trace of the covariant Hessian), |dh|^2 and dh at
+    ``pack.point``, with respect to the metric of ``pack``, on floats."""
+    _, grad, hess = h.jet_parts(pack.point)
+    hess, ginv, n = _full(hess, len(grad)), pack.metric_inv, range(len(grad))
+    lap = sum(ginv[i][j] * (hess[i][j] - sum(map(mul, (row[i][j] for row in pack.gamma), grad)))
+              for i in n for j in n)
+    grad_sq = sum(ginv[i][j] * grad[i] * grad[j] for i in n for j in n)
+    return lap, grad_sq, grad
+
+
+def conformal_identities(
+    gbar: MetricField,
+    h: Expr | str,
+    x: Sequence[float],
+    domain: PolyDomain | None = None,
+    face: int | None = None,
+) -> dict:
+    """Residuals of the conformal scalar / mean-curvature identities.
+
+    The left-hand sides are computed by running the curvature engine on the
+    rescaled metric h^2 gbar; the right-hand sides use only gbar-quantities:
+
+        Sc(h^2 gbar) = Sc(gbar)/h^2 - 2(n-1)/h^3 lap h - (n-1)(n-4)/h^4 |dh|^2
+        H(h^2 gbar)  = H(gbar)/h - (n-1)/h^2 dh/dn        (on a face)
+
+    with lap = div grad and n the inner gbar-unit normal.  Returns
+    ``{"scalar": resid}`` or ``{"scalar": ..., "mean_curvature": ...}`` when
+    a face is given; only the face variant builds arrays.
+    """
+    if isinstance(h, str):
+        h = parse_expression(h)
+    n = gbar.dim
+    hval = h.eval(x)
+    if hval <= 0.0:
+        raise ValueError(f"conformal factor must be positive, got {hval}")
+    scaled = gbar.scaled(BinOp("*", h, h))
+
+    pack_bar = curvature_tensors(gbar, x)
+    lap, grad_sq, grad = _laplacian_and_gradient(pack_bar, h)
+    sc_bar = pack_bar.scalar
+    sc_scaled = curvature_tensors(scaled, x).scalar
+    rhs = (sc_bar / hval**2 - 2.0 * (n - 1) / hval**3 * lap
+           - (n - 1) * (n - 4) / hval**4 * grad_sq)
+    out = {"scalar": float(sc_scaled - rhs)}
+
+    if face is not None:
+        if domain is None:
+            raise ValueError("mean-curvature variant needs the domain")
+        import numpy as np
+
+        fg = face_geometry(scaled, domain, face, x)
+        second_bar, _, nu_bar = _face_forms(domain, face, *map(np.array, (
+            pack_bar.metric, pack_bar.metric_inv, pack_bar.bracket)))
+        dh_dn = float(np.dot(grad, nu_bar))
+        rhs_h = float(np.trace(second_bar)) / hval - (n - 1) / hval**2 * dh_dn
+        out["mean_curvature"] = float(fg.mean_curvature - rhs_h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +732,7 @@ def _dot2(s, xs, ys):
     return s + err
 
 
-def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
+def _corner(gm, a_i: Sequence[float], a_j: Sequence[float]):
     """Cholesky diagonal, cosine and half-angle parts of the dihedral angle
     of two faces under the metric with lower triangle ``gm[r][c]`` (c <= r).
 
@@ -645,22 +754,13 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
     so theta is within a few eps of the angle of the given floats while
     eps^2 cond(g)^2 stays below eps.
 
-    Only + - * / and ``sqrt`` touch the metric, so its entries may be floats
-    or arrays over a point axis, which round alike.  ``sqrt`` must not raise
-    at a non-positive pivot; the caller checks that the diagonal is > 0.
+    Only + - * / and ``_root`` touch the metric, so its entries may be
+    floats or arrays over a point axis, which round alike.  A non-positive
+    pivot leaves nan; the caller checks that the diagonal is > 0.
     """
     n = len(a_i)
-    low, split = [], []  # the rows of L and their Dekker halves
-    for r in range(n):
-        row = []
-        for c in range(r + 1):
-            other = low[c] if c < r else row
-            s = gm[r][c]
-            for m in range(c):
-                s = s - row[m] * other[m]
-            row.append(sqrt(s) if c == r else s / other[c])
-        low.append(row)
-        split.append(list(map(_halves, row)))
+    low = _cholesky(gm)
+    split = [list(map(_halves, row)) for row in low]  # their Dekker halves
     half_d = [[0.0] * n for _ in range(n)]  # D / 2
     for r in range(n):
         for c in range(r + 1):
@@ -687,18 +787,23 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float], sqrt):
                 s = s - l * u
             fix.append(s / row[-1])
             p.append(v + fix[-1])
-        size = sqrt(reduce(add, [v * v for v in p]))
+        size = _root(reduce(add, [v * v for v in p]))
         return [v / size for v in p]
 
     u, v = unit(a_i), unit(a_j)  # x = u, y = -v
     return ([row[-1] for row in low], -reduce(add, [p * q for p, q in zip(u, v)]),
-            sqrt(reduce(add, [(p + q) * (p + q) for p, q in zip(u, v)])),
-            sqrt(reduce(add, [(p - q) * (p - q) for p, q in zip(u, v)])))
+            _root(reduce(add, [(p + q) * (p + q) for p, q in zip(u, v)])),
+            _root(reduce(add, [(p - q) * (p - q) for p, q in zip(u, v)])))
 
 
-def _root(v: float) -> float:
-    """``math.sqrt``, nan at a non-positive argument (a failed pivot)."""
-    return math.sqrt(v) if v > 0.0 else math.nan
+def _root(v):
+    """Square root of a float or an array, nan at a non-positive entry (a
+    failed pivot)."""
+    if type(v) is float:
+        return math.sqrt(v) if v > 0.0 else math.nan
+    import numpy as np
+
+    return np.sqrt(np.where(v > 0.0, v, np.nan))
 
 
 def _metric_lower(g: MetricField, x: Sequence[float]) -> list:
@@ -739,13 +844,13 @@ def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
     metrics = [_metric_lower(g, x) for x in points]
     if len(points) < _ARRAY_POINTS:  # fewer: numpy's cost per call dominates
         diag, cosang, chord, sum_chord = (np.array(part) for part in zip(
-            *(_corner(m, domain.a[i], domain.a[j], _root) for m in metrics)))
+            *(_corner(m, domain.a[i], domain.a[j]) for m in metrics)))
         bad = ~np.all(diag > 0.0, axis=1)
     else:
         gm = [[np.array([m[r][c] for m in metrics]) for c in range(r + 1)]
               for r in range(domain.dim)]
         with np.errstate(all="ignore"):  # a failed pivot leaves nan, reported below
-            diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j], np.sqrt)
+            diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j])
         bad = ~np.all([d > 0.0 for d in diag], axis=0)
     if bad.any():
         p = int(np.argmax(bad))  # the first bad point
@@ -773,7 +878,7 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
     if not domain.on_edge(i, j, x):
         raise DomainError(f"point {x} is not on edge ({i}, {j})")
     gm = _metric_lower(g, x)
-    diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j], _root)
+    diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j])
     if not all(d > 0.0 for d in diag):
         raise _not_positive_definite(x, gm)
     if abs(cosang) >= 1.0 - 1e-12:
@@ -855,6 +960,7 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
             for t, w in zip(0.5 * (param + 1.0), 0.5 * weight)]
     pts, tangents, normals, weights = (np.array(column) for column in zip(*rows))
     gmat, ginv, _, bracket, _ = _first_order(g, pts)
+    gmat, ginv, bracket = _stacked(len(pts), gmat, ginv, bracket)
     nu = _inner_unit_normal(normals, gmat, ginv)
     speed = np.sqrt(np.einsum("pi,pij,pj->p", tangents, gmat, tangents))
     # g(nabla_t t, nu) = Gamma_{l,ij} t^i t^j nu^l

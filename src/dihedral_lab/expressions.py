@@ -10,19 +10,21 @@ The expression grammar is fixed:
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 
 Values are plain floats.  First and second derivatives are exact: every
-node propagates its (value, gradient, Hessian) jet over an ``(m, n)`` array
-of points by forward-mode Taylor arithmetic (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed.).  Expression nodes are immutable after
-construction.  Parsing, printing and scalar evaluation use only ``math``
-and ``re``; numpy is imported by the code that builds arrays (jets, metric
-matrices) when it runs.
+node propagates its (value, gradient, Hessian) jet by forward-mode Taylor
+arithmetic (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.) on
+components that are floats at one point or 1-D arrays over a batch (see
+``Expr.jet_parts``); ``Expr.jet`` and ``MetricField.jet`` stack them into
+arrays.  Expression nodes are immutable after construction.  Parsing,
+printing, scalar evaluation and jets at one point use only ``math`` and
+``re``; numpy is imported by the code that builds arrays when it runs.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
+import sys
+from operator import add, sub
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -41,20 +43,20 @@ __all__ = [
     "metric_from_scene",
 ]
 
-# name: (float function, jet rule).  The rule maps numpy and an array v of
-# argument values to (f(v), f'(v), f''(v)) for the chain rule of the jets;
-# abs'(0) = 0.
+# name: (float function, jet rule).  The rule maps a module (``math`` for a
+# float, numpy for an array) and the argument value v to (f(v), f'(v),
+# f''(v)) for the chain rule of the jets; abs'(0) = 0.
 FUNCTIONS = {
-    "sin": (math.sin, lambda np, v: (np.sin(v), np.cos(v), -np.sin(v))),
-    "cos": (math.cos, lambda np, v: (np.cos(v), -np.sin(v), -np.cos(v))),
-    "tan": (math.tan, lambda np, v: (np.tan(v), 1.0 / np.cos(v) ** 2,
-                                     2.0 * np.tan(v) / np.cos(v) ** 2)),
-    "exp": (math.exp, lambda np, v: (np.exp(v), np.exp(v), np.exp(v))),
-    "log": (math.log, lambda np, v: (np.log(v), 1.0 / v, -1.0 / v**2)),
-    "sqrt": (math.sqrt, lambda np, v: (np.sqrt(v), 0.5 / np.sqrt(v), -0.25 / v**1.5)),
-    "sinh": (math.sinh, lambda np, v: (np.sinh(v), np.cosh(v), np.sinh(v))),
-    "cosh": (math.cosh, lambda np, v: (np.cosh(v), np.sinh(v), np.cosh(v))),
-    "abs": (abs, lambda np, v: (np.abs(v), np.sign(v), np.zeros_like(v))),
+    "sin": (math.sin, lambda m, v: (m.sin(v), m.cos(v), -m.sin(v))),
+    "cos": (math.cos, lambda m, v: (m.cos(v), -m.sin(v), -m.cos(v))),
+    "tan": (math.tan, lambda m, v: (m.tan(v), 1.0 / m.cos(v) ** 2,
+                                    2.0 * m.tan(v) / m.cos(v) ** 2)),
+    "exp": (math.exp, lambda m, v: (m.exp(v),) * 3),
+    "log": (math.log, lambda m, v: (m.log(v), 1.0 / v, -1.0 / v**2)),
+    "sqrt": (math.sqrt, lambda m, v: (m.sqrt(v), 0.5 / m.sqrt(v), -0.25 / v**1.5)),
+    "sinh": (math.sinh, lambda m, v: (m.sinh(v), m.cosh(v), m.sinh(v))),
+    "cosh": (math.cosh, lambda m, v: (m.cosh(v), m.sinh(v), m.cosh(v))),
+    "abs": (abs, lambda m, v: (abs(v), (v > 0.0) * 1.0 - (v < 0.0) * 1.0, 0.0)),
 }
 
 
@@ -113,17 +115,34 @@ class Expr:
 
     def jet(self, x: np.ndarray):
         """Exact value ``(m,)``, gradient ``(m, n)`` and Hessian ``(m, n, n)``
-        at the rows of ``x`` (shape ``(m, n)``); raises
-        :class:`ExpressionDomainError` where a point leaves the domain of a
-        subexpression or any entry is not finite, such as the derivative of
-        ``x^c`` at ``x = 0`` for ``c < 2`` other than 0 and 1."""
-        import numpy as np
+        at the rows of ``x`` (shape ``(m, n)``): ``jet_parts`` stacked."""
+        value, grad, hess = self.jet_parts(_columns(x))
+        return _stacked(len(x), value, list(grad), _full(hess, len(grad)))
 
-        with np.errstate(all="ignore"):
-            out = self._jet(np.asarray(x, dtype=float))
-            if not all(np.isfinite(part).all() for part in out):
-                raise ExpressionDomainError(
-                    f"{self.to_text()} or one of its derivatives is not finite")
+    def jet_parts(self, x: Sequence):
+        """Exact value, gradient (n components) and Hessian (its i <= k
+        entries in row order) at one point given as n floats, or at m points
+        given as n coordinate arrays.  Raises :class:`ExpressionDomainError`
+        where a point leaves the domain of a subexpression or an entry is not
+        finite (an arithmetic error on floats, inf or nan in numpy), such as
+        the derivative of ``x^c`` at ``x = 0`` for ``c < 2`` other than 0, 1."""
+        try:
+            if all(type(v) is float for v in x) or self.max_var() == 0:
+                out = self._jet(x)  # floats only
+            else:
+                import numpy as np
+
+                with np.errstate(all="ignore"):
+                    out = self._jet(x)
+            finite = all(math.isfinite(p) if type(p) is float else np.isfinite(p).all()
+                         for p in (out[0], *out[1], *out[2]))
+        except ExpressionDomainError:
+            raise
+        except (ArithmeticError, ValueError):
+            finite = False
+        if not finite:
+            raise ExpressionDomainError(
+                f"{self.to_text()} or one of its derivatives is not finite")
         return out
 
     def max_var(self) -> int:
@@ -140,20 +159,62 @@ class Expr:
         return f"{type(self).__name__}({self.to_text()!r})"
 
 
+def _any(flags) -> bool:
+    """Whether a comparison holds at the point, or at any point of a batch."""
+    return flags if type(flags) is bool else flags.any()
+
+
+def _full(hess, n: int) -> list:
+    """The n x n rows of a Hessian from its i <= k entries; the two entries
+    of a symmetric pair are one object."""
+    entries, rows = iter(hess), [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            rows[i][k] = rows[k][i] = next(entries)
+    return rows
+
+
+def _columns(pts) -> tuple:
+    """The coordinates of the rows of an ``(m, n)`` array as n arrays."""
+    import numpy as np
+
+    return tuple(np.array(pts, dtype=float).T.copy())
+
+
+def _stacked(m: int, *parts) -> tuple:
+    """Each part, a component or nested lists of components (floats or
+    ``(m,)`` arrays), as one ``(m, ...)`` array; floats broadcast."""
+    import numpy as np
+
+    out = []
+    for part in parts:
+        shape, leaves = [], [part]
+        while type(leaves[0]) is list:
+            shape.append(len(leaves[0]))
+            leaves = [v for row in leaves for v in row]
+        array = np.empty((m, len(leaves)))
+        array[:] = [v if type(v) is float else 0.0 for v in leaves]  # floats at once
+        for k, v in enumerate(leaves):
+            if type(v) is not float:
+                array[:, k] = v
+        out.append(array.reshape(m, *shape))
+    return tuple(out)
+
+
 def _chain(jet, f, d1, d2):
     """Jet of phi(u) from the jet of u and phi, phi', phi'' at u's value."""
     _, grad, hess = jet
-    outer = grad[:, :, None] * grad[:, None, :]
-    return f, d1[:, None] * grad, d1[:, None, None] * hess + d2[:, None, None] * outer
+    entries, outer = iter(hess), [d2 * p for p in grad]
+    return (f, tuple(d1 * p for p in grad),
+            tuple(d1 * next(entries) + s * q for i, s in enumerate(outer) for q in grad[i:]))
 
 
 def _product(a, b):
     (u, gu, hu), (v, gv, hv) = a, b
-    cross = gu[:, :, None] * gv[:, None, :]
-    # the bracketed sum keeps the Hessian bitwise symmetric
-    return (u * v, gu * v[:, None] + u[:, None] * gv,
-            hu * v[:, None, None] + u[:, None, None] * hv
-            + (cross + cross.transpose(0, 2, 1)))
+    entries = iter(zip(hu, hv))
+    return (u * v, tuple(p * v + u * q for p, q in zip(gu, gv)),
+            tuple(h * v + u * k + (p * qk + pk * q) for i, (p, q) in enumerate(zip(gu, gv))
+                  for pk, qk, (h, k) in zip(gu[i:], gv[i:], entries)))
 
 
 # Precedence levels used by the printer; mirror the parser.
@@ -169,10 +230,8 @@ class Num(Expr):
         return self.value
 
     def _jet(self, x):
-        import numpy as np
-
-        m, n = x.shape
-        return np.full(m, self.value), np.zeros((m, n)), np.zeros((m, n, n))
+        n = len(x)
+        return self.value, (0.0,) * n, (0.0,) * (n * (n + 1) // 2)
 
     def max_var(self):
         return 0
@@ -197,14 +256,12 @@ class Var(Expr):
             ) from None
 
     def _jet(self, x):
-        import numpy as np
-
-        m, n = x.shape
+        n = len(x)
         if self.index >= n:
             raise ExpressionDomainError(f"point has no coordinate x{self.index + 1}")
-        grad = np.zeros((m, n))
-        grad[:, self.index] = 1.0
-        return x[:, self.index].copy(), grad, np.zeros((m, n, n))
+        grad = [0.0] * n
+        grad[self.index] = 1.0
+        return x[self.index], tuple(grad), (0.0,) * (n * (n + 1) // 2)
 
     def max_var(self):
         return self.index + 1
@@ -222,7 +279,8 @@ class Neg(Expr):
         return -self.arg.eval(x)
 
     def _jet(self, x):
-        return tuple(-part for part in self.arg._jet(x))
+        value, grad, hess = self.arg._jet(x)
+        return -value, tuple(-p for p in grad), tuple(-h for h in hess)
 
     def max_var(self):
         return self.arg.max_var()
@@ -268,19 +326,20 @@ class BinOp(Expr):
         a = self.left._jet(x)
         if self.op == "^":
             c, base = self.right.eval(()), a[0]
-            if not float(c).is_integer() and (base < 0.0).any():
+            if not float(c).is_integer() and _any(base < 0.0):
                 raise ExpressionDomainError(f"non-real power {self.to_text()}")
             # exponents 0 and 1 skip base^(c-1) / base^(c-2), infinite at 0
-            d1 = c * base ** (c - 1.0) if c != 0.0 else 0.0 * base
-            d2 = c * (c - 1.0) * base ** (c - 2.0) if c not in (0.0, 1.0) else 0.0 * base
+            d1 = c * base ** (c - 1.0) if c != 0.0 else 0.0
+            d2 = c * (c - 1.0) * base ** (c - 2.0) if c not in (0.0, 1.0) else 0.0
             return _chain(a, base**c, d1, d2)
         b = self.right._jet(x)
         if self.op in "+-":
-            combine = operator.add if self.op == "+" else operator.sub
-            return tuple(combine(p, q) for p, q in zip(a, b))
+            combine = add if self.op == "+" else sub
+            return (combine(a[0], b[0]), tuple(map(combine, a[1], b[1])),
+                    tuple(map(combine, a[2], b[2])))
         if self.op == "/":
             v = b[0]
-            if (v == 0.0).any():
+            if _any(v == 0.0):
                 raise ExpressionDomainError("division by zero")
             b = _chain(b, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
         return _product(a, b)
@@ -316,13 +375,12 @@ class Call(Expr):
             raise ExpressionDomainError(f"{self.func}({v}) overflows") from exc
 
     def _jet(self, x):
-        import numpy as np
-
         arg = self.arg._jet(x)
-        v = arg[0]
-        if self.func in ("log", "sqrt") and (v <= 0.0).any():
-            raise ExpressionDomainError(f"{self.func}({v[v <= 0.0][0]}) out of domain")
-        return _chain(arg, *FUNCTIONS[self.func][1](np, v))
+        v, scalar = arg[0], type(arg[0]) is float
+        if self.func in ("log", "sqrt") and _any(v <= 0.0):
+            bad = v if scalar else v[v <= 0.0][0]
+            raise ExpressionDomainError(f"{self.func}({bad}) out of domain")
+        return _chain(arg, *FUNCTIONS[self.func][1](math if scalar else sys.modules["numpy"], v))
 
     def max_var(self):
         return self.arg.max_var()
@@ -478,21 +536,23 @@ class MetricField:
     def jet(self, x: np.ndarray):
         """Metric ``g[p, i, j]``, first derivatives ``dg[p, k, i, j] = d_k g_ij``
         and second derivatives ``d2g[p, a, b, i, j] = d_a d_b g_ij`` at the
-        rows ``x[p]`` of an ``(m, n)`` array, one jet per stored entry."""
+        rows ``x[p]`` of an ``(m, n)`` array: ``jet_parts`` stacked."""
         import numpy as np
 
-        m, n = len(x), self.dim
-        g = np.empty((m, n, n))
-        dg = np.empty((m, n, n, n))
-        d2g = np.empty((m, n, n, n, n))
+        g, dg, d2g = _stacked(len(x), *self.jet_parts(_columns(x)))
+        return g, np.moveaxis(dg, 3, 1), np.moveaxis(d2g, (3, 4), (1, 2))
+
+    def jet_parts(self, x: Sequence):
+        """``g[i][j]``, ``dg[i][j][k] = d_k g_ij`` and ``d2g[i][j][a][b] =
+        d_a d_b g_ij`` as nested lists of the components
+        ``Expr.jet_parts`` returns at ``x``, one jet per stored entry."""
+        n = self.dim
         # equal entries, such as a conformal diagonal, share one jet
-        jets = {e: e.jet(x) for e in dict.fromkeys(self.entries.values())}
-        for (i, j), e in self.entries.items():
-            value, grad, hess = jets[e]
-            g[:, i, j] = g[:, j, i] = value
-            dg[:, :, i, j] = dg[:, :, j, i] = grad
-            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
-        return g, dg, d2g
+        jets = {e: e.jet_parts(x) for e in dict.fromkeys(self.entries.values())}
+        jets = {e: (value, list(grad), _full(hess, n)) for e, (value, grad, hess) in jets.items()}
+        jets = {key: jets[e] for key, e in self.entries.items()}
+        rows = [[jets[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        return tuple([[jet[t] for jet in row] for row in rows] for t in range(3))
 
     def scaled(self, factor: Expr) -> "MetricField":
         """Pointwise product metric ``factor * g`` (factor an expression)."""

@@ -22,7 +22,7 @@ from dihedral_lab.clifford import (
     random_curvature_operator,
     tangential_subspace,
 )
-from dihedral_lab.comparison import conformal_identities
+from dihedral_lab.curvature import conformal_identities
 from dihedral_lab.corner_smoothing import (
     mean_curvature_limit,
     smoothing_arc,

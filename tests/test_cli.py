@@ -1258,20 +1258,85 @@ def test_wedge_angles_load_no_numpy(region, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["angles", "--scene", "scenes/square_metric.json", "--faces", "1,3", "--point", "0,0"],
     ["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "0.3,-0.2"],
     ["conformal", "--metric", "scenes/sphere2_metric.json",
      "--factor", "1 + 0.1*sin(x1)", "--point", "0.4,0.2"],
+], ids=["curvature", "conformal"])
+def test_jet_commands_load_no_numpy(args):
+    """Start-up guard: ``curvature`` and ``conformal`` run the jets and the
+    curvature kernel on floats at their one point, so they load neither
+    numpy nor ``comparison`` or ``clifford``."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert "numpy" not in modules
+    assert not {"comparison", "clifford"} & _library(modules)
+
+
+@pytest.mark.parametrize("args", [
+    ["angles", "--scene", "scenes/square_metric.json", "--faces", "1,3", "--point", "0,0"],
     ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
     ["compare", "--scene", "scenes/cube_id.json"],
-], ids=["angles-square", "curvature", "conformal", "gaussbonnet", "compare"])
+], ids=["angles-square", "gaussbonnet", "compare"])
 def test_geometry_commands_load_numpy(args):
-    """Positive control for the guard above: ``angles`` on the four-face
-    square enumerates its vertices, and the jet-based commands build arrays,
-    so each loads numpy."""
+    """Positive control for the guards above: ``angles`` on the four-face
+    square enumerates its vertices, and the batch commands stack their jets
+    and curvature into arrays, so each loads numpy."""
     exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
     assert "numpy" in modules
+
+
+# g11 (g22 = 1) at the point (x1, 0.5) and the input error it must give,
+# None for a clean exit 0: the float jets raise where numpy returned inf or
+# nan, and each case keeps the exit code and message of the array jets
+JET_DOMAIN_CASES = {
+    "exp-overflow": ("exp(1000*x1)", 1.0,
+                     "exp(1000.0*x1) or one of its derivatives is not finite"),
+    "cosh-overflow": ("cosh(1000*x1)", 1.0,
+                      "cosh(1000.0*x1) or one of its derivatives is not finite"),
+    "power-minus-half-at-0": ("x1^(-0.5)", 0.0,
+                              "x1^(-0.5) or one of its derivatives is not finite"),
+    "power-half-at-0": ("x1^0.5", 0.0, "x1^0.5 or one of its derivatives is not finite"),
+    "log-at-0": ("log(x1)", 0.0, "log(0.0) out of domain"),
+    "log-negative": ("log(x1)", -1.0, "log(-1.0) out of domain"),
+    "pole": ("1/(x1-0.3)", 0.3, "division by zero"),
+    "underflowed-square": ("exp(x1)*x1^(-2)", 1e-200,
+                           "exp(x1)*x1^(-2.0) or one of its derivatives is not finite"),
+    "product-overflow": ("1+1e300*x1^2", 1e10,
+                         "1.0 + 1e+300*x1^2.0 or one of its derivatives is not finite"),
+    "abs-at-0": ("1+abs(x1)", 0.0, None),
+    "not-positive-definite": ("x1", -0.5,
+                              "metric at [-0.5, 0.5] has smallest eigenvalue -5.000e-01"),
+}
+
+
+@pytest.mark.parametrize("command", ["curvature", "conformal"])
+@pytest.mark.parametrize("case", sorted(JET_DOMAIN_CASES))
+def test_jet_domain_errors(runner, tmp_path, command, case):
+    entry, x1, message = JET_DOMAIN_CASES[case]
+    path = write_json(tmp_path / "g.json", {"dim": 2, "g": {"11": entry, "22": "1"}})
+    args = (["curvature", "--scene", path] if command == "curvature"
+            else ["conformal", "--metric", path, "--factor", "1+0.1*x2"])
+    result = runner.invoke(main, [*args, "--point", f"{x1!r},0.5"])
+    if message is None:
+        assert result.exit_code == 0
+    else:
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [f"input error: {message}"]
+
+
+@pytest.mark.parametrize("factor, message", [
+    ("1+x1^0.5", "1.0 + x1^0.5 or one of its derivatives is not finite"),
+    ("2+x1^1.5", "2.0 + x1^1.5 or one of its derivatives is not finite"),
+    ("1+abs(x1)", None),
+])
+def test_conformal_factor_jet_errors(runner, factor, message):
+    """The factor's own jet at x1 = 0, on a flat background."""
+    result = runner.invoke(main, ["conformal", "--metric", str(ROOT / "scenes/square_metric.json"),
+                                  "--factor", factor, "--point", "0.0,0.5"])
+    assert result.exit_code == (0 if message is None else 2)
+    if message is not None:
+        assert result.stderr.splitlines() == [f"input error: {message}"]
 
 
 def test_probe_sees_preloaded_numpy_ma():

@@ -35,11 +35,10 @@ from dihedral_lab.comparison import (
     _pointwise_quantities,
     check_conclusions,
     check_hypotheses,
-    conformal_identities,
     df_norms,
     sample_stratum,
 )
-from dihedral_lab.curvature import DomainError, PolyDomain
+from dihedral_lab.curvature import DomainError, PolyDomain, conformal_identities
 from dihedral_lab.expressions import euclidean_metric, parse_metric
 
 
@@ -577,6 +576,48 @@ class TestBatchedRows:
         assert result.exit_code == 0
         assert batches == [3, 3] + [2] * 12
         assert sorted(jetted) == [3] + [4] * 12 + [8] * 6
+
+
+class TestWitnessTies:
+    """The witness of a margin is the first sample within a few ulps of its
+    extreme, so margins that tie up to rounding do not move it."""
+
+    @staticmethod
+    def reports(monkeypatch, scene, rows):
+        from dihedral_lab import comparison
+
+        monkeypatch.setattr(comparison, "_pointwise_quantities", lambda sc, sp: rows)
+        return [comparison._run_report(scene, SampleSpec(), mode, 1e-6)
+                for mode in ("hypotheses", "conclusions")]
+
+    @staticmethod
+    def witnesses(reports):
+        return [(report.holds, {name: (rec.witness, rec.stratum)
+                                for name, rec in report.margins.items()})
+                for report in reports]
+
+    @pytest.mark.parametrize("name", ["cube_id", "square_id"])
+    def test_one_ulp_perturbation_keeps_the_witness(self, monkeypatch, name):
+        scene = shipped_scene(name)
+        rows = _pointwise_quantities(scene, SampleSpec())
+        angles = [k for k, row in enumerate(rows) if row[0] == "angle"]
+        assert max(abs(rows[k][3]) for k in angles) <= 1e-15  # isometric: ties
+        want = self.witnesses(self.reports(monkeypatch, scene, rows))
+        for k in angles:
+            for step in (-math.inf, math.inf):
+                moved = list(rows)
+                name_, stratum, x, gap, resid = rows[k]
+                moved[k] = (name_, stratum, x, math.nextafter(gap, step),
+                            math.nextafter(resid, -step))
+                assert self.witnesses(self.reports(monkeypatch, scene, moved)) == want
+
+    def test_separated_margins_keep_the_strict_extreme(self, monkeypatch):
+        scene = shipped_scene("square_id")
+        rows = [("angle", "edge:1,3", (float(k), 0.0), gap, abs(gap))
+                for k, gap in enumerate([0.0, -1e-3, math.nextafter(-1e-3, 0.0), 2e-3])]
+        hyp, concl = self.reports(monkeypatch, scene, rows)
+        assert (hyp.margins["angle"].value, hyp.margins["angle"].witness) == (-1e-3, (1.0, 0.0))
+        assert (concl.margins["angle"].value, concl.margins["angle"].witness) == (2e-3, (3.0, 0.0))
 
 
 class TestSampling:

@@ -23,6 +23,7 @@ from dihedral_lab.curvature import (
     _ARRAY_POINTS,
     _curvature,
     _dihedral_angles,
+    _first_order,
     _nullspace,
 )
 from dihedral_lab.expressions import (
@@ -253,9 +254,77 @@ class TestLoweredKernel:
             scale = max(1.0, abs(there.scalar))
             assert here.scalar == pytest.approx(there.scalar, abs=1e-12 * scale)
             # g^-1 Ric is a (1, 1) tensor: its eigenvalues do not see the chart
-            eig_here = np.sort(np.linalg.eigvals(here.metric_inv @ here.ricci).real)
-            eig_there = np.sort(np.linalg.eigvals(there.metric_inv @ there.ricci).real)
+            eig_here = np.sort(np.linalg.eigvals(
+                np.asarray(here.metric_inv) @ np.asarray(here.ricci)).real)
+            eig_there = np.sort(np.linalg.eigvals(
+                np.asarray(there.metric_inv) @ np.asarray(there.ricci)).real)
             assert np.allclose(eig_here, eig_there, rtol=0, atol=1e-12 * scale)
+
+
+def mixed_metric(rng, n, constant):
+    """``random_metric`` with the entries (p, q) in ``constant`` (0-based,
+    p <= q) replaced by constants within the same bounds, so it stays
+    positive definite on [-1, 1]^n."""
+    g = random_metric(rng, n)
+    bound = 0.6 / max(n - 1, 1)
+    spec = {f"{p + 1}{q + 1}": (repr(float(rng.uniform(2.0, 3.0))) if p == q else
+                                repr(float(rng.uniform(-bound, bound))))
+            if (p, q) in constant else g.entry(p, q).to_text()
+            for p in range(n) for q in range(p, n)}
+    return parse_metric(spec, n)
+
+
+def leaves(part):
+    """The components of nested lists, in order."""
+    return [v for item in part for v in leaves(item)] if type(part) is list else [part]
+
+
+class TestComponentKernel:
+    """The one curvature kernel on floats or arrays: batches whose metrics mix
+    constant and varying entries against the d Gamma chain, fully constant
+    metrics that stay on floats, and one-point calls against batch rows
+    (``math`` and numpy differ by an ulp in exp, log, sinh, cosh, tan and
+    ``**``, so these agree to a tolerance, not bit for bit)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 6),
+           mask=st.integers(0, 2**15 - 1))
+    def test_mixed_batches_match_dgamma_and_points(self, seed, n, m, mask):
+        rng = np.random.default_rng(seed)
+        upper = [(p, q) for p in range(n) for q in range(p, n)]
+        g = mixed_metric(rng, n, {key for t, key in enumerate(upper) if mask >> t & 1})
+        pts = rng.uniform(-1.0, 1.0, size=(m, n))
+        gmat, ginv, gamma, riemann, ricci, scalar = _curvature(g, pts)
+        assert riemann.shape == (m, n, n, n, n) and ricci.shape == (m, n, n)
+        riem_o, ric_o, sc_o = _oracles.dgamma_curvature(g, pts)
+        tol = 1e-13 * max(1.0, np.abs(riem_o).max())
+        assert np.abs(riemann - riem_o).max() <= tol
+        assert np.abs(ricci - ric_o).max() <= tol
+        assert np.abs(scalar - sc_o).max() <= tol
+        assert np.abs(ginv @ gmat - np.eye(n)).max() <= 1e-14
+        for p, x in enumerate(pts):
+            pack = curvature_tensors(g, x)
+            for got, want in zip((pack.metric, pack.metric_inv, pack.gamma, pack.riemann,
+                                  pack.ricci, pack.scalar),
+                                 (gmat, ginv, gamma, riemann, ricci, scalar)):
+                assert np.abs(np.asarray(got) - want[p]).max() <= tol
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 9))
+    def test_constant_metrics_stay_on_floats(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        g = mixed_metric(rng, n, {(p, q) for p in range(n) for q in range(p, n)})
+        pts = rng.uniform(-1.0, 1.0, size=(m, n))
+        assert all(type(v) is float for part in _first_order(g, pts) for v in leaves(part))
+        gmat, ginv, gamma, riemann, ricci, scalar = _curvature(g, pts)
+        assert (gmat.shape, riemann.shape, ricci.shape, scalar.shape) == (
+            (m, n, n), (m, n, n, n, n), (m, n, n), (m,))
+        want = np.array([[g.entry(i, j).eval(()) for j in range(n)] for i in range(n)])
+        assert np.array_equal(gmat, np.broadcast_to(want, (m, n, n)))
+        assert np.allclose(ginv, np.linalg.inv(want), rtol=1e-14, atol=1e-14)
+        riem_o, ric_o, sc_o = _oracles.dgamma_curvature(g, pts)
+        assert not riemann.any() and not riem_o.any()
+        assert not ricci.any() and not scalar.any() and not gamma.any()
 
 
 class TestCurvatureOperator:
