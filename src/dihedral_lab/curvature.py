@@ -368,22 +368,29 @@ class CurvaturePack:
         self.bracket, self.gamma = bracket, gamma
         self.riemann, self.ricci, self.scalar = riemann, ricci, scalar
 
-    def _relative(self, form) -> float:
-        """Largest |form(R, i, j, k, l)| over all indices, over max(1, max |R|)."""
+    def _relative(self, residuals) -> float:
+        """The largest of ``residuals`` over max(1, max |R|)."""
         r = self.riemann
-        return (max(abs(form(r, *t)) for t in product(range(len(r)), repeat=4))
-                / max(1.0, max(abs(v) for a in r for b in a for c in b for v in c)))
+        return max(residuals) / max(1.0, max(abs(v) for a in r for b in a for c in b for v in c))
+
+    def _indices(self):
+        return product(range(len(self.riemann)), repeat=4)
 
     def antisymmetry_residual(self) -> float:
-        return max(self._relative(lambda r, i, j, k, l: r[i][j][k][l] + r[j][i][k][l]),
-                   self._relative(lambda r, i, j, k, l: r[i][j][k][l] + r[i][j][l][k]))
+        r = self.riemann
+        return self._relative(max(abs(r[i][j][k][l] + r[j][i][k][l]),
+                                  abs(r[i][j][k][l] + r[i][j][l][k]))
+                              for i, j, k, l in self._indices())
 
     def pair_symmetry_residual(self) -> float:
-        return self._relative(lambda r, i, j, k, l: r[i][j][k][l] - r[k][l][i][j])
+        r = self.riemann
+        return self._relative(abs(r[i][j][k][l] - r[k][l][i][j])
+                              for i, j, k, l in self._indices())
 
     def bianchi_residual(self) -> float:
-        return self._relative(
-            lambda r, i, j, k, l: r[i][j][k][l] + r[j][k][i][l] + r[k][i][j][l])
+        r = self.riemann
+        return self._relative(abs(r[i][j][k][l] + r[j][k][i][l] + r[k][i][j][l])
+                              for i, j, k, l in self._indices())
 
 
 def _cholesky(gm) -> list:
@@ -419,15 +426,15 @@ def _first_order(g: MetricField, pts):
     n = range(g.dim)
     inv = []  # rows of L^-1
     for r, row in enumerate(low):
-        inv.append([-sum(row[k] * inv[k][c] for k in range(c, r)) / row[r]
+        inv.append([-reduce(add, [row[k] * inv[k][c] for k in range(c, r)]) / row[r]
                     for c in range(r)] + [1.0 / row[r]])
     # g^-1 = L^-T L^-1 and d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_{l,ij}, both
     # symmetric bit for bit: the sums commute
-    ginv = [[sum(inv[k][i] * inv[k][j] for k in range(max(i, j), len(n))) for j in n]
+    ginv = [[reduce(add, [inv[k][i] * inv[k][j] for k in range(max(i, j), len(n))]) for j in n]
             for i in n]
     bracket = [[[dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in n] for j in n] for i in n]
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    gamma = [[[0.5 * sum(map(mul, ginv[k], bracket[i][j])) for j in n] for i in n]
+    gamma = [[[0.5 * reduce(add, map(mul, ginv[k], bracket[i][j])) for j in n] for i in n]
              for k in n]
     return gm, ginv, d2g, bracket, gamma
 
@@ -447,9 +454,9 @@ def _riemann(ginv, d2g, bracket, gamma):
             r[i][j][k][l] = r[j][i][l][k] = 0.5 * s
             r[j][i][k][l] = r[i][j][l][k] = -0.5 * s
     # Ric_jk = g^{ml} R_mjkl, where R_mjkl = 0 at m = j or k = l
-    ricci = [[sum(ginv[m][l] * r[m][j][k][l] for m in range(n) for l in range(n)
-                  if m != j and l != k) for k in range(n)] for j in range(n)]
-    scalar = sum(ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n))
+    ricci = [[reduce(add, [ginv[m][l] * r[m][j][k][l] for m in range(n) for l in range(n)
+                           if m != j and l != k], 0.0) for k in range(n)] for j in range(n)]
+    scalar = reduce(add, [ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)])
     return r, ricci, scalar
 
 
@@ -645,9 +652,9 @@ def _laplacian_and_gradient(pack: CurvaturePack, h: Expr):
     ``pack.point``, with respect to the metric of ``pack``, on floats."""
     _, grad, hess = h.jet_parts(pack.point)
     hess, ginv, n = _full(hess, len(grad)), pack.metric_inv, range(len(grad))
-    lap = sum(ginv[i][j] * (hess[i][j] - sum(map(mul, (row[i][j] for row in pack.gamma), grad)))
-              for i in n for j in n)
-    grad_sq = sum(ginv[i][j] * grad[i] * grad[j] for i in n for j in n)
+    lap = reduce(add, [ginv[i][j] * (hess[i][j] - reduce(add, map(
+        mul, (row[i][j] for row in pack.gamma), grad))) for i in n for j in n])
+    grad_sq = reduce(add, [ginv[i][j] * grad[i] * grad[j] for i in n for j in n])
     return lap, grad_sq, grad
 
 
