@@ -423,19 +423,20 @@ def _first_order(g: MetricField, pts):
         p = 0 if type(ok) is bool else int(ok.argmin())  # the first bad point
         raise _not_positive_definite([float(v) for v in (pts[p] if batch else pts)], [
             [v if type(v) is float else float(v[p]) for v in row] for row in gm])
-    n = range(g.dim)
+    n, axes = g.dim, range(g.dim)
     inv = []  # rows of L^-1
     for r, row in enumerate(low):
         inv.append([-reduce(add, [row[k] * inv[k][c] for k in range(c, r)]) / row[r]
                     for c in range(r)] + [1.0 / row[r]])
     # g^-1 = L^-T L^-1 and d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_{l,ij}, both
     # symmetric bit for bit: the sums commute
-    ginv = [[reduce(add, [inv[k][i] * inv[k][j] for k in range(max(i, j), len(n))]) for j in n]
-            for i in n]
-    bracket = [[[dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in n] for j in n] for i in n]
+    ginv = [[reduce(add, [inv[k][i] * inv[k][j] for k in range(max(i, j), n)]) for j in axes]
+            for i in axes]
+    bracket = [[[dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in axes] for j in axes]
+               for i in axes]
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    gamma = [[[0.5 * reduce(add, map(mul, ginv[k], bracket[i][j])) for j in n] for i in n]
-             for k in n]
+    gamma = [[[0.5 * reduce(add, map(mul, ginv[k], bracket[i][j])) for j in axes] for i in axes]
+             for k in axes]
     return gm, ginv, d2g, bracket, gamma
 
 
