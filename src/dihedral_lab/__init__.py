@@ -7,14 +7,16 @@ Modules:
                        and metric fields; numpy loads only where jets or
                        metric matrices are built
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
-                       second fundamental forms, dihedral angles, Gauss-Bonnet;
-                       domains and angles on floats, so a wedge or corner
-                       loads no numpy (array code imports it when it runs)
+                       second fundamental forms, dihedral angles, Gauss-Bonnet,
+                       conformal identities; domains (validation, vertices),
+                       face forms and angles on floats, so ``angles`` loads
+                       no numpy (array code imports it when it runs)
 - ``clifford``         concrete Clifford modules, boundary projectors, the
                        Clifford/exterior-form dictionary and the endomorphism
                        PSD certificates
-- ``comparison``       map norms, hypothesis / conclusion margin reports,
-                       conformal identities
+- ``comparison``       map norms, stratum sampling, hypothesis / conclusion
+                       margin reports; on floats where the metrics are
+                       constant, so such a ``compare`` loads no numpy
 - ``sector_spectra``   closed-form and discretized spectra of the arc-link
                        operator, modified Bessel deficiency test (Gauss-
                        Legendre panels summed with ``math.fsum``), Hardy bound

@@ -6,11 +6,13 @@ domain (M, g) must satisfy, at deterministically sampled points: the
 hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
 ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
 (interior, every mapped face, every edge between mapped faces) is sampled
-and jetted once into arrays of points; the face correspondence is checked
-on those arrays, and curvature, face geometry and dihedral angles run as
-one batch over each, through the curvature kernel's components (floats
-where a metric is constant) stacked into arrays.  This module imports
-numpy at load; the ``compare`` command is its only user.
+and jetted once, on floats, where the face correspondence is checked.
+Curvature runs as one curvature-kernel batch per stratum and metric: a
+constant metric is evaluated once, on floats, for every point, and a metric
+that varies runs on arrays (numpy is imported then).  The singular values
+of df and the face forms run per point on floats when both metrics are
+constant, else once on arrays over the stratum's points, so a scene whose
+metrics are constant never loads numpy.
 
 The conformal identities of the rigidity argument live in ``curvature``,
 which runs them on floats; the PSD certificates behind the interior and
@@ -20,27 +22,23 @@ boundary estimates need no metric and live in ``clifford``.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from functools import reduce
+from itertools import combinations
+from operator import add, index, mul
 
 from .curvature import (
     DomainError,
     PolyDomain,
-    _curvature,
     _dihedral_angles,
     _face_forms,
     _first_order,
-    _nullspace,
+    _householder,
+    _norm,
+    _riemann,
     curvature_tensors,  # bound here too: perfbench's tracer test patches this binding
+    dihedral_angle,
 )
-from .expressions import (
-    Expr,
-    MetricField,
-    _columns,
-    _stacked,
-    metric_from_scene,
-    parse_expression,
-)
+from .expressions import Expr, MetricField, _any, metric_from_scene, parse_expression
 
 __all__ = [
     "DfNorms",
@@ -80,16 +78,51 @@ class DfNorms:
         self.singular_values = singular_values
 
 
-def df_norms(jac: np.ndarray) -> DfNorms:
-    """Operator norms of df and of the induced map on 2-vectors.
+def df_norms(jac) -> DfNorms:
+    """Operator norms of df (a matrix, as rows) and of the induced map on
+    2-vectors.
 
     ``|df|`` is the largest singular value mu_1; ``|^2 df| = mu_1 mu_2``
     (zero when the rank is < 2).
     """
-    sv = np.linalg.svd(np.asarray(jac, dtype=float), compute_uv=False)
-    df = float(sv[0]) if sv.size else 0.0
-    wedge = float(sv[0] * sv[1]) if sv.size >= 2 else 0.0
-    return DfNorms(df, wedge, tuple(float(s) for s in sv))
+    rows = [[float(v) for v in row] for row in jac]
+    top = max((abs(v) for row in rows for v in row), default=0.0) or 1.0  # no underflow
+    sv = [top * s for s in _singular_values([[v / top for v in row] for row in rows])]
+    return DfNorms(sv[0] if sv else 0.0, sv[0] * sv[1] if len(sv) >= 2 else 0.0, tuple(sv))
+
+
+def _singular_values(rows: list) -> list:
+    """Singular values of the matrix with ``rows``, largest first, on floats
+    or on arrays over points: one-sided Jacobi rotations (Hestenes) on its
+    rows, or on its columns where they are fewer, until every pair is
+    orthogonal to working precision (at every point)."""
+    vecs = [list(c) for c in zip(*rows)] if len(rows) > len(rows[0]) else [*map(list, rows)]
+    for _ in range(60):
+        done = True
+        for i, j in combinations(range(len(vecs)), 2):
+            u, v = vecs[i], vecs[j]
+            c, a, b = reduce(add, map(mul, u, v), 0.0), _dot(u, u), _dot(v, v)
+            turn = abs(c) > 1e-15 * a ** 0.5 * b ** 0.5
+            if not _any(turn):
+                continue
+            done = False
+            # tan of the angle that makes u, v orthogonal, 0 where they are;
+            # d and c scaled by |d| + |c| (1 where both are 0) keep it finite
+            d = 0.5 * (b - a)
+            size = abs(d) + abs(c)
+            d, c = d / (size + (size == 0.0)), c / (size + (size == 0.0))
+            t = turn * c / (d + ((d >= 0.0) * 2.0 - 1.0) * (d * d + c * c) ** 0.5)
+            cs = 1.0 / (1.0 + t * t) ** 0.5
+            vecs[i] = [cs * (p - t * q) for p, q in zip(u, v)]
+            vecs[j] = [cs * (t * p + q) for p, q in zip(u, v)]
+        if done:
+            break
+    norms = [reduce(add, [p * p for p in vec], 0.0) ** 0.5 for vec in vecs]
+    if type(norms[0]) is float:
+        return sorted(norms, reverse=True)
+    import numpy as np
+
+    return list(np.sort(norms, axis=0)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +138,15 @@ class CornerMap:
     def __init__(self, components: tuple, face_map: dict):
         self.components, self.face_map = components, face_map
 
-    def jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Images ``(m, k)`` and Jacobians ``(m, k, n)`` of f at the rows of
-        ``pts`` (shape ``(m, n)``), one jet per component over the stack."""
-        x = _columns(pts)
-        parts = [e.jet_parts(x) for e in self.components]
-        return _stacked(len(pts), [value for value, _, _ in parts],
-                        [list(grad) for _, grad, _ in parts])
+    def jet(self, pts) -> tuple[list, list]:
+        """Images (tuples) and Jacobians (k rows of n floats) of f at each
+        point of ``pts``, on floats."""
+        images, jacobians = [], []
+        for x in pts:
+            parts = [e.jet_parts(tuple(map(float, x))) for e in self.components]
+            images.append(tuple(value for value, _, _ in parts))
+            jacobians.append([list(grad) for _, grad, _ in parts])
+        return images, jacobians
 
 
 class CompareScene:
@@ -169,103 +204,165 @@ class CompareScene:
 # ---------------------------------------------------------------------------
 
 
-def _halton_block(first: int, count: int, shift: np.ndarray) -> np.ndarray:
-    """Rows k = first, ..., first + count - 1 of the Halton sequence (base
-    ``_PRIMES[d]`` on axis d) with the Cranley-Patterson rotation ``shift``."""
-    out = np.empty((count, len(shift)))
-    for d, offset in enumerate(shift):
-        base = _PRIMES[d % len(_PRIMES)]
-        index, value, f = np.arange(first, first + count), np.zeros(count), 1.0
-        while index.any():
-            f /= base
-            value += f * (index % base)
-            index //= base
-        out[:, d] = (value + offset) % 1.0
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _uniform(seed: int, k: int) -> list:
+    """``np.random.default_rng(seed).uniform(size=k)`` bit for bit, on ints:
+    SeedSequence's 4-word entropy pool, 8 words of its state for the 128-bit
+    PCG64 state and increment (high word first), XSL-RR output after each
+    step, and doubles ``(x >> 11) 2^-53``."""
+    seed = index(seed)  # an int, as numpy requires
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]  # low first
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value, const = value ^ const, const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[t] if t < len(words) else 0) for t in range(4)]
+    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in [(w, d) for w in words[4:] for d in range(4)]:
+        pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD  # generate_state: 8 words, two per 64-bit one
+    state = [hashmix(pool[t % 4], 0x58F38DED) for t in range(8)]
+    high, low, inc_high, inc_low = (state[2 * t] | state[2 * t + 1] << 32 for t in range(4))
+    inc = (inc_high << 65 | inc_low << 1 | 1) & _M128
+    now = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(k):
+        now = (now * _PCG_MULT + inc) & _M128
+        rot, x = now >> 122, (now >> 64 ^ now) & _M64
+        out.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
     return out
 
 
-def _window_box(domain: PolyDomain) -> tuple[np.ndarray, np.ndarray]:
+def _halton(k: int, base: int) -> float:
+    out, f = 0.0, 1.0
+    while k > 0:
+        f /= base
+        out += f * (k % base)
+        k //= base
+    return out
+
+
+def _window_box(domain: PolyDomain) -> tuple[list, list]:
     if domain.window is not None:
         lo, hi = domain.window
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    verts = domain.vertices()
+        return list(lo), list(hi)
+    verts = domain._vertex_array.tolist()
     if len(verts) >= 2:
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        pad = 1e-9 * max(1.0, float(np.abs(verts).max()))
-        return lo - pad, hi + pad
+        pad = 1e-9 * max(1.0, *(abs(v) for row in verts for v in row))
+        return [min(c) - pad for c in zip(*verts)], [max(c) + pad for c in zip(*verts)]
     raise DomainError(
         "domain needs an explicit sampling window (it has too few vertices "
         "to infer a bounding box)"
     )
 
 
-def _parallel(a: np.ndarray, b: np.ndarray) -> bool:
+def _parallel(a, b) -> bool:
     """Whether the planes of unit normals ``a``, ``b`` never meet in an edge:
     the rows' smaller singular value ``min |a -+ b| / sqrt(2)`` is <= 1e-10."""
-    return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= math.sqrt(2.0) * 1e-10
+    return min(_norm([p - q for p, q in zip(a, b)]),
+               _norm([p + q for p, q in zip(a, b)])) <= math.sqrt(2.0) * 1e-10
+
+
+def _dot(u, v) -> float:
+    return reduce(add, map(mul, u, v))
 
 
 def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
-                   allow_empty: bool = False) -> np.ndarray:
-    """Deterministic low-discrepancy samples on a stratum, as a ``(k, n)`` array.
+                   allow_empty: bool = False):
+    """Deterministic low-discrepancy samples on a stratum, as a ``(k, n)``
+    array (``compare`` reads ``_sample``'s float tuples).
 
     ``stratum`` is ``"interior"``, ``"face:i"`` or ``"edge:i,j"`` with
     0-based indices.  Halton points with a seeded Cranley-Patterson
-    rotation are pushed into the stratum's affine chart in doubling blocks
-    and filtered by membership; the first ``count`` accepted candidates (of
-    at most ``max(200, 2000 count)``) are returned, fewer only with
+    rotation are pushed into the stratum's affine chart one by one and
+    filtered by membership; the first ``count`` accepted candidates (of at
+    most ``max(200, 2000 count)``) are returned, fewer only with
     ``allow_empty``.  Identical (stratum, count, seed) give identical points.
     """
+    import numpy as np
+
+    return np.array(_sample(domain, stratum, count, seed, allow_empty)).reshape(-1, domain.dim)
+
+
+def _sample(domain: PolyDomain, stratum: str, count: int, seed: int,
+            allow_empty: bool = False) -> list:
     lo, hi = _window_box(domain)
     n = domain.dim
-    rng = np.random.default_rng(seed)
-    tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([lo, hi])).max()))
+    shift = _uniform(seed, n)  # its first n - len(faces) entries rotate the chart
+    tol = 1e-9 * max(1.0, *map(abs, lo + hi))
 
     if stratum == "interior":
-        faces, origin = [], None
+        faces = ()
     elif stratum.startswith("face:"):
-        faces = [int(stratum.split(":")[1])]
-        origin = domain.offsets[faces[0]] * domain.normals[faces[0]]
+        faces = (int(stratum.split(":")[1]),)
     elif stratum.startswith("edge:"):
-        faces = [int(v) for v in stratum.split(":")[1].split(",")]
-        rows = domain.normals[faces]
-        if _parallel(rows[0], rows[1]):
+        faces = tuple(int(v) for v in stratum.split(":")[1].split(","))
+        if _parallel(domain.a[faces[0]], domain.a[faces[1]]):
             if allow_empty:
-                return np.zeros((0, n))
+                return []
             raise DomainError(f"faces {faces[0]} and {faces[1]} are parallel; no edge")
-        origin, *_ = np.linalg.lstsq(rows, domain.offsets[faces], rcond=None)
     else:
         raise ValueError(f"unknown stratum {stratum!r}")
 
     def accept(x):
-        return domain.on_faces(faces, x, tol) if faces else domain.contains(x, tol=-1e-12)
+        if faces:
+            return domain._on_faces_at(faces, x, tol)
+        least = min(_dot(row, x) - t for row, t in zip(domain.a, domain.b))
+        return least >= 1e-12 if domain.region == "intersection" else least <= -1e-12
 
     if faces:
-        basis = _nullspace(domain.normals[faces])
-        # recenter the chart near the window center for better acceptance
-        x0 = origin + basis @ (basis.T @ (0.5 * (lo + hi) - origin))
+        rows = [domain.a[f] for f in faces]
+        axes, rank = _householder(rows)  # the columns of Q
+        if len(faces) == 1:
+            origin = [domain.b[faces[0]] * v for v in rows[0]]
+        else:  # the least-norm point of the edge: (rows Q) y = b is lower triangular
+            (a_i, a_j), (b_i, b_j), (q0, q1) = rows, (domain.b[f] for f in faces), axes[:2]
+            y0 = b_i / _dot(a_i, q0)
+            y1 = (b_j - _dot(a_j, q0) * y0) / _dot(a_j, q1)
+            origin = [p * y0 + q * y1 for p, q in zip(q0, q1)]
+        basis = axes[rank:]
     dim_par = n - len(faces)
     if dim_par == 0:
-        pt = origin[None, :]
-        if accept(pt)[0]:
-            return pt[:count]
+        if accept(origin):
+            return [tuple(origin)][:count]
         if allow_empty:
-            return np.zeros((0, n))
+            return []
         raise DomainError(f"stratum {stratum} is empty")
+    if faces:
+        # recenter the chart near the window center for better acceptance
+        coef = [_dot(q, [0.5 * (p + r) - o for p, r, o in zip(lo, hi, origin)]) for q in basis]
+        x0 = [o + reduce(add, [q[c] * v for q, v in zip(basis, coef)])
+              for c, o in enumerate(origin)]
 
-    shift = rng.uniform(size=dim_par)
-    span = float(np.linalg.norm(hi - lo))
+    span = _norm([q - p for p, q in zip(lo, hi)])
     max_tries = max(200, 2000 * count)
-    found = [np.zeros((0, n))]
-    first, block, got = 1, 2 * count, 0
-    while got < count and first <= max_tries:
-        u = _halton_block(first, min(block, max_tries - first + 1), shift)
-        x = lo + u * (hi - lo) if not faces else x0 + ((u - 0.5) * span) @ basis.T
-        found.append(x[accept(x)])
-        got += len(found[-1])
-        first += len(u)
-        block *= 2
-    out = np.concatenate(found)[:count]
+    out = []
+    for k in range(1, max_tries + 1):
+        if len(out) == count:
+            break
+        u = [(_halton(k, _PRIMES[d % len(_PRIMES)]) + shift[d]) % 1.0 for d in range(dim_par)]
+        if not faces:
+            x = tuple(p + v * (q - p) for p, q, v in zip(lo, hi, u))
+        else:
+            t = [(v - 0.5) * span for v in u]
+            x = tuple(o + reduce(add, [v * q[c] for v, q in zip(t, basis)])
+                      for c, o in enumerate(x0))
+        if accept(x):
+            out.append(x)
     if len(out) < count and not allow_empty:
         raise DomainError(
             f"could not draw {count} samples on {stratum} "
@@ -327,14 +424,58 @@ class ComparisonReport:
         }
 
 
-def _singular_values(gsrc: np.ndarray, gdst: np.ndarray,
-                     jac: np.ndarray) -> np.ndarray:
-    """Singular values of df measured by both metrics, largest first, over
-    a leading point axis.  With g = L L^T (Cholesky), L_src^-1 J^T L_dst
-    has the singular values of sqrt(gdst) J sqrt(gsrc)^-1."""
-    tilted = np.linalg.solve(np.linalg.cholesky(gsrc),
-                             np.swapaxes(jac, -1, -2) @ np.linalg.cholesky(gdst))
-    return np.linalg.svd(tilted, compute_uv=False)
+def _tilted(low_src: list, low_dst: list, jac: list) -> list:
+    """``L_src^-1 J^T L_dst`` from the Cholesky factors (lower rows) of both
+    metrics, whose singular values are those of sqrt(gdst) J sqrt(gsrc)^-1:
+    df measured by both metrics."""
+    m = len(low_dst)
+    prod = [[reduce(add, [jac[k][a] * low_dst[k][c] for k in range(c, m)]) for c in range(m)]
+            for a in range(len(low_src))]
+    out = []
+    for row, low in zip(prod, low_src):
+        out.append([(v - reduce(add, [l * t[c] for l, t in zip(low, out)], 0.0)) / low[-1]
+                    for c, v in enumerate(row)])
+    return out
+
+
+def _constant(g: MetricField) -> bool:
+    return not any(e.max_var() for e in g.entries.values())
+
+
+def _trace(mat: list):
+    return reduce(add, [row[a] for a, row in enumerate(mat)], 0.0)
+
+
+def _kernel(g: MetricField, pts: list, scalar: bool = False) -> tuple:
+    """Cholesky factor, metric, inverse and Christoffel bracket of ``g`` at
+    ``pts``, and with ``scalar`` its scalar curvature: one curvature-kernel
+    batch, whose components are floats for a constant metric and arrays
+    over the points otherwise."""
+    gm, ginv, d2g, bracket, gamma, low = _first_order(g, pts)
+    return low, gm, ginv, bracket, _riemann(ginv, d2g, bracket, gamma)[2] if scalar else None
+
+
+def _per_point(value, jacs: list, batch: bool) -> list:
+    """``value`` of the Jacobian (k rows of n components) at each point: on
+    floats point by point, or with ``batch`` once on arrays over the points."""
+    if not batch:
+        return [value(jac) for jac in jacs]
+    import numpy as np
+
+    return value([list(row) for row in np.array(jacs).transpose(1, 2, 0)]).tolist()
+
+
+def _edge_angles(g: MetricField, domain: PolyDomain, i: int, j: int, pts: list) -> list:
+    """Dihedral angles of faces (i, j) at the edge points ``pts``: one
+    kernel call for a constant metric, else the kernel's point batch."""
+    if not _constant(g):
+        import numpy as np
+
+        return _dihedral_angles(g, domain, i, j, np.array(pts)).tolist()
+    for x in pts:
+        if not domain.on_edge(i, j, x):
+            raise DomainError(f"point {list(x)} is not on edge ({i + 1}, {j + 1})")
+    return [dihedral_angle(g, domain, i, j, pts[0])] * len(pts) if pts else []
 
 
 def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
@@ -347,30 +488,31 @@ def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
     scale = max(1.0, dst.diameter())
     faces, edges = [], []
     for i, j in f.face_map.items():
-        ys = sample_stratum(src, f"face:{i}", max(spec.per_face, _CHECK_PER_FACE), spec.seed)
-        imgs, jac = f.jet(ys)
-        off = ~dst.on_faces([j], imgs, _CHECK_TOL * scale)
-        if off.any():
-            k = int(np.argmax(off))
-            raise SceneError(f"face {i + 1} sample {list(ys[k])} maps to "
-                             f"{list(imgs[k])}, not on target face {j + 1}")
-        faces.append((i, j, ys, imgs, jac))
+        ys = _sample(src, f"face:{i}", max(spec.per_face, _CHECK_PER_FACE), spec.seed)
+        imgs, jacs = f.jet(ys)
+        for y, img in zip(ys, imgs):
+            if not dst.on_face(j, img, _CHECK_TOL * scale):
+                raise SceneError(f"face {i + 1} sample {list(y)} maps to "
+                                 f"{list(img)}, not on target face {j + 1}")
+        faces.append((i, j, ys, imgs, jacs))
     for i, j in ((i, j) for i in f.face_map for j in f.face_map
-                 if i < j and not _parallel(src.normals[i], src.normals[j])):
-        zs = sample_stratum(src, f"edge:{i},{j}", max(spec.per_edge, _CHECK_PER_EDGE),
-                            spec.seed, allow_empty=True)
-        imgs, jac = f.jet(zs)
-        pushed = jac @ src.normals[[i, j]].T  # (k, m, 2)
-        if np.any(np.linalg.svd(pushed, compute_uv=False)[:, -1] < 1e-8):
+                 if i < j and not _parallel(src.a[i], src.a[j])):
+        zs = _sample(src, f"edge:{i},{j}", max(spec.per_edge, _CHECK_PER_EDGE), spec.seed,
+                     allow_empty=True)
+        imgs, jacs = f.jet(zs)
+        # df of the source normals, as columns
+        pushed = [[[_dot(row, src.a[t]) for t in (i, j)] for row in jac] for jac in jacs]
+        if any(_singular_values(cols)[-1] < 1e-8 for cols in pushed):
             raise SceneError(f"differential drops rank on the normal span at edge "
                              f"({i + 1},{j + 1})")
-        edge_tan = _nullspace(dst.normals[[f.face_map[i], f.face_map[j]]])
-        joint = np.concatenate(
-            [pushed, np.broadcast_to(edge_tan, (len(zs),) + edge_tan.shape)], axis=-1)
-        if (joint.shape[-1] == joint.shape[-2]
-                and np.any(np.abs(np.linalg.det(joint)) < 1e-10)):
-            raise SceneError(f"pushed normal span meets the target edge tangent at edge "
-                             f"({i + 1},{j + 1})")
+        # [pushed | edge tangent] is square where the target normals have rank 2,
+        # and its determinant is that of the target normals' span coordinates
+        axes, rank = _householder([dst.a[f.face_map[i]], dst.a[f.face_map[j]]])
+        for cols in pushed if rank == 2 else ():
+            (u0, v0), (u1, v1) = ([_dot(q, col) for col in zip(*cols)] for q in axes[:2])
+            if abs(u0 * v1 - v0 * u1) < 1e-10:
+                raise SceneError(f"pushed normal span meets the target edge tangent at edge "
+                                 f"({i + 1},{j + 1})")
         edges.append((i, j, zs, imgs))
     return faces, edges
 
@@ -387,32 +529,37 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
     def extend(name, stratum, pts, gaps):
         rows.extend((name, stratum, x, gap, abs(gap)) for x, gap in zip(pts, gaps))
 
-    xs = sample_stratum(src, "interior", spec.interior, spec.seed)
-    fxs, jac = f.jet(xs)
-    gsrc, _, _, _, _, sc_src = _curvature(scene.metric_src, xs)
-    gdst, _, _, _, _, sc_dst = _curvature(scene.metric_dst, fxs)
-    sv = _singular_values(gsrc, gdst, jac)
-    wedge2 = sv[:, 0] * sv[:, 1] if sv.shape[1] > 1 else np.zeros(len(sv))
-    extend("scalar", "interior", xs, sc_src - wedge2 * sc_dst)
-    for i, j, ys, fys, jac in faces:
-        ys, fys, jac = ys[:spec.per_face], fys[:spec.per_face], jac[:spec.per_face]
-        off = ~dst.on_faces([j], fys)
-        if off.any():
-            raise DomainError(f"point {list(fys[np.argmax(off)])} is not on face {j}")
-        gsrc, ginv, _, bracket, _ = _first_order(scene.metric_src, ys)
-        gsrc, ginv, bracket = _stacked(len(ys), gsrc, ginv, bracket)
-        h_src = np.trace(_face_forms(src, i, gsrc, ginv, bracket)[0], axis1=1, axis2=2)
-        gdst, ginv, _, bracket, _ = _first_order(scene.metric_dst, fys)
-        gdst, ginv, bracket = _stacked(len(fys), gdst, ginv, bracket)
-        h_dst = np.trace(_face_forms(dst, j, gdst, ginv, bracket)[0], axis1=1, axis2=2)
-        sv = _singular_values(gsrc, gdst, jac)
-        extend("mean_curvature", f"face:{i + 1}", ys, h_src - sv[:, 0] * h_dst)
+    # per point on floats when both metrics are constant, else on arrays
+    batch = not (_constant(scene.metric_src) and _constant(scene.metric_dst))
+    xs = _sample(src, "interior", spec.interior, spec.seed)
+    fxs, jacs = f.jet(xs)
+    low_src, *_, sc_src = _kernel(scene.metric_src, xs, scalar=True)
+    low_dst, *_, sc_dst = _kernel(scene.metric_dst, fxs, scalar=True)
+
+    def scalar_gap(jac):
+        sv = _singular_values(_tilted(low_src, low_dst, jac))
+        return sc_src - (sv[0] * sv[1] if len(sv) > 1 else 0.0) * sc_dst
+
+    extend("scalar", "interior", xs, _per_point(scalar_gap, jacs, batch))
+    for i, j, ys, fys, jacs in faces:
+        ys, fys, jacs = ys[:spec.per_face], fys[:spec.per_face], jacs[:spec.per_face]
+        for y in fys:
+            if not dst.on_face(j, y):
+                raise DomainError(f"point {list(y)} is not on face {j + 1}")
+        low_src, gm, ginv, bracket, _ = _kernel(scene.metric_src, ys)
+        h_src = _trace(_face_forms(src, i, gm, ginv, bracket)[0])
+        low_dst, gm, ginv, bracket, _ = _kernel(scene.metric_dst, fys)
+        h_dst = _trace(_face_forms(dst, j, gm, ginv, bracket)[0])
+        extend("mean_curvature", f"face:{i + 1}", ys, _per_point(
+            lambda jac: h_src - _singular_values(_tilted(low_src, low_dst, jac))[0] * h_dst,
+            jacs, batch))
     for i, j, zs, fzs in edges:
         zs, fzs = zs[:spec.per_edge], fzs[:spec.per_edge]
         stratum = f"edge:{i + 1},{j + 1}"
-        th_src = _dihedral_angles(scene.metric_src, src, i, j, zs)
-        th_dst = _dihedral_angles(scene.metric_dst, dst, f.face_map[i], f.face_map[j], fzs)
-        for z, gap, cap in zip(zs, (th_dst - th_src).tolist(), (math.pi - th_dst).tolist()):
+        th_src = _edge_angles(scene.metric_src, src, i, j, zs)
+        th_dst = _edge_angles(scene.metric_dst, dst, f.face_map[i], f.face_map[j], fzs)
+        for z, gap, cap in zip(zs, (d - s for d, s in zip(th_dst, th_src)),
+                               (math.pi - d for d in th_dst)):
             rows.append(("angle", stratum, z, gap, abs(gap)))
             rows.append(("angle_cap", stratum, z, cap, abs(cap)))
     return rows

@@ -23,10 +23,10 @@ expressions (see :mod:`dihedral_lab.expressions`).  One curvature kernel
 (``_first_order``, ``_riemann``) runs on components that are floats at one
 point or arrays over a batch of points, g^-1 from a Cholesky factor whose
 pivots check positive definiteness; ``_curvature`` stacks a batch into
-arrays.  Domains are stored as float rows and dihedral angles are computed
-on floats, so ``curvature_tensors``, the conformal identities and an
-``angles`` run on a domain of independent normals never load numpy; numpy
-is imported by the functions that build arrays, when they run.
+arrays.  Domains are stored, validated and enumerated, and face forms and
+dihedral angles computed, on floats, so ``curvature_tensors``, the conformal
+identities and ``angles`` never load numpy; numpy is imported by the
+functions that build arrays, when they run.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .expressions import (
     Expr,
     MetricField,
     MetricNotPositiveDefinite,
+    _any,
     _columns,
     _full,
     _stacked,
@@ -97,8 +98,8 @@ class PolyDomain:
     """
 
     # a the unit normals as k float tuples, b the k offsets, window an
-    # optional ((lo...), (hi...)) sampling box; __dict__ holds the arrays
-    # normals (k, n) and offsets (k,) and the cached _vertex_array
+    # optional ((lo...), (hi...)) sampling box; __dict__ holds the cached
+    # _vertex_array and the arrays normals (k, n), offsets (k,) and _vertices
     __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
     def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
@@ -124,8 +125,7 @@ class PolyDomain:
         offsets = [float(b) for _, b in halfspaces]
         if not all(map(math.isfinite, [*offsets, *(v for row in rows for v in row)])):
             raise DomainError("half-space normals and offsets must be finite")
-        # left-to-right sums: numpy's row norms, bit for bit, up to 7 entries
-        norms = [math.sqrt(reduce(add, (v * v for v in row), 0.0)) for row in rows]
+        norms = [_norm(row) for row in rows]
         if 0.0 in norms:
             raise DomainError("zero normal vector")
         if region not in ("intersection", "complement"):
@@ -193,27 +193,24 @@ class PolyDomain:
 
     def _validate_by_enumeration(self) -> None:
         """Exact: basic solutions (at most ``_SUBSET_CAP`` row subsets) of the
-        normals with the lineality space projected out, so the cell is
-        pointed.  Interior: max t of ``A_r y - t >= b``, ``0 <= t <= 1`` (a
-        Chebyshev-centre LP) exceeds ``_FEAS_TOL``; a face supports the cell
-        iff a vertex lies on it.  Feasibility and contact are judged up to
-        ``_slacks``' scaled tolerance.  ``from_halfspaces`` rejects
+        normals in coordinates on their span (``_householder``), so the cell
+        is pointed.  Interior: max t of ``A_r y - t >= b``, ``0 <= t <= 1`` (a
+        Chebyshev-centre LP) exceeds ``_FEAS_TOL`` (the first basic solution
+        whose t does ends the search); a face supports the cell iff a vertex
+        lies on it.  Feasibility and contact are judged up to
+        ``_slack``'s scaled tolerance.  ``from_halfspaces`` rejects
         non-finite data.
         """
-        import numpy as np
-
-        _, sing, vt = np.linalg.svd(self.normals)
-        a_r = self.normals @ vt[: int(np.sum(sing > sing[0] * 1e-12))].T
-        lifted = np.c_[np.r_[a_r, np.zeros((2, a_r.shape[1]))],
-                       np.r_[-np.ones(len(a_r)), 1.0, -1.0]]
-        tops = _basic_solutions(lifted, np.r_[self.offsets, 0.0, -1.0])
-        if len(tops) == 0 or tops[:, -1].max() <= _FEAS_TOL:
+        span, rank = _householder(self.a)
+        a_r = self.a if rank == self.dim else [
+            [reduce(add, map(mul, row, q)) for q in span[:rank]] for row in self.a]
+        lifted = [(*row, -1.0) for row in a_r] + [(0.0,) * rank + (t,) for t in (1.0, -1.0)]
+        if not any(y[-1] > _FEAS_TOL for y in _basic_solutions(lifted, (*self.b, 0.0, -1.0))):
             raise DomainError("domain has empty interior")
-        verts = _basic_solutions(a_r, self.offsets)
-        slack, tol = _slacks(a_r, self.offsets, verts)
-        touched = np.any(slack <= tol, axis=0)
-        if not touched.all():
-            raise DomainError(f"face {int(np.argmin(touched))} does not support the domain")
+        verts = list(_basic_solutions(a_r, self.b))
+        for f, (row, t) in enumerate(zip(a_r, self.b)):
+            if not any(s <= tol for s, tol in (_slack(row, t, y) for y in verts)):
+                raise DomainError(f"face {f} does not support the domain")
 
     @property
     def face_count(self) -> int:
@@ -251,8 +248,7 @@ class PolyDomain:
         """``on_faces`` for one point of the chart, on floats; face indices
         count from the end when negative, as in ``on_faces``."""
         tight = {range(self.face_count)[f] for f in faces}
-        slacks = (reduce(add, (p * v for p, v in zip(row, x)), 0.0) - t
-                  for row, t in zip(self.a, self.b))
+        slacks = (reduce(add, map(mul, row, x), 0.0) - t for row, t in zip(self.a, self.b))
         return len(x) == self.dim and all(abs(s) <= tol if f in tight else s >= -tol
                                           for f, s in enumerate(slacks))
 
@@ -263,34 +259,37 @@ class PolyDomain:
         return self._on_faces_at((i, j), x, tol)
 
     @cached_property
-    def _vertex_array(self) -> np.ndarray:
-        # the rows np.unique(axis=0) gives, without its numpy.ma import: of
-        # rows equal up to signed zeros the stable lexsort keeps the first, as
-        # np.unique's sort does up to 16 rows (beyond, its pick is arbitrary)
+    def _vertex_array(self) -> memoryview:
+        # np.unique(np.round(v, 9), axis=0) on floats, where v * 1e9 is finite
+        # (of rows equal up to signed zeros the first), as a read-only (k, n)
+        # view of doubles, 1-D when empty
+        from array import array
+
+        rows = sorted(tuple(math.copysign(round(v * 1e9), v) / 1e9 if abs(v) < 1e299 else v
+                            for v in y) for y in _basic_solutions(self.a, self.b))
+        flat = array("d", [v for t, y in enumerate(rows) if not t or y != rows[t - 1]
+                           for v in y])
+        view = memoryview(flat).toreadonly()
+        return view.cast("B").cast("d", (len(flat) // self.dim, self.dim)) if flat else view
+
+    @cached_property
+    def _vertices(self) -> np.ndarray:
         import numpy as np
 
-        pts = np.round(_basic_solutions(self.normals, self.offsets), 9)
-        pts = pts[np.lexsort(pts.T[::-1])]
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-        pts = pts[keep]
-        pts.flags.writeable = False  # enumerated once, shared by every caller
-        return pts
+        return np.asarray(self._vertex_array).reshape(-1, self.dim)
 
     def vertices(self) -> np.ndarray:
-        """Points where ``dim`` face planes meet feasibly (may be empty)."""
-        return self._vertex_array
+        """Points where ``dim`` face planes meet feasibly (may be empty), read-only."""
+        return self._vertices
 
     def diameter(self) -> float:
-        import numpy as np
-
         if self.window is not None:
             lo, hi = self.window
-            return float(np.linalg.norm(np.subtract(hi, lo)))
-        pts = self.vertices()
+            return _norm([q - p for p, q in zip(lo, hi)])
+        pts = self._vertex_array.tolist()
         if len(pts) >= 2:
-            best = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1).max()
-            return max(float(best), 1e-9)
+            return max(max(_norm([p - q for p, q in zip(u, v)])
+                           for u, v in combinations(pts, 2)), 1e-9)
         return 1.0
 
 
@@ -302,6 +301,12 @@ def _row(a):
     import numpy as np
 
     return np.asarray(a, dtype=float)
+
+
+def _norm(v) -> float:
+    """Euclidean norm summed left to right: numpy's row norms, bit for bit,
+    up to 7 entries."""
+    return math.sqrt(reduce(add, [p * p for p in v], 0.0))
 
 
 def _independent(rows: Sequence[Sequence[float]]) -> bool:
@@ -322,28 +327,45 @@ def _independent(rows: Sequence[Sequence[float]]) -> bool:
     return True
 
 
-def _basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Feasible solutions of ``a y >= b`` with a nonsingular square subset of
-    rows tight, ``a`` (k, m): one batched solve, in ``combinations`` order."""
-    import numpy as np
-
-    k, m = a.shape
+def _basic_solutions(a: Sequence, b: Sequence):
+    """Feasible solutions of ``a y >= b`` (k rows of m floats) with a square
+    subset of rows tight, of determinant at least 1e-12 in size, lazily in
+    ``combinations`` order: Gaussian elimination with partial pivoting, then
+    ``_slack``'s rule row by row, the row that last cut one off first."""
+    k, m = len(a), len(a[0])
     if math.comb(k, m) > _SUBSET_CAP:
         raise DomainError(f"domain needs more than {_SUBSET_CAP} basic row subsets")
-    rows = np.array(list(combinations(range(k), m)), dtype=int).reshape(-1, m)
-    rows = rows[np.abs(np.linalg.det(a[rows])) >= 1e-12]
-    sols = np.linalg.solve(a[rows], b[rows][..., None])[..., 0]
-    slack, tol = _slacks(a, b, sols)
-    return sols[np.all(slack >= -tol, axis=1)]
+    order = list(range(k))
+    for subset in combinations(range(k), m):
+        rows, det = [[*a[r], b[r]] for r in subset], 1.0
+        for c in range(m):
+            p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+            rows[c], rows[p] = rows[p], rows[c]
+            det *= rows[c][c]
+            for row in rows[c + 1:]:
+                f = row[c] and row[c] / rows[c][c]  # the pivot is 0 only if row[c] is
+                row[c:] = [v - f * q for v, q in zip(row[c:], rows[c][c:])]
+        if not abs(det) >= 1e-12:
+            continue
+        y = [0.0] * m
+        for c in range(m - 1, -1, -1):
+            tail = reduce(add, map(mul, rows[c][c + 1:m], y[c + 1:]), 0.0)
+            y[c] = (rows[c][m] - tail) / rows[c][c]
+        for pos, r in enumerate(order):
+            s, tol = _slack(a[r], b[r], y)
+            if s < -tol:
+                order.insert(0, order.pop(pos))
+                break
+        else:
+            yield y
 
 
-def _slacks(a: np.ndarray, b: np.ndarray, y: np.ndarray):
-    """Slacks ``y a^T - b`` of the rows of y, and their tolerances:
-    ``_FEAS_TOL`` times the size ``|y| |a|^T + |b|`` of the terms each
-    slack cancels, at least 1, so that cells far from the origin pass."""
-    import numpy as np
-
-    return y @ a.T - b, _FEAS_TOL * np.maximum(1.0, np.abs(y) @ np.abs(a).T + np.abs(b))
+def _slack(row: Sequence[float], t: float, y: Sequence[float]) -> tuple:
+    """The slack ``<row, y> - t`` and its tolerance: ``_FEAS_TOL`` times the
+    size ``|row| |y| + |t|`` of the terms it cancels, at least 1, so that
+    cells far from the origin pass."""
+    return (reduce(add, map(mul, row, y)) - t,
+            _FEAS_TOL * max(1.0, reduce(add, [abs(p * q) for p, q in zip(row, y)]) + abs(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +434,20 @@ def _cholesky(gm) -> list:
 
 def _first_order(g: MetricField, pts):
     """Metric ``gm[i][j]``, inverse, ``d2g[i][j][a][b] = d_a d_b g_ij``, the
-    Christoffel bracket ``bracket[i][j][l]`` (twice the first-kind symbols)
-    and Gamma^k_{ij} as ``gamma[k][i][j]`` at one point (n floats) or at the
-    rows of an ``(m, n)`` array, as nested lists of floats or ``(m,)`` arrays."""
-    batch = getattr(pts, "ndim", 1) == 2
-    gm, dg, d2g = g.jet_parts(_columns(pts) if batch else tuple(map(float, pts)))
+    Christoffel bracket ``bracket[i][j][l]`` (twice the first-kind symbols),
+    Gamma^k_{ij} as ``gamma[k][i][j]`` and the rows of the Cholesky factor,
+    at one point (n floats) or at the rows of an ``(m, n)`` array or a list
+    of points, as nested lists of floats or ``(m,)`` arrays; a metric with
+    no variable gives floats for a batch too."""
+    batch = hasattr(pts[0], "__len__")
+    point = tuple(map(float, pts[0] if batch else pts))
+    varying = batch and any(e.max_var() for e in g.entries.values())
+    gm, dg, d2g = g.jet_parts(_columns(pts) if varying else point)
     low = _cholesky(gm)
     ok = reduce(and_, [row[-1] > 0.0 for row in low])  # nan at a failed pivot
     if not (ok if type(ok) is bool else ok.all()):
         p = 0 if type(ok) is bool else int(ok.argmin())  # the first bad point
-        raise _not_positive_definite([float(v) for v in (pts[p] if batch else pts)], [
+        raise _not_positive_definite([float(v) for v in (pts[p] if batch else point)], [
             [v if type(v) is float else float(v[p]) for v in row] for row in gm])
     n, axes = g.dim, range(g.dim)
     inv = []  # rows of L^-1
@@ -437,7 +463,7 @@ def _first_order(g: MetricField, pts):
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     gamma = [[[0.5 * reduce(add, map(mul, ginv[k], bracket[i][j])) for j in axes] for i in axes]
              for k in axes]
-    return gm, ginv, d2g, bracket, gamma
+    return gm, ginv, d2g, bracket, gamma, low
 
 
 def _riemann(ginv, d2g, bracket, gamma):
@@ -464,14 +490,14 @@ def _riemann(ginv, d2g, bracket, gamma):
 def _curvature(g: MetricField, pts: np.ndarray):
     """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
     rows of ``pts``, each an array with a leading point axis."""
-    gm, ginv, d2g, bracket, gamma = _first_order(g, pts)
+    gm, ginv, d2g, bracket, gamma, _ = _first_order(g, pts)
     return _stacked(len(pts), gm, ginv, gamma, *_riemann(ginv, d2g, bracket, gamma))
 
 
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     """Full curvature data of ``g`` at an interior chart point, on floats."""
     x = tuple(float(v) for v in x)
-    gm, ginv, d2g, bracket, gamma = _first_order(g, x)
+    gm, ginv, d2g, bracket, gamma, _ = _first_order(g, x)
     return CurvaturePack(x, gm, ginv, bracket, gamma, *_riemann(ginv, d2g, bracket, gamma))
 
 
@@ -481,7 +507,7 @@ def orthonormal_frame(gmat) -> np.ndarray:
     import numpy as np
 
     gmat = np.asarray(gmat, dtype=float)
-    return _g_orthonormalize(np.eye(gmat.shape[-1]), gmat)
+    return np.array(_g_orthonormal(np.eye(len(gmat)).tolist(), gmat.tolist())).T
 
 
 def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
@@ -518,62 +544,71 @@ class FaceGeometry:
         self.tangent_basis, self.inner_normal = tangent_basis, inner_normal
 
 
-def _nullspace(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal Euclidean basis (columns) of the null space of ``rows``,
-    from a full SVD (deterministic)."""
-    import numpy as np
+def _householder(rows: Sequence[Sequence[float]]) -> tuple[list, int]:
+    """Columns of Q in a Householder QR of the transpose of ``rows`` (unit
+    rows of length n), and the rank r: the first r columns span the rows and
+    the others their null space.  Reflectors follow LAPACK ``dlarfg``
+    (``beta = -copysign(|x|, alpha)``, none where the tail is 0); a row whose
+    part outside the span of the earlier ones has norm <= 1e-12 is skipped."""
+    n, refl = len(rows[0]), []  # (r, tau, v): H_r = 1 - tau v v^T on entries r..
 
-    rows = np.asarray(rows, dtype=float)
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-12))
-    return vt[rank:].T
+    def reflect(w, order):
+        for r, tau, v in order:
+            if tau:  # as LAPACK dlarf: none for tau = 0, sums from +0.0
+                s = -tau * reduce(add, map(mul, v, w[r:]), 0.0)
+                w[r:] = [q + p * s for p, q in zip(v, w[r:])]
+        return w
+
+    for row in rows:
+        w, r = reflect([float(v) for v in row], refl), len(refl)
+        if _norm(w[r:]) > 1e-12:
+            beta = -math.copysign(_norm(w[r:]), w[r])
+            refl.append((r, (beta - w[r]) / beta if _norm(w[r + 1:]) else 0.0,
+                         [1.0] + [v / (w[r] - beta) for v in w[r + 1:]]))
+    return [reflect([float(c == d) for d in range(n)], refl[::-1]) for c in range(n)], len(refl)
 
 
-def _g_orthonormalize(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on the columns of ``cols`` in the metric ``gmat``, in
-    column order (any leading point axes of ``gmat`` broadcast)."""
-    import numpy as np
+def _nullspace(rows: Sequence[Sequence[float]]) -> list:
+    """Orthonormal Euclidean basis of the null space of ``rows``, as a list
+    of vectors (the trailing columns of ``_householder``'s Q)."""
+    span, rank = _householder(rows)
+    return span[rank:]
 
-    out = np.zeros(gmat.shape[:-2] + cols.shape)
-    for a in range(cols.shape[1]):
-        v = cols[:, a].astype(float)
-        for b in range(a):
-            proj = np.einsum("...i,...ij,...j->...", out[..., b], gmat, v)
-            v = v - proj[..., None] * out[..., b]
-        norm = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
-        if np.any(norm < 1e-14):
+
+def _g_orthonormal(vectors: Sequence, gmat: list) -> list:
+    """Gram-Schmidt on ``vectors`` in the metric ``gmat`` (nested lists), in
+    order, on floats or on arrays over points."""
+    out, lowered = [], []  # and g times each
+    for v in vectors:
+        for e, ge in zip(out, lowered):
+            p = reduce(add, map(mul, ge, v), 0.0)
+            v = [q - p * t for q, t in zip(v, e)]
+        gv = [reduce(add, map(mul, row, v), 0.0) for row in gmat]
+        size = _root(reduce(add, map(mul, v, gv), 0.0))
+        if _any(size < 1e-14):
             raise DomainError("degenerate tangent basis")
-        out[..., a] = v / norm[..., None]
+        out.append([q / size for q in v])
+        lowered.append([q / size for q in gv])
     return out
 
 
-def _inner_unit_normal(a: np.ndarray, gmat: np.ndarray, ginv: np.ndarray,
-                       sign: float = 1.0) -> np.ndarray:
-    """g-unit vector g-orthogonal to the face plane, on the <a, .> > 0 side
-    (any leading point axes of ``a``, ``gmat`` and ``ginv`` broadcast)."""
-    import numpy as np
-
-    nu = np.einsum("...ij,...j->...i", ginv, a)
-    norm = np.sqrt(np.einsum("...i,...ij,...j->...", nu, gmat, nu))
-    return sign * nu / norm[..., None]
-
-
-def _face_forms(domain: PolyDomain, i: int, gmat: np.ndarray, ginv: np.ndarray,
-                bracket: np.ndarray):
-    """Second fundamental form, g-orthonormal tangent basis and inner unit
-    normal of face ``i`` from the metric, its inverse and the Christoffel
-    bracket at points of the face (any leading point axes broadcast)."""
-    import numpy as np
-
-    a = domain.normals[i]
+def _face_forms(domain: PolyDomain, i: int, gmat: list, ginv: list, bracket: list):
+    """Second fundamental form, g-orthonormal tangent basis (a list of n - 1
+    vectors) and inner unit normal of face ``i`` from the metric, its
+    inverse and the Christoffel bracket as ``_first_order`` gives them: on
+    floats at one point, or on arrays over points of the face."""
+    nu = [reduce(add, map(mul, row, domain.a[i])) for row in ginv]
     sign = 1.0 if domain.region == "intersection" else -1.0
-    nu = _inner_unit_normal(a, gmat, ginv, sign)
-    tangent = _g_orthonormalize(_nullspace(a[None, :]), gmat)
+    size = _root(reduce(add, [p * reduce(add, map(mul, row, nu), 0.0)
+                              for p, row in zip(nu, gmat)], 0.0))
+    nu, tangent = [sign * v / size for v in nu], _g_orthonormal(_nullspace([domain.a[i]]), gmat)
     # A(X, Y) = g(nabla_X Y, nu) = Gamma_{l,ij} X^i Y^j nu^l for the
     # constant-coefficient extension of Y
-    lowered = 0.5 * np.einsum("...ijl,...l->...ij", bracket, nu)
-    second = np.einsum("...ia,...ij,...jb->...ab", tangent, lowered, tangent)
-    return 0.5 * (second + np.swapaxes(second, -1, -2)), tangent, nu
+    lowered = [[0.5 * reduce(add, map(mul, col, nu), 0.0) for col in row] for row in bracket]
+    pushed = [[reduce(add, map(mul, row, v), 0.0) for row in lowered] for v in tangent]
+    second = [[reduce(add, map(mul, u, w), 0.0) for w in pushed] for u in tangent]
+    second = [[0.5 * (p + q) for p, q in zip(row, col)] for row, col in zip(second, zip(*second))]
+    return second, tangent, nu
 
 
 def face_geometry(g: MetricField, domain: PolyDomain, i: int,
@@ -586,14 +621,16 @@ def face_geometry(g: MetricField, domain: PolyDomain, i: int,
     convex cell.
     """
     if not (0 <= i < domain.face_count):
-        raise DomainError(f"no face {i}")
+        raise DomainError(f"no face {i + 1}")
     import numpy as np
 
+    x = [float(v) for v in x]
     if not domain.on_face(i, x):
-        raise DomainError(f"point {list(x)} is not on face {i}")
-    gmat, ginv, _, bracket, _ = map(np.array, _first_order(g, x))
+        raise DomainError(f"point {x} is not on face {i + 1}")
+    gmat, ginv, _, bracket, *_ = _first_order(g, x)
     second, tangent, nu = _face_forms(domain, i, gmat, ginv, bracket)
-    return FaceGeometry(second, float(np.trace(second)), tangent, nu)
+    mean = reduce(add, [row[a] for a, row in enumerate(second)], 0.0)
+    return FaceGeometry(np.array(second), mean, np.array(tangent).T, np.array(nu))
 
 
 def hypersurface_geometry(
@@ -623,7 +660,7 @@ def hypersurface_geometry(
     jets = [e.jet(np.atleast_2d(u)) for e in exprs]
     # position, jac[k, a] = d_a sigma^k and hess[k, a, b] = d_a d_b sigma^k
     pos, jac, hess = (np.array([jet[part][0] for jet in jets]) for part in range(3))
-    gmat, _, _, bracket, _ = map(np.array, _first_order(g, pos))
+    gmat, _, _, bracket = map(np.array, _first_order(g, pos)[:4])
     # g-normal: null space of (tangent^T g)
     null = np.linalg.svd(jac.T @ gmat)[2][-1]
     nu = null / math.sqrt(null @ gmat @ null)
@@ -636,7 +673,7 @@ def hypersurface_geometry(
     first = jac.T @ gmat @ jac
     mean = float(np.trace(np.linalg.solve(first, a_chart)))
     # report A on a g-orthonormal tangent basis, consistent with face_geometry
-    tangent = _g_orthonormalize(jac, gmat)
+    tangent = np.array(_g_orthonormal(jac.T.tolist(), gmat.tolist())).T
     comb = np.linalg.lstsq(jac, tangent, rcond=None)[0]
     second = comb.T @ a_chart @ comb
     second = 0.5 * (second + second.T)
@@ -676,7 +713,8 @@ def conformal_identities(
 
     with lap = div grad and n the inner gbar-unit normal.  Returns
     ``{"scalar": resid}`` or ``{"scalar": ..., "mean_curvature": ...}`` when
-    a face is given; only the face variant builds arrays.
+    a face is given; only the face variant builds arrays (the
+    ``FaceGeometry`` of the rescaled metric).
     """
     if isinstance(h, str):
         h = parse_expression(h)
@@ -697,13 +735,12 @@ def conformal_identities(
     if face is not None:
         if domain is None:
             raise ValueError("mean-curvature variant needs the domain")
-        import numpy as np
-
         fg = face_geometry(scaled, domain, face, x)
-        second_bar, _, nu_bar = _face_forms(domain, face, *map(np.array, (
-            pack_bar.metric, pack_bar.metric_inv, pack_bar.bracket)))
-        dh_dn = float(np.dot(grad, nu_bar))
-        rhs_h = float(np.trace(second_bar)) / hval - (n - 1) / hval**2 * dh_dn
+        second_bar, _, nu_bar = _face_forms(domain, face, pack_bar.metric,
+                                            pack_bar.metric_inv, pack_bar.bracket)
+        dh_dn = reduce(add, map(mul, grad, nu_bar))
+        mean_bar = reduce(add, [row[a] for a, row in enumerate(second_bar)], 0.0)
+        rhs_h = mean_bar / hval - (n - 1) / hval**2 * dh_dn
         out["mean_curvature"] = float(fg.mean_curvature - rhs_h)
     return out
 
@@ -847,7 +884,8 @@ def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
         raise DomainError("need two distinct faces")
     off = ~domain.on_faces([i, j], pts)
     if off.any():
-        raise DomainError(f"point {pts[np.argmax(off)].tolist()} is not on edge ({i}, {j})")
+        raise DomainError(f"point {pts[np.argmax(off)].tolist()} is not on edge "
+                          f"({i + 1}, {j + 1})")
     points = pts.tolist()
     metrics = [_metric_lower(g, x) for x in points]
     if len(points) < _ARRAY_POINTS:  # fewer: numpy's cost per call dominates
@@ -884,7 +922,7 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
         raise DomainError("need two distinct faces")
     x = [float(v) for v in x]
     if not domain.on_edge(i, j, x):
-        raise DomainError(f"point {x} is not on edge ({i}, {j})")
+        raise DomainError(f"point {x} is not on edge ({i + 1}, {j + 1})")
     gm = _metric_lower(g, x)
     diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j])
     if not all(d > 0.0 for d in diag):
@@ -967,9 +1005,10 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
     rows = [(p + t * (q - p), q - p, domain.normals[face], w) for p, q, face in edges
             for t, w in zip(0.5 * (param + 1.0), 0.5 * weight)]
     pts, tangents, normals, weights = (np.array(column) for column in zip(*rows))
-    gmat, ginv, _, bracket, _ = _first_order(g, pts)
+    gmat, ginv, _, bracket, *_ = _first_order(g, pts)
     gmat, ginv, bracket = _stacked(len(pts), gmat, ginv, bracket)
-    nu = _inner_unit_normal(normals, gmat, ginv)
+    nu = np.einsum("pij,pj->pi", ginv, normals)  # the inner unit normals
+    nu = nu / np.sqrt(np.einsum("pi,pij,pj->p", nu, gmat, nu))[:, None]
     speed = np.sqrt(np.einsum("pi,pij,pj->p", tangents, gmat, tangents))
     # g(nabla_t t, nu) = Gamma_{l,ij} t^i t^j nu^l
     geodesic = 0.5 * np.einsum("pijl,pi,pj,pl->p", bracket, tangents, tangents, nu) / speed

@@ -83,9 +83,9 @@ class ExpressionDomainError(ExpressionError):
 
 class Expr:
     """Immutable expression tree node.  Equality is structural and type-aware
-    (same class, equal fields: ``Num(1.0) != Var(1)``), equal nodes hash equal,
-    and ``MetricField.jet`` relies on both to share one jet between equal
-    entries."""
+    (same class, equal fields: ``Num(1.0) != Var(1)``) and equal nodes hash
+    equal; ``MetricField.jet_parts`` shares one jet between entries that are
+    one tree, as ``parse_metric`` makes equal entry texts."""
 
     __slots__ = ()
 
@@ -547,19 +547,17 @@ class MetricField:
         d_a d_b g_ij`` as nested lists of the components
         ``Expr.jet_parts`` returns at ``x``, one jet per stored entry."""
         n = self.dim
-        # equal entries, such as a conformal diagonal, share one jet
-        jets = {e: e.jet_parts(x) for e in dict.fromkeys(self.entries.values())}
-        jets = {e: (value, list(grad), _full(hess, n)) for e, (value, grad, hess) in jets.items()}
-        jets = {key: jets[e] for key, e in self.entries.items()}
-        rows = [[jets[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        # entries that are one tree, such as a conformal diagonal, share one jet
+        jets = {id(e): e.jet_parts(x) for e in {id(e): e for e in self.entries.values()}.values()}
+        jets = {t: (value, list(grad), _full(hess, n)) for t, (value, grad, hess) in jets.items()}
+        rows = [[jets[id(self.entries[min(i, j), max(i, j)])] for j in range(n)] for i in range(n)]
         return tuple([[jet[t] for jet in row] for row in rows] for t in range(3))
 
     def scaled(self, factor: Expr) -> "MetricField":
-        """Pointwise product metric ``factor * g`` (factor an expression)."""
-        return MetricField(
-            self.dim,
-            {key: BinOp("*", factor, e) for key, e in self.entries.items()},
-        )
+        """Pointwise product metric ``factor * g`` (factor an expression);
+        entries that are one tree stay one tree."""
+        products = {id(e): BinOp("*", factor, e) for e in self.entries.values()}
+        return MetricField(self.dim, {key: products[id(e)] for key, e in self.entries.items()})
 
 
 def parse_metric(spec: dict, dim: int) -> MetricField:
@@ -574,7 +572,7 @@ def parse_metric(spec: dict, dim: int) -> MetricField:
     if not isinstance(spec, dict):
         raise ExpressionError("metric 'g' must be an object of entry expressions")
     entries: dict[tuple[int, int], Expr] = {}
-    seen = set()
+    seen, trees = set(), {}  # one tree per distinct entry text
     for key, text in spec.items():
         skey = str(key)
         if len(skey) != 2 or not skey.isdigit():
@@ -589,7 +587,9 @@ def parse_metric(spec: dict, dim: int) -> MetricField:
         if not isinstance(text, (str, Expr)):
             raise ExpressionError(f"metric entry {key!r} must be an expression string")
         seen.add((i, j))
-        entries[(i, j)] = text if isinstance(text, Expr) else parse_expression(text)
+        if isinstance(text, str) and text not in trees:
+            trees[text] = parse_expression(text)
+        entries[(i, j)] = trees[text] if isinstance(text, str) else text
     zero = Num(0.0)
     for i in range(dim):
         if (i, i) not in entries:

@@ -1,7 +1,8 @@
 """Independent oracles used by several test modules: sympy closed forms,
 the d Gamma chain for Riemann, a central finite-difference evaluator of
 expression derivatives, the per-point comparison path and dihedral angle,
-the mpmath dihedral angle of given float metric and normals,
+the mpmath dihedral angle of given float metric and normals, the SVD null
+space basis,
 the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
 ARPACK (``svds``) norm over blocked numpy prefix sums, the per-entry assembly
@@ -27,7 +28,6 @@ from dihedral_lab.comparison import (
     DfNorms,
     SampleSpec,
     _window_box,
-    df_norms,
 )
 from dihedral_lab.corner_smoothing import ARC_SAMPLES, SmoothedCorner
 from dihedral_lab.curvature import (
@@ -315,6 +315,13 @@ def pointwise_scene(scene):
                         scene.metric_dst, PointwiseCornerMap(cmap.components, cmap.face_map))
 
 
+def svd_nullspace(rows) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of ``rows`` from a full
+    SVD, singular values above 1e-12 counted as rank."""
+    _, sing, vt = np.linalg.svd(np.asarray(rows, dtype=float))
+    return vt[int(np.sum(sing > 1e-12)):].T
+
+
 def _halton(index: int, base: int) -> float:
     out, f = 0.0, 1.0
     while index > 0:
@@ -334,7 +341,7 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
     membership, so identical (stratum, count, seed) inputs always return
     identical points.
     """
-    lo, hi = _window_box(domain)
+    lo, hi = map(np.array, _window_box(domain))
     n = domain.dim
     rng = np.random.default_rng(seed)
     tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([lo, hi])).max()))
@@ -350,7 +357,7 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
         i = int(stratum.split(":")[1])
         a, b = domain.normals[i], domain.offsets[i]
         origin = b * a
-        basis = _nullspace(a[None, :])
+        basis = np.reshape(_nullspace([a]), (-1, n)).T
         dim_par = n - 1
 
         def accept(x):
@@ -364,7 +371,7 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
                 return []
             raise DomainError(f"faces {i} and {j} are parallel; no edge")
         origin, *_ = np.linalg.lstsq(rows, domain.offsets[[i, j]], rcond=None)
-        basis = _nullspace(rows)
+        basis = np.reshape(_nullspace(rows), (-1, n)).T
         dim_par = n - 2
 
         def accept(x):
@@ -421,7 +428,9 @@ def _metric_norms(scene: CompareScene, x: np.ndarray) -> DfNorms:
     gsrc = metric_at(scene.metric_src, x)
     gdst = metric_at(scene.metric_dst, scene.corner_map(x))
     tilted = _sqrtm_spd(gdst) @ jac @ np.linalg.inv(_sqrtm_spd(gsrc))
-    return df_norms(tilted)
+    sv = np.linalg.svd(tilted, compute_uv=False)
+    return DfNorms(float(sv[0]), float(sv[0] * sv[1]) if len(sv) > 1 else 0.0,
+                   tuple(sv.tolist()))
 
 
 def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
@@ -430,7 +439,7 @@ def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
     intersection, pointing to the <a_j, .> > 0 side."""
     a_i = domain.normals[i]
     a_j = domain.normals[j]
-    face_basis = _nullspace(a_i[None, :])  # (n, n-1)
+    face_basis = np.reshape(_nullspace([a_i]), (-1, len(a_i))).T  # (n, n-1)
     if domain.dim == 2:
         u = face_basis[:, 0]
     else:

@@ -1227,15 +1227,56 @@ def test_scalar_spectral_commands_load_no_numpy(args, code):
     assert ("numpy" in modules) == (args[0] == "certify")
 
 
+_SQUARE = [{"a": [1.0, 0.0], "b": 0.0}, {"a": [-1.0, 0.0], "b": -1.0},
+           {"a": [0.0, 1.0], "b": 0.0}, {"a": [0.0, -1.0], "b": -1.0}]
+
+
+def curved_compare_scene(tmp_path):
+    """The identity of a square with a metric that varies: every margin is
+    0, and the curvature kernel runs on arrays."""
+    side = {"dim": 2, "g": {"11": "1 + 0.1*x2^2", "22": "exp(0.2*x1)"}, "halfspaces": _SQUARE}
+    return write_json(tmp_path / "curved_compare.json", {
+        "N": side, "M": side, "f": ["x1", "x2"],
+        "faces": {"1": "1", "2": "2", "3": "3", "4": "4"}})
+
+
+def affine_box_scene(tmp_path):
+    """A 3-D box with a constant metric, its image under an affine map
+    y = A x + c and the pushed-forward metric, as the benchmark builds its
+    compare jobs: an isometry between constant metrics."""
+    import numpy as np
+
+    lo, hi = [-0.5, -0.25, -1.0], [0.5, 0.75, 0.25]
+    a = np.array([[1.2, 0.3, -0.1], [0.2, 1.1, 0.25], [-0.3, 0.1, 1.3]])
+    c = np.array([0.5, -0.25, 0.125])
+    g_src = np.array([[1.1, 0.2, -0.1], [0.2, 0.9, 0.15], [-0.1, 0.15, 1.3]])
+    faces = [(s * e, s * t) for e, l, h in zip(np.eye(3), lo, hi) for s, t in ((1.0, l), (-1.0, h))]
+    inv_t = np.linalg.inv(a).T
+    g_dst = inv_t @ g_src @ inv_t.T
+
+    def side(g, halfspaces):
+        return {"dim": 3, "g": {f"{i + 1}{j + 1}": repr(float(g[i, j]))
+                                for i in range(3) for j in range(i, 3)},
+                "halfspaces": [{"a": n.tolist(), "b": float(b)} for n, b in halfspaces]}
+
+    return write_json(tmp_path / "affine_box.json", {
+        "N": side(g_src, faces),
+        "M": side(g_dst, [(inv_t @ n, b + float((inv_t @ n) @ c)) for n, b in faces]),
+        "f": ["+".join(f"({float(a[k, i])!r})*x{i + 1}" for i in range(3))
+              + f"+({float(c[k])!r})" for k in range(3)],
+        "faces": {str(i): str(i) for i in range(1, 7)}})
+
+
 @pytest.mark.parametrize("args", [
     ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
-    ["compare", "--scene", "scenes/cube_id.json"],
-], ids=["gaussbonnet", "compare"])
-def test_vertex_and_sheet_counts_load_no_numpy_ma(args):
+    ["compare", "--scene", "{curved}"],
+], ids=["gaussbonnet", "compare-curved"])
+def test_vertex_and_sheet_counts_load_no_numpy_ma(args, tmp_path):
     """Start-up guard: the deduplication of polytope vertices does not go
     through ``np.unique``, whose masked-array check imports ``numpy.ma``;
     loading numpy is the positive control."""
-    exit_code, modules = _fresh_cli(args)
+    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path))
+                                     for a in args])
     assert exit_code == 0
     assert "numpy" in modules
     assert "numpy.ma" not in modules
@@ -1273,17 +1314,77 @@ def test_jet_commands_load_no_numpy(args):
 
 
 @pytest.mark.parametrize("args", [
-    ["angles", "--scene", "scenes/square_metric.json", "--faces", "1,3", "--point", "0,0"],
-    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
     ["compare", "--scene", "scenes/cube_id.json"],
-], ids=["angles-square", "gaussbonnet", "compare"])
-def test_geometry_commands_load_numpy(args):
-    """Positive control for the guards above: ``angles`` on the four-face
-    square enumerates its vertices, and the batch commands stack their jets
-    and curvature into arrays, so each loads numpy."""
-    exit_code, modules = _fresh_cli(args)
+    ["compare", "--scene", "scenes/cube_id.json", "--conclusions", "--seed", "3"],
+    ["compare", "--scene", "scenes/square_id.json"],
+    ["compare", "--scene", "scenes/square_id.json", "--conclusions", "--seed", "7"],
+    ["compare", "--scene", "{affine_box}", "--seed", "5"],
+    ["compare", "--scene", "{affine_box}", "--conclusions"],
+    ["angles", "--scene", "scenes/square_metric.json", "--faces", "1,3", "--point", "0,0"],
+], ids=["cube", "cube-conclusions", "square", "square-conclusions", "affine-box",
+        "affine-box-conclusions", "angles-square"])
+def test_constant_metric_commands_load_no_numpy(args, tmp_path):
+    """Start-up guard: ``compare`` on scenes whose metrics are constant
+    validates, samples and computes on floats, and ``angles`` on the
+    four-face square validates it by the float enumeration; none of them
+    loads numpy."""
+    exit_code, modules = _fresh_cli([a.format(affine_box=affine_box_scene(tmp_path))
+                                     for a in args])
+    assert exit_code == 0
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("args", [
+    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+    ["compare", "--scene", "{curved}"],
+], ids=["gaussbonnet", "compare-curved"])
+def test_geometry_commands_load_numpy(args, tmp_path):
+    """Positive control for the guards above: the batch commands run the
+    curvature kernel on arrays where a metric varies, so each loads numpy."""
+    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path))
+                                     for a in args])
     assert exit_code == 0
     assert "numpy" in modules
+
+
+COMPARE_GOLDEN = json.loads((ROOT / "tests" / "data" / "compare_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_GOLDEN))
+def test_compare_output_matches_golden(case, tmp_path):
+    """stdout and ``--csv`` of ``compare`` on the shipped identity scenes,
+    byte for byte as recorded in ``tests/data/compare_golden.json``: the
+    sampler, the null-space charts and the kernels must not move a bit."""
+    scene, mode, _, seed = case.split()
+    args = ["compare", "--scene", str(ROOT / "scenes" / f"{scene}.json"), "--seed", seed,
+            "--csv", str(tmp_path / "rows.csv")]
+    result = CliRunner().invoke(main, args + (["--conclusions"] if mode == "conclusions" else []))
+    want = COMPARE_GOLDEN[case]
+    assert result.exit_code == want["exit_code"]
+    assert result.stdout == want["stdout"]
+    assert (tmp_path / "rows.csv").read_text() == want["csv"]
+
+
+def test_compare_negative_seed_exits_2():
+    scene = str(ROOT / "scenes" / "square_id.json")
+    result = CliRunner().invoke(main, ["compare", "--scene", scene, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["input error: expected non-negative integer"]
+
+
+def test_compare_far_offset_scene_exits_2(tmp_path):
+    # vertex coordinates near 1e300 (v * 1e9 overflows) reach the sampler,
+    # which reports the empty face chart as an input error
+    scene = json.loads((ROOT / "scenes" / "square_id.json").read_text())
+    for side in ("N", "M"):
+        scene[side]["halfspaces"][:2] = [{"a": [1.0, 0.0], "b": 1e300},
+                                         {"a": [-1.0, 0.0], "b": -1.0000000000000002e300}]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(scene))
+    result = CliRunner().invoke(main, ["compare", "--scene", str(path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "input error: could not draw 8 samples on face:0 (got 0 after 16000 tries)"]
 
 
 # g11 (g22 = 1) at the point (x1, 0.5) and the input error it must give,

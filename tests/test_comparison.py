@@ -33,6 +33,7 @@ from dihedral_lab.comparison import (
     SampleSpec,
     SceneError,
     _pointwise_quantities,
+    _uniform,
     check_conclusions,
     check_hypotheses,
     df_norms,
@@ -460,7 +461,7 @@ class TestScenes:
             "faces": {"1": "1", "2": "2", "3": "3", "4": "4"},
         })
         scene.validate()
-        with pytest.raises(DomainError, match="not on face 3"):
+        with pytest.raises(DomainError, match="not on face 4"):
             check_hypotheses(scene, SampleSpec(per_face=2))
 
     def test_collapsing_map_rejected(self):
@@ -547,8 +548,8 @@ class TestBatchedRows:
         for module in (curvature, comparison):
             monkeypatch.setattr(module, "_first_order", lambda g, pts: (
                 batches.append(len(pts)) or first_order(g, pts)))
-        sample, jet = comparison.sample_stratum, comparison.CornerMap.jet
-        monkeypatch.setattr(comparison, "sample_stratum", lambda dom, stratum, *args, **kw: (
+        sample, jet = comparison._sample, comparison.CornerMap.jet
+        monkeypatch.setattr(comparison, "_sample", lambda dom, stratum, *args, **kw: (
             sampled.append(stratum) or sample(dom, stratum, *args, **kw)))
         monkeypatch.setattr(comparison.CornerMap, "jet", lambda cmap, pts: (
             jetted.append(len(pts)) or jet(cmap, pts)))
@@ -658,6 +659,21 @@ class TestSampling:
         full = sample_stratum(dom, stratum, count + more, seed, allow_empty)
         assert len(short) == min(count, len(full))
         assert np.array_equal(short, full[:len(short)])
+
+    @pytest.mark.parametrize("seeds", [range(0, 1001), range(1001, 2001),
+                                       [2**32 - 1, 2**32, 2**63, 2**64 + 5, 10**30]],
+                             ids=["0-1000", "1001-2000", "large"])
+    def test_shift_matches_numpy_generator(self, seeds):
+        # the Cranley-Patterson shift, without numpy.random
+        for seed in seeds:
+            want = np.random.default_rng(seed).uniform(size=8).tolist()
+            assert [_uniform(seed, k) for k in range(1, 9)] == [want[:k] for k in range(1, 9)]
+
+    def test_negative_seed_rejected_like_numpy(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            _uniform(-1, 2)
 
     def test_unknown_stratum(self):
         dom = PolyDomain.from_scene(square_scene_dict())

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -547,7 +548,7 @@ class TestDihedralAngle:
         dom = PolyDomain.from_halfspaces(list(zip(normals, offsets)), region=region,
                                          validate=False)
         vertex = np.linalg.lstsq(dom.normals, dom.offsets, rcond=None)[0]
-        pts = vertex + rng.normal(size=(5, n - 2)) @ _nullspace(dom.normals).T
+        pts = vertex + rng.normal(size=(5, n - 2)) @ np.reshape(_nullspace(dom.normals), (-1, n))
         metrics = [g.matrix_at(x.tolist()) for x in pts]
         exact = [_oracles.exact_dihedral_angle(gm, *dom.normals, region) for gm in metrics]
         if any(abs(cos) >= 1.0 - 1e-12 for cos, _ in exact):  # nearly parallel random normals
@@ -595,7 +596,7 @@ class TestDihedralAngle:
         a_j = -low @ (math.cos(theta) * plane[:, 0] + math.sin(theta) * plane[:, 1])
         vertex = rng.uniform(-1.0, 1.0, n) * 10.0**scale
         halfspaces = [(a, float(a @ vertex)) for a in (a_i, a_j)]
-        x = vertex + _nullspace(np.array([a_i, a_j])) @ rng.normal(size=n - 2)
+        x = vertex + rng.normal(size=n - 2) @ np.reshape(_nullspace([a_i, a_j]), (-1, n))
         for region in ("intersection", "complement"):
             dom = PolyDomain.from_halfspaces(halfspaces, region=region)
             _, want = _oracles.exact_dihedral_angle(gmat, *dom.normals, region)
@@ -616,7 +617,8 @@ class TestDihedralAngle:
         normals = rng.normal(size=(2, n))
         dom = PolyDomain.from_halfspaces([(a, 0.0) for a in normals], region=region,
                                          validate=False)
-        pts = rng.normal(size=(_ARRAY_POINTS + 5, n - 2)) @ _nullspace(dom.normals).T
+        basis = np.reshape(_nullspace(dom.normals), (-1, n))
+        pts = rng.normal(size=(_ARRAY_POINTS + 5, n - 2)) @ basis
         got = _dihedral_angles(g, dom, 0, 1, pts)
         assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got.tolist()
         for theta, x in zip(got.tolist(), pts):
@@ -674,6 +676,49 @@ class TestGaussBonnet:
             gauss_bonnet_defect(euclidean_metric(3), unit_cube())
 
 
+def axis_rows(n, numpy_signs):
+    """The rows +-e_i of length n: negated by numpy (zeros become -0.0), or
+    written as literals (zeros stay 0.0)."""
+    eye = np.eye(n)
+    neg = [-row for row in eye] if numpy_signs else [
+        np.array([-1.0 if d == i else 0.0 for d in range(n)]) for i in range(n)]
+    return [row.tolist() for row in [*eye, *neg]]
+
+
+class TestNullspace:
+    @pytest.mark.parametrize("numpy_signs", [True, False], ids=["negated", "literal"])
+    def test_axis_aligned_rows_give_the_svd_basis(self, numpy_signs):
+        """Bit for bit the SVD basis, signs included, on the 58 sets of one
+        row or two orthogonal rows +-e_i (n = 2..4), in either row order:
+        sample charts on boxes do not move."""
+        sets = set()
+        for n in (2, 3, 4):
+            rows = axis_rows(n, numpy_signs)
+            for k in (1, 2):
+                for combo in itertools.permutations(range(2 * n), k):
+                    if len({t % n for t in combo}) == k:
+                        sets.add((n, tuple(sorted(combo))))
+                        got = np.reshape(_nullspace([rows[t] for t in combo]), (-1, n)).T
+                        want = _oracles.svd_nullspace([rows[t] for t in combo])
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+        assert len(sets) == 58
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_rows_span_the_null_space(self, seed):
+        """Orthonormal, of the SVD's dimension and annihilated by the rows,
+        each within 1e-15."""
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+            rows = rng.normal(size=(k, n))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            got = np.reshape(_nullspace(rows.tolist()), (-1, n))
+            assert len(got) == _oracles.svd_nullspace(rows).shape[1] == n - k
+            assert np.abs(got @ got.T - np.eye(n - k)).max(initial=0.0) <= 1e-15
+            assert np.abs(rows @ got.T).max(initial=0.0) <= 1e-15
+
+
 class TestPolyDomain:
     def test_empty_interior_rejected(self):
         with pytest.raises(DomainError):
@@ -690,6 +735,16 @@ class TestPolyDomain:
     def test_vertices_of_square(self):
         v = unit_square().vertices()
         assert len(v) == 4
+
+    def test_vertices_far_beyond_the_rounding_scale_stay_finite(self):
+        # v * 1e9 overflows above about 1.8e299; such coordinates are kept
+        big = 1.0000000000000002e300
+        strip = PolyDomain.from_halfspaces([((1.0, 0.0), 1e300), ((-1.0, 0.0), -big),
+                                            ((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0)])
+        assert strip.vertices().tolist() == [[1e300, 0.0], [1e300, 1.0], [big, 0.0], [big, 1.0]]
+        square = PolyDomain.from_halfspaces([((1.0, 0.0), -1e300), ((-1.0, 0.0), -1e300),
+                                             ((0.0, 1.0), -1e300), ((0.0, -1.0), -1e300)])
+        assert np.array_equal(np.abs(square.vertices()), np.full((4, 2), 1e300))
 
     def test_vertices_enumerated_once_per_domain(self, monkeypatch):
         prop = PolyDomain.__dict__["_vertex_array"]
