@@ -3,20 +3,18 @@ on metric polyhedral domains.
 
 Modules:
 
-- ``expressions``      scalar expression parser / evaluator (on ``math``)
-                       and metric fields; numpy loads only where jets or
-                       metric matrices are built
+- ``expressions``      scalar expression parser / evaluator and exact jets
+                       at one point (on ``math``) and metric fields
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
-                       second fundamental forms, dihedral angles, Gauss-Bonnet,
-                       conformal identities; domains (validation, vertices),
-                       face forms and angles on floats, so ``angles`` loads
-                       no numpy (array code imports it when it runs)
+                       second fundamental forms, dihedral angles, Gauss-Bonnet
+                       (Gauss-Legendre product rules), conformal identities,
+                       domains (validation, vertices), all on floats; numpy
+                       loads only where a function returns an array
 - ``clifford``         concrete Clifford modules, boundary projectors, the
                        Clifford/exterior-form dictionary and the endomorphism
                        PSD certificates
 - ``comparison``       map norms, stratum sampling, hypothesis / conclusion
-                       margin reports; on floats where the metrics are
-                       constant, so such a ``compare`` loads no numpy
+                       margin reports, on floats
 - ``sector_spectra``   closed-form and discretized spectra of the arc-link
                        operator, modified Bessel deficiency test (Gauss-
                        Legendre panels summed with ``math.fsum``), Hardy bound

@@ -130,6 +130,9 @@ def _finish(report: dict, output: str | None, verdict: bool | None) -> int:
 
 def _guard(command, values: dict) -> int:
     try:
+        # every verdict gate: a nan, infinite or negative --tol is bad input
+        if not 0.0 <= values.get("tol", 0.0) < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {values['tol']}")
         return command(**values)
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -457,8 +460,8 @@ def sector(alpha, beta, grid, count, tol, csv_path, output):
     from .sector_spectra import (SectorPair, esa_verdict, p_spectrum_closed,
                                  p_spectrum_numeric)
 
-    if count < 1 or not 0.0 <= tol < math.inf:
-        raise ValueError(f"need count >= 1 and a finite tol >= 0, got {count}, {tol}")
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
     pair = SectorPair(alpha, beta)
     closed = p_spectrum_closed(pair, range(-count, count + 1))
     report = {

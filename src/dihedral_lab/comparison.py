@@ -7,12 +7,10 @@ hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
 ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
 (interior, every mapped face, every edge between mapped faces) is sampled
 and jetted once, on floats, where the face correspondence is checked.
-Curvature runs as one curvature-kernel batch per stratum and metric: a
-constant metric is evaluated once, on floats, for every point, and a metric
-that varies runs on arrays (numpy is imported then).  The singular values
-of df and the face forms run per point on floats when both metrics are
-constant, else once on arrays over the stratum's points, so a scene whose
-metrics are constant never loads numpy.
+Everything runs on floats: the curvature kernel, face forms and dihedral
+angles of a stratum are evaluated once for a constant metric and at each
+point for a metric that varies, and the singular values of df at each
+point, so ``compare`` never loads numpy.
 
 The conformal identities of the rigidity argument live in ``curvature``,
 which runs them on floats; the PSD certificates behind the interior and
@@ -29,7 +27,6 @@ from operator import add, index, mul
 from .curvature import (
     DomainError,
     PolyDomain,
-    _dihedral_angles,
     _face_forms,
     _first_order,
     _householder,
@@ -38,7 +35,7 @@ from .curvature import (
     curvature_tensors,  # bound here too: perfbench's tracer test patches this binding
     dihedral_angle,
 )
-from .expressions import Expr, MetricField, _any, metric_from_scene, parse_expression
+from .expressions import Expr, MetricField, metric_from_scene, parse_expression
 
 __all__ = [
     "DfNorms",
@@ -92,37 +89,30 @@ def df_norms(jac) -> DfNorms:
 
 
 def _singular_values(rows: list) -> list:
-    """Singular values of the matrix with ``rows``, largest first, on floats
-    or on arrays over points: one-sided Jacobi rotations (Hestenes) on its
-    rows, or on its columns where they are fewer, until every pair is
-    orthogonal to working precision (at every point)."""
+    """Singular values of the matrix with ``rows``, largest first: one-sided
+    Jacobi rotations (Hestenes) on its rows, or on its columns where they
+    are fewer, until every pair is orthogonal to working precision."""
     vecs = [list(c) for c in zip(*rows)] if len(rows) > len(rows[0]) else [*map(list, rows)]
     for _ in range(60):
         done = True
         for i, j in combinations(range(len(vecs)), 2):
             u, v = vecs[i], vecs[j]
             c, a, b = reduce(add, map(mul, u, v), 0.0), _dot(u, u), _dot(v, v)
-            turn = abs(c) > 1e-15 * a ** 0.5 * b ** 0.5
-            if not _any(turn):
+            if not abs(c) > 1e-15 * a ** 0.5 * b ** 0.5:
                 continue
             done = False
-            # tan of the angle that makes u, v orthogonal, 0 where they are;
-            # d and c scaled by |d| + |c| (1 where both are 0) keep it finite
+            # tan of the angle that makes u, v orthogonal; d and c scaled by
+            # |d| + |c| > 0 keep it finite
             d = 0.5 * (b - a)
             size = abs(d) + abs(c)
-            d, c = d / (size + (size == 0.0)), c / (size + (size == 0.0))
-            t = turn * c / (d + ((d >= 0.0) * 2.0 - 1.0) * (d * d + c * c) ** 0.5)
+            d, c = d / size, c / size
+            t = c / (d + (1.0 if d >= 0.0 else -1.0) * (d * d + c * c) ** 0.5)
             cs = 1.0 / (1.0 + t * t) ** 0.5
             vecs[i] = [cs * (p - t * q) for p, q in zip(u, v)]
             vecs[j] = [cs * (t * p + q) for p, q in zip(u, v)]
         if done:
             break
-    norms = [reduce(add, [p * p for p in vec], 0.0) ** 0.5 for vec in vecs]
-    if type(norms[0]) is float:
-        return sorted(norms, reverse=True)
-    import numpy as np
-
-    return list(np.sort(norms, axis=0)[::-1])
+    return sorted((reduce(add, [p * p for p in vec], 0.0) ** 0.5 for vec in vecs), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -446,36 +436,34 @@ def _trace(mat: list):
     return reduce(add, [row[a] for a, row in enumerate(mat)], 0.0)
 
 
-def _kernel(g: MetricField, pts: list, scalar: bool = False) -> tuple:
-    """Cholesky factor, metric, inverse and Christoffel bracket of ``g`` at
-    ``pts``, and with ``scalar`` its scalar curvature: one curvature-kernel
-    batch, whose components are floats for a constant metric and arrays
-    over the points otherwise."""
-    gm, ginv, d2g, bracket, gamma, low = _first_order(g, pts)
-    return low, gm, ginv, bracket, _riemann(ginv, d2g, bracket, gamma)[2] if scalar else None
+def _at_points(g: MetricField, pts: list, value) -> list:
+    """``value(x)`` at each point of ``pts``: once, at the first point, for
+    a constant metric ``g``, else at every point."""
+    if not _constant(g):
+        return [value(x) for x in pts]
+    return [value(pts[0])] * len(pts) if pts else []
 
 
-def _per_point(value, jacs: list, batch: bool) -> list:
-    """``value`` of the Jacobian (k rows of n components) at each point: on
-    floats point by point, or with ``batch`` once on arrays over the points."""
-    if not batch:
-        return [value(jac) for jac in jacs]
-    import numpy as np
-
-    return value([list(row) for row in np.array(jacs).transpose(1, 2, 0)]).tolist()
+def _kernel(g: MetricField, pts: list, value) -> list:
+    """``(L, value(gm, ginv, d2g, bracket, gamma))`` at each point of ``pts``,
+    from the curvature kernel of ``g`` there, L its Cholesky factor."""
+    def at(x):
+        gm, ginv, d2g, bracket, gamma, low = _first_order(g, x)
+        return low, value(gm, ginv, d2g, bracket, gamma)
+    return _at_points(g, pts, at)
 
 
 def _edge_angles(g: MetricField, domain: PolyDomain, i: int, j: int, pts: list) -> list:
-    """Dihedral angles of faces (i, j) at the edge points ``pts``: one
-    kernel call for a constant metric, else the kernel's point batch."""
-    if not _constant(g):
-        import numpy as np
-
-        return _dihedral_angles(g, domain, i, j, np.array(pts)).tolist()
+    """Dihedral angles of faces (i, j) at the edge points ``pts``."""
     for x in pts:
         if not domain.on_edge(i, j, x):
             raise DomainError(f"point {list(x)} is not on edge ({i + 1}, {j + 1})")
-    return [dihedral_angle(g, domain, i, j, pts[0])] * len(pts) if pts else []
+    return _at_points(g, pts, lambda x: dihedral_angle(g, domain, i, j, x))
+
+
+def _wedge2(sv: list) -> float:
+    """``|^2 df|`` from the singular values of df, largest first."""
+    return sv[0] * sv[1] if len(sv) > 1 else 0.0
 
 
 def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
@@ -519,7 +507,7 @@ def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
 
 def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
     """Rows (name, stratum, point, hypothesis_margin, equality_residual),
-    one batch per stratum: interior points, then each face, then each edge; a
+    stratum by stratum: interior points, then each face, then each edge; a
     face or edge reads the first per_face / per_edge points of its stratum."""
     f = scene.corner_map
     src, dst = scene.domain_src, scene.domain_dst
@@ -529,30 +517,29 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
     def extend(name, stratum, pts, gaps):
         rows.extend((name, stratum, x, gap, abs(gap)) for x, gap in zip(pts, gaps))
 
-    # per point on floats when both metrics are constant, else on arrays
-    batch = not (_constant(scene.metric_src) and _constant(scene.metric_dst))
+    def scalar(gm, ginv, d2g, bracket, gamma):
+        return _riemann(ginv, d2g, bracket, gamma)[2]
+
+    def mean(domain, face):
+        return lambda gm, ginv, d2g, bracket, gamma: _trace(
+            _face_forms(domain, face, gm, ginv, bracket)[0])
+
     xs = _sample(src, "interior", spec.interior, spec.seed)
     fxs, jacs = f.jet(xs)
-    low_src, *_, sc_src = _kernel(scene.metric_src, xs, scalar=True)
-    low_dst, *_, sc_dst = _kernel(scene.metric_dst, fxs, scalar=True)
-
-    def scalar_gap(jac):
-        sv = _singular_values(_tilted(low_src, low_dst, jac))
-        return sc_src - (sv[0] * sv[1] if len(sv) > 1 else 0.0) * sc_dst
-
-    extend("scalar", "interior", xs, _per_point(scalar_gap, jacs, batch))
+    extend("scalar", "interior", xs, [
+        sc_src - _wedge2(_singular_values(_tilted(low_src, low_dst, jac))) * sc_dst
+        for (low_src, sc_src), (low_dst, sc_dst), jac in zip(
+            _kernel(scene.metric_src, xs, scalar), _kernel(scene.metric_dst, fxs, scalar), jacs)])
     for i, j, ys, fys, jacs in faces:
         ys, fys, jacs = ys[:spec.per_face], fys[:spec.per_face], jacs[:spec.per_face]
         for y in fys:
             if not dst.on_face(j, y):
                 raise DomainError(f"point {list(y)} is not on face {j + 1}")
-        low_src, gm, ginv, bracket, _ = _kernel(scene.metric_src, ys)
-        h_src = _trace(_face_forms(src, i, gm, ginv, bracket)[0])
-        low_dst, gm, ginv, bracket, _ = _kernel(scene.metric_dst, fys)
-        h_dst = _trace(_face_forms(dst, j, gm, ginv, bracket)[0])
-        extend("mean_curvature", f"face:{i + 1}", ys, _per_point(
-            lambda jac: h_src - _singular_values(_tilted(low_src, low_dst, jac))[0] * h_dst,
-            jacs, batch))
+        extend("mean_curvature", f"face:{i + 1}", ys, [
+            h_src - _singular_values(_tilted(low_src, low_dst, jac))[0] * h_dst
+            for (low_src, h_src), (low_dst, h_dst), jac in zip(
+                _kernel(scene.metric_src, ys, mean(src, i)),
+                _kernel(scene.metric_dst, fys, mean(dst, j)), jacs)])
     for i, j, zs, fzs in edges:
         zs, fzs = zs[:spec.per_edge], fzs[:spec.per_edge]
         stratum = f"edge:{i + 1},{j + 1}"

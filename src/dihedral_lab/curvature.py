@@ -20,13 +20,14 @@ Conventions (fixed here, tested against symbolic oracles):
 
 All metric derivatives are exact second-order jets of the underlying
 expressions (see :mod:`dihedral_lab.expressions`).  One curvature kernel
-(``_first_order``, ``_riemann``) runs on components that are floats at one
-point or arrays over a batch of points, g^-1 from a Cholesky factor whose
-pivots check positive definiteness; ``_curvature`` stacks a batch into
-arrays.  Domains are stored, validated and enumerated, and face forms and
-dihedral angles computed, on floats, so ``curvature_tensors``, the conformal
-identities and ``angles`` never load numpy; numpy is imported by the
-functions that build arrays, when they run.
+(``_first_order``, ``_riemann``) runs on floats at one point, g^-1 from a
+Cholesky factor whose pivots check positive definiteness.  Domains are
+stored, validated and enumerated, face forms and dihedral angles computed,
+and Gauss-Bonnet integrated by Gauss-Legendre product rules, on floats, so
+``curvature_tensors``, the conformal identities, ``angles`` and
+``gauss_bonnet_defect`` never load numpy; it is imported by the functions
+that return arrays (``vertices``, ``FaceGeometry``, the curvature
+operator), when they run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, reduce
 from itertools import combinations, product
-from operator import add, and_, mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .expressions import (
@@ -42,10 +43,7 @@ from .expressions import (
     Expr,
     MetricField,
     MetricNotPositiveDefinite,
-    _any,
-    _columns,
     _full,
-    _stacked,
     parse_expression,
     scene_dim,
 )
@@ -65,6 +63,7 @@ __all__ = [
     "face_geometry",
     "hypersurface_geometry",
     "dihedral_angle",
+    "metric_at",
     "gauss_bonnet_defect",
     "orthonormal_frame",
 ]
@@ -99,7 +98,7 @@ class PolyDomain:
 
     # a the unit normals as k float tuples, b the k offsets, window an
     # optional ((lo...), (hi...)) sampling box; __dict__ holds the cached
-    # _vertex_array and the arrays normals (k, n), offsets (k,) and _vertices
+    # _solutions, _vertex_array and the array _vertices
     __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
     def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
@@ -164,20 +163,6 @@ class PolyDomain:
             raise DomainError("half-space dimension disagrees with 'dim'")
         return dom
 
-    @cached_property
-    def normals(self) -> np.ndarray:
-        """The unit normals as a ``(k, n)`` array."""
-        import numpy as np
-
-        return np.array(self.a, dtype=float)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """The offsets of the unit normals as a ``(k,)`` array."""
-        import numpy as np
-
-        return np.array(self.b, dtype=float)
-
     def _validate(self) -> None:
         """Nonempty interior of the convex cell; every face supports it.
 
@@ -207,7 +192,7 @@ class PolyDomain:
         lifted = [(*row, -1.0) for row in a_r] + [(0.0,) * rank + (t,) for t in (1.0, -1.0)]
         if not any(y[-1] > _FEAS_TOL for y in _basic_solutions(lifted, (*self.b, 0.0, -1.0))):
             raise DomainError("domain has empty interior")
-        verts = list(_basic_solutions(a_r, self.b))
+        verts = self._solutions if rank == self.dim else list(_basic_solutions(a_r, self.b))
         for f, (row, t) in enumerate(zip(a_r, self.b)):
             if not any(s <= tol for s, tol in (_slack(row, t, y) for y in verts)):
                 raise DomainError(f"face {f} does not support the domain")
@@ -216,37 +201,10 @@ class PolyDomain:
     def face_count(self) -> int:
         return len(self.b)
 
-    def slacks(self, x: Sequence[float]) -> np.ndarray:
-        """``<a_i, x> - b_i`` for every face (leading point axes broadcast),
-        summed left to right like ``_on_faces_at``."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)[..., None, :]
-        return reduce(add, (x[..., m] * self.normals[:, m] for m in range(self.dim)),
-                      0.0) - self.offsets
-
-    def contains(self, x: Sequence[float], tol: float = 1e-12):
-        import numpy as np
-
-        s = self.slacks(x)
-        if self.region == "intersection":
-            return np.all(s >= -tol, axis=-1)
-        return np.any(s <= tol, axis=-1)
-
-    def on_faces(self, faces: list, x: Sequence[float], tol: float = 1e-9):
-        """Whether ``x`` lies on every face in ``faces`` and on the inner side
-        of the other supporting planes, up to ``tol`` (leading point axes
-        broadcast)."""
-        import numpy as np
-
-        s = self.slacks(x)
-        tight = np.zeros(self.face_count, dtype=bool)
-        tight[faces] = True
-        return np.all(np.where(tight, np.abs(s) <= tol, s >= -tol), axis=-1)
-
     def _on_faces_at(self, faces: tuple, x: Sequence[float], tol: float) -> bool:
-        """``on_faces`` for one point of the chart, on floats; face indices
-        count from the end when negative, as in ``on_faces``."""
+        """Whether ``x`` lies on every face in ``faces`` and on the inner side
+        of the other supporting planes, up to ``tol``; face indices count
+        from the end when negative."""
         tight = {range(self.face_count)[f] for f in faces}
         slacks = (reduce(add, map(mul, row, x), 0.0) - t for row, t in zip(self.a, self.b))
         return len(x) == self.dim and all(abs(s) <= tol if f in tight else s >= -tol
@@ -259,6 +217,12 @@ class PolyDomain:
         return self._on_faces_at((i, j), x, tol)
 
     @cached_property
+    def _solutions(self) -> list:
+        """The basic solutions of the normals and offsets, enumerated once for
+        the validation of a full-rank cell and its vertices."""
+        return list(_basic_solutions(self.a, self.b))
+
+    @cached_property
     def _vertex_array(self) -> memoryview:
         # np.unique(np.round(v, 9), axis=0) on floats, where v * 1e9 is finite
         # (of rows equal up to signed zeros the first), as a read-only (k, n)
@@ -266,7 +230,7 @@ class PolyDomain:
         from array import array
 
         rows = sorted(tuple(math.copysign(round(v * 1e9), v) / 1e9 if abs(v) < 1e299 else v
-                            for v in y) for y in _basic_solutions(self.a, self.b))
+                            for v in y) for y in self._solutions)
         flat = array("d", [v for t, y in enumerate(rows) if not t or y != rows[t - 1]
                            for v in y])
         view = memoryview(flat).toreadonly()
@@ -417,8 +381,8 @@ class CurvaturePack:
 
 def _cholesky(gm) -> list:
     """Rows of the lower Cholesky factor L of the metric with lower triangle
-    ``gm[r][c]`` (c <= r), on floats or arrays alike; a non-positive pivot
-    leaves nan for the caller to report."""
+    ``gm[r][c]`` (c <= r); a non-positive pivot leaves nan for the caller to
+    report."""
     low = []
     for r in range(len(gm)):
         row = []
@@ -432,23 +396,16 @@ def _cholesky(gm) -> list:
     return low
 
 
-def _first_order(g: MetricField, pts):
+def _first_order(g: MetricField, x: Sequence[float]):
     """Metric ``gm[i][j]``, inverse, ``d2g[i][j][a][b] = d_a d_b g_ij``, the
     Christoffel bracket ``bracket[i][j][l]`` (twice the first-kind symbols),
-    Gamma^k_{ij} as ``gamma[k][i][j]`` and the rows of the Cholesky factor,
-    at one point (n floats) or at the rows of an ``(m, n)`` array or a list
-    of points, as nested lists of floats or ``(m,)`` arrays; a metric with
-    no variable gives floats for a batch too."""
-    batch = hasattr(pts[0], "__len__")
-    point = tuple(map(float, pts[0] if batch else pts))
-    varying = batch and any(e.max_var() for e in g.entries.values())
-    gm, dg, d2g = g.jet_parts(_columns(pts) if varying else point)
+    Gamma^k_{ij} as ``gamma[k][i][j]`` and the rows of the Cholesky factor
+    at the point ``x``, as nested lists of floats."""
+    point = tuple(map(float, x))
+    gm, dg, d2g = g.jet_parts(point)
     low = _cholesky(gm)
-    ok = reduce(and_, [row[-1] > 0.0 for row in low])  # nan at a failed pivot
-    if not (ok if type(ok) is bool else ok.all()):
-        p = 0 if type(ok) is bool else int(ok.argmin())  # the first bad point
-        raise _not_positive_definite([float(v) for v in (pts[p] if batch else point)], [
-            [v if type(v) is float else float(v[p]) for v in row] for row in gm])
+    if not all(row[-1] > 0.0 for row in low):  # nan at a failed pivot
+        raise _not_positive_definite(list(point), gm)
     n, axes = g.dim, range(g.dim)
     inv = []  # rows of L^-1
     for r, row in enumerate(low):
@@ -487,18 +444,20 @@ def _riemann(ginv, d2g, bracket, gamma):
     return r, ricci, scalar
 
 
-def _curvature(g: MetricField, pts: np.ndarray):
-    """Metric, inverse, Gamma, Riemann, Ricci and scalar curvature at the
-    rows of ``pts``, each an array with a leading point axis."""
-    gm, ginv, d2g, bracket, gamma, _ = _first_order(g, pts)
-    return _stacked(len(pts), gm, ginv, gamma, *_riemann(ginv, d2g, bracket, gamma))
-
-
 def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     """Full curvature data of ``g`` at an interior chart point, on floats."""
     x = tuple(float(v) for v in x)
     gm, ginv, d2g, bracket, gamma, _ = _first_order(g, x)
     return CurvaturePack(x, gm, ginv, bracket, gamma, *_riemann(ginv, d2g, bracket, gamma))
+
+
+def metric_at(g: MetricField, x: Sequence[float]) -> list:
+    """The metric at ``x`` as n rows of floats; raises
+    :class:`MetricNotPositiveDefinite` if it is not positive definite there."""
+    gm = g.matrix_at(x)
+    if not all(row[-1] > 0.0 for row in _cholesky(gm)):
+        raise _not_positive_definite(list(x), gm)
+    return gm
 
 
 def orthonormal_frame(gmat) -> np.ndarray:
@@ -576,8 +535,8 @@ def _nullspace(rows: Sequence[Sequence[float]]) -> list:
 
 
 def _g_orthonormal(vectors: Sequence, gmat: list) -> list:
-    """Gram-Schmidt on ``vectors`` in the metric ``gmat`` (nested lists), in
-    order, on floats or on arrays over points."""
+    """Gram-Schmidt on ``vectors`` in the metric ``gmat`` (nested lists of
+    floats), in order."""
     out, lowered = [], []  # and g times each
     for v in vectors:
         for e, ge in zip(out, lowered):
@@ -585,7 +544,7 @@ def _g_orthonormal(vectors: Sequence, gmat: list) -> list:
             v = [q - p * t for q, t in zip(v, e)]
         gv = [reduce(add, map(mul, row, v), 0.0) for row in gmat]
         size = _root(reduce(add, map(mul, v, gv), 0.0))
-        if _any(size < 1e-14):
+        if size < 1e-14:
             raise DomainError("degenerate tangent basis")
         out.append([q / size for q in v])
         lowered.append([q / size for q in gv])
@@ -595,8 +554,8 @@ def _g_orthonormal(vectors: Sequence, gmat: list) -> list:
 def _face_forms(domain: PolyDomain, i: int, gmat: list, ginv: list, bracket: list):
     """Second fundamental form, g-orthonormal tangent basis (a list of n - 1
     vectors) and inner unit normal of face ``i`` from the metric, its
-    inverse and the Christoffel bracket as ``_first_order`` gives them: on
-    floats at one point, or on arrays over points of the face."""
+    inverse and the Christoffel bracket as ``_first_order`` gives them at
+    one point of the face."""
     nu = [reduce(add, map(mul, row, domain.a[i])) for row in ginv]
     sign = 1.0 if domain.region == "intersection" else -1.0
     size = _root(reduce(add, [p * reduce(add, map(mul, row, nu), 0.0)
@@ -657,9 +616,11 @@ def hypersurface_geometry(
     u = [float(v) for v in u]
     if len(u) != m:
         raise DomainError(f"chart parameters must have {m} components")
-    jets = [e.jet(np.atleast_2d(u)) for e in exprs]
+    jets = [e.jet_parts(tuple(u)) for e in exprs]
     # position, jac[k, a] = d_a sigma^k and hess[k, a, b] = d_a d_b sigma^k
-    pos, jac, hess = (np.array([jet[part][0] for jet in jets]) for part in range(3))
+    pos = np.array([value for value, _, _ in jets])
+    jac = np.array([grad for _, grad, _ in jets])
+    hess = np.array([_full(entries, m) for _, _, entries in jets])
     gmat, _, _, bracket = map(np.array, _first_order(g, pos)[:4])
     # g-normal: null space of (tangent^T g)
     null = np.linalg.svd(jac.T @ gmat)[2][-1]
@@ -751,7 +712,6 @@ def conformal_identities(
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1, for Dekker's split
-_ARRAY_POINTS = 12  # edge stacks of at least this many points run on arrays
 
 
 def _halves(v):
@@ -797,11 +757,8 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float]):
     (``_dot2``), the factor ``T = L (I - 1/2 L^-1 D L^-T)`` satisfies
     T T^T = g to second order and ``T^-1 a = z + L^-1 (r + 1/2 D L^-T z)``,
     so theta is within a few eps of the angle of the given floats while
-    eps^2 cond(g)^2 stays below eps.
-
-    Only + - * / and ``_root`` touch the metric, so its entries may be
-    floats or arrays over a point axis, which round alike.  A non-positive
-    pivot leaves nan; the caller checks that the diagonal is > 0.
+    eps^2 cond(g)^2 stays below eps.  A non-positive pivot leaves nan; the
+    caller checks that the diagonal is > 0.
     """
     n = len(a_i)
     low = _cholesky(gm)
@@ -841,21 +798,9 @@ def _corner(gm, a_i: Sequence[float], a_j: Sequence[float]):
             _root(reduce(add, [(p - q) * (p - q) for p, q in zip(u, v)])))
 
 
-def _root(v):
-    """Square root of a float or an array, nan at a non-positive entry (a
-    failed pivot)."""
-    if type(v) is float:
-        return math.sqrt(v) if v > 0.0 else math.nan
-    import numpy as np
-
-    return np.sqrt(np.where(v > 0.0, v, np.nan))
-
-
-def _metric_lower(g: MetricField, x: Sequence[float]) -> list:
-    """Lower triangle ``gm[r][c]`` (c <= r) of the metric at ``x``, on the
-    value path, its entries evaluated in the order ``matrix_at`` takes."""
-    values = {key: e.eval(x) for key, e in g.entries.items()}
-    return [[values[c, r] for c in range(r + 1)] for r in range(g.dim)]
+def _root(v: float) -> float:
+    """Square root, nan at a non-positive value (a failed pivot)."""
+    return math.sqrt(v) if v > 0.0 else math.nan
 
 
 def _not_positive_definite(x: list, gm: list) -> MetricNotPositiveDefinite:
@@ -873,42 +818,6 @@ def _degenerate(cosang: float) -> DegenerateCornerError:
         f"degenerate corner: normals are parallel (cos = {cosang:.6f})")
 
 
-def _dihedral_angles(g: MetricField, domain: PolyDomain, i: int, j: int,
-                     pts: np.ndarray) -> np.ndarray:
-    """``dihedral_angle`` at the rows of a ``(k, n)`` stack of edge points:
-    the same float kernel, per point below ``_ARRAY_POINTS`` points and on
-    arrays over the point axis from there on, bit for bit."""
-    import numpy as np
-
-    if i == j:
-        raise DomainError("need two distinct faces")
-    off = ~domain.on_faces([i, j], pts)
-    if off.any():
-        raise DomainError(f"point {pts[np.argmax(off)].tolist()} is not on edge "
-                          f"({i + 1}, {j + 1})")
-    points = pts.tolist()
-    metrics = [_metric_lower(g, x) for x in points]
-    if len(points) < _ARRAY_POINTS:  # fewer: numpy's cost per call dominates
-        diag, cosang, chord, sum_chord = (np.array(part) for part in zip(
-            *(_corner(m, domain.a[i], domain.a[j]) for m in metrics)))
-        bad = ~np.all(diag > 0.0, axis=1)
-    else:
-        gm = [[np.array([m[r][c] for m in metrics]) for c in range(r + 1)]
-              for r in range(domain.dim)]
-        with np.errstate(all="ignore"):  # a failed pivot leaves nan, reported below
-            diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j])
-        bad = ~np.all([d > 0.0 for d in diag], axis=0)
-    if bad.any():
-        p = int(np.argmax(bad))  # the first bad point
-        raise _not_positive_definite(points[p], metrics[p])
-    parallel = np.abs(cosang) >= 1.0 - 1e-12
-    if parallel.any():
-        raise _degenerate(cosang[parallel][0])
-    if domain.region != "intersection":
-        sum_chord = -sum_chord
-    return np.array([2.0 * math.atan2(s, c) for s, c in zip(chord.tolist(), sum_chord.tolist())])
-
-
 def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
                    x: Sequence[float]) -> float:
     """Dihedral angle of faces (i, j) at an edge point, in (0, pi) u (pi, 2 pi).
@@ -923,7 +832,7 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
     x = [float(v) for v in x]
     if not domain.on_edge(i, j, x):
         raise DomainError(f"point {x} is not on edge ({i + 1}, {j + 1})")
-    gm = _metric_lower(g, x)
+    gm = g.matrix_at(x)
     diag, cosang, chord, sum_chord = _corner(gm, domain.a[i], domain.a[j])
     if not all(d > 0.0 for d in diag):
         raise _not_positive_definite(x, gm)
@@ -938,34 +847,60 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
 # Gauss-Bonnet on 2-D polygons
 # ---------------------------------------------------------------------------
 
-_TRI_QUAD_POINTS = (
-    (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0),
-    (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0),
-    (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0),
-)  # barycentric, degree-2 rule with equal weights 1/3
+_GB_NODES = 8  # Gauss-Legendre nodes per direction at most
+
+
+def _gauss_legendre(n: int) -> list:
+    """``(node, weight)`` of the n-point Gauss-Legendre rule moved to [0, 1],
+    nodes ascending: Newton's method on P_n from ``cos(pi (k - 1/4) / (n +
+    1/2))``, weights ``2 / ((1 - x^2) P_n'(x)^2)`` halved."""
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = 1.0, x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    rule = []
+    for k in range(n, 0, -1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(10):  # converged to rounding after 4 or 5 steps at n <= 8
+            p, dp = legendre(x)
+            x -= p / dp
+        dp = legendre(x)[1]
+        rule.append((0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)))
+    return rule
 
 
 def _polygon_structure(domain: PolyDomain):
-    """Ordered vertex loop of a bounded convex 2-D domain, with the
-    supporting face index of each edge."""
-    import numpy as np
-
+    """The vertex centroid of a bounded convex 2-D domain and its edges
+    ``(p, q, face)`` in counterclockwise order (vertices sorted by angle
+    about the centroid), ``face`` the index of least |slack| at the edge
+    midpoint and p, q where it meets the faces of the edges before and
+    after: the enumerated vertices, rounded to 9 decimals, lie up to 5e-10
+    off the faces, which the defect would measure."""
     if domain.dim != 2:
         raise DomainError("Gauss-Bonnet needs a 2-D domain")
     if domain.region != "intersection":
         raise DomainError("Gauss-Bonnet supports convex domains only")
-    verts = domain.vertices()
+    verts = domain._vertex_array.tolist()
     if len(verts) < 3:
         raise DomainError("domain is not a bounded polygon")
-    center = verts.mean(axis=0)
-    order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
-    loop = verts[order]
-    ahead = np.roll(loop, -1, axis=0)
-    slack = np.abs(domain.slacks(0.5 * (loop + ahead)))  # at the edge midpoints
-    faces = np.argmin(slack, axis=1)
-    if np.any(slack[np.arange(len(loop)), faces] > 1e-7 * max(1.0, domain.diameter())):
-        raise DomainError("polygon edge does not lie on a face")
-    return loop, list(zip(loop, ahead, faces.tolist()))
+    center = [math.fsum(c) / len(verts) for c in zip(*verts)]
+    loop = sorted(verts, key=lambda v: math.atan2(v[1] - center[1], v[0] - center[0]))
+    tol = 1e-7 * max(1.0, domain.diameter())
+    faces = []
+    for p, q in zip(loop, loop[1:] + loop[:1]):
+        mid = [0.5 * (u + v) for u, v in zip(p, q)]
+        slack = [abs(reduce(add, map(mul, row, mid)) - t) for row, t in zip(domain.a, domain.b)]
+        faces.append(min(range(len(slack)), key=slack.__getitem__))
+        if slack[faces[-1]] > tol:
+            raise DomainError("polygon edge does not lie on a face")
+    corners = []
+    for f, h in zip(faces[-1:] + faces[:-1], faces):
+        (a, b), (c, d), (s, t) = domain.a[f], domain.a[h], (domain.b[f], domain.b[h])
+        det = a * d - b * c
+        corners.append([(s * d - b * t) / det, (a * t - c * s) / det])
+    return center, list(zip(corners, corners[1:] + corners[:1], faces))
 
 
 def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
@@ -975,46 +910,35 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
         integral_D K dA + integral_bd k_g ds + sum_v (pi - theta_v) - 2 pi chi.
 
     Vanishes analytically; the return value measures the quadrature error.
+    With n = min(resolution, 8) Gauss-Legendre nodes per direction, each
+    triangle (c, p, q) of the fan from the vertex centroid c takes the n x n
+    product rule through the collapsed square ``(a, b) -> c + a (p - c) +
+    a b (q - p)``, of Jacobian ``a |det(p - c, q - c)|`` (Karniadakis &
+    Sherwin, *Spectral/hp Element Methods for CFD*, 2nd ed., 2005), and each
+    edge n nodes; K dA is ``Sc / 2 sqrt(det g)``, k_g ds the second
+    fundamental form of the edge times its g-length, and the four sums are
+    added exactly (``math.fsum``).
     """
-    import numpy as np
-
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    loop, edges = _polygon_structure(domain)
-    center = loop.mean(axis=0)
-
-    # the triangle u, v >= 0, u + v <= 1 cut into resolution^2 congruent cells
-    lower = [[(r, s), (r + 1, s), (r, s + 1)]
-             for r in range(resolution) for s in range(resolution - r)]
-    upper = [[(r + 1, s), (r + 1, s + 1), (r, s + 1)]
-             for r in range(resolution) for s in range(resolution - r - 1)]
-    # (u, v) of the quadrature points, three consecutive ones per cell
-    nodes = np.array(_TRI_QUAD_POINTS) @ (np.array(lower + upper, dtype=float) / resolution)
-    nodes = nodes.reshape(-1, 2)
-    area_term = 0.0
-    for p, q, _ in edges:
-        # triangle (center, p, q), one curvature batch per triangle
-        legs = np.array([p - center, q - center])
-        gmat, _, _, _, _, scalar = _curvature(g, center + nodes @ legs)
-        cell_area = 0.5 * abs(np.linalg.det(legs)) / resolution**2
-        dens = np.sqrt(np.linalg.det(gmat))
-        area_term += (cell_area / 3.0) * float(np.sum(0.5 * scalar * dens))
-
-    # Gauss-Legendre nodes on every edge, one batch for the whole boundary
-    param, weight = np.polynomial.legendre.leggauss(max(8, 2 * resolution))
-    rows = [(p + t * (q - p), q - p, domain.normals[face], w) for p, q, face in edges
-            for t, w in zip(0.5 * (param + 1.0), 0.5 * weight)]
-    pts, tangents, normals, weights = (np.array(column) for column in zip(*rows))
-    gmat, ginv, _, bracket, *_ = _first_order(g, pts)
-    gmat, ginv, bracket = _stacked(len(pts), gmat, ginv, bracket)
-    nu = np.einsum("pij,pj->pi", ginv, normals)  # the inner unit normals
-    nu = nu / np.sqrt(np.einsum("pi,pij,pj->p", nu, gmat, nu))[:, None]
-    speed = np.sqrt(np.einsum("pi,pij,pj->p", tangents, gmat, tangents))
-    # g(nabla_t t, nu) = Gamma_{l,ij} t^i t^j nu^l
-    geodesic = 0.5 * np.einsum("pijl,pi,pj,pl->p", bracket, tangents, tangents, nu) / speed
-    boundary_term = float(weights @ geodesic)
-
-    corner_term = sum(math.pi - dihedral_angle(g, domain, edges[t - 1][2], edges[t][2], loop[t])
-                      for t in range(len(loop)))
-
-    return area_term + boundary_term + corner_term - 2.0 * math.pi
+    center, edges = _polygon_structure(domain)
+    rule = _gauss_legendre(min(resolution, _GB_NODES))
+    terms = [-2.0 * math.pi]
+    for p, q, face in edges:
+        u, v = [s - c for s, c in zip(p, center)], [s - r for s, r in zip(q, p)]
+        det = abs(u[0] * v[1] - u[1] * v[0])
+        for a, wa in rule:
+            for b, wb in rule:
+                x = [c + a * (du + b * dv) for c, du, dv in zip(center, u, v)]
+                _, ginv, d2g, bracket, gamma, low = _first_order(g, x)
+                # sqrt(det g) is the product of the Cholesky pivots
+                terms.append(wa * wb * a * det * 0.5 * _riemann(ginv, d2g, bracket, gamma)[2]
+                             * low[0][0] * low[1][1])
+        for s, w in rule:
+            gm, ginv, _, bracket, _, _ = _first_order(g, [r + s * d for r, d in zip(p, v)])
+            speed = math.sqrt(reduce(add, [d * reduce(add, map(mul, row, v))
+                                           for d, row in zip(v, gm)]))
+            terms.append(w * _face_forms(domain, face, gm, ginv, bracket)[0][0][0] * speed)
+    for t, (p, _, face) in enumerate(edges):
+        terms.append(math.pi - dihedral_angle(g, domain, edges[t - 1][2], face, p))
+    return math.fsum(terms)

@@ -10,25 +10,19 @@ The expression grammar is fixed:
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 
 Values are plain floats.  First and second derivatives are exact: every
-node propagates its (value, gradient, Hessian) jet by forward-mode Taylor
-arithmetic (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.) on
-components that are floats at one point or 1-D arrays over a batch (see
-``Expr.jet_parts``); ``Expr.jet`` and ``MetricField.jet`` stack them into
-arrays.  Expression nodes are immutable after construction.  Parsing,
-printing, scalar evaluation and jets at one point use only ``math`` and
-``re``; numpy is imported by the code that builds arrays when it runs.
+node propagates its (value, gradient, Hessian) jet at one point by
+forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed.) on floats (see ``Expr.jet_parts``).  Expression
+nodes are immutable after construction.  Parsing, printing, evaluation and
+jets use only ``math`` and ``re``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from operator import add, sub
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 __all__ = [
     "Expr",
@@ -39,24 +33,22 @@ __all__ = [
     "MetricNotPositiveDefinite",
     "parse_expression",
     "parse_metric",
-    "metric_at",
     "metric_from_scene",
 ]
 
-# name: (float function, jet rule).  The rule maps a module (``math`` for a
-# float, numpy for an array) and the argument value v to (f(v), f'(v),
-# f''(v)) for the chain rule of the jets; abs'(0) = 0.
+# name: (function, jet rule).  The rule maps the argument value v to (f(v),
+# f'(v), f''(v)) for the chain rule of the jets; abs'(0) = 0.
 FUNCTIONS = {
-    "sin": (math.sin, lambda m, v: (m.sin(v), m.cos(v), -m.sin(v))),
-    "cos": (math.cos, lambda m, v: (m.cos(v), -m.sin(v), -m.cos(v))),
-    "tan": (math.tan, lambda m, v: (m.tan(v), 1.0 / m.cos(v) ** 2,
-                                    2.0 * m.tan(v) / m.cos(v) ** 2)),
-    "exp": (math.exp, lambda m, v: (m.exp(v),) * 3),
-    "log": (math.log, lambda m, v: (m.log(v), 1.0 / v, -1.0 / v**2)),
-    "sqrt": (math.sqrt, lambda m, v: (m.sqrt(v), 0.5 / m.sqrt(v), -0.25 / v**1.5)),
-    "sinh": (math.sinh, lambda m, v: (m.sinh(v), m.cosh(v), m.sinh(v))),
-    "cosh": (math.cosh, lambda m, v: (m.cosh(v), m.sinh(v), m.cosh(v))),
-    "abs": (abs, lambda m, v: (abs(v), (v > 0.0) * 1.0 - (v < 0.0) * 1.0, 0.0)),
+    "sin": (math.sin, lambda v: (math.sin(v), math.cos(v), -math.sin(v))),
+    "cos": (math.cos, lambda v: (math.cos(v), -math.sin(v), -math.cos(v))),
+    "tan": (math.tan, lambda v: (math.tan(v), 1.0 / math.cos(v) ** 2,
+                                 2.0 * math.tan(v) / math.cos(v) ** 2)),
+    "exp": (math.exp, lambda v: (math.exp(v),) * 3),
+    "log": (math.log, lambda v: (math.log(v), 1.0 / v, -1.0 / v**2)),
+    "sqrt": (math.sqrt, lambda v: (math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / v**1.5)),
+    "sinh": (math.sinh, lambda v: (math.sinh(v), math.cosh(v), math.sinh(v))),
+    "cosh": (math.cosh, lambda v: (math.cosh(v), math.sinh(v), math.cosh(v))),
+    "abs": (abs, lambda v: (abs(v), (v > 0.0) * 1.0 - (v < 0.0) * 1.0, 0.0)),
 }
 
 
@@ -113,29 +105,16 @@ class Expr:
     def eval(self, x: Sequence[float]) -> float:
         raise NotImplementedError
 
-    def jet(self, x: np.ndarray):
-        """Exact value ``(m,)``, gradient ``(m, n)`` and Hessian ``(m, n, n)``
-        at the rows of ``x`` (shape ``(m, n)``): ``jet_parts`` stacked."""
-        value, grad, hess = self.jet_parts(_columns(x))
-        return _stacked(len(x), value, list(grad), _full(hess, len(grad)))
-
-    def jet_parts(self, x: Sequence):
-        """Exact value, gradient (n components) and Hessian (its i <= k
-        entries in row order) at one point given as n floats, or at m points
-        given as n coordinate arrays.  Raises :class:`ExpressionDomainError`
-        where a point leaves the domain of a subexpression or an entry is not
-        finite (an arithmetic error on floats, inf or nan in numpy), such as
-        the derivative of ``x^c`` at ``x = 0`` for ``c < 2`` other than 0, 1."""
+    def jet_parts(self, x: Sequence[float]):
+        """Exact value, gradient (n floats) and Hessian (its i <= k entries in
+        row order) at the point ``x`` of n floats.  Raises
+        :class:`ExpressionDomainError` where the point leaves the domain of a
+        subexpression or an entry is not finite (an arithmetic error or an
+        inf), such as the derivative of ``x^c`` at ``x = 0`` for ``c < 2``
+        other than 0, 1."""
         try:
-            if all(type(v) is float for v in x) or self.max_var() == 0:
-                out = self._jet(x)  # floats only
-            else:
-                import numpy as np
-
-                with np.errstate(all="ignore"):
-                    out = self._jet(x)
-            finite = all(math.isfinite(p) if type(p) is float else np.isfinite(p).all()
-                         for p in (out[0], *out[1], *out[2]))
+            out = self._jet(x)
+            finite = all(map(math.isfinite, (out[0], *out[1], *out[2])))
         except ExpressionDomainError:
             raise
         except (ArithmeticError, ValueError):
@@ -159,11 +138,6 @@ class Expr:
         return f"{type(self).__name__}({self.to_text()!r})"
 
 
-def _any(flags) -> bool:
-    """Whether a comparison holds at the point, or at any point of a batch."""
-    return flags if type(flags) is bool else flags.any()
-
-
 def _full(hess, n: int) -> list:
     """The n x n rows of a Hessian from its i <= k entries; the two entries
     of a symmetric pair are one object."""
@@ -172,33 +146,6 @@ def _full(hess, n: int) -> list:
         for k in range(i, n):
             rows[i][k] = rows[k][i] = next(entries)
     return rows
-
-
-def _columns(pts) -> tuple:
-    """The coordinates of the rows of an ``(m, n)`` array as n arrays."""
-    import numpy as np
-
-    return tuple(np.array(pts, dtype=float).T.copy())
-
-
-def _stacked(m: int, *parts) -> tuple:
-    """Each part, a component or nested lists of components (floats or
-    ``(m,)`` arrays), as one ``(m, ...)`` array; floats broadcast."""
-    import numpy as np
-
-    out = []
-    for part in parts:
-        shape, leaves = [], [part]
-        while type(leaves[0]) is list:
-            shape.append(len(leaves[0]))
-            leaves = [v for row in leaves for v in row]
-        array = np.empty((m, len(leaves)))
-        array[:] = [v if type(v) is float else 0.0 for v in leaves]  # floats at once
-        for k, v in enumerate(leaves):
-            if type(v) is not float:
-                array[:, k] = v
-        out.append(array.reshape(m, *shape))
-    return tuple(out)
 
 
 def _chain(jet, f, d1, d2):
@@ -326,7 +273,7 @@ class BinOp(Expr):
         a = self.left._jet(x)
         if self.op == "^":
             c, base = self.right.eval(()), a[0]
-            if not float(c).is_integer() and _any(base < 0.0):
+            if not float(c).is_integer() and base < 0.0:
                 raise ExpressionDomainError(f"non-real power {self.to_text()}")
             # exponents 0 and 1 skip base^(c-1) / base^(c-2), infinite at 0
             d1 = c * base ** (c - 1.0) if c != 0.0 else 0.0
@@ -339,7 +286,7 @@ class BinOp(Expr):
                     tuple(map(combine, a[2], b[2])))
         if self.op == "/":
             v = b[0]
-            if _any(v == 0.0):
+            if v == 0.0:
                 raise ExpressionDomainError("division by zero")
             b = _chain(b, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
         return _product(a, b)
@@ -376,11 +323,10 @@ class Call(Expr):
 
     def _jet(self, x):
         arg = self.arg._jet(x)
-        v, scalar = arg[0], type(arg[0]) is float
-        if self.func in ("log", "sqrt") and _any(v <= 0.0):
-            bad = v if scalar else v[v <= 0.0][0]
-            raise ExpressionDomainError(f"{self.func}({bad}) out of domain")
-        return _chain(arg, *FUNCTIONS[self.func][1](math if scalar else sys.modules["numpy"], v))
+        v = arg[0]
+        if self.func in ("log", "sqrt") and v <= 0.0:
+            raise ExpressionDomainError(f"{self.func}({v}) out of domain")
+        return _chain(arg, *FUNCTIONS[self.func][1](v))
 
     def max_var(self):
         return self.arg.max_var()
@@ -525,27 +471,18 @@ class MetricField:
             i, j = j, i
         return self.entries[(i, j)]
 
-    def matrix_at(self, x: Sequence[float]) -> np.ndarray:
-        import numpy as np
-
-        g = np.empty((self.dim, self.dim))
+    def matrix_at(self, x: Sequence[float]) -> list:
+        """The metric at ``x`` as n rows of floats, its entries evaluated in
+        the order they are stored."""
+        g = [[0.0] * self.dim for _ in range(self.dim)]
         for (i, j), e in self.entries.items():
-            g[i, j] = g[j, i] = e.eval(x)
+            g[i][j] = g[j][i] = e.eval(x)
         return g
 
-    def jet(self, x: np.ndarray):
-        """Metric ``g[p, i, j]``, first derivatives ``dg[p, k, i, j] = d_k g_ij``
-        and second derivatives ``d2g[p, a, b, i, j] = d_a d_b g_ij`` at the
-        rows ``x[p]`` of an ``(m, n)`` array: ``jet_parts`` stacked."""
-        import numpy as np
-
-        g, dg, d2g = _stacked(len(x), *self.jet_parts(_columns(x)))
-        return g, np.moveaxis(dg, 3, 1), np.moveaxis(d2g, (3, 4), (1, 2))
-
-    def jet_parts(self, x: Sequence):
+    def jet_parts(self, x: Sequence[float]):
         """``g[i][j]``, ``dg[i][j][k] = d_k g_ij`` and ``d2g[i][j][a][b] =
-        d_a d_b g_ij`` as nested lists of the components
-        ``Expr.jet_parts`` returns at ``x``, one jet per stored entry."""
+        d_a d_b g_ij`` at the point ``x`` as nested lists of floats, one
+        ``Expr.jet_parts`` per stored entry."""
         n = self.dim
         # entries that are one tree, such as a conformal diagonal, share one jet
         jets = {id(e): e.jet_parts(x) for e in {id(e): e for e in self.entries.values()}.values()}
@@ -597,19 +534,6 @@ def parse_metric(spec: dict, dim: int) -> MetricField:
         for j in range(i + 1, dim):
             entries.setdefault((i, j), zero)
     return MetricField(dim, entries)
-
-
-def metric_at(g: MetricField, x: Sequence[float]) -> np.ndarray:
-    """Metric matrix at ``x``; raises if not positive definite there."""
-    import numpy as np
-
-    mat = g.matrix_at(x)
-    eig = np.linalg.eigvalsh(mat)
-    if eig[0] <= 0.0:
-        raise MetricNotPositiveDefinite(
-            f"metric at {list(x)} has smallest eigenvalue {eig[0]:.3e}"
-        )
-    return mat
 
 
 def scene_dim(scene: dict) -> int:

@@ -10,11 +10,15 @@ of the link operator's tridiagonal form, the
 ``linprog`` domain validation with the per-subset vertex loop, the K_nu quadrature with
 its Gauss-Legendre table built once at import, the corner fillet with its Simpson
 rule on numpy arrays, and the cochain complexes of grid polygons with their Betti
-numbers (the engine behind the closed-form index)."""
+numbers (the engine behind the closed-form index), and the arrays that the
+library no longer builds: stacked jets and a domain's normals, offsets and
+slacks."""
 
 import math
+from functools import reduce
 from itertools import combinations
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 import mpmath
@@ -38,8 +42,9 @@ from dihedral_lab.curvature import (
     _nullspace,
     curvature_tensors,
     face_geometry,
+    metric_at,
 )
-from dihedral_lab.expressions import Expr, MetricField, metric_at, parse_expression
+from dihedral_lab.expressions import Expr, MetricField, _full, parse_expression
 from dihedral_lab.index_lab import PolygonError
 
 # Central finite-difference steps (scaled by max(1, |x_i|) per axis).
@@ -143,12 +148,56 @@ def sphere_chart_metric_sympy(n):
     return sp.eye(n) * conf, list(xs)
 
 
+def expr_jet(e: Expr, pts) -> tuple:
+    """Value ``(m,)``, gradient ``(m, n)`` and Hessian ``(m, n, n)`` of ``e``
+    at the rows of ``pts``: ``Expr.jet_parts`` point by point, stacked."""
+    parts = [e.jet_parts(tuple(map(float, x))) for x in pts]
+    n = len(pts[0])
+    return (np.array([value for value, _, _ in parts]),
+            np.array([grad for _, grad, _ in parts]).reshape(len(pts), n),
+            np.array([_full(hess, n) for _, _, hess in parts]).reshape(len(pts), n, n))
+
+
+def metric_jet(g: MetricField, pts) -> tuple:
+    """Metric ``g[p, i, j]``, ``dg[p, k, i, j] = d_k g_ij`` and ``d2g[p, a, b,
+    i, j] = d_a d_b g_ij`` at the rows of ``pts``: ``MetricField.jet_parts``
+    point by point, stacked."""
+    gm, dg, d2g = (np.array(part) for part in zip(
+        *(g.jet_parts(tuple(map(float, x))) for x in pts)))
+    return gm, np.moveaxis(dg, 3, 1), np.moveaxis(d2g, (3, 4), (1, 2))
+
+
+def normals(domain: PolyDomain) -> np.ndarray:
+    """The unit normals of ``domain`` as a ``(k, n)`` array."""
+    return np.array(domain.a, dtype=float).reshape(-1, domain.dim)
+
+
+def offsets(domain: PolyDomain) -> np.ndarray:
+    """The offsets of the unit normals as a ``(k,)`` array."""
+    return np.array(domain.b, dtype=float)
+
+
+def slacks(domain: PolyDomain, x) -> np.ndarray:
+    """``<a_i, x> - b_i`` for every face (leading point axes broadcast),
+    summed left to right as ``PolyDomain._on_faces_at`` sums them."""
+    x, rows = np.asarray(x, dtype=float)[..., None, :], normals(domain)
+    return reduce(add, (x[..., m] * rows[:, m] for m in range(domain.dim)), 0.0) - offsets(domain)
+
+
+def contains(domain: PolyDomain, x, tol: float = 1e-12) -> bool:
+    """Whether ``x`` lies in the region of ``domain`` up to ``tol``."""
+    s = slacks(domain, x)
+    if domain.region == "intersection":
+        return bool(np.all(s >= -tol))
+    return bool(np.any(s <= tol))
+
+
 def dgamma_curvature(g: MetricField, pts: np.ndarray):
     """Riemann, Ricci and scalar curvature at the rows of ``pts`` by
     differentiating the second-kind symbols: d g^{-1}, d Gamma, the mixed
     R^m_{ijk}, then lowered with g.  The library's kernel uses the lowered
     formula on the second derivatives of g instead."""
-    gmat, dg, d2g = g.jet(pts)
+    gmat, dg, d2g = metric_jet(g, pts)
     ginv = np.linalg.inv(gmat)
     bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
     gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
@@ -306,7 +355,7 @@ class PointwiseCornerMap:
         return np.array([e.eval(x) for e in self.components])
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([e.jet(np.atleast_2d(x))[1][0] for e in self.components])
+        return np.array([e.jet_parts(tuple(map(float, x)))[1] for e in self.components])
 
 
 def pointwise_scene(scene):
@@ -352,10 +401,10 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
         basis = np.eye(n)
 
         def accept(x):
-            return domain.contains(x, tol=-1e-12)  # strictly inside
+            return contains(domain, x, tol=-1e-12)  # strictly inside
     elif stratum.startswith("face:"):
         i = int(stratum.split(":")[1])
-        a, b = domain.normals[i], domain.offsets[i]
+        a, b = normals(domain)[i], offsets(domain)[i]
         origin = b * a
         basis = np.reshape(_nullspace([a]), (-1, n)).T
         dim_par = n - 1
@@ -364,13 +413,13 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
             return domain.on_face(i, x, tol=tol)
     elif stratum.startswith("edge:"):
         i, j = (int(v) for v in stratum.split(":")[1].split(","))
-        rows = domain.normals[[i, j]]
+        rows = normals(domain)[[i, j]]
         if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
             # parallel supporting planes never meet in an edge
             if allow_empty:
                 return []
             raise DomainError(f"faces {i} and {j} are parallel; no edge")
-        origin, *_ = np.linalg.lstsq(rows, domain.offsets[[i, j]], rcond=None)
+        origin, *_ = np.linalg.lstsq(rows, offsets(domain)[[i, j]], rcond=None)
         basis = np.reshape(_nullspace(rows), (-1, n)).T
         dim_par = n - 2
 
@@ -425,8 +474,8 @@ def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
 def _metric_norms(scene: CompareScene, x: np.ndarray) -> DfNorms:
     """Singular values of df with respect to both metrics."""
     jac = scene.corner_map.jacobian(x)
-    gsrc = metric_at(scene.metric_src, x)
-    gdst = metric_at(scene.metric_dst, scene.corner_map(x))
+    gsrc = np.array(metric_at(scene.metric_src, x))
+    gdst = np.array(metric_at(scene.metric_dst, scene.corner_map(x)))
     tilted = _sqrtm_spd(gdst) @ jac @ np.linalg.inv(_sqrtm_spd(gsrc))
     sv = np.linalg.svd(tilted, compute_uv=False)
     return DfNorms(float(sv[0]), float(sv[0] * sv[1]) if len(sv) > 1 else 0.0,
@@ -437,8 +486,7 @@ def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
                          ) -> np.ndarray:
     """g-unit vector tangent to face i, g-orthogonal to the edge plane
     intersection, pointing to the <a_j, .> > 0 side."""
-    a_i = domain.normals[i]
-    a_j = domain.normals[j]
+    a_i, a_j = normals(domain)[[i, j]]
     face_basis = np.reshape(_nullspace([a_i]), (-1, len(a_i))).T  # (n, n-1)
     if domain.dim == 2:
         u = face_basis[:, 0]
@@ -469,7 +517,7 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
         raise DomainError("need two distinct faces")
     if not domain.on_edge(i, j, x):
         raise DomainError(f"point {list(x)} is not on edge ({i}, {j})")
-    gmat = metric_at(g, x)
+    gmat = np.array(metric_at(g, x))
     u = _edge_normal_in_face(domain, gmat, i, j)
     v = _edge_normal_in_face(domain, gmat, j, i)
     cosang = float(u @ gmat @ v)
@@ -653,22 +701,23 @@ def linprog_validate(domain: PolyDomain) -> None:
     feasibility LP per face, raising the same ``DomainError`` messages."""
     from scipy.optimize import linprog
 
-    k, n = domain.normals.shape
+    rows, rhs = normals(domain), offsets(domain)
+    k, n = rows.shape
     # maximize slack t subject to A x - t >= b, 0 <= t <= 1
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    a_ub = np.hstack([-domain.normals, np.ones((k, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=-domain.offsets,
+    a_ub = np.hstack([-rows, np.ones((k, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=-rhs,
                   bounds=[(None, None)] * n + [(0.0, 1.0)], method="highs")
     if not res.success or res.x is None or res.x[-1] <= _FEAS_TOL:
         raise DomainError("domain has empty interior")
     for i in range(k):
         feas = linprog(
             np.zeros(n),
-            A_ub=-domain.normals,
-            b_ub=-domain.offsets,
-            A_eq=domain.normals[i: i + 1],
-            b_eq=domain.offsets[i: i + 1],
+            A_ub=-rows,
+            b_ub=-rhs,
+            A_eq=rows[i: i + 1],
+            b_eq=rhs[i: i + 1],
             bounds=[(None, None)] * n,
             method="highs",
         )
@@ -681,12 +730,12 @@ def loop_vertices(domain: PolyDomain) -> np.ndarray:
     n = domain.dim
     out = []
     for subset in combinations(range(domain.face_count), n):
-        a = domain.normals[list(subset)]
-        b = domain.offsets[list(subset)]
+        a = normals(domain)[list(subset)]
+        b = offsets(domain)[list(subset)]
         if abs(np.linalg.det(a)) < 1e-12:
             continue
         v = np.linalg.solve(a, b)
-        if np.all(domain.slacks(v) >= -1e-9):
+        if np.all(slacks(domain, v) >= -1e-9):
             out.append(v)
     return np.unique(np.round(np.array(out), 9), axis=0) if out else np.zeros((0, n))
 

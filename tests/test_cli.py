@@ -148,15 +148,15 @@ class TestSpectrumCommand:
          "sector angles must be finite and positive"),
         (["--alpha", "nan", "--beta", "1.0"], "sector angles must be finite and positive"),
         (["--alpha", "1.0", "--beta", "2.0", "--count", "0", "--numeric", "128"],
-         "need count >= 1 and a finite tol >= 0, got 0, 0.001"),
+         "need count >= 1, got 0"),
         (["--alpha", "1.0", "--beta", "2.0", "--count", "-1"],
-         "need count >= 1 and a finite tol >= 0, got -1, 0.001"),
+         "need count >= 1, got -1"),
         (["--alpha", "1.0", "--beta", "2.0", "--tol", "nan", "--numeric", "128"],
-         "need count >= 1 and a finite tol >= 0, got 5, nan"),
+         "tol must be finite and >= 0, got nan"),
         (["--alpha", "1.0", "--beta", "2.0", "--tol", "-1", "--numeric", "128"],
-         "need count >= 1 and a finite tol >= 0, got 5, -1.0"),
+         "tol must be finite and >= 0, got -1.0"),
         (["--alpha", "1.0", "--beta", "2.0", "--tol", "inf"],
-         "need count >= 1 and a finite tol >= 0, got 5, inf"),
+         "tol must be finite and >= 0, got inf"),
         (["--alpha", "1.0", "--beta", "2.0", "--count", "100", "--numeric", "64"],
          "count 100 is too large for grid 64 (window past the band)"),
         (["--alpha", "1", "--beta", "1", "--numeric", "1" + "0" * 400],
@@ -284,6 +284,34 @@ class TestOtherCommands:
                                       "--resolution", "2"])
         assert result.exit_code == 0
         assert abs(json.loads(result.output)["defect"]) <= 1e-12
+
+    def test_gaussbonnet_resolution_past_eight_adds_no_nodes(self, runner):
+        # n = min(resolution, 8) nodes per direction: a huge resolution costs
+        # what 8 does, and is echoed as given
+        reports = [json.loads(runner.invoke(main, [
+            "gaussbonnet", "--scene", str(ROOT / "scenes" / "conformal_square.json"),
+            "--resolution", r]).output) for r in ("8", "1000000000")]
+        assert reports[0]["defect"] == reports[1]["defect"]
+        assert abs(reports[1]["defect"]) <= 1e-15
+        assert reports[1]["resolution"] == 1000000000
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("args", [
+        ["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "0.3,-0.2"],
+        ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+        ["compare", "--scene", "scenes/square_id.json"],
+        ["certify", "--dim", "2", "--trials", "2"],
+        ["conformal", "--metric", "scenes/sphere2_metric.json",
+         "--factor", "1 + 0.1*sin(x1)", "--point", "0.4,0.2"],
+        ["spectrum", "sector", "--alpha", "1.1", "--beta", "2.2"],
+    ], ids=["curvature", "gaussbonnet", "compare", "certify", "conformal", "sector"])
+    def test_bad_tol_exit_2(self, runner, monkeypatch, args, tol):
+        # a nan, infinite or negative gate is bad input, before any work
+        monkeypatch.chdir(ROOT)
+        result = runner.invoke(main, [*args, "--tol", tol])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"input error: tol must be finite and >= 0, got {float(tol)}"]
 
     def test_certify_small(self, runner):
         result = runner.invoke(main, ["certify", "--dim", "2",
@@ -1233,7 +1261,7 @@ _SQUARE = [{"a": [1.0, 0.0], "b": 0.0}, {"a": [-1.0, 0.0], "b": -1.0},
 
 def curved_compare_scene(tmp_path):
     """The identity of a square with a metric that varies: every margin is
-    0, and the curvature kernel runs on arrays."""
+    0, and the curvature kernel runs at every sample."""
     side = {"dim": 2, "g": {"11": "1 + 0.1*x2^2", "22": "exp(0.2*x1)"}, "halfspaces": _SQUARE}
     return write_json(tmp_path / "curved_compare.json", {
         "N": side, "M": side, "f": ["x1", "x2"],
@@ -1267,19 +1295,18 @@ def affine_box_scene(tmp_path):
         "faces": {str(i): str(i) for i in range(1, 7)}})
 
 
-@pytest.mark.parametrize("args", [
-    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
-    ["compare", "--scene", "{curved}"],
-], ids=["gaussbonnet", "compare-curved"])
-def test_vertex_and_sheet_counts_load_no_numpy_ma(args, tmp_path):
-    """Start-up guard: the deduplication of polytope vertices does not go
-    through ``np.unique``, whose masked-array check imports ``numpy.ma``;
-    loading numpy is the positive control."""
-    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path))
-                                     for a in args])
-    assert exit_code == 0
-    assert "numpy" in modules
-    assert "numpy.ma" not in modules
+def curved_cube_scene(tmp_path):
+    """The identity of the unit cube between two metrics that vary, the
+    ``curved_cube`` of the comparison tests."""
+    def side(g):
+        faces = [{"a": [s * float(k == m) for m in range(3)], "b": b}
+                 for k in range(3) for s, b in ((1.0, 0.0), (-1.0, -1.0))]
+        return {"dim": 3, "halfspaces": faces, "g": g}
+
+    return write_json(tmp_path / "curved_cube.json", {
+        "N": side({"11": "1 + 0.1*x2^2", "22": "1", "33": "exp(0.2*x1)", "12": "0.1*x3"}),
+        "M": side({"11": "1", "22": "1 + 0.2*sin(x3)", "33": "1", "13": "0.2*x2"}),
+        "f": ["x1", "x2", "x3"], "faces": {str(i): str(i) for i in range(1, 7)}})
 
 
 @pytest.mark.parametrize("region", ["intersection", "complement"])
@@ -1334,15 +1361,32 @@ def test_constant_metric_commands_load_no_numpy(args, tmp_path):
     assert "numpy" not in modules
 
 
-@pytest.mark.parametrize("args", [
-    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
-    ["compare", "--scene", "{curved}"],
-], ids=["gaussbonnet", "compare-curved"])
-def test_geometry_commands_load_numpy(args, tmp_path):
-    """Positive control for the guards above: the batch commands run the
-    curvature kernel on arrays where a metric varies, so each loads numpy."""
-    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path))
+@pytest.mark.parametrize("args, code", [
+    (["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"], 0),
+    (["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "12"], 0),
+    (["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "48"], 0),
+    (["compare", "--scene", "{curved}"], 0),
+    (["compare", "--scene", "{curved_cube}"], 1),  # the metrics differ: margins fail
+], ids=["gaussbonnet-res2", "gaussbonnet-res12", "gaussbonnet-res48", "compare-curved",
+        "compare-curved-cube"])
+def test_float_geometry_commands_load_no_numpy(args, code, tmp_path):
+    """Start-up guard: ``gaussbonnet`` integrates by Gauss-Legendre product
+    rules on floats and ``compare`` runs the curvature kernel at each sample
+    where a metric varies, so neither loads numpy (nor ``numpy.ma``)."""
+    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path),
+                                              curved_cube=curved_cube_scene(tmp_path))
                                      for a in args])
+    assert exit_code == code
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--dim", "2", "--trials", "5"],
+], ids=["certify"])
+def test_geometry_commands_load_numpy(args):
+    """Positive control for the guards above: the probe sees numpy where a
+    command loads it, as ``certify`` does for its random operators."""
+    exit_code, modules = _fresh_cli(args)
     assert exit_code == 0
     assert "numpy" in modules
 
@@ -1451,20 +1495,18 @@ def test_probe_sees_preloaded_numpy_ma():
 
 
 def test_scalar_expressions_load_no_numpy():
-    """Parsing and scalar evaluation run on ``math``; the jets import numpy
-    when they run, and agree with the scalar value afterwards."""
+    """Parsing, scalar evaluation and the jets run on ``math``, and the jet
+    agrees with the scalar value."""
     status, modules = _fresh_modules(
         "import math, sys\n"
         "from dihedral_lab.expressions import parse_expression\n"
         "e = parse_expression('x1^2*sin(x2) + sqrt(x1)/cosh(x2)')\n"
         "v = e.eval((0.5, 0.25))\n"
-        "before = 'numpy' in sys.modules\n"
-        "import numpy as np\n"
-        "value, grad, hess = e.jet(np.array([[0.5, 0.25]]))\n"
-        "same = math.isclose(value[0], v, rel_tol=1e-14)\n"
-        "print(before, same, grad.shape, hess.shape, file=sys.stderr)\n")
-    assert status == "False True (1, 2) (1, 2, 2)"
-    assert "numpy" in modules
+        "value, grad, hess = e.jet_parts((0.5, 0.25))\n"
+        "same = math.isclose(value, v, rel_tol=1e-14)\n"
+        "print(same, len(grad), len(hess), file=sys.stderr)\n")
+    assert status == "True 2 3"
+    assert "numpy" not in modules
 
 
 def test_reexported_names_are_the_library_objects():

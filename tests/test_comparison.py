@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -396,7 +397,7 @@ class TestScenes:
         for rec in report.margins.values():
             assert all(math.isfinite(v) for v in rec.witness)
             if rec.stratum == "interior":
-                assert scene.domain_src.contains(rec.witness)
+                assert _oracles.contains(scene.domain_src, rec.witness)
             elif rec.stratum.startswith("face:"):
                 i = int(rec.stratum.split(":")[1]) - 1
                 assert scene.domain_src.on_face(i, rec.witness, tol=1e-8)
@@ -543,11 +544,12 @@ class TestBatchedRows:
 
         from dihedral_lab.cli import main
 
-        batches, enumerated, sampled, jetted = [], [], [], []
-        first_order = curvature._first_order
-        for module in (curvature, comparison):
-            monkeypatch.setattr(module, "_first_order", lambda g, pts: (
-                batches.append(len(pts)) or first_order(g, pts)))
+        batches, evaluated, enumerated, sampled, jetted = [], [], [], [], []
+        kernel, first_order = comparison._kernel, comparison._first_order
+        monkeypatch.setattr(comparison, "_kernel", lambda g, pts, value: (
+            batches.append(len(pts)) or kernel(g, pts, value)))
+        monkeypatch.setattr(comparison, "_first_order", lambda g, x: (
+            evaluated.append(x) or first_order(g, x)))
         sample, jet = comparison._sample, comparison.CornerMap.jet
         monkeypatch.setattr(comparison, "_sample", lambda dom, stratum, *args, **kw: (
             sampled.append(stratum) or sample(dom, stratum, *args, **kw)))
@@ -561,8 +563,10 @@ class TestBatchedRows:
             "compare", "--scene", str(SCENES_DIR / "cube_id.json"),
             "--csv", str(tmp_path / "rows.csv")])
         assert result.exit_code == 0
-        # two interior batches (source, target) and one per face and metric
+        # two interior batches (source, target) and one per face and metric,
+        # each of a constant metric evaluated at one point
         assert batches == [16, 16] + [8] * 12
+        assert len(evaluated) == len(batches)
         # each stratum is sampled and jetted once: interior, 6 faces, the 12
         # face pairs that meet (the 3 parallel pairs are skipped)
         assert sorted(sampled) == sorted(set(sampled)) and len(sampled) == 19
@@ -570,13 +574,71 @@ class TestBatchedRows:
         assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
         # fewer reported samples: the correspondence is still checked on 8 / 4
         # points per face / edge, the curvature runs on the reported ones only
-        del batches[:], jetted[:]
+        del batches[:], evaluated[:], jetted[:]
         result = CliRunner().invoke(main, [
             "compare", "--scene", str(SCENES_DIR / "cube_id.json"),
             "--interior", "3", "--per-face", "2", "--per-edge", "1"])
         assert result.exit_code == 0
         assert batches == [3, 3] + [2] * 12
+        assert len(evaluated) == len(batches)
         assert sorted(jetted) == [3] + [4] * 12 + [8] * 6
+
+
+class TestGaussBonnetIdentity:
+    """The theorem as an oracle in 2-D: for f = id from (P, g) onto the flat
+    unit square, Gauss-Bonnet for g and for the flat metric give
+
+        integral_P 1/2 m_Sc dA_g + integral_bd m_H ds_g + sum_v m_angle(v) = 0
+
+    for ``compare``'s own margins m_Sc = Sc_g, m_H = H_g and m_angle = pi/2 -
+    theta_g.  Tensor Gauss-Legendre nodes replace the samples, so a wrong
+    sign or weight in any one margin breaks the sum."""
+
+    METRICS = [
+        {"11": "exp(2*0.1*sin(x1)*sin(x2))", "22": "exp(2*0.1*sin(x1)*sin(x2))"},
+        {"11": "1 + 0.3*x2^2", "12": "0.2*x1*x2", "22": "1 + 0.1*x1"},
+        {"11": "2 + sin(x1*x2)", "12": "0.3*cos(x1)", "22": "1.5 + 0.4*x1*x2^2"},
+    ]
+    NODES = 16
+
+    @pytest.mark.parametrize("metric", METRICS, ids=["conformal", "polynomial", "trigonometric"])
+    def test_margins_integrate_to_zero(self, monkeypatch, metric):
+        from dihedral_lab import comparison
+
+        scene = CompareScene.from_scene({
+            "N": {**square_scene_dict(), "g": metric}, "M": square_scene_dict(),
+            "f": ["x1", "x2"], "faces": {"1": "1", "2": "2", "3": "3", "4": "4"}})
+        g = scene.metric_src
+        nodes, weights = np.polynomial.legendre.leggauss(self.NODES)
+        rule = list(zip((0.5 * (nodes + 1.0)).tolist(), (0.5 * weights).tolist()))
+        weight = {}  # sample point -> its weight in the identity
+        strata = {"interior": []}
+        for (s, u), (t, v) in itertools.product(rule, rule):
+            gm = g.matrix_at((s, t))
+            weight[s, t] = 0.5 * u * v * math.sqrt(gm[0][0] * gm[1][1] - gm[0][1] ** 2)
+            strata["interior"].append((s, t))
+        dom = scene.domain_src
+        for face, (a, b) in enumerate(zip(dom.a, dom.b)):
+            axis = 1 if a[0] else 0  # the coordinate that runs along the face
+            strata[f"face:{face}"] = []
+            for t, w in rule:
+                x = [b * a[0], b * a[1]]
+                x[axis] = t
+                weight[tuple(x)] = w * math.sqrt(g.matrix_at(x)[axis][axis])  # |e|_g
+                strata[f"face:{face}"].append(tuple(x))
+        sample = comparison._sample
+        monkeypatch.setattr(comparison, "_sample", lambda domain, stratum, *args, **kw: (
+            strata[stratum] if domain is dom and stratum in strata
+            else sample(domain, stratum, *args, **kw)))
+        spec = SampleSpec(interior=self.NODES**2, per_face=self.NODES, per_edge=1)
+        terms = {"scalar": [], "mean_curvature": [], "angle": []}
+        for name, _, x, margin, _ in comparison._pointwise_quantities(scene, spec):
+            if name in terms:
+                terms[name].append(margin * weight.get(tuple(x), 1.0))
+        assert [len(v) for v in terms.values()] == [self.NODES**2, 4 * self.NODES, 4]
+        sums = [math.fsum(v) for v in terms.values()]
+        assert max(map(abs, sums)) > 1e-2  # each metric puts weight in the identity
+        assert abs(math.fsum(sums)) <= 1e-12 * sum(map(abs, sums))
 
 
 class TestWitnessTies:
@@ -637,7 +699,7 @@ class TestSampling:
         for x in sample_stratum(dom, "edge:0,2", 1, 0):
             assert dom.on_edge(0, 2, x, tol=1e-9)
         for x in sample_stratum(dom, "interior", 8, 0):
-            assert dom.contains(x)
+            assert _oracles.contains(dom, x)
 
     @settings(max_examples=80, deadline=None)
     @given(stratum=st.sampled_from(

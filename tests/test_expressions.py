@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import eval_with_derivatives
+from _oracles import eval_with_derivatives, expr_jet
+from dihedral_lab.curvature import metric_at
 from dihedral_lab.expressions import (
     _MAX_DEPTH,
     BinOp,
@@ -18,7 +19,6 @@ from dihedral_lab.expressions import (
     Num,
     Var,
     euclidean_metric,
-    metric_at,
     metric_from_scene,
     parse_expression,
     parse_metric,
@@ -286,10 +286,11 @@ class TestNodeEquality:
         assert e == BinOp("+", Var(0), Num(2.0))
 
     def test_metric_jet_keeps_unequal_entries_apart(self):
-        pts = np.array([[0.3, -0.7], [1.1, 0.4]])
-        _, dg, _ = parse_metric({"11": "1", "22": "x2"}, 2).jet(pts)
-        assert np.all(dg[:, 1, 1, 1] == 1.0)
-        assert np.all(dg[:, 0, 0, 0] == 0.0)
+        g = parse_metric({"11": "1", "22": "x2"}, 2)
+        for x in [(0.3, -0.7), (1.1, 0.4)]:
+            _, dg, _ = g.jet_parts(x)
+            assert dg[1][1][1] == 1.0
+            assert dg[0][0][0] == 0.0
 
 
 class TestDerivatives:
@@ -377,7 +378,7 @@ class TestJets:
     @pytest.mark.parametrize("text", CASES)
     def test_against_sympy(self, text):
         points = [p for p in self.POINTS if "2.5" not in text or p[0] > 0]
-        value, grad, hess = parse_expression(text).jet(np.array(points))
+        value, grad, hess = expr_jet(parse_expression(text), points)
         want = _sympy_jet(text, points)
         for got, ref in zip((value, grad, hess), want):
             assert got.shape == ref.shape
@@ -402,7 +403,7 @@ class TestJets:
                     continue
                 if not all(math.isfinite(v) for v in fd.values()):
                     continue
-                value, grad, hess = (part[0] for part in ast.jet(np.array([x])))
+                value, grad, hess = (part[0] for part in expr_jet(ast, [x]))
                 assert value == pytest.approx(ast.eval(x), rel=1e-12, abs=1e-12)
                 assert np.array_equal(hess, hess.T)
                 got = np.concatenate([grad, hess[upper]])
@@ -423,21 +424,20 @@ class TestJets:
         ("x1*x1*x1*x1", 1e100),
     ])
     def test_domain_errors(self, text, x):
-        # one bad row fails the whole batch
         with pytest.raises(ExpressionDomainError):
-            parse_expression(text).jet(np.array([[0.5], [x]]))
+            parse_expression(text).jet_parts((x,))
 
     @pytest.mark.parametrize("text,grad,hess", [
         ("abs(x1)", 0.0, 0.0), ("x1^0", 0.0, 0.0), ("x1^1", 1.0, 0.0),
         ("x1^2", 0.0, 2.0), ("x1^2.5", 0.0, 0.0), ("x1^3", 0.0, 0.0),
     ])
     def test_derivatives_at_zero(self, text, grad, hess):
-        value, g, h = parse_expression(text).jet(np.zeros((1, 1)))
+        value, g, h = expr_jet(parse_expression(text), [(0.0,)])
         assert value[0] == parse_expression(text).eval((0.0,))
         assert (g[0, 0], h[0, 0, 0]) == (grad, hess)
 
     def test_shapes_and_constant(self):
-        value, grad, hess = parse_expression("2.5").jet(np.ones((4, 3)))
+        value, grad, hess = expr_jet(parse_expression("2.5"), np.ones((4, 3)))
         assert value.tolist() == [2.5] * 4
         assert grad.shape == (4, 3) and hess.shape == (4, 3, 3)
         assert not grad.any() and not hess.any()
@@ -470,7 +470,7 @@ class TestMetric:
     def test_symmetry_everywhere(self):
         g = parse_metric({"11": "1+x2^2", "12": "x1*x2", "22": "2"}, 2)
         for x in [(0.1, 0.2), (-1.0, 0.5), (2.0, -2.0)]:
-            m = g.matrix_at(x)
+            m = np.array(g.matrix_at(x))
             assert np.array_equal(m, m.T)
 
     def test_scene_loader(self):
