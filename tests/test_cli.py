@@ -1381,12 +1381,34 @@ def test_float_geometry_commands_load_no_numpy(args, code, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["certify", "--dim", "2", "--trials", "5"],
-], ids=["certify"])
-def test_geometry_commands_load_numpy(args):
-    """Positive control for the guards above: the probe sees numpy where a
-    command loads it, as ``certify`` does for its random operators."""
-    exit_code, modules = _fresh_cli(args)
+    ["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+    ["compare", "--scene", "{curved}"],
+], ids=["gaussbonnet", "compare-curved"])
+def test_vertex_and_sheet_counts_load_no_numpy_ma(args, tmp_path):
+    """Start-up guard: the deduplication of polytope vertices does not go
+    through ``np.unique``, whose masked-array check imports ``numpy.ma``;
+    ``curvature``, which enumerates the vertices, being loaded is the
+    positive control."""
+    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path))
+                                     for a in args])
+    assert exit_code == 0
+    assert "curvature" in _library(modules)
+    assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("args, preamble", [
+    (["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"],
+     "import numpy\n"),
+    (["compare", "--scene", "{curved}"], "import numpy\n"),
+    (["certify", "--dim", "2", "--trials", "5"], ""),
+], ids=["gaussbonnet", "compare-curved", "certify"])
+def test_geometry_commands_load_numpy(args, preamble, tmp_path):
+    """Positive control for the guards above: the probe sees numpy where it
+    is loaded, by ``certify`` for its random operators, and by a preamble
+    before the float commands ``gaussbonnet`` and ``compare`` on a varying
+    metric, so their no-numpy guards do not pass for want of a probe."""
+    exit_code, modules = _fresh_cli([a.format(curved=curved_compare_scene(tmp_path))
+                                     for a in args], preamble=preamble)
     assert exit_code == 0
     assert "numpy" in modules
 
