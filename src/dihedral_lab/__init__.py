@@ -3,18 +3,19 @@ on metric polyhedral domains.
 
 Modules:
 
-- ``expressions``      scalar expression parser / evaluator and exact jets
-                       at one point (on ``math``) and metric fields
+- ``expressions``      scalar expression parser / evaluator, exact jets at
+                       one point and metric fields (on ``math``)
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
-                       second fundamental forms, dihedral angles, Gauss-Bonnet
-                       (Gauss-Legendre product rules), conformal identities,
-                       domains (validation, vertices), all on floats; numpy
-                       loads only where a function returns an array
+                       second fundamental forms of faces, dihedral angles,
+                       Gauss-Bonnet (Gauss-Legendre product rules), conformal
+                       identities, domains (validation, vertices), all on
+                       floats; numpy loads only for the eigenvalue in the
+                       error of a metric that is not positive definite
 - ``clifford``         concrete Clifford modules, boundary projectors, the
                        Clifford/exterior-form dictionary and the endomorphism
                        PSD certificates
-- ``comparison``       map norms, stratum sampling, hypothesis / conclusion
-                       margin reports, on floats
+- ``comparison``       singular values of df, stratum sampling, hypothesis /
+                       conclusion margin reports, on floats
 - ``sector_spectra``   closed-form and discretized spectra of the arc-link
                        operator, modified Bessel deficiency test (Gauss-
                        Legendre panels summed with ``math.fsum``), Hardy bound

@@ -38,8 +38,6 @@ from .curvature import (
 from .expressions import Expr, MetricField, metric_from_scene, parse_expression
 
 __all__ = [
-    "DfNorms",
-    "df_norms",
     "CornerMap",
     "CompareScene",
     "SampleSpec",
@@ -47,7 +45,6 @@ __all__ = [
     "ComparisonReport",
     "check_hypotheses",
     "check_conclusions",
-    "sample_stratum",
     "SceneError",
 ]
 
@@ -66,26 +63,6 @@ class SceneError(ValueError):
 # ---------------------------------------------------------------------------
 # Map norms
 # ---------------------------------------------------------------------------
-
-
-class DfNorms:
-    __slots__ = ("df_norm", "wedge2_norm", "singular_values")
-    def __init__(self, df_norm: float, wedge2_norm: float, singular_values: tuple):
-        self.df_norm, self.wedge2_norm = df_norm, wedge2_norm
-        self.singular_values = singular_values
-
-
-def df_norms(jac) -> DfNorms:
-    """Operator norms of df (a matrix, as rows) and of the induced map on
-    2-vectors.
-
-    ``|df|`` is the largest singular value mu_1; ``|^2 df| = mu_1 mu_2``
-    (zero when the rank is < 2).
-    """
-    rows = [[float(v) for v in row] for row in jac]
-    top = max((abs(v) for row in rows for v in row), default=0.0) or 1.0  # no underflow
-    sv = [top * s for s in _singular_values([[v / top for v in row] for row in rows])]
-    return DfNorms(sv[0] if sv else 0.0, sv[0] * sv[1] if len(sv) >= 2 else 0.0, tuple(sv))
 
 
 def _singular_values(rows: list) -> list:
@@ -250,7 +227,7 @@ def _window_box(domain: PolyDomain) -> tuple[list, list]:
     if domain.window is not None:
         lo, hi = domain.window
         return list(lo), list(hi)
-    verts = domain._vertex_array.tolist()
+    verts = domain.vertices()
     if len(verts) >= 2:
         pad = 1e-9 * max(1.0, *(abs(v) for row in verts for v in row))
         return [min(c) - pad for c in zip(*verts)], [max(c) + pad for c in zip(*verts)]
@@ -271,10 +248,9 @@ def _dot(u, v) -> float:
     return reduce(add, map(mul, u, v))
 
 
-def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
-                   allow_empty: bool = False):
-    """Deterministic low-discrepancy samples on a stratum, as a ``(k, n)``
-    array (``compare`` reads ``_sample``'s float tuples).
+def _sample(domain: PolyDomain, stratum: str, count: int, seed: int,
+            allow_empty: bool = False) -> list:
+    """Deterministic low-discrepancy samples on a stratum, as float tuples.
 
     ``stratum`` is ``"interior"``, ``"face:i"`` or ``"edge:i,j"`` with
     0-based indices.  Halton points with a seeded Cranley-Patterson
@@ -283,13 +259,6 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
     most ``max(200, 2000 count)``) are returned, fewer only with
     ``allow_empty``.  Identical (stratum, count, seed) give identical points.
     """
-    import numpy as np
-
-    return np.array(_sample(domain, stratum, count, seed, allow_empty)).reshape(-1, domain.dim)
-
-
-def _sample(domain: PolyDomain, stratum: str, count: int, seed: int,
-            allow_empty: bool = False) -> list:
     lo, hi = _window_box(domain)
     n = domain.dim
     shift = _uniform(seed, n)  # its first n - len(faces) entries rotate the chart

@@ -50,12 +50,6 @@ class SmoothedCorner:
         self.angle, self.radius, self.arclength = angle, radius, arclength
         self.points, self.tangents, self.curvature = points, tangents, curvature
 
-    @property
-    def tangent_point_distance(self) -> float:
-        """Distance from the vertex to the points where the arc meets the
-        edges."""
-        return math.hypot(*self.points[0])
-
 
 def smoothing_arc(angle: float, radius: float,
                   edge_length: float = 1.0) -> SmoothedCorner:

@@ -9,14 +9,11 @@ Conventions (fixed here, tested against symbolic oracles):
   With ``Gamma_{l,ij} = g_{lk} Gamma^k_{ij}``, ``R_{ijkl} = 1/2 (d_i d_k g_jl
   - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik) + Gamma_{m,jl} Gamma^m_{ik}
   - Gamma_{m,il} Gamma^m_{jk}``.
-- The curvature operator on 2-vectors is
-  ``<Rop(e_i ^ e_j), e_k ^ e_l> = -R(e_i, e_j, e_k, e_l)`` in an
-  orthonormal frame; non-negative for the round sphere.
 - Second fundamental forms are taken with respect to the *inner* unit
   normal, so the boundary of a Euclidean ball has positive mean curvature
   ``H = n - 1``.
-- Orthonormal frames come from Gram-Schmidt on the coordinate frame in
-  index order; deterministic.
+- Tangent bases of faces come from Gram-Schmidt in g on the Householder
+  null space of the face normal, in order; deterministic.
 
 All metric derivatives are exact second-order jets of the underlying
 expressions (see :mod:`dihedral_lab.expressions`).  One curvature kernel
@@ -25,9 +22,8 @@ Cholesky factor whose pivots check positive definiteness.  Domains are
 stored, validated and enumerated, face forms and dihedral angles computed,
 and Gauss-Bonnet integrated by Gauss-Legendre product rules, on floats, so
 ``curvature_tensors``, the conformal identities, ``angles`` and
-``gauss_bonnet_defect`` never load numpy; it is imported by the functions
-that return arrays (``vertices``, ``FaceGeometry``, the curvature
-operator), when they run.
+``gauss_bonnet_defect`` never load numpy; it is imported only to report a
+metric's smallest eigenvalue when its Cholesky factorization fails.
 """
 
 from __future__ import annotations
@@ -36,7 +32,8 @@ import math
 from functools import cached_property, reduce
 from itertools import combinations, product
 from operator import add, mul
-from typing import TYPE_CHECKING, Sequence
+from numbers import Real
+from typing import Sequence
 
 from .expressions import (
     BinOp,
@@ -48,9 +45,6 @@ from .expressions import (
     scene_dim,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "PolyDomain",
     "CurvaturePack",
@@ -58,14 +52,10 @@ __all__ = [
     "DomainError",
     "DegenerateCornerError",
     "curvature_tensors",
-    "curvature_operator",
     "conformal_identities",
     "face_geometry",
-    "hypersurface_geometry",
     "dihedral_angle",
-    "metric_at",
     "gauss_bonnet_defect",
-    "orthonormal_frame",
 ]
 
 _FEAS_TOL = 1e-9
@@ -98,7 +88,7 @@ class PolyDomain:
 
     # a the unit normals as k float tuples, b the k offsets, window an
     # optional ((lo...), (hi...)) sampling box; __dict__ holds the cached
-    # _solutions, _vertex_array and the array _vertices
+    # _solutions and _vertices
     __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
     def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
@@ -113,15 +103,17 @@ class PolyDomain:
         window: tuple | None = None,
         validate: bool = True,
     ) -> "PolyDomain":
-        rows = [_row(a) for a, _ in halfspaces]
-        if not rows or any(type(r) is not list or len(r) != len(rows[0]) for r in rows):
-            import numpy as np  # any other input converts, or fails, as in numpy
-
-            normals = np.array([np.asarray(r, dtype=float) for r in rows])
-            if normals.ndim != 2 or normals.shape[0] == 0:
-                raise DomainError("at least one half-space is required")
-            rows = normals.tolist()
-        offsets = [float(b) for _, b in halfspaces]
+        rows, offsets = [], []
+        for k, (a, b) in enumerate(halfspaces, 1):
+            rows.append(_numbers(a, f"half-space {k}: 'a' must be a list of numbers"))
+            offsets.append(_numbers([b], f"half-space {k}: 'b' must be a number")[0])
+            if not rows[-1]:
+                raise DomainError(f"half-space {k}: 'a' is empty")
+            if len(rows[-1]) != len(rows[0]):
+                raise DomainError(f"half-space {k}: 'a' has {len(rows[-1])} entries, "
+                                  f"half-space 1 has {len(rows[0])}")
+        if not rows:
+            raise DomainError("at least one half-space is required")
         if not all(map(math.isfinite, [*offsets, *(v for row in rows for v in row)])):
             raise DomainError("half-space normals and offsets must be finite")
         norms = [_norm(row) for row in rows]
@@ -141,8 +133,7 @@ class PolyDomain:
             raise DomainError("domain scene must be a JSON object")
         try:
             dim = scene_dim(scene)
-            halfspaces = [(_row(h["a"]), float(h["b"]))
-                          for h in scene["halfspaces"]]
+            halfspaces = [(h["a"], h["b"]) for h in scene["halfspaces"]]
         except KeyError as exc:
             raise DomainError(f"domain scene missing key {exc}") from exc
         except TypeError as exc:
@@ -150,11 +141,12 @@ class PolyDomain:
                               "'halfspaces' of {\"a\": [...], \"b\": t}") from exc
         window = None
         if "window" in scene:
+            shape = "'window' must be [[lo...], [hi...]]"
             try:
                 lo, hi = scene["window"]
-                window = (tuple(float(v) for v in lo), tuple(float(v) for v in hi))
             except (TypeError, ValueError) as exc:
-                raise DomainError("'window' must be [[lo...], [hi...]]") from exc
+                raise DomainError(shape) from exc
+            window = (tuple(_numbers(lo, shape)), tuple(_numbers(hi, shape)))
             if not len(window[0]) == len(window[1]) == dim:
                 raise DomainError(f"'window' corners must have {dim} entries")
         dom = cls.from_halfspaces(halfspaces, region=scene.get("region", "intersection"),
@@ -223,48 +215,42 @@ class PolyDomain:
         return list(_basic_solutions(self.a, self.b))
 
     @cached_property
-    def _vertex_array(self) -> memoryview:
+    def _vertices(self) -> tuple:
         # np.unique(np.round(v, 9), axis=0) on floats, where v * 1e9 is finite
-        # (of rows equal up to signed zeros the first), as a read-only (k, n)
-        # view of doubles, 1-D when empty
-        from array import array
-
+        # (of rows equal up to signed zeros the first)
         rows = sorted(tuple(math.copysign(round(v * 1e9), v) / 1e9 if abs(v) < 1e299 else v
                             for v in y) for y in self._solutions)
-        flat = array("d", [v for t, y in enumerate(rows) if not t or y != rows[t - 1]
-                           for v in y])
-        view = memoryview(flat).toreadonly()
-        return view.cast("B").cast("d", (len(flat) // self.dim, self.dim)) if flat else view
+        return tuple(y for t, y in enumerate(rows) if not t or y != rows[t - 1])
 
-    @cached_property
-    def _vertices(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self._vertex_array).reshape(-1, self.dim)
-
-    def vertices(self) -> np.ndarray:
-        """Points where ``dim`` face planes meet feasibly (may be empty), read-only."""
+    def vertices(self) -> tuple:
+        """Points where ``dim`` face planes meet feasibly (may be none), as
+        float tuples rounded to 9 decimals, sorted and deduplicated."""
         return self._vertices
 
     def diameter(self) -> float:
         if self.window is not None:
             lo, hi = self.window
             return _norm([q - p for p, q in zip(lo, hi)])
-        pts = self._vertex_array.tolist()
+        pts = self._vertices
         if len(pts) >= 2:
             return max(max(_norm([p - q for p, q in zip(u, v)])
                            for u, v in combinations(pts, 2)), 1e-9)
         return 1.0
 
 
-def _row(a):
-    """``a`` as a list of floats when it is a list or tuple of real numbers,
-    else as numpy's float array of it, with numpy's conversion errors."""
-    if type(a) in (list, tuple) and all(isinstance(v, (int, float)) for v in a):
-        return [float(v) for v in a]
-    import numpy as np
-
-    return np.asarray(a, dtype=float)
+def _numbers(values, message: str) -> list:
+    """``values`` as a list of floats if it is a sequence of real numbers
+    other than bool (JSON numbers, numpy's scalars), else a
+    :class:`DomainError` with ``message``; an int past the float range
+    becomes an infinity."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise DomainError(message) from None
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
+        raise DomainError(message)
+    return [(math.inf if v > 0 else -math.inf) if isinstance(v, int) and abs(v) >= 2**1024
+            else float(v) for v in values]
 
 
 def _norm(v) -> float:
@@ -451,56 +437,18 @@ def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
     return CurvaturePack(x, gm, ginv, bracket, gamma, *_riemann(ginv, d2g, bracket, gamma))
 
 
-def metric_at(g: MetricField, x: Sequence[float]) -> list:
-    """The metric at ``x`` as n rows of floats; raises
-    :class:`MetricNotPositiveDefinite` if it is not positive definite there."""
-    gm = g.matrix_at(x)
-    if not all(row[-1] > 0.0 for row in _cholesky(gm)):
-        raise _not_positive_definite(list(x), gm)
-    return gm
-
-
-def orthonormal_frame(gmat) -> np.ndarray:
-    """Gram-Schmidt on the coordinate frame in index order; columns E_a
-    satisfy E^T g E = 1 (``gmat`` an array or nested lists)."""
-    import numpy as np
-
-    gmat = np.asarray(gmat, dtype=float)
-    return np.array(_g_orthonormal(np.eye(len(gmat)).tolist(), gmat.tolist())).T
-
-
-def curvature_operator(g: MetricField, x: Sequence[float]) -> np.ndarray:
-    """Curvature operator on Lambda^2 in the Gram-Schmidt orthonormal frame.
-
-    Entry ((a, b), (c, d)) is ``-R(E_a, E_b, E_c, E_d)``; the matrix is
-    symmetrized before returning (the exact tensor is pair-symmetric, the
-    evaluated one up to rounding).
-    """
-    import numpy as np
-
-    pack = curvature_tensors(g, x)
-    frame = orthonormal_frame(pack.metric)
-    rframe = np.einsum("ijkl,ia,jb,kc,ld->abcd", np.array(pack.riemann),
-                       frame, frame, frame, frame)
-    a, b = np.triu_indices(g.dim, 1)  # the wedge_pairs order
-    op = -rframe[a[:, None], b[:, None], a, b]
-    return 0.5 * (op + op.T)
-
-
 # ---------------------------------------------------------------------------
 # Face geometry
 # ---------------------------------------------------------------------------
 
 
 class FaceGeometry:
-    """Second fundamental form (inner normal) on a g-orthonormal tangent
-    basis of the face (the ``(n, n-1)`` columns), and its trace."""
+    """Second fundamental form (inner normal) of a face on a g-orthonormal
+    tangent basis, as n - 1 rows of floats, and its trace."""
 
-    __slots__ = ("second_fundamental", "mean_curvature", "tangent_basis", "inner_normal")
-    def __init__(self, second_fundamental: np.ndarray, mean_curvature: float,
-                 tangent_basis: np.ndarray, inner_normal: np.ndarray):
+    __slots__ = ("second_fundamental", "mean_curvature")
+    def __init__(self, second_fundamental: list, mean_curvature: float):
         self.second_fundamental, self.mean_curvature = second_fundamental, mean_curvature
-        self.tangent_basis, self.inner_normal = tangent_basis, inner_normal
 
 
 def _householder(rows: Sequence[Sequence[float]]) -> tuple[list, int]:
@@ -581,64 +529,12 @@ def face_geometry(g: MetricField, domain: PolyDomain, i: int,
     """
     if not (0 <= i < domain.face_count):
         raise DomainError(f"no face {i + 1}")
-    import numpy as np
-
     x = [float(v) for v in x]
     if not domain.on_face(i, x):
         raise DomainError(f"point {x} is not on face {i + 1}")
     gmat, ginv, _, bracket, *_ = _first_order(g, x)
-    second, tangent, nu = _face_forms(domain, i, gmat, ginv, bracket)
-    mean = reduce(add, [row[a] for a, row in enumerate(second)], 0.0)
-    return FaceGeometry(np.array(second), mean, np.array(tangent).T, np.array(nu))
-
-
-def hypersurface_geometry(
-    g: MetricField,
-    chart: Sequence[Expr | str],
-    u: Sequence[float],
-    inward_reference: Sequence[float],
-) -> FaceGeometry:
-    """Second fundamental form of a parametrized hypersurface.
-
-    ``chart`` gives the n embedding expressions in the surface parameters
-    x1..x(n-1); ``inward_reference`` is any nearby point on the inner side
-    and only fixes the sign of the normal.  This is the evaluation mode
-    for curved boundaries (spheres, cylinders) that half-space data cannot
-    encode.
-    """
-    import numpy as np
-
-    exprs = [parse_expression(c) if isinstance(c, str) else c for c in chart]
-    n = g.dim
-    if len(exprs) != n:
-        raise DomainError(f"chart must have {n} components")
-    m = n - 1
-    u = [float(v) for v in u]
-    if len(u) != m:
-        raise DomainError(f"chart parameters must have {m} components")
-    jets = [e.jet_parts(tuple(u)) for e in exprs]
-    # position, jac[k, a] = d_a sigma^k and hess[k, a, b] = d_a d_b sigma^k
-    pos = np.array([value for value, _, _ in jets])
-    jac = np.array([grad for _, grad, _ in jets])
-    hess = np.array([_full(entries, m) for _, _, entries in jets])
-    gmat, _, _, bracket = map(np.array, _first_order(g, pos)[:4])
-    # g-normal: null space of (tangent^T g)
-    null = np.linalg.svd(jac.T @ gmat)[2][-1]
-    nu = null / math.sqrt(null @ gmat @ null)
-    ref = np.asarray(inward_reference, dtype=float)
-    if nu @ gmat @ (ref - pos) < 0:
-        nu = -nu
-    # A_ab = g(sigma_ab, nu) + Gamma_{l,ij} t_a^i t_b^j nu^l on the chart basis
-    a_chart = (np.einsum("kab,k->ab", hess, gmat @ nu)
-               + 0.5 * np.einsum("ijl,ia,jb,l->ab", bracket, jac, jac, nu))
-    first = jac.T @ gmat @ jac
-    mean = float(np.trace(np.linalg.solve(first, a_chart)))
-    # report A on a g-orthonormal tangent basis, consistent with face_geometry
-    tangent = np.array(_g_orthonormal(jac.T.tolist(), gmat.tolist())).T
-    comb = np.linalg.lstsq(jac, tangent, rcond=None)[0]
-    second = comb.T @ a_chart @ comb
-    second = 0.5 * (second + second.T)
-    return FaceGeometry(second, mean, tangent, nu)
+    second = _face_forms(domain, i, gmat, ginv, bracket)[0]
+    return FaceGeometry(second, reduce(add, [row[a] for a, row in enumerate(second)], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +570,7 @@ def conformal_identities(
 
     with lap = div grad and n the inner gbar-unit normal.  Returns
     ``{"scalar": resid}`` or ``{"scalar": ..., "mean_curvature": ...}`` when
-    a face is given; only the face variant builds arrays (the
-    ``FaceGeometry`` of the rescaled metric).
+    a face is given.
     """
     if isinstance(h, str):
         h = parse_expression(h)
@@ -882,7 +777,7 @@ def _polygon_structure(domain: PolyDomain):
         raise DomainError("Gauss-Bonnet needs a 2-D domain")
     if domain.region != "intersection":
         raise DomainError("Gauss-Bonnet supports convex domains only")
-    verts = domain._vertex_array.tolist()
+    verts = domain.vertices()
     if len(verts) < 3:
         raise DomainError("domain is not a bounded polygon")
     center = [math.fsum(c) / len(verts) for c in zip(*verts)]

@@ -74,10 +74,9 @@ class ExpressionDomainError(ExpressionError):
 
 
 class Expr:
-    """Immutable expression tree node.  Equality is structural and type-aware
-    (same class, equal fields: ``Num(1.0) != Var(1)``) and equal nodes hash
-    equal; ``MetricField.jet_parts`` shares one jet between entries that are
-    one tree, as ``parse_metric`` makes equal entry texts."""
+    """Immutable expression tree node, equal only to itself:
+    ``MetricField.jet_parts`` shares one jet between entries that are one
+    tree, as ``parse_metric`` makes equal entry texts."""
 
     __slots__ = ()
 
@@ -89,15 +88,6 @@ class Expr:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self), *self._fields()))
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.eval(x)
@@ -465,11 +455,6 @@ class MetricField:
     __slots__ = ("dim", "entries")
     def __init__(self, dim: int, entries: dict):
         self.dim, self.entries = dim, entries
-
-    def entry(self, i: int, j: int) -> Expr:
-        if i > j:
-            i, j = j, i
-        return self.entries[(i, j)]
 
     def matrix_at(self, x: Sequence[float]) -> list:
         """The metric at ``x`` as n rows of floats, its entries evaluated in

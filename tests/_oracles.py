@@ -1,7 +1,8 @@
 """Independent oracles used by several test modules: sympy closed forms,
 the d Gamma chain for Riemann, a central finite-difference evaluator of
 expression derivatives, the per-point comparison path and dihedral angle,
-the mpmath dihedral angle of given float metric and normals, the SVD null
+the mean curvature of a face as a divergence (sympy derivatives evaluated in
+mpmath), the mpmath dihedral angle of given float metric and normals, the SVD null
 space basis,
 the term-by-term random curvature operator,
 the trial-by-trial certificate loop, the dense Hardy kernel and its
@@ -15,7 +16,7 @@ library no longer builds: stacked jets and a domain's normals, offsets and
 slacks."""
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from dataclasses import dataclass
 from operator import add
@@ -26,13 +27,7 @@ import numpy as np
 import sympy as sp
 
 from dihedral_lab.clifford import boundary_certificate, curvature_certificate
-from dihedral_lab.comparison import (
-    _PRIMES,
-    CompareScene,
-    DfNorms,
-    SampleSpec,
-    _window_box,
-)
+from dihedral_lab.comparison import _PRIMES, CompareScene, SampleSpec, _window_box
 from dihedral_lab.corner_smoothing import ARC_SAMPLES, SmoothedCorner
 from dihedral_lab.curvature import (
     _FEAS_TOL,
@@ -41,8 +36,6 @@ from dihedral_lab.curvature import (
     PolyDomain,
     _nullspace,
     curvature_tensors,
-    face_geometry,
-    metric_at,
 )
 from dihedral_lab.expressions import Expr, MetricField, _full, parse_expression
 from dihedral_lab.index_lab import PolygonError
@@ -471,15 +464,59 @@ def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def _metric_norms(scene: CompareScene, x: np.ndarray) -> DfNorms:
-    """Singular values of df with respect to both metrics."""
+def _metric_norms(scene: CompareScene, x: np.ndarray) -> tuple[float, float]:
+    """``|df|`` and ``|^2 df|``, from the singular values of df with respect
+    to both metrics."""
     jac = scene.corner_map.jacobian(x)
-    gsrc = np.array(metric_at(scene.metric_src, x))
-    gdst = np.array(metric_at(scene.metric_dst, scene.corner_map(x)))
+    gsrc = np.array(scene.metric_src.matrix_at(x))
+    gdst = np.array(scene.metric_dst.matrix_at(scene.corner_map(x)))
     tilted = _sqrtm_spd(gdst) @ jac @ np.linalg.inv(_sqrtm_spd(gsrc))
     sv = np.linalg.svd(tilted, compute_uv=False)
-    return DfNorms(float(sv[0]), float(sv[0] * sv[1]) if len(sv) > 1 else 0.0,
-                   tuple(sv.tolist()))
+    return float(sv[0]), float(sv[0] * sv[1]) if len(sv) > 1 else 0.0
+
+
+@lru_cache(maxsize=None)
+def _metric_first_derivatives(texts: tuple, n: int):
+    """mpmath functions of the metric entries ``g[i][j]`` and of their first
+    derivatives ``dg[k][i][j] = d_k g_ij``, from sympy on the entry texts
+    (``texts[n i + j]``, with ``^`` as ``**``)."""
+    xs = sp.symbols(f"x1:{n + 1}", real=True)
+    names = {f"x{k + 1}": x for k, x in enumerate(xs)}
+    entries = [sp.sympify(t.replace("^", "**"), locals=names) for t in texts]
+    g = [[sp.lambdify([xs], entries[n * i + j], "mpmath") for j in range(n)] for i in range(n)]
+    dg = [[[sp.lambdify([xs], sp.diff(entries[n * i + j], x), "mpmath") for j in range(n)]
+           for i in range(n)] for x in xs]
+    return g, dg
+
+
+def mean_curvature(g: MetricField, domain: PolyDomain, i: int, x) -> float:
+    """Mean curvature of face ``i`` at ``x`` with respect to its inner unit
+    normal, as ``H = -div_g nu`` at 30 digits on the given floats.
+
+    ``nu = s g^-1 a / sqrt(a^T g^-1 a)`` (s = 1 for the intersection, -1 for
+    the complement) is a g-unit field, so the divergence ``div_g X = d_i X^i
+    + X^i d_i log sqrt(det g)`` of it on the face is minus the trace of the
+    second fundamental form.  Its derivatives need only g's first ones:
+    ``d_k g^-1 = -g^-1 (d_k g) g^-1`` and ``d_k log sqrt(det g) = 1/2 tr(g^-1
+    d_k g)``; g^-1 is inverted numerically, never symbolically."""
+    n = g.dim
+    texts = tuple(g.entries[min(r, c), max(r, c)].to_text() for r in range(n) for c in range(n))
+    gf, dgf = _metric_first_derivatives(texts, n)
+    sign = 1 if domain.region == "intersection" else -1
+    with mpmath.workdps(30):
+        pt = [mpmath.mpf(float(v)) for v in x]
+        ginv = mpmath.inverse(mpmath.matrix([[e(pt) for e in row] for row in gf]))
+        a = mpmath.matrix([mpmath.mpf(v) for v in domain.a[i]])
+        w = ginv * a  # g^-1 a
+        size = mpmath.sqrt((a.T * w)[0])
+        div = 0
+        for k, rows in enumerate(dgf):
+            dgk = mpmath.matrix([[e(pt) for e in row] for row in rows])
+            dw = -(ginv * dgk * w)  # d_k (g^-1 a)
+            dsize = -(w.T * dgk * w)[0] / (2 * size)  # d_k sqrt(a^T g^-1 a)
+            dlog = sum((ginv * dgk)[r, r] for r in range(n)) / 2
+            div += dw[k] / size - w[k] * dsize / size**2 + w[k] / size * dlog
+        return float(-sign * div)
 
 
 def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
@@ -517,7 +554,7 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
         raise DomainError("need two distinct faces")
     if not domain.on_edge(i, j, x):
         raise DomainError(f"point {list(x)} is not on edge ({i}, {j})")
-    gmat = np.array(metric_at(g, x))
+    gmat = np.array(g.matrix_at(x))
     u = _edge_normal_in_face(domain, gmat, i, j)
     v = _edge_normal_in_face(domain, gmat, j, i)
     cosang = float(u @ gmat @ v)
@@ -551,20 +588,17 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):
     """Yield (name, stratum, point, hypothesis_margin, equality_residual)."""
     f = scene.corner_map
     for x in sample_stratum(scene.domain_src, "interior", spec.interior, spec.seed):
-        norms = _metric_norms(scene, x)
+        wedge2 = _metric_norms(scene, x)[1]
         sc_src = curvature_tensors(scene.metric_src, x).scalar
         sc_dst = curvature_tensors(scene.metric_dst, f(x)).scalar
-        gap = sc_src - norms.wedge2_norm * sc_dst
+        gap = sc_src - wedge2 * sc_dst
         yield ("scalar", "interior", x, gap, abs(gap))
     for i, j in f.face_map.items():
         for y in sample_stratum(scene.domain_src, f"face:{i}", spec.per_face,
                                 spec.seed):
-            norms = _metric_norms(scene, y)
-            h_src = face_geometry(scene.metric_src, scene.domain_src, i, y
-                                  ).mean_curvature
-            h_dst = face_geometry(scene.metric_dst, scene.domain_dst, j, f(y)
-                                  ).mean_curvature
-            gap = h_src - norms.df_norm * h_dst
+            h_src = mean_curvature(scene.metric_src, scene.domain_src, i, y)
+            h_dst = mean_curvature(scene.metric_dst, scene.domain_dst, j, f(y))
+            gap = h_src - _metric_norms(scene, y)[0] * h_dst
             yield ("mean_curvature", f"face:{i + 1}", y, gap, abs(gap))
     pairs = [(i, j) for i in f.face_map for j in f.face_map if i < j]
     for i, j in pairs:

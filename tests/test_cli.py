@@ -801,6 +801,55 @@ class TestMalformedSceneTypes:
         scene = {**square_scene(), **self.DOMAIN_CASES[case]}
         self.assert_input_error(self.run_scene(runner, tmp_path, command, scene))
 
+    # (half-space, key, value) and the message: a normal, offset or window
+    # entry that is not a JSON number other than a bool; the bools, the
+    # string offset and the string window passed before (exit 0), the
+    # string and nested normals printed numpy's conversion error, the huge
+    # int crashed (exit 3)
+    HALFSPACE_NUMBERS = {
+        "a_string": (1, "a", "12", "half-space 2: 'a' must be a list of numbers"),
+        "a_empty": (1, "a", [], "half-space 2: 'a' is empty"),
+        "a_matrix": (1, "a", [[1, 0], [0, 1]], "half-space 2: 'a' must be a list of numbers"),
+        "a_bools": (0, "a", [True, False], "half-space 1: 'a' must be a list of numbers"),
+        "a_huge_int": (1, "a", [-10**400, 0], "half-space normals and offsets must be finite"),
+        "b_string": (0, "b", "0", "half-space 1: 'b' must be a number"),
+        "b_bool": (1, "b", True, "half-space 2: 'b' must be a number"),
+        "window_strings": (None, "window", [["0", "0"], [1, 1]],
+                           "'window' must be [[lo...], [hi...]]"),
+    }
+
+    def halfspace_scene(self, case):
+        k, key, value, _ = self.HALFSPACE_NUMBERS[case]
+        scene = square_scene()
+        if k is None:
+            scene[key] = value
+        else:
+            scene["halfspaces"][k][key] = value
+        return scene
+
+    @pytest.mark.parametrize("case", sorted(HALFSPACE_NUMBERS))
+    def test_halfspace_numbers(self, runner, tmp_path, case):
+        result = self.run_scene(runner, tmp_path, "angles", self.halfspace_scene(case))
+        self.assert_input_error(result)
+        assert result.stderr.splitlines() == [
+            f"input error: {self.HALFSPACE_NUMBERS[case][3]}"]
+
+    def test_halfspace_numbers_load_no_numpy(self, tmp_path):
+        paths = [write_json(tmp_path / f"{case}.json", self.halfspace_scene(case))
+                 for case in sorted(self.HALFSPACE_NUMBERS)]
+        status, modules = _fresh_modules(
+            "import sys\n"
+            "from dihedral_lab.cli import main\n"
+            "codes = []\n"
+            "for path in sys.argv[1:]:\n"
+            "    try:\n"
+            "        main(['angles', '--scene', path, '--faces', '1,3', '--point', '0,0'])\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            "print(codes, file=sys.stderr)\n", paths)
+        assert status == str([2] * len(paths))
+        assert "numpy" not in modules
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_scene_not_an_object(self, runner, tmp_path, command):
         self.assert_input_error(self.run_scene(runner, tmp_path, command, [1, 2]))
@@ -1518,17 +1567,51 @@ def test_probe_sees_preloaded_numpy_ma():
 
 def test_scalar_expressions_load_no_numpy():
     """Parsing, scalar evaluation and the jets run on ``math``, and the jet
-    agrees with the scalar value."""
+    agrees with the scalar value; the domains of the shipped scenes
+    validate and list their vertices on floats too."""
     status, modules = _fresh_modules(
-        "import math, sys\n"
+        "import json, math, pathlib, sys\n"
+        "from dihedral_lab.curvature import PolyDomain\n"
         "from dihedral_lab.expressions import parse_expression\n"
         "e = parse_expression('x1^2*sin(x2) + sqrt(x1)/cosh(x2)')\n"
         "v = e.eval((0.5, 0.25))\n"
         "value, grad, hess = e.jet_parts((0.5, 0.25))\n"
         "same = math.isclose(value, v, rel_tol=1e-14)\n"
-        "print(same, len(grad), len(hess), file=sys.stderr)\n")
-    assert status == "True 2 3"
+        "counts = []\n"
+        "for path in sorted(pathlib.Path('scenes').glob('*.json')):\n"
+        "    scene = json.loads(path.read_text())\n"
+        "    for part in (scene, scene.get('N'), scene.get('M')):\n"
+        "        if isinstance(part, dict) and 'halfspaces' in part:\n"
+        "            counts.append(len(PolyDomain.from_scene(part).vertices()))\n"
+        "print(same, len(grad), len(hess), counts, file=sys.stderr)\n")
+    # conformal_square, cube_id (N, M), square_id (N, M), square_metric, wedge_metric
+    assert status == "True 2 3 [4, 8, 8, 4, 4, 4, 1]"
     assert "numpy" not in modules
+
+
+def test_geometry_modules_import_numpy_only_for_the_eigenvalue_error():
+    """``expressions``, ``curvature`` and ``comparison`` work on floats: the
+    one numpy import among them is in ``_not_positive_definite``, which
+    reports the smallest eigenvalue of a metric that is not positive
+    definite (an error path)."""
+    found = []
+
+    def visit(module, node, where):  # where: the enclosing function or class
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            found.extend((module, where, name) for name in names
+                         if name.split(".")[0] == "numpy")
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(module, child, child.name if scope else where)
+
+    for module in ("expressions", "curvature", "comparison"):
+        path = ROOT / "src" / "dihedral_lab" / f"{module}.py"
+        visit(module, ast.parse(path.read_text()), None)
+    assert found == [("curvature", "_not_positive_definite", "numpy")]
 
 
 def test_reexported_names_are_the_library_objects():

@@ -14,13 +14,10 @@ from dihedral_lab.curvature import (
     DegenerateCornerError,
     DomainError,
     PolyDomain,
-    curvature_operator,
     curvature_tensors,
     dihedral_angle,
     face_geometry,
     gauss_bonnet_defect,
-    hypersurface_geometry,
-    orthonormal_frame,
     _first_order,
     _gauss_legendre,
     _nullspace,
@@ -280,7 +277,7 @@ def mixed_metric(rng, n, constant):
     bound = 0.6 / max(n - 1, 1)
     spec = {f"{p + 1}{q + 1}": (repr(float(rng.uniform(2.0, 3.0))) if p == q else
                                 repr(float(rng.uniform(-bound, bound))))
-            if (p, q) in constant else g.entry(p, q).to_text()
+            if (p, q) in constant else g.entries[p, q].to_text()
             for p in range(n) for q in range(p, n)}
     return parse_metric(spec, n)
 
@@ -322,59 +319,13 @@ class TestComponentKernel:
         gmat, ginv, gamma, riemann, ricci, scalar = stacked_curvature(g, pts)
         assert (gmat.shape, riemann.shape, ricci.shape, scalar.shape) == (
             (m, n, n), (m, n, n, n, n), (m, n, n), (m,))
-        want = np.array([[g.entry(i, j).eval(()) for j in range(n)] for i in range(n)])
+        want = np.array([[g.entries[min(i, j), max(i, j)].eval(()) for j in range(n)]
+                         for i in range(n)])
         assert np.array_equal(gmat, np.broadcast_to(want, (m, n, n)))
         assert np.allclose(ginv, np.linalg.inv(want), rtol=1e-14, atol=1e-14)
         riem_o, ric_o, sc_o = _oracles.dgamma_curvature(g, pts)
         assert not riemann.any() and not riem_o.any()
         assert not ricci.any() and not scalar.any() and not gamma.any()
-
-
-class TestCurvatureOperator:
-    def test_flat_zero(self):
-        op = curvature_operator(euclidean_metric(3), (0.4, 0.2, 0.0))
-        assert np.abs(op).max() <= 1e-13
-
-    def test_sphere2_value(self):
-        op = curvature_operator(sphere_metric(2), (0.3, -0.2))
-        assert op.shape == (1, 1)
-        assert op[0, 0] == pytest.approx(1.0, abs=1e-13)
-
-    def test_symmetric_and_psd_on_sphere(self):
-        op = curvature_operator(sphere_metric(3), (0.2, -0.1, 0.3))
-        assert np.abs(op - op.T).max() <= 1e-10
-        assert np.linalg.eigvalsh(op)[0] >= -1e-6
-
-    def test_entries_against_symbolic_oracle(self):
-        # an off-diagonal metric, so every wedge-pair block is exercised
-        xs = sp.symbols("x1 x2 x3", real=True)
-        gs = sp.Matrix([[1 + xs[1] ** 2, xs[2] / 4, 0],
-                        [xs[2] / 4, 2 + xs[0] ** 2, xs[1] / 5],
-                        [0, xs[1] / 5, 1]])
-        point = (0.4, 0.7, -0.3)
-        _, riem_o, _, _ = symbolic_curvature(gs, list(xs), point)
-        g = parse_metric({"11": "1+x2^2", "12": "x3/4", "22": "2+x1^2",
-                          "23": "x2/5", "33": "1"}, 3)
-        frame = orthonormal_frame(curvature_tensors(g, point).metric)
-        rf = np.einsum("ijkl,ia,jb,kc,ld->abcd", riem_o, frame, frame, frame, frame)
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        expected = np.array([[-rf[a, b, c, d] for c, d in pairs] for a, b in pairs])
-        assert np.allclose(curvature_operator(g, point), expected, rtol=0, atol=1e-13)
-
-    def test_scaling_oracle(self):
-        c2 = 4.0
-        scaled = parse_metric(
-            {f"{i}{i}": f"{c2}*4/(1+x1^2+x2^2+x3^2)^2" for i in (1, 2, 3)}, 3
-        )
-        op1 = curvature_operator(sphere_metric(3), (0.1, 0.0, 0.2))
-        op2 = curvature_operator(scaled, (0.1, 0.0, 0.2))
-        assert np.allclose(op2, op1 / c2, rtol=0, atol=1e-13)
-
-    def test_frame_is_orthonormal(self):
-        g = parse_metric({"11": "2", "12": "0.4", "22": "1"}, 2)
-        gm = g.matrix_at((0.0, 0.0))
-        frame = orthonormal_frame(gm)
-        assert np.allclose(frame.T @ gm @ frame, np.eye(2), atol=1e-12)
 
 
 class TestFaceGeometry:
@@ -386,24 +337,6 @@ class TestFaceGeometry:
     def test_point_not_on_face(self):
         with pytest.raises(DomainError):
             face_geometry(euclidean_metric(3), unit_cube(), 0, (0.5, 0.5, 0.5))
-
-    def test_unit_circle_mean_curvature(self):
-        # curved-boundary mode: the Euclidean unit circle has H = 1 w.r.t.
-        # the inner normal (positive, ball-boundary sign convention)
-        fg = hypersurface_geometry(
-            euclidean_metric(2), ["cos(x1)", "sin(x1)"], (0.7,),
-            inward_reference=(0.0, 0.0),
-        )
-        assert fg.mean_curvature == pytest.approx(1.0, abs=1e-13)
-
-    def test_unit_sphere_mean_curvature(self):
-        fg = hypersurface_geometry(
-            euclidean_metric(3),
-            ["sin(x1)*cos(x2)", "sin(x1)*sin(x2)", "cos(x1)"],
-            (1.1, 0.4),
-            inward_reference=(0.0, 0.0, 0.0),
-        )
-        assert fg.mean_curvature == pytest.approx(2.0, abs=1e-13)
 
     @pytest.mark.parametrize("n,c", [(2, 0.7), (3, -0.4)])
     def test_conformal_mean_curvature_law(self, n, c):
@@ -427,25 +360,40 @@ class TestFaceGeometry:
         fg = face_geometry(g, dom, 0, x)
         assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-13)
 
-    @pytest.mark.parametrize("n,c", [(2, 0.7), (3, -0.4)])
-    def test_flat_chart_under_conformal_metric(self, n, c):
-        # the plane x_n = 0 as a parametrized hypersurface of exp(2 c x_n)
-        # delta: its Hessian term vanishes, so the Christoffel term alone
-        # must give the face mode's H = -(n-1) c
-        expr = f"exp(2*({c}*x{n}))"
-        g = parse_metric({f"{i}{i}": expr for i in range(1, n + 1)}, n)
-        chart = [f"x{k}" for k in range(1, n)] + ["0"]
-        u = (0.3,) * (n - 1)
-        fg = hypersurface_geometry(g, chart, u, inward_reference=u + (1.0,))
-        assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-13)
-
     def test_scaling_law_mean_curvature(self):
-        # c^2 g divides H by c; exercised through the circle mode
+        # c^2 g divides H by c, on every face of the unit square
         c2, c = 9.0, 3.0
-        g = parse_metric({"11": str(c2), "22": str(c2)}, 2)
-        fg = hypersurface_geometry(g, ["cos(x1)", "sin(x1)"], (0.7,), (0.0, 0.0))
-        assert fg.mean_curvature == pytest.approx(1.0 / c, abs=1e-13)
+        spec = {"11": "1 + 0.3*x2^2", "12": "0.2*x1*x2", "22": "1 + 0.1*x1"}
+        g = parse_metric(spec, 2)
+        scaled = parse_metric({k: f"{c2}*({v})" for k, v in spec.items()}, 2)
+        for face, x in enumerate([(0.0, 0.3), (1.0, 0.7), (0.4, 0.0), (0.6, 1.0)]):
+            want = face_geometry(g, unit_square(), face, x).mean_curvature / c
+            got = face_geometry(scaled, unit_square(), face, x).mean_curvature
+            assert got == pytest.approx(want, abs=1e-13)
 
+    ORACLE_METRICS = {
+        "polynomial": (2, {"11": "1 + 0.3*x2^2", "12": "0.2*x1*x2", "22": "1 + 0.1*x1"}),
+        "trigonometric": (2, {"11": "2 + sin(x1*x2)", "12": "0.3*cos(x1)",
+                              "22": "1.5 + 0.4*x1*x2^2"}),
+        "full-3d": (3, {"11": "1+x2^2", "12": "x3/4", "13": "0.1*x1*x2", "22": "2+x1^2",
+                        "23": "x2/5", "33": "1+0.2*sin(x1*x3)"}),
+    }
+
+    @pytest.mark.parametrize("region", ["intersection", "complement"])
+    @pytest.mark.parametrize("metric", sorted(ORACLE_METRICS))
+    def test_mean_curvature_matches_divergence_oracle(self, metric, region):
+        # H = -div_g nu in mpmath from sympy first derivatives, on every face
+        # of the unit square or cube (faces 2k, 2k + 1 are x_k = 0, x_k = 1)
+        n, spec = self.ORACLE_METRICS[metric]
+        g = parse_metric(spec, n)
+        box = unit_square() if n == 2 else unit_cube()
+        dom = PolyDomain(n, box.a, box.b, region)
+        free = (0.3, 0.65)
+        for face in range(2 * n):
+            axis, rest = face // 2, iter(free)
+            x = tuple(float(face % 2) if k == axis else next(rest) for k in range(n))
+            want = _oracles.mean_curvature(g, dom, face, x)
+            assert abs(face_geometry(g, dom, face, x).mean_curvature - want) <= 1e-13
 
 class TestDihedralAngle:
     def test_cube_edges_right_angle(self):
@@ -739,13 +687,13 @@ class TestPolyDomain:
         big = 1.0000000000000002e300
         strip = PolyDomain.from_halfspaces([((1.0, 0.0), 1e300), ((-1.0, 0.0), -big),
                                             ((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0)])
-        assert strip.vertices().tolist() == [[1e300, 0.0], [1e300, 1.0], [big, 0.0], [big, 1.0]]
+        assert strip.vertices() == ((1e300, 0.0), (1e300, 1.0), (big, 0.0), (big, 1.0))
         square = PolyDomain.from_halfspaces([((1.0, 0.0), -1e300), ((-1.0, 0.0), -1e300),
                                              ((0.0, 1.0), -1e300), ((0.0, -1.0), -1e300)])
         assert np.array_equal(np.abs(square.vertices()), np.full((4, 2), 1e300))
 
     def test_vertices_enumerated_once_per_domain(self, monkeypatch):
-        prop = PolyDomain.__dict__["_vertex_array"]
+        prop = PolyDomain.__dict__["_vertices"]
         enumerate_vertices = prop.func
         seen = []
         monkeypatch.setattr(
@@ -755,7 +703,7 @@ class TestPolyDomain:
                           "22": "exp(0.2*sin(x1)*sin(x2))"}, 2)
         gauss_bonnet_defect(g, sq, resolution=2)  # diameter() once per edge
         assert sq.vertices() is sq.vertices()
-        assert not sq.vertices().flags.writeable
+        assert type(sq.vertices()) is tuple and type(sq.vertices()[0]) is tuple
         assert len(seen) == 1 and seen[0] is sq
 
     def test_contains(self):

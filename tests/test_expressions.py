@@ -6,11 +6,12 @@ import pytest
 import sympy as sp
 
 from _oracles import eval_with_derivatives, expr_jet
-from dihedral_lab.curvature import metric_at
+from dihedral_lab.curvature import curvature_tensors
 from dihedral_lab.expressions import (
     _MAX_DEPTH,
     BinOp,
     Call,
+    Expr,
     ExpressionDomainError,
     ExpressionError,
     ExpressionSyntaxError,
@@ -23,6 +24,14 @@ from dihedral_lab.expressions import (
     parse_expression,
     parse_metric,
 )
+
+
+def tree(e):
+    """The structure of an expression tree as nested tuples: each node's
+    class name and fields, subtrees in turn (nodes are equal only to
+    themselves)."""
+    fields = (getattr(e, name) for name in type(e).__slots__)
+    return (type(e).__name__, *(tree(v) if isinstance(v, Expr) else v for v in fields))
 
 
 class TestParse:
@@ -175,7 +184,7 @@ class TestDepthBound:
     def test_at_the_bound_parses_and_evaluates(self, text):
         e = parse_expression(text)
         assert e.eval([0.5]) == pytest.approx(eval(text.replace("x1", "0.5").replace("^", "**")))
-        assert parse_expression(e.to_text()) == e
+        assert tree(parse_expression(e.to_text())) == tree(e)
 
     @pytest.mark.parametrize("text, offset", [
         ("x1" + " + x1" * _MAX_DEPTH, 3 + 5 * (_MAX_DEPTH - 1)),  # the last '+'
@@ -242,7 +251,7 @@ def test_print_parse_roundtrip_1000_random_asts():
         text = ast.to_text()
         reparsed = parse_expression(text)
         # print o parse is a fixed point after one round
-        assert parse_expression(reparsed.to_text()) == reparsed
+        assert tree(parse_expression(reparsed.to_text())) == tree(reparsed)
         for _ in range(10):
             x = [rng.uniform(-2, 2) for _ in range(3)]
             try:
@@ -260,20 +269,9 @@ def test_print_parse_roundtrip_1000_random_asts():
 
 
 class TestNodeEquality:
-    """``MetricField.jet`` computes one jet per distinct entry, so node
-    equality must be structural and type-aware, and nodes must not change."""
-
-    def test_type_aware(self):
-        assert Num(1.0) != Var(1)
-        assert len({Num(1.0), Var(1)}) == 2
-
-    def test_two_parses_are_equal_and_hash_equal(self):
-        text = "x1^2*sin(x2) - 3/(1 + abs(x1))"
-        a, b = parse_expression(text), parse_expression(text)
-        assert a is not b
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != parse_expression("x1^2*sin(x2) - 3/(1 + abs(x2))")
+    """``MetricField.jet_parts`` shares one jet between entries that are one
+    tree, so nodes must not change and unequal entries must keep their own
+    jets."""
 
     def test_nodes_are_immutable(self):
         e = parse_expression("x1 + 2")
@@ -283,7 +281,7 @@ class TestNodeEquality:
             Num(1.0).value = 2.0
         with pytest.raises(AttributeError):
             del e.op
-        assert e == BinOp("+", Var(0), Num(2.0))
+        assert e.to_text() == BinOp("+", Var(0), Num(2.0)).to_text()
 
     def test_metric_jet_keeps_unequal_entries_apart(self):
         g = parse_metric({"11": "1", "22": "x2"}, 2)
@@ -446,13 +444,13 @@ class TestJets:
 class TestMetric:
     def test_euclidean(self):
         g = parse_metric({"11": "1", "22": "1"}, 2)
-        assert np.allclose(metric_at(g, (0.3, -0.7)), np.eye(2))
+        assert np.allclose(g.matrix_at((0.3, -0.7)), np.eye(2))
 
     def test_sphere_chart_origin(self):
         g = parse_metric(
             {"11": "4/(1+x1^2+x2^2)^2", "22": "4/(1+x1^2+x2^2)^2"}, 2
         )
-        assert np.allclose(metric_at(g, (0.0, 0.0)), 4.0 * np.eye(2))
+        assert np.allclose(g.matrix_at((0.0, 0.0)), 4.0 * np.eye(2))
 
     def test_missing_diagonal(self):
         with pytest.raises(ValueError):
@@ -460,12 +458,13 @@ class TestMetric:
 
     def test_missing_offdiagonal_defaults_to_zero(self):
         g = parse_metric({"11": "1", "22": "1"}, 2)
-        assert g.entry(0, 1).eval((1.0, 2.0)) == 0.0
+        assert g.entries[0, 1].eval((1.0, 2.0)) == 0.0
 
     def test_not_positive_definite(self):
         g = parse_metric({"11": "-1"}, 1)
+        assert g.matrix_at((0.0,)) == [[-1.0]]
         with pytest.raises(MetricNotPositiveDefinite):
-            metric_at(g, (0.0,))
+            curvature_tensors(g, (0.0,))
 
     def test_symmetry_everywhere(self):
         g = parse_metric({"11": "1+x2^2", "12": "x1*x2", "22": "2"}, 2)
@@ -494,4 +493,4 @@ class TestMetric:
 
     def test_euclidean_helper(self):
         g = euclidean_metric(3)
-        assert np.allclose(metric_at(g, (1.0, 2.0, 3.0)), np.eye(3))
+        assert np.allclose(g.matrix_at((1.0, 2.0, 3.0)), np.eye(3))
