@@ -14,16 +14,21 @@ Modules:
 - ``clifford``         concrete Clifford modules, boundary projectors, the
                        Clifford/exterior-form dictionary and the endomorphism
                        PSD certificates
-- ``comparison``       singular values of df, stratum sampling, hypothesis /
-                       conclusion margin reports, on floats
+- ``comparison``       singular values of df, stratum sampling (Halton
+                       points shifted by ``random.Random(seed)``),
+                       hypothesis / conclusion margin reports, on floats
 - ``sector_spectra``   closed-form and discretized spectra of the arc-link
                        operator, modified Bessel deficiency test (Gauss-
                        Legendre panels summed with ``math.fsum``), Hardy bound
+- ``bessel``           modified Bessel functions I and K (series and
+                       quadrature) and the package's Gauss-Legendre rules
+                       (stdlib)
 - ``corner_smoothing`` circular-arc corner fillets and turning integrals
                        (stdlib: Simpson's rule summed with ``math.fsum``)
-- ``index_lab``        the index-versus-degree experiment on flat polygons
-                       in closed form, ``index = V - E + F = #parts``, for
-                       orientation-preserving affine pieces (stdlib)
+- ``index_lab``        the index-versus-degree experiment on flat squares
+                       and right triangles in closed form, ``index = V - E +
+                       F = #parts``, for orientation-preserving affine
+                       pieces (stdlib)
 - ``cli``              command line front end
 """
 

@@ -19,8 +19,10 @@ The public entry point :func:`bessel_kr` enforces the supported range
 0 < r <= 10, |nu| <= 5.  The private ``_bessel_i`` / ``_bessel_k`` helpers
 accept any r > 0 with |nu| <= 5 (the deficiency integral walks r far below
 the public range) and are validated in the test suite down to r = 1e-130.
-Only the quadrature branch uses numpy, and it imports it when it runs, so
-the series branches (every r < 2) start without numpy.
+Everything runs on floats: the quadrature takes its 48-point rule from
+:func:`_gauss_legendre`, the one Gauss-Legendre generator of the package
+(``gauss_bonnet_defect`` and the deficiency shells use it too), and sums
+each panel with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -101,33 +103,44 @@ def _k_integer_series(n: int, r: float) -> float:
 
 
 @functools.cache
-def _quad_rule():
-    """The 48-point Gauss-Legendre nodes and weights, built on first use."""
-    import numpy as np
+def _gauss_legendre(n: int) -> tuple:
+    """``(node, weight)`` of the n-point Gauss-Legendre rule moved to [0, 1],
+    nodes ascending: Newton's method on P_n from ``cos(pi (k - 1/4) / (n +
+    1/2))``, weights ``2 / ((1 - x^2) P_n'(x)^2)`` halved; built once per n."""
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = 1.0, x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
-    return np.polynomial.legendre.leggauss(48)
+    rule = []
+    for k in range(n, 0, -1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(10):  # converged to rounding after 4 or 5 steps at n <= 48
+            p, dp = legendre(x)
+            x -= p / dp
+        dp = legendre(x)[1]
+        rule.append((0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(rule)
 
 
 def _k_quadrature(nu: float, r: float) -> float:
     """Integral representation, effective for r >= ~0.3."""
-    import numpy as np
-
-    nodes, weights = _quad_rule()
     nu = abs(nu)
     # choose t_max with exp(-r cosh t + nu t) below 1e-20 * scale
     t = 1.0
     while r * math.cosh(t) - nu * t < r + 60.0 and t < 60.0:
         t += 0.5
     panels = max(8, int(math.ceil(t / 0.75)))
-    edges = np.linspace(0.0, t, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + hw * nodes
-        # exponent form keeps the integrand finite for large nu*t
-        vals = np.exp(-r * np.cosh(ts) + nu * ts) + np.exp(-r * np.cosh(ts) - nu * ts)
-        total += hw * float(np.dot(weights, vals))
-    return 0.5 * total
+    width, rule = t / panels, _gauss_legendre(48)
+    terms = []
+    for p in range(panels):
+        for s, w in rule:
+            ts = (p + s) * width
+            # exponent form keeps the integrand finite for large nu*t
+            e = -r * math.cosh(ts)
+            terms.append(w * (math.exp(e + nu * ts) + math.exp(e - nu * ts)))
+    return 0.5 * width * math.fsum(terms)
 
 
 def _bessel_k(nu: float, r: float) -> float:

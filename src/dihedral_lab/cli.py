@@ -65,9 +65,6 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def format_json(obj, indent: int = 0) -> str:
-    np = sys.modules.get("numpy")  # no numpy scalar exists before numpy loads
-    if np is not None and isinstance(obj, np.generic):
-        obj = obj.item()
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:

@@ -20,6 +20,7 @@ boundary estimates need no metric and live in ``clifford``.
 from __future__ import annotations
 
 import math
+import random
 from functools import reduce
 from itertools import combinations
 from operator import add, index, mul
@@ -171,47 +172,14 @@ class CompareScene:
 # ---------------------------------------------------------------------------
 
 
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
 def _uniform(seed: int, k: int) -> list:
-    """``np.random.default_rng(seed).uniform(size=k)`` bit for bit, on ints:
-    SeedSequence's 4-word entropy pool, 8 words of its state for the 128-bit
-    PCG64 state and increment (high word first), XSL-RR output after each
-    step, and doubles ``(x >> 11) 2^-53``."""
-    seed = index(seed)  # an int, as numpy requires
+    """The first k draws of ``random.Random(seed)`` (Mersenne Twister), so a
+    shorter list is a prefix of a longer one; a negative seed is refused."""
+    seed = index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]  # low first
-    const = 0x43B0D7E5
-
-    def hashmix(value, mult=0x931E8875):
-        nonlocal const
-        value, const = value ^ const, const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(words[t] if t < len(words) else 0) for t in range(4)]
-    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word, dst in [(w, d) for w in words[4:] for d in range(4)]:
-        pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD  # generate_state: 8 words, two per 64-bit one
-    state = [hashmix(pool[t % 4], 0x58F38DED) for t in range(8)]
-    high, low, inc_high, inc_low = (state[2 * t] | state[2 * t + 1] << 32 for t in range(4))
-    inc = (inc_high << 65 | inc_low << 1 | 1) & _M128
-    now = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _M128
-    out = []
-    for _ in range(k):
-        now = (now * _PCG_MULT + inc) & _M128
-        rot, x = now >> 122, (now >> 64 ^ now) & _M64
-        out.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
-    return out
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(k)]
 
 
 def _halton(k: int, base: int) -> float:
@@ -257,11 +225,12 @@ def _sample(domain: PolyDomain, stratum: str, count: int, seed: int,
     rotation are pushed into the stratum's affine chart one by one and
     filtered by membership; the first ``count`` accepted candidates (of at
     most ``max(200, 2000 count)``) are returned, fewer only with
-    ``allow_empty``.  Identical (stratum, count, seed) give identical points.
+    ``allow_empty``.  Identical (stratum, count, seed) give identical points:
+    the rotation is the first ``n - len(faces)`` draws of ``_uniform(seed, n)``.
     """
     lo, hi = _window_box(domain)
     n = domain.dim
-    shift = _uniform(seed, n)  # its first n - len(faces) entries rotate the chart
+    shift = _uniform(seed, n)
     tol = 1e-9 * max(1.0, *map(abs, lo + hi))
 
     if stratum == "interior":

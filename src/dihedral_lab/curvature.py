@@ -121,6 +121,9 @@ class PolyDomain:
             raise DomainError("zero normal vector")
         if region not in ("intersection", "complement"):
             raise DomainError(f"unknown region mode {region!r}")
+        if window is not None and not all(map(math.isfinite, (
+                *window[0], *window[1], _norm([q - p for p, q in zip(*window)])))):
+            raise DomainError("'window' entries and its diagonal must be finite")
         dom = cls(len(rows[0]), tuple(tuple(v / s for v in row) for row, s in zip(rows, norms)),
                   tuple(b / s for b, s in zip(offsets, norms)), region, window)
         if validate:
@@ -158,18 +161,7 @@ class PolyDomain:
     def _validate(self) -> None:
         """Nonempty interior of the convex cell; every face supports it.
 
-        At most n normals whose Gram-Schmidt residual norms multiply to at
-        least 1e-9 are independent: the product is |det| of the square
-        system in their span, 1000 times the enumeration's singular-subset
-        threshold.  Then ``N y = b + 1`` is an interior point and ``N y = b``
-        touches every face, so the cell, a translated simplicial cone, is
-        valid.  Every other cell goes through the enumeration.
-        """
-        if not _independent(self.a):
-            self._validate_by_enumeration()
-
-    def _validate_by_enumeration(self) -> None:
-        """Exact: basic solutions (at most ``_SUBSET_CAP`` row subsets) of the
+        Exact: basic solutions (at most ``_SUBSET_CAP`` row subsets) of the
         normals in coordinates on their span (``_householder``), so the cell
         is pointed.  Interior: max t of ``A_r y - t >= b``, ``0 <= t <= 1`` (a
         Chebyshev-centre LP) exceeds ``_FEAS_TOL`` (the first basic solution
@@ -185,7 +177,7 @@ class PolyDomain:
         if not any(y[-1] > _FEAS_TOL for y in _basic_solutions(lifted, (*self.b, 0.0, -1.0))):
             raise DomainError("domain has empty interior")
         verts = self._solutions if rank == self.dim else list(_basic_solutions(a_r, self.b))
-        for f, (row, t) in enumerate(zip(a_r, self.b)):
+        for f, (row, t) in enumerate(zip(a_r, self.b), 1):
             if not any(s <= tol for s, tol in (_slack(row, t, y) for y in verts)):
                 raise DomainError(f"face {f} does not support the domain")
 
@@ -257,24 +249,6 @@ def _norm(v) -> float:
     """Euclidean norm summed left to right: numpy's row norms, bit for bit,
     up to 7 entries."""
     return math.sqrt(reduce(add, [p * p for p in v], 0.0))
-
-
-def _independent(rows: Sequence[Sequence[float]]) -> bool:
-    """Whether at most n unit rows of length n have Gram-Schmidt residual
-    norms whose product is at least 1e-9."""
-    if len(rows) > len(rows[0]):
-        return False
-    basis, volume = [], 1.0
-    for row in rows:
-        for q in basis:
-            d = reduce(add, (p * v for p, v in zip(q, row)), 0.0)
-            row = [v - d * p for p, v in zip(q, row)]
-        norm = math.sqrt(reduce(add, (v * v for v in row), 0.0))
-        volume *= norm
-        if volume < 1e-9:
-            return False
-        basis.append([v / norm for v in row])
-    return True
 
 
 def _basic_solutions(a: Sequence, b: Sequence):
@@ -745,27 +719,6 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
 _GB_NODES = 8  # Gauss-Legendre nodes per direction at most
 
 
-def _gauss_legendre(n: int) -> list:
-    """``(node, weight)`` of the n-point Gauss-Legendre rule moved to [0, 1],
-    nodes ascending: Newton's method on P_n from ``cos(pi (k - 1/4) / (n +
-    1/2))``, weights ``2 / ((1 - x^2) P_n'(x)^2)`` halved."""
-    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
-        p0, p1 = 1.0, x
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-    rule = []
-    for k in range(n, 0, -1):
-        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
-        for _ in range(10):  # converged to rounding after 4 or 5 steps at n <= 8
-            p, dp = legendre(x)
-            x -= p / dp
-        dp = legendre(x)[1]
-        rule.append((0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)))
-    return rule
-
-
 def _polygon_structure(domain: PolyDomain):
     """The vertex centroid of a bounded convex 2-D domain and its edges
     ``(p, q, face)`` in counterclockwise order (vertices sorted by angle
@@ -814,6 +767,8 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
     fundamental form of the edge times its g-length, and the four sums are
     added exactly (``math.fsum``).
     """
+    from .bessel import _gauss_legendre  # the package's one Gauss-Legendre generator
+
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     center, edges = _polygon_structure(domain)

@@ -1,17 +1,17 @@
 """The index experiment on flat polygons, in closed form.
 
-Source components are grid polygons (``square``, ``right_triangle`` or a
-``union`` of them), each mapped into a flat target polygon by an affine
-piece.  For a flat target the twisted boundary-value operator reduces to
-the de Rham complex of the source with tangential boundary conditions,
-whose index ``b0 - b1 + b2`` is the Euler characteristic ``V - E + F`` of
-any cell complex of the source.  Each supported part is a disk (the k x k
+Source components are grid polygons (``square`` or ``right_triangle``),
+each mapped into a flat target polygon by an affine piece; a source of
+several parts lists one component per part.  For a flat target the twisted
+boundary-value operator reduces to the de Rham complex of the source with
+tangential boundary conditions, whose index ``b0 - b1 + b2`` is the Euler
+characteristic ``V - E + F`` of any cell complex of the source.  Each supported part is a disk (the k x k
 grid square has ``(k+1)^2 - 2k(k+1) + k^2 = 1``, the grid right triangle
 ``(k+1)(k+2)/2 - 3k(k+1)/2 + k^2 = 1``), so at every resolution::
 
     index = V - E + F = #parts,   b0 = #parts,   b1 = b2 = 0,
 
-and ``chi`` of the target is its number of parts.  The report compares
+and ``chi`` of the target, one disk, is 1.  The report compares
 ``index`` with (mapping degree) x ``chi``.  The reduction to the untwisted
 complex covers orientation-preserving pieces only: a reflected piece keeps
 ``index`` +1 while its degree is -1, so it reports ``match: false``.  The
@@ -29,47 +29,31 @@ class PolygonError(ValueError):
     """Unsupported polygon, affine map or resolution."""
 
 
-def _polygon_parts(polygon: dict) -> int:
-    """Number of disk components of a supported polygon (union parts are
-    disjoint and counted one by one); ``PolygonError`` for anything else."""
-    if not isinstance(polygon, dict):
-        raise PolygonError("a polygon must be an object {\"type\": ...}")
-    ptype = polygon.get("type")
-    if ptype == "square" or ptype == "right_triangle":
-        return 1
-    if ptype == "union":
-        parts = polygon.get("parts", [])
-        if not isinstance(parts, list):
-            raise PolygonError("union 'parts' must be a list of polygons")
-        count = sum(_polygon_parts(part) for part in parts)
-        if not count:
-            raise PolygonError("empty union polygon")
-        return count
-    raise PolygonError(f"unsupported polygon type {ptype!r} "
-                       "(grid-alignable square or right_triangle)")
-
-
 _CORNERS = {
     "square": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
     "right_triangle": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
 }
 
 
-def polygon_corners(polygon: dict) -> list[tuple[float, float]]:
+def _check_polygon(polygon) -> None:
+    """``PolygonError`` unless ``polygon`` is a supported polygon, one disk."""
+    if not isinstance(polygon, dict):
+        raise PolygonError("a polygon must be an object {\"type\": ...}")
     ptype = polygon.get("type")
-    if ptype in _CORNERS:
-        return list(_CORNERS[ptype])
-    raise PolygonError(f"no corner table for polygon type {ptype!r}")
+    if not (isinstance(ptype, str) and ptype in _CORNERS):
+        raise PolygonError(f"unsupported polygon type {ptype!r} "
+                           "(grid-alignable square or right_triangle)")
+
+
+def polygon_corners(polygon: dict) -> list[tuple[float, float]]:
+    return list(_CORNERS[polygon["type"]])
 
 
 def _inside_polygon(polygon: dict, point, tol: float = 1e-9) -> bool:
     x, y = point
-    ptype = polygon.get("type")
-    if ptype == "square":
+    if polygon["type"] == "square":
         return -tol <= x <= 1.0 + tol and -tol <= y <= 1.0 + tol
-    if ptype == "right_triangle":
-        return x >= -tol and y >= -tol and x + y <= 1.0 + tol
-    raise PolygonError(f"membership undefined for polygon type {ptype!r}")
+    return x >= -tol and y >= -tol and x + y <= 1.0 + tol
 
 
 def _finite(value) -> bool:
@@ -131,11 +115,12 @@ def index_experiment(scene: dict) -> dict:
     if resolution < 1:
         raise PolygonError("resolution must be at least 1")
 
-    chi = _polygon_parts(target)
+    _check_polygon(target)
     parts = degree = 0
     for comp in components:
         poly = comp["polygon"]
-        parts += _polygon_parts(poly)
+        _check_polygon(poly)
+        parts += 1
         a, b, c, d, e, f = _affine_map(comp["map"])
         det = a * d - b * c  # 0 for every exactly singular matrix
         if det == 0.0:
@@ -147,5 +132,5 @@ def index_experiment(scene: dict) -> dict:
                 raise PolygonError(f"component corner {corner} maps to {image}, "
                                    "outside the target polygon")
         degree += 1 if det > 0 else -1
-    return {"b0": parts, "b1": 0, "b2": 0, "index": parts, "chi": chi,
-            "deg": degree, "match": parts == degree * chi}
+    return {"b0": parts, "b1": 0, "b2": 0, "index": parts, "chi": 1,
+            "deg": degree, "match": parts == degree}

@@ -20,8 +20,9 @@ band ``cos phi > 1/(4 grid)``: second-order accurate, the k = 0 mode exact.
 
 Deficiency of the cone operator is probed through the L^2 membership of
 the modified-Bessel solution pair sqrt(r) K_{lambda -+ 1/2}(r) near r = 0:
-one 16-point Gauss-Legendre panel per dyadic shell, summed with ``math.fsum``
-(correctly rounded, the same on every machine).  The shell integrals tend to
+one 16-point Gauss-Legendre panel per dyadic shell (``bessel._gauss_legendre``),
+summed with ``math.fsum``, so each sum is correctly rounded from terms computed
+by ``math``'s functions.  The shell integrals tend to
 a geometric sequence of ratio 2^-(1 - 2|lambda|); the verdict reads that
 decay exponent off the last shells.  The
 Hardy-type triangle kernel (t/r)^lambda is bounded in norm by
@@ -44,7 +45,7 @@ from itertools import repeat
 from operator import truediv
 from typing import Iterable
 
-from .bessel import _bessel_k
+from .bessel import _bessel_k, _gauss_legendre
 
 __all__ = [
     "SectorPair",
@@ -62,19 +63,6 @@ __all__ = [
 ESA_THRESHOLD = 0.5
 _NUMERIC_ESA_TOL = 1e-9
 _SECULAR_STEPS = 100  # 3 steps on benchmark inputs, 8 at the band edge
-# the 16-point Gauss-Legendre rule, bit for bit as ``leggauss(16)`` gives it
-_GL_NODES = (-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
-             -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
-             -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
-             0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-             0.755404408355003, 0.8656312023878318, 0.9445750230732326,
-             0.9894009349916499)
-_GL_WEIGHTS = (0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
-               0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
-               0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
-               0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-               0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
-               0.027152459411754176)
 
 
 class SectorPair:
@@ -270,9 +258,9 @@ def deficiency_test(lam: float) -> DeficiencyResult:
         raise ValueError("|lambda| > 4.5 exceeds the supported Bessel range")
     shells = []
     for k in range(_DEFICIENCY_LEVELS):
-        mid, hw = 0.75 * 2.0 ** -k, 0.25 * 2.0 ** -k
-        shells.append(hw * math.fsum(w * _deficiency_integrand(lam, mid + hw * x)
-                                     for x, w in zip(_GL_NODES, _GL_WEIGHTS)))
+        width = 2.0 ** -(k + 1)  # the shell [width, 2 width]
+        shells.append(width * math.fsum(w * _deficiency_integrand(lam, width * (1.0 + s))
+                                        for s, w in _gauss_legendre(16)))
     logs = [math.log2(b / a) for a, b in zip(shells[-4:], shells[-3:])]
     exponent, drift = -logs[-1], max(logs) - min(logs)
     is_l2 = exponent > _DRIFT_MULTIPLE * drift + _EXPONENT_FLOOR

@@ -16,6 +16,7 @@ library no longer builds: stacked jets and a domain's normals, offsets and
 slacks."""
 
 import math
+import random
 from functools import lru_cache, reduce
 from itertools import combinations
 from dataclasses import dataclass
@@ -385,7 +386,7 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
     """
     lo, hi = map(np.array, _window_box(domain))
     n = domain.dim
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([lo, hi])).max()))
 
     if stratum == "interior":
@@ -429,7 +430,7 @@ def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
             return []
         raise DomainError(f"stratum {stratum} is empty")
 
-    shift = rng.uniform(size=dim_par)
+    shift = [rng.random() for _ in range(dim_par)]
     span = float(np.linalg.norm(hi - lo))
     center = 0.5 * (lo + hi)
     out: list[np.ndarray] = []
@@ -707,27 +708,6 @@ def tridiagonal_spectrum(alpha: float, beta: float, grid: int, count: int) -> tu
     return tuple(sorted(float(v) for v in eigs))
 
 
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(48)
-
-
-def table_k_quadrature(nu: float, r: float) -> float:
-    """K_nu(r) by the integral representation, the arithmetic of
-    ``bessel._k_quadrature`` with its 48-point table held at module level."""
-    nu = abs(nu)
-    t = 1.0
-    while r * math.cosh(t) - nu * t < r + 60.0 and t < 60.0:
-        t += 0.5
-    panels = max(8, int(math.ceil(t / 0.75)))
-    edges = np.linspace(0.0, t, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + hw * _QUAD_NODES
-        vals = np.exp(-r * np.cosh(ts) + nu * ts) + np.exp(-r * np.cosh(ts) - nu * ts)
-        total += hw * float(np.dot(_QUAD_WEIGHTS, vals))
-    return 0.5 * total
-
-
 def linprog_validate(domain: PolyDomain) -> None:
     """Nonempty interior of the convex cell; every face supports it.
 
@@ -756,7 +736,7 @@ def linprog_validate(domain: PolyDomain) -> None:
             method="highs",
         )
         if not feas.success:
-            raise DomainError(f"face {i} does not support the domain")
+            raise DomainError(f"face {i + 1} does not support the domain")
 
 
 def loop_vertices(domain: PolyDomain) -> np.ndarray:

@@ -4,10 +4,10 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import pytest
 import scipy.special as special
 
-from _oracles import table_k_quadrature
 from dihedral_lab.bessel import BesselRangeError, _bessel_i, _bessel_k, bessel_kr
 
 
@@ -113,11 +113,18 @@ class TestTinyArguments:
 
 
 class TestLazyNumpy:
-    """Only the quadrature branch (r >= 2) needs numpy, and it loads it itself."""
+    """The module runs on floats: no branch loads numpy, and the quadrature
+    branch (r >= 2) agrees with mpmath."""
 
     def test_import_loads_no_numpy(self):
         root = pathlib.Path(__file__).resolve().parents[1]
-        code = "import sys, dihedral_lab.bessel; print('numpy' in sys.modules)"
+        code = ("import sys\n"
+                "from dihedral_lab.bessel import bessel_kr\n"
+                "from dihedral_lab.sector_spectra import deficiency_test\n"
+                "bessel_kr(0.5, 8.0)\n"
+                "bessel_kr(2.25, 1.5)\n"
+                "deficiency_test(0.3)\n"
+                "print('numpy' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
@@ -126,4 +133,8 @@ class TestLazyNumpy:
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 2.25, 4.0, 5.0])
     @pytest.mark.parametrize("r", [2.0, 2.5, 3.7, 6.0, 10.0])
     def test_quadrature_matches_table_at_import(self, nu, r):
-        assert bessel_kr(nu, r)[1] == table_k_quadrature(nu, r)
+        """The 48-point rule of ``_gauss_legendre``, summed with ``math.fsum``,
+        against 30-digit mpmath."""
+        with mpmath.workdps(30):
+            expected = mpmath.besselk(nu, r)
+            assert abs(bessel_kr(nu, r)[1] / expected - 1) <= 1e-13

@@ -56,18 +56,6 @@ class TestFormatJson:
         assert format_json([]) == "[]"
         assert format_json({}) == "{}"
 
-    def test_numpy_scalars(self):
-        import numpy as np
-
-        assert format_json(np.float64(1.0) / 3.0) == "0.33333333333333331"
-        assert format_json(np.float32(0.1)) == "0.10000000149011612"
-        assert format_json(np.int64(-7)) == "-7"
-        assert format_json(np.bool_(True)) == "true"
-        assert format_json(np.bool_(False)) == "false"
-        nested = {"a": [np.float64(0.5), [np.int64(3), np.bool_(False)]]}
-        assert format_json(nested) == (
-            '{\n  "a": [\n    0.5,\n    [\n      3,\n      false\n    ]\n  ]\n}')
-
     def test_valid_json_roundtrip(self):
         obj = {"a": [1.5, 2, True], "b": {"c": None, "d": "x"}}
         assert json.loads(format_json(obj)) == obj
@@ -834,6 +822,27 @@ class TestMalformedSceneTypes:
         assert result.stderr.splitlines() == [
             f"input error: {self.HALFSPACE_NUMBERS[case][3]}"]
 
+    def test_unsupported_face_is_numbered_from_1(self, runner, tmp_path):
+        # the unit square and a fifth half-space x1 + x2 >= -5, never tight
+        scene = square_scene()
+        scene["halfspaces"].append({"a": [1, 1], "b": -5})
+        result = self.run_scene(runner, tmp_path, "angles", scene)
+        self.assert_input_error(result)
+        assert result.stderr.splitlines() == [
+            "input error: face 5 does not support the domain"]
+
+    def test_window_must_be_finite(self, runner, tmp_path):
+        # a NaN or infinite corner, and a diagonal whose length overflows
+        for window in ([[math.nan, 0], [1, 1]], [[0, 0], [math.inf, 1]],
+                       [[0, 0], [1e308, 1e308]]):
+            scene = {"N": {**square_scene(), "window": window}, "M": square_scene(),
+                     "f": ["x1", "x2"], "faces": {"1": "1", "2": "2", "3": "3", "4": "4"}}
+            result = runner.invoke(main, ["compare", "--scene",
+                                          write_json(tmp_path / "s.json", scene)])
+            self.assert_input_error(result)
+            assert result.stderr.splitlines() == [
+                "input error: 'window' entries and its diagonal must be finite"]
+
     def test_halfspace_numbers_load_no_numpy(self, tmp_path):
         paths = [write_json(tmp_path / f"{case}.json", self.halfspace_scene(case))
                  for case in sorted(self.HALFSPACE_NUMBERS)]
@@ -1360,9 +1369,9 @@ def curved_cube_scene(tmp_path):
 
 @pytest.mark.parametrize("region", ["intersection", "complement"])
 def test_wedge_angles_load_no_numpy(region, tmp_path):
-    """Start-up guard: ``angles`` on a domain of independent normals validates
-    it without the subset enumeration and computes the angle on floats, so
-    it loads neither numpy nor ``comparison`` or ``clifford``."""
+    """Start-up guard: ``angles`` on a wedge validates it by the float
+    enumeration and computes the angle on floats, so it loads neither numpy
+    nor ``comparison`` or ``clifford``."""
     path = "scenes/wedge_metric.json"
     if region == "complement":
         scene = json.loads((ROOT / path).read_text())
@@ -1590,10 +1599,11 @@ def test_scalar_expressions_load_no_numpy():
 
 
 def test_geometry_modules_import_numpy_only_for_the_eigenvalue_error():
-    """``expressions``, ``curvature`` and ``comparison`` work on floats: the
-    one numpy import among them is in ``_not_positive_definite``, which
-    reports the smallest eigenvalue of a metric that is not positive
-    definite (an error path)."""
+    """Every module of the package, the geometry modules included, works on
+    floats except ``clifford``, whose operators are arrays: the other numpy
+    imports are in ``cli.certify``, which draws the random operators, and in
+    ``_not_positive_definite``, which reports the smallest eigenvalue of a
+    metric that is not positive definite (an error path)."""
     found = []
 
     def visit(module, node, where):  # where: the enclosing function or class
@@ -1608,10 +1618,28 @@ def test_geometry_modules_import_numpy_only_for_the_eigenvalue_error():
             scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(module, child, child.name if scope else where)
 
-    for module in ("expressions", "curvature", "comparison"):
-        path = ROOT / "src" / "dihedral_lab" / f"{module}.py"
-        visit(module, ast.parse(path.read_text()), None)
-    assert found == [("curvature", "_not_positive_definite", "numpy")]
+    for path in (ROOT / "src" / "dihedral_lab").glob("*.py"):
+        visit(path.stem, ast.parse(path.read_text()), None)
+    assert sorted(found, key=str) == [("cli", "certify", "numpy"), ("clifford", None, "numpy"),
+                                      ("curvature", "_not_positive_definite", "numpy")]
+
+
+@pytest.mark.parametrize("args, loads_bessel", [
+    (["angles", "--scene", "scenes/wedge_metric.json", "--faces", "1,2", "--point", "0,0"],
+     False),
+    (["curvature", "--scene", "scenes/sphere2_metric.json", "--point", "0.3,-0.2"], False),
+    (["conformal", "--metric", "scenes/sphere2_metric.json",
+      "--factor", "1 + 0.1*sin(x1)", "--point", "0.4,0.2"], False),
+    (["compare", "--scene", "scenes/cube_id.json"], False),
+    (["gaussbonnet", "--scene", "scenes/conformal_square.json", "--resolution", "2"], True),
+], ids=["angles", "curvature", "conformal", "compare", "gaussbonnet"])
+def test_only_gaussbonnet_loads_bessel(args, loads_bessel):
+    """Start-up guard: the Gauss-Legendre generator lives in ``bessel``, and
+    ``gauss_bonnet_defect`` imports it when it runs, so no other geometry
+    command loads that module."""
+    exit_code, modules = _fresh_cli(args)
+    assert exit_code == 0
+    assert ("bessel" in _library(modules)) == loads_bessel
 
 
 def test_reexported_names_are_the_library_objects():

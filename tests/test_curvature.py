@@ -19,10 +19,10 @@ from dihedral_lab.curvature import (
     face_geometry,
     gauss_bonnet_defect,
     _first_order,
-    _gauss_legendre,
     _nullspace,
     _riemann,
 )
+from dihedral_lab.bessel import _gauss_legendre
 from dihedral_lab.comparison import _edge_angles, _kernel
 from dihedral_lab.expressions import (
     MetricNotPositiveDefinite,
@@ -718,37 +718,6 @@ class TestPolyDomain:
         assert np.allclose(np.linalg.norm(_oracles.normals(dom), axis=1), 1.0)
         assert dom._on_faces_at((), (1.0, 1.0), 1e-12)
         assert not dom._on_faces_at((), (2.5, 1.0), 1e-12)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), data=st.data(),
-           near=st.one_of(st.none(), st.floats(-14.0, -2.0)), scale=st.floats(-3.0, 5.0))
-    def test_independent_normals_skip_the_enumeration(self, seed, n, data, near, scale):
-        """At most n normals, independent or a row within 10^near of the span
-        of the others, offsets of scale 1e-3 to 1e5: ``_validate`` gives the
-        verdict and message of the subset enumeration, and never runs it on
-        independent random rows."""
-        k = data.draw(st.integers(1, n))
-        rng = np.random.default_rng(seed)
-        normals = rng.normal(size=(k, n))
-        if near is not None and k > 1:
-            normals[-1] = rng.normal(size=k - 1) @ normals[:-1] + 10.0**near * rng.normal(size=n)
-        offsets = rng.normal(size=k) * 10.0**scale
-        dom = PolyDomain.from_halfspaces(list(zip(normals, offsets)), validate=False)
-        enumerated = []
-
-        def verdict(check):
-            try:
-                check()
-            except DomainError as exc:
-                return str(exc)
-            return "ok"
-
-        expected = verdict(dom._validate_by_enumeration)
-        dom._validate_by_enumeration = lambda: (
-            enumerated.append(dom) or PolyDomain._validate_by_enumeration(dom))
-        assert verdict(dom._validate) == expected
-        if near is None:
-            assert enumerated == []
 
     @staticmethod
     def on_faces(dom, faces, x, tol=1e-9):

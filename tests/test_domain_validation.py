@@ -85,13 +85,13 @@ class TestAgainstLinprog:
         # a duplicate face supports; a parallel redundant one does not
         ([((1.0, 0.0), 0.0), ((2.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)], "ok"),
         ([((1.0, 0.0), 0.0), ((1.0, 0.0), -1.0), ((-1.0, 0.0), -1.0)],
-         "face 1 does not support the domain"),
+         "face 2 does not support the domain"),
         # a redundant face touching the square only at the corner (0, 0)
         ([((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0), ((0.0, 1.0), 0.0),
           ((0.0, -1.0), -1.0), ((1.0, 1.0), 0.0)], "ok"),
         ([((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0), ((0.0, 1.0), 0.0),
           ((0.0, -1.0), -1.0), ((1.0, 1.0), -1e-3)],
-         "face 4 does not support the domain"),
+         "face 5 does not support the domain"),
         # a wedge (pointed, unbounded) and the same wedge with a reversed face
         ([((0.0, 1.0), 0.0), ((1.0, -1.0), 0.0)], "ok"),
         ([((0.0, 1.0), 0.0), ((0.0, -1.0), 0.0), ((1.0, -1.0), 0.0)],

@@ -9,7 +9,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from _oracles import DecComplex, _components, dec_complex, harmonic_dims
-from dihedral_lab.index_lab import PolygonError, _polygon_parts, index_experiment
+from dihedral_lab.index_lab import PolygonError, index_experiment
 
 SQUARE = {"type": "square"}
 TRIANGLE = {"type": "right_triangle"}
@@ -364,5 +364,14 @@ class TestClosedFormAgainstEngine:
     ], ids=["square", "triangle", "union1", "union2", "union3-nested"])
     @pytest.mark.parametrize("k", [1, 2, 7, 64])
     def test_part_count_is_betti_and_euler(self, polygon, k):
+        """``index`` of a source that lists the polygon's parts as components
+        is b0 and the Euler characteristic of the polygon's complex."""
+        def parts(p):
+            if p["type"] != "union":
+                return [p]
+            return [q for part in p["parts"] for q in parts(part)]
+
         b0, _, _, euler = engine_report(polygon, k)
-        assert _polygon_parts(polygon) == b0 == euler
+        out = index_experiment({"resolution": k, "M": SQUARE,
+                                "N": [{"polygon": p, "map": HALF} for p in parts(polygon)]})
+        assert out["index"] == b0 == euler

@@ -309,9 +309,11 @@ class TestGallotMeyer:
 
 class TestDeficiency:
     def test_gauss_legendre_literals_are_leggauss_16(self):
+        """The shells' 16-point rule, moved back to [-1, 1], against ``leggauss``."""
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert sector_spectra._GL_NODES == tuple(nodes.tolist())
-        assert sector_spectra._GL_WEIGHTS == tuple(weights.tolist())
+        rule = sector_spectra._gauss_legendre(16)
+        assert np.abs(np.array([2.0 * t - 1.0 for t, _ in rule]) - nodes).max() <= 1e-14
+        assert np.abs(np.array([2.0 * w for _, w in rule]) / weights - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, -0.49, 1.5, 3.7])
     def test_panel_sums_match_numpy_dot(self, lam):
