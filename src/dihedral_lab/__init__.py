@@ -8,14 +8,16 @@ Modules:
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
                        second fundamental forms of faces, dihedral angles,
                        Gauss-Bonnet (Gauss-Legendre product rules), conformal
-                       identities, domains (validation, vertices), all on
-                       floats; numpy loads only for the eigenvalue in the
-                       error of a metric that is not positive definite
+                       identities, domains (validation, vertices, face
+                       lattice), all on floats; numpy loads only for the
+                       eigenvalue in the error of a metric that is not
+                       positive definite
 - ``clifford``         concrete Clifford modules, boundary projectors, the
                        Clifford/exterior-form dictionary and the endomorphism
                        PSD certificates
 - ``comparison``       singular values of df, stratum sampling (Halton
-                       points shifted by ``random.Random(seed)``),
+                       points shifted by ``random.Random(seed)``, faces
+                       and edges on the face lattice's simplices),
                        hypothesis / conclusion margin reports, on floats
 - ``sector_spectra``   closed-form and discretized spectra of the arc-link
                        operator, modified Bessel deficiency test (Gauss-

@@ -385,7 +385,7 @@ def gaussbonnet(scene_path, resolution, tol, output):
           ("--csv", "csv_path", str, None, "also write the per-sample value table as CSV"))
 def compare(scene_path, conclusions, tol, seed, interior, per_face, per_edge,
             csv_path, output):
-    """Hypothesis margins / conclusion residuals of a comparison scene."""
+    """Hypothesis margins / conclusion residuals of a comparison scene, at the samples."""
     from .comparison import CompareScene, SampleSpec, check_conclusions, check_hypotheses
 
     scene = CompareScene.from_scene(_load_scene(scene_path))

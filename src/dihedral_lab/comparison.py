@@ -5,8 +5,9 @@ Everything here evaluates the inequalities that a curvature / mean-curvature
 domain (M, g) must satisfy, at deterministically sampled points: the
 hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
 ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
-(interior, every mapped face, every edge between mapped faces) is sampled
-and jetted once, on floats, where the face correspondence is checked.
+(interior, every mapped face, every edge of the source's face lattice
+between mapped faces) is sampled and jetted once, on floats, where the
+face correspondence is checked; every verdict holds at the samples only.
 Everything runs on floats: the curvature kernel, face forms and dihedral
 angles of a stratum are evaluated once for a constant metric and at each
 point for a metric that varies, and the singular values of df at each
@@ -21,17 +22,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, index, mul
 
 from .curvature import (
     DomainError,
     PolyDomain,
+    _cholesky,
     _face_forms,
     _first_order,
     _householder,
-    _norm,
     _riemann,
     curvature_tensors,  # bound here too: perfbench's tracer test patches this binding
     dihedral_angle,
@@ -205,97 +207,69 @@ def _window_box(domain: PolyDomain) -> tuple[list, list]:
     )
 
 
-def _parallel(a, b) -> bool:
-    """Whether the planes of unit normals ``a``, ``b`` never meet in an edge:
-    the rows' smaller singular value ``min |a -+ b| / sqrt(2)`` is <= 1e-10."""
-    return min(_norm([p - q for p, q in zip(a, b)]),
-               _norm([p + q for p, q in zip(a, b)])) <= math.sqrt(2.0) * 1e-10
-
-
 def _dot(u, v) -> float:
     return reduce(add, map(mul, u, v))
 
 
-def _sample(domain: PolyDomain, stratum: str, count: int, seed: int,
-            allow_empty: bool = False) -> list:
+def _sample(domain: PolyDomain, faces: tuple, count: int, seed: int) -> list:
     """Deterministic low-discrepancy samples on a stratum, as float tuples.
 
-    ``stratum`` is ``"interior"``, ``"face:i"`` or ``"edge:i,j"`` with
-    0-based indices.  Halton points with a seeded Cranley-Patterson
-    rotation are pushed into the stratum's affine chart one by one and
-    filtered by membership; the first ``count`` accepted candidates (of at
-    most ``max(200, 2000 count)``) are returned, fewer only with
-    ``allow_empty``.  Identical (stratum, count, seed) give identical points:
-    the rotation is the first ``n - len(faces)`` draws of ``_uniform(seed, n)``.
+    ``faces`` is ``()`` for the interior, ``(i,)`` for face i and ``(i, j)``
+    for the edge of faces i < j, 0-based.  Halton points take a seeded
+    Cranley-Patterson rotation, the first draws of ``_uniform(seed, n)``.
+    Interior points fill the window box and are kept where they lie strictly
+    in the region: the first ``count`` of at most ``max(200, 2000 count)``.
+    A face or edge of dimension d is sampled by construction on its pulling
+    triangulation (``PolyDomain.cells``): coordinate 0 picks a simplex by
+    cumulative volume and coordinates 1..d place the point in it, as a cone
+    over a cone (Pillards & Cools, J. Comput. Appl. Math. 174 (2005) 29-42),
+    so no sample is rejected; a vertex is its one sample.  A shorter run is
+    a prefix of a longer one.
     """
     lo, hi = _window_box(domain)
-    n = domain.dim
-    shift = _uniform(seed, n)
-    tol = 1e-9 * max(1.0, *map(abs, lo + hi))
+    shift = _uniform(seed, domain.dim)
 
-    if stratum == "interior":
-        faces = ()
-    elif stratum.startswith("face:"):
-        faces = (int(stratum.split(":")[1]),)
-    elif stratum.startswith("edge:"):
-        faces = tuple(int(v) for v in stratum.split(":")[1].split(","))
-        if _parallel(domain.a[faces[0]], domain.a[faces[1]]):
-            if allow_empty:
-                return []
-            raise DomainError(f"faces {faces[0]} and {faces[1]} are parallel; no edge")
-    else:
-        raise ValueError(f"unknown stratum {stratum!r}")
+    def halton(k, dims):
+        return [(_halton(k, _PRIMES[c % len(_PRIMES)]) + shift[c]) % 1.0 for c in range(dims)]
 
-    def accept(x):
-        if faces:
-            return domain._on_faces_at(faces, x, tol)
-        least = min(_dot(row, x) - t for row, t in zip(domain.a, domain.b))
-        return least >= 1e-12 if domain.region == "intersection" else least <= -1e-12
-
-    if faces:
-        rows = [domain.a[f] for f in faces]
-        axes, rank = _householder(rows)  # the columns of Q
-        if len(faces) == 1:
-            origin = [domain.b[faces[0]] * v for v in rows[0]]
-        else:  # the least-norm point of the edge: (rows Q) y = b is lower triangular
-            (a_i, a_j), (b_i, b_j), (q0, q1) = rows, (domain.b[f] for f in faces), axes[:2]
-            y0 = b_i / _dot(a_i, q0)
-            y1 = (b_j - _dot(a_j, q0) * y0) / _dot(a_j, q1)
-            origin = [p * y0 + q * y1 for p, q in zip(q0, q1)]
-        basis = axes[rank:]
-    dim_par = n - len(faces)
-    if dim_par == 0:
-        if accept(origin):
-            return [tuple(origin)][:count]
-        if allow_empty:
-            return []
-        raise DomainError(f"stratum {stratum} is empty")
-    if faces:
-        # recenter the chart near the window center for better acceptance
-        coef = [_dot(q, [0.5 * (p + r) - o for p, r, o in zip(lo, hi, origin)]) for q in basis]
-        x0 = [o + reduce(add, [q[c] * v for q, v in zip(basis, coef)])
-              for c, o in enumerate(origin)]
-
-    span = _norm([q - p for p, q in zip(lo, hi)])
-    max_tries = max(200, 2000 * count)
-    out = []
-    for k in range(1, max_tries + 1):
-        if len(out) == count:
-            break
-        u = [(_halton(k, _PRIMES[d % len(_PRIMES)]) + shift[d]) % 1.0 for d in range(dim_par)]
-        if not faces:
-            x = tuple(p + v * (q - p) for p, q, v in zip(lo, hi, u))
-        else:
-            t = [(v - 0.5) * span for v in u]
-            x = tuple(o + reduce(add, [v * q[c] for v, q in zip(t, basis)])
-                      for c, o in enumerate(x0))
-        if accept(x):
-            out.append(x)
-    if len(out) < count and not allow_empty:
-        raise DomainError(
-            f"could not draw {count} samples on {stratum} "
-            f"(got {len(out)} after {max_tries} tries)"
-        )
+    if faces == ():
+        out, max_tries = [], max(200, 2000 * count)
+        for k in range(1, max_tries + 1):
+            if len(out) == count:
+                break
+            x = tuple(p + v * (q - p) for p, q, v in zip(lo, hi, halton(k, len(lo))))
+            least = min(_dot(row, x) - t for row, t in zip(domain.a, domain.b))
+            if (least >= 1e-12) if domain.region == "intersection" else (least <= -1e-12):
+                out.append(x)
+        if len(out) < count:
+            raise DomainError(f"could not draw {count} samples on interior "
+                              f"(got {len(out)} after {max_tries} tries)")
+        return out
+    if len(faces) > 2 or not all(f in range(domain.face_count) for f in faces):
+        raise ValueError(f"unknown stratum {faces!r}")
+    if len(faces) == 2 and faces not in domain.edges:
+        raise DomainError(f"faces {faces[0] + 1} and {faces[1] + 1} do not meet in an edge")
+    cells = domain.cells(faces)
+    if not cells:
+        raise DomainError(f"face {faces[0] + 1} does not meet the sampling window")
+    d = len(cells[0]) - 1
+    if d == 0:
+        return list(cells[0][:count])
+    sizes = []  # sqrt of the Gram determinant of each simplex's legs
+    for apex, *ends in cells:
+        legs = [[q - p for p, q in zip(apex, end)] for end in ends]
+        size = math.prod(row[-1] for row in _cholesky(
+            [[_dot(u, v) for v in legs[:r + 1]] for r, u in enumerate(legs)]))
+        sizes.append(size if size > 0.0 else 0.0)
+    bounds, out = list(accumulate(sizes)), []
+    for k in range(1, count + 1):
+        u = halton(k, d + 1)
+        cell = cells[min(bisect_right(bounds, u[0] * bounds[-1]), len(cells) - 1)]
+        y = cell[d]
+        for m in range(d - 1, -1, -1):  # y in the cone from cell[m] over cell[m + 1:]
+            r = u[m + 1] ** (1.0 / (d - m))
+            y = [p + r * (q - p) for p, q in zip(cell[m], y)]
+        out.append(tuple(y))
     return out
 
 
@@ -391,6 +365,20 @@ def _kernel(g: MetricField, pts: list, value) -> list:
     return _at_points(g, pts, at)
 
 
+def _measured(scene: CompareScene, src: list, dst: list, jacs: list) -> list:
+    """``(value_src, value_dst, sv)`` per point from the ``_kernel`` pairs of
+    both metrics and the Jacobians, sv the singular values of df measured
+    by both metrics: once per distinct Jacobian where both are constant."""
+    constant = _constant(scene.metric_src) and _constant(scene.metric_dst)
+    out, seen = [], {}
+    for (low_src, v_src), (low_dst, v_dst), jac in zip(src, dst, jacs):
+        key = tuple(map(tuple, jac)) if constant else len(out)
+        if key not in seen:
+            seen[key] = _singular_values(_tilted(low_src, low_dst, jac))
+        out.append((v_src, v_dst, seen[key]))
+    return out
+
+
 def _edge_angles(g: MetricField, domain: PolyDomain, i: int, j: int, pts: list) -> list:
     """Dihedral angles of faces (i, j) at the edge points ``pts``."""
     for x in pts:
@@ -406,7 +394,7 @@ def _wedge2(sv: list) -> float:
 
 def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
     """``(i, j, points, images, jacobians)`` per mapped face and ``(i, j, points,
-    images)`` per edge i < j between mapped faces (not parallel), sampled and
+    images)`` per edge i < j of the face lattice between mapped faces, sampled and
     jetted once at ``max(per_face, _CHECK_PER_FACE)`` / ``max(per_edge,
     _CHECK_PER_EDGE)`` points, all checked against the declared correspondence."""
     f = scene.corner_map
@@ -414,17 +402,15 @@ def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
     scale = max(1.0, dst.diameter())
     faces, edges = [], []
     for i, j in f.face_map.items():
-        ys = _sample(src, f"face:{i}", max(spec.per_face, _CHECK_PER_FACE), spec.seed)
+        ys = _sample(src, (i,), max(spec.per_face, _CHECK_PER_FACE), spec.seed)
         imgs, jacs = f.jet(ys)
         for y, img in zip(ys, imgs):
             if not dst.on_face(j, img, _CHECK_TOL * scale):
                 raise SceneError(f"face {i + 1} sample {list(y)} maps to "
                                  f"{list(img)}, not on target face {j + 1}")
         faces.append((i, j, ys, imgs, jacs))
-    for i, j in ((i, j) for i in f.face_map for j in f.face_map
-                 if i < j and not _parallel(src.a[i], src.a[j])):
-        zs = _sample(src, f"edge:{i},{j}", max(spec.per_edge, _CHECK_PER_EDGE), spec.seed,
-                     allow_empty=True)
+    for i, j in ((i, j) for i in f.face_map for j in f.face_map if (i, j) in src.edges):
+        zs = _sample(src, (i, j), max(spec.per_edge, _CHECK_PER_EDGE), spec.seed)
         imgs, jacs = f.jet(zs)
         # df of the source normals, as columns
         pushed = [[[_dot(row, src.a[t]) for t in (i, j)] for row in jac] for jac in jacs]
@@ -462,21 +448,20 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
         return lambda gm, ginv, d2g, bracket, gamma: _trace(
             _face_forms(domain, face, gm, ginv, bracket)[0])
 
-    xs = _sample(src, "interior", spec.interior, spec.seed)
+    xs = _sample(src, (), spec.interior, spec.seed)
     fxs, jacs = f.jet(xs)
     extend("scalar", "interior", xs, [
-        sc_src - _wedge2(_singular_values(_tilted(low_src, low_dst, jac))) * sc_dst
-        for (low_src, sc_src), (low_dst, sc_dst), jac in zip(
-            _kernel(scene.metric_src, xs, scalar), _kernel(scene.metric_dst, fxs, scalar), jacs)])
+        sc_src - _wedge2(sv) * sc_dst for sc_src, sc_dst, sv in _measured(
+            scene, _kernel(scene.metric_src, xs, scalar), _kernel(scene.metric_dst, fxs, scalar),
+            jacs)])
     for i, j, ys, fys, jacs in faces:
         ys, fys, jacs = ys[:spec.per_face], fys[:spec.per_face], jacs[:spec.per_face]
         for y in fys:
             if not dst.on_face(j, y):
                 raise DomainError(f"point {list(y)} is not on face {j + 1}")
         extend("mean_curvature", f"face:{i + 1}", ys, [
-            h_src - _singular_values(_tilted(low_src, low_dst, jac))[0] * h_dst
-            for (low_src, h_src), (low_dst, h_dst), jac in zip(
-                _kernel(scene.metric_src, ys, mean(src, i)),
+            h_src - sv[0] * h_dst for h_src, h_dst, sv in _measured(
+                scene, _kernel(scene.metric_src, ys, mean(src, i)),
                 _kernel(scene.metric_dst, fys, mean(dst, j)), jacs)])
     for i, j, zs, fzs in edges:
         zs, fzs = zs[:spec.per_edge], fzs[:spec.per_edge]
@@ -519,11 +504,13 @@ def _run_report(scene: CompareScene, spec: SampleSpec, mode: str,
 def check_hypotheses(scene: CompareScene, spec: SampleSpec = SampleSpec(),
                      tolerance: float = DEFAULT_TOLERANCE) -> ComparisonReport:
     """Worst hypothesis margins over the sampled strata; nonnegative margins
-    (up to tolerance) mean the comparison hypotheses hold on the samples."""
+    (up to tolerance) mean the comparison hypotheses hold at the samples,
+    which says nothing of the points between them."""
     return _run_report(scene, spec, "hypotheses", tolerance)
 
 
 def check_conclusions(scene: CompareScene, spec: SampleSpec = SampleSpec(),
                       tolerance: float = DEFAULT_TOLERANCE) -> ComparisonReport:
-    """Largest equality residuals of the rigidity conclusions on the samples."""
+    """Largest equality residuals of the rigidity conclusions at the samples,
+    which say nothing of the points between them."""
     return _run_report(scene, spec, "conclusions", tolerance)

@@ -88,7 +88,7 @@ class PolyDomain:
 
     # a the unit normals as k float tuples, b the k offsets, window an
     # optional ((lo...), (hi...)) sampling box; __dict__ holds the cached
-    # _solutions and _vertices
+    # _solutions, _vertices, _lattice and edges
     __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
     def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
@@ -124,6 +124,8 @@ class PolyDomain:
         if window is not None and not all(map(math.isfinite, (
                 *window[0], *window[1], _norm([q - p for p, q in zip(*window)])))):
             raise DomainError("'window' entries and its diagonal must be finite")
+        if window is not None and not all(p < q for p, q in zip(*window)):
+            raise DomainError("'window' needs lo < hi in every coordinate")
         dom = cls(len(rows[0]), tuple(tuple(v / s for v in row) for row, s in zip(rows, norms)),
                   tuple(b / s for b, s in zip(offsets, norms)), region, window)
         if validate:
@@ -208,11 +210,55 @@ class PolyDomain:
 
     @cached_property
     def _vertices(self) -> tuple:
-        # np.unique(np.round(v, 9), axis=0) on floats, where v * 1e9 is finite
-        # (of rows equal up to signed zeros the first)
-        rows = sorted(tuple(math.copysign(round(v * 1e9), v) / 1e9 if abs(v) < 1e299 else v
-                            for v in y) for y in self._solutions)
-        return tuple(y for t, y in enumerate(rows) if not t or y != rows[t - 1])
+        return tuple(sorted(_distinct(self._solutions)))
+
+    @cached_property
+    def _lattice(self) -> tuple:
+        """``(points, rows, on)``: the vertices of the convex cell, of its cut
+        by the window box if the domain has one (the box's 2n half-spaces are
+        added for this step only), in the order of their rounded keys; the
+        normals, the domain's first; the vertex numbers on each plane."""
+        rows, offsets = list(self.a), list(self.b)
+        for c, (lo, hi) in enumerate(zip(*self.window or ())):
+            axis = tuple(float(c == d) for d in range(self.dim))
+            rows, offsets = rows + [axis, tuple(-v for v in axis)], offsets + [lo, -hi]
+        points = _distinct(self._solutions if self.window is None
+                           else _basic_solutions(rows, offsets))
+        points = [points[key] for key in sorted(points)]
+        return points, rows, [
+            frozenset(v for v, y in enumerate(points) for s, tol in (_slack(row, t, y),)
+                      if abs(s) <= tol) for row, t in zip(rows, offsets)]
+
+    def _face_dim(self, pts: frozenset) -> int:
+        """Dimension of the face with vertex numbers ``pts`` (-1 if none): n
+        less the rank of the normals whose planes hold all of them."""
+        if not pts:
+            return -1
+        tight = [row for row, vs in zip(*self._lattice[1:]) if pts <= vs]
+        return self.dim - (_householder(tight)[1] if tight else 0)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Pairs i < j of faces whose common vertices span dimension n - 2."""
+        on = self._lattice[2]
+        return frozenset((i, j) for i, j in combinations(range(self.face_count), 2)
+                         if self._face_dim(on[i] & on[j]) == self.dim - 2)
+
+    def cells(self, faces: tuple) -> list:
+        """The pulling triangulation of face ``(i,)`` or of the common face of
+        ``(i, j)``: the cone from its least vertex over the triangulated
+        facets that miss it, simplices as sorted tuples of vertices, apex
+        first; none if the face misses the window."""
+        points, _, on = self._lattice
+
+        def pull(pts, d):
+            return [(min(pts),)] if d <= 0 else sorted(
+                (min(pts), *cell) for facet in {pts & vs for vs in on}
+                if min(pts) not in facet and self._face_dim(facet) == d - 1
+                for cell in pull(facet, d - 1))
+        pts = frozenset.intersection(*(on[f] for f in faces))
+        return [tuple(map(points.__getitem__, cell))
+                for cell in (pull(pts, self._face_dim(pts)) if pts else ())]
 
     def vertices(self) -> tuple:
         """Points where ``dim`` face planes meet feasibly (may be none), as
@@ -243,6 +289,17 @@ def _numbers(values, message: str) -> list:
         raise DomainError(message)
     return [(math.inf if v > 0 else -math.inf) if isinstance(v, int) and abs(v) >= 2**1024
             else float(v) for v in values]
+
+
+def _distinct(solutions) -> dict:
+    """Basic solutions by their coordinates rounded to 9 decimals, the first
+    of each: np.unique(np.round(v, 9), axis=0) on floats, where v * 1e9 is
+    finite (of keys equal up to signed zeros the first)."""
+    out = {}
+    for y in solutions:
+        out.setdefault(tuple(math.copysign(round(v * 1e9), v) / 1e9 if abs(v) < 1e299 else v
+                             for v in y), tuple(y))
+    return out
 
 
 def _norm(v) -> float:
@@ -721,11 +778,11 @@ _GB_NODES = 8  # Gauss-Legendre nodes per direction at most
 
 def _polygon_structure(domain: PolyDomain):
     """The vertex centroid of a bounded convex 2-D domain and its edges
-    ``(p, q, face)`` in counterclockwise order (vertices sorted by angle
-    about the centroid), ``face`` the index of least |slack| at the edge
-    midpoint and p, q where it meets the faces of the edges before and
-    after: the enumerated vertices, rounded to 9 decimals, lie up to 5e-10
-    off the faces, which the defect would measure."""
+    ``(p, q, face)`` in counterclockwise order (the lattice's vertices
+    sorted by angle about the centroid), ``face`` the first face of the
+    lattice that holds both ends and p, q where it meets the faces of the
+    edges before and after: the enumerated vertices, rounded to 9 decimals,
+    lie up to 5e-10 off the faces, which the defect would measure."""
     if domain.dim != 2:
         raise DomainError("Gauss-Bonnet needs a 2-D domain")
     if domain.region != "intersection":
@@ -734,15 +791,13 @@ def _polygon_structure(domain: PolyDomain):
     if len(verts) < 3:
         raise DomainError("domain is not a bounded polygon")
     center = [math.fsum(c) / len(verts) for c in zip(*verts)]
-    loop = sorted(verts, key=lambda v: math.atan2(v[1] - center[1], v[0] - center[0]))
-    tol = 1e-7 * max(1.0, domain.diameter())
-    faces = []
-    for p, q in zip(loop, loop[1:] + loop[:1]):
-        mid = [0.5 * (u + v) for u, v in zip(p, q)]
-        slack = [abs(reduce(add, map(mul, row, mid)) - t) for row, t in zip(domain.a, domain.b)]
-        faces.append(min(range(len(slack)), key=slack.__getitem__))
-        if slack[faces[-1]] > tol:
-            raise DomainError("polygon edge does not lie on a face")
+    points, _, on = domain._lattice
+    loop = sorted(range(len(points)), key=lambda v: math.atan2(
+        points[v][1] - center[1], points[v][0] - center[0]))
+    faces = [min((f for f in range(domain.face_count) if {p, q} <= on[f]), default=None)
+             for p, q in zip(loop, loop[1:] + loop[:1])]
+    if None in faces:
+        raise DomainError("polygon edge does not lie on a face")
     corners = []
     for f, h in zip(faces[-1:] + faces[:-1], faces):
         (a, b), (c, d), (s, t) = domain.a[f], domain.a[h], (domain.b[f], domain.b[h])

@@ -5,7 +5,8 @@ the mean curvature of a face as a divergence (sympy derivatives evaluated in
 mpmath), the mpmath dihedral angle of given float metric and normals, the SVD null
 space basis,
 the term-by-term random curvature operator,
-the trial-by-trial certificate loop, the dense Hardy kernel and its
+the trial-by-trial certificate loop, the face lattice's edges by ``linprog``
+and its pulling triangulations by affine rank, the dense Hardy kernel and its
 ARPACK (``svds``) norm over blocked numpy prefix sums, the per-entry assembly
 of the link operator's tridiagonal form, the
 ``linprog`` domain validation with the per-subset vertex loop, the K_nu quadrature with
@@ -374,89 +375,105 @@ def _halton(index: int, base: int) -> float:
     return out
 
 
-def sample_stratum(domain: PolyDomain, stratum: str, count: int, seed: int,
-                   allow_empty: bool = False) -> list[np.ndarray]:
-    """Deterministic low-discrepancy samples on a stratum.
+def lattice_points(domain: PolyDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(points, rows, offsets)``: the program's lattice vertices, taken as
+    given (without a window they round to ``vertices()``, which
+    ``loop_vertices`` checks), and the half-spaces of the cell, the window
+    box's appended when the domain has one."""
+    rows, offs = normals(domain), offsets(domain)
+    if domain.window is not None:
+        eye = np.eye(domain.dim)
+        rows = np.vstack([rows] + [np.vstack([eye[c], -eye[c]]) for c in range(domain.dim)])
+        offs = np.concatenate([offs] + [[lo, -hi] for lo, hi in zip(*domain.window)])
+    return np.array(domain._lattice[0]).reshape(-1, domain.dim), rows, offs
 
-    ``stratum`` is ``"interior"``, ``"face:i"`` or ``"edge:i,j"`` with
-    0-based indices.  Halton points with a seeded Cranley-Patterson
-    rotation are pushed into the stratum's affine chart and filtered by
-    membership, so identical (stratum, count, seed) inputs always return
-    identical points.
+
+def affine_rank(points: np.ndarray) -> int:
+    """Dimension of the affine hull of the rows of ``points`` (-1 if none),
+    from the singular values of their differences."""
+    if len(points) == 0:
+        return -1
+    diffs = points[1:] - points[0]
+    if len(diffs) == 0:
+        return 0
+    return int(np.linalg.matrix_rank(diffs, tol=1e-9 * max(1.0, float(np.abs(points).max()))))
+
+
+def lattice_incidence(domain: PolyDomain) -> tuple[np.ndarray, list]:
+    """``(points, on)``: the lattice vertices and, per half-space (the
+    window's after the domain's), the set of vertex numbers on its plane by
+    numpy slacks, each within 1e-9 of the size of the terms it cancels."""
+    pts, rows, offs = lattice_points(domain)
+    scale = np.abs(rows) @ np.abs(pts).T + np.abs(offs)[:, None]
+    return pts, [frozenset(np.flatnonzero(row).tolist()) for row in
+                 np.abs(rows @ pts.T - offs[:, None]) <= _FEAS_TOL * np.maximum(1.0, scale)]
+
+
+def pulling_cells(domain: PolyDomain, faces: tuple) -> list[tuple]:
+    """The pulling triangulation of a face or edge, from scratch: dimensions
+    by affine rank, each face coned from its least vertex over its facets
+    (the vertex sets on one more plane, one dimension lower) that miss it;
+    sorted tuples of vertex numbers."""
+    pts, on = lattice_incidence(domain)
+
+    def pull(vs):
+        d = affine_rank(pts[sorted(vs)])
+        if d == 0:
+            return [(min(vs),)]
+        facets = {vs & s for s in on if affine_rank(pts[sorted(vs & s)]) == d - 1}
+        return sorted((min(vs), *cell) for facet in facets if min(vs) not in facet
+                      for cell in pull(facet))
+
+    vs = frozenset.intersection(*(on[f] for f in faces))
+    return pull(vs) if vs else []
+
+
+def sample_stratum(domain: PolyDomain, faces: tuple, count: int, seed: int) -> list[np.ndarray]:
+    """Deterministic low-discrepancy samples on a stratum: ``()`` the
+    interior, ``(i,)`` face i, ``(i, j)`` the edge of faces i < j.
+
+    Halton points take a Cranley-Patterson rotation, the first draws of
+    ``random.Random(seed)``.  Interior points fill the window box and are
+    kept strictly inside.  A face or edge is sampled on ``pulling_cells``:
+    coordinate 0 picks a simplex by its volume (a numpy determinant) and
+    the other coordinates place the point as a cone over a cone, apex first.
     """
     lo, hi = map(np.array, _window_box(domain))
     n = domain.dim
     rng = random.Random(seed)
-    tol = 1e-9 * max(1.0, float(np.abs(np.concatenate([lo, hi])).max()))
+    shift = [rng.random() for _ in range(n)]
 
-    if stratum == "interior":
-        dim_par = n
-        origin = None
-        basis = np.eye(n)
+    def halton(k, dims):
+        return [(_halton(k, _PRIMES[d % len(_PRIMES)]) + shift[d]) % 1.0 for d in range(dims)]
 
-        def accept(x):
-            return contains(domain, x, tol=-1e-12)  # strictly inside
-    elif stratum.startswith("face:"):
-        i = int(stratum.split(":")[1])
-        a, b = normals(domain)[i], offsets(domain)[i]
-        origin = b * a
-        basis = np.reshape(_nullspace([a]), (-1, n)).T
-        dim_par = n - 1
-
-        def accept(x):
-            return domain.on_face(i, x, tol=tol)
-    elif stratum.startswith("edge:"):
-        i, j = (int(v) for v in stratum.split(":")[1].split(","))
-        rows = normals(domain)[[i, j]]
-        if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
-            # parallel supporting planes never meet in an edge
-            if allow_empty:
-                return []
-            raise DomainError(f"faces {i} and {j} are parallel; no edge")
-        origin, *_ = np.linalg.lstsq(rows, offsets(domain)[[i, j]], rcond=None)
-        basis = np.reshape(_nullspace(rows), (-1, n)).T
-        dim_par = n - 2
-
-        def accept(x):
-            return domain.on_edge(i, j, x, tol=tol)
-    else:
-        raise ValueError(f"unknown stratum {stratum!r}")
-
-    if dim_par == 0:
-        pt = np.asarray(origin, dtype=float)
-        if accept(pt):
-            return [pt] * min(count, 1) or []
-        if allow_empty:
-            return []
-        raise DomainError(f"stratum {stratum} is empty")
-
-    shift = [rng.random() for _ in range(dim_par)]
-    span = float(np.linalg.norm(hi - lo))
-    center = 0.5 * (lo + hi)
-    out: list[np.ndarray] = []
-    k = 1
-    max_tries = max(200, 2000 * count)
-    while len(out) < count and k <= max_tries:
-        u = np.array([
-            (_halton(k, _PRIMES[d % len(_PRIMES)]) + shift[d]) % 1.0
-            for d in range(dim_par)
-        ])
-        if stratum == "interior":
-            x = lo + u * (hi - lo)
-        else:
-            t = (u - 0.5) * span
-            x0 = np.asarray(origin, dtype=float)
-            # recenter the chart near the window center for better acceptance
-            x0 = x0 + basis @ (basis.T @ (center - x0))
-            x = x0 + basis @ t
-        if accept(x):
-            out.append(x)
-        k += 1
-    if len(out) < count and not allow_empty:
-        raise DomainError(
-            f"could not draw {count} samples on {stratum} "
-            f"(got {len(out)} after {max_tries} tries)"
-        )
+    if not faces:
+        out, max_tries = [], max(200, 2000 * count)
+        for k in range(1, max_tries + 1):
+            if len(out) == count:
+                break
+            x = lo + np.array(halton(k, n)) * (hi - lo)
+            if contains(domain, x, tol=-1e-12):  # strictly inside
+                out.append(x)
+        if len(out) < count:
+            raise DomainError(f"could not draw {count} samples on interior")
+        return out
+    pts = [tuple(p) for p in lattice_points(domain)[0].tolist()]
+    cells = [[pts[v] for v in cell] for cell in pulling_cells(domain, faces)]
+    d = len(cells[0]) - 1
+    if d == 0:
+        return [np.array(cells[0][0])][:count]
+    vols = [math.sqrt(max(0.0, np.linalg.det(legs @ legs.T))) for legs in (
+        np.array(cell[1:]) - np.array(cell[0]) for cell in cells)]
+    cum = np.cumsum(vols) / sum(vols)
+    out = []
+    for k in range(1, count + 1):
+        u = halton(k, d + 1)
+        cell = cells[min(int(np.searchsorted(cum, u[0], side="right")), len(cells) - 1)]
+        y = cell[d]
+        for m in range(d - 1, -1, -1):
+            r = u[m + 1] ** (1.0 / (d - m))
+            y = [p + r * (q - p) for p, q in zip(cell[m], y)]
+        out.append(np.array(y))
     return out
 
 
@@ -588,24 +605,23 @@ def exact_dihedral_angle(gmat, a_i: Sequence[float], a_j: Sequence[float],
 def _pointwise_quantities(scene: CompareScene, spec: SampleSpec):
     """Yield (name, stratum, point, hypothesis_margin, equality_residual)."""
     f = scene.corner_map
-    for x in sample_stratum(scene.domain_src, "interior", spec.interior, spec.seed):
+    for x in sample_stratum(scene.domain_src, (), spec.interior, spec.seed):
         wedge2 = _metric_norms(scene, x)[1]
         sc_src = curvature_tensors(scene.metric_src, x).scalar
         sc_dst = curvature_tensors(scene.metric_dst, f(x)).scalar
         gap = sc_src - wedge2 * sc_dst
         yield ("scalar", "interior", x, gap, abs(gap))
     for i, j in f.face_map.items():
-        for y in sample_stratum(scene.domain_src, f"face:{i}", spec.per_face,
-                                spec.seed):
+        for y in sample_stratum(scene.domain_src, (i,), spec.per_face, spec.seed):
             h_src = mean_curvature(scene.metric_src, scene.domain_src, i, y)
             h_dst = mean_curvature(scene.metric_dst, scene.domain_dst, j, f(y))
             gap = h_src - _metric_norms(scene, y)[0] * h_dst
             yield ("mean_curvature", f"face:{i + 1}", y, gap, abs(gap))
-    pairs = [(i, j) for i in f.face_map for j in f.face_map if i < j]
-    for i, j in pairs:
-        pts = sample_stratum(scene.domain_src, f"edge:{i},{j}", spec.per_edge,
-                             spec.seed, allow_empty=True)
-        for z in pts:
+    pts, on = lattice_incidence(scene.domain_src)
+    for i, j in [(i, j) for i in f.face_map for j in f.face_map if i < j]:
+        if affine_rank(pts[sorted(on[i] & on[j])]) != scene.domain_src.dim - 2:
+            continue  # the faces meet in no edge
+        for z in sample_stratum(scene.domain_src, (i, j), spec.per_edge, spec.seed):
             th_src = dihedral_angle(scene.metric_src, scene.domain_src, i, j, z)
             th_dst = dihedral_angle(
                 scene.metric_dst, scene.domain_dst,
@@ -708,6 +724,34 @@ def tridiagonal_spectrum(alpha: float, beta: float, grid: int, count: int) -> tu
     return tuple(sorted(float(v) for v in eigs))
 
 
+def linprog_edges(domain: PolyDomain) -> set:
+    """The pairs i < j of faces whose intersection with the cell (cut by the
+    window box if the domain has one) has dimension n - 2: the two normals
+    are independent and one HiGHS ``linprog`` on their common plane finds a
+    point where every other half-space, unless its plane holds that flat,
+    has slack above 1e-8 (the largest least slack t, ``t <= 1``)."""
+    from scipy.optimize import linprog
+
+    _, rows, rhs = lattice_points(domain)
+    n, out = domain.dim, set()
+    for i, j in combinations(range(domain.face_count), 2):
+        pair = np.column_stack([rows[[i, j]], rhs[[i, j]]])
+        if np.linalg.matrix_rank(rows[[i, j]], tol=1e-10) < 2:
+            continue
+        rest = [l for l in range(len(rows)) if np.linalg.matrix_rank(
+            np.vstack([pair, np.append(rows[l], rhs[l])]), tol=1e-10) == 3]
+        c = np.zeros(n + 1)
+        c[-1] = -1.0
+        res = linprog(c, A_ub=np.hstack([-rows[rest], np.ones((len(rest), 1))]),
+                      b_ub=-rhs[rest], A_eq=np.hstack([rows[[i, j]], np.zeros((2, 1))]),
+                      b_eq=rhs[[i, j]], bounds=[(None, None)] * n + [(None, 1.0)],
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        if res.status == 0 and -res.fun > 1e-8:
+            out.add((i, j))
+    return out
+
+
 def linprog_validate(domain: PolyDomain) -> None:
     """Nonempty interior of the convex cell; every face supports it.
 
@@ -751,7 +795,10 @@ def loop_vertices(domain: PolyDomain) -> np.ndarray:
         v = np.linalg.solve(a, b)
         if np.all(slacks(domain, v) >= -1e-9):
             out.append(v)
-    return np.unique(np.round(np.array(out), 9), axis=0) if out else np.zeros((0, n))
+    # return_index sorts stably, so of rows equal up to signed zeros the
+    # first is kept, as past 16 rows the default sort does not
+    return np.unique(np.round(np.array(out), 9), axis=0, return_index=True)[0] if out \
+        else np.zeros((0, n))
 
 
 # ---------------------------------------------------------------------------

@@ -843,6 +843,20 @@ class TestMalformedSceneTypes:
             assert result.stderr.splitlines() == [
                 "input error: 'window' entries and its diagonal must be finite"]
 
+    def test_window_needs_positive_extent(self, runner, tmp_path):
+        # a zero extent spent 32,000 interior candidates before exit 2, and the
+        # inverted window exited 0; each is now one input error naming 'window'
+        quadrant = {"dim": 2, "halfspaces": [{"a": [1, 0], "b": 0}, {"a": [0, 1], "b": 0}],
+                    "g": {"11": "1", "22": "1"}}
+        for window in ([[0, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 0]]):
+            side = {**quadrant, "window": window}
+            scene = {"N": side, "M": side, "f": ["x1", "x2"], "faces": {"1": "1", "2": "2"}}
+            result = runner.invoke(main, ["compare", "--scene",
+                                          write_json(tmp_path / "s.json", scene)])
+            self.assert_input_error(result)
+            assert result.stderr.splitlines() == [
+                "input error: 'window' needs lo < hi in every coordinate"]
+
     def test_halfspace_numbers_load_no_numpy(self, tmp_path):
         paths = [write_json(tmp_path / f"{case}.json", self.halfspace_scene(case))
                  for case in sorted(self.HALFSPACE_NUMBERS)]
@@ -1478,7 +1492,8 @@ COMPARE_GOLDEN = json.loads((ROOT / "tests" / "data" / "compare_golden.json").re
 def test_compare_output_matches_golden(case, tmp_path):
     """stdout and ``--csv`` of ``compare`` on the shipped identity scenes,
     byte for byte as recorded in ``tests/data/compare_golden.json``: the
-    sampler, the null-space charts and the kernels must not move a bit."""
+    sampler, the face lattice and the kernels must not move a bit;
+    ``tests/data/regen_compare_golden.py`` rewrites the file."""
     scene, mode, _, seed = case.split()
     args = ["compare", "--scene", str(ROOT / "scenes" / f"{scene}.json"), "--seed", seed,
             "--csv", str(tmp_path / "rows.csv")]
@@ -1489,6 +1504,24 @@ def test_compare_output_matches_golden(case, tmp_path):
     assert (tmp_path / "rows.csv").read_text() == want["csv"]
 
 
+def test_narrow_dip_is_missed_by_the_default_samples(tmp_path):
+    """FOUND: a verdict holds at the samples only.  The unit square under
+    g = e^{2u} delta, u = -0.01 exp(-|x - (0.37, 0.61)|^2 / 0.02^2), has Sc
+    near -204 on a disc of radius about 0.02 that the 16 default interior
+    samples miss, so the flat comparison passes there; 4096 samples find
+    the dip."""
+    conformal = "exp(2*(-0.01*exp(-((x1-0.37)^2+(x2-0.61)^2)/0.0004)))"
+    scene = json.loads((ROOT / "scenes" / "square_id.json").read_text())
+    scene["N"]["g"] = {"11": conformal, "22": conformal}
+    path = write_json(tmp_path / "dip.json", scene)
+    runs = {}
+    for extra in ([], ["--interior", "4096"]):
+        result = CliRunner().invoke(main, ["compare", "--scene", path] + extra)
+        runs[len(extra)] = (result.exit_code, json.loads(result.stdout)["margins"]["scalar"])
+    assert runs[0][0] == 0 and runs[0][1]["value"] == 0.0
+    assert runs[2][0] == 1 and runs[2][1]["value"] < -190.0
+
+
 def test_compare_negative_seed_exits_2():
     scene = str(ROOT / "scenes" / "square_id.json")
     result = CliRunner().invoke(main, ["compare", "--scene", scene, "--seed", "-1"])
@@ -1497,8 +1530,10 @@ def test_compare_negative_seed_exits_2():
 
 
 def test_compare_far_offset_scene_exits_2(tmp_path):
-    # vertex coordinates near 1e300 (v * 1e9 overflows) reach the sampler,
-    # which reports the empty face chart as an input error
+    # vertex coordinates near 1e300 (v * 1e9 overflows) reach the sampler:
+    # the faces are sampled on their vertices, but the inferred window box,
+    # padded by 1e-9 of the coordinates, is 1e7 times wider than the strip,
+    # so no interior candidate lands in it, an input error
     scene = json.loads((ROOT / "scenes" / "square_id.json").read_text())
     for side in ("N", "M"):
         scene[side]["halfspaces"][:2] = [{"a": [1.0, 0.0], "b": 1e300},
@@ -1508,7 +1543,7 @@ def test_compare_far_offset_scene_exits_2(tmp_path):
     result = CliRunner().invoke(main, ["compare", "--scene", str(path)])
     assert result.exit_code == 2
     assert result.output.splitlines() == [
-        "input error: could not draw 8 samples on face:0 (got 0 after 16000 tries)"]
+        "input error: could not draw 16 samples on interior (got 0 after 32000 tries)"]
 
 
 # g11 (g22 = 1) at the point (x1, 0.5) and the input error it must give,
@@ -1593,8 +1628,9 @@ def test_scalar_expressions_load_no_numpy():
         "        if isinstance(part, dict) and 'halfspaces' in part:\n"
         "            counts.append(len(PolyDomain.from_scene(part).vertices()))\n"
         "print(same, len(grad), len(hess), counts, file=sys.stderr)\n")
-    # conformal_square, cube_id (N, M), square_id (N, M), square_metric, wedge_metric
-    assert status == "True 2 3 [4, 8, 8, 4, 4, 4, 1]"
+    # conformal_square, cube_id (N, M), cut_cube_id (N, M), octahedron_id (N, M),
+    # square_id (N, M), square_metric, wedge_metric
+    assert status == "True 2 3 [4, 8, 8, 10, 10, 6, 6, 4, 4, 4, 1]"
     assert "numpy" not in modules
 
 

@@ -533,16 +533,17 @@ class TestBatchedRows:
             for got, value in zip(row[3:], want[3:]):
                 assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
 
-    @pytest.mark.parametrize("name", ["cube_id", "square_id"])
+    @pytest.mark.parametrize("name", ["cube_id", "square_id", "octahedron_id", "cut_cube_id"])
     def test_sampler_matches_scalar_reference(self, name):
         dom = shipped_scene(name).domain_src
-        strata = (["interior"] + [f"face:{i}" for i in range(dom.face_count)]
-                  + [f"edge:{i},{j}" for i in range(dom.face_count)
-                     for j in range(i + 1, dom.face_count)])
+        pts, on = _oracles.lattice_incidence(dom)
+        strata = [()] + [(i,) for i in range(dom.face_count)] + [
+            (i, j) for i, j in itertools.combinations(range(dom.face_count), 2)
+            if _oracles.affine_rank(pts[sorted(on[i] & on[j])]) == dom.dim - 2]
         for stratum in strata:
             for seed in range(20):
-                got = _sample(dom, stratum, 8, seed, allow_empty=True)
-                want = _oracles.sample_stratum(dom, stratum, 8, seed, allow_empty=True)
+                got = _sample(dom, stratum, 8, seed)
+                want = _oracles.sample_stratum(dom, stratum, 8, seed)
                 assert all(type(x) is tuple and len(x) == dom.dim for x in got)
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -621,20 +622,20 @@ class TestGaussBonnetIdentity:
         nodes, weights = np.polynomial.legendre.leggauss(self.NODES)
         rule = list(zip((0.5 * (nodes + 1.0)).tolist(), (0.5 * weights).tolist()))
         weight = {}  # sample point -> its weight in the identity
-        strata = {"interior": []}
+        strata = {(): []}
         for (s, u), (t, v) in itertools.product(rule, rule):
             gm = g.matrix_at((s, t))
             weight[s, t] = 0.5 * u * v * math.sqrt(gm[0][0] * gm[1][1] - gm[0][1] ** 2)
-            strata["interior"].append((s, t))
+            strata[()].append((s, t))
         dom = scene.domain_src
         for face, (a, b) in enumerate(zip(dom.a, dom.b)):
             axis = 1 if a[0] else 0  # the coordinate that runs along the face
-            strata[f"face:{face}"] = []
+            strata[(face,)] = []
             for t, w in rule:
                 x = [b * a[0], b * a[1]]
                 x[axis] = t
                 weight[tuple(x)] = w * math.sqrt(g.matrix_at(x)[axis][axis])  # |e|_g
-                strata[f"face:{face}"].append(tuple(x))
+                strata[(face,)].append(tuple(x))
         sample = comparison._sample
         monkeypatch.setattr(comparison, "_sample", lambda domain, stratum, *args, **kw: (
             strata[stratum] if domain is dom and stratum in strata
@@ -716,17 +717,17 @@ class TestFirstOrderIdentity:
 
         # interior: the base rule times the x3 rule
         base_rule = self.patch(side, [v[:2] + (0.0,) for v in verts if v[2] == 0.0])
-        add("interior", "interior", [((x[0], x[1], z), w * wz)
+        add((), "interior", [((x[0], x[1], z), w * wz)
                                      for (x, w), (z, wz) in itertools.product(base_rule, side)])
         for i in range(count):
-            add(f"face:{i}", f"face:{i + 1}",
+            add((i,), f"face:{i + 1}",
                 [(x, 2.0 * w) for x, w in self.patch(side, [v for v in verts
                                                          if dom.on_face(i, v)])])
         for i, j in itertools.combinations(range(count), 2):
             ends = [np.array(v) for v in verts if dom.on_edge(i, j, v)]
             if len(ends) == 2:
                 length = float(np.linalg.norm(ends[1] - ends[0]))
-                add(f"edge:{i},{j}", f"edge:{i + 1},{j + 1}",
+                add((i, j), f"edge:{i + 1},{j + 1}",
                     [(tuple((ends[0] + t * (ends[1] - ends[0])).tolist()), 2.0 * w * length)
                      for t, w in side])
         sample = comparison._sample
@@ -796,39 +797,39 @@ class TestWitnessTies:
 class TestSampling:
     def test_deterministic(self):
         dom = PolyDomain.from_scene(square_scene_dict())
-        a = _sample(dom, "interior", 10, 42)
-        b = _sample(dom, "interior", 10, 42)
+        a = _sample(dom, (), 10, 42)
+        b = _sample(dom, (), 10, 42)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        c = _sample(dom, "interior", 10, 43)
+        c = _sample(dom, (), 10, 43)
         assert not all(np.allclose(x, y) for x, y in zip(a, c))
 
     def test_strata_membership(self):
         dom = PolyDomain.from_scene(square_scene_dict())
-        for x in _sample(dom, "face:0", 8, 0):
+        for x in _sample(dom, (0,), 8, 0):
             assert dom.on_face(0, x, tol=1e-9)
-        for x in _sample(dom, "edge:0,2", 1, 0):
+        for x in _sample(dom, (0, 2), 1, 0):
             assert dom.on_edge(0, 2, x, tol=1e-9)
-        for x in _sample(dom, "interior", 8, 0):
+        for x in _sample(dom, (), 8, 0):
             assert _oracles.contains(dom, x)
 
     @settings(max_examples=80, deadline=None)
     @given(stratum=st.sampled_from(
-               [("cube_id", "interior"), ("cube_id", "face:3"), ("cube_id", "edge:0,2"),
-                ("cube_id", "edge:0,1"), ("square_id", "interior"),
-                ("square_id", "face:1"), ("square_id", "edge:0,2")]),
+               [("cube_id", ()), ("cube_id", (3,)), ("cube_id", (0, 2)),
+                ("cube_id", (0, 1)), ("square_id", ()),
+                ("square_id", (1,)), ("square_id", (0, 2))]),
            seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12),
-           more=st.integers(0, 40), allow_empty=st.booleans())
-    def test_shorter_run_is_a_prefix(self, stratum, seed, count, more, allow_empty):
+           more=st.integers(0, 40))
+    def test_shorter_run_is_a_prefix(self, stratum, seed, count, more):
         # compare validates on max(per_face, 8) / max(per_edge, 4) points and
         # reports on the first per_face / per_edge of them
         name, stratum = stratum
         dom = shipped_scene(name).domain_src
         try:
-            short = _sample(dom, stratum, count, seed, allow_empty)
+            short = _sample(dom, stratum, count, seed)
         except DomainError:  # only the parallel pair (0, 1) has no edge
-            assert stratum == "edge:0,1" and not allow_empty
+            assert stratum == (0, 1)
             return
-        full = _sample(dom, stratum, count + more, seed, allow_empty)
+        full = _sample(dom, stratum, count + more, seed)
         assert len(short) == min(count, len(full))
         assert short == full[:len(short)]
 
