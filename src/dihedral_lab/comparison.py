@@ -197,14 +197,11 @@ def _window_box(domain: PolyDomain) -> tuple[list, list]:
     if domain.window is not None:
         lo, hi = domain.window
         return list(lo), list(hi)
+    if not domain._bounded:
+        raise DomainError("an unbounded domain needs a sampling 'window'")
     verts = domain.vertices()
-    if len(verts) >= 2:
-        pad = 1e-9 * max(1.0, *(abs(v) for row in verts for v in row))
-        return [min(c) - pad for c in zip(*verts)], [max(c) + pad for c in zip(*verts)]
-    raise DomainError(
-        "domain needs an explicit sampling window (it has too few vertices "
-        "to infer a bounding box)"
-    )
+    pad = 1e-9 * max(1.0, *(abs(v) for row in verts for v in row))
+    return [min(c) - pad for c in zip(*verts)], [max(c) + pad for c in zip(*verts)]
 
 
 def _dot(u, v) -> float:

@@ -88,7 +88,7 @@ class PolyDomain:
 
     # a the unit normals as k float tuples, b the k offsets, window an
     # optional ((lo...), (hi...)) sampling box; __dict__ holds the cached
-    # _solutions, _vertices, _lattice and edges
+    # _solutions, _vertices, _bounded, _lattice and edges
     __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
     def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
@@ -213,6 +213,16 @@ class PolyDomain:
         return tuple(sorted(_distinct(self._solutions)))
 
     @cached_property
+    def _bounded(self) -> bool:
+        """Whether the convex cell is bounded: it has vertices (else it holds
+        a line), so full rank, and no nonzero d with ``<a_i, d> >= 0`` for
+        all i.  Such a d has ``<c, d> > 0`` for c = sum_i a_i, so it exists
+        iff ``<a_i, d> >= 0``, ``<c, d> >= 1`` has a basic solution."""
+        c = tuple(map(math.fsum, zip(*self.a)))
+        return bool(self._vertices) and next(
+            _basic_solutions([*self.a, c], [0.0] * self.face_count + [1.0]), None) is None
+
+    @cached_property
     def _lattice(self) -> tuple:
         """``(points, rows, on)``: the vertices of the convex cell, of its cut
         by the window box if the domain has one (the box's 2n half-spaces are
@@ -239,9 +249,12 @@ class PolyDomain:
 
     @cached_property
     def edges(self) -> frozenset:
-        """Pairs i < j of faces whose common vertices span dimension n - 2."""
+        """Pairs i < j of facets (faces of dimension n - 1) whose common
+        vertices span dimension n - 2; a face that touches the cell in less
+        than a facet is in no edge."""
         on = self._lattice[2]
-        return frozenset((i, j) for i, j in combinations(range(self.face_count), 2)
+        facets = [f for f in range(self.face_count) if self._face_dim(on[f]) == self.dim - 1]
+        return frozenset((i, j) for i, j in combinations(facets, 2)
                          if self._face_dim(on[i] & on[j]) == self.dim - 2)
 
     def cells(self, faces: tuple) -> list:
@@ -776,36 +789,6 @@ def dihedral_angle(g: MetricField, domain: PolyDomain, i: int, j: int,
 _GB_NODES = 8  # Gauss-Legendre nodes per direction at most
 
 
-def _polygon_structure(domain: PolyDomain):
-    """The vertex centroid of a bounded convex 2-D domain and its edges
-    ``(p, q, face)`` in counterclockwise order (the lattice's vertices
-    sorted by angle about the centroid), ``face`` the first face of the
-    lattice that holds both ends and p, q where it meets the faces of the
-    edges before and after: the enumerated vertices, rounded to 9 decimals,
-    lie up to 5e-10 off the faces, which the defect would measure."""
-    if domain.dim != 2:
-        raise DomainError("Gauss-Bonnet needs a 2-D domain")
-    if domain.region != "intersection":
-        raise DomainError("Gauss-Bonnet supports convex domains only")
-    verts = domain.vertices()
-    if len(verts) < 3:
-        raise DomainError("domain is not a bounded polygon")
-    center = [math.fsum(c) / len(verts) for c in zip(*verts)]
-    points, _, on = domain._lattice
-    loop = sorted(range(len(points)), key=lambda v: math.atan2(
-        points[v][1] - center[1], points[v][0] - center[0]))
-    faces = [min((f for f in range(domain.face_count) if {p, q} <= on[f]), default=None)
-             for p, q in zip(loop, loop[1:] + loop[:1])]
-    if None in faces:
-        raise DomainError("polygon edge does not lie on a face")
-    corners = []
-    for f, h in zip(faces[-1:] + faces[:-1], faces):
-        (a, b), (c, d), (s, t) = domain.a[f], domain.a[h], (domain.b[f], domain.b[h])
-        det = a * d - b * c
-        corners.append([(s * d - b * t) / det, (a * t - c * s) / det])
-    return center, list(zip(corners, corners[1:] + corners[:1], faces))
-
-
 def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
                         resolution: int = 12) -> float:
     """Residual of Gauss-Bonnet on a bounded convex 2-D polygon:
@@ -813,23 +796,38 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
         integral_D K dA + integral_bd k_g ds + sum_v (pi - theta_v) - 2 pi chi.
 
     Vanishes analytically; the return value measures the quadrature error.
-    With n = min(resolution, 8) Gauss-Legendre nodes per direction, each
-    triangle (c, p, q) of the fan from the vertex centroid c takes the n x n
-    product rule through the collapsed square ``(a, b) -> c + a (p - c) +
-    a b (q - p)``, of Jacobian ``a |det(p - c, q - c)|`` (Karniadakis &
-    Sherwin, *Spectral/hp Element Methods for CFD*, 2nd ed., 2005), and each
-    edge n nodes; K dA is ``Sc / 2 sqrt(det g)``, k_g ds the second
-    fundamental form of the edge times its g-length, and the four sums are
-    added exactly (``math.fsum``).
+    The polygon comes from the face lattice: a side is a face of dimension 1
+    (the first of the faces with its vertex set) between its two lattice
+    points, and a corner is a lattice point, an unrounded basic solution.  With n =
+    min(resolution, 8) Gauss-Legendre nodes per direction, each triangle (c,
+    p, q) of the cone from the centroid c of the lattice points over a side
+    pq takes the n x n product rule through the collapsed square ``(a, b) ->
+    c + a (p - c) + a b (q - p)``, of Jacobian ``a |det(p - c, q - c)|``
+    (Karniadakis & Sherwin, *Spectral/hp Element Methods for CFD*, 2nd ed.,
+    2005), and each side n nodes; K dA is ``Sc / 2 sqrt(det g)``, k_g ds the
+    second fundamental form of the side times its g-length, theta_v the
+    dihedral angle of the sides through v.  No term depends on orientation
+    and ``math.fsum`` is exact, so the sides need no order.
     """
     from .bessel import _gauss_legendre  # the package's one Gauss-Legendre generator
 
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    center, edges = _polygon_structure(domain)
+    planar = domain.dim == 2 and domain.region == "intersection"
+    points, _, on = domain._lattice if planar else ((), (), ())
+    sides = {}  # vertex numbers of each side -> its first face
+    for f, vs in enumerate(on[:domain.face_count]):
+        if domain._face_dim(vs) == 1:
+            sides.setdefault(vs, f)
+    corners = [[f for vs, f in sides.items() if v in vs] for v in range(len(points))]
+    if not points or any(len(faces) != 2 for faces in corners):
+        raise DomainError("Gauss-Bonnet needs a bounded convex 2-D polygon "
+                          "(every vertex on two sides)")
+    center = [math.fsum(c) / len(points) for c in zip(*points)]
     rule = _gauss_legendre(min(resolution, _GB_NODES))
     terms = [-2.0 * math.pi]
-    for p, q, face in edges:
+    for vs, face in sides.items():
+        p, q = (points[v] for v in sorted(vs))
         u, v = [s - c for s, c in zip(p, center)], [s - r for s, r in zip(q, p)]
         det = abs(u[0] * v[1] - u[1] * v[0])
         for a, wa in rule:
@@ -844,6 +842,6 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
             speed = math.sqrt(reduce(add, [d * reduce(add, map(mul, row, v))
                                            for d, row in zip(v, gm)]))
             terms.append(w * _face_forms(domain, face, gm, ginv, bracket)[0][0][0] * speed)
-    for t, (p, _, face) in enumerate(edges):
-        terms.append(math.pi - dihedral_angle(g, domain, edges[t - 1][2], face, p))
+    for x, faces in zip(points, corners):
+        terms.append(math.pi - dihedral_angle(g, domain, *faces, x))
     return math.fsum(terms)

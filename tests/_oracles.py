@@ -725,31 +725,35 @@ def tridiagonal_spectrum(alpha: float, beta: float, grid: int, count: int) -> tu
 
 
 def linprog_edges(domain: PolyDomain) -> set:
-    """The pairs i < j of faces whose intersection with the cell (cut by the
-    window box if the domain has one) has dimension n - 2: the two normals
-    are independent and one HiGHS ``linprog`` on their common plane finds a
-    point where every other half-space, unless its plane holds that flat,
-    has slack above 1e-8 (the largest least slack t, ``t <= 1``)."""
+    """The pairs i < j of facets that meet the cell (cut by the window box
+    if the domain has one) in dimension n - 2.  Faces ``idx`` meet it in
+    dimension n - len(idx) iff their normals are independent and one HiGHS
+    ``linprog`` on their common plane finds a point where every other
+    half-space, unless its plane holds that flat, has slack above 1e-8 (the
+    largest least slack t, ``t <= 1``); a facet is a face that does alone."""
     from scipy.optimize import linprog
 
     _, rows, rhs = lattice_points(domain)
-    n, out = domain.dim, set()
-    for i, j in combinations(range(domain.face_count), 2):
-        pair = np.column_stack([rows[[i, j]], rhs[[i, j]]])
-        if np.linalg.matrix_rank(rows[[i, j]], tol=1e-10) < 2:
-            continue
+    n = domain.dim
+
+    def open_flat(idx):
+        idx = list(idx)
+        flat = np.column_stack([rows[idx], rhs[idx]])
+        if np.linalg.matrix_rank(rows[idx], tol=1e-10) < len(idx):
+            return False
         rest = [l for l in range(len(rows)) if np.linalg.matrix_rank(
-            np.vstack([pair, np.append(rows[l], rhs[l])]), tol=1e-10) == 3]
+            np.vstack([flat, np.append(rows[l], rhs[l])]), tol=1e-10) == len(idx) + 1]
         c = np.zeros(n + 1)
         c[-1] = -1.0
         res = linprog(c, A_ub=np.hstack([-rows[rest], np.ones((len(rest), 1))]),
-                      b_ub=-rhs[rest], A_eq=np.hstack([rows[[i, j]], np.zeros((2, 1))]),
-                      b_eq=rhs[[i, j]], bounds=[(None, None)] * n + [(None, 1.0)],
+                      b_ub=-rhs[rest], A_eq=np.hstack([rows[idx], np.zeros((len(idx), 1))]),
+                      b_eq=rhs[idx], bounds=[(None, None)] * n + [(None, 1.0)],
                       method="highs", options={"primal_feasibility_tolerance": 1e-10,
                                                "dual_feasibility_tolerance": 1e-10})
-        if res.status == 0 and -res.fun > 1e-8:
-            out.add((i, j))
-    return out
+        return res.status == 0 and -res.fun > 1e-8
+
+    facets = [i for i in range(domain.face_count) if open_flat((i,))]
+    return {(i, j) for i, j in combinations(facets, 2) if open_flat((i, j))}
 
 
 def linprog_validate(domain: PolyDomain) -> None:

@@ -234,6 +234,32 @@ class TestCompareCommand:
         # one row per sampled value: 16 interior + 4x8 face + 4x2 angle rows
         assert len(lines) >= 40
 
+    def test_face_touching_at_a_vertex_makes_no_corner(self, runner, tmp_path):
+        # x1 + x2 >= 0 touches the square only at (0, 0); its pairs with the
+        # two sides through (0, 0) were sampled as corners of angle pi/4
+        side = square_scene()
+        side["halfspaces"].append({"a": [1.0, 1.0], "b": 0.0})
+        scene = {"N": side, "M": side, "f": ["x1", "x2"],
+                 "faces": {"1": "1", "2": "2", "3": "3", "4": "4", "5": "5"}}
+        result = runner.invoke(main, ["compare", "--scene",
+                                      write_json(tmp_path / "scene.json", scene)])
+        assert result.exit_code == 0
+        cap = json.loads(result.output)["margins"]["angle_cap"]
+        assert cap["value"] == math.pi / 2 and cap["stratum"] == "edge:1,3"
+
+    def test_unbounded_domain_needs_a_window(self, runner, tmp_path):
+        # the half-strip x1 >= 0, 0 <= x2 <= 1 was sampled in a box 2e-9 wide
+        side = {**square_scene(), "halfspaces": [
+            {"a": [1.0, 0.0], "b": 0.0}, {"a": [0.0, 1.0], "b": 0.0},
+            {"a": [0.0, -1.0], "b": -1.0}]}
+        scene = {"N": side, "M": side, "f": ["x1", "x2"],
+                 "faces": {"1": "1", "2": "2", "3": "3"}}
+        result = runner.invoke(main, ["compare", "--scene",
+                                      write_json(tmp_path / "scene.json", scene)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            "input error: an unbounded domain needs a sampling 'window'"]
+
     def test_byte_identical_reports(self, runner, tmp_path):
         scene = {
             "N": square_scene(),
@@ -842,6 +868,47 @@ class TestMalformedSceneTypes:
             self.assert_input_error(result)
             assert result.stderr.splitlines() == [
                 "input error: 'window' entries and its diagonal must be finite"]
+
+    # gaussbonnet's one precondition: a 2-D convex cell whose every lattice
+    # vertex lies on two sides (faces of dimension 1)
+    DIAMOND = [{"a": [sx, sy], "b": -1.0} for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+    NOT_POLYGONS = {
+        "window_cuts_square": {"window": [[0.25, -1.0], [0.75, 2.0]]},
+        "window_cuts_corner": {"halfspaces": DIAMOND, "window": [[-2.0, -2.0], [0.5, 2.0]]},
+        "unbounded_three_vertices": {"halfspaces": [
+            {"a": [1, 1], "b": 0}, {"a": [0, 1], "b": 0}, {"a": [-1, 1], "b": -1},
+            {"a": [-2, 1], "b": -3}]},
+        "quadrant_with_window": {"halfspaces": [{"a": [1, 0], "b": 0}, {"a": [0, 1], "b": 0}],
+                                 "window": [[-1.0, -1.0], [2.0, 2.0]]},
+        "half_strip": {"halfspaces": [{"a": [1, 0], "b": 0}, {"a": [0, 1], "b": 0},
+                                      {"a": [0, -1], "b": -1}]},
+    }
+    # the square with a face touching it at (0, 0), a side given twice, and a
+    # window that contains it
+    SIDES = square_scene()["halfspaces"]
+    SQUARES = {
+        "touching_face": {"halfspaces": [*SIDES, {"a": [1.0, 1.0], "b": 0.0}]},
+        "repeated_side": {"halfspaces": [*SIDES, {"a": [2.0, 0.0], "b": 0.0}]},
+        "window_contains_square": {"window": [[-1.0, -0.5], [2.0, 1.5]]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_POLYGONS))
+    def test_gaussbonnet_needs_a_bounded_polygon(self, runner, tmp_path, case):
+        scene = {**square_scene(), **self.NOT_POLYGONS[case]}
+        result = self.run_scene(runner, tmp_path, "gaussbonnet", scene)
+        self.assert_input_error(result)
+        assert result.stderr.splitlines() == [
+            "input error: Gauss-Bonnet needs a bounded convex 2-D polygon "
+            "(every vertex on two sides)"]
+
+    @pytest.mark.parametrize("case", sorted(SQUARES))
+    def test_gaussbonnet_square_variants(self, runner, tmp_path, case):
+        square = square_scene("exp(2*0.1*sin(x1)*sin(x2))")
+        want, result = [runner.invoke(main, ["gaussbonnet", "--resolution", "12", "--scene",
+                                             write_json(tmp_path / f"{k}.json", scene)])
+                        for k, scene in enumerate((square, {**square, **self.SQUARES[case]}))]
+        assert want.exit_code == result.exit_code == 0
+        assert result.output == want.output
 
     def test_window_needs_positive_extent(self, runner, tmp_path):
         # a zero extent spent 32,000 interior candidates before exit 2, and the

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -606,19 +607,37 @@ class TestGaussBonnet:
         assert np.abs(np.array([2.0 * t - 1.0 for t, _ in rule]) - nodes).max() <= 1e-15
         assert np.abs(np.array([2.0 * w for _, w in rule]) / weights - 1.0).max() <= 1e-14
 
+    @staticmethod
+    def random_polygon(seed):
+        """Inner half-spaces of a convex polygon of 5 to 9 sides on a seeded
+        ellipse off the origin, every turn below pi."""
+        rng = random.Random(seed)
+        weights = [rng.uniform(1.0, 2.0) for _ in range(rng.randrange(5, 10))]
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        cx, cy = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        verts = []
+        for w in weights:
+            verts.append((cx + math.cos(phi), cy + 0.7 * math.sin(phi)))
+            phi += 2.0 * math.pi * w / sum(weights)
+        return [((p[1] - q[1], q[0] - p[0]), (p[1] - q[1]) * p[0] + (q[0] - p[0]) * p[1])
+                for p, q in zip(verts, verts[1:] + verts[:1])]
+
     @pytest.mark.parametrize("resolution", [8, 12, 10**9])
     def test_defect_at_rounding_level_from_eight_nodes(self, resolution):
-        # a pentagon off the origin under a conformal factor of the benchmark's
-        # form, and the shipped conformal square; the pentagon's vertices are
-        # no 9-decimal numbers, so the rounded enumeration lies off its faces
-        pentagon = PolyDomain.from_halfspaces([
-            ((math.cos(t), math.sin(t)), 0.2 * math.cos(t) - 0.1 * math.sin(t) - 0.9)
-            for t in (0.3, 1.4, 2.9, 4.0, 5.2)])
+        # under a conformal factor of the benchmark's form: a pentagon off the
+        # origin, a regular 12-gon and three seeded random polygons, whose
+        # vertices are no 9-decimal numbers; and the shipped conformal square
+        pentagon = [((math.cos(t), math.sin(t)), 0.2 * math.cos(t) - 0.1 * math.sin(t) - 0.9)
+                    for t in (0.3, 1.4, 2.9, 4.0, 5.2)]
+        twelve = [((math.cos(t), math.sin(t)), -1.0)
+                  for t in (2.0 * math.pi * k / 12 for k in range(12))]
         u = "0.12*sin(0.8*x1 + 0.4)*cos(1.3*x2 + 2.1)"
         factor = parse_metric({"11": f"exp(2*{u})", "22": f"exp(2*{u})"}, 2)
         square = parse_metric({"11": "exp(2*0.1*sin(x1)*sin(x2))",
                                "22": "exp(2*0.1*sin(x1)*sin(x2))"}, 2)
-        for g, dom in ((factor, pentagon), (square, unit_square())):
+        polygons = [pentagon, twelve, *map(self.random_polygon, range(3))]
+        for g, dom in [(factor, PolyDomain.from_halfspaces(h)) for h in polygons] + [
+                (square, unit_square())]:
             assert abs(gauss_bonnet_defect(g, dom, resolution)) <= 1e-14
 
 
@@ -693,18 +712,21 @@ class TestPolyDomain:
         assert np.array_equal(np.abs(square.vertices()), np.full((4, 2), 1e300))
 
     def test_vertices_enumerated_once_per_domain(self, monkeypatch):
-        prop = PolyDomain.__dict__["_vertices"]
-        enumerate_vertices = prop.func
-        seen = []
-        monkeypatch.setattr(
-            prop, "func", lambda dom: seen.append(dom) or enumerate_vertices(dom))
+        seen = {"_vertices": [], "_lattice": []}
+        for name, calls in seen.items():
+            prop = PolyDomain.__dict__[name]
+            monkeypatch.setattr(prop, "func", lambda dom, build=prop.func, calls=calls: (
+                calls.append(dom) or build(dom)))
         sq = unit_square()
         g = parse_metric({"11": "exp(0.2*sin(x1)*sin(x2))",
                           "22": "exp(0.2*sin(x1)*sin(x2))"}, 2)
-        gauss_bonnet_defect(g, sq, resolution=2)  # diameter() once per edge
+        # Gauss-Bonnet reads sides, corners and centroid from one lattice
+        gauss_bonnet_defect(g, sq, resolution=2)
+        gauss_bonnet_defect(g, sq, resolution=2)
+        assert seen["_lattice"] == [sq]
         assert sq.vertices() is sq.vertices()
         assert type(sq.vertices()) is tuple and type(sq.vertices()[0]) is tuple
-        assert len(seen) == 1 and seen[0] is sq
+        assert seen["_vertices"] == [sq]
 
     def test_contains(self):
         # no face tight: the point test on floats is membership

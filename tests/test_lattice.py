@@ -52,7 +52,13 @@ ZOO = {
     "simplex4": (simplex(4), 10),
     "wedge": ("intersection", 1),
     "wedge_complement": ("complement", 1),
+    # a last half-space whose plane touches the cell in less than a facet:
+    # its pairs with the facets through that contact are no edges
+    "square_touched_at_vertex": (box(2) + [((1.0, 1.0), 0.0)], 4),
+    "cube_touched_along_edge": (box(3) + [((1.0, 1.0, 0.0), 0.0)], 12),
 }
+# the dimension of each such face's contact with the cell
+LOWER_FACES = {"square_touched_at_vertex": {4: 0}, "cube_touched_along_edge": {6: 1}}
 
 
 def domain(name):
@@ -88,7 +94,7 @@ def test_face_samples_span_the_face(name):
     pts, on = _oracles.lattice_incidence(dom)
     for i in range(dom.face_count):
         want = _oracles.affine_rank(pts[sorted(on[i])])
-        assert want == dom.dim - 1
+        assert want == LOWER_FACES.get(name, {}).get(i, dom.dim - 1)
         assert _oracles.affine_rank(np.array(_sample(dom, (i,), 8, 0))) == want
 
 
@@ -100,3 +106,11 @@ def test_shorter_run_is_a_prefix(name):
             full = _sample(dom, faces, 12, seed)
             assert [_sample(dom, faces, count, seed) for count in (1, 4, 7)] == [
                 full[:1], full[:4], full[:7]]
+
+
+def test_only_the_wedges_and_open_cells_are_unbounded():
+    # the cube without its face x3 <= 1 recedes along x3; a strip has no vertex
+    assert [name for name in sorted(ZOO) if not domain(name)._bounded] == [
+        "wedge", "wedge_complement"]
+    assert not PolyDomain.from_halfspaces(box(3)[:-1])._bounded
+    assert not PolyDomain.from_halfspaces(box(2)[:2])._bounded
