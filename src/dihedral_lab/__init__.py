@@ -6,7 +6,7 @@ Modules:
 - ``expressions``      scalar expression parser / evaluator, exact jets at
                        one point and metric fields (on ``math``)
 - ``curvature``        Christoffel symbols, Riemann/Ricci/scalar curvature,
-                       second fundamental forms of faces, dihedral angles,
+                       mean curvature of faces, dihedral angles,
                        Gauss-Bonnet (Gauss-Legendre product rules), conformal
                        identities, domains (validation, vertices, face
                        lattice), all on floats; numpy loads only for the

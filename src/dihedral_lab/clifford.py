@@ -369,18 +369,19 @@ def curvature_certificate(
 
 
 def boundary_certificate(
-    second_fundamental: np.ndarray,
+    amat: np.ndarray,
     boundary_jac: np.ndarray,
     source: CliffordModule,
     target: CliffordModule,
 ) -> float:
-    """Minimum eigenvalue of E_boundary + |df| (tr A / 2) Id.
+    """Minimum eigenvalue of E_boundary + |df| (tr A / 2) Id, with ``amat``
+    the second fundamental form A.
 
     The boundary Clifford actions are ``cbar(e_n) cbar(e_lam)`` and
     ``c(e_n) c(e_mu)`` with the last basis vector playing the inner normal
     on both sides; tangential indices run over the first n-1 / m-1 axes.
     """
-    return float(_boundary_min_eigs([second_fundamental], [boundary_jac], source, target)[0])
+    return float(_boundary_min_eigs([amat], [boundary_jac], source, target)[0])
 
 
 def random_certificates(n: int, trials: int,

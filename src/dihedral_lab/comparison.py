@@ -8,8 +8,8 @@ hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
 (interior, every mapped face, every edge of the source's face lattice
 between mapped faces) is sampled and jetted once, on floats, where the
 face correspondence is checked; every verdict holds at the samples only.
-Everything runs on floats: the curvature kernel, face forms and dihedral
-angles of a stratum are evaluated once for a constant metric and at each
+Everything runs on floats: the curvature kernel, mean curvatures and
+dihedral angles of a stratum are evaluated once for a constant metric and at each
 point for a metric that varies, and the singular values of df at each
 point, so ``compare`` never loads numpy.
 
@@ -31,9 +31,9 @@ from .curvature import (
     DomainError,
     PolyDomain,
     _cholesky,
-    _face_forms,
     _first_order,
     _householder,
+    _mean_curvature,
     _riemann,
     curvature_tensors,  # bound here too: perfbench's tracer test patches this binding
     dihedral_angle,
@@ -197,7 +197,8 @@ def _window_box(domain: PolyDomain) -> tuple[list, list]:
     if domain.window is not None:
         lo, hi = domain.window
         return list(lo), list(hi)
-    if not domain._bounded:
+    # the closure of a complement is never bounded
+    if domain.region == "complement" or not domain._bounded:
         raise DomainError("an unbounded domain needs a sampling 'window'")
     verts = domain.vertices()
     pad = 1e-9 * max(1.0, *(abs(v) for row in verts for v in row))
@@ -220,8 +221,9 @@ def _sample(domain: PolyDomain, faces: tuple, count: int, seed: int) -> list:
     triangulation (``PolyDomain.cells``): coordinate 0 picks a simplex by
     cumulative volume and coordinates 1..d place the point in it, as a cone
     over a cone (Pillards & Cools, J. Comput. Appl. Math. 174 (2005) 29-42),
-    so no sample is rejected; a vertex is its one sample.  A shorter run is
-    a prefix of a longer one.
+    so no sample is rejected; a vertex is its one sample.  The stratum must
+    meet the window (callers sample lattice facets and edges only).  A
+    shorter run is a prefix of a longer one.
     """
     lo, hi = _window_box(domain)
     shift = _uniform(seed, domain.dim)
@@ -247,8 +249,6 @@ def _sample(domain: PolyDomain, faces: tuple, count: int, seed: int) -> list:
     if len(faces) == 2 and faces not in domain.edges:
         raise DomainError(f"faces {faces[0] + 1} and {faces[1] + 1} do not meet in an edge")
     cells = domain.cells(faces)
-    if not cells:
-        raise DomainError(f"face {faces[0] + 1} does not meet the sampling window")
     d = len(cells[0]) - 1
     if d == 0:
         return list(cells[0][:count])
@@ -341,10 +341,6 @@ def _constant(g: MetricField) -> bool:
     return not any(e.max_var() for e in g.entries.values())
 
 
-def _trace(mat: list):
-    return reduce(add, [row[a] for a, row in enumerate(mat)], 0.0)
-
-
 def _at_points(g: MetricField, pts: list, value) -> list:
     """``value(x)`` at each point of ``pts``: once, at the first point, for
     a constant metric ``g``, else at every point."""
@@ -390,15 +386,17 @@ def _wedge2(sv: list) -> float:
 
 
 def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
-    """``(i, j, points, images, jacobians)`` per mapped face and ``(i, j, points,
+    """``(i, j, points, images, jacobians)`` per mapped facet and ``(i, j, points,
     images)`` per edge i < j of the face lattice between mapped faces, sampled and
     jetted once at ``max(per_face, _CHECK_PER_FACE)`` / ``max(per_edge,
-    _CHECK_PER_EDGE)`` points, all checked against the declared correspondence."""
+    _CHECK_PER_EDGE)`` points, all checked against the declared correspondence.
+    A mapped face that is no facet bounds nothing and is skipped, as
+    ``PolyDomain.edges`` skips it."""
     f = scene.corner_map
     src, dst = scene.domain_src, scene.domain_dst
     scale = max(1.0, dst.diameter())
     faces, edges = [], []
-    for i, j in f.face_map.items():
+    for i, j in ((i, j) for i, j in f.face_map.items() if i in src.facets):
         ys = _sample(src, (i,), max(spec.per_face, _CHECK_PER_FACE), spec.seed)
         imgs, jacs = f.jet(ys)
         for y, img in zip(ys, imgs):
@@ -442,8 +440,8 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
         return _riemann(ginv, d2g, bracket, gamma)[2]
 
     def mean(domain, face):
-        return lambda gm, ginv, d2g, bracket, gamma: _trace(
-            _face_forms(domain, face, gm, ginv, bracket)[0])
+        return lambda gm, ginv, d2g, bracket, gamma: _mean_curvature(
+            domain, face, ginv, bracket)[0]
 
     xs = _sample(src, (), spec.interior, spec.seed)
     fxs, jacs = f.jet(xs)

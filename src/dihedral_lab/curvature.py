@@ -9,17 +9,16 @@ Conventions (fixed here, tested against symbolic oracles):
   With ``Gamma_{l,ij} = g_{lk} Gamma^k_{ij}``, ``R_{ijkl} = 1/2 (d_i d_k g_jl
   - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik) + Gamma_{m,jl} Gamma^m_{ik}
   - Gamma_{m,il} Gamma^m_{jk}``.
-- Second fundamental forms are taken with respect to the *inner* unit
-  normal, so the boundary of a Euclidean ball has positive mean curvature
-  ``H = n - 1``.
-- Tangent bases of faces come from Gram-Schmidt in g on the Householder
-  null space of the face normal, in order; deterministic.
+- Mean curvature is taken with respect to the *inner* unit normal, so the
+  boundary of a Euclidean ball has ``H = n - 1``; it is the trace of the
+  second fundamental form in the face's inverse metric ``g^-1 - nu nu^T``,
+  with no tangent frame.
 
 All metric derivatives are exact second-order jets of the underlying
 expressions (see :mod:`dihedral_lab.expressions`).  One curvature kernel
 (``_first_order``, ``_riemann``) runs on floats at one point, g^-1 from a
 Cholesky factor whose pivots check positive definiteness.  Domains are
-stored, validated and enumerated, face forms and dihedral angles computed,
+stored, validated and enumerated, mean curvatures and dihedral angles computed,
 and Gauss-Bonnet integrated by Gauss-Legendre product rules, on floats, so
 ``curvature_tensors``, the conformal identities, ``angles`` and
 ``gauss_bonnet_defect`` never load numpy; it is imported only to report a
@@ -48,12 +47,11 @@ from .expressions import (
 __all__ = [
     "PolyDomain",
     "CurvaturePack",
-    "FaceGeometry",
     "DomainError",
     "DegenerateCornerError",
     "curvature_tensors",
     "conformal_identities",
-    "face_geometry",
+    "mean_curvature",
     "dihedral_angle",
     "gauss_bonnet_defect",
 ]
@@ -88,7 +86,7 @@ class PolyDomain:
 
     # a the unit normals as k float tuples, b the k offsets, window an
     # optional ((lo...), (hi...)) sampling box; __dict__ holds the cached
-    # _solutions, _vertices, _bounded, _lattice and edges
+    # _solutions, _vertices, _bounded, _lattice, facets and edges
     __slots__ = ("dim", "a", "b", "region", "window", "__dict__")
     def __init__(self, dim: int, a: tuple, b: tuple,
                  region: str = "intersection", window: tuple | None = None):
@@ -189,12 +187,17 @@ class PolyDomain:
 
     def _on_faces_at(self, faces: tuple, x: Sequence[float], tol: float) -> bool:
         """Whether ``x`` lies on every face in ``faces`` and on the inner side
-        of the other supporting planes, up to ``tol``; face indices count
-        from the end when negative."""
+        of the other supporting planes, up to ``tol`` or ``_slack``'s scaled
+        tolerance, whichever is larger, so that points far from the origin
+        pass; face indices count from the end when negative."""
         tight = {range(self.face_count)[f] for f in faces}
-        slacks = (reduce(add, map(mul, row, x), 0.0) - t for row, t in zip(self.a, self.b))
-        return len(x) == self.dim and all(abs(s) <= tol if f in tight else s >= -tol
-                                          for f, s in enumerate(slacks))
+
+        def near(f, row, t, bound):
+            s = reduce(add, map(mul, row, x), 0.0) - t
+            return abs(s) <= bound if f in tight else s >= -bound
+        return len(x) == self.dim and all(
+            near(f, row, t, tol) or near(f, row, t, _slack(row, t, x)[1])
+            for f, (row, t) in enumerate(zip(self.a, self.b)))
 
     def on_face(self, i: int, x: Sequence[float], tol: float = 1e-9) -> bool:
         return self._on_faces_at((i,), x, tol)
@@ -248,13 +251,18 @@ class PolyDomain:
         return self.dim - (_householder(tight)[1] if tight else 0)
 
     @cached_property
-    def edges(self) -> frozenset:
-        """Pairs i < j of facets (faces of dimension n - 1) whose common
-        vertices span dimension n - 2; a face that touches the cell in less
-        than a facet is in no edge."""
+    def facets(self) -> tuple:
+        """The faces of dimension n - 1, in order; a face that touches the
+        cell (in the window) in less bounds nothing."""
         on = self._lattice[2]
-        facets = [f for f in range(self.face_count) if self._face_dim(on[f]) == self.dim - 1]
-        return frozenset((i, j) for i, j in combinations(facets, 2)
+        return tuple(f for f in range(self.face_count) if self._face_dim(on[f]) == self.dim - 1)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Pairs i < j of facets whose common vertices span dimension n - 2;
+        a face that touches the cell in less than a facet is in no edge."""
+        on = self._lattice[2]
+        return frozenset((i, j) for i, j in combinations(self.facets, 2)
                          if self._face_dim(on[i] & on[j]) == self.dim - 2)
 
     def cells(self, faces: tuple) -> list:
@@ -486,15 +494,6 @@ def curvature_tensors(g: MetricField, x: Sequence[float]) -> CurvaturePack:
 # ---------------------------------------------------------------------------
 
 
-class FaceGeometry:
-    """Second fundamental form (inner normal) of a face on a g-orthonormal
-    tangent basis, as n - 1 rows of floats, and its trace."""
-
-    __slots__ = ("second_fundamental", "mean_curvature")
-    def __init__(self, second_fundamental: list, mean_curvature: float):
-        self.second_fundamental, self.mean_curvature = second_fundamental, mean_curvature
-
-
 def _householder(rows: Sequence[Sequence[float]]) -> tuple[list, int]:
     """Columns of Q in a Householder QR of the transpose of ``rows`` (unit
     rows of length n), and the rank r: the first r columns span the rows and
@@ -519,66 +518,44 @@ def _householder(rows: Sequence[Sequence[float]]) -> tuple[list, int]:
     return [reflect([float(c == d) for d in range(n)], refl[::-1]) for c in range(n)], len(refl)
 
 
-def _nullspace(rows: Sequence[Sequence[float]]) -> list:
-    """Orthonormal Euclidean basis of the null space of ``rows``, as a list
-    of vectors (the trailing columns of ``_householder``'s Q)."""
-    span, rank = _householder(rows)
-    return span[rank:]
+def _mean_curvature(domain: PolyDomain, i: int, ginv: list, bracket: list) -> tuple:
+    """Mean curvature and inner unit normal nu of face ``i`` from the inverse
+    metric and the Christoffel bracket as ``_first_order`` gives them at one
+    point of the face.
+
+    ``nu = s g^-1 a / sqrt(a^T g^-1 a)`` (s = -1 for the complement) and
+    ``A(X, Y) = Gamma_{l,ij} X^i Y^j nu^l`` for constant-coefficient fields;
+    the face's inverse metric is ``g^-1 - nu nu^T``, so its trace is ``H =
+    sum_pq (g^pq - nu^p nu^q) Gamma_{l,pq} nu^l``, with no tangent frame."""
+    w = [reduce(add, map(mul, row, domain.a[i])) for row in ginv]
+    size = _root(reduce(add, map(mul, domain.a[i], w)))
+    nu = [v / size if domain.region == "intersection" else -v / size for v in w]
+    return reduce(add, [(gp - p * q) * (0.5 * reduce(add, map(mul, col, nu), 0.0))
+                        for p, row, brow in zip(nu, ginv, bracket)
+                        for q, gp, col in zip(nu, row, brow)], 0.0), nu
 
 
-def _g_orthonormal(vectors: Sequence, gmat: list) -> list:
-    """Gram-Schmidt on ``vectors`` in the metric ``gmat`` (nested lists of
-    floats), in order."""
-    out, lowered = [], []  # and g times each
-    for v in vectors:
-        for e, ge in zip(out, lowered):
-            p = reduce(add, map(mul, ge, v), 0.0)
-            v = [q - p * t for q, t in zip(v, e)]
-        gv = [reduce(add, map(mul, row, v), 0.0) for row in gmat]
-        size = _root(reduce(add, map(mul, v, gv), 0.0))
-        if size < 1e-14:
-            raise DomainError("degenerate tangent basis")
-        out.append([q / size for q in v])
-        lowered.append([q / size for q in gv])
-    return out
+def _face_point(domain: PolyDomain, i: int, x: Sequence[float]) -> list:
+    """``x`` as a list of floats, checked to lie on face ``i``."""
+    if not (0 <= i < domain.face_count):
+        raise DomainError(f"no face {i + 1}")
+    x = [float(v) for v in x]
+    if not domain.on_face(i, x):
+        raise DomainError(f"point {x} is not on face {i + 1}")
+    return x
 
 
-def _face_forms(domain: PolyDomain, i: int, gmat: list, ginv: list, bracket: list):
-    """Second fundamental form, g-orthonormal tangent basis (a list of n - 1
-    vectors) and inner unit normal of face ``i`` from the metric, its
-    inverse and the Christoffel bracket as ``_first_order`` gives them at
-    one point of the face."""
-    nu = [reduce(add, map(mul, row, domain.a[i])) for row in ginv]
-    sign = 1.0 if domain.region == "intersection" else -1.0
-    size = _root(reduce(add, [p * reduce(add, map(mul, row, nu), 0.0)
-                              for p, row in zip(nu, gmat)], 0.0))
-    nu, tangent = [sign * v / size for v in nu], _g_orthonormal(_nullspace([domain.a[i]]), gmat)
-    # A(X, Y) = g(nabla_X Y, nu) = Gamma_{l,ij} X^i Y^j nu^l for the
-    # constant-coefficient extension of Y
-    lowered = [[0.5 * reduce(add, map(mul, col, nu), 0.0) for col in row] for row in bracket]
-    pushed = [[reduce(add, map(mul, row, v), 0.0) for row in lowered] for v in tangent]
-    second = [[reduce(add, map(mul, u, w), 0.0) for w in pushed] for u in tangent]
-    second = [[0.5 * (p + q) for p, q in zip(row, col)] for row, col in zip(second, zip(*second))]
-    return second, tangent, nu
-
-
-def face_geometry(g: MetricField, domain: PolyDomain, i: int,
-                  x: Sequence[float]) -> FaceGeometry:
-    """Second fundamental form and mean curvature of face ``i`` at ``x``.
+def mean_curvature(g: MetricField, domain: PolyDomain, i: int, x: Sequence[float]) -> float:
+    """Mean curvature of face ``i`` at ``x``: the trace of its second
+    fundamental form.
 
     The face is a flat piece of the supporting hyperplane; curvature comes
     entirely from the metric.  The normal is the inner one: for the
     ``complement`` region mode inner means pointing away from the removed
     convex cell.
     """
-    if not (0 <= i < domain.face_count):
-        raise DomainError(f"no face {i + 1}")
-    x = [float(v) for v in x]
-    if not domain.on_face(i, x):
-        raise DomainError(f"point {x} is not on face {i + 1}")
-    gmat, ginv, _, bracket, *_ = _first_order(g, x)
-    second = _face_forms(domain, i, gmat, ginv, bracket)[0]
-    return FaceGeometry(second, reduce(add, [row[a] for a, row in enumerate(second)], 0.0))
+    _, ginv, _, bracket, *_ = _first_order(g, _face_point(domain, i, x))
+    return _mean_curvature(domain, i, ginv, bracket)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,22 +603,19 @@ def conformal_identities(
 
     pack_bar = curvature_tensors(gbar, x)
     lap, grad_sq, grad = _laplacian_and_gradient(pack_bar, h)
-    sc_bar = pack_bar.scalar
-    sc_scaled = curvature_tensors(scaled, x).scalar
-    rhs = (sc_bar / hval**2 - 2.0 * (n - 1) / hval**3 * lap
+    pack = curvature_tensors(scaled, x)
+    rhs = (pack_bar.scalar / hval**2 - 2.0 * (n - 1) / hval**3 * lap
            - (n - 1) * (n - 4) / hval**4 * grad_sq)
-    out = {"scalar": float(sc_scaled - rhs)}
+    out = {"scalar": float(pack.scalar - rhs)}
 
     if face is not None:
         if domain is None:
             raise ValueError("mean-curvature variant needs the domain")
-        fg = face_geometry(scaled, domain, face, x)
-        second_bar, _, nu_bar = _face_forms(domain, face, pack_bar.metric,
-                                            pack_bar.metric_inv, pack_bar.bracket)
-        dh_dn = reduce(add, map(mul, grad, nu_bar))
-        mean_bar = reduce(add, [row[a] for a, row in enumerate(second_bar)], 0.0)
-        rhs_h = mean_bar / hval - (n - 1) / hval**2 * dh_dn
-        out["mean_curvature"] = float(fg.mean_curvature - rhs_h)
+        _face_point(domain, face, x)
+        mean_bar, nu_bar = _mean_curvature(domain, face, pack_bar.metric_inv, pack_bar.bracket)
+        rhs_h = mean_bar / hval - (n - 1) / hval**2 * reduce(add, map(mul, grad, nu_bar))
+        out["mean_curvature"] = float(
+            _mean_curvature(domain, face, pack.metric_inv, pack.bracket)[0] - rhs_h)
     return out
 
 
@@ -805,7 +779,7 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
     c + a (p - c) + a b (q - p)``, of Jacobian ``a |det(p - c, q - c)|``
     (Karniadakis & Sherwin, *Spectral/hp Element Methods for CFD*, 2nd ed.,
     2005), and each side n nodes; K dA is ``Sc / 2 sqrt(det g)``, k_g ds the
-    second fundamental form of the side times its g-length, theta_v the
+    mean curvature of the side times its g-length, theta_v the
     dihedral angle of the sides through v.  No term depends on orientation
     and ``math.fsum`` is exact, so the sides need no order.
     """
@@ -841,7 +815,7 @@ def gauss_bonnet_defect(g: MetricField, domain: PolyDomain,
             gm, ginv, _, bracket, _, _ = _first_order(g, [r + s * d for r, d in zip(p, v)])
             speed = math.sqrt(reduce(add, [d * reduce(add, map(mul, row, v))
                                            for d, row in zip(v, gm)]))
-            terms.append(w * _face_forms(domain, face, gm, ginv, bracket)[0][0][0] * speed)
+            terms.append(w * _mean_curvature(domain, face, ginv, bracket)[0] * speed)
     for x, faces in zip(points, corners):
         terms.append(math.pi - dihedral_angle(g, domain, *faces, x))
     return math.fsum(terms)

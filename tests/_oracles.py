@@ -36,7 +36,6 @@ from dihedral_lab.curvature import (
     DegenerateCornerError,
     DomainError,
     PolyDomain,
-    _nullspace,
     curvature_tensors,
 )
 from dihedral_lab.expressions import Expr, MetricField, _full, parse_expression
@@ -542,7 +541,7 @@ def _edge_normal_in_face(domain: PolyDomain, gmat: np.ndarray, i: int, j: int
     """g-unit vector tangent to face i, g-orthogonal to the edge plane
     intersection, pointing to the <a_j, .> > 0 side."""
     a_i, a_j = normals(domain)[[i, j]]
-    face_basis = np.reshape(_nullspace([a_i]), (-1, len(a_i))).T  # (n, n-1)
+    face_basis = svd_nullspace([a_i])  # (n, n-1)
     if domain.dim == 2:
         u = face_basis[:, 0]
     else:

@@ -236,29 +236,59 @@ class TestCompareCommand:
 
     def test_face_touching_at_a_vertex_makes_no_corner(self, runner, tmp_path):
         # x1 + x2 >= 0 touches the square only at (0, 0); its pairs with the
-        # two sides through (0, 0) were sampled as corners of angle pi/4
+        # two sides through (0, 0) were sampled as corners of angle pi/4, and
+        # its mean curvature at (0, 0) as if it bounded the square
         side = square_scene()
         side["halfspaces"].append({"a": [1.0, 1.0], "b": 0.0})
         scene = {"N": side, "M": side, "f": ["x1", "x2"],
                  "faces": {"1": "1", "2": "2", "3": "3", "4": "4", "5": "5"}}
+        csv_path = tmp_path / "margins.csv"
         result = runner.invoke(main, ["compare", "--scene",
-                                      write_json(tmp_path / "scene.json", scene)])
+                                      write_json(tmp_path / "scene.json", scene),
+                                      "--csv", str(csv_path)])
         assert result.exit_code == 0
         cap = json.loads(result.output)["margins"]["angle_cap"]
         assert cap["value"] == math.pi / 2 and cap["stratum"] == "edge:1,3"
+        strata = {line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]
+                  if line.startswith("mean_curvature,")}
+        assert strata == {"face:1", "face:2", "face:3", "face:4"}
 
-    def test_unbounded_domain_needs_a_window(self, runner, tmp_path):
-        # the half-strip x1 >= 0, 0 <= x2 <= 1 was sampled in a box 2e-9 wide
-        side = {**square_scene(), "halfspaces": [
-            {"a": [1.0, 0.0], "b": 0.0}, {"a": [0.0, 1.0], "b": 0.0},
-            {"a": [0.0, -1.0], "b": -1.0}]}
-        scene = {"N": side, "M": side, "f": ["x1", "x2"],
-                 "faces": {"1": "1", "2": "2", "3": "3"}}
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 1e7), (1e7, 1e7, 5e6)])
+    def test_faces_far_from_the_origin(self, runner, tmp_path, offset):
+        # the unit box at ``offset`` cut 0.1 off its edge x2 = o2, x3 = o3 by
+        # a tilted plane: an absolute 1e-9 rejected the samples of that face
+        # and of its edges, whose slacks cancel terms of size 1e7
+        halfspaces = [{"a": [s * float(c == d) for d in range(3)],
+                       "b": s * offset[c] - (s < 0)} for c in range(3) for s in (1, -1)]
+        halfspaces.append({"a": [0.0, 0.6, 0.8], "b": 0.6 * offset[1] + 0.8 * offset[2] + 0.1})
+        side = {"dim": 3, "halfspaces": halfspaces, "g": {"11": "1", "22": "1", "33": "1"}}
+        scene = {"N": side, "M": side, "f": ["x1", "x2", "x3"],
+                 "faces": {str(i): str(i) for i in range(1, 8)}}
         result = runner.invoke(main, ["compare", "--scene",
                                       write_json(tmp_path / "scene.json", scene)])
-        assert result.exit_code == 2
-        assert result.stderr.splitlines() == [
-            "input error: an unbounded domain needs a sampling 'window'"]
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.output)["margins"]["mean_curvature"]["value"] == 0.0
+
+    def test_unbounded_domain_needs_a_window(self, runner, tmp_path):
+        # the half-strip x1 >= 0, 0 <= x2 <= 1 was sampled in a box 2e-9 wide;
+        # the closure of a complement, in the vertex box of the removed cell,
+        # where the square has no point (exit 2 after 32,000 tries) and a
+        # triangle some (exit 1, or 0 with --conclusions)
+        strip = {**square_scene(), "halfspaces": [
+            {"a": [1.0, 0.0], "b": 0.0}, {"a": [0.0, 1.0], "b": 0.0},
+            {"a": [0.0, -1.0], "b": -1.0}]}
+        triangle = {"dim": 2, "region": "complement", "g": {"11": "1", "22": "1"},
+                    "halfspaces": [{"a": [0.0, 1.0], "b": 0.0}, {"a": [1.0, -1.0], "b": -1.0},
+                                   {"a": [-1.0, -1.0], "b": -1.0}]}
+        for side in (strip, {**square_scene(), "region": "complement"}, triangle):
+            scene = {"N": side, "M": side, "f": ["x1", "x2"],
+                     "faces": {str(i): str(i) for i in range(1, len(side["halfspaces"]) + 1)}}
+            path = write_json(tmp_path / "scene.json", scene)
+            for mode in ([], ["--conclusions"]):
+                result = runner.invoke(main, ["compare", "--scene", path, *mode])
+                assert result.exit_code == 2
+                assert result.stderr.splitlines() == [
+                    "input error: an unbounded domain needs a sampling 'window'"]
 
     def test_byte_identical_reports(self, runner, tmp_path):
         scene = {

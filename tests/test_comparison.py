@@ -916,9 +916,8 @@ class TestConformalIdentities:
             [(row, 0.0) for row in np.eye(3)] + [(-row, -1.0) for row in np.eye(3)])
         out = conformal_identities(gbar, "1 + 0.3*x1 + 0.1*x2^2", (0.0, 0.5, 0.4),
                                    domain=cube, face=0)
-        # gbar once (its curvature pack feeds the face), the rescaled metric
-        # once for its curvature and once for its face
-        assert len(calls) == 3
+        # each metric once: its curvature pack feeds the face too
+        assert len(calls) == 2
         assert sum(g is gbar for g in calls) == 1
         assert abs(out["mean_curvature"]) <= 1e-12
 

@@ -17,10 +17,10 @@ from dihedral_lab.curvature import (
     PolyDomain,
     curvature_tensors,
     dihedral_angle,
-    face_geometry,
     gauss_bonnet_defect,
+    mean_curvature,
     _first_order,
-    _nullspace,
+    _householder,
     _riemann,
 )
 from dihedral_lab.bessel import _gauss_legendre
@@ -39,6 +39,13 @@ def stacked_curvature(g, pts):
     packs = [curvature_tensors(g, x) for x in pts]
     return tuple(np.array([getattr(pack, name) for pack in packs])
                  for name in ("metric", "metric_inv", "gamma", "riemann", "ricci", "scalar"))
+
+
+def householder_null(rows):
+    """The trailing columns of ``_householder``'s Q, past the rank: an
+    orthonormal basis of the null space of ``rows``."""
+    span, rank = _householder(rows)
+    return span[rank:]
 
 
 def sphere_metric(n):
@@ -331,13 +338,11 @@ class TestComponentKernel:
 
 class TestFaceGeometry:
     def test_flat_face(self):
-        fg = face_geometry(euclidean_metric(3), unit_cube(), 0, (0.0, 0.5, 0.5))
-        assert np.abs(fg.second_fundamental).max() <= 1e-13
-        assert fg.mean_curvature == pytest.approx(0.0, abs=1e-13)
+        assert mean_curvature(euclidean_metric(3), unit_cube(), 0, (0.0, 0.5, 0.5)) == 0.0
 
     def test_point_not_on_face(self):
         with pytest.raises(DomainError):
-            face_geometry(euclidean_metric(3), unit_cube(), 0, (0.5, 0.5, 0.5))
+            mean_curvature(euclidean_metric(3), unit_cube(), 0, (0.5, 0.5, 0.5))
 
     @pytest.mark.parametrize("n,c", [(2, 0.7), (3, -0.4)])
     def test_conformal_mean_curvature_law(self, n, c):
@@ -358,8 +363,7 @@ class TestFaceGeometry:
                 hs.append((tuple(a), -2.0))  # x_k >= -2
         dom = PolyDomain.from_halfspaces(hs)
         x = tuple(0.3 if k < n - 1 else 0.0 for k in range(n))
-        fg = face_geometry(g, dom, 0, x)
-        assert fg.mean_curvature == pytest.approx(-(n - 1) * c, abs=1e-13)
+        assert mean_curvature(g, dom, 0, x) == pytest.approx(-(n - 1) * c, abs=1e-13)
 
     def test_scaling_law_mean_curvature(self):
         # c^2 g divides H by c, on every face of the unit square
@@ -368,8 +372,8 @@ class TestFaceGeometry:
         g = parse_metric(spec, 2)
         scaled = parse_metric({k: f"{c2}*({v})" for k, v in spec.items()}, 2)
         for face, x in enumerate([(0.0, 0.3), (1.0, 0.7), (0.4, 0.0), (0.6, 1.0)]):
-            want = face_geometry(g, unit_square(), face, x).mean_curvature / c
-            got = face_geometry(scaled, unit_square(), face, x).mean_curvature
+            want = mean_curvature(g, unit_square(), face, x) / c
+            got = mean_curvature(scaled, unit_square(), face, x)
             assert got == pytest.approx(want, abs=1e-13)
 
     ORACLE_METRICS = {
@@ -380,21 +384,50 @@ class TestFaceGeometry:
                         "23": "x2/5", "33": "1+0.2*sin(x1*x3)"}),
     }
 
+    # 3-D cells with faces off the coordinate planes, and the faces checked
+    TILTED = (
+        ([(tuple(-float(s) for s in signs), -1.0)
+          for signs in itertools.product((1, -1), repeat=3)], range(8)),  # octahedron
+        ([((0.0, 0.0, 1.0), 0.0), ((1.0, 0.0, -0.5), 0.0), ((-1.0, 0.0, -0.5), -1.0),
+          ((0.0, 1.0, -0.5), 0.0), ((0.0, -1.0, -0.5), -1.0)], range(1, 5)),  # square pyramid
+        ([*zip(unit_cube().a, unit_cube().b), ((-1.0, -1.0, -1.0), -2.99)], (6,)),  # cut cube
+    )
+
+    def oracle_faces(self, n):
+        """``(domain, face, point)``: every face of the unit square or cube
+        (faces 2k, 2k + 1 are x_k = 0, x_k = 1); for n = 3 the tilted faces of
+        ``TILTED`` at seeded convex combinations of their vertices; and four
+        half-spaces of seeded random normal through a seeded point."""
+        rng, box, free = random.Random(n), unit_square() if n == 2 else unit_cube(), (0.3, 0.65)
+        for face in range(2 * n):
+            axis, rest = face // 2, iter(free)
+            yield box, face, tuple(float(face % 2) if k == axis else next(rest) for k in range(n))
+        for halfspaces, faces in self.TILTED if n == 3 else ():
+            dom = PolyDomain.from_halfspaces(halfspaces)
+            points, _, on = dom._lattice
+            for face in faces:
+                weights = {v: rng.random() for v in sorted(on[face])}
+                yield dom, face, tuple(sum(w * points[v][k] for v, w in weights.items())
+                                       / sum(weights.values()) for k in range(n))
+        for _ in range(4):
+            a, x = [rng.gauss(0.0, 1.0) for _ in range(n)], [rng.random() for _ in range(n)]
+            yield PolyDomain.from_halfspaces([(a, float(np.dot(a, x)))], validate=False), 0, x
+
     @pytest.mark.parametrize("region", ["intersection", "complement"])
     @pytest.mark.parametrize("metric", sorted(ORACLE_METRICS))
     def test_mean_curvature_matches_divergence_oracle(self, metric, region):
-        # H = -div_g nu in mpmath from sympy first derivatives, on every face
-        # of the unit square or cube (faces 2k, 2k + 1 are x_k = 0, x_k = 1)
+        # H = -div_g nu in mpmath from sympy first derivatives, on faces along
+        # and off the coordinate planes
         n, spec = self.ORACLE_METRICS[metric]
         g = parse_metric(spec, n)
-        box = unit_square() if n == 2 else unit_cube()
-        dom = PolyDomain(n, box.a, box.b, region)
-        free = (0.3, 0.65)
-        for face in range(2 * n):
-            axis, rest = face // 2, iter(free)
-            x = tuple(float(face % 2) if k == axis else next(rest) for k in range(n))
+        checked = 0
+        for cell, face, x in self.oracle_faces(n):
+            dom = PolyDomain(n, cell.a, cell.b, region)
             want = _oracles.mean_curvature(g, dom, face, x)
-            assert abs(face_geometry(g, dom, face, x).mean_curvature - want) <= 1e-13
+            assert abs(mean_curvature(g, dom, face, x) - want) <= 1e-13
+            checked += 1
+        assert checked == (8 if n == 2 else 23)
+
 
 class TestDihedralAngle:
     def test_cube_edges_right_angle(self):
@@ -500,7 +533,7 @@ class TestDihedralAngle:
                                          validate=False)
         rows = _oracles.normals(dom)
         vertex = np.linalg.lstsq(rows, _oracles.offsets(dom), rcond=None)[0]
-        pts = vertex + rng.normal(size=(5, n - 2)) @ np.reshape(_nullspace(rows), (-1, n))
+        pts = vertex + rng.normal(size=(5, n - 2)) @ np.reshape(householder_null(rows), (-1, n))
         metrics = [g.matrix_at(x.tolist()) for x in pts]
         exact = [_oracles.exact_dihedral_angle(gm, *rows, region) for gm in metrics]
         if any(abs(cos) >= 1.0 - 1e-12 for cos, _ in exact):  # nearly parallel random normals
@@ -548,7 +581,7 @@ class TestDihedralAngle:
         a_j = -low @ (math.cos(theta) * plane[:, 0] + math.sin(theta) * plane[:, 1])
         vertex = rng.uniform(-1.0, 1.0, n) * 10.0**scale
         halfspaces = [(a, float(a @ vertex)) for a in (a_i, a_j)]
-        x = vertex + rng.normal(size=n - 2) @ np.reshape(_nullspace([a_i, a_j]), (-1, n))
+        x = vertex + rng.normal(size=n - 2) @ np.reshape(householder_null([a_i, a_j]), (-1, n))
         for region in ("intersection", "complement"):
             dom = PolyDomain.from_halfspaces(halfspaces, region=region)
             _, want = _oracles.exact_dihedral_angle(gmat, *_oracles.normals(dom), region)
@@ -653,9 +686,9 @@ def axis_rows(n, numpy_signs):
 class TestNullspace:
     @pytest.mark.parametrize("numpy_signs", [True, False], ids=["negated", "literal"])
     def test_axis_aligned_rows_give_the_svd_basis(self, numpy_signs):
-        """Bit for bit the SVD basis, signs included, on the 58 sets of one
-        row or two orthogonal rows +-e_i (n = 2..4), in either row order:
-        sample charts on boxes do not move."""
+        """``_householder``'s null-space columns are bit for bit the SVD
+        basis, signs included, on the 58 sets of one row or two orthogonal
+        rows +-e_i (n = 2..4), in either row order."""
         sets = set()
         for n in (2, 3, 4):
             rows = axis_rows(n, numpy_signs)
@@ -663,7 +696,7 @@ class TestNullspace:
                 for combo in itertools.permutations(range(2 * n), k):
                     if len({t % n for t in combo}) == k:
                         sets.add((n, tuple(sorted(combo))))
-                        got = np.reshape(_nullspace([rows[t] for t in combo]), (-1, n)).T
+                        got = np.reshape(householder_null([rows[t] for t in combo]), (-1, n)).T
                         want = _oracles.svd_nullspace([rows[t] for t in combo])
                         assert got.shape == want.shape
                         assert got.tobytes() == want.tobytes()
@@ -678,7 +711,7 @@ class TestNullspace:
             n, k = int(rng.integers(2, 5)), int(rng.integers(1, 3))
             rows = rng.normal(size=(k, n))
             rows /= np.linalg.norm(rows, axis=1)[:, None]
-            got = np.reshape(_nullspace(rows.tolist()), (-1, n))
+            got = np.reshape(householder_null(rows.tolist()), (-1, n))
             assert len(got) == _oracles.svd_nullspace(rows).shape[1] == n - k
             assert np.abs(got @ got.T - np.eye(n - k)).max(initial=0.0) <= 1e-15
             assert np.abs(rows @ got.T).max(initial=0.0) <= 1e-15
