@@ -1588,12 +1588,13 @@ COMPARE_GOLDEN = json.loads((ROOT / "tests" / "data" / "compare_golden.json").re
 @pytest.mark.parametrize("case", sorted(COMPARE_GOLDEN))
 def test_compare_output_matches_golden(case, tmp_path):
     """stdout and ``--csv`` of ``compare`` on the shipped identity scenes,
+    at the default sample counts and at fewer and more than are checked,
     byte for byte as recorded in ``tests/data/compare_golden.json``: the
     sampler, the face lattice and the kernels must not move a bit;
     ``tests/data/regen_compare_golden.py`` rewrites the file."""
-    scene, mode, _, seed = case.split()
+    scene, mode, _, seed, *counts = case.split()
     args = ["compare", "--scene", str(ROOT / "scenes" / f"{scene}.json"), "--seed", seed,
-            "--csv", str(tmp_path / "rows.csv")]
+            "--csv", str(tmp_path / "rows.csv"), *counts]
     result = CliRunner().invoke(main, args + (["--conclusions"] if mode == "conclusions" else []))
     want = COMPARE_GOLDEN[case]
     assert result.exit_code == want["exit_code"]
