@@ -6,8 +6,9 @@ domain (M, g) must satisfy, at deterministically sampled points: the
 hypothesis margins  ``Sc(gbar) - |^2 df| f*Sc``, ``Hbar - |df| f*H``,
 ``f*theta - thetabar`` and the cap ``pi - f*theta``.  Each stratum
 (interior, every mapped face, every edge of the source's face lattice
-between mapped faces) is sampled and jetted once, on floats, where the
-face correspondence is checked; every verdict holds at the samples only.
+between mapped faces) is sampled and jetted once, on floats, where every
+face and edge image is checked once against the face correspondence
+(``_mapped_strata``); every verdict holds at the samples only.
 Everything runs on floats: the curvature kernel, mean curvatures and
 dihedral angles of a stratum are evaluated once for a constant metric and at each
 point for a metric that varies, and the singular values of df at each
@@ -52,8 +53,8 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-6
-# least points checked per face / edge; face tolerance per unit target diameter
-_CHECK_PER_FACE, _CHECK_PER_EDGE, _CHECK_TOL = 8, 4, 1e-6
+# least points checked per face / edge
+_CHECK_PER_FACE, _CHECK_PER_EDGE = 8, 4
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # witness band: margins within this many ulps of max(1, |extreme|) tie
 _TIE_ULPS = 8
@@ -164,8 +165,9 @@ class CompareScene:
                    CornerMap(comps, fmap))
 
     def validate(self, seed: int = 0) -> None:
-        """Check the declared correspondence: faces map into faces, and df is
-        injective on edge normal spans, transverse to the target edge."""
+        """Check the declared correspondence as the margins of ``seed`` do: face
+        and edge images lie on their target strata, and df is injective on
+        edge normal spans, transverse to the target edge."""
         _mapped_strata(self, SampleSpec(seed=seed))
 
 
@@ -374,9 +376,6 @@ def _measured(scene: CompareScene, src: list, dst: list, jacs: list) -> list:
 
 def _edge_angles(g: MetricField, domain: PolyDomain, i: int, j: int, pts: list) -> list:
     """Dihedral angles of faces (i, j) at the edge points ``pts``."""
-    for x in pts:
-        if not domain.on_edge(i, j, x):
-            raise DomainError(f"point {list(x)} is not on edge ({i + 1}, {j + 1})")
     return _at_points(g, pts, lambda x: dihedral_angle(g, domain, i, j, x))
 
 
@@ -385,28 +384,39 @@ def _wedge2(sv: list) -> float:
     return sv[0] * sv[1] if len(sv) > 1 else 0.0
 
 
+def _check_images(dst: PolyDomain, faces: tuple, target: tuple, pts: list, imgs: list) -> None:
+    """``SceneError`` at the first of ``pts`` on the face or edge ``faces``
+    whose image is off the face or edge ``target`` of ``dst``."""
+    def name(fs):
+        return f"face {fs[0] + 1}" if len(fs) == 1 else f"edge ({fs[0] + 1},{fs[1] + 1})"
+    for x, img in zip(pts, imgs):
+        if not dst._on_faces_at(target, img):
+            raise SceneError(f"{name(faces)} sample {list(x)} maps to {list(img)}, "
+                             f"not on target {name(target)}")
+
+
 def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
     """``(i, j, points, images, jacobians)`` per mapped facet and ``(i, j, points,
     images)`` per edge i < j of the face lattice between mapped faces, sampled and
     jetted once at ``max(per_face, _CHECK_PER_FACE)`` / ``max(per_edge,
-    _CHECK_PER_EDGE)`` points, all checked against the declared correspondence.
-    A mapped face that is no facet bounds nothing and is skipped, as
-    ``PolyDomain.edges`` skips it."""
+    _CHECK_PER_EDGE)`` points, whatever the counts the margins read.  The one
+    check of the declared correspondence: every image lies on its target face
+    or edge (``_check_images``), and df is injective on each edge's normal span
+    and transverse to the target edge.  A mapped face that is no facet bounds
+    nothing and is skipped, as ``PolyDomain.edges`` skips it."""
     f = scene.corner_map
     src, dst = scene.domain_src, scene.domain_dst
-    scale = max(1.0, dst.diameter())
     faces, edges = [], []
     for i, j in ((i, j) for i, j in f.face_map.items() if i in src.facets):
         ys = _sample(src, (i,), max(spec.per_face, _CHECK_PER_FACE), spec.seed)
         imgs, jacs = f.jet(ys)
-        for y, img in zip(ys, imgs):
-            if not dst.on_face(j, img, _CHECK_TOL * scale):
-                raise SceneError(f"face {i + 1} sample {list(y)} maps to "
-                                 f"{list(img)}, not on target face {j + 1}")
+        _check_images(dst, (i,), (j,), ys, imgs)
         faces.append((i, j, ys, imgs, jacs))
     for i, j in ((i, j) for i in f.face_map for j in f.face_map if (i, j) in src.edges):
         zs = _sample(src, (i, j), max(spec.per_edge, _CHECK_PER_EDGE), spec.seed)
         imgs, jacs = f.jet(zs)
+        target = (f.face_map[i], f.face_map[j])
+        _check_images(dst, (i, j), target, zs, imgs)
         # df of the source normals, as columns
         pushed = [[[_dot(row, src.a[t]) for t in (i, j)] for row in jac] for jac in jacs]
         if any(_singular_values(cols)[-1] < 1e-8 for cols in pushed):
@@ -414,7 +424,7 @@ def _mapped_strata(scene: CompareScene, spec: SampleSpec) -> tuple[list, list]:
                              f"({i + 1},{j + 1})")
         # [pushed | edge tangent] is square where the target normals have rank 2,
         # and its determinant is that of the target normals' span coordinates
-        axes, rank = _householder([dst.a[f.face_map[i]], dst.a[f.face_map[j]]])
+        axes, rank = _householder([dst.a[t] for t in target])
         for cols in pushed if rank == 2 else ():
             (u0, v0), (u1, v1) = ([_dot(q, col) for col in zip(*cols)] for q in axes[:2])
             if abs(u0 * v1 - v0 * u1) < 1e-10:
@@ -451,9 +461,6 @@ def _pointwise_quantities(scene: CompareScene, spec: SampleSpec) -> list:
             jacs)])
     for i, j, ys, fys, jacs in faces:
         ys, fys, jacs = ys[:spec.per_face], fys[:spec.per_face], jacs[:spec.per_face]
-        for y in fys:
-            if not dst.on_face(j, y):
-                raise DomainError(f"point {list(y)} is not on face {j + 1}")
         extend("mean_curvature", f"face:{i + 1}", ys, [
             h_src - sv[0] * h_dst for h_src, h_dst, sv in _measured(
                 scene, _kernel(scene.metric_src, ys, mean(src, i)),

@@ -185,25 +185,21 @@ class PolyDomain:
     def face_count(self) -> int:
         return len(self.b)
 
-    def _on_faces_at(self, faces: tuple, x: Sequence[float], tol: float) -> bool:
+    def _on_faces_at(self, faces: tuple, x: Sequence[float]) -> bool:
         """Whether ``x`` lies on every face in ``faces`` and on the inner side
-        of the other supporting planes, up to ``tol`` or ``_slack``'s scaled
-        tolerance, whichever is larger, so that points far from the origin
-        pass; face indices count from the end when negative."""
+        of the other supporting planes, up to ``_slack``'s scaled tolerance,
+        so that points far from the origin pass; face indices count from the
+        end when negative."""
         tight = {range(self.face_count)[f] for f in faces}
-
-        def near(f, row, t, bound):
-            s = reduce(add, map(mul, row, x), 0.0) - t
-            return abs(s) <= bound if f in tight else s >= -bound
         return len(x) == self.dim and all(
-            near(f, row, t, tol) or near(f, row, t, _slack(row, t, x)[1])
-            for f, (row, t) in enumerate(zip(self.a, self.b)))
+            abs(s) <= tol if f in tight else s >= -tol
+            for f, (s, tol) in enumerate(_slack(row, t, x) for row, t in zip(self.a, self.b)))
 
-    def on_face(self, i: int, x: Sequence[float], tol: float = 1e-9) -> bool:
-        return self._on_faces_at((i,), x, tol)
+    def on_face(self, i: int, x: Sequence[float]) -> bool:
+        return self._on_faces_at((i,), x)
 
-    def on_edge(self, i: int, j: int, x: Sequence[float], tol: float = 1e-9) -> bool:
-        return self._on_faces_at((i, j), x, tol)
+    def on_edge(self, i: int, j: int, x: Sequence[float]) -> bool:
+        return self._on_faces_at((i, j), x)
 
     @cached_property
     def _solutions(self) -> list:
@@ -285,16 +281,6 @@ class PolyDomain:
         """Points where ``dim`` face planes meet feasibly (may be none), as
         float tuples rounded to 9 decimals, sorted and deduplicated."""
         return self._vertices
-
-    def diameter(self) -> float:
-        if self.window is not None:
-            lo, hi = self.window
-            return _norm([q - p for p, q in zip(lo, hi)])
-        pts = self._vertices
-        if len(pts) >= 2:
-            return max(max(_norm([p - q for p, q in zip(u, v)])
-                           for u, v in combinations(pts, 2)), 1e-9)
-        return 1.0
 
 
 def _numbers(values, message: str) -> list:

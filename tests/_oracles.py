@@ -173,9 +173,17 @@ def offsets(domain: PolyDomain) -> np.ndarray:
 
 def slacks(domain: PolyDomain, x) -> np.ndarray:
     """``<a_i, x> - b_i`` for every face (leading point axes broadcast),
-    summed left to right as ``PolyDomain._on_faces_at`` sums them."""
+    summed left to right as ``curvature._slack`` sums them."""
     x, rows = np.asarray(x, dtype=float)[..., None, :], normals(domain)
     return reduce(add, (x[..., m] * rows[:, m] for m in range(domain.dim)), 0.0) - offsets(domain)
+
+
+def slack_tolerances(domain: PolyDomain, x) -> np.ndarray:
+    """The tolerance of every slack, as ``curvature._slack`` sets it:
+    1e-9 max(1, |a_i| |x| + |b_i|), the products summed left to right."""
+    x, rows = np.asarray(x, dtype=float)[..., None, :], normals(domain)
+    size = reduce(add, (np.abs(x[..., m] * rows[:, m]) for m in range(domain.dim)))
+    return 1e-9 * np.maximum(1.0, size + np.abs(offsets(domain)))
 
 
 def contains(domain: PolyDomain, x, tol: float = 1e-12) -> bool:

@@ -1602,6 +1602,31 @@ def test_compare_output_matches_golden(case, tmp_path):
     assert (tmp_path / "rows.csv").read_text() == want["csv"]
 
 
+@pytest.mark.parametrize("stratum, k, name, counts", [
+    ((0, 2), 1, "edge (1,3)", ["--per-edge", "1"]),
+    ((0,), 2, "face 1", ["--per-face", "2"]),
+])
+def test_compare_checks_every_image_whatever_the_counts(stratum, k, name, counts, tmp_path):
+    """f = id plus a bump of height 1e-7 and width 1e-3 in x1, centred on
+    check sample k of an edge or face of the unit cube that the margins at
+    ``counts`` do not read: its image leaves the target stratum, so
+    ``compare`` refuses the scene at the default counts and at ``counts``."""
+    from dihedral_lab.comparison import _sample
+    from dihedral_lab.curvature import PolyDomain
+
+    scene = json.loads((ROOT / "scenes" / "cube_id.json").read_text())
+    centre = _sample(PolyDomain.from_scene(scene["N"]), stratum, 8, 0)[k]
+    square = " + ".join(f"(x{m + 1} - {v!r})^2" for m, v in enumerate(centre))
+    scene["f"][0] = f"x1 + 1e-7*exp(-({square})/1e-6)"
+    path = write_json(tmp_path / "bump.json", scene)
+    for extra in ([], counts):
+        result = CliRunner().invoke(main, ["compare", "--scene", path] + extra)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"input error: {name} sample {list(centre)} maps to {[1e-07, *centre[1:]]}, "
+            f"not on target {name}"]
+
+
 def test_narrow_dip_is_missed_by_the_default_samples(tmp_path):
     """FOUND: a verdict holds at the samples only.  The unit square under
     g = e^{2u} delta, u = -0.01 exp(-|x - (0.37, 0.61)|^2 / 0.02^2), has Sc

@@ -543,10 +543,8 @@ class TestDihedralAngle:
         got = _edge_angles(g, dom, 0, 1, pts.tolist())
         assert max(abs(theta - want) for theta, (_, want) in zip(got, exact)) <= 1e-15
         assert [dihedral_angle(g, dom, 0, 1, x) for x in pts] == got
-        off = pts.copy()
-        off[-1] += 1e-6 * rows[0]
         with pytest.raises(DomainError, match="is not on edge"):
-            _edge_angles(g, dom, 0, 1, off.tolist())
+            dihedral_angle(g, dom, 0, 1, pts[-1] + 1e-6 * rows[0])
         for sign in (1.0, -1.0):  # a face paired with its own or the opposite plane
             flat = PolyDomain.from_halfspaces(
                 [(normals[0], offsets[0]), (sign * normals[0], sign * offsets[0])],
@@ -764,21 +762,22 @@ class TestPolyDomain:
     def test_contains(self):
         # no face tight: the point test on floats is membership
         sq = unit_square()
-        assert sq._on_faces_at((), (0.5, 0.5), 1e-12)
-        assert not sq._on_faces_at((), (1.5, 0.5), 1e-12)
+        assert sq._on_faces_at((), (0.5, 0.5))
+        assert not sq._on_faces_at((), (1.5, 0.5))
 
     def test_normalization(self):
         dom = PolyDomain.from_halfspaces([((2.0, 0.0), 0.0), ((-2.0, 0.0), -4.0),
                                           ((0.0, 2.0), 0.0), ((0.0, -2.0), -4.0)])
         assert np.allclose(np.linalg.norm(_oracles.normals(dom), axis=1), 1.0)
-        assert dom._on_faces_at((), (1.0, 1.0), 1e-12)
-        assert not dom._on_faces_at((), (2.5, 1.0), 1e-12)
+        assert dom._on_faces_at((), (1.0, 1.0))
+        assert not dom._on_faces_at((), (2.5, 1.0))
 
     @staticmethod
-    def on_faces(dom, faces, x, tol=1e-9):
+    def on_faces(dom, faces, x):
         """The array reference: on every face in ``faces`` and on the inner
-        side of the others, up to ``tol``, at the rows of ``x``."""
-        s = _oracles.slacks(dom, x)
+        side of the others, each up to its ``_slack`` tolerance, at the rows
+        of ``x``."""
+        s, tol = _oracles.slacks(dom, x), _oracles.slack_tolerances(dom, x)
         tight = np.zeros(dom.face_count, dtype=bool)
         tight[faces] = True
         return np.all(np.where(tight, np.abs(s) <= tol, s >= -tol), axis=-1)
@@ -795,15 +794,26 @@ class TestPolyDomain:
         assert any(batched)
 
     def test_point_tests_agree_at_the_tolerance(self):
-        # the array slacks round like the float ones, so a point whose face-0
-        # slack is the tolerance itself gets one verdict on both paths
+        # one rule, _slack's: an edge point moved off face 0 by d times its
+        # tolerance 1e-9 max(1, |a_0| |x| + |b_0|) is on the face and on the
+        # edge iff |d| <= 1, from 1e-2 to 1e7 from the origin (where the
+        # tolerance is 1e-2), on floats and on arrays alike
         rng = np.random.default_rng(5)
-        dom = PolyDomain.from_halfspaces(list(zip(rng.normal(size=(5, 3)), rng.normal(size=5))),
+        offsets = [*rng.normal(size=2), -1e9, -1e9, -1e9]  # planes 3-5 hold every point
+        dom = PolyDomain.from_halfspaces(list(zip(rng.normal(size=(5, 3)), offsets)),
                                          validate=False)
-        pts = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-2, 4, size=(300, 1))
-        for x, s in zip(pts, _oracles.slacks(dom, pts)):
-            for tol in (abs(s[0]), np.nextafter(abs(s[0]), 0.0)):
-                assert dom.on_face(0, x.tolist(), tol) == self.on_faces(dom, [0], x, tol)
+        edge = _oracles.normals(dom)[:2]
+        gram = edge @ edge.T
+        away = np.linalg.solve(gram, [1.0, 0.0]) @ edge  # slack 0 up by 1, slack 1 fixed
+        pts = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-2, 7, size=(200, 1))
+        pts -= np.linalg.solve(gram, _oracles.slacks(dom, pts)[:, :2].T).T @ edge
+        assert np.abs(pts).max() > 1e7
+        for x, tol in zip(pts, _oracles.slack_tolerances(dom, pts)[:, 0]):
+            for d in (0.0, 0.999, -0.999, 1.001, -1.001):
+                y = x + d * tol * away
+                want = abs(d) < 1.0
+                assert self.on_faces(dom, [0], y) == self.on_faces(dom, [0, 1], y) == want
+                assert dom.on_face(0, y.tolist()) == dom.on_edge(0, 1, y.tolist()) == want
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_normals_bit_equal_to_numpy_row_norms(self, n):

@@ -82,7 +82,7 @@ def test_samples_lie_on_their_strata(name):
     dom = domain(name)
     for faces in strata(dom):
         for x in _sample(dom, faces, 16, 5):
-            assert dom._on_faces_at(faces, x, 1e-9)
+            assert dom._on_faces_at(faces, x)
             if dom.window is not None:
                 assert all(lo <= v <= hi for v, lo, hi in zip(x, *dom.window))
 

@@ -118,6 +118,25 @@ class TestEsaVerdict:
             alpha = half_pi * (i / 10)
             assert esa_verdict_mixed(alpha)[0] == (i <= 10)
 
+    def test_spectral_chain_on_the_20x20_grid(self):
+        """The closed spectrum, the Bessel deficiency test and the ESA rule
+        as one chain: on the same grid, every distinct lattice eigenvalue
+        with |lam| <= 4.5 and |1/2 - |lam|| >= 1e-10 (k = -5..5 reaches every
+        lattice point of that range, the spacing pi / alpha being at least 1)
+        is L^2 iff |lam| < 1/2, and a pair is essentially self-adjoint iff
+        none of its eigenvalues is L^2."""
+        spectra = {}
+        for i, j in itertools.product(range(1, 21), repeat=2):
+            pair = SectorPair((i / 20) * math.pi, (j / 20) * math.pi)
+            spectra[pair] = [lam for lam in p_spectrum_closed(pair).eigenvalues
+                             if abs(lam) <= 4.5 and abs(0.5 - abs(lam)) >= 1e-10]
+        is_l2 = {lam: deficiency_test(lam).is_l2
+                 for lam in sorted({lam for lams in spectra.values() for lam in lams})}
+        assert len(is_l2) > 1300
+        assert [lam for lam, l2 in is_l2.items() if l2 != (abs(lam) < 0.5)] == []
+        assert [(pair.alpha, pair.beta) for pair, lams in spectra.items()
+                if esa_verdict(pair)[0] == any(is_l2[lam] for lam in lams)] == []
+
 
 def _operator_norm(alpha, beta, grid):
     """Gershgorin-type scale (2 + 2 |tan(d/2)|) grid / alpha of the matrix."""
